@@ -165,6 +165,15 @@ thread_local! {
     static SHARD_SCRATCH: RefCell<ShardScratch> = RefCell::new(ShardScratch::default());
 }
 
+/// The user every row of a batch belongs to, if there is just one. A
+/// mixed batch is told apart by comparing its first and last rows, so the
+/// multi-user paths pay nothing per row; only when those two agree is the
+/// column scanned, and the scan stops at the first row that differs.
+fn sole_user(users: &[u64]) -> Option<u64> {
+    let (&first, rest) = users.split_first()?;
+    (users.last() == Some(&first) && rest.iter().all(|&user| user == first)).then_some(first)
+}
+
 /// Per-batch ingest ledger: how [`Collector::ingest_outcome`] disposed of
 /// every report in the batch (`accepted + dropped + rejected` always
 /// equals the batch length).
@@ -342,10 +351,11 @@ impl Collector {
     ///
     /// The batch is columnar: the shard-routing pass reads only the user
     /// column (screening slots and values as it routes), and accumulation
-    /// streams the slot/value columns. Single-shard destinations — every
-    /// [`crate::ClientFleet`] upload, and any collector configured with
-    /// one shard — take a fast path: one lock, no routing scratch. Multi-
-    /// shard batches counting-sort their indices into contiguous per-shard
+    /// streams the slot/value columns. A batch whose rows all belong to
+    /// one user — every [`crate::ClientFleet`] upload — folds as a run:
+    /// one lock, no routing scratch, the user's entry looked up once. A
+    /// collector configured with one shard also skips routing. Otherwise
+    /// the batch's indices are counting-sorted into contiguous per-shard
     /// runs inside a reusable thread-local scratch, so each lock is held
     /// over one cache-friendly run and the steady state performs no heap
     /// allocation.
@@ -366,7 +376,9 @@ impl Collector {
         // to nothing at normal batch sizes, and a no-op when disabled.
         let fold_timer = self.metrics.fold_nanos.timer();
         let mut tally = IngestOutcome::default();
-        if self.shards.len() == 1 {
+        if let Some(user) = sole_user(users) {
+            self.ingest_user_batch(user, slots, values, &mut tally);
+        } else if self.shards.len() == 1 {
             self.ingest_single_shard(0, users, slots, values, &mut tally);
         } else {
             self.ingest_chunked(users, slots, values, ROUTE_CHUNK_ROWS, &mut tally);
@@ -377,6 +389,50 @@ impl Collector {
         self.metrics.dropped.add(tally.dropped);
         self.metrics.rejected.add(tally.rejected);
         tally
+    }
+
+    /// The single-user path (every fleet upload, and any device's own
+    /// stream): one shard, one lock, no routing scratch. Rows are screened
+    /// in order and every maximal stretch of accepted rows folds through
+    /// [`ShardAccumulator::ingest_user_run`] — the shard ends bit-identical
+    /// to folding the accepted rows one at a time.
+    fn ingest_user_batch(
+        &self,
+        user: u64,
+        slots: &[u64],
+        values: &[f64],
+        tally: &mut IngestOutcome,
+    ) {
+        let shard_idx = self.shard_of(user);
+        let shard = &self.shards[shard_idx];
+        let mut accepted = 0usize;
+        {
+            let mut acc = shard.acc.lock().expect("collector shard poisoned");
+            let mut row = 0;
+            while row < slots.len() {
+                if slots[row] >= self.max_slots {
+                    tally.dropped += 1;
+                    row += 1;
+                } else if !values[row].is_finite() {
+                    tally.rejected += 1;
+                    row += 1;
+                } else {
+                    let run = slots[row..]
+                        .iter()
+                        .zip(&values[row..])
+                        .take_while(|&(&slot, value)| slot < self.max_slots && value.is_finite())
+                        .count();
+                    acc.ingest_user_run(user, &slots[row..row + run], &values[row..row + run]);
+                    accepted += run;
+                    row += run;
+                }
+            }
+        }
+        if accepted > 0 {
+            shard.epoch.fetch_add(1, Ordering::Release);
+            self.metrics.shard_batches[shard_idx].inc();
+            tally.accepted += accepted as u64;
+        }
     }
 
     /// The single-shard fast path (a one-shard collector): one lock, no
@@ -443,13 +499,13 @@ impl Collector {
     /// The multi-shard ingest path: one **routing pass** computes each
     /// report's shard and screens slot bounds and non-finite values (so
     /// nothing is re-checked under a lock) while watching whether every
-    /// accepted report lands on one shard — the uniform case (every
-    /// fleet upload is) skips the sort entirely. Otherwise a counting
-    /// sort scatters the accepted indices into contiguous per-shard runs
-    /// inside `scratch`, and the **fold pass** either streams each run
-    /// under its shard's mutex inline, or — when the batch is large
-    /// enough and a pool is configured — dispatches the runs to the
-    /// work-stealing pool and participates until they drain.
+    /// accepted report lands on one shard — the uniform case skips the
+    /// sort entirely. Otherwise a counting sort scatters the accepted
+    /// indices into contiguous per-shard runs inside `scratch`, and the
+    /// **fold pass** either streams each run under its shard's mutex
+    /// inline, or — when the batch is large enough and a pool is
+    /// configured — dispatches the runs to the work-stealing pool and
+    /// participates until they drain.
     fn ingest_runs(
         &self,
         scratch: &mut ShardScratch,

@@ -38,8 +38,8 @@ pub struct FleetConfig {
     /// Thread count never changes published values, only scheduling.
     ///
     /// This is *client-side* parallelism: each worker uploads its own
-    /// users' single-user batches, which take the collector's uniform
-    /// (one-shard, no-scatter) fold path. The collector-side counterpart
+    /// users' single-user batches, which take the collector's
+    /// single-user (one shard, one lock, no routing) run fold. The collector-side counterpart
     /// for few hot connections carrying big mixed batches is
     /// [`crate::CollectorConfig::ingest_workers`] — the work-stealing
     /// parallel shard fold.
@@ -179,9 +179,9 @@ impl ClientFleet {
     ///
     /// Deterministic in `(population, range, config.seed, config.spec)`:
     /// the thread count only changes scheduling, not any published value.
-    /// Each worker reuses one publish buffer and one columnar
-    /// [`ReportBatch`] across its users, so the steady-state upload loop
-    /// performs no per-user heap allocation.
+    /// Each worker builds its sessions, publish buffers and columnar
+    /// [`ReportBatch`] once and reuses them across its users, so the
+    /// steady-state upload loop performs no per-user heap allocation.
     ///
     /// # Errors
     /// Returns an error if `(epsilon, w)` is invalid for the pipeline.
@@ -350,11 +350,21 @@ impl ClientFleet {
     }
 }
 
+/// Users one fleet worker publishes in lock-step. A session is a serial
+/// feedback chain (each input needs the previous report), so one user at
+/// a time leaves the core waiting on latency; four independent users side
+/// by side fill it, and more adds nothing once the chains already overlap.
+/// A constant, not a knob: published values do not depend on it.
+const LANES: usize = 4;
+
 /// One ingest worker: runs the sessions of `users` (ids starting at
-/// `start`) over `range` and submits one batch per user into `sink`,
-/// reusing one publish buffer and one columnar batch across users. Shared
-/// by every drive flavor (local, with-queries, remote), so all paths
-/// publish bit-identical values.
+/// `start`) over `range` and submits one batch per user, in user order,
+/// into `sink`. Users go [`LANES`] at a time through
+/// [`OnlineSession::report_lanes_into`], the remainder one at a time
+/// through the same call; the worker's sessions, publish buffers and
+/// columnar batch are built once and reused, so the steady state performs
+/// no per-user heap allocation. Shared by every drive flavor (local,
+/// with-queries, remote), so all paths publish bit-identical values.
 fn worker_upload<S: ReportSink>(
     cfg: FleetConfig,
     start: usize,
@@ -362,20 +372,69 @@ fn worker_upload<S: ReportSink>(
     range: Range<usize>,
     sink: &mut S,
 ) -> std::io::Result<()> {
-    let mut published: Vec<f64> = Vec::new();
-    let mut batch = ReportBatch::new();
-    for (offset, stream) in users.iter().enumerate() {
-        let user = (start + offset) as u64;
-        let mut session = OnlineSession::of_spec(cfg.spec, cfg.epsilon, cfg.w)
-            .expect("config validated by the caller");
-        let mut rng = StdRng::seed_from_u64(user_seed(cfg.seed, user));
-        let xs = stream.subsequence(range.clone());
-        session.report_all_into(xs, &mut published, &mut rng);
-        batch.clear();
-        batch.push_stream(user, 0, &published);
-        sink.submit(&batch)?;
+    let mut worker = Worker {
+        cfg,
+        range,
+        sessions: std::array::from_fn(|_| {
+            OnlineSession::of_spec(cfg.spec, cfg.epsilon, cfg.w)
+                .expect("config validated by the caller")
+        }),
+        published: Default::default(),
+        batch: ReportBatch::new(),
+    };
+    let mut groups = users.chunks_exact(LANES);
+    let mut first_user = start as u64;
+    for group in &mut groups {
+        worker.upload::<LANES, S>(first_user, group, sink)?;
+        first_user += LANES as u64;
+    }
+    for stream in groups.remainder() {
+        worker.upload::<1, S>(first_user, std::slice::from_ref(stream), sink)?;
+        first_user += 1;
     }
     Ok(())
+}
+
+/// The per-lane state one [`worker_upload`] call reuses across its users.
+struct Worker {
+    cfg: FleetConfig,
+    range: Range<usize>,
+    sessions: [OnlineSession; LANES],
+    published: [Vec<f64>; LANES],
+    batch: ReportBatch,
+}
+
+impl Worker {
+    /// Publishes the `K` users `first_user..` (whose streams are
+    /// `streams`) on the first `K` lanes, then submits their batches.
+    fn upload<const K: usize, S: ReportSink>(
+        &mut self,
+        first_user: u64,
+        streams: &[Stream],
+        sink: &mut S,
+    ) -> std::io::Result<()> {
+        let streams = streams.first_chunk::<K>().expect("one stream per lane");
+        let sessions = self.sessions.first_chunk_mut::<K>().expect("K <= LANES");
+        let published = self.published.first_chunk_mut::<K>().expect("K <= LANES");
+        sessions.iter_mut().for_each(OnlineSession::reset);
+        let mut rngs: [StdRng; K] = std::array::from_fn(|k| {
+            StdRng::seed_from_u64(user_seed(self.cfg.seed, first_user + k as u64))
+        });
+        OnlineSession::report_lanes_into(
+            sessions.each_mut(),
+            streams
+                .each_ref()
+                .map(|stream| stream.subsequence(self.range.clone())),
+            published.each_mut(),
+            rngs.each_mut(),
+        );
+        for (k, values) in published.iter().enumerate() {
+            self.batch.clear();
+            self.batch.push_stream(first_user + k as u64, 0, values);
+            sink.submit(&self.batch)?;
+        }
+        Ok(())
+    }
 }
 
 /// Pause between query-thread rounds in
@@ -513,24 +572,36 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_published_values() {
-        let pop = taxi_population(17, 15, 9);
-        let a = Collector::new(CollectorConfig {
-            shards: 2,
-            ..CollectorConfig::default()
-        });
-        let b = Collector::new(CollectorConfig {
-            shards: 5,
-            ..CollectorConfig::default()
-        });
-        fleet(SessionKind::Capp, 1).drive(&pop, 2..12, &a).unwrap();
-        fleet(SessionKind::Capp, 6).drive(&pop, 2..12, &b).unwrap();
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        // Per-user sums only involve one user's own reports, so they are
-        // bitwise identical across thread/shard counts.
-        assert_eq!(sa.per_user_means(), sb.per_user_means());
-        assert!(
-            (sa.windowed_mean(0..10).unwrap() - sb.windowed_mean(0..10).unwrap()).abs() < 1e-12
-        );
+        // 17 and 23 users: neither divides by the lane width, so one thread
+        // runs full lane groups plus a remainder of 1 or 3 single lanes,
+        // two threads split into other group/remainder mixes, and six
+        // threads get fewer users than lanes each — all single lanes.
+        for users in [17, 23] {
+            let pop = taxi_population(users, 15, 9);
+            let a = Collector::new(CollectorConfig {
+                shards: 2,
+                ..CollectorConfig::default()
+            });
+            fleet(SessionKind::Capp, 1).drive(&pop, 2..12, &a).unwrap();
+            let sa = a.snapshot();
+            for threads in [2, 6] {
+                let b = Collector::new(CollectorConfig {
+                    shards: 5,
+                    ..CollectorConfig::default()
+                });
+                fleet(SessionKind::Capp, threads)
+                    .drive(&pop, 2..12, &b)
+                    .unwrap();
+                let sb = b.snapshot();
+                // Per-user sums only involve one user's own reports, so they
+                // are bitwise identical across thread/shard counts.
+                assert_eq!(sa.per_user_means(), sb.per_user_means());
+                assert!(
+                    (sa.windowed_mean(0..10).unwrap() - sb.windowed_mean(0..10).unwrap()).abs()
+                        < 1e-12
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 
 /// Ledger of per-time-slot privacy spends over a sliding window.
 ///
-/// Internally a ring buffer of the last `w` spends: [`Self::record`] adds
-/// the new slot to the window sum, retires the spend that slid out, and
-/// folds the sum into a running maximum — the exact sliding-sum recurrence
-/// a full-history scan would compute, so the reported maximum is
-/// bit-identical to the unbounded-ledger implementation it replaced.
+/// Internally a ring buffer of the last `w` spends: [`Self::record`] (and
+/// its batch form [`Self::record_run`]) adds the new slot to the window
+/// sum, retires the spend that slid out, and folds the sum into a running
+/// maximum — the exact sliding-sum recurrence a full-history scan would
+/// compute, so the reported maximum is bit-identical to the
+/// unbounded-ledger implementation it replaced.
 #[derive(Debug, Clone)]
 pub struct WEventAccountant {
     w: usize,
@@ -69,19 +70,75 @@ impl WEventAccountant {
     }
 
     /// Records the spend of the next time slot (0 for slots with no report).
+    ///
+    /// # Panics
+    /// Panics if `epsilon` is negative or not finite.
     pub fn record(&mut self, epsilon: f64) {
+        self.record_run(epsilon, 1);
+    }
+
+    /// Records the same spend for each of the next `slots` time slots —
+    /// the batch entry a session uses after publishing a whole run at a
+    /// fixed per-slot budget. The ledger ends in exactly the state `slots`
+    /// single [`Self::record`] calls leave: the spend is validated once,
+    /// the ring position advances as a wrapping cursor, and the window sum
+    /// and running maximum follow the per-slot recurrence — except that a
+    /// long run stops iterating once the recurrence provably cycles (see
+    /// the comment in the body), which a run at one budget does within a
+    /// few laps of the ring.
+    ///
+    /// # Panics
+    /// Panics if `epsilon` is negative or not finite.
+    pub fn record_run(&mut self, epsilon: f64, slots: usize) {
         assert!(epsilon >= 0.0 && epsilon.is_finite(), "invalid spend");
-        self.window_sum += epsilon;
-        if self.len >= self.w {
-            // The slot `w` steps back slides out of the window; its spend
-            // occupies the ring cell the new slot is about to claim.
-            self.window_sum -= self.ring[self.len % self.w];
-            self.ring[self.len % self.w] = epsilon;
-        } else {
+        let mut left = slots;
+        // Until the ring holds `w` spends, a slot only adds to the window.
+        while left > 0 && self.ring.len() < self.w {
+            self.window_sum += epsilon;
             self.ring.push(epsilon);
+            self.max_spend = self.max_spend.max(self.window_sum);
+            left -= 1;
         }
-        self.len += 1;
-        self.max_spend = self.max_spend.max(self.window_sum);
+        // From then on a slot also retires the spend `w` slots back, whose
+        // ring cell it claims. Walk the ring one lap (`w` slots) at a time.
+        let mut cursor = (self.len + slots - left) % self.w;
+        let (mut sum, mut max) = (self.window_sum, self.max_spend);
+        while left > 0 {
+            let lap = left.min(self.w);
+            let lap_start_sum = sum;
+            let mut retired_only_epsilon = true;
+            for _ in 0..lap {
+                let cell = &mut self.ring[cursor];
+                retired_only_epsilon &= cell.to_bits() == epsilon.to_bits();
+                sum += epsilon;
+                sum -= *cell;
+                *cell = epsilon;
+                cursor = if cursor + 1 == self.w { 0 } else { cursor + 1 };
+                max = max.max(sum);
+            }
+            left -= lap;
+            if lap == self.w && retired_only_epsilon && sum.to_bits() == lap_start_sum.to_bits() {
+                // A whole lap over a ring already full of `epsilon` that
+                // brought the sum back to where it started: ring, cursor
+                // and sum are what they were a lap ago, so every further
+                // lap repeats this one — same sums, nothing new for the
+                // maximum. Skip the whole laps left; the partial lap after
+                // them still runs.
+                left %= self.w;
+            }
+        }
+        self.window_sum = sum;
+        self.max_spend = max;
+        self.len += slots;
+    }
+
+    /// Empties the ledger for a new stream under the same `(w, budget)`,
+    /// keeping the ring's allocation.
+    pub fn reset(&mut self) {
+        self.ring.clear();
+        self.len = 0;
+        self.window_sum = 0.0;
+        self.max_spend = 0.0;
     }
 
     /// Number of recorded slots.
@@ -213,6 +270,42 @@ mod tests {
                 }
                 assert_eq!(acc.max_window_spend(), best, "w={w} t={t}");
                 assert_eq!(acc.len(), t + 1);
+            }
+        }
+    }
+
+    /// `record_run` is `slots` single records, whatever ring position it
+    /// starts from; `reset` returns to the empty ledger and keeps the ring.
+    #[test]
+    fn record_run_matches_single_records_and_reset_starts_over() {
+        for w in [1usize, 4, 10] {
+            for prefix in [0usize, 3, 10, 17] {
+                for run in [0usize, 1, 9, 10, 33, 1000, 1003] {
+                    let mut batch = WEventAccountant::new(w, 2.0);
+                    let mut single = WEventAccountant::new(w, 2.0);
+                    for t in 0..prefix {
+                        batch.record(0.05 * (t % 3) as f64);
+                        single.record(0.05 * (t % 3) as f64);
+                    }
+                    batch.record_run(0.2, run);
+                    for _ in 0..run {
+                        single.record(0.2);
+                    }
+                    let state = |a: &WEventAccountant| {
+                        let bits = |v: f64| v.to_bits();
+                        (
+                            a.ring.iter().copied().map(bits).collect::<Vec<_>>(),
+                            a.len,
+                            bits(a.window_sum),
+                            bits(a.max_spend),
+                        )
+                    };
+                    assert_eq!(state(&batch), state(&single), "w={w} {prefix}+{run}");
+                    let capacity = batch.ring.capacity();
+                    batch.reset();
+                    assert_eq!(state(&batch), state(&WEventAccountant::new(w, 2.0)));
+                    assert_eq!(batch.ring.capacity(), capacity);
+                }
             }
         }
     }

@@ -9,10 +9,11 @@
 //! (Lemma IV.2).
 
 use crate::backend::UnitBackend;
+use crate::kernel::{Feedback, Kernel};
 use crate::publisher::StreamMechanism;
 use crate::smoothing::sma;
 use crate::Result;
-use ldp_mechanisms::{AnyMechanism, Domain, MechanismKind};
+use ldp_mechanisms::{AnyMechanism, MechanismKind};
 use rand::RngCore;
 
 /// Default SMA window used in the paper's experiments.
@@ -105,15 +106,7 @@ impl App {
     /// The collection loop of [`Self::publish_raw`], writing into a reused
     /// buffer (cleared first) instead of allocating.
     pub fn publish_raw_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        out.clear();
-        out.reserve(xs.len());
-        let mut acc_dev = 0.0;
-        for &x in xs {
-            let input = Domain::UNIT.clip(x + acc_dev);
-            let reported = self.backend.report_unit(input, rng);
-            acc_dev += x - reported;
-            out.push(reported);
-        }
+        Kernel::new(self.backend, Feedback::Accumulated, None).publish_into(xs, out, rng);
     }
 }
 

@@ -4,9 +4,9 @@
 //! streams `x ∈ [0, 1]`, but the five LDP mechanisms disagree about
 //! domains: SW takes `[0, 1]` natively, while SR / PM / Laplace / HM take
 //! `[−1, 1]`. [`UnitBackend`] hides that difference behind one
-//! allocation-free call, [`UnitBackend::report_unit`], so `App` / `Capp` /
-//! `Ipp` / `OnlineSession` can run their deviation loops over *any*
-//! [`MechanismKind`].
+//! allocation-free call, [`UnitBackend::report_unit`], so the publication
+//! kernel `App` / `Capp` / `Ipp` / `OnlineSession` share runs its
+//! deviation loop over *any* [`MechanismKind`].
 //!
 //! # Debiasing routes
 //!
@@ -95,11 +95,26 @@ impl UnitBackend {
     ///
     /// `x01` is affinely mapped into the native input domain (and clamped
     /// there by the mechanism itself), perturbed, debiased per the routes
-    /// above, and mapped back. No heap allocation; for SW this is exactly
-    /// `sw.perturb(x01, rng)`.
-    #[inline]
-    pub fn report_unit(&self, x01: f64, rng: &mut dyn RngCore) -> f64 {
-        let y = self.mech.perturb(self.input.denormalize(x01), rng);
+    /// above, and mapped back. No heap allocation. SW is unit-native on the
+    /// estimator path (`α = 1, β = 0`), so both maps are the identity and
+    /// are skipped: for SW this is exactly `sw.sample(x01, rng)`.
+    ///
+    /// Generic over the generator: a concrete RNG inlines into the caller;
+    /// `&mut dyn RngCore` compiles to the same code behind virtual draws.
+    /// The SW route — the paper's pipeline, and the one the fleet runs at
+    /// scale — is always inlined, so a lane loop over it contains no call;
+    /// the other four mechanisms share one out-of-line body.
+    #[inline(always)]
+    pub fn report_unit<R: RngCore + ?Sized>(&self, x01: f64, rng: &mut R) -> f64 {
+        match &self.mech {
+            AnyMechanism::Sw(sw) => sw.sample(x01, rng),
+            _ => self.report_mapped(x01, rng),
+        }
+    }
+
+    /// The direct path of [`Self::report_unit`]: both affine maps applied.
+    fn report_mapped<R: RngCore + ?Sized>(&self, x01: f64, rng: &mut R) -> f64 {
+        let y = self.mech.sample(self.input.denormalize(x01), rng);
         self.input.normalize((y - self.offset) * self.inv_gain)
     }
 

@@ -19,6 +19,7 @@
 //! so CAPP keeps the same w-event guarantee as APP.
 
 use crate::backend::UnitBackend;
+use crate::kernel::{Feedback, Kernel};
 use crate::publisher::StreamMechanism;
 use crate::smoothing::sma;
 use crate::Result;
@@ -127,7 +128,7 @@ impl ClipBounds {
         -self.l
     }
 
-    fn domain(&self) -> Domain {
+    pub(crate) fn domain(&self) -> Domain {
         Domain::new(self.l, self.u).expect("validated at construction")
     }
 }
@@ -236,18 +237,12 @@ impl Capp {
     /// The collection loop of [`Self::publish_raw`], writing into a reused
     /// buffer (cleared first) instead of allocating.
     pub fn publish_raw_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        out.clear();
-        out.reserve(xs.len());
-        let dom = self.bounds.domain();
-        let mut acc_dev = 0.0;
-        for &x in xs {
-            let clipped = dom.clip(x + acc_dev);
-            let normalized = dom.normalize(clipped);
-            let perturbed = self.backend.report_unit(normalized, rng);
-            let reported = dom.denormalize(perturbed);
-            acc_dev += x - reported;
-            out.push(reported);
-        }
+        Kernel::new(
+            self.backend,
+            Feedback::Accumulated,
+            Some(self.bounds.domain()),
+        )
+        .publish_into(xs, out, rng);
     }
 }
 

@@ -6,9 +6,10 @@
 //! achieves lower mean deviation than perturbing `x_t` directly.
 
 use crate::backend::UnitBackend;
+use crate::kernel::{Feedback, Kernel};
 use crate::publisher::StreamMechanism;
 use crate::Result;
-use ldp_mechanisms::{AnyMechanism, Domain, MechanismKind};
+use ldp_mechanisms::{AnyMechanism, MechanismKind};
 use rand::RngCore;
 
 /// The IPP algorithm over any LDP mechanism (SW by default).
@@ -88,15 +89,7 @@ impl StreamMechanism for Ipp {
     /// Allocation-free override: IPP has no post-processing, so the loop
     /// writes straight into the reused buffer.
     fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        out.clear();
-        out.reserve(xs.len());
-        let mut prev_dev = 0.0;
-        for &x in xs {
-            let input = Domain::UNIT.clip(x + prev_dev);
-            let reported = self.backend.report_unit(input, rng);
-            prev_dev = x - reported;
-            out.push(reported);
-        }
+        Kernel::new(self.backend, Feedback::Last, None).publish_into(xs, out, rng);
     }
 
     fn name(&self) -> &'static str {

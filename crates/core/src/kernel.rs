@@ -1,0 +1,125 @@
+//! The publication step every feedback rule shares.
+//!
+//! IPP, APP, CAPP and the mechanism-direct baseline differ in two
+//! settings only — which range the deviation-adjusted input is clipped to,
+//! and how the deviation `x − x'` of a report carries into later inputs —
+//! so the step `x_t + dev → clip → (normalize) → perturb → (denormalize)
+//! → feed back` is written once, here, and the batch publishers
+//! ([`crate::Ipp`], [`crate::App`], [`crate::Capp`]) and
+//! [`crate::OnlineSession`] all run it.
+//!
+//! Each published value depends on the one before it, so one stream is a
+//! serial floating-point chain whose cost is latency, not arithmetic.
+//! Streams of different users are independent, though:
+//! [`Kernel::run_lanes`] advances `K` of them in lock-step so their chains
+//! overlap in the pipeline. The step is generic over the generator: with
+//! a concrete RNG (the fleet's `StdRng`) sampler and generator inline into
+//! the lane loop; a `&mut dyn RngCore` caller compiles to the same kernel
+//! with two virtual draws per value.
+
+use crate::backend::UnitBackend;
+use ldp_mechanisms::Domain;
+use rand::RngCore;
+
+/// How a report's deviation `x − x'` carries into later inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Feedback {
+    /// Not at all — the mechanism-direct baseline.
+    None,
+    /// The next input corrects the last deviation only (IPP).
+    Last,
+    /// Every input corrects the accumulated deviation (APP, CAPP).
+    Accumulated,
+}
+
+/// One feedback rule over one perturbation backend.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kernel {
+    backend: UnitBackend,
+    feedback: Feedback,
+    /// CAPP's clip range `[l, u]`, normalized onto `[0, 1]` around the
+    /// perturbation. `None` clips to the unit interval itself, which
+    /// needs no normalization (and keeps its division off the chain).
+    range: Option<Domain>,
+}
+
+impl Kernel {
+    pub(crate) fn new(backend: UnitBackend, feedback: Feedback, range: Option<Domain>) -> Self {
+        Self {
+            backend,
+            feedback,
+            range,
+        }
+    }
+
+    pub(crate) fn backend(&self) -> &UnitBackend {
+        &self.backend
+    }
+
+    /// Publishes one value: perturbs the clipped, deviation-adjusted input
+    /// and folds the new deviation into `deviation`.
+    #[inline(always)]
+    pub(crate) fn step<R: RngCore + ?Sized>(
+        &self,
+        x: f64,
+        deviation: &mut f64,
+        rng: &mut R,
+    ) -> f64 {
+        let input = x + *deviation;
+        let reported = match self.range {
+            None => self.backend.report_unit(Domain::UNIT.clip(input), rng),
+            Some(range) => {
+                let unit = range.normalize(range.clip(input));
+                range.denormalize(self.backend.report_unit(unit, rng))
+            }
+        };
+        match self.feedback {
+            Feedback::None => {}
+            Feedback::Last => *deviation = x - reported,
+            Feedback::Accumulated => *deviation += x - reported,
+        }
+        reported
+    }
+
+    /// Publishes one whole stream from zero deviation into `out` (cleared
+    /// first; its capacity is reused).
+    pub(crate) fn publish_into<R: RngCore + ?Sized>(
+        &self,
+        xs: &[f64],
+        out: &mut Vec<f64>,
+        rng: &mut R,
+    ) {
+        out.clear();
+        out.resize(xs.len(), 0.0);
+        Self::run_lanes(&[*self], &mut [0.0], [xs], [out.as_mut_slice()], [rng]);
+    }
+
+    /// Publishes `K` independent streams in lock-step: at every slot each
+    /// lane takes one [`Self::step`] with its own kernel, deviation and
+    /// generator, writing `outs[k][t]` from `xs[k][t]`. Lane `k` computes
+    /// exactly what a lone `run_lanes::<1>` over its inputs computes — the
+    /// lanes share nothing — but their dependency chains interleave.
+    ///
+    /// # Panics
+    /// Panics unless all `2·K` slices have the same length.
+    pub(crate) fn run_lanes<const K: usize, R: RngCore + ?Sized>(
+        kernels: &[Kernel; K],
+        deviations: &mut [f64; K],
+        xs: [&[f64]; K],
+        outs: [&mut [f64]; K],
+        rngs: [&mut R; K],
+    ) {
+        let n = xs.first().map_or(0, |x| x.len());
+        for k in 0..K {
+            assert!(
+                xs[k].len() == n && outs[k].len() == n,
+                "run_lanes: lane {k} length mismatch"
+            );
+        }
+        for t in 0..n {
+            for k in 0..K {
+                outs[k][t] = kernels[k].step(xs[k][t], &mut deviations[k], &mut *rngs[k]);
+            }
+        }
+    }
+}

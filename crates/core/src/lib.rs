@@ -71,6 +71,7 @@ pub mod crowd;
 pub mod generic;
 pub mod highdim;
 pub mod ipp;
+mod kernel;
 pub mod online;
 pub mod publisher;
 pub mod sampling;

@@ -27,8 +27,9 @@
 use crate::accountant::WEventAccountant;
 use crate::backend::UnitBackend;
 use crate::capp::ClipBounds;
+use crate::kernel::{Feedback, Kernel};
 use crate::Result;
-use ldp_mechanisms::{Domain, MechanismError, MechanismKind};
+use ldp_mechanisms::{MechanismError, MechanismKind};
 use rand::RngCore;
 use std::fmt;
 use std::str::FromStr;
@@ -159,9 +160,8 @@ impl FromStr for PipelineSpec {
 /// A stateful, slot-at-a-time publication session.
 #[derive(Debug, Clone)]
 pub struct OnlineSession {
-    backend: UnitBackend,
+    kernel: Kernel,
     kind: SessionKind,
-    bounds: ClipBounds,
     deviation: f64,
     accountant: WEventAccountant,
 }
@@ -172,10 +172,18 @@ impl OnlineSession {
             return Err(MechanismError::InvalidEpsilon(epsilon));
         }
         let slot = epsilon / w as f64;
+        let (feedback, range) = match kind {
+            SessionKind::SwDirect => (Feedback::None, None),
+            SessionKind::Ipp => (Feedback::Last, None),
+            SessionKind::App => (Feedback::Accumulated, None),
+            SessionKind::Capp => {
+                let bounds = ClipBounds::recommended_for(mechanism, slot)?;
+                (Feedback::Accumulated, Some(bounds.domain()))
+            }
+        };
         Ok(Self {
-            backend: UnitBackend::new(mechanism, slot)?,
+            kernel: Kernel::new(UnitBackend::new(mechanism, slot)?, feedback, range),
             kind,
-            bounds: ClipBounds::recommended_for(mechanism, slot)?,
             deviation: 0.0,
             accountant: WEventAccountant::new(w, epsilon),
         })
@@ -232,7 +240,7 @@ impl OnlineSession {
     /// The pipeline cell this session runs.
     #[must_use]
     pub fn spec(&self) -> PipelineSpec {
-        PipelineSpec::new(self.kind, self.backend.kind())
+        PipelineSpec::new(self.kind, self.kernel.backend().kind())
     }
 
     /// Window size `w` of the w-event guarantee.
@@ -250,7 +258,7 @@ impl OnlineSession {
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {
-        self.backend.epsilon()
+        self.kernel.backend().epsilon()
     }
 
     /// Number of slots reported so far.
@@ -271,50 +279,68 @@ impl OnlineSession {
         self.deviation
     }
 
+    /// Restarts the session for a new stream under the same configuration:
+    /// zero deviation and an empty ledger. Nothing is re-derived or
+    /// reallocated, so a driver publishing for many users keeps one
+    /// session per lane and resets it between users.
+    pub fn reset(&mut self) {
+        self.deviation = 0.0;
+        self.accountant.reset();
+    }
+
     /// Perturbs and reports one value, updating the feedback state and the
-    /// budget ledger. Allocation-free — this is the per-report hot path of
-    /// the client→collector pipeline.
+    /// budget ledger. Allocation-free.
     pub fn report(&mut self, x: f64, rng: &mut dyn RngCore) -> f64 {
-        let reported = match self.kind {
-            SessionKind::SwDirect => self.backend.report_unit(x, rng),
-            SessionKind::Ipp | SessionKind::App => {
-                let input = Domain::UNIT.clip(x + self.deviation);
-                let y = self.backend.report_unit(input, rng);
-                if self.kind == SessionKind::Ipp {
-                    self.deviation = x - y;
-                } else {
-                    self.deviation += x - y;
-                }
-                y
-            }
-            SessionKind::Capp => {
-                let dom = Domain::new(self.bounds.l(), self.bounds.u()).expect("bounds validated");
-                let clipped = dom.clip(x + self.deviation);
-                let y = dom.denormalize(self.backend.report_unit(dom.normalize(clipped), rng));
-                self.deviation += x - y;
-                y
-            }
-        };
+        let reported = self.kernel.step(x, &mut self.deviation, rng);
         self.accountant.record(self.slot_epsilon());
         reported
     }
 
-    /// Reports a whole batch (convenience around [`Self::report`]).
+    /// Reports a whole batch (convenience around [`Self::report_all_into`]).
     pub fn report_all(&mut self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len());
+        let mut out = Vec::new();
         self.report_all_into(xs, &mut out, rng);
         out
     }
 
-    /// Reports a whole batch into a reused buffer (cleared first) — the
-    /// fleet's upload path, free of per-call heap allocation once the
-    /// buffer has warmed up.
+    /// Reports a whole batch into a reused buffer (cleared first): the
+    /// single-lane form of [`Self::report_lanes_into`].
     pub fn report_all_into(&mut self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        out.clear();
-        out.reserve(xs.len());
-        for &x in xs {
-            let y = self.report(x, rng);
-            out.push(y);
+        Self::report_lanes_into([self], [xs], [out], [rng]);
+    }
+
+    /// Advances `K` independent sessions in lock-step, lane `k` reporting
+    /// the batch `xs[k]` into `outs[k]` (cleared first, capacity reused)
+    /// with generator `rngs[k]` — the fleet's upload path, free of heap
+    /// allocation once the buffers have warmed up.
+    ///
+    /// Every lane ends in exactly the state — reports, pending deviation,
+    /// ledger — that its own [`Self::report_all_into`] call would leave;
+    /// the lanes share nothing. What lock-step buys is speed: one stream
+    /// is a serial feedback chain (each input needs the previous report),
+    /// and `K` chains side by side keep the pipeline full. Passing a
+    /// concrete generator type additionally inlines it into the loop.
+    ///
+    /// # Panics
+    /// Panics unless the `K` batches have the same length.
+    pub fn report_lanes_into<const K: usize, R: RngCore + ?Sized>(
+        sessions: [&mut OnlineSession; K],
+        xs: [&[f64]; K],
+        outs: [&mut Vec<f64>; K],
+        rngs: [&mut R; K],
+    ) {
+        let kernels = sessions.each_ref().map(|s| s.kernel);
+        let mut deviations = sessions.each_ref().map(|s| s.deviation);
+        let slots = xs.first().map_or(0, |x| x.len());
+        let outs = outs.map(|out| {
+            out.clear();
+            out.resize(slots, 0.0);
+            out.as_mut_slice()
+        });
+        Kernel::run_lanes(&kernels, &mut deviations, xs, outs, rngs);
+        for (k, session) in sessions.into_iter().enumerate() {
+            session.deviation = deviations[k];
+            session.accountant.record_run(session.slot_epsilon(), slots);
         }
     }
 }

@@ -56,6 +56,19 @@ impl Hybrid {
         self.alpha
     }
 
+    /// Draws one report for input `v` (clamped to `[−1, 1]`): flips the
+    /// α-coin (skipped below the PM threshold, where `α = 0`) and samples
+    /// the chosen branch. The sampler behind [`Mechanism::perturb`],
+    /// generic so a concrete RNG inlines.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
+        if self.alpha > 0.0 && rng.gen::<f64>() < self.alpha {
+            self.pm.sample(v, rng)
+        } else {
+            self.sr.sample(v, rng)
+        }
+    }
+
     /// Output variance for (clamped) input `v`. Both branches are unbiased
     /// with mean `v`, so the mixture variance is the mixture of the branch
     /// variances: `α·Var_PM + (1−α)·Var_SR`.
@@ -81,28 +94,7 @@ impl Mechanism for Hybrid {
     }
 
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64 {
-        if self.alpha > 0.0 && rng.gen::<f64>() < self.alpha {
-            self.pm.perturb(v, rng)
-        } else {
-            self.sr.perturb(v, rng)
-        }
-    }
-
-    /// Batch sampling. Below the PM threshold (`α = 0`) the whole batch
-    /// routes through SR's specialized loop — the same draws sequential
-    /// [`Self::perturb`] makes, which skips the coin when `α = 0`.
-    fn perturb_into(&self, vs: &[f64], out: &mut [f64], rng: &mut dyn RngCore) {
-        if self.alpha == 0.0 {
-            return self.sr.perturb_into(vs, out, rng);
-        }
-        assert_eq!(vs.len(), out.len(), "perturb_into: length mismatch");
-        for (y, &v) in out.iter_mut().zip(vs) {
-            *y = if rng.gen::<f64>() < self.alpha {
-                self.pm.perturb(v, rng)
-            } else {
-                self.sr.perturb(v, rng)
-            };
-        }
+        self.sample(v, rng)
     }
 
     /// Mixture density; at SR's two atoms this is dominated by the discrete

@@ -9,10 +9,11 @@
 //! the matching enum-dispatched instance implementing [`Mechanism`].
 //!
 //! Enum dispatch (rather than `Box<dyn Mechanism>`) keeps pipeline state
-//! `Copy`, allocation-free, and inlinable on the per-report hot path, and
-//! it preserves each mechanism's specialized `perturb_into` override so
-//! batch and dispatched calls stay seed-for-seed identical with direct
-//! concrete calls (pinned by the dispatch-parity tests).
+//! `Copy`, allocation-free, and inlinable on the per-report hot path:
+//! [`AnyMechanism::sample`] is generic over the generator, so batch,
+//! slot-at-a-time and dispatched calls all run the one sampler each
+//! mechanism has and stay seed-for-seed identical with direct concrete
+//! calls (pinned by the dispatch-parity tests).
 
 use crate::domain::Domain;
 use crate::error::MechanismError;
@@ -156,6 +157,15 @@ impl AnyMechanism {
         }
     }
 
+    /// Draws one report for input `v`: the wrapped mechanism's inherent
+    /// `sample`, generic over the generator — with a concrete RNG the
+    /// whole sampler inlines into the caller's loop, which is what the
+    /// `ldp-core` publication kernel relies on.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
+        dispatch!(self, m => m.sample(v, rng))
+    }
+
     /// Output variance `Var[A(x)]` for a (clamped) input `x`, from each
     /// mechanism's closed form — what CAPP's clip-bound optimizer needs to
     /// price discarding error for non-SW backends.
@@ -185,7 +195,7 @@ impl Mechanism for AnyMechanism {
     }
 
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64 {
-        dispatch!(self, m => m.perturb(v, rng))
+        self.sample(v, rng)
     }
 
     fn density(&self, x: f64, y: f64) -> f64 {
@@ -196,14 +206,9 @@ impl Mechanism for AnyMechanism {
         dispatch!(self, m => m.expected_output(x))
     }
 
-    // Delegate the batch paths too, so dispatched batches hit each
-    // mechanism's specialized override rather than the trait default.
+    // Dispatch once per batch, not once per value.
     fn perturb_into(&self, vs: &[f64], out: &mut [f64], rng: &mut dyn RngCore) {
         dispatch!(self, m => m.perturb_into(vs, out, rng));
-    }
-
-    fn perturb_slice(&self, vs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        dispatch!(self, m => m.perturb_slice(vs, rng))
     }
 }
 

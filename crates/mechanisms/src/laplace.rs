@@ -63,11 +63,15 @@ impl Laplace {
         2.0 * self.scale * self.scale
     }
 
-    /// Draws one sample from `Lap(0, scale)` via inverse CDF.
-    fn sample_noise(&self, rng: &mut dyn RngCore) -> f64 {
+    /// Draws one report for input `v` (clamped to the input domain): `v`
+    /// plus one `Lap(0, scale)` sample via inverse CDF. The sampler behind
+    /// [`Mechanism::perturb`], generic so a concrete RNG inlines.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
         // u uniform in (−1/2, 1/2]; noise = −scale·sgn(u)·ln(1 − 2|u|)
         let u: f64 = rng.gen::<f64>() - 0.5;
-        -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE).ln()
+        let noise = -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE).ln();
+        self.input.clip(v) + noise
     }
 }
 
@@ -85,16 +89,7 @@ impl Mechanism for Laplace {
     }
 
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64 {
-        self.input.clip(v) + self.sample_noise(rng)
-    }
-
-    /// Batch sampling; one inverse-CDF draw per element, identical to
-    /// sequential [`Self::perturb`].
-    fn perturb_into(&self, vs: &[f64], out: &mut [f64], rng: &mut dyn RngCore) {
-        assert_eq!(vs.len(), out.len(), "perturb_into: length mismatch");
-        for (y, &v) in out.iter_mut().zip(vs) {
-            *y = self.input.clip(v) + self.sample_noise(rng);
-        }
+        self.sample(v, rng)
     }
 
     fn density(&self, x: f64, y: f64) -> f64 {

@@ -60,6 +60,28 @@ impl Piecewise {
         (l, l + self.c - 1.0)
     }
 
+    /// Draws one report for input `v` (clamped to `[−1, 1]`). The sampler
+    /// behind [`Mechanism::perturb`], generic so a concrete RNG inlines.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
+        let (l, r) = self.plateau(v);
+        // Mass on the plateau: p·(C−1) = e^{ε/2}/(e^{ε/2}+1).
+        let plateau_mass = self.p_high * (self.c - 1.0);
+        if rng.gen::<f64>() < plateau_mass {
+            l + (r - l) * rng.gen::<f64>()
+        } else {
+            // Uniform over [−C, ℓ) ∪ (r, C], total width C + 1.
+            let left = l + self.c; // width of the left tail
+            let total = self.c + 1.0;
+            let u = rng.gen::<f64>() * total;
+            if u < left {
+                -self.c + u
+            } else {
+                r + (u - left)
+            }
+        }
+    }
+
     /// Output variance for (clamped) input `v` (Wang et al. ICDE 2019):
     /// `Var[A(v)] = v²/(e^{ε/2} − 1) + (e^{ε/2} + 3)/(3(e^{ε/2} − 1)²)`.
     #[must_use]
@@ -84,44 +106,7 @@ impl Mechanism for Piecewise {
     }
 
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64 {
-        let (l, r) = self.plateau(v);
-        // Mass on the plateau: p·(C−1) = e^{ε/2}/(e^{ε/2}+1).
-        let plateau_mass = self.p_high * (self.c - 1.0);
-        if rng.gen::<f64>() < plateau_mass {
-            l + (r - l) * rng.gen::<f64>()
-        } else {
-            // Uniform over [−C, ℓ) ∪ (r, C], total width C + 1.
-            let left = l + self.c; // width of the left tail
-            let total = self.c + 1.0;
-            let u = rng.gen::<f64>() * total;
-            if u < left {
-                -self.c + u
-            } else {
-                r + (u - left)
-            }
-        }
-    }
-
-    /// Batch sampling with the plateau-mass and tail-width constants
-    /// hoisted; draw-for-draw identical to sequential [`Self::perturb`].
-    fn perturb_into(&self, vs: &[f64], out: &mut [f64], rng: &mut dyn RngCore) {
-        assert_eq!(vs.len(), out.len(), "perturb_into: length mismatch");
-        let plateau_mass = self.p_high * (self.c - 1.0);
-        let total = self.c + 1.0;
-        for (y, &v) in out.iter_mut().zip(vs) {
-            let (l, r) = self.plateau(v);
-            *y = if rng.gen::<f64>() < plateau_mass {
-                l + (r - l) * rng.gen::<f64>()
-            } else {
-                let left = l + self.c;
-                let u = rng.gen::<f64>() * total;
-                if u < left {
-                    -self.c + u
-                } else {
-                    r + (u - left)
-                }
-            };
-        }
+        self.sample(v, rng)
     }
 
     fn density(&self, x: f64, y: f64) -> f64 {

@@ -48,6 +48,18 @@ impl StochasticRounding {
         0.5 + v / (2.0 * self.c)
     }
 
+    /// Draws one report for input `v` (clamped to `[−1, 1]`): `+C` with
+    /// probability [`Self::prob_positive`], else `−C`. The sampler behind
+    /// [`Mechanism::perturb`], generic so a concrete RNG inlines.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
+        if rng.gen::<f64>() < self.prob_positive(v) {
+            self.c
+        } else {
+            -self.c
+        }
+    }
+
     /// Output variance for (clamped) input `v`: since the output is `±C`
     /// with mean `v`, `Var[A(v)] = C² − v²`.
     #[must_use]
@@ -71,24 +83,7 @@ impl Mechanism for StochasticRounding {
     }
 
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64 {
-        if rng.gen::<f64>() < self.prob_positive(v) {
-            self.c
-        } else {
-            -self.c
-        }
-    }
-
-    /// Batch sampling; one uniform draw per element, identical to
-    /// sequential [`Self::perturb`].
-    fn perturb_into(&self, vs: &[f64], out: &mut [f64], rng: &mut dyn RngCore) {
-        assert_eq!(vs.len(), out.len(), "perturb_into: length mismatch");
-        for (y, &v) in out.iter_mut().zip(vs) {
-            *y = if rng.gen::<f64>() < self.prob_positive(v) {
-                self.c
-            } else {
-                -self.c
-            };
-        }
+        self.sample(v, rng)
     }
 
     /// Probability *mass* of the two-point output (not a density).

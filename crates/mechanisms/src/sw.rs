@@ -164,6 +164,37 @@ impl SquareWave {
     }
 }
 
+impl SquareWave {
+    /// Draws one report for input `v` (clamped to `[0, 1]`) — the sampler
+    /// behind [`Mechanism::perturb`], generic over the generator so a
+    /// concrete RNG inlines into the caller's loop.
+    ///
+    /// Both zones consume exactly two uniforms, so the sampler draws them
+    /// up front and *selects* afterwards: the zone choice is a ~50/50
+    /// data-dependent coin at small budgets, and computing both candidates
+    /// costs less than mispredicting it. Draw order and arithmetic are
+    /// those of the branching form, so outputs are bit-identical to it.
+    #[inline(always)]
+    pub fn sample<R: RngCore + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
+        let v = Domain::UNIT.clip(v);
+        let zone = rng.gen::<f64>();
+        let u = rng.gen::<f64>();
+        // Uniform over the near zone [v−b, v+b].
+        let near = v - self.b + 2.0 * self.b * u;
+        // Uniform over the far zone [−b, v−b) ∪ (v+b, 1+b], total width 1.
+        let far = if u < v {
+            -self.b + u
+        } else {
+            v + self.b + (u - v)
+        };
+        if zone < 2.0 * self.b * self.p {
+            near
+        } else {
+            far
+        }
+    }
+}
+
 impl Mechanism for SquareWave {
     fn epsilon(&self) -> f64 {
         self.epsilon
@@ -178,20 +209,7 @@ impl Mechanism for SquareWave {
     }
 
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64 {
-        let v = Domain::UNIT.clip(v);
-        let near_mass = 2.0 * self.b * self.p;
-        if rng.gen::<f64>() < near_mass {
-            // Uniform over the near zone [v−b, v+b].
-            v - self.b + 2.0 * self.b * rng.gen::<f64>()
-        } else {
-            // Uniform over the far zone [−b, v−b) ∪ (v+b, 1+b], total width 1.
-            let u = rng.gen::<f64>();
-            if u < v {
-                -self.b + u
-            } else {
-                v + self.b + (u - v)
-            }
-        }
+        self.sample(v, rng)
     }
 
     fn density(&self, x: f64, y: f64) -> f64 {
@@ -202,27 +220,6 @@ impl Mechanism for SquareWave {
             self.p
         } else {
             self.q
-        }
-    }
-
-    /// Batch sampling with the near/far-zone constants hoisted out of the
-    /// loop; draw-for-draw identical to sequential [`Self::perturb`].
-    fn perturb_into(&self, vs: &[f64], out: &mut [f64], rng: &mut dyn RngCore) {
-        assert_eq!(vs.len(), out.len(), "perturb_into: length mismatch");
-        let near_mass = 2.0 * self.b * self.p;
-        let two_b = 2.0 * self.b;
-        for (y, &v) in out.iter_mut().zip(vs) {
-            let v = Domain::UNIT.clip(v);
-            *y = if rng.gen::<f64>() < near_mass {
-                v - self.b + two_b * rng.gen::<f64>()
-            } else {
-                let u = rng.gen::<f64>();
-                if u < v {
-                    -self.b + u
-                } else {
-                    v + self.b + (u - v)
-                }
-            };
         }
     }
 
@@ -293,6 +290,58 @@ mod tests {
             let v = (i % 101) as f64 / 100.0;
             let y = sw.perturb(v, &mut r);
             assert!(dom.contains(y), "y={y} outside {dom}");
+        }
+    }
+
+    /// Outputs captured from the branching sampler this one replaced (draw
+    /// the zone coin, then branch into one zone's arithmetic): seed 42,
+    /// inputs `i/11`. Pins that drawing both uniforms first and selecting
+    /// afterwards changed neither the draw order nor a single bit.
+    #[test]
+    fn select_after_draw_sampler_matches_the_branching_sampler_golden_vector() {
+        const GOLDEN: [(f64, [u64; 12]); 2] = [
+            (
+                0.2,
+                [
+                    0xbfbb1cfe7c3d0d78,
+                    0x3ff5cbdca3c82245,
+                    0x3ff3512c2267fea4,
+                    0x3ff499f44396a56f,
+                    0x3ff055b7e54f5d0b,
+                    0xbfc2cda0ae8560b6,
+                    0xbfbdbd148fd9bcd4,
+                    0x3ff50ba775e37d76,
+                    0x3ff49f9d04a6aa93,
+                    0x3fd14bcbf230eb95,
+                    0x3fe41a1912079581,
+                    0x3ff16daf91ab6c42,
+                ],
+            ),
+            (
+                2.0,
+                [
+                    0xbfa0072ab746391a,
+                    0x3ff0dd4e92ed91c8,
+                    0x3fecc53c231adc4e,
+                    0x3fef56cc657829e4,
+                    0x3fe6ce53a8e9991b,
+                    0x3fc4a6cfd84f2333,
+                    0x3fc895e63ee7a57f,
+                    0x3ff01d196508ecf9,
+                    0x3fea2e6f2ff80e88,
+                    0x3fe283021acd96c5,
+                    0x3fea6f1a70d5e574,
+                    0x3ff06c1668e371d5,
+                ],
+            ),
+        ];
+        for (eps, expected) in GOLDEN {
+            let sw = SquareWave::new(eps).unwrap();
+            let mut r = rng(42);
+            for (i, bits) in expected.into_iter().enumerate() {
+                let y = sw.perturb(i as f64 / 11.0, &mut r);
+                assert_eq!(y.to_bits(), bits, "ε={eps} input {i}/11: got {y}");
+            }
         }
     }
 

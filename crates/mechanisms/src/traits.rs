@@ -21,7 +21,10 @@ pub trait Mechanism {
     /// Domain the perturbed outputs live in.
     fn output_domain(&self) -> Domain;
 
-    /// Perturbs a single value.
+    /// Perturbs a single value. Every mechanism in this crate implements
+    /// it as a call to its inherent, RNG-generic `sample` (the trait stays
+    /// object-safe; callers holding a concrete generator call `sample`
+    /// directly and get it inlined).
     fn perturb(&self, v: f64, rng: &mut dyn RngCore) -> f64;
 
     /// Output density `f(y | x)` (probability mass for discrete mechanisms).
@@ -39,11 +42,12 @@ pub trait Mechanism {
     /// Perturbs `vs[i]` into `out[i]` for every element, in order, without
     /// allocating — the batch primitive of the client→collector hot path.
     ///
-    /// The default loops over [`Self::perturb`]; every mechanism in this
-    /// crate overrides it with a loop that hoists per-call constants.
-    /// Overrides must consume the RNG stream exactly like sequential
-    /// `perturb` calls so batch and slot-at-a-time paths stay seed-for-seed
-    /// identical (the dispatch-parity tests pin this).
+    /// The default loops over [`Self::perturb`], which for this crate's
+    /// mechanisms is the inlined `sample` (per-call constants hoist out of
+    /// the loop), so none of them overrides it. An override must consume
+    /// the RNG stream exactly like sequential `perturb` calls so batch and
+    /// slot-at-a-time paths stay seed-for-seed identical (the
+    /// dispatch-parity tests pin this).
     ///
     /// # Panics
     /// Panics if `vs.len() != out.len()`.

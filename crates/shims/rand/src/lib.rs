@@ -217,6 +217,9 @@ pub mod rngs {
             (self.next_u64() >> 32) as u32
         }
 
+        // `#[inline]`: the publication kernels are generic over the RNG,
+        // and a non-generic method only inlines across crates when marked.
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = self.s[1] << 17;

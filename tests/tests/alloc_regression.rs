@@ -258,6 +258,78 @@ fn parallel_fold_steady_state_performs_zero_allocations() {
 }
 
 #[test]
+fn laned_fleet_worker_allocates_nothing_per_user() {
+    // A fleet worker builds its lane sessions, publish buffers and upload
+    // batch once; after its first upload every further user — full lane
+    // groups and the single-lane remainder alike — must publish, batch
+    // and fold without touching the heap. The worker runs on a thread the
+    // fleet spawns, so the sink (which lives on that thread) samples this
+    // file's thread-local allocation counter after every submit.
+    use ldp_collector::{ClientFleet, CollectorSink, FleetConfig, ReportSink};
+    use ldp_core::online::{PipelineSpec, SessionKind};
+    use ldp_streams::synthetic::taxi_population;
+    use std::sync::Mutex;
+
+    struct SamplingSink<'c> {
+        inner: CollectorSink<'c>,
+        samples: &'c Mutex<Vec<u64>>,
+    }
+
+    impl ReportSink for SamplingSink<'_> {
+        fn submit(&mut self, batch: &ReportBatch) -> std::io::Result<()> {
+            self.inner.submit(batch)?;
+            let events = allocation_events();
+            // Pre-sized below, so recording a sample allocates nothing.
+            self.samples.lock().expect("samples").push(events);
+            Ok(())
+        }
+
+        fn finish(&mut self) -> std::io::Result<u64> {
+            self.inner.finish()
+        }
+    }
+
+    // 23 users on one worker: five lane groups of four, then three
+    // single-lane users.
+    let (users, slots) = (23, 200);
+    let population = taxi_population(users, slots, 5);
+    let collector = Collector::new(CollectorConfig {
+        shards: 2,
+        ..CollectorConfig::default()
+    });
+    let fleet = ClientFleet::new(FleetConfig {
+        spec: PipelineSpec::sw(SessionKind::Capp),
+        epsilon: 2.0,
+        w: 10,
+        seed: 3,
+        threads: 1,
+    });
+    // Warm-up pass: every user and slot exists in the collector afterwards.
+    fleet
+        .drive(&population, 0..slots, &collector)
+        .expect("valid fleet");
+
+    let samples = Mutex::new(Vec::with_capacity(users));
+    let accepted = fleet
+        .drive_with_sinks(&population, 0..slots, &|_| {
+            Ok(SamplingSink {
+                inner: CollectorSink::new(&collector),
+                samples: &samples,
+            })
+        })
+        .expect("local sinks cannot fail");
+    assert_eq!(accepted, (users * slots) as u64);
+
+    let samples = samples.into_inner().expect("samples");
+    assert_eq!(samples.len(), users, "one upload per user");
+    assert_eq!(
+        samples.last(),
+        samples.first(),
+        "allocation events on the worker thread after each upload: {samples:?}"
+    );
+}
+
+#[test]
 fn single_shard_fast_path_is_also_allocation_free() {
     let collector = Collector::new(CollectorConfig {
         shards: 1,

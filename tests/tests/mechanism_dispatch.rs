@@ -12,6 +12,10 @@
 //!    any `(SessionKind, MechanismKind)` pair spends at most ε in any
 //!    window of `w` slots, because the budget schedule is set by the
 //!    session, not by the mechanism.
+//! 3. **Publication parity** — every way of driving the one publication
+//!    kernel gives the same bits: a concrete generator and the same seed
+//!    behind `&mut dyn RngCore`, one report at a time and whole batches,
+//!    one session alone and `K` sessions in lock-step lanes.
 
 use integration_tests::test_rng;
 use ldp_core::online::{OnlineSession, PipelineSpec};
@@ -19,6 +23,8 @@ use ldp_mechanisms::{
     Hybrid, Laplace, Mechanism, MechanismKind, Piecewise, SquareWave, StochasticRounding,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngCore;
 
 /// Test inputs spanning the unit domain (clamping covers the symmetric
 /// mechanisms' wider domain: the backend hands them native-scale values).
@@ -74,7 +80,7 @@ fn dispatched_sampling_is_seed_identical_to_concrete() {
             let scalar: Vec<f64> = xs.iter().map(|&x| any.perturb(x, &mut rng)).collect();
             assert_eq!(scalar, reference, "{kind} ε={eps}: scalar dispatch");
 
-            // Batch-into dispatch (specialized overrides).
+            // Batch-into dispatch.
             let mut out = vec![0.0; xs.len()];
             any.perturb_into(&xs, &mut out, &mut test_rng(42));
             assert_eq!(out, reference, "{kind} ε={eps}: perturb_into");
@@ -85,6 +91,31 @@ fn dispatched_sampling_is_seed_identical_to_concrete() {
                 reference,
                 "{kind} ε={eps}: perturb_slice"
             );
+        }
+    }
+}
+
+/// The generic `sample` with a concrete generator and the object-safe
+/// `perturb` behind `&mut dyn RngCore` are one sampler: same outputs and
+/// the same number of draws, value by value, for every mechanism.
+#[test]
+fn concrete_and_dyn_generators_draw_identically_for_every_mechanism() {
+    for kind in MechanismKind::ALL {
+        for &eps in &[0.1, 0.61, 1.0, 3.0] {
+            let any = kind.build(eps).unwrap();
+            let mut concrete = test_rng(7);
+            let mut erased = test_rng(7);
+            for x in native_inputs(kind, eps) {
+                let direct = any.sample(x, &mut concrete);
+                let dynamic = any.perturb(x, &mut erased as &mut dyn RngCore);
+                assert_eq!(direct.to_bits(), dynamic.to_bits(), "{kind} ε={eps} x={x}");
+                let mut probe = (concrete.clone(), erased.clone());
+                assert_eq!(
+                    probe.0.next_u64(),
+                    probe.1.next_u64(),
+                    "{kind} ε={eps} x={x}: generators out of step"
+                );
+            }
         }
     }
 }
@@ -108,8 +139,131 @@ fn dispatched_metadata_matches_concrete() {
     }
 }
 
+/// Everything observable about a session after a run, as bits: slots
+/// published, the deviation it would feed into the next report, and the
+/// ledger's current and maximum window spend.
+type SessionState = (usize, u64, u64, u64);
+
+fn session_state(session: &OnlineSession) -> SessionState {
+    let ledger = session.accountant();
+    (
+        session.slots_published(),
+        session.pending_deviation().to_bits(),
+        ledger.current_window_spend().to_bits(),
+        ledger.max_window_spend().to_bits(),
+    )
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `K` sessions in lock-step — generators passed concretely, and again
+/// type-erased — against the per-lane references.
+fn assert_lanes_match<const K: usize>(
+    spec: PipelineSpec,
+    eps: f64,
+    w: usize,
+    seed: u64,
+    streams: &[Vec<f64>],
+    reference: &[(Vec<u64>, SessionState)],
+) {
+    let new_sessions = || -> [OnlineSession; K] {
+        std::array::from_fn(|_| OnlineSession::of_spec(spec, eps, w).unwrap())
+    };
+    let xs: [&[f64]; K] = std::array::from_fn(|k| streams[k].as_slice());
+
+    let mut sessions = new_sessions();
+    let mut rngs: [StdRng; K] = std::array::from_fn(|k| test_rng(seed + k as u64));
+    // Stale contents: the lanes must clear their buffers.
+    let mut outs: [Vec<f64>; K] = std::array::from_fn(|k| vec![9.0; k]);
+    OnlineSession::report_lanes_into(sessions.each_mut(), xs, outs.each_mut(), rngs.each_mut());
+
+    let mut erased_sessions = new_sessions();
+    let mut erased_rngs: [StdRng; K] = std::array::from_fn(|k| test_rng(seed + k as u64));
+    let mut erased_outs: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+    OnlineSession::report_lanes_into(
+        erased_sessions.each_mut(),
+        xs,
+        erased_outs.each_mut(),
+        erased_rngs.each_mut().map(|rng| rng as &mut dyn RngCore),
+    );
+
+    for k in 0..K {
+        let label = format!("{} K={K} lane {k}", spec.label());
+        assert_eq!(bits(&outs[k]), reference[k].0, "{label}: values");
+        assert_eq!(
+            session_state(&sessions[k]),
+            reference[k].1,
+            "{label}: state"
+        );
+        assert_eq!(bits(&erased_outs[k]), reference[k].0, "{label}: dyn values");
+        assert_eq!(
+            session_state(&erased_sessions[k]),
+            reference[k].1,
+            "{label}: dyn state"
+        );
+        assert_eq!(
+            rngs[k].next_u64(),
+            erased_rngs[k].next_u64(),
+            "{label}: generators out of step"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over the whole pipeline grid, lock-step lanes (K = 1, 2, 4) leave
+    /// every lane bit-identical — values, pending deviation, ledger — to
+    /// that user's own session reporting one value at a time, and to its
+    /// own `report_all_into` batch; two consecutive batches carry the
+    /// feedback state across the call boundary.
+    #[test]
+    fn lock_step_lanes_match_separate_sessions_bit_for_bit(
+        eps in 0.1..6.0f64,
+        w in 1usize..16,
+        slots in 0usize..90,
+        seed in 0u64..500,
+    ) {
+        // Inputs stray outside [0, 1] so the clip stage is exercised.
+        let streams: Vec<Vec<f64>> = (0..4)
+            .map(|k| {
+                (0..slots)
+                    .map(|t| 0.5 + 0.7 * ((t * (k + 2)) as f64 / 9.0).sin())
+                    .collect()
+            })
+            .collect();
+        for spec in PipelineSpec::grid() {
+            let reference: Vec<_> = streams
+                .iter()
+                .enumerate()
+                .map(|(k, xs)| {
+                    let mut session = OnlineSession::of_spec(spec, eps, w).unwrap();
+                    let mut rng = test_rng(seed + k as u64);
+                    let ys: Vec<f64> = xs.iter().map(|&x| session.report(x, &mut rng)).collect();
+                    (bits(&ys), session_state(&session))
+                })
+                .collect();
+
+            for (k, xs) in streams.iter().enumerate() {
+                let mut session = OnlineSession::of_spec(spec, eps, w).unwrap();
+                let mut rng = test_rng(seed + k as u64);
+                let (head, tail) = xs.split_at(slots / 3);
+                let mut out = Vec::new();
+                session.report_all_into(head, &mut out, &mut rng);
+                let mut ys = out.clone();
+                session.report_all_into(tail, &mut out, &mut rng);
+                ys.extend_from_slice(&out);
+                prop_assert_eq!(bits(&ys), reference[k].0.clone(), "{}: batches", spec.label());
+                prop_assert_eq!(session_state(&session), reference[k].1);
+            }
+
+            assert_lanes_match::<1>(spec, eps, w, seed, &streams, &reference);
+            assert_lanes_match::<2>(spec, eps, w, seed, &streams, &reference);
+            assert_lanes_match::<4>(spec, eps, w, seed, &streams, &reference);
+        }
+    }
 
     /// Every (SessionKind, MechanismKind) cell preserves the w-event
     /// guarantee under arbitrary budgets, windows, and stream lengths —

@@ -163,6 +163,49 @@ fn pool_dispatch_is_observable_in_telemetry() {
     assert_eq!(snap.gauge("collector.pool.queue_depth"), Some(0));
 }
 
+/// Single-user uploads fold as runs on the submitting thread — no routing
+/// pass, no pool — while mixed batches around them go through the pool.
+/// Interleaved, the two paths must leave the state a serial collector
+/// reaches, bit for bit, and the run path must add nothing to the pool's
+/// work. A mixed batch that merely *starts and ends* on one user is still
+/// a mixed batch.
+#[test]
+fn single_user_uploads_between_mixed_batches_stay_bit_identical_and_off_the_pool() {
+    let serial = collector(4, 0);
+    let parallel = collector(4, 2);
+    let mut mixed_batches = 0;
+    for round in 0..6u64 {
+        let (users, slots, values) = hostile_columns(1500, round, 64);
+        let mixed = ReportBatch::from_columns(users, slots, values);
+        let (_, slots, values) = hostile_columns(700, 100 + round, 64);
+        let upload = ReportBatch::from_columns(vec![round % 3; 700], slots, values);
+        let bookended =
+            ReportBatch::from_columns(vec![5, 6, 5], vec![1, 2, 3], vec![0.25, 0.5, 0.75]);
+        for batch in [&mixed, &upload, &bookended] {
+            assert_eq!(
+                serial.ingest_outcome(batch),
+                parallel.ingest_outcome(batch),
+                "round {round}"
+            );
+        }
+        mixed_batches += 2;
+    }
+    assert_bit_identical(&serial, &parallel, "uploads between mixed batches");
+    let rows = serial.per_user_rows();
+    assert!(
+        rows.contains(&(6, 6, 3.0)),
+        "the middle row of [5, 6, 5] went to user 6"
+    );
+    let snap = parallel.telemetry().snapshot();
+    assert_eq!(
+        snap.histogram("collector.ingest.fold_parallel_nanos")
+            .expect("histogram registered")
+            .count(),
+        mixed_batches,
+        "only the mixed batches were dispatched"
+    );
+}
+
 /// Stopping the pool mid-stream must not lose or double-fold a single
 /// run: submitter threads keep ingesting right through the shutdown, and
 /// the final state equals a serial reference fed the same batches.

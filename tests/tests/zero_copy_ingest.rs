@@ -14,8 +14,16 @@
 //!    bulk-widen vs owned `Vec` collect — so this comparison is not
 //!    tautological; hostile/truncated payload agreement is fuzzed in
 //!    `ldp-server`'s own proptests, next to the codec.)
+//! 4. The single-user run fold — the path every batch whose rows share
+//!    one user takes — ≡ folding the accepted rows one `ingest_parts` at
+//!    a time: the shard's whole checkpoint image (table-scan order and
+//!    the `mean_sum` bits included) is identical, on runs that cross a
+//!    retention expiry, carry late slots below the retained base, grow
+//!    the user table, and are split mid-run by dropped or non-finite rows.
 
-use ldp_collector::{Collector, CollectorConfig, ReportBatch, ReportColumns};
+use ldp_collector::{
+    Collector, CollectorConfig, ReportBatch, ReportColumns, ShardAccumulator, SlotRetention,
+};
 use ldp_server::wire::{Frame, FrameView, Header, IngestScratch, HEADER_LEN};
 use proptest::prelude::*;
 
@@ -52,8 +60,162 @@ fn collector(shards: usize, max_slots: u64) -> Collector {
     })
 }
 
+/// One user's upload as the run fold has to survive it: slots mostly
+/// advance (so a `Last(R)` window slides and expires slots mid-run), jump
+/// back now and then (late reports, some below the retained base), and —
+/// when `hostile` — ~1/9 of the rows carry a slot at or past `max_slots`
+/// and ~1/11 a non-finite value, splitting the run.
+fn one_user_rows(n: usize, seed: u64, max_slots: u64, hostile: bool) -> (Vec<u64>, Vec<f64>) {
+    let mut slots = Vec::with_capacity(n);
+    let mut values = Vec::with_capacity(n);
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
+    let mut slot = 0u64;
+    for _ in 0..n {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        slot = match (state >> 33) % 8 {
+            0 => slot.saturating_sub((state >> 40) % 12),
+            step => (slot + step % 3).min(max_slots - 1),
+        };
+        slots.push(if hostile && (state >> 17).is_multiple_of(9) {
+            max_slots + (state >> 50)
+        } else {
+            slot
+        });
+        values.push(match (state >> 24) % 11 {
+            0 if hostile => f64::NAN,
+            1 if hostile => f64::NEG_INFINITY,
+            _ => ((state >> 13) % 4096) as f64 / 4096.0 - 0.5,
+        });
+    }
+    (slots, values)
+}
+
+/// A shard's state as the words `Collector::encode_checkpoint` writes for
+/// it after the shard's batch counter: base, reports, `mean_sum`, the
+/// frozen prefix, the retained slots, then the users in table-scan order.
+fn shard_image(shard: &ShardAccumulator) -> Vec<u64> {
+    let stats = |s: &ldp_collector::SlotStats| [s.count, s.sum.to_bits(), s.sum_sq.to_bits()];
+    let mut words = vec![
+        shard.base(),
+        shard.reports(),
+        shard.user_mean_sum().to_bits(),
+    ];
+    words.extend(stats(shard.frozen()));
+    words.push(shard.slot_count() as u64);
+    for (_, slot) in shard.retained_slots() {
+        words.extend(stats(slot));
+    }
+    words.push(shard.user_count() as u64);
+    for (user, stats) in shard.users() {
+        words.extend([user, stats.count, stats.sum.to_bits()]);
+    }
+    words
+}
+
+/// The shard section of a one-shard collector's checkpoint, as words:
+/// everything after magic (4), version (1), shard count (8), the five
+/// book counters (40) and the shard's batch counter (8).
+fn checkpointed_shard_words(collector: &Collector) -> Vec<u64> {
+    assert_eq!(collector.shard_count(), 1);
+    collector.encode_checkpoint()[61..]
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+        .collect()
+}
+
+fn retention_of(retained: u64) -> SlotRetention {
+    match retained {
+        0 => SlotRetention::Unbounded,
+        r => SlotRetention::Last(r),
+    }
+}
+
+/// A shard that already holds `users` other users (ids from 1000), one
+/// report each — around 14 and 28 users the next fold grows the table.
+fn shard_with_users(retention: SlotRetention, users: u64) -> ShardAccumulator {
+    let mut shard = ShardAccumulator::with_retention(retention);
+    for user in 0..users {
+        shard.ingest_parts(1000 + user, user % 5, 0.25);
+    }
+    shard
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn user_run_fold_equals_row_by_row_fold_image_for_image(
+        n in 0usize..260,
+        seed in 0u64..10_000,
+        retained in 0u64..9,
+        prior_users in 0u64..40,
+        user_known in any::<bool>(),
+    ) {
+        let retention = retention_of(retained);
+        let (slots, values) = one_user_rows(n, seed, 512, false);
+        let user = if user_known && prior_users > 0 { 1000 } else { 7 };
+
+        let mut by_row = shard_with_users(retention, prior_users);
+        for (&slot, &value) in slots.iter().zip(&values) {
+            by_row.ingest_parts(user, slot, value);
+        }
+        let mut by_run = shard_with_users(retention, prior_users);
+        by_run.ingest_user_run(user, &slots, &values);
+        prop_assert_eq!(shard_image(&by_run), shard_image(&by_row));
+
+        // The same rows as two runs: state carries across the boundary.
+        let mut by_two_runs = shard_with_users(retention, prior_users);
+        let cut = n / 3;
+        by_two_runs.ingest_user_run(user, &slots[..cut], &values[..cut]);
+        by_two_runs.ingest_user_run(user, &slots[cut..], &values[cut..]);
+        prop_assert_eq!(shard_image(&by_two_runs), shard_image(&by_row));
+    }
+
+    #[test]
+    fn single_user_batches_checkpoint_like_their_accepted_rows_folded_one_by_one(
+        n in 0usize..260,
+        seed in 0u64..10_000,
+        retained in 0u64..9,
+        shards in 1usize..4,
+    ) {
+        let (max_slots, user) = (512, 7);
+        let retention = retention_of(retained);
+        let (slots, values) = one_user_rows(n, seed, max_slots, true);
+
+        let mut reference = ShardAccumulator::with_retention(retention);
+        let (mut dropped, mut rejected) = (0, 0);
+        for (&slot, &value) in slots.iter().zip(&values) {
+            if slot >= max_slots {
+                dropped += 1;
+            } else if !value.is_finite() {
+                rejected += 1;
+            } else {
+                reference.ingest_parts(user, slot, value);
+            }
+        }
+
+        let config = |shards| CollectorConfig { shards, max_slots, retention, ..CollectorConfig::default() };
+        let users = vec![user; n];
+        let one_shard = Collector::new(config(1));
+        let outcome = one_shard.ingest_outcome(&ReportColumns::new(&users, &slots, &values));
+        prop_assert_eq!(
+            (outcome.accepted, outcome.dropped, outcome.rejected),
+            (reference.reports(), dropped, rejected)
+        );
+        prop_assert_eq!(checkpointed_shard_words(&one_shard), shard_image(&reference));
+
+        // Any shard count routes the whole batch to the user's shard.
+        let sharded = Collector::new(config(shards));
+        prop_assert_eq!(
+            sharded.ingest_outcome(&ReportBatch::from_columns(users, slots, values)),
+            outcome
+        );
+        prop_assert_eq!(sharded.per_user_rows(), one_shard.per_user_rows());
+        let epochs: u64 = (0..shards).map(|s| sharded.shard_epoch(s)).sum();
+        prop_assert_eq!(epochs, u64::from(outcome.accepted > 0), "one shard touched, once");
+    }
 
     #[test]
     fn borrowed_columns_and_owned_batch_ingest_identically(
