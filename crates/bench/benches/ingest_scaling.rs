@@ -11,9 +11,10 @@
 //!   being compiled in (and folding through `fold_run`) must not cost
 //!   the single-worker baseline its existing 12M reports/s.
 //! * **crowd** — a 1M-user universe, too big for cache, so the fold —
-//!   one dependent miss per report into the user table — dominates the
-//!   wire path. This is the regime the pool exists for, and where the
-//!   *scaling bar* is asserted.
+//!   one user-table miss per report, a block of them in flight at once
+//!   per folding thread (`ShardAccumulator::ingest_rows`) — dominates
+//!   the wire path. This is the regime the pool exists for, and where
+//!   the *scaling bar* is asserted.
 //!
 //! "Workers" counts **threads folding a batch**: `1` is the connection
 //! thread folding alone (`ingest_workers = 0`, the serial baseline every
@@ -186,7 +187,12 @@ fn main() {
     );
     // Scaling bar on the crowd workload, gated on hardware that can
     // express it: with ≥4 cores, 4 fold threads must at least double the
-    // single-connection rate.
+    // single-connection rate. The serial rate this divides by rose when
+    // the fold became block-probed (one thread now overlaps its own
+    // misses, ~1.3-1.9x on the 2-core box that change was measured on),
+    // so the ratio has less room than when 2.0 was set; the bar has not
+    // been re-measured on a ≥4-core machine since and is deliberately
+    // not loosened unmeasured.
     if let (Some(base), Some(at4)) = (rate_of("crowd", 1), rate_of("crowd", 4)) {
         let min_scaling = std::env::var("LDP_BENCH_MIN_SCALING")
             .ok()

@@ -246,12 +246,23 @@ impl UserTable {
     /// 7/8 full, then finds `user`'s entry, claiming the empty slot its
     /// probe ends at for a user not seen before. The caller must leave the
     /// entry with a non-zero count.
+    ///
+    /// `hint` is where an earlier [`Self::probe`] for `user` ended. It is
+    /// used only if that slot holds `user` now — a user sits in at most one
+    /// slot, so that test alone proves the hint current; anything else (the
+    /// probe ended on an empty slot, which a later insert may have claimed,
+    /// or the table has grown since) repeats the probe.
     #[inline(always)]
-    fn entry_for_fold(&mut self, user: u64) -> &mut UserEntry {
+    fn entry_for_fold(&mut self, user: u64, hint: Option<usize>) -> &mut UserEntry {
         if self.len * 8 >= self.entries.len() * 7 {
             self.grow();
         }
-        let i = self.probe(user);
+        let still_there = |i: &usize| {
+            self.entries
+                .get(*i)
+                .is_some_and(|e| e.count != 0 && e.user == user)
+        };
+        let i = hint.filter(still_there).unwrap_or_else(|| self.probe(user));
         let e = &mut self.entries[i];
         if e.count == 0 {
             e.user = user;
@@ -264,7 +275,7 @@ impl UserTable {
     /// change in the user's running mean (what the shard adds to its
     /// population `mean_sum` aggregate).
     fn fold(&mut self, user: u64, value: f64) -> f64 {
-        self.entry_for_fold(user).fold(value)
+        self.entry_for_fold(user, None).fold(value)
     }
 
     /// Checkpoint-restore insert: seeds a user's full running stats in one
@@ -273,7 +284,7 @@ impl UserTable {
     /// invariant after every fold — so restored state is bit-identical.
     pub(crate) fn insert_stats(&mut self, user: u64, count: u64, sum: f64) {
         debug_assert!(count > 0, "restored user must have reported");
-        *self.entry_for_fold(user) = UserEntry {
+        *self.entry_for_fold(user, None) = UserEntry {
             user,
             count,
             sum,
@@ -318,6 +329,12 @@ impl UserTable {
         })
     }
 }
+
+/// Rows [`ShardAccumulator::ingest_rows`] probes before it folds any of
+/// them: enough independent user-table loads to keep a core's miss buffers
+/// full, few enough that the block's row indices and probe results (512
+/// bytes) stay on the stack and in L1.
+const FOLD_BLOCK: usize = 32;
 
 /// One shard's aggregation state.
 ///
@@ -416,6 +433,91 @@ impl ShardAccumulator {
         self.reports += 1;
     }
 
+    /// Folds the reports at `rows` (indices into the three columns), in the
+    /// order `rows` yields them — the engine's fold kernel, shared by every
+    /// multi-user ingest path. The shard ends bit-identical to one
+    /// [`Self::ingest_parts`] call per row: every accumulator receives the
+    /// same additions in the same order, and the table grows on the same
+    /// rows. Returns the number of rows folded.
+    ///
+    /// What it saves is waiting. On a table that misses cache a per-row
+    /// loop has one lookup in flight at a time; here the rows are taken in
+    /// fixed blocks (`FOLD_BLOCK`), every row of a block is probed before
+    /// any is folded — independent loads, so their misses overlap — and
+    /// the fold pass reuses where each probe ended (see
+    /// `UserTable::entry_for_fold` for when that is still valid). And while
+    /// consecutive rows share a slot — a gateway frame is one time slot of
+    /// many users — the slot's stats are resolved once and stay in locals,
+    /// as do `mean_sum` and the report count.
+    ///
+    /// # Panics
+    /// Panics if a row index is out of bounds for any column.
+    pub fn ingest_rows(
+        &mut self,
+        users: &[u64],
+        slots: &[u64],
+        values: &[f64],
+        rows: impl IntoIterator<Item = usize>,
+    ) -> u64 {
+        let mut rows = rows.into_iter();
+        let mut block = [0usize; FOLD_BLOCK];
+        let mut probed = [0usize; FOLD_BLOCK];
+        // The open stretch: `stats` is the working copy of `open_slot`'s
+        // stats, which live at `target` (`None` = the frozen prefix).
+        let mut open_slot = None;
+        let mut target = None;
+        let mut stats = self.frozen;
+        let mut mean_sum = self.mean_sum;
+        let mut folded = 0u64;
+        loop {
+            let mut n = 0;
+            while n < FOLD_BLOCK {
+                let Some(row) = rows.next() else { break };
+                block[n] = row;
+                n += 1;
+            }
+            if n == 0 {
+                break;
+            }
+            // An empty table has nothing to probe; the zeroed hints then
+            // fail `entry_for_fold`'s test like any other stale hint.
+            if !self.users.entries.is_empty() {
+                for (at, &row) in probed.iter_mut().zip(&block[..n]) {
+                    *at = self.users.probe(users[row]);
+                }
+            }
+            for (&row, &at) in block[..n].iter().zip(&probed) {
+                let (slot, value) = (slots[row], values[row]);
+                if open_slot != Some(slot) {
+                    // Written back before `retained_index` runs: a sliding
+                    // window merges expired slots into `frozen`.
+                    *self.slot_stats_mut(target) = stats;
+                    target = self.retained_index(slot);
+                    stats = *self.slot_stats_mut(target);
+                    open_slot = Some(slot);
+                }
+                stats.add(value);
+                mean_sum += self.users.entry_for_fold(users[row], Some(at)).fold(value);
+            }
+            folded += n as u64;
+        }
+        *self.slot_stats_mut(target) = stats;
+        self.mean_sum = mean_sum;
+        self.reports += folded;
+        folded
+    }
+
+    /// The stats a report folds into, given what [`Self::retained_index`]
+    /// returned for its slot: the retained slot, or the frozen prefix for
+    /// a late report whose own slot has expired.
+    #[inline]
+    fn slot_stats_mut(&mut self, target: Option<usize>) -> &mut SlotStats {
+        match target {
+            Some(i) => &mut self.slots[i],
+            None => &mut self.frozen,
+        }
+    }
+
     /// Folds a run of reports that all come from `user` — the shape of
     /// every single-user upload — performing the same operations in the
     /// same order as one [`Self::ingest_parts`] call per row, so the shard
@@ -441,7 +543,7 @@ impl ShardAccumulator {
         if slots.is_empty() {
             return;
         }
-        let mut entry = *self.users.entry_for_fold(user);
+        let mut entry = *self.users.entry_for_fold(user, None);
         let mut mean_sum = self.mean_sum;
         for (&slot, &value) in slots.iter().zip(values) {
             match self.retained_index(slot) {
@@ -736,6 +838,132 @@ mod tests {
         let recomputed: f64 = shard.users().map(|(_, s)| s.sum / s.count as f64).sum();
         assert!((shard.user_mean_sum() - recomputed).abs() < 1e-12);
         assert_eq!(shard.user_count(), 7);
+    }
+
+    /// Folds `rows` of `(user, slot, value)` into a copy of `shard` once per
+    /// row and once through the kernel, requires the two to end identical —
+    /// every field, table layout included (`Debug` prints a finite float's
+    /// shortest round-trip form, so equal text is equal bits) — and returns
+    /// the result.
+    fn assert_kernel_matches_per_row(
+        shard: &ShardAccumulator,
+        rows: &[(u64, u64, f64)],
+    ) -> ShardAccumulator {
+        let users: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        let slots: Vec<u64> = rows.iter().map(|r| r.1).collect();
+        let values: Vec<f64> = rows.iter().map(|r| r.2).collect();
+        let mut by_row = shard.clone();
+        for &(user, slot, value) in rows {
+            by_row.ingest_parts(user, slot, value);
+        }
+        let mut by_kernel = shard.clone();
+        let folded = by_kernel.ingest_rows(&users, &slots, &values, 0..rows.len());
+        assert_eq!(folded, rows.len() as u64);
+        assert_eq!(format!("{by_kernel:?}"), format!("{by_row:?}"));
+        by_kernel
+    }
+
+    fn shard_with_users(users: u64) -> ShardAccumulator {
+        let mut shard = ShardAccumulator::new();
+        for user in 0..users {
+            shard.ingest_parts(1000 + user, 0, 0.25);
+        }
+        shard
+    }
+
+    #[test]
+    fn kernel_inserts_within_a_block_like_the_per_row_fold() {
+        // Two new users whose probes start on one home slot of the 16-slot
+        // table: probed together, both end on the same empty slot.
+        let home = |user| UserTable::slot_of(user, 16);
+        let first = 1u64;
+        let second = (2u64..)
+            .find(|&u| home(u) == home(first))
+            .expect("some id shares the slot");
+        let value = |i: usize| 0.125 * (i % 7) as f64 - 0.3;
+        let rows = |ids: &[u64]| -> Vec<(u64, u64, f64)> {
+            ids.iter()
+                .enumerate()
+                .map(|(i, &u)| (u, 3, value(i)))
+                .collect()
+        };
+        // On an empty table (nothing to probe), and on one already allocated.
+        for prior in [0, 3] {
+            let shard = shard_with_users(prior);
+            assert_kernel_matches_per_row(&shard, &rows(&[first, second, first, second]));
+            // The same new user twice, then again after others.
+            assert_kernel_matches_per_row(&shard, &rows(&[7, 7, 8, 7, 9, 9]));
+        }
+    }
+
+    #[test]
+    fn kernel_grows_the_table_on_the_same_rows_as_the_per_row_fold() {
+        // 14 and 28 users are where the 16- and 32-slot tables reach 7/8;
+        // new users arriving mid-block cross them, and rows for users that
+        // were probed before the growth follow it.
+        for prior in [10, 13, 14, 24, 27, 28] {
+            let shard = shard_with_users(prior);
+            let rows: Vec<(u64, u64, f64)> = (0..FOLD_BLOCK as u64 + 9)
+                .map(|i| {
+                    let user = if i % 3 == 0 {
+                        1000 + i % prior
+                    } else {
+                        5000 + i / 2
+                    };
+                    (user, 1, 0.01 * i as f64)
+                })
+                .collect();
+            let grown = assert_kernel_matches_per_row(&shard, &rows);
+            assert!(
+                grown.users.entries.len() > shard.users.entries.len(),
+                "prior = {prior}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_keeps_slot_stretches_exact_across_expiry_and_late_slots() {
+        let mut shard = ShardAccumulator::with_retention(SlotRetention::Last(3));
+        for user in 0..5 {
+            shard.ingest_parts(user, 4, 0.5);
+        }
+        // Stretches change mid-block, slide the window (6, then 40), fall
+        // below the retained base (0, 2) and come back to a live slot.
+        let slots = [4, 4, 5, 5, 5, 6, 0, 0, 6, 40, 40, 2, 39, 38, 40];
+        let rows: Vec<(u64, u64, f64)> = (0..FOLD_BLOCK * 2 + 5)
+            .map(|i| (i as u64 % 7, slots[i % slots.len()], 0.1 * (i % 9) as f64))
+            .collect();
+        assert_kernel_matches_per_row(&shard, &rows);
+    }
+
+    #[test]
+    fn steady_state_kernel_examines_no_more_table_slots_than_the_per_row_fold() {
+        // Every user present and the table not about to grow: the fold pass
+        // must reuse where the block's probe pass ended, not probe again.
+        let shard = shard_with_users(40); // 64 slots, 40 used
+        let n = 3 * FOLD_BLOCK + 5;
+        let users: Vec<u64> = (0..n as u64).map(|i| 1000 + (i * 7) % 40).collect();
+        let slots = vec![2u64; n];
+        let values = vec![0.5; n];
+        let steps = || PROBE_STEPS.with(std::cell::Cell::get);
+
+        let mut by_row = shard.clone();
+        let before = steps();
+        for i in 0..n {
+            by_row.ingest_parts(users[i], slots[i], values[i]);
+        }
+        let per_row_steps = steps() - before;
+
+        let mut by_kernel = shard;
+        let before = steps();
+        by_kernel.ingest_rows(&users, &slots, &values, 0..n);
+        let kernel_steps = steps() - before;
+
+        assert!(per_row_steps >= n as u64);
+        assert!(
+            kernel_steps <= per_row_steps,
+            "kernel examined {kernel_steps} slots, per-row fold {per_row_steps}"
+        );
     }
 
     #[test]

@@ -243,6 +243,9 @@ impl CollectorMetrics {
 #[derive(Debug)]
 pub struct Collector {
     shards: Vec<Shard>,
+    /// `⌊(2⁶⁴ − 1) / shards⌋ + 1` (mod 2⁶⁴): turns [`Self::shard_of`]'s
+    /// remainder into two multiplications (see there).
+    shard_magic: u64,
     max_slots: u64,
     ingest_workers: usize,
     parallel_fold_min: usize,
@@ -266,10 +269,14 @@ impl Collector {
     /// Creates an engine with the configured shard count.
     ///
     /// # Panics
-    /// Panics if `config.shards == 0`.
+    /// Panics if `config.shards` is 0 or does not fit in 32 bits.
     #[must_use]
     pub fn new(config: CollectorConfig) -> Self {
         assert!(config.shards > 0, "collector needs at least one shard");
+        assert!(
+            u32::try_from(config.shards).is_ok(),
+            "collector shard count must fit in 32 bits"
+        );
         let telemetry = Arc::new(Registry::new());
         let metrics = CollectorMetrics::register(&telemetry, config.shards);
         Self {
@@ -279,6 +286,7 @@ impl Collector {
                     epoch: AtomicU64::new(0),
                 })
                 .collect(),
+            shard_magic: (u64::MAX / config.shards as u64).wrapping_add(1),
             max_slots: config.max_slots,
             ingest_workers: config.ingest_workers,
             parallel_fold_min: config.parallel_fold_min.max(1),
@@ -333,11 +341,21 @@ impl Collector {
         self.shards.len()
     }
 
-    /// The shard owning `user` (Fibonacci multiply-shift, so consecutive
-    /// user ids spread across shards).
+    /// The shard owning `user`: `(user·φ >> 32) % shards` (Fibonacci
+    /// multiply-shift, so consecutive user ids spread across shards).
+    ///
+    /// The remainder is taken without a division, once per routed report:
+    /// for a 32-bit dividend `h` and divisor `d`, the low 64 bits of
+    /// `shard_magic · h` are `(h % d) / d` scaled by 2⁶⁴ and over by less
+    /// than `h`, so their product with `d`, shifted down 64 bits, is
+    /// `h % d` plus less than `h·d / 2⁶⁴ < 1` — exactly `h % d` (Lemire,
+    /// Kaser & Kurz, "Faster remainder by direct computation", 2019).
+    /// `d = 1` wraps the magic to 0 and yields 0.
     #[must_use]
     pub fn shard_of(&self, user: u64) -> usize {
-        (user.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
+        let hash = user.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let fraction = self.shard_magic.wrapping_mul(hash);
+        ((u128::from(fraction) * self.shards.len() as u128) >> 64) as usize
     }
 
     /// Ingests one batch — owned [`crate::ReportBatch`] or borrowed
@@ -446,20 +464,22 @@ impl Collector {
         tally: &mut IngestOutcome,
     ) {
         let shard = &self.shards[shard_idx];
-        let mut accepted = 0u64;
-        {
-            let mut acc = shard.acc.lock().expect("collector shard poisoned");
-            for i in 0..users.len() {
-                if slots[i] >= self.max_slots {
-                    tally.dropped += 1;
-                } else if !values[i].is_finite() {
-                    tally.rejected += 1;
-                } else {
-                    acc.ingest_parts(users[i], slots[i], values[i]);
-                    accepted += 1;
-                }
+        let screened = (0..users.len()).filter(|&i| {
+            if slots[i] >= self.max_slots {
+                tally.dropped += 1;
+                false
+            } else if !values[i].is_finite() {
+                tally.rejected += 1;
+                false
+            } else {
+                true
             }
-        }
+        });
+        let accepted = shard
+            .acc
+            .lock()
+            .expect("collector shard poisoned")
+            .ingest_rows(users, slots, values, screened);
         if accepted > 0 {
             shard.epoch.fetch_add(1, Ordering::Release);
             self.metrics.shard_batches[shard_idx].inc();
@@ -553,16 +573,16 @@ impl Collector {
             // decisions — no prefix sum, no scatter, one lock.
             let shard_idx = first_dest as usize;
             let shard = &self.shards[shard_idx];
-            let mut accepted = 0u64;
-            {
-                let mut acc = shard.acc.lock().expect("collector shard poisoned");
-                for (i, &destination) in scratch.shard.iter().enumerate() {
-                    if destination != SKIP {
-                        acc.ingest_parts(users[i], slots[i], values[i]);
-                        accepted += 1;
-                    }
-                }
-            }
+            let routed = scratch
+                .shard
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &destination)| (destination != SKIP).then_some(i));
+            let accepted = shard
+                .acc
+                .lock()
+                .expect("collector shard poisoned")
+                .ingest_rows(users, slots, values, routed);
             shard.epoch.fetch_add(1, Ordering::Release);
             self.metrics.shard_batches[shard_idx].inc();
             tally.accepted += accepted;
@@ -632,13 +652,11 @@ impl Collector {
         run: &[u32],
     ) {
         let shard = &self.shards[shard_idx];
-        {
-            let mut acc = shard.acc.lock().expect("collector shard poisoned");
-            for &i in run {
-                let i = i as usize;
-                acc.ingest_parts(users[i], slots[i], values[i]);
-            }
-        }
+        shard
+            .acc
+            .lock()
+            .expect("collector shard poisoned")
+            .ingest_rows(users, slots, values, run.iter().map(|&i| i as usize));
         shard.epoch.fetch_add(1, Ordering::Release);
         self.metrics.shard_batches[shard_idx].inc();
     }
@@ -834,6 +852,65 @@ mod tests {
         for &n in &counts {
             assert!(n > 1500, "shard underloaded: {counts:?}");
         }
+    }
+
+    #[test]
+    fn multiply_high_routing_equals_the_remainder_it_replaces() {
+        const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+        // PHI is odd, so it has an inverse mod 2^64 (Newton's iteration):
+        // the user `(h << 32) * inverse` hashes to exactly the dividend `h`.
+        let mut inverse = PHI;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(PHI.wrapping_mul(inverse)));
+        }
+        assert_eq!(PHI.wrapping_mul(inverse), 1);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for shards in 1..=64usize {
+            let c = Collector::new(config(shards));
+            let d = shards as u64;
+            let mut users = vec![0, 1, u64::MAX, u64::MAX - 1];
+            // Dividends at both ends of the 32-bit range and around
+            // multiples of the shard count.
+            let top = u64::from(u32::MAX);
+            for h in [
+                0,
+                1,
+                d - 1,
+                d,
+                d + 1,
+                top,
+                top - 1,
+                top - d,
+                top / d * d,
+                top / d * d - 1,
+            ] {
+                users.push((h << 32).wrapping_mul(inverse));
+            }
+            for k in 0..64u64 {
+                users.push(k * shards as u64);
+                users.push((k << 32) * shards as u64);
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                users.push(state);
+                users.push(state >> 40);
+            }
+            for user in users {
+                let by_remainder = (user.wrapping_mul(PHI) >> 32) as usize % shards;
+                assert_eq!(
+                    c.shard_of(user),
+                    by_remainder,
+                    "{shards} shards, user {user}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fit in 32 bits")]
+    fn shard_count_beyond_32_bits_panics_before_allocating() {
+        let _ = Collector::new(config(u32::MAX as usize + 1));
     }
 
     #[test]

@@ -1077,8 +1077,12 @@ impl Link<'_> {
     /// `None` = this link cannot vouch for durability (transport failure
     /// or a tainted ledger).
     fn handle_sync(&mut self) -> Option<IngestOutcome> {
-        let sync_bytes = self.sync_bytes.clone();
-        match self.request(&sync_bytes) {
+        // `request` needs `&mut self`; lend it the pre-encoded frame by
+        // moving the buffer out and back rather than cloning it per barrier.
+        let sync_bytes = std::mem::take(&mut self.sync_bytes);
+        let reply = self.request(&sync_bytes);
+        self.sync_bytes = sync_bytes;
+        match reply {
             Ok(Frame::IngestAck {
                 accepted,
                 dropped,

@@ -210,6 +210,9 @@ impl Durability {
     }
 
     /// Take a checkpoint if the log asks for one (the post-ingest hook).
+    /// The test here is the cheap one every frame pays; it is repeated
+    /// once the write gate is held, so connections that all saw the log
+    /// asking take one checkpoint between them.
     ///
     /// # Errors
     /// See [`Durability::checkpoint_now`].
@@ -217,20 +220,40 @@ impl Durability {
         if !self.wants_checkpoint() {
             return Ok(());
         }
-        self.checkpoint_now(collector).map(|_| ())
+        self.checkpoint_under_gate(collector, true).map(|_| ())
     }
 
     /// Serialize the collector under the write gate and persist it as a
     /// WAL checkpoint, pruning covered segments. Returns the covered
-    /// sequence.
+    /// sequence. Unconditional: [`Self::seal`] needs a checkpoint however
+    /// short the log is.
     ///
     /// # Errors
     /// I/O failures and a dead (crashed) log.
     pub fn checkpoint_now(&self, collector: &Collector) -> io::Result<u64> {
+        self.checkpoint_under_gate(collector, false)
+    }
+
+    /// Checkpoints under the write gate. With `only_if_wanted` the trigger
+    /// is re-tested once the gate is held: connections that all saw
+    /// `wants_checkpoint()` queue up here, and only the first still finds
+    /// the log asking — the rest would serialize the collector again to
+    /// cover zero new records, with all ingest stalled. They return the
+    /// sequence the first one's checkpoint covered.
+    fn checkpoint_under_gate(
+        &self,
+        collector: &Collector,
+        only_if_wanted: bool,
+    ) -> io::Result<u64> {
         let timer = self.metrics.checkpoint_nanos.timer();
         let gate = self.gate.write().expect("durability gate poisoned");
-        // Re-check under the gate: another thread may have checkpointed
-        // while this one waited for writers to drain.
+        if only_if_wanted {
+            let wal = self.wal.lock().expect("wal mutex poisoned");
+            if !wal.wants_checkpoint() {
+                timer.cancel();
+                return Ok(wal.checkpoint_seq());
+            }
+        }
         let state = collector.encode_checkpoint();
         let result = {
             let mut wal = self.wal.lock().expect("wal mutex poisoned");
@@ -329,7 +352,7 @@ pub fn recover(
     let mut scratch = IngestScratch::default();
     let mut replayed_rows = 0u64;
     for record in &recovered.records {
-        let outcome = apply_payload(&collector, &record.payload, &mut scratch)?;
+        let outcome = apply_payload(&collector, recovered.payload(record), &mut scratch)?;
         replayed_rows += outcome.accepted;
     }
     metrics
@@ -352,4 +375,66 @@ pub fn recover(
         metrics,
     });
     Ok((collector, durability, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{Frame, HEADER_LEN};
+    use ldp_collector::sync::atomic::{AtomicUsize, Ordering};
+    use ldp_collector::ReportBatch;
+
+    #[test]
+    fn connections_that_both_saw_the_trigger_take_one_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("ldp-durable-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal_config = WalConfig::new(&dir)
+            .flush(FlushPolicy::Barrier)
+            .segment_bytes(256)
+            .checkpoint_segments(1);
+        let (collector, durability, _) =
+            recover(CollectorConfig::default(), wal_config).expect("fresh durable collector");
+
+        let mut batch = ReportBatch::new();
+        for user in 0..64u64 {
+            batch.push(user, user % 4, 0.5);
+        }
+        let mut frame = Vec::new();
+        Frame::encode_ingest_into(&batch, &mut frame);
+        let mut scratch = IngestScratch::default();
+        while !durability.wants_checkpoint() {
+            durability
+                .ingest_frame(&collector, &frame[HEADER_LEN..], &mut scratch)
+                .expect("durable ingest");
+        }
+
+        // Two connections, both past `maybe_checkpoint`'s first test before
+        // either reaches the gate.
+        let past_first_test = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    assert!(durability.wants_checkpoint());
+                    past_first_test.fetch_add(1, Ordering::SeqCst);
+                    while past_first_test.load(Ordering::SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    durability
+                        .checkpoint_under_gate(&collector, true)
+                        .expect("checkpoint");
+                });
+            }
+        });
+
+        let snapshot = collector.telemetry().snapshot();
+        assert_eq!(snapshot.counter("wal.checkpoints"), Some(1));
+        assert!(!durability.wants_checkpoint());
+        // `checkpoint_now` stays unconditional (the seal path relies on it).
+        durability.checkpoint_now(&collector).expect("checkpoint");
+        let snapshot = collector.telemetry().snapshot();
+        assert_eq!(snapshot.counter("wal.checkpoints"), Some(2));
+
+        drop(durability);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

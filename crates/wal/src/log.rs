@@ -2,6 +2,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -65,13 +66,16 @@ impl WalConfig {
     }
 }
 
-/// One surviving ingest record to replay.
+/// One surviving ingest record to replay: where its payload sits in the
+/// segment images [`Recovered`] keeps. Read it with [`Recovered::payload`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredRecord {
     /// The record's sequence number.
     pub seq: u64,
-    /// The ingest frame payload, byte-for-byte as originally appended.
-    pub payload: Vec<u8>,
+    /// Index of the segment image holding the payload.
+    segment: usize,
+    /// The payload's byte range within that image.
+    bytes: Range<usize>,
 }
 
 /// Everything [`Wal::open`] learned from disk.
@@ -88,6 +92,21 @@ pub struct Recovered {
     /// True when the log ends in a clean-shutdown seal with no damage and
     /// no ingest records after it.
     pub clean: bool,
+    /// The segment files as read, for those that hold a record to replay:
+    /// replay borrows payloads from these instead of owning a copy each.
+    segments: Vec<Vec<u8>>,
+}
+
+impl Recovered {
+    /// The ingest frame payload of `record`, byte-for-byte as originally
+    /// appended.
+    ///
+    /// # Panics
+    /// Panics if `record` did not come from this `Recovered`'s `records`.
+    #[must_use]
+    pub fn payload(&self, record: &RecoveredRecord) -> &[u8] {
+        &self.segments[record.segment][record.bytes.clone()]
+    }
 }
 
 /// A segmented, checksummed write-ahead log.
@@ -180,6 +199,7 @@ impl Wal {
         }
 
         let mut records: Vec<RecoveredRecord> = Vec::new();
+        let mut segments: Vec<Vec<u8>> = Vec::new();
         let mut truncated_bytes = 0u64;
         let mut clean = false;
         let mut max_seq = checkpoint_seq;
@@ -205,9 +225,12 @@ impl Wal {
                             RecordKind::Ingest => {
                                 clean = false;
                                 if rec.seq > checkpoint_seq {
+                                    // The payload is the record's tail.
+                                    let end = off + used;
                                     records.push(RecoveredRecord {
                                         seq: rec.seq,
-                                        payload: rec.payload.to_vec(),
+                                        segment: segments.len(),
+                                        bytes: end - rec.payload.len()..end,
                                     });
                                 }
                             }
@@ -227,6 +250,9 @@ impl Wal {
                 }
             }
             kept.push((path.clone(), off as u64));
+            if records.last().is_some_and(|r| r.segment == segments.len()) {
+                segments.push(data);
+            }
         }
 
         let next_seq = max_seq + 1;
@@ -274,6 +300,7 @@ impl Wal {
             records,
             truncated_bytes,
             clean,
+            segments,
         };
         Ok((wal, recovered))
     }
@@ -563,6 +590,14 @@ mod tests {
         WalConfig::new(dir).flush(FlushPolicy::Barrier)
     }
 
+    /// What recovery would replay: `(seq, payload)` per surviving record.
+    fn replayable(rec: &Recovered) -> Vec<(u64, &[u8])> {
+        rec.records
+            .iter()
+            .map(|r| (r.seq, rec.payload(r)))
+            .collect()
+    }
+
     #[test]
     fn append_barrier_recover() {
         let dir = temp_dir("abr");
@@ -577,17 +612,8 @@ mod tests {
         }
         let (_, rec) = Wal::open(cfg(&dir)).unwrap();
         assert_eq!(
-            rec.records,
-            vec![
-                RecoveredRecord {
-                    seq: 1,
-                    payload: b"one".to_vec()
-                },
-                RecoveredRecord {
-                    seq: 2,
-                    payload: b"two".to_vec()
-                },
-            ]
+            replayable(&rec),
+            vec![(1, b"one".as_slice()), (2, b"two".as_slice())]
         );
         assert!(!rec.clean);
         fs::remove_dir_all(&dir).unwrap();
@@ -603,8 +629,7 @@ mod tests {
         wal.simulate_power_loss().unwrap();
         assert!(matches!(wal.append(b"x"), Err(WalError::Dead)));
         let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        let payloads: Vec<&[u8]> = rec.records.iter().map(|r| r.payload.as_slice()).collect();
-        assert_eq!(payloads, vec![b"durable".as_slice()]);
+        assert_eq!(replayable(&rec), vec![(1, b"durable".as_slice())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -624,9 +649,7 @@ mod tests {
         let (_, rec) = Wal::open(cfg(&dir)).unwrap();
         assert_eq!(rec.checkpoint_seq, 2);
         assert_eq!(rec.checkpoint_state.as_deref(), Some(b"STATE".as_slice()));
-        assert_eq!(rec.records.len(), 1);
-        assert_eq!(rec.records[0].seq, 3);
-        assert_eq!(rec.records[0].payload, b"c");
+        assert_eq!(replayable(&rec), vec![(3, b"c".as_slice())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -663,8 +686,7 @@ mod tests {
         f.set_len(len - 3).unwrap();
         drop(f);
         let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        assert_eq!(rec.records.len(), 1);
-        assert_eq!(rec.records[0].payload, b"good");
+        assert_eq!(replayable(&rec), vec![(1, b"good".as_slice())]);
         assert!(rec.truncated_bytes > 0);
         // The damage is gone from disk: a second open sees a clean log.
         let (_, rec2) = Wal::open(cfg(&dir)).unwrap();

@@ -350,6 +350,42 @@ fn single_shard_fast_path_is_also_allocation_free() {
 }
 
 #[test]
+fn single_destination_batches_allocate_nothing_either() {
+    // Several users that all route to one shard of four: the routing pass
+    // finds the batch uniform and folds it straight off its decisions —
+    // the fourth caller of the fold kernel, whose block scratch (row
+    // indices and probe results) lives on the stack like the others'.
+    let collector = Collector::new(CollectorConfig {
+        shards: 4,
+        ..CollectorConfig::default()
+    });
+    let neighbours: Vec<u64> = (0..)
+        .filter(|&user| collector.shard_of(user) == 0)
+        .take(48)
+        .collect();
+    let mut batch = ReportBatch::with_capacity(2048);
+    for i in 0..2048usize {
+        batch.push(neighbours[(i * 7) % 48], i as u64 % 16, 0.25);
+    }
+    let mut frame_buf = Vec::new();
+    let mut scratch = IngestScratch::default();
+    let telemetry = WireTelemetry::register(&collector);
+    for _ in 0..8 {
+        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
+    }
+    let before = allocation_events();
+    for _ in 0..32 {
+        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
+    }
+    assert_eq!(allocation_events() - before, 0);
+    assert_eq!(
+        (1..4).map(|s| collector.shard_epoch(s)).sum::<u64>(),
+        0,
+        "only shard 0 was ever touched"
+    );
+}
+
+#[test]
 fn screening_on_the_routing_pass_allocates_nothing_either() {
     // Dropped (slot out of bounds) and rejected (non-finite) reports take
     // the screening branches of the routing pass; those must be as
@@ -445,5 +481,51 @@ fn wal_batched_ingest_path_performs_zero_allocations() {
     assert_eq!(durability.appended_records(), 40);
 
     drop(durability);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wal_open_allocates_per_segment_not_per_record() {
+    // Recovery keeps each segment as it was read and hands replay borrowed
+    // payloads; it used to copy every surviving record into a `Vec` of its
+    // own. 2,000 records in a handful of segments must cost `Wal::open` a
+    // few allocations per segment (the image, paths, directory entries)
+    // plus the record index's doublings — nowhere near one per record.
+    use ldp_wal::{FlushPolicy, Wal, WalConfig};
+
+    const RECORDS: u64 = 2_000;
+    let dir = std::env::temp_dir().join(format!("ldp-alloc-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        WalConfig::new(&dir)
+            .flush(FlushPolicy::Barrier)
+            .segment_bytes(64 << 10)
+    };
+    let payload = [0xA5u8; 100];
+    let segments = {
+        let (mut wal, _) = Wal::open(config()).expect("fresh log");
+        for _ in 0..RECORDS {
+            wal.append(&payload).expect("append");
+        }
+        wal.barrier().expect("barrier");
+        wal.live_segments()
+    };
+    assert!((3..=8).contains(&segments), "{segments} segments");
+
+    let before = allocation_events();
+    let (wal, recovered) = Wal::open(config()).expect("recovery");
+    let events = allocation_events() - before;
+
+    assert_eq!(recovered.records.len() as u64, RECORDS);
+    assert!(recovered
+        .records
+        .iter()
+        .all(|record| recovered.payload(record) == payload));
+    assert!(
+        events <= 24 * segments + 32,
+        "Wal::open made {events} allocations for {RECORDS} records in {segments} segments"
+    );
+
+    drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,6 +20,13 @@
 //!    the `mean_sum` bits included) is identical, on runs that cross a
 //!    retention expiry, carry late slots below the retained base, grow
 //!    the user table, and are split mid-run by dropped or non-finite rows.
+//! 5. The block-probed fold kernel — the path every multi-user batch
+//!    takes, serial, pooled, single-destination and one-shard alike — ≡
+//!    the same: `ShardAccumulator::ingest_rows` over an index run leaves
+//!    the shard image one `ingest_parts` per row leaves, and a collector's
+//!    whole `encode_checkpoint()` equals the one built from its accepted
+//!    rows folded one by one, with exact ledgers and one epoch bump per
+//!    touched shard per batch.
 
 use ldp_collector::{
     Collector, CollectorConfig, ReportBatch, ReportColumns, ShardAccumulator, SlotRetention,
@@ -92,6 +99,52 @@ fn one_user_rows(n: usize, seed: u64, max_slots: u64, hostile: bool) -> (Vec<u64
     (slots, values)
 }
 
+/// A crowd's upload as the block kernel has to survive it: users drawn
+/// from `1000..1000 + user_pool` (so they overlap a shard pre-filled by
+/// [`shard_with_users`], repeat inside a block, and — being new — insert
+/// and grow the table mid-block); slots held for a stretch of rows, then
+/// mostly advancing (a `Last(R)` window slides mid-run) and sometimes
+/// jumping back (late slots, some below the retained base); `hostile`
+/// screening as in [`one_user_rows`].
+fn crowd_rows(
+    n: usize,
+    seed: u64,
+    max_slots: u64,
+    user_pool: u64,
+    hostile: bool,
+) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+    let mut users = Vec::with_capacity(n);
+    let mut slots = Vec::with_capacity(n);
+    let mut values = Vec::with_capacity(n);
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0FFEE;
+    let (mut slot, mut stretch) = (0u64, 0u64);
+    for _ in 0..n {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        if stretch == 0 {
+            stretch = 1 + (state >> 52) % 24;
+            slot = match (state >> 33) % 6 {
+                0 => slot.saturating_sub((state >> 40) % 12),
+                step => (slot + step % 3).min(max_slots - 1),
+            };
+        }
+        stretch -= 1;
+        users.push(1000 + (state >> 44) % user_pool);
+        slots.push(if hostile && (state >> 17).is_multiple_of(9) {
+            max_slots + (state >> 50)
+        } else {
+            slot
+        });
+        values.push(match (state >> 24) % 11 {
+            0 if hostile => f64::NAN,
+            1 if hostile => f64::NEG_INFINITY,
+            _ => ((state >> 13) % 4096) as f64 / 4096.0 - 0.5,
+        });
+    }
+    (users, slots, values)
+}
+
 /// A shard's state as the words `Collector::encode_checkpoint` writes for
 /// it after the shard's batch counter: base, reports, `mean_sum`, the
 /// frozen prefix, the retained slots, then the users in table-scan order.
@@ -114,15 +167,21 @@ fn shard_image(shard: &ShardAccumulator) -> Vec<u64> {
     words
 }
 
-/// The shard section of a one-shard collector's checkpoint, as words:
-/// everything after magic (4), version (1), shard count (8), the five
-/// book counters (40) and the shard's batch counter (8).
-fn checkpointed_shard_words(collector: &Collector) -> Vec<u64> {
-    assert_eq!(collector.shard_count(), 1);
-    collector.encode_checkpoint()[61..]
+/// A collector's checkpoint as words, after magic (4) and version (1):
+/// the shard count, the five book counters, then per shard its batch
+/// counter and its state.
+fn checkpoint_words(collector: &Collector) -> Vec<u64> {
+    collector.encode_checkpoint()[5..]
         .chunks_exact(8)
         .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
         .collect()
+}
+
+/// The shard section of a one-shard collector's checkpoint: everything
+/// after the shard count, the books and the shard's batch counter.
+fn checkpointed_shard_words(collector: &Collector) -> Vec<u64> {
+    assert_eq!(collector.shard_count(), 1);
+    checkpoint_words(collector)[7..].to_vec()
 }
 
 fn retention_of(retained: u64) -> SlotRetention {
@@ -171,6 +230,109 @@ proptest! {
         by_two_runs.ingest_user_run(user, &slots[..cut], &values[..cut]);
         by_two_runs.ingest_user_run(user, &slots[cut..], &values[cut..]);
         prop_assert_eq!(shard_image(&by_two_runs), shard_image(&by_row));
+    }
+
+    #[test]
+    fn row_kernel_equals_row_by_row_fold_image_for_image(
+        n in 0usize..200,
+        seed in 0u64..10_000,
+        retained in 0u64..9,
+        prior_users in 0u64..40,
+        user_pool in 1u64..60,
+        skip_every in 0usize..5,
+    ) {
+        let retention = retention_of(retained);
+        let (users, slots, values) = crowd_rows(n, seed, 512, user_pool, false);
+        // An index run, as routing leaves it: ascending, with gaps.
+        let rows: Vec<usize> = (0..n)
+            .filter(|row| skip_every == 0 || row % skip_every != 0)
+            .collect();
+
+        let mut by_row = shard_with_users(retention, prior_users);
+        for &row in &rows {
+            by_row.ingest_parts(users[row], slots[row], values[row]);
+        }
+        let mut by_kernel = shard_with_users(retention, prior_users);
+        let folded = by_kernel.ingest_rows(&users, &slots, &values, rows.iter().copied());
+        prop_assert_eq!(folded, rows.len() as u64);
+        prop_assert_eq!(shard_image(&by_kernel), shard_image(&by_row));
+
+        // The same rows as two runs: a block cut short changes nothing.
+        let mut by_two_runs = shard_with_users(retention, prior_users);
+        let (head, tail) = rows.split_at(rows.len() / 3);
+        by_two_runs.ingest_rows(&users, &slots, &values, head.iter().copied());
+        by_two_runs.ingest_rows(&users, &slots, &values, tail.iter().copied());
+        prop_assert_eq!(shard_image(&by_two_runs), shard_image(&by_row));
+    }
+
+    #[test]
+    fn mixed_batches_checkpoint_like_their_accepted_rows_folded_one_by_one(
+        n in 0usize..400,
+        seed in 0u64..10_000,
+        retained in 0u64..9,
+        shards in 1usize..5,
+        pooled in any::<bool>(),
+        user_pool in 2u64..90,
+    ) {
+        let max_slots = 512;
+        let retention = retention_of(retained);
+        let collector = Collector::new(CollectorConfig {
+            shards,
+            max_slots,
+            retention,
+            ingest_workers: if pooled { 2 } else { 0 },
+            parallel_fold_min: 1,
+        });
+        let mut reference: Vec<ShardAccumulator> =
+            (0..shards).map(|_| ShardAccumulator::with_retention(retention)).collect();
+        let mut shard_batches = vec![0u64; shards];
+        let mut books = [0u64; 5]; // accepted, dropped, rejected, upstream, batches
+
+        // Two batches: the second meets the tables the first one built.
+        for part in 0..2u64 {
+            let (users, slots, values) =
+                crowd_rows(n, seed ^ part << 40, max_slots, user_pool, true);
+            let mut touched = vec![false; shards];
+            let (mut accepted, mut dropped, mut rejected) = (0, 0, 0);
+            for row in 0..n {
+                if slots[row] >= max_slots {
+                    dropped += 1;
+                } else if !values[row].is_finite() {
+                    rejected += 1;
+                } else {
+                    let shard = collector.shard_of(users[row]);
+                    reference[shard].ingest_parts(users[row], slots[row], values[row]);
+                    touched[shard] = true;
+                    accepted += 1;
+                }
+            }
+            let epochs_before: Vec<u64> = (0..shards).map(|s| collector.shard_epoch(s)).collect();
+            let outcome = collector.ingest_outcome(&ReportColumns::new(&users, &slots, &values));
+            prop_assert_eq!(
+                (outcome.accepted, outcome.dropped, outcome.rejected),
+                (accepted, dropped, rejected)
+            );
+            for shard in 0..shards {
+                prop_assert_eq!(
+                    collector.shard_epoch(shard) - epochs_before[shard],
+                    u64::from(touched[shard]),
+                    "one epoch bump per touched shard per batch"
+                );
+                shard_batches[shard] += u64::from(touched[shard]);
+            }
+            books[0] += accepted;
+            books[1] += dropped;
+            books[2] += rejected;
+            books[4] += u64::from(n > 0);
+        }
+
+        let mut expected = vec![shards as u64];
+        expected.extend(books);
+        for (shard, batches) in reference.iter().zip(shard_batches) {
+            expected.push(batches);
+            expected.extend(shard_image(shard));
+        }
+        prop_assert_eq!(checkpoint_words(&collector), expected);
     }
 
     #[test]

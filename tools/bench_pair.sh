@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# Paired benchmark runs: a parent commit against the working tree.
+#
+# The procedure every performance claim in CHANGES.md rests on (see
+# benchmark/README.md, "Noise"): this machine drifts by tens of percent
+# over minutes, so the two sides are built once each and then run
+# alternately, pair i on seed i, odd pairs parent first — only the
+# per-pair ratios and the win count mean much.
+#
+# Usage: tools/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds]
+#
+#   <parent-ref>  any commit-ish; exported with `git archive` into
+#                 target/bench_pair/parent (no worktree metadata to prune)
+#   <workload>    a workload name from BENCHMARK.json
+#   [seconds]     run length; defaults to BENCHMARK.json's run_seconds
+#
+# Both sides build into their own directories under target/bench_pair/,
+# which the root .gitignore already covers. The script only invokes the
+# benchmark driver; it changes nothing under benchmark/.
+
+set -euo pipefail
+
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+    echo "usage: tools/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds]" >&2
+    exit 2
+fi
+parent_ref="$1"
+workload="$2"
+pairs="${3:-10}"
+
+repo_root="$(cd -- "$(dirname -- "$0")/.." && pwd)"
+seconds="${4:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$repo_root/BENCHMARK.json")}"
+work="$repo_root/target/bench_pair"
+parent_tree="$work/parent"
+
+rm -rf "$parent_tree"
+mkdir -p "$parent_tree"
+git -C "$repo_root" archive "$parent_ref" | tar -x -C "$parent_tree"
+
+build() { # <tree> <target dir>
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --quiet --offline \
+        --manifest-path benchmark/Cargo.toml)
+}
+echo "building parent ($parent_ref) and working tree ..." >&2
+build "$parent_tree" "$work/target-parent"
+build "$repo_root" "$work/target-change"
+
+results="$work/runs-$workload.tsv"
+: >"$results"
+
+field() { # <json line> <metric>
+    printf '%s' "$1" | sed -n "s/.*\"$2\": {\"value\": \([-0-9.e+]*\).*/\1/p"
+}
+
+run() { # <side> <pair>
+    local line
+    line="$("$work/target-$1/release/ldp-benchmark" \
+        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)"
+    case "$line" in
+        '{"correct": true, '*'"failed": 0, '*) ;;
+        *) echo "run failed its gates ($1, seed $2): $line" >&2; exit 1 ;;
+    esac
+    printf '%s\t%s\t%s\t%s\t%s\n' "$2" "$1" \
+        "$(field "$line" rows_per_s)" "$(field "$line" setup_s)" \
+        "$(field "$line" peak_rss_mb)" | tee -a "$results"
+}
+
+printf 'pair\tside\trows_per_s\tsetup_s\tpeak_rss_mb\n'
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then
+        run parent "$pair"
+        run change "$pair"
+    else
+        run change "$pair"
+        run parent "$pair"
+    fi
+done
+
+# Median and quartiles (linear interpolation between order statistics),
+# per side and metric; wins are pairs where the change reads better.
+echo
+for spec in "rows_per_s 3 higher" "setup_s 4 lower" "peak_rss_mb 5 lower"; do
+    set -- $spec
+    for side in parent change; do
+        awk -F'\t' -v side="$side" -v col="$2" '$2 == side { print $col }' "$results" |
+            sort -g |
+            awk -v label="$1 $side" '
+                { v[NR] = $1 }
+                function q(p,    h, lo) {
+                    h = (NR - 1) * p + 1; lo = int(h)
+                    return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+                }
+                END { printf "%-22s median %.6g  q1 %.6g  q3 %.6g  (n=%d)\n",
+                      label, q(0.5), q(0.25), q(0.75), NR }'
+    done
+    awk -F'\t' -v col="$2" -v better="$3" -v label="$1" '
+        $2 == "parent" { p[$1] = $col }
+        $2 == "change" { c[$1] = $col }
+        END {
+            for (i in p) {
+                if (c[i] == p[i]) ties++
+                else if ((better == "higher") == (c[i] > p[i])) wins++
+            }
+            printf "%-22s change better in %d of %d pairs (%d ties)\n\n",
+                   label, wins, length(p), ties
+        }' "$results"
+done
