@@ -6,10 +6,9 @@ use ldp_core::{
     StreamMechanism,
 };
 use ldp_mechanisms::{Hybrid, Laplace, Piecewise, SquareWave, StochasticRounding};
-use serde::{Deserialize, Serialize};
 
 /// The non-SW mechanisms of the generalizability study (Figure 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AltMechanism {
     /// Additive Laplace noise on `[−1, 1]`.
     Laplace,
@@ -35,7 +34,7 @@ impl AltMechanism {
 }
 
 /// Every algorithm arm of the evaluation, with its configuration knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AlgorithmSpec {
     /// SW applied per slot (no feedback).
     SwDirect,

@@ -1,10 +1,8 @@
 //! Global experiment configuration (trial counts, seeds), environment
 //! overridable so benches can scale themselves down.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration shared by every artifact reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Number of random subsequences (each independently perturbed) that a
     /// configuration is averaged over.

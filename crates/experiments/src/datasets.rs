@@ -3,10 +3,9 @@
 use ldp_streams::synthetic;
 use ldp_streams::{Population, Stream};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The datasets appearing in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
     /// MNDoT hourly traffic volume (single stream).
     Volume,

@@ -1,11 +1,10 @@
 //! Rendering of experiment results as the tables/series the paper reports.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One plotted line: an algorithm's metric across the ε grid (or any other
 /// x axis).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label (e.g. "CAPP").
     pub label: String,
@@ -15,7 +14,7 @@ pub struct Series {
 
 /// A figure panel: several series over a shared x axis, with a caption
 /// matching the paper's subfigure title.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesTable {
     /// Subfigure caption, e.g. "C6H6, w = 10".
     pub caption: String,

@@ -17,15 +17,28 @@
 //!            └─ merge: MergedParts / summed ledgers
 //! ```
 //!
-//! * [`serve`] — the [`Router`]: front accept loop, per-connection
-//!   downstream links, counting-sort ingest partition, fan-out +
-//!   merge query answering, degraded mode, health probing, telemetry.
+//! * [`serve`] — the [`Router`]: the federation backend behind
+//!   `ldp-server`'s connection driver — per-connection downstream links,
+//!   counting-sort ingest partition, fan-out + merge query answering,
+//!   degraded mode, health probing, telemetry.
 //! * [`fanout`] — the explorable coordination primitives
 //!   ([`FrameQueue`], [`FanoutGate`]) behind the "no ack before every
 //!   downstream acked" guarantee.
 //!
-//! Because a router answers `QueryParts` itself (with the merged part),
-//! routers stack: a router's downstream may be another router.
+//! A router has no frame loop of its own: it *is* the server's
+//! [`ldp_server::Transport`] with a remote [`ldp_server::Backend`].
+//!
+//! ```text
+//!            ┌─ ldp_server::Transport ─┐   ┌─ Backend ────────────────────┐
+//! client ───▶│ accept · read · verify  │──▶│ Server: Collector (+ WAL)    │
+//!            │ validate · reply · books│   │ Router: links → N × that ────┼──▶ …
+//!            └─────────────────────────┘   └──────────────────────────────┘
+//! ```
+//!
+//! That is the "routers stack" property, made structural: a router
+//! answers `QueryParts` itself (with the merged part), and everything else
+//! a peer can observe at its front socket is the same code a server runs,
+//! so a router's downstream may be another router.
 //!
 //! # Quickstart
 //!

@@ -1,6 +1,7 @@
-//! The federation tier: a [`Router`] accepts LDPW connections on a front
-//! socket and spreads the load over N downstream `ldp-server` collector
-//! processes.
+//! The federation tier: a [`Router`] is the `ldp-server` connection driver
+//! ([`ldp_server::transport`]) over a *remote* backend — it accepts LDPW
+//! connections on a front socket and spreads the load over N downstream
+//! `ldp-server` collector processes.
 //!
 //! ```text
 //!                      ┌───────────── Router ─────────────┐
@@ -12,6 +13,17 @@
 //!                      └───────────────────────────────────┘
 //! ```
 //!
+//! The accept loop, the connection cap, the framed read, framing errors,
+//! range validation, the read verbs and the `router.connections.* /
+//! frames.* / bytes.*` books are the driver's, byte for byte what a
+//! `Server` runs; this file is what a *federated* tier does with a frame:
+//!
+//! * **Per-connection links** — every front connection opens its own link
+//!   (queue + writer thread) to every downstream before its first frame,
+//!   and closes them — pending ingest drained first — then joins them
+//!   after its last. Ingest ledgers are per-connection on the servers, so
+//!   per-connection links are what keeps `IngestSync` meaning "what *this*
+//!   client sent".
 //! * **Routing rule** — every report row goes to
 //!   `downstream_of(user) = (user · SEED) >> 32 mod N`: all of a user's
 //!   reports land on one downstream, so per-user state (the population
@@ -37,23 +49,24 @@
 //!   then recovers.
 //! * **Queries** — population/windowed/slot-means/summary/parts are all
 //!   answered by fanning out a `QueryParts` request and folding the raw
-//!   per-downstream contributions with [`MergedParts::merge`]; stats
-//!   sums the downstream collectors' report ledgers under the router's
-//!   own connection counters; metrics serves the router's registry.
+//!   per-downstream contributions with [`MergedParts::merge`] — the merge
+//!   is the [`QuerySource`] the driver answers the read verbs from, and
+//!   `QueryParts` itself is answered with the merged part, unclipped, so
+//!   routers stack; stats sums the downstream collectors' report ledgers
+//!   under the router's own connection counters; metrics serves the
+//!   router's registry.
 
 use crate::fanout::{FanoutGate, FrameQueue};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
-use ldp_server::wire::{
-    code, Frame, FrameView, Header, IngestScratch, StatsBody, SummaryBody, WireError,
-    DEFAULT_MAX_PAYLOAD, HEADER_LEN,
-};
-use ldp_server::{read_full, ReadOutcome, ReconnectPolicy, RemoteCollector};
+use ldp_server::wire::{code, Frame, IngestScratch, IngestView, StatsBody, HEADER_LEN};
+use ldp_server::{read_reply, Backend, QuerySource, ReconnectPolicy, RemoteCollector, Transport};
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
-use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The router's user→downstream multiplier (Fibonacci-style multiply-
@@ -72,17 +85,13 @@ pub fn downstream_of(user: u64, downstreams: usize) -> usize {
     (user.wrapping_mul(DOWNSTREAM_SEED) >> 32) as usize % downstreams
 }
 
-/// Router tuning knobs.
+/// Router tuning knobs. (The payload and per-query slot bounds are the
+/// protocol constants in [`ldp_server::wire`], the same for every tier.)
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Maximum front connections served concurrently; extras are refused
     /// with a [`code::BUSY`] error frame.
     pub max_connections: usize,
-    /// Hard bound on accepted frame payload size.
-    pub max_payload: u32,
-    /// Hard bound on the slot count a single slot-means query may
-    /// request (mirrors [`ldp_server::ServerConfig::max_query_slots`]).
-    pub max_query_slots: u64,
     /// How often blocked reads / the accept loop wake to check for
     /// shutdown.
     pub poll_interval: Duration,
@@ -96,8 +105,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            max_query_slots: 1 << 16,
             poll_interval: Duration::from_millis(20),
             health_interval: Duration::from_millis(150),
             reconnect: ReconnectPolicy::default(),
@@ -127,31 +134,14 @@ pub(crate) struct DownstreamMetrics {
     pub healthy: Arc<Gauge>,
 }
 
-/// Router-side operational metrics; handles into the router's own
-/// [`Registry`], served verbatim by the metrics query frame.
+/// The federation's own books (the front-side `router.connections.* /
+/// frames.* / bytes.*` are the driver's `FrontMetrics`); handles into
+/// the router's [`Registry`], served verbatim by the metrics query frame.
 #[derive(Debug)]
 struct RouterMetrics {
-    /// `router.connections.active`.
-    connections_active: Arc<Gauge>,
-    /// `router.connections.total`.
-    connections_total: Arc<Counter>,
-    /// `router.connections.rejected`.
-    connections_rejected: Arc<Counter>,
-    /// `router.frames.decoded` (front side).
-    frames_decoded: Arc<Counter>,
-    /// `router.frames.failed` (front side).
-    frames_failed: Arc<Counter>,
-    /// `router.queries.answered`.
-    queries_answered: Arc<Counter>,
-    /// `router.ingest.frames` — ingest frames arriving at the front.
-    ingest_frames: Arc<Counter>,
-    /// `router.ingest.rows` — rows those frames carried (before
+    /// `router.ingest.rows` — rows arriving at the front (before
     /// partitioning).
     ingest_rows: Arc<Counter>,
-    /// `router.bytes.in` / `router.bytes.out` (front side).
-    bytes_in: Arc<Counter>,
-    /// See [`Self::bytes_in`].
-    bytes_out: Arc<Counter>,
     /// `router.fanout.sync_nanos` — full barrier latency: enqueue behind
     /// pending ingest → every downstream acked.
     fanout_sync_nanos: Arc<Histogram>,
@@ -178,16 +168,7 @@ impl RouterMetrics {
             })
             .collect();
         Self {
-            connections_active: registry.gauge("router.connections.active"),
-            connections_total: registry.counter("router.connections.total"),
-            connections_rejected: registry.counter("router.connections.rejected"),
-            frames_decoded: registry.counter("router.frames.decoded"),
-            frames_failed: registry.counter("router.frames.failed"),
-            queries_answered: registry.counter("router.queries.answered"),
-            ingest_frames: registry.counter("router.ingest.frames"),
             ingest_rows: registry.counter("router.ingest.rows"),
-            bytes_in: registry.counter("router.bytes.in"),
-            bytes_out: registry.counter("router.bytes.out"),
             fanout_sync_nanos: registry.histogram("router.fanout.sync_nanos"),
             fanout_query_nanos: registry.histogram("router.fanout.query_nanos"),
             downstream,
@@ -195,8 +176,10 @@ impl RouterMetrics {
     }
 }
 
-/// State shared by the accept loop, health probe, and connection threads.
-struct Shared {
+/// The federation [`Backend`]: what a `Router`'s connections do with a
+/// frame. Shared by the transport's threads, the health probe, and every
+/// downstream link.
+struct Federation {
     downstreams: Vec<SocketAddr>,
     registry: Registry,
     metrics: RouterMetrics,
@@ -207,18 +190,16 @@ struct Shared {
 /// A running federation front. Dropping the handle shuts the router down
 /// gracefully.
 pub struct Router {
-    shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    transport: Transport<Federation>,
     health: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("local_addr", &self.local_addr)
-            .field("downstreams", &self.shared.downstreams)
-            .field("config", &self.shared.config)
+            .field("local_addr", &self.local_addr())
+            .field("downstreams", &self.backend().downstreams)
+            .field("config", &self.backend().config)
             .finish_non_exhaustive()
     }
 }
@@ -255,63 +236,58 @@ impl Router {
                 "router needs at least one downstream",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let registry = Registry::new();
         let metrics = RouterMetrics::register(&registry, downstreams.len());
-        let shared = Arc::new(Shared {
+        let backend = Arc::new(Federation {
             downstreams,
             registry,
             metrics,
             shutdown: AtomicBool::new(false),
             config,
         });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ldp-router-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
-        let health = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ldp-router-health".into())
-                .spawn(move || health_loop(&shared))?
-        };
+        let transport = Transport::bind(
+            addr,
+            Arc::clone(&backend),
+            config.max_connections,
+            config.poll_interval,
+        )?;
+        let health = thread::Builder::new()
+            .name("ldp-router-health".into())
+            .spawn(move || health_loop(&backend))?;
         Ok(Self {
-            shared,
-            local_addr,
-            accept: Some(accept),
+            transport,
             health: Some(health),
         })
+    }
+
+    fn backend(&self) -> &Federation {
+        self.transport.backend()
     }
 
     /// The address the front socket is listening on.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.transport.local_addr()
     }
 
     /// The downstream collector addresses, in routing order.
     #[must_use]
     pub fn downstreams(&self) -> &[SocketAddr] {
-        &self.shared.downstreams
+        &self.backend().downstreams
     }
 
     /// A point-in-time snapshot of the router's own registry — exactly
     /// what the metrics query frame serves.
     #[must_use]
     pub fn metrics(&self) -> TelemetrySnapshot {
-        self.shared.registry.snapshot()
+        self.backend().registry.snapshot()
     }
 
     /// The health probe's last verdict per downstream (1 = pinged OK,
     /// 0 = unreachable or not yet probed).
     #[must_use]
     pub fn downstream_health(&self) -> Vec<i64> {
-        self.shared
+        self.backend()
             .metrics
             .downstream
             .iter()
@@ -323,10 +299,7 @@ impl Router {
     /// their links, joins everything. Called automatically on drop;
     /// idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.transport.shutdown();
         if let Some(h) = self.health.take() {
             let _ = h.join();
         }
@@ -339,64 +312,10 @@ impl Drop for Router {
     }
 }
 
-/// Front accept loop — same discipline as the server's: nonblocking
-/// listener polled on the shutdown cadence, connection cap enforced with
-/// a BUSY refusal, one thread per connection, all joined on shutdown.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                handles.retain(|h| !h.is_finished());
-                let active = shared.metrics.connections_active.get();
-                if active >= shared.config.max_connections as i64 {
-                    shared.metrics.connections_rejected.inc();
-                    refuse_busy(shared, stream);
-                    continue;
-                }
-                shared.metrics.connections_total.inc();
-                shared.metrics.connections_active.inc();
-                let conn_shared = Arc::clone(shared);
-                let handle =
-                    thread::Builder::new()
-                        .name("ldp-router-conn".into())
-                        .spawn(move || {
-                            handle_connection(&conn_shared, stream);
-                            conn_shared.metrics.connections_active.dec();
-                        });
-                match handle {
-                    Ok(h) => handles.push(h),
-                    Err(_) => shared.metrics.connections_active.dec(),
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(shared.config.poll_interval);
-            }
-            Err(_) => thread::sleep(shared.config.poll_interval),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-}
-
-/// Best-effort busy refusal for a front connection over the limit.
-fn refuse_busy(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let frame = Frame::Error {
-        code: code::BUSY,
-        message: "router at connection limit".into(),
-    };
-    let bytes = frame.encode();
-    if stream.write_all(&bytes).is_ok() {
-        shared.metrics.bytes_out.add(bytes.len() as u64);
-    }
-}
-
 /// Background health probe: one persistent ping client per downstream,
 /// re-dialed on failure, gauge updated every `health_interval`. Pings
 /// touch no collector state, so probing never skews downstream books.
-fn health_loop(shared: &Arc<Shared>) {
+fn health_loop(shared: &Federation) {
     let mut probes: Vec<Option<RemoteCollector>> =
         shared.downstreams.iter().map(|_| None).collect();
     let mut last: Option<Instant> = None;
@@ -445,50 +364,25 @@ enum Msg {
 /// One downstream link: queue + writer thread handle.
 struct LinkHandle {
     queue: Arc<FrameQueue<Msg>>,
-    join: Option<JoinHandle<()>>,
+    join: JoinHandle<()>,
 }
 
-/// Serves one front connection: spawns the per-connection downstream
-/// links, runs the frame loop, then closes the link queues (they drain
-/// pending ingest first) and joins the link threads.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let mut links: Vec<LinkHandle> = Vec::with_capacity(shared.downstreams.len());
-    for idx in 0..shared.downstreams.len() {
-        let queue = Arc::new(FrameQueue::new());
-        let spawned = {
-            let shared = Arc::clone(shared);
-            let queue = Arc::clone(&queue);
-            thread::Builder::new()
-                .name(format!("ldp-router-link-{idx:02}"))
-                .spawn(move || link_main(&shared, idx, &queue))
-        };
-        match spawned {
-            Ok(join) => links.push(LinkHandle {
-                queue,
-                join: Some(join),
-            }),
-            Err(_) => {
-                // Resource exhaustion: refuse the connection rather than
-                // serve a partial federation.
-                let frame = Frame::Error {
-                    code: code::BUSY,
-                    message: "router cannot spawn downstream links".into(),
-                };
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.write_all(&frame.encode());
-                break;
-            }
+/// One front connection's state: its own link to every downstream, plus
+/// the reusable partition buffers. Dropping it closes the link queues
+/// (they drain pending ingest first), then joins the link threads.
+#[derive(Default)]
+struct Links {
+    links: Vec<LinkHandle>,
+    partition: PartitionScratch,
+}
+
+impl Drop for Links {
+    fn drop(&mut self) {
+        for link in &self.links {
+            link.queue.close();
         }
-    }
-    if links.len() == shared.downstreams.len() {
-        serve_front(shared, &mut stream, &links);
-    }
-    for link in &links {
-        link.queue.close();
-    }
-    for link in &mut links {
-        if let Some(join) = link.join.take() {
-            let _ = join.join();
+        for link in self.links.drain(..) {
+            let _ = link.join.join();
         }
     }
 }
@@ -509,228 +403,143 @@ struct PartitionScratch {
     values: Vec<f64>,
 }
 
-/// The front frame loop — structurally the server's `handle_connection`,
-/// but every verb is answered by fan-out + merge instead of a local
-/// collector.
-fn serve_front(shared: &Shared, stream: &mut TcpStream, links: &[LinkHandle]) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let n = links.len();
-    let mut header_buf = [0u8; HEADER_LEN];
-    let mut payload_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let mut partition = PartitionScratch::default();
-    let mut out = Vec::new();
+impl Backend for Federation {
+    const TIER: &'static str = "router";
 
-    loop {
-        match read_full(stream, &mut header_buf, &shared.shutdown) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof => return,
-            ReadOutcome::TruncatedEof => {
-                shared.metrics.frames_failed.inc();
-                return;
-            }
-            ReadOutcome::Shutdown | ReadOutcome::Failed => return,
-        }
-        let header = match Header::parse(&header_buf) {
-            Ok(h) if h.payload_len <= shared.config.max_payload => h,
-            Ok(h) => {
-                fail_frame(
-                    shared,
-                    stream,
-                    &WireError::Oversized {
-                        len: h.payload_len,
-                        max: shared.config.max_payload,
-                    },
-                );
-                return;
-            }
-            Err(e) => {
-                fail_frame(shared, stream, &e);
-                return;
-            }
-        };
-        let payload_len = header.payload_len as usize;
-        if payload_buf.len() < payload_len {
-            payload_buf.resize(payload_len, 0);
-        }
-        let payload = &mut payload_buf[..payload_len];
-        match read_full(stream, payload, &shared.shutdown) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::TruncatedEof => {
-                shared.metrics.frames_failed.inc();
-                return;
-            }
-            ReadOutcome::Shutdown | ReadOutcome::Failed => return,
-        }
-        shared
-            .metrics
-            .bytes_in
-            .add((HEADER_LEN + payload_len) as u64);
-        let view = match header
-            .verify(payload)
-            .and_then(|()| FrameView::decode_body(header.frame_type, payload))
-        {
-            Ok(view) => view,
-            Err(e) => {
-                fail_frame(shared, stream, &e);
-                return;
-            }
-        };
-        shared.metrics.frames_decoded.inc();
+    type Conn = Links;
 
-        let reply = match view {
-            FrameView::Ingest(ingest) => {
-                shared.metrics.ingest_frames.inc();
-                shared.metrics.ingest_rows.add(ingest.len() as u64);
-                route_ingest(
-                    links,
-                    ingest.rejected_upstream(),
-                    &ingest,
-                    &mut scratch,
-                    &mut partition,
-                );
-                None // fire-and-forget, like the server
+    fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    /// Spawns the connection's downstream links. A spawn failure (resource
+    /// exhaustion) refuses the connection rather than serve a partial
+    /// federation; the links already spawned close with the dropped
+    /// [`Links`].
+    fn open(self: &Arc<Self>) -> io::Result<Links> {
+        let mut conn = Links::default();
+        for idx in 0..self.downstreams.len() {
+            let queue = Arc::new(FrameQueue::new());
+            let join = {
+                let shared = Arc::clone(self);
+                let queue = Arc::clone(&queue);
+                thread::Builder::new()
+                    .name(format!("ldp-router-link-{idx:02}"))
+                    .spawn(move || link_main(&shared, idx, &queue))?
+            };
+            conn.links.push(LinkHandle { queue, join });
+        }
+        Ok(conn)
+    }
+
+    fn ingest(
+        &self,
+        conn: &mut Links,
+        ingest: &IngestView<'_>,
+        _payload: &[u8],
+        scratch: &mut IngestScratch,
+    ) -> io::Result<()> {
+        self.metrics.ingest_rows.add(ingest.len() as u64);
+        route_ingest(&conn.links, ingest, scratch, &mut conn.partition);
+        Ok(())
+    }
+
+    /// The barrier trails the pending ingest on every link (FIFO); the
+    /// ack is the summed ledger once **every** downstream has acked.
+    fn sync(&self, conn: &mut Links) -> io::Result<Frame> {
+        let _t = self.metrics.fanout_sync_nanos.timer();
+        let n = conn.links.len();
+        let gate = Arc::new(FanoutGate::new(n));
+        for (idx, link) in conn.links.iter().enumerate() {
+            if !link.queue.push(Msg::Sync {
+                gate: Arc::clone(&gate),
+            }) {
+                gate.deposit(idx, None);
             }
-            FrameView::IngestSync => {
-                let _t = shared.metrics.fanout_sync_nanos.timer();
-                let gate = Arc::new(FanoutGate::new(n));
-                for (idx, link) in links.iter().enumerate() {
-                    if !link.queue.push(Msg::Sync {
-                        gate: Arc::clone(&gate),
-                    }) {
-                        gate.deposit(idx, None);
-                    }
-                }
-                let ledgers = gate.wait();
-                let failed = ledgers.iter().filter(|l| l.is_none()).count();
-                Some(if failed > 0 {
-                    degraded_error(failed, n)
-                } else {
-                    let mut sum = IngestOutcome::default();
-                    for ledger in ledgers.into_iter().flatten() {
-                        sum.accepted = sum.accepted.saturating_add(ledger.accepted);
-                        sum.dropped = sum.dropped.saturating_add(ledger.dropped);
-                        sum.rejected = sum.rejected.saturating_add(ledger.rejected);
-                    }
-                    Frame::IngestAck {
-                        accepted: sum.accepted,
-                        dropped: sum.dropped,
-                        rejected: sum.rejected,
-                    }
-                })
-            }
-            FrameView::QueryPopulationMean => {
-                shared.metrics.queries_answered.inc();
-                let _t = shared.metrics.fanout_query_nanos.timer();
-                // Scalars only: an empty parts range still carries the
-                // per-downstream user ledgers the population mean needs.
-                Some(
-                    match merged_query(links, &Frame::QueryParts { start: 0, end: 0 }) {
-                        Ok(merged) => Frame::PopulationMean {
-                            mean: merged.population_mean(),
-                        },
-                        Err(error) => error,
-                    },
-                )
-            }
-            FrameView::QueryWindowedMean { start, end } => {
-                shared.metrics.queries_answered.inc();
-                let _t = shared.metrics.fanout_query_nanos.timer();
-                Some(if start >= end {
-                    bad_query("windowed mean over an empty or inverted range")
-                } else {
-                    match merged_query(links, &Frame::QueryParts { start, end }) {
-                        Ok(merged) => Frame::WindowedMean {
-                            mean: merged.windowed_mean(start as usize..end as usize),
-                        },
-                        Err(error) => error,
-                    }
-                })
-            }
-            FrameView::QuerySlotMeans { start, end } => {
-                shared.metrics.queries_answered.inc();
-                let _t = shared.metrics.fanout_query_nanos.timer();
-                Some(if start >= end {
-                    bad_query("slot means over an empty or inverted range")
-                } else if end - start > shared.config.max_query_slots {
-                    bad_query("slot range exceeds the router's bound")
-                } else {
-                    match merged_query(links, &Frame::QueryParts { start, end }) {
-                        Ok(merged) => Frame::SlotMeans {
-                            start,
-                            means: (start..end).map(|s| merged.slot_mean(s as usize)).collect(),
-                        },
-                        Err(error) => error,
-                    }
-                })
-            }
-            FrameView::QuerySummary => {
-                shared.metrics.queries_answered.inc();
-                let _t = shared.metrics.fanout_query_nanos.timer();
-                Some(
-                    match merged_query(links, &Frame::QueryParts { start: 0, end: 0 }) {
-                        Ok(merged) => Frame::Summary(SummaryBody {
-                            total_reports: merged.total_reports(),
-                            user_count: merged.user_count(),
-                            retained_base: merged.retained_base(),
-                            slot_end: merged.slot_end(),
-                            frozen_count: merged.frozen().count,
-                            population_mean: merged.population_mean(),
-                        }),
-                        Err(error) => error,
-                    },
-                )
-            }
-            FrameView::QueryParts { start, end } => {
-                shared.metrics.queries_answered.inc();
-                let _t = shared.metrics.fanout_query_nanos.timer();
-                // No front-side clipping: each downstream clips to its
-                // own retained range (and enforces its own slot bound),
-                // which is what lets routers stack.
-                Some(
-                    match merged_query(links, &Frame::QueryParts { start, end }) {
-                        Ok(merged) => Frame::Parts(merged.to_part()),
-                        Err(error) => error,
-                    },
-                )
-            }
-            FrameView::QueryStats => {
-                shared.metrics.queries_answered.inc();
-                let _t = shared.metrics.fanout_query_nanos.timer();
-                Some(merged_stats(shared, links))
-            }
-            FrameView::QueryMetrics => {
-                shared.metrics.queries_answered.inc();
-                Some(Frame::Metrics(shared.registry.snapshot()))
-            }
-            FrameView::Ping { nonce } => Some(Frame::Pong { nonce }),
-            FrameView::Goodbye => return,
-            FrameView::IngestAck { .. }
-            | FrameView::PopulationMean { .. }
-            | FrameView::WindowedMean { .. }
-            | FrameView::SlotMeans(_)
-            | FrameView::Summary(_)
-            | FrameView::Stats(_)
-            | FrameView::Metrics(_)
-            | FrameView::Pong { .. }
-            | FrameView::Parts(_)
-            | FrameView::Error { .. } => Some(Frame::Error {
-                code: code::UNSUPPORTED,
-                message: "frame type is server-to-client".into(),
+        }
+        let ledgers = gate.wait();
+        let failed = ledgers.iter().filter(|l| l.is_none()).count();
+        if failed > 0 {
+            return Ok(degraded_error(failed, n));
+        }
+        let mut sum = IngestOutcome::default();
+        for ledger in ledgers.into_iter().flatten() {
+            sum.accepted = sum.accepted.saturating_add(ledger.accepted);
+            sum.dropped = sum.dropped.saturating_add(ledger.dropped);
+            sum.rejected = sum.rejected.saturating_add(ledger.rejected);
+        }
+        Ok(Frame::IngestAck {
+            accepted: sum.accepted,
+            dropped: sum.dropped,
+            rejected: sum.rejected,
+        })
+    }
+
+    fn query(
+        &self,
+        conn: &mut Links,
+        range: Range<u64>,
+        answer: impl FnOnce(QuerySource<'_>) -> Frame,
+    ) -> Frame {
+        match self.merged_query(&conn.links, range) {
+            Ok(merged) => answer(QuerySource {
+                table: merged.table(),
+                total_reports: merged.total_reports(),
+                user_count: merged.user_count(),
+                user_mean_sum: merged.user_mean_sum(),
             }),
-        };
-
-        if let Some(reply) = reply {
-            out.clear();
-            reply.encode_into(&mut out);
-            if stream.write_all(&out).is_err() {
-                return;
-            }
-            shared.metrics.bytes_out.add(out.len() as u64);
+            Err(refusal) => refusal,
         }
+    }
+
+    /// No front-side clipping: each downstream clips to its own retained
+    /// range (and enforces its own slot bound), which is what lets
+    /// routers stack.
+    fn parts(&self, conn: &mut Links, range: Range<u64>) -> Frame {
+        match self.merged_query(&conn.links, range) {
+            Ok(merged) => Frame::Parts(merged.to_part()),
+            Err(refusal) => refusal,
+        }
+    }
+
+    /// Fans out `QueryStats` and sums the downstream collectors'
+    /// report-disposition and durability ledgers (per-downstream-WAL books
+    /// become their federation-wide total).
+    fn stats(&self, conn: &mut Links) -> Result<StatsBody, Frame> {
+        let _t = self.metrics.fanout_query_nanos.timer();
+        let replies = fanout(&conn.links, &Frame::QueryStats);
+        let n = replies.len();
+        let mut sum = StatsBody::default();
+        let mut failed = 0usize;
+        for reply in replies {
+            let Some(Frame::Stats(stats)) = reply else {
+                failed += 1;
+                continue;
+            };
+            sum.accepted_reports = sum.accepted_reports.saturating_add(stats.accepted_reports);
+            sum.dropped_reports = sum.dropped_reports.saturating_add(stats.dropped_reports);
+            sum.rejected_reports = sum.rejected_reports.saturating_add(stats.rejected_reports);
+            sum.upstream_rejected_reports = sum
+                .upstream_rejected_reports
+                .saturating_add(stats.upstream_rejected_reports);
+            sum.wal_appended_records = sum
+                .wal_appended_records
+                .saturating_add(stats.wal_appended_records);
+            sum.wal_appended_bytes = sum
+                .wal_appended_bytes
+                .saturating_add(stats.wal_appended_bytes);
+            sum.wal_recovered_records = sum
+                .wal_recovered_records
+                .saturating_add(stats.wal_recovered_records);
+        }
+        if failed > 0 {
+            return Err(degraded_error(failed, n));
+        }
+        Ok(sum)
     }
 }
 
@@ -741,12 +550,12 @@ fn serve_front(shared: &Shared, stream: &mut TcpStream, links: &[LinkHandle]) {
 /// ack folds it back into the summed ledger).
 fn route_ingest(
     links: &[LinkHandle],
-    rejected_upstream: u64,
-    ingest: &ldp_server::IngestView<'_>,
+    ingest: &IngestView<'_>,
     scratch: &mut IngestScratch,
     partition: &mut PartitionScratch,
 ) {
     let n = links.len();
+    let rejected_upstream = ingest.rejected_upstream();
     let columns = ingest.columns(scratch);
     let (users, slots, values) = (columns.users(), columns.slots(), columns.values());
     let rows = users.len();
@@ -820,88 +629,47 @@ fn fanout(links: &[LinkHandle], frame: &Frame) -> Vec<Option<Frame>> {
     gate.wait()
 }
 
-/// Fans out a `QueryParts` request and merges the contributions. `Err`
-/// carries the reply to send instead: the first downstream-reported
-/// error frame (e.g. a range beyond that server's bound), or a
-/// [`code::DEGRADED`] error if any link failed — a partial federation
-/// answer would be silently wrong, so it is refused instead.
 // The Err variant is a full Frame by design (it is written to the wire
 // verbatim) and only materializes on the cold degraded path.
 #[allow(clippy::result_large_err)]
-fn merged_query(links: &[LinkHandle], query: &Frame) -> Result<MergedParts, Frame> {
-    let replies = fanout(links, query);
-    let n = replies.len();
-    let mut parts = Vec::with_capacity(n);
-    let mut failed = 0usize;
-    let mut downstream_error = None;
-    for (idx, reply) in replies.into_iter().enumerate() {
-        match reply {
-            Some(Frame::Parts(part)) => parts.push(part),
-            Some(Frame::Error { code, message }) => {
-                downstream_error.get_or_insert(Frame::Error {
-                    code,
-                    message: format!("downstream {idx:02}: {message}"),
-                });
+impl Federation {
+    /// Fans out a `QueryParts` request over `range` and merges the
+    /// contributions. `Err` carries the reply to send instead: the first
+    /// downstream-reported error frame (e.g. a range beyond that server's
+    /// bound), or a [`code::DEGRADED`] error if any link failed — a
+    /// partial federation answer would be silently wrong, so it is
+    /// refused instead.
+    fn merged_query(&self, links: &[LinkHandle], range: Range<u64>) -> Result<MergedParts, Frame> {
+        let _t = self.metrics.fanout_query_nanos.timer();
+        let query = Frame::QueryParts {
+            start: range.start,
+            end: range.end,
+        };
+        let replies = fanout(links, &query);
+        let n = replies.len();
+        let mut parts = Vec::with_capacity(n);
+        let mut failed = 0usize;
+        let mut downstream_error = None;
+        for (idx, reply) in replies.into_iter().enumerate() {
+            match reply {
+                Some(Frame::Parts(part)) => parts.push(part),
+                Some(Frame::Error { code, message }) => {
+                    downstream_error.get_or_insert(Frame::Error {
+                        code,
+                        message: format!("downstream {idx:02}: {message}"),
+                    });
+                }
+                Some(_) | None => failed += 1,
             }
-            Some(_) | None => failed += 1,
         }
-    }
-    if let Some(error) = downstream_error {
-        return Err(error);
-    }
-    if failed > 0 {
-        return Err(degraded_error(failed, n));
-    }
-    Ok(MergedParts::merge(&parts))
-}
-
-/// Fans out `QueryStats` and folds the answers: report-disposition
-/// ledgers are summed across the downstream collectors; connection,
-/// frame, byte, and query counters are the router's own books (they
-/// describe *this* tier).
-fn merged_stats(shared: &Shared, links: &[LinkHandle]) -> Frame {
-    let replies = fanout(links, &Frame::QueryStats);
-    let n = replies.len();
-    let mut sum = StatsBody::default();
-    let mut failed = 0usize;
-    for reply in replies {
-        match reply {
-            Some(Frame::Stats(stats)) => {
-                sum.accepted_reports = sum.accepted_reports.saturating_add(stats.accepted_reports);
-                sum.dropped_reports = sum.dropped_reports.saturating_add(stats.dropped_reports);
-                sum.rejected_reports = sum.rejected_reports.saturating_add(stats.rejected_reports);
-                sum.upstream_rejected_reports = sum
-                    .upstream_rejected_reports
-                    .saturating_add(stats.upstream_rejected_reports);
-                // Durability books are per-downstream-WAL; the merged view
-                // is their federation-wide total.
-                sum.wal_appended_records = sum
-                    .wal_appended_records
-                    .saturating_add(stats.wal_appended_records);
-                sum.wal_appended_bytes = sum
-                    .wal_appended_bytes
-                    .saturating_add(stats.wal_appended_bytes);
-                sum.wal_recovered_records = sum
-                    .wal_recovered_records
-                    .saturating_add(stats.wal_recovered_records);
-            }
-            Some(_) | None => failed += 1,
+        if let Some(error) = downstream_error {
+            return Err(error);
         }
+        if failed > 0 {
+            return Err(degraded_error(failed, n));
+        }
+        Ok(MergedParts::merge(&parts))
     }
-    if failed > 0 {
-        return degraded_error(failed, n);
-    }
-    let m = &shared.metrics;
-    sum.active_connections = m.connections_active.get().max(0) as u64;
-    sum.total_connections = m.connections_total.get();
-    sum.rejected_connections = m.connections_rejected.get();
-    sum.frames_decoded = m.frames_decoded.get();
-    sum.frames_failed = m.frames_failed.get();
-    sum.queries_answered = m.queries_answered.get();
-    sum.ingest_frames = m.ingest_frames.get();
-    sum.bytes_in = m.bytes_in.get();
-    sum.bytes_out = m.bytes_out.get();
-    Frame::Stats(sum)
 }
 
 /// The typed degraded-mode refusal.
@@ -909,28 +677,6 @@ fn degraded_error(failed: usize, n: usize) -> Frame {
     Frame::Error {
         code: code::DEGRADED,
         message: format!("{failed} of {n} downstreams unavailable"),
-    }
-}
-
-/// Builds the BAD_QUERY error reply.
-fn bad_query(message: &str) -> Frame {
-    Frame::Error {
-        code: code::BAD_QUERY,
-        message: message.into(),
-    }
-}
-
-/// Counts a framing failure on the front socket and sends a best-effort
-/// error frame; the caller closes the connection.
-fn fail_frame(shared: &Shared, stream: &mut TcpStream, error: &WireError) {
-    shared.metrics.frames_failed.inc();
-    let frame = Frame::Error {
-        code: code::MALFORMED,
-        message: error.to_string(),
-    };
-    let bytes = frame.encode();
-    if stream.write_all(&bytes).is_ok() {
-        shared.metrics.bytes_out.add(bytes.len() as u64);
     }
 }
 
@@ -944,7 +690,7 @@ fn fail_frame(shared: &Shared, stream: &mut TcpStream, error: &WireError) {
 struct Link<'a> {
     idx: usize,
     addr: SocketAddr,
-    shared: &'a Shared,
+    shared: &'a Federation,
     metrics: &'a DownstreamMetrics,
     stream: Option<TcpStream>,
     /// Whether a connection ever succeeded (re-dials after this count as
@@ -965,7 +711,7 @@ struct Link<'a> {
 
 /// Link writer thread: drains the queue until the front connection
 /// closes it, then parts with a best-effort Goodbye.
-fn link_main(shared: &Shared, idx: usize, queue: &FrameQueue<Msg>) {
+fn link_main(shared: &Federation, idx: usize, queue: &FrameQueue<Msg>) {
     let mut link = Link {
         idx,
         addr: shared.downstreams[idx],
@@ -1138,56 +884,18 @@ impl Link<'_> {
         }
     }
 
-    /// One write + one reply read on the current connection.
+    /// One write + one reply read on the current connection. A shutdown
+    /// surfaces as `Interrupted` and a framing error as `InvalidData`
+    /// (neither retried); a downstream that died mid-reply as
+    /// `UnexpectedEof` or the transport's own error (retried).
     fn try_request(&mut self, bytes: &[u8]) -> std::io::Result<Frame> {
-        let max_payload = self.shared.config.max_payload;
         self.ensure_stream()?;
         let shutdown = &self.shared.shutdown;
         let stream = self.stream.as_mut().expect("stream just ensured");
         stream.write_all(bytes)?;
-        let mut header_buf = [0u8; HEADER_LEN];
-        read_reply(stream, &mut header_buf, shutdown)?;
-        let header = Header::parse(&header_buf).map_err(std::io::Error::from)?;
-        if header.payload_len > max_payload {
-            return Err(WireError::Oversized {
-                len: header.payload_len,
-                max: max_payload,
-            }
-            .into());
-        }
-        let payload_len = header.payload_len as usize;
-        if self.payload.len() < payload_len {
-            self.payload.resize(payload_len, 0);
-        }
-        let payload = &mut self.payload[..payload_len];
-        read_reply(stream, payload, shutdown)?;
-        header.verify(payload).map_err(std::io::Error::from)?;
-        Frame::decode_body(header.frame_type, payload).map_err(std::io::Error::from)
-    }
-}
-
-/// Maps [`read_full`] outcomes to `io::Error` for the link's reply path:
-/// shutdown becomes `Interrupted` (never retried), EOF becomes
-/// `UnexpectedEof` (retried — the downstream died mid-reply).
-fn read_reply(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    match read_full(stream, buf, shutdown) {
-        ReadOutcome::Full => Ok(()),
-        ReadOutcome::Shutdown => Err(std::io::Error::new(
-            ErrorKind::Interrupted,
-            "router shutting down",
-        )),
-        ReadOutcome::Eof | ReadOutcome::TruncatedEof => Err(std::io::Error::new(
-            ErrorKind::UnexpectedEof,
-            "downstream closed mid-reply",
-        )),
-        ReadOutcome::Failed => Err(std::io::Error::new(
-            ErrorKind::BrokenPipe,
-            "downstream read failed",
-        )),
+        read_reply(stream, &mut self.payload, || {
+            shutdown.load(Ordering::Acquire)
+        })
     }
 }
 

@@ -15,16 +15,15 @@
 //! [`RemoteCollector::connect_with`] for the exact semantics).
 
 use crate::serve::Server;
-use crate::wire::{
-    code, Frame, Header, StatsBody, SummaryBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
-};
+use crate::transport::read_reply;
+use crate::wire::{code, Frame, StatsBody, SummaryBody};
 use ldp_collector::sync::thread;
 use ldp_collector::{
     ClientFleet, FleetError, IngestOutcome, ReportBatch, ReportSink, SnapshotPart,
 };
 use ldp_streams::Population;
 use ldp_telemetry::TelemetrySnapshot;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
@@ -137,7 +136,6 @@ pub struct RemoteCollector {
     /// long-lived connection performs no per-frame heap allocation on
     /// either the upload or the reply path.
     payload: Vec<u8>,
-    max_payload: u32,
     /// Ingest frames written on the current connection but not yet
     /// covered by a sync ack (and the reports they carried).
     pending_frames: u64,
@@ -193,7 +191,6 @@ impl RemoteCollector {
             nonce: 0,
             out: Vec::with_capacity(4096),
             payload: Vec::new(),
-            max_payload: DEFAULT_MAX_PAYLOAD,
             pending_frames: 0,
             pending_rows: 0,
             unreported: None,
@@ -475,7 +472,8 @@ impl RemoteCollector {
         frame.encode_into(&mut self.out);
         let reply = self.with_reconnect(|this| {
             this.stream.write_all(&this.out)?;
-            this.read_frame()
+            // Blocking, no read timeout: nothing ever asks this read to stop.
+            read_reply(&mut this.stream, &mut this.payload, || false)
         })?;
         if let Frame::Error { code: c, message } = reply {
             let kind = match c {
@@ -490,28 +488,6 @@ impl RemoteCollector {
             ));
         }
         Ok(reply)
-    }
-
-    /// Reads one complete frame (blocking).
-    fn read_frame(&mut self) -> std::io::Result<Frame> {
-        let mut header_buf = [0u8; HEADER_LEN];
-        self.stream.read_exact(&mut header_buf)?;
-        let header = Header::parse(&header_buf).map_err(std::io::Error::from)?;
-        if header.payload_len > self.max_payload {
-            return Err(WireError::Oversized {
-                len: header.payload_len,
-                max: self.max_payload,
-            }
-            .into());
-        }
-        let payload_len = header.payload_len as usize;
-        if self.payload.len() < payload_len {
-            self.payload.resize(payload_len, 0);
-        }
-        let payload = &mut self.payload[..payload_len];
-        self.stream.read_exact(payload)?;
-        header.verify(payload).map_err(std::io::Error::from)?;
-        Frame::decode_body(header.frame_type, payload).map_err(std::io::Error::from)
     }
 }
 

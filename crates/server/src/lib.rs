@@ -5,20 +5,28 @@
 //! aggregator as a library; this crate puts it behind a socket:
 //!
 //! ```text
-//! ClientFleet ─▶ RemoteCollector ─╥─ framed TCP ─╥─▶ Server ─▶ Collector
-//!   (sessions)     (client.rs)    ║   (wire.rs)  ║  (serve.rs)    │
-//!                                 ║              ║       ▲        ▼
-//!            queries ◀────────────╨──────────────╨── QueryEngine/LiveView
+//! ClientFleet ─▶ RemoteCollector ─╥─ framed TCP ─╥─▶ Transport ─▶ Backend
+//!   (sessions)     (client.rs)    ║   (wire.rs)  ║ (transport.rs)   │
+//!                                 ║              ║                  ├─ Server: Collector
+//!            queries ◀────────────╨──────────────╨── QuerySource ◀──┤   + QueryEngine (serve.rs)
+//!                                                                   └─ Router: N × downstream
+//!                                                                       (ldp-router)
 //! ```
 //!
 //! * [`wire`] — the versioned, length-prefixed, checksummed binary frame
 //!   codec: columnar report uploads, the query request/response family
 //!   (population mean, windowed/per-slot means, snapshot summary, server
 //!   stats), and explicit error frames.
-//! * [`serve`] — [`Server`]: a multithreaded TCP service over a shared
+//! * [`transport`] — the **one** connection driver, [`Transport`]: accept
+//!   loop, connection limit, the framed read, framing-error
+//!   and bad-query replies, the read verbs, the reply write and the front
+//!   books, generic over a small [`Backend`] trait with
+//!   exactly two implementations — [`Server`]'s local collector here and
+//!   the federation in `ldp-router`.
+//! * [`serve`] — [`Server`]: the driver over a shared
 //!   [`ldp_collector::Collector`] + [`ldp_collector::QueryEngine`], with
-//!   connection limits, per-connection ingest ledgers, operational
-//!   counters, and graceful shutdown.
+//!   per-connection ingest ledgers, optional write-ahead logging, and
+//!   graceful shutdown.
 //! * [`client`] — [`RemoteCollector`]: the same batch-ingest surface the
 //!   fleet drives in-process, over one connection; and
 //!   [`drive_fleet_remote`], the fleet's remote mode.
@@ -66,13 +74,15 @@
 pub mod client;
 pub mod durable;
 pub mod serve;
+pub mod transport;
 pub mod wire;
 
 pub use client::{
     drive_fleet_loopback, drive_fleet_remote, IngestLoss, ReconnectPolicy, RemoteCollector,
 };
 pub use durable::{recover, Durability, FlushPolicy, RecoveryReport, WalConfig};
-pub use serve::{read_full, ReadOutcome, Server, ServerConfig};
+pub use serve::{Server, ServerConfig};
+pub use transport::{read_reply, Backend, QuerySource, Transport};
 pub use wire::{
     checksum, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, MetricsView,
     PartsView, SlotMeansView, StatsBody, SummaryBody, WireError, METRICS_SNAPSHOT_VERSION,

@@ -1,12 +1,12 @@
-//! The multithreaded TCP service wrapping a [`Collector`] and its
-//! [`QueryEngine`].
+//! [`Server`]: the [`crate::transport`] connection driver over its local
+//! backend — a shared [`Collector`] and its [`QueryEngine`].
 //!
 //! ```text
 //!                    ┌────────────────────────── Server ──────────────┐
-//! RemoteCollector ──▶│ conn thread ─ frames ─▶ Collector::ingest      │
-//! RemoteCollector ──▶│ conn thread ─ frames ─▶     │  (sharded;       │
-//!      …             │      …                      │   big batches    │
-//!                    │                             ▼   fan out)       │
+//! RemoteCollector ──▶│ conn thread ─ ingest ─▶ Collector::ingest      │
+//! RemoteCollector ──▶│ conn thread ─ ingest ─▶     │  (sharded;       │
+//!      …             │      …   (WAL append first  │   big batches    │
+//!                    │           when durable)     ▼   fan out)       │
 //!                    │                  work-stealing ingest pool     │
 //!                    │                             │                  │
 //! RemoteCollector ──▶│ conn thread ─ query ─▶ QueryEngine/LiveView    │
@@ -14,12 +14,19 @@
 //!                    └────────────────────────────────────────────────┘
 //! ```
 //!
+//! Everything socket-shaped — the accept loop, the connection cap and its
+//! `BUSY` refusal, the framed read, framing errors that **close that
+//! connection only**, range validation, the reply write, the
+//! `server.connections.* / frames.* / bytes.*` books, graceful shutdown —
+//! is the driver's ([`Transport`]); this file is what a *local* tier does
+//! with a frame:
+//!
 //! * One OS thread per connection (bounded by
-//!   [`ServerConfig::max_connections`] — beyond it a connection is turned
-//!   away with a [`code::BUSY`] error frame before any read). Ingest
-//!   frames are fire-and-forget; TCP flow control *is* the backpressure:
-//!   a slow server simply stops draining its receive buffers and the
-//!   client's `write` blocks.
+//!   [`ServerConfig::max_connections`]). Ingest frames are
+//!   fire-and-forget; TCP flow control *is* the backpressure: a slow
+//!   server simply stops draining its receive buffers and the client's
+//!   `write` blocks. The per-connection state is the ingest ledger an
+//!   `IngestSync` acknowledges.
 //! * Every connection shares one work-stealing fold pool: it lives
 //!   inside the shared `Arc<Collector>`
 //!   ([`ldp_collector::CollectorConfig::ingest_workers`]), so a single
@@ -33,10 +40,6 @@
 //!   an O(shards) no-op when nothing changed) and reads the immutable
 //!   view; a paced background refresher keeps the view warm between
 //!   queries so the per-query delta stays small.
-//! * Framing errors (bad magic / version / checksum / payload) are
-//!   answered with an error frame and **close that connection only** —
-//!   after a framing error the stream position is untrustworthy, but
-//!   other connections are independent threads and keep serving.
 //! * Shutdown is graceful: [`Server::shutdown`] flips a flag; the accept
 //!   loop and every connection thread observe it within one poll
 //!   interval, finish their in-flight frame, and join.
@@ -44,38 +47,35 @@
 //!   accepted ingest frame to a write-ahead log before folding it
 //!   ([`crate::durable`]): an `IngestAck` only travels after the covered
 //!   bytes are `fsync`ed, and a frame the log refuses is answered with
-//!   [`code::UNAVAILABLE`] and closes the connection (fail-closed — no
-//!   ack can ever cover an unlogged fold). Clean shutdown checkpoints and
-//!   seals the log so the next boot replays zero records.
+//!   [`crate::wire::code::UNAVAILABLE`] and closes the connection
+//!   (fail-closed — no ack can ever cover an unlogged fold). Clean
+//!   shutdown checkpoints and seals the log so the next boot replays zero
+//!   records.
 
 use crate::durable::Durability;
-use crate::wire::{
-    code, frame_type_name, Frame, FrameView, Header, IngestScratch, StatsBody, SummaryBody,
-    WireError, HEADER_LEN, KNOWN_FRAME_TYPES,
-};
+use crate::transport::{bad_query, Backend, QuerySource, Transport};
+use crate::wire::{Frame, IngestScratch, IngestView, StatsBody, MAX_QUERY_SLOTS};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
-use ldp_collector::{Collector, QueryEngine, SnapshotPart};
-use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use ldp_collector::{Collector, IngestOutcome, QueryEngine, SnapshotPart};
+use ldp_telemetry::{Registry, TelemetrySnapshot};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::ops::Range;
 use std::time::Duration;
 
-/// Server tuning knobs.
+/// Cadence of the background view refresher.
+const REFRESH_INTERVAL: Duration = Duration::from_micros(500);
+
+/// Server tuning knobs. (The payload and per-query slot bounds are the
+/// protocol constants [`crate::wire::DEFAULT_MAX_PAYLOAD`] and
+/// [`MAX_QUERY_SLOTS`].)
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Maximum connections served concurrently; extras are refused with a
-    /// [`code::BUSY`] error frame.
+    /// [`crate::wire::code::BUSY`] error frame.
     pub max_connections: usize,
-    /// Hard bound on accepted frame payload size (a hostile length field
-    /// is rejected before any allocation).
-    pub max_payload: u32,
-    /// Hard bound on the slot count a single [`Frame::QuerySlotMeans`]
-    /// may request (bounds the response allocation).
-    pub max_query_slots: u64,
-    /// Cadence of the background view refresher.
-    pub refresh_interval: Duration,
     /// How often blocked reads / the accept loop wake to check for
     /// shutdown — the upper bound on shutdown latency per thread.
     pub poll_interval: Duration,
@@ -85,121 +85,29 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-            max_query_slots: 1 << 16,
-            refresh_interval: Duration::from_micros(500),
             poll_interval: Duration::from_millis(20),
         }
     }
 }
 
-/// Server-side operational metrics, registered in the collector's
-/// [`Registry`] — these handles **are** the server's books (not copies),
-/// so the stats frame and the metrics-snapshot frame can never disagree.
-/// Every update is a relaxed atomic RMW, lock-free and allocation-free.
-#[derive(Debug)]
-struct ServerMetrics {
-    /// `server.connections.active`.
-    connections_active: Arc<Gauge>,
-    /// `server.connections.total`.
-    connections_total: Arc<Counter>,
-    /// `server.connections.rejected` (turned away at the limit).
-    connections_rejected: Arc<Counter>,
-    /// `server.frames.decoded`.
-    frames_decoded: Arc<Counter>,
-    /// `server.frames.failed`.
-    frames_failed: Arc<Counter>,
-    /// `server.frames.by_type.<name>`, indexed by `frame_type - 1`.
-    frames_by_type: Vec<Arc<Counter>>,
-    /// `server.queries.answered`.
-    queries_answered: Arc<Counter>,
-    /// `server.ingest.frames`.
-    ingest_frames: Arc<Counter>,
-    /// `server.bytes.in` (header + payload bytes read from clients).
-    bytes_in: Arc<Counter>,
-    /// `server.bytes.out` (header + payload bytes written to clients).
-    bytes_out: Arc<Counter>,
-    /// `server.frame.decode_nanos` — checksum verify + borrowed decode,
-    /// per frame.
-    decode_nanos: Arc<Histogram>,
-    /// `server.query.<verb>_nanos` — time to answer each query verb
-    /// (including the view refresh), socket write excluded.
-    query_population_mean_nanos: Arc<Histogram>,
-    /// See [`Self::query_population_mean_nanos`].
-    query_windowed_mean_nanos: Arc<Histogram>,
-    /// See [`Self::query_population_mean_nanos`].
-    query_slot_means_nanos: Arc<Histogram>,
-    /// See [`Self::query_population_mean_nanos`].
-    query_summary_nanos: Arc<Histogram>,
-    /// See [`Self::query_population_mean_nanos`].
-    query_stats_nanos: Arc<Histogram>,
-    /// See [`Self::query_population_mean_nanos`].
-    query_metrics_nanos: Arc<Histogram>,
-    /// See [`Self::query_population_mean_nanos`].
-    query_parts_nanos: Arc<Histogram>,
-}
-
-impl ServerMetrics {
-    fn register(registry: &Registry) -> Self {
-        let frames_by_type = KNOWN_FRAME_TYPES
-            .map(|ft| {
-                let name = frame_type_name(ft).expect("known frame types are named");
-                registry.counter(&format!("server.frames.by_type.{name}"))
-            })
-            .collect();
-        Self {
-            connections_active: registry.gauge("server.connections.active"),
-            connections_total: registry.counter("server.connections.total"),
-            connections_rejected: registry.counter("server.connections.rejected"),
-            frames_decoded: registry.counter("server.frames.decoded"),
-            frames_failed: registry.counter("server.frames.failed"),
-            frames_by_type,
-            queries_answered: registry.counter("server.queries.answered"),
-            ingest_frames: registry.counter("server.ingest.frames"),
-            bytes_in: registry.counter("server.bytes.in"),
-            bytes_out: registry.counter("server.bytes.out"),
-            decode_nanos: registry.histogram("server.frame.decode_nanos"),
-            query_population_mean_nanos: registry.histogram("server.query.population_mean_nanos"),
-            query_windowed_mean_nanos: registry.histogram("server.query.windowed_mean_nanos"),
-            query_slot_means_nanos: registry.histogram("server.query.slot_means_nanos"),
-            query_summary_nanos: registry.histogram("server.query.summary_nanos"),
-            query_stats_nanos: registry.histogram("server.query.stats_nanos"),
-            query_metrics_nanos: registry.histogram("server.query.metrics_nanos"),
-            query_parts_nanos: registry.histogram("server.query.parts_nanos"),
-        }
-    }
-
-    /// Counts one successfully decoded frame of type `frame_type`.
-    fn count_frame(&self, frame_type: u8) {
-        self.frames_decoded.inc();
-        if let Some(by_type) = self
-            .frames_by_type
-            .get((frame_type as usize).wrapping_sub(1))
-        {
-            by_type.inc();
-        }
-    }
-}
-
-/// State shared by the accept loop, refresher, and connection threads.
-struct Shared {
+/// The local-collector [`Backend`]: what a `Server`'s connections do with
+/// a frame. Shared by the transport's threads and the refresher.
+struct Local {
     engine: QueryEngine<Arc<Collector>>,
-    metrics: ServerMetrics,
     shutdown: AtomicBool,
-    config: ServerConfig,
     /// Present on durable servers: the write-ahead log every accepted
     /// ingest frame is appended to before folding.
     durability: Option<Arc<Durability>>,
 }
 
-impl Shared {
+impl Local {
     fn collector(&self) -> &Collector {
         self.engine.collector()
     }
 
-    fn stats_body(&self) -> StatsBody {
+    /// The report-ledger and durability half of the stats.
+    fn ledger_stats(&self) -> StatsBody {
         let c = self.collector();
-        let m = &self.metrics;
         let (wal_appended_records, wal_appended_bytes, wal_recovered_records) =
             match &self.durability {
                 Some(d) => (
@@ -213,38 +121,145 @@ impl Shared {
             accepted_reports: c.total_reports(),
             dropped_reports: c.dropped_reports(),
             rejected_reports: c.rejected_reports(),
-            active_connections: m.connections_active.get().max(0) as u64,
-            total_connections: m.connections_total.get(),
-            rejected_connections: m.connections_rejected.get(),
-            frames_decoded: m.frames_decoded.get(),
-            frames_failed: m.frames_failed.get(),
-            queries_answered: m.queries_answered.get(),
             upstream_rejected_reports: c.upstream_rejected_reports(),
-            ingest_frames: m.ingest_frames.get(),
-            bytes_in: m.bytes_in.get(),
-            bytes_out: m.bytes_out.get(),
             wal_appended_records,
             wal_appended_bytes,
             wal_recovered_records,
+            ..StatsBody::default()
         }
+    }
+}
+
+impl Backend for Local {
+    const TIER: &'static str = "server";
+
+    /// The per-connection ingest ledger (what `IngestSync` acknowledges).
+    type Conn = IngestOutcome;
+
+    fn registry(&self) -> &Registry {
+        self.collector().telemetry()
+    }
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn open(self: &Arc<Self>) -> io::Result<IngestOutcome> {
+        Ok(IngestOutcome::default())
+    }
+
+    fn ingest(
+        &self,
+        ledger: &mut IngestOutcome,
+        ingest: &IngestView<'_>,
+        payload: &[u8],
+        scratch: &mut IngestScratch,
+    ) -> io::Result<()> {
+        let collector = self.collector();
+        let rejected_upstream = ingest.rejected_upstream();
+        let outcome = if let Some(d) = &self.durability {
+            // Durable path: append the raw frame payload to the WAL, then
+            // fold (the append reuses these borrowed bytes — no re-encode,
+            // no copy beyond the log's own buffer). A frame the log
+            // refuses is NOT folded and closes the connection, so no later
+            // ack can cover it.
+            d.ingest_frame(collector, payload, scratch)?
+        } else {
+            let columns = ingest.columns(scratch);
+            collector.note_upstream_rejections(rejected_upstream);
+            collector.ingest_outcome(&columns)
+        };
+        // Saturating: `rejected_upstream` is client-controlled, so a
+        // hostile u64::MAX must pin the ledger at the ceiling, not panic
+        // (debug) or wrap to garbage (release).
+        ledger.accepted = ledger.accepted.saturating_add(outcome.accepted);
+        ledger.dropped = ledger.dropped.saturating_add(outcome.dropped);
+        ledger.rejected = ledger
+            .rejected
+            .saturating_add(outcome.rejected)
+            .saturating_add(rejected_upstream);
+        if let Some(d) = &self.durability {
+            // Retention: roll a checkpoint once enough segments have
+            // closed. An error is counted (`wal.failures`) but not fatal —
+            // nothing acked is at risk, the data is already in the log.
+            let _ = d.maybe_checkpoint(collector);
+        }
+        Ok(())
+    }
+
+    fn sync(&self, ledger: &mut IngestOutcome) -> io::Result<Frame> {
+        if let Some(d) = &self.durability {
+            // The ack is a durable promise: fsync everything the ledger
+            // covers first, and refuse to ack (fail-closed, connection
+            // closes) if the barrier fails.
+            d.barrier()?;
+        }
+        Ok(Frame::IngestAck {
+            accepted: ledger.accepted,
+            dropped: ledger.dropped,
+            rejected: ledger.rejected,
+        })
+    }
+
+    fn query(
+        &self,
+        _ledger: &mut IngestOutcome,
+        _range: Range<u64>,
+        answer: impl FnOnce(QuerySource<'_>) -> Frame,
+    ) -> Frame {
+        self.engine.refresh();
+        let view = self.engine.view();
+        answer(QuerySource {
+            table: view.table(),
+            total_reports: view.total_reports(),
+            user_count: view.user_count() as u64,
+            user_mean_sum: view.user_mean_sum(),
+        })
+    }
+
+    fn parts(&self, _ledger: &mut IngestOutcome, range: Range<u64>) -> Frame {
+        self.engine.refresh();
+        let view = self.engine.view();
+        // Clip to the retained range (an empty clip is fine: the reply
+        // still carries the scalar ledger), but bound the per-slot
+        // response like slot-means.
+        let lo = range.start.max(view.retained_base()).min(view.slot_end());
+        let hi = range.end.min(view.slot_end()).max(lo);
+        if hi - lo > MAX_QUERY_SLOTS {
+            return bad_query("parts range exceeds the server's bound".into());
+        }
+        Frame::Parts(SnapshotPart {
+            retained_base: view.retained_base(),
+            slot_end: view.slot_end(),
+            start: lo,
+            slots: (lo..hi)
+                .map(|s| view.slot_stats(s).copied().unwrap_or_default())
+                .collect(),
+            frozen: *view.frozen(),
+            total_reports: view.total_reports(),
+            user_count: view.user_count() as u64,
+            user_mean_sum: view.user_mean_sum(),
+        })
+    }
+
+    fn stats(&self, _ledger: &mut IngestOutcome) -> Result<StatsBody, Frame> {
+        Ok(self.ledger_stats())
     }
 }
 
 /// A running ingestion + query service. Dropping the handle shuts the
 /// server down (gracefully — see [`Self::shutdown`]).
 pub struct Server {
-    shared: Arc<Shared>,
+    transport: Transport<Local>,
     collector: Arc<Collector>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
     refresher: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("local_addr", &self.local_addr)
-            .field("config", &self.shared.config)
+            .field("local_addr", &self.local_addr())
+            .field("durable", &self.transport.backend().durability.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -308,40 +323,28 @@ impl Server {
         addr: A,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let metrics = ServerMetrics::register(collector.telemetry());
-        let shared = Arc::new(Shared {
+        let backend = Arc::new(Local {
             engine: QueryEngine::new(Arc::clone(&collector)),
-            metrics,
             shutdown: AtomicBool::new(false),
-            config,
             durability,
         });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ldp-server-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
-        let refresher = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ldp-server-refresh".into())
-                .spawn(move || {
-                    while !shared.shutdown.load(Ordering::Acquire) {
-                        shared.engine.refresh();
-                        thread::sleep(shared.config.refresh_interval);
-                    }
-                })?
-        };
+        let transport = Transport::bind(
+            addr,
+            Arc::clone(&backend),
+            config.max_connections,
+            config.poll_interval,
+        )?;
+        let refresher = thread::Builder::new()
+            .name("ldp-server-refresh".into())
+            .spawn(move || {
+                while !backend.shutdown.load(Ordering::Acquire) {
+                    backend.engine.refresh();
+                    thread::sleep(REFRESH_INTERVAL);
+                }
+            })?;
         Ok(Self {
-            shared,
+            transport,
             collector,
-            local_addr,
-            accept: Some(accept),
             refresher: Some(refresher),
         })
     }
@@ -349,7 +352,7 @@ impl Server {
     /// The address the server is listening on.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.transport.local_addr()
     }
 
     /// The collector this server ingests into (shared handle — callers
@@ -362,7 +365,9 @@ impl Server {
     /// Current operational counters (what the stats query frame serves).
     #[must_use]
     pub fn stats(&self) -> StatsBody {
-        self.shared.stats_body()
+        let mut body = self.transport.backend().ledger_stats();
+        self.transport.front().fill(&mut body);
+        body
     }
 
     /// A point-in-time snapshot of every registered metric — collector,
@@ -373,6 +378,16 @@ impl Server {
         self.collector.telemetry().snapshot()
     }
 
+    /// Serves `stream` on the calling thread with the production
+    /// per-connection loop ([`Transport::serve_stream`]) — how a test
+    /// drives the real frame service over memory instead of a socket.
+    ///
+    /// # Errors
+    /// Never for a server (its per-connection state cannot fail to open).
+    pub fn serve_stream(&self, stream: impl Read + Write) -> io::Result<()> {
+        self.transport.serve_stream(stream)
+    }
+
     /// Graceful shutdown: stops accepting, lets every connection thread
     /// finish its in-flight frame, and joins all service threads. On a
     /// durable server this then checkpoints and seals the write-ahead
@@ -380,13 +395,12 @@ impl Server {
     /// so the seal covers every accepted frame and the next boot replays
     /// zero records. Called automatically on drop; idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let first = self.accept.take().map(|h| h.join()).is_some();
+        let first = self.transport.shutdown();
         if let Some(h) = self.refresher.take() {
             let _ = h.join();
         }
         if first {
-            if let Some(d) = &self.shared.durability {
+            if let Some(d) = &self.transport.backend().durability {
                 d.seal(&self.collector);
             }
         }
@@ -396,430 +410,5 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Accept loop: polls the nonblocking listener, enforces the connection
-/// limit, spawns one handler thread per accepted connection, and joins
-/// them all on shutdown.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                handles.retain(|h| !h.is_finished());
-                let active = shared.metrics.connections_active.get();
-                if active >= shared.config.max_connections as i64 {
-                    shared.metrics.connections_rejected.inc();
-                    refuse_busy(shared, stream);
-                    continue;
-                }
-                shared.metrics.connections_total.inc();
-                shared.metrics.connections_active.inc();
-                let conn_shared = Arc::clone(shared);
-                let handle =
-                    thread::Builder::new()
-                        .name("ldp-server-conn".into())
-                        .spawn(move || {
-                            handle_connection(&conn_shared, stream);
-                            conn_shared.metrics.connections_active.dec();
-                        });
-                match handle {
-                    Ok(h) => handles.push(h),
-                    Err(_) => {
-                        // Spawn failed (resource exhaustion): undo the
-                        // active count; the stream drops closed.
-                        shared.metrics.connections_active.dec();
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(shared.config.poll_interval);
-            }
-            Err(_) => thread::sleep(shared.config.poll_interval),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-}
-
-/// Best-effort busy refusal for a connection over the limit.
-fn refuse_busy(shared: &Shared, mut stream: TcpStream) {
-    // On some platforms the accepted socket inherits the listener's
-    // nonblocking flag; the refusal write must not spuriously fail.
-    let _ = stream.set_nonblocking(false);
-    let frame = Frame::Error {
-        code: code::BUSY,
-        message: "server at connection limit".into(),
-    };
-    let bytes = frame.encode();
-    if stream.write_all(&bytes).is_ok() {
-        shared.metrics.bytes_out.add(bytes.len() as u64);
-    }
-}
-
-/// Outcome of an interruptible exact read ([`read_full`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// Buffer filled.
-    Full,
-    /// Clean EOF before the first byte (peer closed between frames).
-    Eof,
-    /// EOF mid-buffer (peer died inside a frame).
-    TruncatedEof,
-    /// The service is shutting down.
-    Shutdown,
-    /// Hard transport error.
-    Failed,
-}
-
-/// Reads exactly `buf.len()` bytes, waking every read-timeout tick to
-/// check `shutdown` — `read_exact` would eat the partial read on timeout,
-/// so the fill position is tracked explicitly. The stream must be
-/// blocking with a read timeout installed (the poll cadence). Shared by
-/// the server's connection threads and the router's front/downstream
-/// pumps, so the two services cannot drift in shutdown semantics.
-pub fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::TruncatedEof
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(_) => return ReadOutcome::Failed,
-        }
-    }
-    ReadOutcome::Full
-}
-
-/// Per-connection ingest ledger (what [`Frame::IngestSync`] acknowledges).
-#[derive(Default)]
-struct ConnLedger {
-    accepted: u64,
-    dropped: u64,
-    rejected: u64,
-}
-
-/// Serves one connection until EOF, goodbye, framing error, or shutdown.
-///
-/// The steady-state ingest path is **allocation- and copy-free**: the
-/// header and payload land in reusable buffers (grown once, never
-/// re-zeroed), the payload is parsed as a borrowed [`FrameView`], and an
-/// ingest frame's columns are decoded into the connection's
-/// [`IngestScratch`] and folded into the collector as a borrowed
-/// `ReportColumns` view — no `Vec` per frame, no owned `ReportBatch`, no
-/// re-partitioning copy.
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    // Linux `accept` returns blocking sockets regardless of the listener,
-    // but Windows/BSD inherit the listener's nonblocking flag — and the
-    // read-timeout shutdown polling below requires a *blocking* socket
-    // (on a nonblocking one the timeout is a no-op and reads busy-spin).
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut ledger = ConnLedger::default();
-    let mut header_buf = [0u8; HEADER_LEN];
-    // Payload buffer: grown to the largest frame seen, then reused as a
-    // slice — `resize` from zero every frame would memset the whole
-    // payload before the socket read overwrites it.
-    let mut payload_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let mut out = Vec::new();
-
-    loop {
-        match read_full(&mut stream, &mut header_buf, &shared.shutdown) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof => return, // clean close at a frame boundary
-            ReadOutcome::TruncatedEof => {
-                shared.metrics.frames_failed.inc();
-                return;
-            }
-            ReadOutcome::Shutdown | ReadOutcome::Failed => return,
-        }
-        let header = match Header::parse(&header_buf) {
-            Ok(h) if h.payload_len <= shared.config.max_payload => h,
-            Ok(h) => {
-                fail_frame(
-                    shared,
-                    &mut stream,
-                    &WireError::Oversized {
-                        len: h.payload_len,
-                        max: shared.config.max_payload,
-                    },
-                );
-                return;
-            }
-            Err(e) => {
-                fail_frame(shared, &mut stream, &e);
-                return;
-            }
-        };
-        let payload_len = header.payload_len as usize;
-        if payload_buf.len() < payload_len {
-            payload_buf.resize(payload_len, 0);
-        }
-        match read_full(
-            &mut stream,
-            &mut payload_buf[..payload_len],
-            &shared.shutdown,
-        ) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::TruncatedEof => {
-                shared.metrics.frames_failed.inc();
-                return;
-            }
-            ReadOutcome::Shutdown | ReadOutcome::Failed => return,
-        }
-        // Shared reborrow: the borrowed `FrameView` and (on durable
-        // servers) the WAL append both read these same bytes.
-        let payload = &payload_buf[..payload_len];
-        shared
-            .metrics
-            .bytes_in
-            .add((HEADER_LEN + payload_len) as u64);
-        let decode_timer = shared.metrics.decode_nanos.timer();
-        let view = match header
-            .verify(payload)
-            .and_then(|()| FrameView::decode_body(header.frame_type, payload))
-        {
-            Ok(view) => view,
-            Err(e) => {
-                decode_timer.cancel();
-                fail_frame(shared, &mut stream, &e);
-                return;
-            }
-        };
-        drop(decode_timer);
-        shared.metrics.count_frame(header.frame_type);
-
-        let reply = match view {
-            FrameView::Ingest(ingest) => {
-                shared.metrics.ingest_frames.inc();
-                let rejected_upstream = ingest.rejected_upstream();
-                let outcome = if let Some(d) = &shared.durability {
-                    // Durable path: append the raw frame payload to the
-                    // WAL, then fold (the append reuses these borrowed
-                    // bytes — no re-encode, no copy beyond the log's own
-                    // buffer). A frame the log refuses is NOT folded and
-                    // closes the connection, so no later ack can cover it.
-                    match d.ingest_frame(shared.collector(), payload, &mut scratch) {
-                        Ok(outcome) => outcome,
-                        Err(e) => {
-                            fail_unavailable(shared, &mut stream, &e);
-                            return;
-                        }
-                    }
-                } else {
-                    let columns = ingest.columns(&mut scratch);
-                    let collector = shared.collector();
-                    collector.note_upstream_rejections(rejected_upstream);
-                    collector.ingest_outcome(&columns)
-                };
-                // Saturating: `rejected_upstream` is client-controlled, so
-                // a hostile u64::MAX must pin the ledger at the ceiling,
-                // not panic (debug) or wrap to garbage (release).
-                ledger.accepted = ledger.accepted.saturating_add(outcome.accepted);
-                ledger.dropped = ledger.dropped.saturating_add(outcome.dropped);
-                ledger.rejected = ledger
-                    .rejected
-                    .saturating_add(outcome.rejected)
-                    .saturating_add(rejected_upstream);
-                if let Some(d) = &shared.durability {
-                    // Retention: roll a checkpoint once enough segments
-                    // have closed. An error is counted (`wal.failures`)
-                    // but not fatal — nothing acked is at risk, the data
-                    // is already in the log.
-                    let _ = d.maybe_checkpoint(shared.collector());
-                }
-                None // fire-and-forget
-            }
-            FrameView::IngestSync => {
-                if let Some(d) = &shared.durability {
-                    // The ack is a durable promise: fsync everything the
-                    // ledger covers first, and refuse to ack (fail-closed,
-                    // connection closes) if the barrier fails.
-                    if let Err(e) = d.barrier() {
-                        fail_unavailable(shared, &mut stream, &e);
-                        return;
-                    }
-                }
-                Some(Frame::IngestAck {
-                    accepted: ledger.accepted,
-                    dropped: ledger.dropped,
-                    rejected: ledger.rejected,
-                })
-            }
-            FrameView::QueryPopulationMean => {
-                let _t = shared.metrics.query_population_mean_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                shared.engine.refresh();
-                Some(Frame::PopulationMean {
-                    mean: shared.engine.view().population_mean(),
-                })
-            }
-            FrameView::QueryWindowedMean { start, end } => {
-                let _t = shared.metrics.query_windowed_mean_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                Some(if start >= end {
-                    bad_query("windowed mean over an empty or inverted range")
-                } else {
-                    shared.engine.refresh();
-                    Frame::WindowedMean {
-                        mean: shared
-                            .engine
-                            .view()
-                            .windowed_mean(start as usize..end as usize),
-                    }
-                })
-            }
-            FrameView::QuerySlotMeans { start, end } => {
-                let _t = shared.metrics.query_slot_means_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                Some(if start >= end {
-                    bad_query("slot means over an empty or inverted range")
-                } else if end - start > shared.config.max_query_slots {
-                    bad_query("slot range exceeds the server's bound")
-                } else {
-                    shared.engine.refresh();
-                    let view = shared.engine.view();
-                    Frame::SlotMeans {
-                        start,
-                        means: (start..end).map(|s| view.slot_mean(s as usize)).collect(),
-                    }
-                })
-            }
-            FrameView::QuerySummary => {
-                let _t = shared.metrics.query_summary_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                shared.engine.refresh();
-                let view = shared.engine.view();
-                Some(Frame::Summary(SummaryBody {
-                    total_reports: view.total_reports(),
-                    user_count: view.user_count() as u64,
-                    retained_base: view.retained_base(),
-                    slot_end: view.slot_end(),
-                    frozen_count: view.frozen().count,
-                    population_mean: view.population_mean(),
-                }))
-            }
-            FrameView::QueryStats => {
-                let _t = shared.metrics.query_stats_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                Some(Frame::Stats(shared.stats_body()))
-            }
-            FrameView::QueryMetrics => {
-                let _t = shared.metrics.query_metrics_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                Some(Frame::Metrics(shared.collector().telemetry().snapshot()))
-            }
-            FrameView::QueryParts { start, end } => {
-                let _t = shared.metrics.query_parts_nanos.timer();
-                shared.metrics.queries_answered.inc();
-                shared.engine.refresh();
-                let view = shared.engine.view();
-                // Clip to the retained range (an empty clip is fine: the
-                // reply still carries the scalar ledger), but bound the
-                // per-slot response like slot-means.
-                let lo = start.max(view.retained_base()).min(view.slot_end());
-                let hi = end.min(view.slot_end()).max(lo);
-                Some(if hi - lo > shared.config.max_query_slots {
-                    bad_query("parts range exceeds the server's bound")
-                } else {
-                    Frame::Parts(SnapshotPart {
-                        retained_base: view.retained_base(),
-                        slot_end: view.slot_end(),
-                        start: lo,
-                        slots: (lo..hi)
-                            .map(|s| view.slot_stats(s).copied().unwrap_or_default())
-                            .collect(),
-                        frozen: *view.frozen(),
-                        total_reports: view.total_reports(),
-                        user_count: view.user_count() as u64,
-                        user_mean_sum: view.user_mean_sum(),
-                    })
-                })
-            }
-            FrameView::Ping { nonce } => Some(Frame::Pong { nonce }),
-            FrameView::Goodbye => return,
-            // Server-to-client frames arriving at the server: the frame
-            // parsed, so the stream is still in sync — answer with an
-            // error and keep serving.
-            FrameView::IngestAck { .. }
-            | FrameView::PopulationMean { .. }
-            | FrameView::WindowedMean { .. }
-            | FrameView::SlotMeans(_)
-            | FrameView::Summary(_)
-            | FrameView::Stats(_)
-            | FrameView::Metrics(_)
-            | FrameView::Pong { .. }
-            | FrameView::Parts(_)
-            | FrameView::Error { .. } => Some(Frame::Error {
-                code: code::UNSUPPORTED,
-                message: "frame type is server-to-client".into(),
-            }),
-        };
-
-        if let Some(reply) = reply {
-            out.clear();
-            reply.encode_into(&mut out);
-            if stream.write_all(&out).is_err() {
-                return;
-            }
-            shared.metrics.bytes_out.add(out.len() as u64);
-        }
-    }
-}
-
-/// Builds the BAD_QUERY error reply.
-fn bad_query(message: &str) -> Frame {
-    Frame::Error {
-        code: code::BAD_QUERY,
-        message: message.into(),
-    }
-}
-
-/// Counts a durability failure and sends a best-effort
-/// [`code::UNAVAILABLE`] error frame; the caller closes the connection so
-/// no later ack can cover the refused frame (fail-closed).
-fn fail_unavailable(shared: &Shared, stream: &mut TcpStream, error: &std::io::Error) {
-    shared.metrics.frames_failed.inc();
-    let frame = Frame::Error {
-        code: code::UNAVAILABLE,
-        message: format!("durability failure: {error}"),
-    };
-    let bytes = frame.encode();
-    if stream.write_all(&bytes).is_ok() {
-        shared.metrics.bytes_out.add(bytes.len() as u64);
-    }
-}
-
-/// Counts a framing failure and sends a best-effort error frame; the
-/// caller closes the connection (the stream position is untrustworthy
-/// after a framing error).
-fn fail_frame(shared: &Shared, stream: &mut TcpStream, error: &WireError) {
-    shared.metrics.frames_failed.inc();
-    let frame = Frame::Error {
-        code: code::MALFORMED,
-        message: error.to_string(),
-    };
-    let bytes = frame.encode();
-    if stream.write_all(&bytes).is_ok() {
-        shared.metrics.bytes_out.add(bytes.len() as u64);
     }
 }

@@ -1,0 +1,950 @@
+//! The one connection driver: everything a tier does with a socket, generic
+//! over what it does with a frame.
+//!
+//! ```text
+//!            ┌──────────────── Transport<B> ─────────────────┐      ┌─ Backend ─┐
+//! client ───▶│ accept ─ cap? ─ B::open ─▶ conn thread        │      │ open      │
+//!            │   └─ BUSY (counted)          │                │      │ ingest    │
+//!            │        read_frame ─ verify ─ FrameView        │ ───▶ │ sync      │
+//!            │        ping · goodbye · UNSUPPORTED           │      │ query     │
+//!            │        range checks · BAD_QUERY · read verbs  │ ◀─── │ parts     │
+//!            │        reply encode/write · FrontMetrics      │      │ stats     │
+//!            └───────────────────────────────────────────────┘      └───────────┘
+//! ```
+//!
+//! * **The driver owns** bind + the nonblocking accept loop + the
+//!   connection cap + the one counted [`code::BUSY`] refusal +
+//!   join-on-shutdown; socket options; the reusable payload/scratch/reply
+//!   buffers; the framed read with its payload bound, checksum verify and
+//!   borrowed decode; [`code::MALFORMED`] + close on a framing error;
+//!   `Ping`, `Goodbye` and the server-to-client [`code::UNSUPPORTED`] arm;
+//!   range validation and [`code::BAD_QUERY`]; the four read verbs,
+//!   answered from a [`QuerySource`]; the reply write; and
+//!   `FrontMetrics`, the `connections.* / frames.* / bytes.* /
+//!   queries.answered / ingest.frames` books and the front half of
+//!   [`StatsBody`].
+//! * **A [`Backend`] says** how to open per-connection state (dropping it
+//!   closes it), what to do with an ingest frame and a sync barrier, how
+//!   to obtain the query source for a range, its raw `QueryParts`
+//!   contribution, and the report-ledger half of the stats. There are
+//!   exactly two: the local collector ([`crate::serve`]) and the
+//!   federation (`ldp-router`) — a router *is* this driver with a remote
+//!   backend, which is why routers stack.
+//!
+//! The driver is monomorphised per backend (no `dyn` on the per-frame
+//! path) and its per-connection loop takes any `Read + Write`, so tests
+//! drive the production loop over memory. The steady-state ingest path is
+//! **allocation- and copy-free**: the payload lands in a reusable buffer
+//! (grown once, never re-zeroed), is parsed as a borrowed [`FrameView`],
+//! and an ingest frame's columns are decoded into the connection's
+//! [`IngestScratch`] — no `Vec` per frame, no owned `ReportBatch`.
+//!
+//! `read_frame` is the only socket-side frame reader: the driver calls it
+//! directly, [`crate::RemoteCollector`] and the router's downstream links
+//! through [`read_reply`] (`tools/lint_one_transport.sh` keeps it that
+//! way).
+
+use crate::wire::{
+    code, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, StatsBody,
+    SummaryBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
+};
+use ldp_collector::sync::atomic::{AtomicBool, Ordering};
+use ldp_collector::sync::thread::{self, JoinHandle};
+use ldp_collector::sync::Arc;
+use ldp_collector::SlotTable;
+use ldp_telemetry::{Counter, Gauge, Histogram, Registry, Timer};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::ops::Range;
+use std::time::Duration;
+
+/// What the read verbs are answered from: a local `LiveView` and a
+/// federation's `MergedParts` are both exactly this — a merged slot table
+/// plus three scalars.
+#[derive(Debug, Clone, Copy)]
+pub struct QuerySource<'a> {
+    /// The merged slot-query core (base, retained stats, frozen prefix).
+    pub table: &'a SlotTable,
+    /// Total reports accepted (retained + frozen).
+    pub total_reports: u64,
+    /// Distinct users seen.
+    pub user_count: u64,
+    /// Sum of per-user running means.
+    pub user_mean_sum: f64,
+}
+
+impl QuerySource<'_> {
+    /// The population-mean estimate (average of per-user means), `None`
+    /// before any user reported.
+    #[must_use]
+    pub fn population_mean(&self) -> Option<f64> {
+        (self.user_count > 0).then(|| self.user_mean_sum / self.user_count as f64)
+    }
+}
+
+/// What a tier does behind the [`Transport`]: the part of serving a
+/// connection that differs between a local collector and a federation.
+///
+/// Error conventions: an `io::Error` from [`Self::ingest`] / [`Self::sync`]
+/// means the backend could not take the frame — the driver answers
+/// [`code::UNAVAILABLE`], counts `frames.failed` and **closes** the
+/// connection (fail-closed: no later ack may cover a refused frame). A
+/// query the backend cannot answer exactly is answered with its typed
+/// refusal (e.g. [`code::DEGRADED`]) instead; the connection keeps serving.
+pub trait Backend: Send + Sync + 'static {
+    /// `"server"` or `"router"`: the metric prefix, the `ldp-<tier>-*`
+    /// thread names, and the subject of refusal messages.
+    const TIER: &'static str;
+
+    /// Per-connection state, opened before the first frame is read;
+    /// dropping it after the last frame closes it.
+    type Conn: Send + 'static;
+
+    /// The registry the driver registers its front books in and
+    /// `QueryMetrics` serves.
+    fn registry(&self) -> &Registry;
+
+    /// The tier's shutdown flag: set by [`Transport::shutdown`], observed
+    /// by the accept loop and every blocked read within one poll interval.
+    fn shutdown(&self) -> &AtomicBool;
+
+    /// Opens one connection's state.
+    ///
+    /// # Errors
+    /// Resource exhaustion; the driver refuses the connection with a
+    /// counted [`code::BUSY`] frame.
+    fn open(self: &Arc<Self>) -> io::Result<Self::Conn>;
+
+    /// Takes one fire-and-forget ingest frame (`payload` is the frame's
+    /// raw payload, `ingest` its borrowed view).
+    ///
+    /// # Errors
+    /// The frame could not be persisted; see the trait docs.
+    fn ingest(
+        &self,
+        conn: &mut Self::Conn,
+        ingest: &IngestView<'_>,
+        payload: &[u8],
+        scratch: &mut IngestScratch,
+    ) -> io::Result<()>;
+
+    /// The `IngestSync` barrier: the reply acknowledging everything this
+    /// connection sent (an `IngestAck`, or a typed refusal such as
+    /// [`code::DEGRADED`] that leaves the connection serving).
+    ///
+    /// # Errors
+    /// The barrier could not be made durable; see the trait docs.
+    fn sync(&self, conn: &mut Self::Conn) -> io::Result<Frame>;
+
+    /// The reply `answer` builds from the state covering `range` (an
+    /// empty range still carries the scalars) — refresh + view locally,
+    /// `QueryParts` fan-out + merge remotely — or the backend's refusal.
+    fn query(
+        &self,
+        conn: &mut Self::Conn,
+        range: Range<u64>,
+        answer: impl FnOnce(QuerySource<'_>) -> Frame,
+    ) -> Frame;
+
+    /// The `QueryParts` reply: this tier's raw mergeable contribution.
+    fn parts(&self, conn: &mut Self::Conn, range: Range<u64>) -> Frame;
+
+    /// The report-ledger and durability half of the stats (the driver
+    /// fills in the front half: connections, frames, bytes, queries).
+    ///
+    /// # Errors
+    /// The refusal to send instead (written to the wire verbatim, and
+    /// only ever built on a cold path — hence the large `Err`).
+    #[allow(clippy::result_large_err)]
+    fn stats(&self, conn: &mut Self::Conn) -> Result<StatsBody, Frame>;
+}
+
+/// A tier's front-side operational metrics, registered once per tier as
+/// `<tier>.connections.*`, `<tier>.frames.*`, `<tier>.bytes.*`, … — these
+/// handles **are** the tier's books (not copies), so the stats frame and
+/// the metrics-snapshot frame can never disagree. Every update is a
+/// relaxed atomic RMW, lock-free and allocation-free.
+#[derive(Debug)]
+pub(crate) struct FrontMetrics {
+    /// `<tier>.connections.active`.
+    connections_active: Arc<Gauge>,
+    /// `<tier>.connections.total`.
+    connections_total: Arc<Counter>,
+    /// `<tier>.connections.rejected` (refused with `BUSY`).
+    connections_rejected: Arc<Counter>,
+    /// `<tier>.frames.decoded`.
+    frames_decoded: Arc<Counter>,
+    /// `<tier>.frames.failed`.
+    frames_failed: Arc<Counter>,
+    /// `<tier>.frames.by_type.<name>`, indexed by `frame_type - 1`.
+    frames_by_type: Vec<Arc<Counter>>,
+    /// `<tier>.queries.answered`.
+    queries_answered: Arc<Counter>,
+    /// `<tier>.ingest.frames`.
+    ingest_frames: Arc<Counter>,
+    /// `<tier>.bytes.in` (header + payload bytes read from clients).
+    bytes_in: Arc<Counter>,
+    /// `<tier>.bytes.out` (header + payload bytes written to clients).
+    bytes_out: Arc<Counter>,
+    /// `<tier>.frame.decode_nanos` — checksum verify + borrowed decode,
+    /// per frame.
+    decode_nanos: Arc<Histogram>,
+    /// `<tier>.query.<verb>_nanos` — time to answer each query verb
+    /// (backend work included, socket write excluded); indexed by
+    /// `frame_type - 1`, `None` for frames that are not queries.
+    query_nanos: Vec<Option<Arc<Histogram>>>,
+}
+
+impl FrontMetrics {
+    /// Registers the front books under the `tier` prefix.
+    fn register(registry: &Registry, tier: &str) -> Self {
+        let name = |ft| frame_type_name(ft).expect("known frame types are named");
+        Self {
+            connections_active: registry.gauge(&format!("{tier}.connections.active")),
+            connections_total: registry.counter(&format!("{tier}.connections.total")),
+            connections_rejected: registry.counter(&format!("{tier}.connections.rejected")),
+            frames_decoded: registry.counter(&format!("{tier}.frames.decoded")),
+            frames_failed: registry.counter(&format!("{tier}.frames.failed")),
+            frames_by_type: KNOWN_FRAME_TYPES
+                .map(|ft| registry.counter(&format!("{tier}.frames.by_type.{}", name(ft))))
+                .collect(),
+            queries_answered: registry.counter(&format!("{tier}.queries.answered")),
+            ingest_frames: registry.counter(&format!("{tier}.ingest.frames")),
+            bytes_in: registry.counter(&format!("{tier}.bytes.in")),
+            bytes_out: registry.counter(&format!("{tier}.bytes.out")),
+            decode_nanos: registry.histogram(&format!("{tier}.frame.decode_nanos")),
+            query_nanos: KNOWN_FRAME_TYPES
+                .map(|ft| {
+                    let verb = name(ft).strip_prefix("query_")?;
+                    Some(registry.histogram(&format!("{tier}.query.{verb}_nanos")))
+                })
+                .collect(),
+        }
+    }
+
+    /// Fills the front half of `body` — connection, frame, byte and query
+    /// counters, which describe *this* tier — leaving the report-ledger
+    /// half the backend produced untouched.
+    pub(crate) fn fill(&self, body: &mut StatsBody) {
+        body.active_connections = self.connections_active.get().max(0) as u64;
+        body.total_connections = self.connections_total.get();
+        body.rejected_connections = self.connections_rejected.get();
+        body.frames_decoded = self.frames_decoded.get();
+        body.frames_failed = self.frames_failed.get();
+        body.queries_answered = self.queries_answered.get();
+        body.ingest_frames = self.ingest_frames.get();
+        body.bytes_in = self.bytes_in.get();
+        body.bytes_out = self.bytes_out.get();
+    }
+
+    /// Counts one successfully decoded frame; a query verb is also counted
+    /// as answered and gets its latency timer started.
+    fn count_frame(&self, frame_type: u8) -> Option<Timer<'_>> {
+        let index = (frame_type as usize).wrapping_sub(1);
+        self.frames_decoded.inc();
+        if let Some(by_type) = self.frames_by_type.get(index) {
+            by_type.inc();
+        }
+        let verb = self.query_nanos.get(index)?.as_ref()?;
+        self.queries_answered.inc();
+        Some(verb.timer())
+    }
+
+    /// Encodes `frame` into `out` and writes it, counting `bytes.out`.
+    /// `false` means the peer is gone.
+    fn send(&self, stream: &mut impl Write, out: &mut Vec<u8>, frame: &Frame) -> bool {
+        out.clear();
+        frame.encode_into(out);
+        let sent = stream.write_all(out).is_ok();
+        if sent {
+            self.bytes_out.add(out.len() as u64);
+        }
+        sent
+    }
+
+    /// Counts a failed frame and sends a best-effort error frame; the
+    /// caller closes the connection — after a framing error the stream
+    /// position is untrustworthy, and after a backend refusal no later
+    /// ack may cover the refused frame.
+    fn fail(&self, stream: &mut impl Write, out: &mut Vec<u8>, code: u16, message: String) {
+        self.frames_failed.inc();
+        self.send(stream, out, &Frame::Error { code, message });
+    }
+}
+
+/// Reads exactly `buf.len()` bytes, waking every read-timeout tick to ask
+/// `stop` — `read_exact` would eat the partial read on timeout, so the
+/// fill position is tracked explicitly. A socket must be blocking with a
+/// read timeout installed (the poll cadence) for `stop` to be consulted.
+/// `Ok(false)` is a clean EOF before the first byte; EOF mid-buffer is
+/// `UnexpectedEof`, a stop is `Interrupted`.
+fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                if stop() {
+                    return Err(io::Error::new(ErrorKind::Interrupted, "shutting down"));
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// The framed read: header → validate → payload bound
+/// ([`DEFAULT_MAX_PAYLOAD`], refused before any allocation) → payload,
+/// into `payload_buf` (grown to the largest frame seen, then reused as a
+/// slice — `resize` from zero every frame would memset the whole payload
+/// before the read overwrites it). The payload is **not** yet verified:
+/// finish with [`Header::decode`]. `Ok(None)` is a clean close at a frame
+/// boundary.
+///
+/// # Errors
+/// `InvalidData` for a framing error (the [`WireError`] text is the
+/// message), `UnexpectedEof` for a peer that died inside a frame,
+/// `Interrupted` once `stop` says so, or the transport's own error.
+fn read_frame<'b>(
+    stream: &mut impl Read,
+    payload_buf: &'b mut Vec<u8>,
+    stop: impl Fn() -> bool,
+) -> io::Result<Option<(Header, &'b [u8])>> {
+    let mut header_buf = [0u8; HEADER_LEN];
+    if !read_full(stream, &mut header_buf, &stop)? {
+        return Ok(None);
+    }
+    let header = Header::parse(&header_buf)?;
+    if header.payload_len > DEFAULT_MAX_PAYLOAD {
+        return Err(WireError::Oversized {
+            len: header.payload_len,
+            max: DEFAULT_MAX_PAYLOAD,
+        }
+        .into());
+    }
+    let payload_len = header.payload_len as usize;
+    if payload_buf.len() < payload_len {
+        payload_buf.resize(payload_len, 0);
+    }
+    let payload = &mut payload_buf[..payload_len];
+    if !read_full(stream, payload, &stop)? {
+        return Err(ErrorKind::UnexpectedEof.into());
+    }
+    Ok(Some((header, payload)))
+}
+
+/// Reads one complete, verified, owned frame — the reply half of a
+/// request/response exchange ([`crate::RemoteCollector`], the router's
+/// downstream links).
+///
+/// # Errors
+/// `UnexpectedEof` for a peer that closed before or inside the reply
+/// (callers reconnect), `InvalidData` for a framing, checksum or payload
+/// error (the [`WireError`] text is the message), `Interrupted` once
+/// `stop` says so, or the transport's own error.
+pub fn read_reply(
+    stream: &mut impl Read,
+    payload_buf: &mut Vec<u8>,
+    stop: impl Fn() -> bool,
+) -> io::Result<Frame> {
+    let (header, payload) = read_frame(stream, payload_buf, stop)?
+        .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "peer closed before replying"))?;
+    Ok(header.decode(payload)?.into_owned())
+}
+
+/// State shared by the accept loop and the connection threads.
+struct Shared<B: Backend> {
+    backend: Arc<B>,
+    front: FrontMetrics,
+    max_connections: usize,
+    poll_interval: Duration,
+}
+
+/// A running front socket serving `B`: the accept thread plus one thread
+/// per connection. Dropping the handle shuts it down.
+pub struct Transport<B: Backend> {
+    shared: Arc<Shared<B>>,
+    local_addr: SocketAddr,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl<B: Backend> Transport<B> {
+    /// Binds `addr` and starts the accept loop. At most `max_connections`
+    /// are served concurrently (extras are refused with [`code::BUSY`]);
+    /// `poll_interval` is how often blocked reads and the accept loop wake
+    /// to check for shutdown.
+    ///
+    /// # Errors
+    /// Socket errors from bind/listen.
+    pub fn bind<A: ToSocketAddrs>(
+        addr: A,
+        backend: Arc<B>,
+        max_connections: usize,
+        poll_interval: Duration,
+    ) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
+        let front = FrontMetrics::register(backend.registry(), B::TIER);
+        let shared = Arc::new(Shared {
+            backend,
+            front,
+            max_connections,
+            poll_interval,
+        });
+        let accept = {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name(format!("ldp-{}-accept", B::TIER))
+                .spawn(move || shared.accept_loop(&listener))?
+        };
+        Ok(Self {
+            shared,
+            local_addr,
+            accept: Some(accept),
+        })
+    }
+
+    /// The address the front socket is listening on.
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// The backend this transport serves.
+    #[must_use]
+    pub fn backend(&self) -> &Arc<B> {
+        &self.shared.backend
+    }
+
+    /// The tier's front-side books.
+    pub(crate) fn front(&self) -> &FrontMetrics {
+        &self.shared.front
+    }
+
+    /// Runs the production per-connection loop over `stream` on the
+    /// calling thread until EOF, goodbye, a framing error or shutdown —
+    /// what every accepted socket runs once admitted, minus the TCP-only
+    /// setup and the connection counting.
+    ///
+    /// # Errors
+    /// The backend could not open the connection's state.
+    pub fn serve_stream(&self, mut stream: impl Read + Write) -> io::Result<()> {
+        let mut conn = self.shared.backend.open()?;
+        self.shared.serve(&mut stream, &mut conn);
+        Ok(())
+    }
+
+    /// Graceful shutdown: flips the backend's flag, then joins the accept
+    /// loop, which has joined every connection thread by the time it
+    /// returns. `true` for the call that did the joining (idempotent:
+    /// later calls return `false`).
+    pub fn shutdown(&mut self) -> bool {
+        self.shared
+            .backend
+            .shutdown()
+            .store(true, Ordering::Release);
+        self.accept.take().map(JoinHandle::join).is_some()
+    }
+}
+
+impl<B: Backend> Drop for Transport<B> {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl<B: Backend> Shared<B> {
+    fn stopping(&self) -> bool {
+        self.backend.shutdown().load(Ordering::Acquire)
+    }
+
+    /// Polls the nonblocking listener on the shutdown cadence, admits or
+    /// refuses each connection, spawns one handler thread per admitted
+    /// one, and joins them all on shutdown.
+    fn accept_loop(self: &Arc<Self>, listener: &TcpListener) {
+        let mut handles: Vec<JoinHandle<()>> = Vec::new();
+        while !self.stopping() {
+            let Ok((mut stream, _peer)) = listener.accept() else {
+                // Nothing pending (`WouldBlock`) or a transient accept error.
+                thread::sleep(self.poll_interval);
+                continue;
+            };
+            handles.retain(|h| !h.is_finished());
+            // Linux `accept` returns blocking sockets regardless of the
+            // listener, but Windows/BSD inherit its nonblocking flag — and
+            // the read-timeout shutdown polling requires a *blocking*
+            // socket (on a nonblocking one the timeout is a no-op and
+            // reads busy-spin), as does the refusal write.
+            let _ = stream.set_nonblocking(false);
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(self.poll_interval));
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+            let Some(mut conn) = self.admit(&mut stream) else {
+                continue;
+            };
+            let shared = Arc::clone(self);
+            let spawned = thread::Builder::new()
+                .name(format!("ldp-{}-conn", B::TIER))
+                .spawn(move || {
+                    shared.serve(&mut stream, &mut conn);
+                    drop(conn);
+                    shared.front.connections_active.dec();
+                });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                // Resource exhaustion: undo the active count; the stream
+                // and the connection state drop closed with the closure.
+                Err(_) => self.front.connections_active.dec(),
+            }
+        }
+        for handle in handles {
+            let _ = handle.join();
+        }
+    }
+
+    /// Admission: under the cap and the backend opened its per-connection
+    /// state → counted in `connections.total`/`active`; otherwise the one
+    /// counted, best-effort [`code::BUSY`] refusal.
+    fn admit(&self, stream: &mut impl Write) -> Option<B::Conn> {
+        let front = &self.front;
+        let message = if front.connections_active.get() >= self.max_connections as i64 {
+            format!("{} at connection limit", B::TIER)
+        } else {
+            match self.backend.open() {
+                Ok(conn) => {
+                    front.connections_total.inc();
+                    front.connections_active.inc();
+                    return Some(conn);
+                }
+                Err(e) => format!("{} cannot open connection state: {e}", B::TIER),
+            }
+        };
+        front.connections_rejected.inc();
+        let refusal = Frame::Error {
+            code: code::BUSY,
+            message,
+        };
+        front.send(stream, &mut Vec::new(), &refusal);
+        None
+    }
+
+    /// Serves one connection until EOF, goodbye, a framing error, a
+    /// backend refusal, or shutdown.
+    fn serve<S: Read + Write>(&self, stream: &mut S, conn: &mut B::Conn) {
+        let (backend, front) = (&*self.backend, &self.front);
+        let mut payload_buf = Vec::new();
+        let mut scratch = IngestScratch::default();
+        let mut out = Vec::new();
+
+        loop {
+            let (header, payload) = match read_frame(stream, &mut payload_buf, || self.stopping()) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return, // clean close at a frame boundary
+                Err(e) => {
+                    match e.kind() {
+                        ErrorKind::InvalidData => {
+                            front.fail(stream, &mut out, code::MALFORMED, e.to_string());
+                        }
+                        ErrorKind::UnexpectedEof => front.frames_failed.inc(),
+                        _ => {} // shutdown, or a hard transport error
+                    }
+                    return;
+                }
+            };
+            front.bytes_in.add((HEADER_LEN + payload.len()) as u64);
+            let decode_timer = front.decode_nanos.timer();
+            let view = match header.decode(payload) {
+                Ok(view) => view,
+                Err(e) => {
+                    decode_timer.cancel();
+                    front.fail(stream, &mut out, code::MALFORMED, e.to_string());
+                    return;
+                }
+            };
+            drop(decode_timer);
+            let verb_timer = front.count_frame(header.frame_type);
+
+            let reply = match view {
+                FrameView::Ingest(ingest) => {
+                    front.ingest_frames.inc();
+                    match backend.ingest(conn, &ingest, payload, &mut scratch) {
+                        Ok(()) => continue, // fire-and-forget
+                        Err(e) => {
+                            return front.fail(stream, &mut out, code::UNAVAILABLE, unavailable(&e))
+                        }
+                    }
+                }
+                FrameView::IngestSync => match backend.sync(conn) {
+                    Ok(reply) => reply,
+                    Err(e) => {
+                        return front.fail(stream, &mut out, code::UNAVAILABLE, unavailable(&e))
+                    }
+                },
+                // The four read verbs, answered from whatever source the
+                // backend produces for the range. Scalars ask for an empty
+                // one: it still carries the user ledgers they need.
+                FrameView::QueryPopulationMean => {
+                    backend.query(conn, 0..0, |source| Frame::PopulationMean {
+                        mean: source.population_mean(),
+                    })
+                }
+                FrameView::QuerySummary => backend.query(conn, 0..0, |source| {
+                    Frame::Summary(SummaryBody {
+                        total_reports: source.total_reports,
+                        user_count: source.user_count,
+                        retained_base: source.table.retained_base(),
+                        slot_end: source.table.slot_end(),
+                        frozen_count: source.table.frozen().count,
+                        population_mean: source.population_mean(),
+                    })
+                }),
+                FrameView::QueryWindowedMean { start, end } if start >= end => {
+                    bad_query("windowed mean over an empty or inverted range".into())
+                }
+                FrameView::QueryWindowedMean { start, end } => {
+                    backend.query(conn, start..end, |source| Frame::WindowedMean {
+                        mean: source.table.windowed_mean(start as usize..end as usize),
+                    })
+                }
+                FrameView::QuerySlotMeans { start, end } if start >= end => {
+                    bad_query("slot means over an empty or inverted range".into())
+                }
+                FrameView::QuerySlotMeans { start, end } if end - start > MAX_QUERY_SLOTS => {
+                    bad_query(format!("slot range exceeds the {}'s bound", B::TIER))
+                }
+                FrameView::QuerySlotMeans { start, end } => {
+                    backend.query(conn, start..end, |source| Frame::SlotMeans {
+                        start,
+                        means: (start..end)
+                            .map(|slot| source.table.slot_mean(slot as usize))
+                            .collect(),
+                    })
+                }
+                FrameView::QueryParts { start, end } => backend.parts(conn, start..end),
+                FrameView::QueryStats => match backend.stats(conn) {
+                    Ok(mut body) => {
+                        front.fill(&mut body);
+                        Frame::Stats(body)
+                    }
+                    Err(refusal) => refusal,
+                },
+                FrameView::QueryMetrics => Frame::Metrics(backend.registry().snapshot()),
+                FrameView::Ping { nonce } => Frame::Pong { nonce },
+                FrameView::Goodbye => return,
+                // Server-to-client frames arriving at a front socket: the
+                // frame parsed, so the stream is still in sync — answer
+                // with an error and keep serving.
+                FrameView::IngestAck { .. }
+                | FrameView::PopulationMean { .. }
+                | FrameView::WindowedMean { .. }
+                | FrameView::SlotMeans(_)
+                | FrameView::Summary(_)
+                | FrameView::Stats(_)
+                | FrameView::Metrics(_)
+                | FrameView::Pong { .. }
+                | FrameView::Parts(_)
+                | FrameView::Error { .. } => Frame::Error {
+                    code: code::UNSUPPORTED,
+                    message: "frame type is server-to-client".into(),
+                },
+            };
+            drop(verb_timer); // the socket write is not the verb's time
+            if !front.send(stream, &mut out, &reply) {
+                return;
+            }
+        }
+    }
+}
+
+/// The message of the [`code::UNAVAILABLE`] refusal.
+fn unavailable(error: &io::Error) -> String {
+    format!("durability failure: {error}")
+}
+
+/// Builds the [`code::BAD_QUERY`] error reply.
+pub(crate) fn bad_query(message: String) -> Frame {
+    Frame::Error {
+        code: code::BAD_QUERY,
+        message,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A backend that counts nothing and may refuse to open.
+    struct Mock {
+        registry: Registry,
+        shutdown: AtomicBool,
+        opens: bool,
+    }
+
+    impl Backend for Mock {
+        const TIER: &'static str = "mock";
+        type Conn = ();
+
+        fn registry(&self) -> &Registry {
+            &self.registry
+        }
+
+        fn shutdown(&self) -> &AtomicBool {
+            &self.shutdown
+        }
+
+        fn open(self: &Arc<Self>) -> io::Result<()> {
+            if self.opens {
+                Ok(())
+            } else {
+                Err(io::Error::other("out of threads"))
+            }
+        }
+
+        fn ingest(
+            &self,
+            (): &mut (),
+            _: &IngestView<'_>,
+            _: &[u8],
+            _: &mut IngestScratch,
+        ) -> io::Result<()> {
+            Err(io::Error::other("disk full"))
+        }
+
+        fn sync(&self, (): &mut ()) -> io::Result<Frame> {
+            Ok(Frame::IngestAck {
+                accepted: 7,
+                dropped: 0,
+                rejected: 0,
+            })
+        }
+
+        fn query(
+            &self,
+            (): &mut (),
+            _: Range<u64>,
+            answer: impl FnOnce(QuerySource<'_>) -> Frame,
+        ) -> Frame {
+            answer(QuerySource {
+                table: &SlotTable::default(),
+                total_reports: 0,
+                user_count: 0,
+                user_mean_sum: 0.0,
+            })
+        }
+
+        fn parts(&self, (): &mut (), _: Range<u64>) -> Frame {
+            Frame::Goodbye
+        }
+
+        fn stats(&self, (): &mut ()) -> Result<StatsBody, Frame> {
+            Ok(StatsBody::default())
+        }
+    }
+
+    fn shared(opens: bool, max_connections: usize) -> Shared<Mock> {
+        let backend = Arc::new(Mock {
+            registry: Registry::new(),
+            shutdown: AtomicBool::new(false),
+            opens,
+        });
+        Shared {
+            front: FrontMetrics::register(&backend.registry, Mock::TIER),
+            backend,
+            max_connections,
+            poll_interval: Duration::from_millis(1),
+        }
+    }
+
+    /// An in-memory peer: serves `input`, collects what the driver writes.
+    struct Script {
+        input: io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+
+    impl Script {
+        fn new(frames: &[Vec<u8>]) -> Self {
+            Self {
+                input: io::Cursor::new(frames.concat()),
+                output: Vec::new(),
+            }
+        }
+
+        /// Every frame the driver wrote, in order.
+        fn replies(&self) -> Vec<Frame> {
+            let mut rest = &self.output[..];
+            let mut frames = Vec::new();
+            while !rest.is_empty() {
+                let (frame, used) =
+                    Frame::decode(rest, DEFAULT_MAX_PAYLOAD).expect("reply decodes");
+                frames.push(frame);
+                rest = &rest[used..];
+            }
+            frames
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.output.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn error_code(frame: &Frame) -> u16 {
+        match frame {
+            Frame::Error { code, .. } => *code,
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+
+    /// The satellite bugfix: a backend that cannot open its per-connection
+    /// state costs the same one counted BUSY refusal as the connection cap.
+    #[test]
+    fn a_backend_that_cannot_open_is_one_counted_busy_refusal() {
+        let shared = shared(false, 4);
+        let mut wire = Vec::new();
+        assert!(shared.admit(&mut wire).is_none());
+
+        let (refusal, used) = Frame::decode(&wire, DEFAULT_MAX_PAYLOAD).expect("refusal decodes");
+        assert_eq!(used, wire.len(), "exactly one frame");
+        assert_eq!(error_code(&refusal), code::BUSY);
+        let front = &shared.front;
+        assert_eq!(front.connections_rejected.get(), 1);
+        assert_eq!(front.bytes_out.get(), wire.len() as u64);
+        assert_eq!(front.connections_active.get(), 0, "never counted active");
+        assert_eq!(front.connections_total.get(), 0);
+    }
+
+    #[test]
+    fn the_cap_refuses_through_the_same_path_and_admission_counts() {
+        let shared = shared(true, 1);
+        assert!(shared.admit(&mut Vec::new()).is_some());
+        assert_eq!(shared.front.connections_active.get(), 1);
+        assert_eq!(shared.front.connections_total.get(), 1);
+
+        let mut wire = Vec::new();
+        assert!(shared.admit(&mut wire).is_none(), "at the cap");
+        let (refusal, _) = Frame::decode(&wire, DEFAULT_MAX_PAYLOAD).expect("refusal decodes");
+        assert_eq!(error_code(&refusal), code::BUSY);
+        assert_eq!(shared.front.connections_rejected.get(), 1);
+        assert_eq!(shared.front.bytes_out.get(), wire.len() as u64);
+        assert_eq!(shared.front.connections_active.get(), 1);
+        assert_eq!(shared.front.connections_total.get(), 1);
+    }
+
+    /// The production loop over memory: request/response verbs keep the
+    /// connection serving, a framing error closes it after one MALFORMED.
+    #[test]
+    fn the_loop_serves_any_read_write_and_closes_on_a_framing_error() {
+        let shared = shared(true, 4);
+        let mut garbage = Frame::IngestSync.encode();
+        garbage[0] = b'X';
+        let mut peer = Script::new(&[
+            Frame::Ping { nonce: 9 }.encode(),
+            Frame::Pong { nonce: 9 }.encode(), // server-to-client
+            Frame::QueryWindowedMean { start: 3, end: 3 }.encode(),
+            Frame::QuerySlotMeans {
+                start: 0,
+                end: MAX_QUERY_SLOTS + 1,
+            }
+            .encode(),
+            Frame::QueryPopulationMean.encode(),
+            Frame::IngestSync.encode(),
+            garbage,
+            Frame::Ping { nonce: 10 }.encode(), // never read
+        ]);
+        shared.serve(&mut peer, &mut ());
+
+        let replies = peer.replies();
+        assert_eq!(replies[0], Frame::Pong { nonce: 9 });
+        assert_eq!(error_code(&replies[1]), code::UNSUPPORTED);
+        assert_eq!(error_code(&replies[2]), code::BAD_QUERY);
+        assert_eq!(error_code(&replies[3]), code::BAD_QUERY);
+        assert_eq!(replies[4], Frame::PopulationMean { mean: None });
+        assert!(matches!(replies[5], Frame::IngestAck { accepted: 7, .. }));
+        assert_eq!(error_code(&replies[6]), code::MALFORMED);
+        assert_eq!(replies.len(), 7, "closed after the framing error");
+
+        let front = &shared.front;
+        assert_eq!(front.frames_decoded.get(), 6);
+        assert_eq!(front.frames_failed.get(), 1);
+        assert_eq!(front.queries_answered.get(), 3);
+        assert_eq!(front.bytes_out.get(), peer.output.len() as u64);
+        let snapshot = shared.backend.registry.snapshot();
+        assert_eq!(snapshot.counter("mock.frames.by_type.ping"), Some(1));
+        let timed = |name| snapshot.histogram(name).map(|h| h.count());
+        assert_eq!(timed("mock.query.windowed_mean_nanos"), Some(1));
+        assert_eq!(timed("mock.frame.decode_nanos"), Some(6));
+    }
+
+    /// Fail-closed: a backend that cannot take an ingest frame answers
+    /// UNAVAILABLE, counts the failure and closes.
+    #[test]
+    fn a_refused_ingest_answers_unavailable_and_closes() {
+        let shared = shared(true, 4);
+        let mut ingest = Vec::new();
+        Frame::encode_ingest_columns_into(&mut ingest, 0, &[1], &[0], &[0.5]);
+        let mut peer = Script::new(&[ingest, Frame::Ping { nonce: 1 }.encode()]);
+        shared.serve(&mut peer, &mut ());
+
+        let replies = peer.replies();
+        assert_eq!(replies.len(), 1, "closed: the ping is never answered");
+        assert_eq!(error_code(&replies[0]), code::UNAVAILABLE);
+        assert_eq!(shared.front.ingest_frames.get(), 1);
+        assert_eq!(shared.front.frames_failed.get(), 1);
+    }
+
+    #[test]
+    fn a_truncated_frame_counts_as_failed_and_a_clean_eof_does_not() {
+        let shared = shared(true, 4);
+        let full = Frame::QueryWindowedMean { start: 0, end: 4 }.encode();
+        let mut peer = Script::new(&[full[..full.len() - 3].to_vec()]);
+        shared.serve(&mut peer, &mut ());
+        assert_eq!(shared.front.frames_failed.get(), 1);
+        assert!(peer.output.is_empty(), "nobody left to answer");
+
+        shared.serve(&mut Script::new(&[]), &mut ());
+        assert_eq!(shared.front.frames_failed.get(), 1);
+    }
+
+    #[test]
+    fn read_reply_maps_close_and_corruption_to_the_kinds_callers_retry_on() {
+        let mut buf = Vec::new();
+        let never = || false;
+        let closed = read_reply(&mut io::Cursor::new(Vec::new()), &mut buf, never).unwrap_err();
+        assert_eq!(closed.kind(), ErrorKind::UnexpectedEof);
+
+        let mut corrupt = Frame::Pong { nonce: 3 }.encode();
+        *corrupt.last_mut().unwrap() ^= 0xFF;
+        let bad = read_reply(&mut io::Cursor::new(corrupt), &mut buf, never).unwrap_err();
+        assert_eq!(bad.kind(), ErrorKind::InvalidData);
+
+        let mut oversized = Frame::IngestSync.encode();
+        oversized[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let huge = read_reply(&mut io::Cursor::new(oversized), &mut buf, never).unwrap_err();
+        assert_eq!(huge.kind(), ErrorKind::InvalidData);
+        assert!(buf.len() < 64, "refused before any allocation");
+
+        let good = Frame::Pong { nonce: 3 }.encode();
+        let frame = read_reply(&mut io::Cursor::new(good), &mut buf, never).unwrap();
+        assert_eq!(frame, Frame::Pong { nonce: 3 });
+    }
+}

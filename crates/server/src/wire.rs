@@ -42,7 +42,7 @@
 //!   of [`FrameView`], so the two decode paths cannot drift.
 //!
 //! The codec is pure (`&[u8]` ↔ [`Frame`]/[`FrameView`]) and std-only;
-//! framed I/O on sockets lives in [`crate::serve`] and [`crate::client`].
+//! framed I/O on sockets lives in [`crate::transport`].
 
 use ldp_collector::{ReportBatch, ReportColumns, SlotStats, SnapshotPart};
 use ldp_telemetry::{
@@ -77,6 +77,10 @@ pub const HEADER_LEN: usize = 16;
 /// ingest frame of ~700k reports; far above anything the fleet sends,
 /// far below an allocation a hostile length field could weaponize).
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 24;
+/// Hard bound on the slot count one [`Frame::QuerySlotMeans`] or (after
+/// clipping to the retained range) [`Frame::QueryParts`] may ask a tier
+/// for — bounds the response allocation.
+pub const MAX_QUERY_SLOTS: u64 = 1 << 16;
 
 /// Error codes carried by [`Frame::Error`].
 pub mod code {
@@ -173,33 +177,10 @@ impl From<WireError> for std::io::Error {
 /// `Result` alias for codec operations.
 pub type WireResult<T> = Result<T, WireError>;
 
-/// Fast payload checksum: a multiply–xor word hash folded to 32 bits.
-///
-/// Not cryptographic — it exists to catch corruption, truncation, and
-/// desynchronized framing, and to do so at a few cycles per 8 bytes so
-/// the 20M-reports/s loopback path is not checksum-bound (a table-driven
-/// CRC-32 costs ~1 byte/cycle; this runs roughly an order of magnitude
-/// faster with comparable accidental-error detection for our frame
-/// sizes).
-#[must_use]
-pub fn checksum(bytes: &[u8]) -> u32 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h: u64 = 0x243F_6A88_85A3_08D3 ^ (bytes.len() as u64).wrapping_mul(K);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let v = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
-        h = (h ^ v).wrapping_mul(K);
-        h ^= h >> 29;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(buf)).wrapping_mul(K);
-        h ^= h >> 29;
-    }
-    (h ^ (h >> 32)) as u32
-}
+/// The payload checksum — [`ldp_wal::record::checksum`], re-exported: the
+/// write-ahead log stores wire ingest payloads verbatim, so the two
+/// formats share one definition (and `ldp-wal` stays dependency-free).
+pub use ldp_wal::record::checksum;
 
 /// A parsed frame header (magic/version/reserved already validated).
 #[derive(Debug, Clone, Copy)]
@@ -248,6 +229,17 @@ impl Header {
             return Err(WireError::BadChecksum);
         }
         Ok(())
+    }
+
+    /// [`Self::verify`], then the borrowed decode of `payload` as this
+    /// header's frame type — the second half of every framed read.
+    ///
+    /// # Errors
+    /// [`WireError::BadChecksum`], or whatever
+    /// [`FrameView::decode_body`] raises.
+    pub fn decode<'a>(&self, payload: &'a [u8]) -> WireResult<FrameView<'a>> {
+        self.verify(payload)?;
+        FrameView::decode_body(self.frame_type, payload)
     }
 }
 
@@ -1496,9 +1488,7 @@ impl Frame {
         if bytes.len() < total {
             return Err(WireError::Truncated);
         }
-        let payload = &bytes[HEADER_LEN..total];
-        header.verify(payload)?;
-        let frame = Frame::decode_body(header.frame_type, payload)?;
+        let frame = header.decode(&bytes[HEADER_LEN..total])?.into_owned();
         Ok((frame, total))
     }
 }

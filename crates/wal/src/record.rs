@@ -90,9 +90,16 @@ impl fmt::Display for ScanStop {
     }
 }
 
-/// Same multiply-xor checksum as the wire codec (`ldp-server::wire`),
-/// reimplemented locally so this crate stays dependency-free. Not
-/// cryptographic; it exists to catch torn writes and bit rot.
+/// Fast checksum: a multiply–xor word hash folded to 32 bits. The one
+/// definition behind both WAL records and the wire codec's frame
+/// payloads (`ldp_server::wire::checksum` re-exports it).
+///
+/// Not cryptographic — it exists to catch torn writes, bit rot,
+/// truncation, and desynchronized framing, and to do so at a few cycles
+/// per 8 bytes so the 20M-reports/s loopback path is not checksum-bound (a
+/// table-driven CRC-32 costs ~1 byte/cycle; this runs roughly an order of
+/// magnitude faster with comparable accidental-error detection for our
+/// frame sizes).
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u32 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;

@@ -11,18 +11,26 @@
 //! The counter is thread-local, so the other tests in this binary (and
 //! any helper threads) cannot perturb the measurement.
 //!
+//! What runs is the **production per-connection loop** — the transport
+//! driver's framed read → `bytes.in` → decode timer → verify → borrowed
+//! decode → frame counters → backend ingest, reply write included —
+//! driven over an in-memory `Read + Write` ([`Server::serve_stream`]), not
+//! a replica of it: the scripted peer serves warm-up frames, then the
+//! measured frames, and samples the allocator at the boundary and at EOF.
+//!
 //! Telemetry rides along deliberately: the collector's ingest metrics
 //! (fold-latency histogram, disposition counters) record inside
-//! `ingest_outcome`, and `run_frame` additionally performs the server's
-//! per-frame recording (decode timer, frame/byte counters) — so a pass
-//! here proves the telemetry subsystem keeps the steady state
-//! allocation-free *while enabled and recording*.
+//! `ingest_outcome`, and the loop performs the server's per-frame
+//! recording (decode timer, frame/byte counters) — so a pass here proves
+//! the telemetry subsystem keeps the steady state allocation-free *while
+//! enabled and recording*.
 
 use ldp_collector::{Collector, CollectorConfig, ReportBatch};
-use ldp_server::wire::{Frame, FrameView, Header, IngestScratch, HEADER_LEN};
-use ldp_telemetry::{Counter, Histogram};
+use ldp_server::wire::{Frame, IngestScratch, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
+use ldp_server::{Server, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Counts allocation events (alloc / alloc_zeroed / realloc) on the
@@ -92,98 +100,141 @@ fn steady_batch(reports: usize, users: u64, slots: u64, salt: u64) -> ReportBatc
     batch
 }
 
-/// The server's per-frame telemetry handles (same names serve.rs
-/// registers), recorded by [`run_frame`] the way a connection thread
-/// records them.
-struct WireTelemetry {
-    frames_decoded: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    decode_nanos: Arc<Histogram>,
+/// The in-memory peer of one scripted connection: serves `bytes` to the
+/// production loop, sampling this thread's allocation counter when the
+/// loop comes back for the first measured byte (everything before
+/// `boundary` is warm-up, fully processed by then) and when it reads EOF.
+struct ScriptedPeer {
+    bytes: Vec<u8>,
+    pos: usize,
+    boundary: usize,
+    at_boundary: Option<u64>,
+    at_eof: Option<u64>,
+    /// What the loop wrote back; pre-sized, so collecting it allocates
+    /// nothing on the measured thread.
+    written: Vec<u8>,
 }
 
-impl WireTelemetry {
-    fn register(collector: &Collector) -> Self {
-        let registry = collector.telemetry();
-        Self {
-            frames_decoded: registry.counter("server.frames.decoded"),
-            bytes_in: registry.counter("server.bytes.in"),
-            decode_nanos: registry.histogram("server.frame.decode_nanos"),
+impl Read for ScriptedPeer {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.boundary {
+            self.at_boundary.get_or_insert_with(allocation_events);
         }
+        if self.pos == self.bytes.len() {
+            self.at_eof.get_or_insert_with(allocation_events);
+        }
+        let n = buf.len().min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
 
-/// One full frame trip: encode into `frame_buf`, then decode borrowed and
-/// fold into `collector` through `scratch` — exactly the per-frame work a
-/// server connection thread performs after its read buffers are filled,
-/// including the telemetry recording (byte/frame counters around a
-/// decode-latency timer; the fold timer records inside `ingest_outcome`).
-fn run_frame(
+impl Write for ScriptedPeer {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        assert!(
+            self.written.len() + buf.len() <= self.written.capacity(),
+            "reply buffer was sized for the script"
+        );
+        self.written.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What one scripted connection observed.
+struct Driven {
+    /// Allocation events on this thread across the measured span.
+    allocations: u64,
+    /// Every frame the loop wrote back, warm-up included.
+    replies: Vec<Frame>,
+}
+
+/// Serves one connection over memory with the production loop: `warmup`
+/// copies of `batch` as ingest frames, then `measured` more — each span
+/// closed by an `IngestSync` when `sync` is set, so the reply path (and
+/// its reused `out` buffer) is warmed and measured too.
+fn drive(
+    server: &Server,
     batch: &ReportBatch,
-    frame_buf: &mut Vec<u8>,
-    scratch: &mut IngestScratch,
-    collector: &Collector,
-    telemetry: &WireTelemetry,
-) -> u64 {
-    frame_buf.clear();
-    Frame::encode_ingest_into(batch, frame_buf);
-    let header = Header::parse(frame_buf[..HEADER_LEN].try_into().expect("header")).expect("parse");
-    let payload = &frame_buf[HEADER_LEN..];
-    telemetry.bytes_in.add(frame_buf.len() as u64);
-    let decode_timer = telemetry.decode_nanos.timer();
-    header.verify(payload).expect("checksum");
-    let view = match FrameView::decode_body(header.frame_type, payload).expect("decode") {
-        FrameView::Ingest(view) => view,
-        other => panic!("expected ingest view, got {other:?}"),
+    warmup: usize,
+    measured: usize,
+    sync: bool,
+) -> Driven {
+    let mut frame = Vec::new();
+    Frame::encode_ingest_into(batch, &mut frame);
+    let barrier = if sync {
+        Frame::IngestSync.encode()
+    } else {
+        Vec::new()
     };
-    drop(decode_timer);
-    telemetry.frames_decoded.inc();
-    collector.note_upstream_rejections(view.rejected_upstream());
-    let columns = view.columns(scratch);
-    collector.ingest_outcome(&columns).accepted
+    let mut bytes = Vec::new();
+    for span in [warmup, measured] {
+        for _ in 0..span {
+            bytes.extend_from_slice(&frame);
+        }
+        bytes.extend_from_slice(&barrier);
+    }
+    let mut peer = ScriptedPeer {
+        boundary: warmup * frame.len() + barrier.len(),
+        bytes,
+        pos: 0,
+        at_boundary: None,
+        at_eof: None,
+        written: Vec::with_capacity(256),
+    };
+    server
+        .serve_stream(&mut peer)
+        .expect("a local backend always opens");
+
+    let mut replies = Vec::new();
+    let mut rest = &peer.written[..];
+    while !rest.is_empty() {
+        let (reply, used) = Frame::decode(rest, DEFAULT_MAX_PAYLOAD).expect("reply decodes");
+        replies.push(reply);
+        rest = &rest[used..];
+    }
+    Driven {
+        allocations: peer.at_eof.expect("read to EOF") - peer.at_boundary.expect("measured span"),
+        replies,
+    }
+}
+
+fn serving(config: CollectorConfig) -> (Arc<Collector>, Server) {
+    let collector = Arc::new(Collector::new(config));
+    let server = Server::bind(Arc::clone(&collector), ServerConfig::default()).expect("bind");
+    (collector, server)
 }
 
 #[test]
 fn steady_state_ingest_path_performs_zero_allocations() {
     // Multi-shard so the thread-local routing scratch is exercised too
     // (a single-shard collector skips it entirely).
-    let collector = Collector::new(CollectorConfig {
+    let (collector, server) = serving(CollectorConfig {
         shards: 4,
         ..CollectorConfig::default()
     });
     let batch = steady_batch(4096, 512, 64, 7);
-    let mut frame_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let telemetry = WireTelemetry::register(&collector);
 
-    // Warmup: grows the frame buffer, the decode scratch, the routing
+    // Warmup grows the payload buffer, the decode scratch, the routing
     // scratch, each shard's slot window, and every user-table entry.
-    for _ in 0..8 {
-        assert_eq!(
-            run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry),
-            batch.len() as u64
-        );
-    }
-
-    let before = allocation_events();
-    let mut accepted = 0u64;
-    for _ in 0..32 {
-        accepted += run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    let after = allocation_events();
-
-    assert_eq!(accepted, 32 * batch.len() as u64, "every report folded");
+    let driven = drive(&server, &batch, 8, 32, false);
     assert_eq!(
-        after - before,
-        0,
-        "steady-state decode → route → fold — telemetry included — \
+        driven.allocations, 0,
+        "steady-state read → decode → route → fold — telemetry included — \
          must not touch the heap"
     );
+    assert!(driven.replies.is_empty(), "ingest is fire-and-forget");
 
     // The registry observed every frame (recording worked, it wasn't
     // no-op'd away): one fold + one decode sample and one frame count per
-    // trip, and the accepted counter is the collector's own ledger.
+    // frame, and the accepted counter is the collector's own ledger.
     let snap = collector.telemetry().snapshot();
     assert_eq!(snap.counter("server.frames.decoded"), Some(40));
+    assert_eq!(snap.counter("server.ingest.frames"), Some(40));
     assert_eq!(
         snap.histogram("collector.ingest.fold_nanos")
             .unwrap()
@@ -196,8 +247,44 @@ fn steady_state_ingest_path_performs_zero_allocations() {
     );
     assert_eq!(
         snap.counter("collector.reports.accepted"),
-        Some(40 * batch.len() as u64)
+        Some(40 * batch.len() as u64),
+        "every report folded"
     );
+}
+
+#[test]
+fn an_unwarmed_connection_is_seen_allocating() {
+    // The instrument is live: with no warm-up span the measured one
+    // contains the connection's buffer growth, and the peer's boundary
+    // sample sees it.
+    let (_, server) = serving(CollectorConfig::default());
+    let batch = steady_batch(1024, 64, 8, 3);
+    assert!(drive(&server, &batch, 0, 2, true).allocations > 0);
+}
+
+#[test]
+fn a_trailing_sync_reply_allocates_nothing_either() {
+    // The ack is encoded into the connection's reused `out` buffer, which
+    // the warm-up span's own sync has already grown.
+    let (collector, server) = serving(CollectorConfig {
+        shards: 4,
+        ..CollectorConfig::default()
+    });
+    let batch = steady_batch(4096, 512, 64, 9);
+    let driven = drive(&server, &batch, 8, 32, true);
+    assert_eq!(driven.allocations, 0, "ingest + sync + ack write");
+
+    let rows = batch.len() as u64;
+    let acked = |accepted| Frame::IngestAck {
+        accepted,
+        dropped: 0,
+        rejected: 0,
+    };
+    assert_eq!(driven.replies, [acked(8 * rows), acked(40 * rows)]);
+    assert_eq!(collector.total_reports(), 40 * rows);
+    let snap = collector.telemetry().snapshot();
+    assert_eq!(snap.counter("server.frames.decoded"), Some(42));
+    assert_eq!(snap.counter("server.frames.by_type.ingest_sync"), Some(2));
 }
 
 #[test]
@@ -209,44 +296,36 @@ fn parallel_fold_steady_state_performs_zero_allocations() {
     // is park/unpark — none of which may touch the heap. (The counter is
     // thread-local, so worker threads could not hide an allocation of
     // ours; the submitter path is what this pins.)
-    let collector = Collector::new(CollectorConfig {
+    let (collector, server) = serving(CollectorConfig {
         shards: 4,
         ingest_workers: 2,
         parallel_fold_min: 1024,
         ..CollectorConfig::default()
     });
     let batch = steady_batch(8192, 512, 64, 11);
-    let mut frame_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let telemetry = WireTelemetry::register(&collector);
 
     // Warmup additionally spawns the pool (lazily, on the first
     // qualifying batch) and lets every worker reach its steady loop.
-    for _ in 0..8 {
-        assert_eq!(
-            run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry),
-            batch.len() as u64
-        );
-    }
-
-    let before = allocation_events();
-    let mut accepted = 0u64;
-    for _ in 0..32 {
-        accepted += run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    let after = allocation_events();
-
-    assert_eq!(accepted, 32 * batch.len() as u64, "every report folded");
+    let driven = drive(&server, &batch, 8, 32, false);
     assert_eq!(
-        after - before,
-        0,
+        driven.allocations, 0,
         "parallel dispatch — enqueue, participate, park/unpark — must not \
          touch the heap"
+    );
+    assert_eq!(
+        collector.total_reports(),
+        40 * batch.len() as u64,
+        "every report folded"
     );
 
     // Prove the parallel path actually ran for all 40 frames: 4 runs per
     // frame through the injector, one parallel-fold sample each.
     let snap = collector.telemetry().snapshot();
+    assert_eq!(snap.counter("server.frames.decoded"), Some(40));
+    assert_eq!(
+        snap.histogram("server.frame.decode_nanos").unwrap().count(),
+        40
+    );
     assert_eq!(snap.counter("collector.pool.runs"), Some(160));
     assert_eq!(
         snap.histogram("collector.ingest.fold_parallel_nanos")
@@ -331,22 +410,13 @@ fn laned_fleet_worker_allocates_nothing_per_user() {
 
 #[test]
 fn single_shard_fast_path_is_also_allocation_free() {
-    let collector = Collector::new(CollectorConfig {
+    let (collector, server) = serving(CollectorConfig {
         shards: 1,
         ..CollectorConfig::default()
     });
     let batch = steady_batch(2048, 256, 32, 21);
-    let mut frame_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let telemetry = WireTelemetry::register(&collector);
-    for _ in 0..8 {
-        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    let before = allocation_events();
-    for _ in 0..32 {
-        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    assert_eq!(allocation_events() - before, 0);
+    assert_eq!(drive(&server, &batch, 8, 32, false).allocations, 0);
+    assert_eq!(collector.total_reports(), 40 * batch.len() as u64);
 }
 
 #[test]
@@ -355,7 +425,7 @@ fn single_destination_batches_allocate_nothing_either() {
     // finds the batch uniform and folds it straight off its decisions —
     // the fourth caller of the fold kernel, whose block scratch (row
     // indices and probe results) lives on the stack like the others'.
-    let collector = Collector::new(CollectorConfig {
+    let (collector, server) = serving(CollectorConfig {
         shards: 4,
         ..CollectorConfig::default()
     });
@@ -367,17 +437,7 @@ fn single_destination_batches_allocate_nothing_either() {
     for i in 0..2048usize {
         batch.push(neighbours[(i * 7) % 48], i as u64 % 16, 0.25);
     }
-    let mut frame_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let telemetry = WireTelemetry::register(&collector);
-    for _ in 0..8 {
-        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    let before = allocation_events();
-    for _ in 0..32 {
-        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    assert_eq!(allocation_events() - before, 0);
+    assert_eq!(drive(&server, &batch, 8, 32, false).allocations, 0);
     assert_eq!(
         (1..4).map(|s| collector.shard_epoch(s)).sum::<u64>(),
         0,
@@ -390,7 +450,7 @@ fn screening_on_the_routing_pass_allocates_nothing_either() {
     // Dropped (slot out of bounds) and rejected (non-finite) reports take
     // the screening branches of the routing pass; those must be as
     // allocation-free as the accept branch.
-    let collector = Collector::new(CollectorConfig {
+    let (collector, server) = serving(CollectorConfig {
         shards: 2,
         max_slots: 16,
         ..CollectorConfig::default()
@@ -404,17 +464,7 @@ fn screening_on_the_routing_pass_allocates_nothing_either() {
         values.push(if i % 5 == 0 { f64::NAN } else { 0.25 });
     }
     let batch = ReportBatch::from_columns(users, slots, values);
-    let mut frame_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    let telemetry = WireTelemetry::register(&collector);
-    for _ in 0..8 {
-        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    let before = allocation_events();
-    for _ in 0..16 {
-        run_frame(&batch, &mut frame_buf, &mut scratch, &collector, &telemetry);
-    }
-    assert_eq!(allocation_events() - before, 0);
+    assert_eq!(drive(&server, &batch, 8, 16, false).allocations, 0);
     assert!(
         collector.dropped_reports() > 0,
         "screening branch exercised"

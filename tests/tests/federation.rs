@@ -11,7 +11,6 @@
 
 use ldp_collector::ReportBatch;
 use ldp_router::{downstream_of, Router, RouterConfig};
-use ldp_server::wire::code;
 use ldp_server::RemoteCollector;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -488,31 +487,6 @@ fn routing_respects_the_published_hash() {
         direct.summary().expect("summary").user_count,
         picked.len() as u64
     );
-}
-
-/// A garbage front frame is refused with a MALFORMED error, exactly like
-/// the server's edge.
-#[test]
-fn router_front_rejects_garbage() {
-    let downstreams = spawn_servers(1, &[]);
-    let router =
-        Router::bind(vec![downstreams[0].addr], RouterConfig::default()).expect("bind router");
-
-    use std::io::{Read, Write};
-    let mut raw = std::net::TcpStream::connect(router.local_addr()).expect("connect raw");
-    // Exactly one header's worth: leftover unread bytes at the router
-    // would turn its close into a TCP reset that discards the reply.
-    raw.write_all(b"not an LDPW head").expect("write");
-    raw.shutdown(std::net::Shutdown::Write)
-        .expect("shutdown write half");
-    let mut reply = Vec::new();
-    raw.read_to_end(&mut reply)
-        .expect("router answers then closes");
-    let (frame, _) = ldp_server::Frame::decode(&reply, 1 << 20).expect("error frame decodes");
-    match frame {
-        ldp_server::Frame::Error { code: c, .. } => assert_eq!(c, code::MALFORMED),
-        other => panic!("expected error frame, got {other:?}"),
-    }
 }
 
 /// Polls `cond` for a few seconds; panics with `what` on timeout.

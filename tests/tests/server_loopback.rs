@@ -7,16 +7,20 @@
 //! 2. **Robustness** — malformed frames (garbage, truncation, bad
 //!    checksum, wrong version, hostile lengths) are rejected without
 //!    panicking, and only the offending connection is closed: other
-//!    connections keep ingesting and querying.
+//!    connections keep ingesting and querying. This *transport contract*
+//!    is written once and run against both tiers — a `Server`, and a
+//!    `Router` over a `Server`.
 //! 3. **Accounting** — the server's stats frame reports exactly what the
 //!    collector and the connection ledgers saw.
 
 use ldp_collector::{ClientFleet, Collector, CollectorConfig, FleetConfig, ReportBatch};
 use ldp_core::online::{PipelineSpec, SessionKind};
+use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::{checksum, code, Frame, HEADER_LEN, MAGIC, WIRE_VERSION};
-use ldp_server::{drive_fleet_loopback, RemoteCollector, Server, ServerConfig};
+use ldp_server::{drive_fleet_loopback, read_reply, RemoteCollector, Server, ServerConfig};
+use ldp_telemetry::TelemetrySnapshot;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 fn server(shards: usize) -> Server {
@@ -156,12 +160,71 @@ fn ingest_sync_ledger_accounts_for_drops_and_rejects() {
         .all(|s| s.sum.is_finite()));
 }
 
+// ---------------------------------------------------------------------
+// The transport contract: written once, run against both tiers. A
+// `Server` and a `Router` are the same connection driver over different
+// backends, so everything a front socket promises — framing errors close
+// only their own connection, bad queries do not, the cap refuses with
+// BUSY, the books count all of it — must hold at either.
+// ---------------------------------------------------------------------
+
+/// A front socket under test: a plain `Server`, or a `Router` over one
+/// in-process `Server` (the topology `benchmark/src/topology.rs` builds).
+enum Front {
+    Server(Server),
+    Router { router: Router, _downstream: Server },
+}
+
+impl Front {
+    fn server(max_connections: usize) -> Self {
+        let collector = Arc::new(Collector::new(CollectorConfig::default()));
+        let config = ServerConfig {
+            max_connections,
+            ..ServerConfig::default()
+        };
+        Front::Server(Server::bind(collector, config).expect("bind server"))
+    }
+
+    fn router(max_connections: usize) -> Self {
+        let downstream = server(2);
+        let config = RouterConfig {
+            max_connections,
+            ..RouterConfig::default()
+        };
+        let router = Router::bind(vec![downstream.local_addr()], config).expect("bind router");
+        Front::Router {
+            router,
+            _downstream: downstream,
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Front::Server(server) => server.local_addr(),
+            Front::Router { router, .. } => router.local_addr(),
+        }
+    }
+
+    /// The tier's own registry, and the prefix its front books carry.
+    fn metrics(&self) -> (&'static str, TelemetrySnapshot) {
+        match self {
+            Front::Server(server) => ("server", server.metrics()),
+            Front::Router { router, .. } => ("router", router.metrics()),
+        }
+    }
+
+    fn shutdown(&mut self) {
+        match self {
+            Front::Server(server) => server.shutdown(),
+            Front::Router { router, .. } => router.shutdown(),
+        }
+    }
+}
+
 /// Malformed input closes only the offending connection; a healthy
-/// connection opened before keeps working, and the server never panics.
-#[test]
-fn malformed_frames_reject_without_killing_other_connections() {
-    let srv = server(2);
-    let addr = srv.local_addr();
+/// connection opened before keeps working, and the tier never panics.
+fn malformed_frames_contract(front: &Front) {
+    let addr = front.addr();
     let mut healthy = RemoteCollector::connect(addr).unwrap();
     healthy
         .ingest(&ReportBatch::from_stream(1, 0, &[0.5, 0.75]))
@@ -171,15 +234,12 @@ fn malformed_frames_reject_without_killing_other_connections() {
     let expect_error_then_close = |raw: &[u8], what: &str| {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(raw).unwrap();
-        // The server answers with an error frame, then closes.
+        // The front answers with an error frame, then closes.
         let mut reply = Vec::new();
         stream.read_to_end(&mut reply).unwrap();
         let (frame, _) = Frame::decode(&reply, ldp_server::wire::DEFAULT_MAX_PAYLOAD)
             .unwrap_or_else(|e| {
-                panic!(
-                    "{what}: server reply not a frame ({e}); got {} bytes",
-                    reply.len()
-                )
+                panic!("{what}: reply not a frame ({e}); got {} bytes", reply.len())
             });
         match frame {
             Frame::Error { code: c, .. } => assert_eq!(c, code::MALFORMED, "{what}"),
@@ -231,7 +291,7 @@ fn malformed_frames_reject_without_killing_other_connections() {
     assert_eq!(healthy.sync().unwrap().accepted, 4);
     assert!(healthy.population_mean().unwrap().is_some());
     // The truncated-EOF connection races the accept loop: poll until the
-    // server has processed (and counted) all six malformed streams.
+    // front has processed (and counted) all six malformed streams.
     let mut stats = healthy.server_stats().unwrap();
     for _ in 0..200 {
         if stats.frames_failed >= 6 {
@@ -244,14 +304,34 @@ fn malformed_frames_reject_without_killing_other_connections() {
         stats.frames_failed >= 6,
         "each malformed stream counted: {stats:?}"
     );
-    assert_eq!(srv.collector().total_reports(), 4);
+    assert_eq!(stats.accepted_reports, 4, "nothing malformed was folded");
+    assert_eq!(healthy.summary().unwrap().total_reports, 4);
+
+    // The per-type books are the same driver's at either tier: both
+    // ingest frames arrived on the healthy connection.
+    let (tier, metrics) = front.metrics();
+    let counter = |name: &str| metrics.counter(&format!("{tier}.{name}"));
+    assert_eq!(counter("ingest.frames"), Some(2));
+    assert_eq!(counter("frames.by_type.ingest"), counter("ingest.frames"));
+    assert_eq!(counter("frames.failed"), Some(stats.frames_failed));
 }
 
-/// Query-level errors (bad arguments) keep the connection open.
 #[test]
-fn bad_queries_error_but_do_not_close_the_connection() {
-    let srv = server(1);
-    let mut client = RemoteCollector::connect(srv.local_addr()).unwrap();
+fn malformed_frames_reject_without_killing_other_connections() {
+    malformed_frames_contract(&Front::server(64));
+}
+
+/// The same contract at a federation front (this subsumes the one
+/// garbage-frame case `federation.rs` used to carry).
+#[test]
+fn router_front_rejects_malformed_frames_without_killing_other_connections() {
+    malformed_frames_contract(&Front::router(64));
+}
+
+/// Query-level errors (bad arguments, a frame flowing the wrong way) keep
+/// the connection open.
+fn bad_queries_contract(front: &Front) {
+    let mut client = RemoteCollector::connect(front.addr()).unwrap();
     client
         .ingest(&ReportBatch::from_stream(1, 0, &[0.5]))
         .unwrap();
@@ -270,27 +350,39 @@ fn bad_queries_error_but_do_not_close_the_connection() {
     // The same connection keeps answering well-formed queries.
     assert!(client.windowed_mean(0..1).unwrap().is_some());
     assert_eq!(client.summary().unwrap().total_reports, 1);
+
+    // A server-to-client frame parses, so the stream is still in sync: it
+    // is answered UNSUPPORTED and the connection keeps serving.
+    let mut raw = TcpStream::connect(front.addr()).unwrap();
+    let mut buf = Vec::new();
+    raw.write_all(&Frame::Pong { nonce: 1 }.encode()).unwrap();
+    match read_reply(&mut raw, &mut buf, || false).unwrap() {
+        Frame::Error { code: c, .. } => assert_eq!(c, code::UNSUPPORTED),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    raw.write_all(&Frame::Ping { nonce: 2 }.encode()).unwrap();
+    let pong = read_reply(&mut raw, &mut buf, || false).unwrap();
+    assert_eq!(pong, Frame::Pong { nonce: 2 });
+
+    // None of that was a framing failure.
+    assert_eq!(client.server_stats().unwrap().frames_failed, 0);
+}
+
+#[test]
+fn bad_queries_error_but_do_not_close_the_connection() {
+    bad_queries_contract(&Front::server(64));
+}
+
+#[test]
+fn router_front_bad_queries_error_but_do_not_close_the_connection() {
+    bad_queries_contract(&Front::router(64));
 }
 
 /// The connection limit turns extra clients away with a BUSY error frame
 /// while existing connections keep working, and graceful shutdown joins
 /// everything.
-#[test]
-fn connection_limit_and_graceful_shutdown() {
-    let collector = Arc::new(Collector::new(CollectorConfig {
-        shards: 1,
-        ..CollectorConfig::default()
-    }));
-    let mut srv = Server::bind(
-        collector,
-        ServerConfig {
-            max_connections: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = srv.local_addr();
-
+fn connection_limit_contract(mut front: Front) {
+    let addr = front.addr();
     let mut first = RemoteCollector::connect(addr).unwrap();
     first
         .ingest(&ReportBatch::from_stream(1, 0, &[0.5]))
@@ -316,11 +408,30 @@ fn connection_limit_and_graceful_shutdown() {
         }
     }
     assert!(refused, "over-limit connection was never refused with BUSY");
-    assert!(srv.stats().rejected_connections >= 1);
 
-    // The first connection is untouched by the refusals.
+    // The first connection is untouched by the refusals, and reads them
+    // back through QueryStats.
     assert!(first.population_mean().unwrap().is_some());
+    let stats = first.server_stats().unwrap();
+    assert!(stats.rejected_connections >= 1, "{stats:?}");
+    assert_eq!(stats.active_connections, 1);
+    if let Front::Server(server) = &front {
+        assert_eq!(
+            server.stats().rejected_connections,
+            stats.rejected_connections
+        );
+    }
 
-    srv.shutdown(); // idempotent, joins accept/refresher/conn threads
-    srv.shutdown();
+    front.shutdown(); // idempotent, joins accept/helper/conn threads
+    front.shutdown();
+}
+
+#[test]
+fn connection_limit_and_graceful_shutdown() {
+    connection_limit_contract(Front::server(1));
+}
+
+#[test]
+fn router_front_connection_limit_and_graceful_shutdown() {
+    connection_limit_contract(Front::router(1));
 }

@@ -1,0 +1,72 @@
+#!/usr/bin/env bash
+# One-transport lint: the socket tier exists once. The connection driver
+# in crates/server/src/transport.rs owns the listening socket and the
+# framed read; the server and the router are backends behind it, and the
+# client and the router's downstream links read replies through its
+# `read_reply` (`read_frame` + verify + owned decode). A second accept
+# loop, a second socket-side header parse, or a second checksum body is
+# how the two tiers drifted apart before, so this script fails CI on any
+# of them:
+#
+#   * `TcpListener::bind(`  only in crates/server/src/transport.rs
+#   * `Header::parse(`      only there, plus wire.rs's pure slice decoder
+#                           (`Frame::decode`, which reads no socket)
+#   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
+#                           `ldp_server::wire::checksum` re-exports it)
+#
+# Only non-test library code is scanned: every `*.rs` under a `src/` of
+# `crates/`, up to its first `#[cfg(test)]`. Integration tests, benches
+# and `benchmark/` build fake peers and measure codec stages on purpose.
+#
+# Usage: tools/lint_one_transport.sh  (from anywhere; exits non-zero on
+# violations and prints each offending line).
+
+set -u
+
+repo_root="$(cd -- "$(dirname -- "$0")/.." && pwd)"
+cd "$repo_root" || exit 1
+
+transport='crates/server/src/transport.rs'
+wire='crates/server/src/wire.rs'
+
+# "<file>:<lineno>:<code>" for every non-test line, trailing `//` comments
+# (and so whole doc/comment lines) blanked.
+non_test_code() {
+    find crates -path '*/src/*' -name '*.rs' -print0 | sort -z |
+        xargs -0 awk '
+            FNR == 1 { in_tests = 0 }
+            /^#\[cfg\(test\)\]/ { in_tests = 1 }
+            !in_tests { line = $0; sub(/\/\/.*/, "", line); print FILENAME ":" FNR ":" line }
+        '
+}
+
+violations=0
+report() { # <rule text> <offending lines>
+    [ -z "$2" ] && return
+    echo "one-transport lint: $1" >&2
+    while IFS= read -r line; do
+        echo "  $line" >&2
+        violations=$((violations + 1))
+    done <<<"$2"
+}
+
+code="$(non_test_code)"
+
+report "TcpListener::bind( outside $transport (bind through ldp_server::Transport):" \
+    "$(grep -F 'TcpListener::bind(' <<<"$code" | grep -v "^$transport:")"
+
+report "Header::parse( outside $transport / $wire (read through ldp_server::read_reply):" \
+    "$(grep -F 'Header::parse(' <<<"$code" | grep -Ev "^($transport|$wire):")"
+
+checksums="$(grep -E '\bfn checksum\b' <<<"$code")"
+if [ "$(grep -c . <<<"$checksums")" -ne 1 ]; then
+    report "fn checksum must be defined exactly once (found $(grep -c . <<<"$checksums")):" \
+        "${checksums:-<none>}"
+fi
+
+if [ "$violations" -gt 0 ]; then
+    echo "one-transport lint: $violations violation(s)." >&2
+    exit 1
+fi
+
+echo "one-transport lint: OK (one listener, one socket-side header parse, one checksum)."
