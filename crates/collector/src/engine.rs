@@ -51,18 +51,6 @@ pub fn default_ingest_workers() -> usize {
     })
 }
 
-/// Default parallel-dispatch threshold: `LDP_INGEST_PARALLEL_MIN` if
-/// set, else [`DEFAULT_PARALLEL_FOLD_MIN`].
-fn default_parallel_fold_min() -> usize {
-    static MIN: OnceLock<usize> = OnceLock::new();
-    *MIN.get_or_init(|| {
-        std::env::var("LDP_INGEST_PARALLEL_MIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_PARALLEL_FOLD_MIN)
-    })
-}
-
 /// Collector tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CollectorConfig {
@@ -96,8 +84,7 @@ pub struct CollectorConfig {
     /// Minimum routed (accepted) report count before a multi-shard
     /// batch's fold pass is dispatched to the pool; smaller batches —
     /// and batches touching a single shard — fold inline. Default:
-    /// [`DEFAULT_PARALLEL_FOLD_MIN`] (`LDP_INGEST_PARALLEL_MIN`
-    /// overrides).
+    /// [`DEFAULT_PARALLEL_FOLD_MIN`].
     pub parallel_fold_min: usize,
 }
 
@@ -113,7 +100,7 @@ impl Default for CollectorConfig {
             max_slots: DEFAULT_MAX_SLOTS,
             retention: SlotRetention::Unbounded,
             ingest_workers: default_ingest_workers(),
-            parallel_fold_min: default_parallel_fold_min(),
+            parallel_fold_min: DEFAULT_PARALLEL_FOLD_MIN,
         }
     }
 }

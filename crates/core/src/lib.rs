@@ -41,7 +41,7 @@
 //! [`ldp_mechanisms::sw_estimate`] reconstructs distributions
 //! downstream). A `(SessionKind, MechanismKind)` pair is a
 //! [`PipelineSpec`]; [`PipelineSpec::grid`] enumerates all cells for the
-//! collector fleet, the experiment grid, and the `pipeline_grid` bench.
+//! collector fleet and the experiment grid.
 //!
 //! Every algorithm spends `ε/w` per time slot (or the sampling equivalent),
 //! so any sliding window of `w` slots is covered by total budget `ε`

@@ -5,7 +5,7 @@ use ldp_core::{
     App, Capp, ClipBounds, DirectMechanismStream, GenericApp, Ipp, PpKind, Sampling,
     StreamMechanism,
 };
-use ldp_mechanisms::{Hybrid, Laplace, Piecewise, SquareWave, StochasticRounding};
+use ldp_mechanisms::{Hybrid, Laplace, Piecewise, StochasticRounding};
 
 /// The non-SW mechanisms of the generalizability study (Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,10 +161,6 @@ impl AlgorithmSpec {
         arms
     }
 }
-
-/// `_ = SquareWave` import is used by doc references only.
-#[allow(dead_code)]
-fn _doc_anchor(_: Option<SquareWave>) {}
 
 #[cfg(test)]
 mod tests {

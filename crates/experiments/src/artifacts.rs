@@ -1,13 +1,13 @@
-//! One module per paper artifact (Table I, Figures 4–11) plus the
-//! collector scalability scenario, each regenerating the corresponding
-//! rows/series through the shared runner.
+//! One function per paper artifact (Table I, Figures 4–11), plus the
+//! system scenarios (collector scale, pipeline grid, query and server
+//! load) and the design-choice ablations, each regenerating its
+//! rows/series from one configuration.
 //!
 //! Every artifact is a pure function of an [`ExperimentConfig`] and
 //! returns a rendered markdown report; [`run`] dispatches by name and
 //! [`names`] lists everything in paper order.
 
 use crate::algorithms::AlgorithmSpec;
-use crate::config::pipeline_mechanisms;
 use crate::config::{epsilon_grid, ExperimentConfig};
 use crate::datasets::{Dataset, DatasetData};
 use crate::report::{render_artifact, Series, SeriesTable};
@@ -16,7 +16,11 @@ use ldp_collector::{
     ClientFleet, Collector, CollectorConfig, FleetConfig, ReseedingSession, SlotRetention,
 };
 use ldp_core::highdim::{publish_multidim, SplitStrategy};
-use ldp_core::{crowd, PipelineSpec, PpKind, SessionKind};
+use ldp_core::{
+    crowd, optimal_sample_count, App, Ipp, PipelineSpec, PpKind, Sampling, SessionKind,
+    StreamMechanism,
+};
+use ldp_mechanisms::MechanismKind;
 use ldp_metrics::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,6 +47,7 @@ pub fn names() -> &'static [&'static str] {
         "pipeline_grid",
         "query_load",
         "server_load",
+        "ablations",
     ]
 }
 
@@ -63,6 +68,7 @@ pub fn run(name: &str, cfg: &ExperimentConfig) -> Option<String> {
         "pipeline_grid" => Some(pipeline_grid(cfg)),
         "query_load" => Some(query_load(cfg)),
         "server_load" => Some(server_load(cfg)),
+        "ablations" => Some(ablations(cfg)),
         _ => None,
     }
 }
@@ -465,15 +471,13 @@ pub fn collector_scale(cfg: &ExperimentConfig) -> String {
 /// a client fleet end-to-end through the collector at fixed `(ε, w)`,
 /// reporting ingest throughput, the gap to the offline batch path (which
 /// must be ≈ 0 for every cell — the agreement the tests pin at 1e-9),
-/// and the distance to ground truth. The mechanism axis is configurable
-/// via `LDP_GRID_MECHS` (see [`pipeline_mechanisms`]).
+/// and the distance to ground truth.
 #[must_use]
 pub fn pipeline_grid(cfg: &ExperimentConfig) -> String {
     let (epsilon, w) = (2.0, W);
     let slots = 60;
     let range = 0..slots;
     let users = cfg.fleet_users.max(1);
-    let mechanisms = pipeline_mechanisms();
     let population = ldp_streams::synthetic::taxi_population(users, slots, cfg.sub_seed(&[13]));
     let truth = crowd::true_windowed_population_mean(&population, range.clone());
     let mut out = format!(
@@ -483,7 +487,7 @@ pub fn pipeline_grid(cfg: &ExperimentConfig) -> String {
          |---|---|---|---|---|\n"
     );
     for session in SessionKind::ALL {
-        for &mechanism in &mechanisms {
+        for mechanism in MechanismKind::ALL {
             let spec = PipelineSpec::new(session, mechanism);
             let collector = Collector::new(CollectorConfig::default());
             let fleet = ClientFleet::new(FleetConfig {
@@ -665,6 +669,98 @@ pub fn server_load(cfg: &ExperimentConfig) -> String {
     out
 }
 
+/// Squared error of the published mean, pointwise MSE and cosine distance
+/// of `algo` on the fixed window `xs`, each averaged over `trials`
+/// independent publications.
+fn ablation_row(algo: &dyn StreamMechanism, xs: &[f64], trials: usize, seed: u64) -> [f64; 3] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let truth_mean = xs.iter().sum::<f64>() / xs.len() as f64;
+    let mut cells = [Summary::new(), Summary::new(), Summary::new()];
+    for _ in 0..trials.max(1) {
+        let out = algo.publish(xs, &mut rng);
+        let mean = out.iter().sum::<f64>() / out.len() as f64;
+        cells[0].add((mean - truth_mean) * (mean - truth_mean));
+        cells[1].add(ldp_metrics::mse(&out, xs));
+        cells[2].add(ldp_metrics::cosine_distance(&out, xs));
+    }
+    cells.map(|cell| cell.mean())
+}
+
+/// Ablations of the three design choices the paper fixes, on 30-slot
+/// windows of the Volume stream:
+///
+/// 1. **Smoothing window** — APP with SMA ∈ {0, 3, 5, 9, 15}: larger
+///    windows keep reducing pointwise noise but blur stream features (the
+///    paper fixes 3).
+/// 2. **Deviation feedback** — none (SW-direct) vs last-only (IPP) vs
+///    accumulated (APP), isolating the dual-utilization idea itself.
+/// 3. **Sample count `n_s`** — APP-S over a sweep of `n_s`, with the row
+///    [`optimal_sample_count`] picks marked.
+#[must_use]
+pub fn ablations(cfg: &ExperimentConfig) -> String {
+    let stream = ldp_streams::synthetic::volume(2_000, cfg.sub_seed(&[16]));
+    let query = &stream.values()[100..130];
+    let mut out = String::from(
+        "## Ablation 1 — SMA window (APP, ε = 1, w = 10)\n\n\
+         | window | mean MSE | pointwise MSE | cosine distance |\n|---|---|---|---|\n",
+    );
+    for window in [0usize, 3, 5, 9, 15] {
+        let app = App::new(1.0, W)
+            .expect("static config")
+            .with_smoothing(window);
+        let seed = cfg.sub_seed(&[16, 1, window as u64]);
+        let [m, p, c] = ablation_row(&app, query, cfg.trials, seed);
+        out.push_str(&format!("| {window} | {m:.4e} | {p:.4e} | {c:.4e} |\n"));
+    }
+
+    out.push_str(
+        "\n## Ablation 2 — deviation feedback (ε = 1, w = 10, no smoothing)\n\n\
+         | feedback | mean MSE | pointwise MSE | cosine distance |\n|---|---|---|---|\n",
+    );
+    let arms: [(&str, Box<dyn StreamMechanism>); 3] = [
+        (
+            "none (SW-direct)",
+            Box::new(ldp_baselines::SwDirect::new(1.0, W).expect("static config")),
+        ),
+        (
+            "last only (IPP)",
+            Box::new(Ipp::new(1.0, W).expect("static config")),
+        ),
+        (
+            "accumulated (APP)",
+            Box::new(App::new(1.0, W).expect("static config").with_smoothing(0)),
+        ),
+    ];
+    for (ai, (label, algo)) in arms.iter().enumerate() {
+        let seed = cfg.sub_seed(&[16, 2, ai as u64]);
+        let [m, p, c] = ablation_row(algo.as_ref(), query, cfg.trials, seed);
+        out.push_str(&format!("| {label} | {m:.4e} | {p:.4e} | {c:.4e} |\n"));
+    }
+
+    let (epsilon, w) = (3.0, 20);
+    let query = &stream.values()[200..230];
+    let q = query.len();
+    out.push_str(&format!(
+        "\n## Ablation 3 — sample count n_s (APP-S, ε = {epsilon}, w = {w}, q = {q})\n\n\
+         | n_s | mean MSE | cosine distance |\n|---|---|---|\n"
+    ));
+    let picked = optimal_sample_count(epsilon, w, q);
+    for ns in [1usize, 2, 3, 5, 10, 15, 30] {
+        let algo = Sampling::new(PpKind::App, epsilon, w)
+            .expect("static config")
+            .with_sample_count(ns);
+        let seed = cfg.sub_seed(&[16, 3, ns as u64]);
+        let [m, _, c] = ablation_row(&algo, query, cfg.trials, seed);
+        let marker = if ns == picked {
+            " ← optimizer pick"
+        } else {
+            ""
+        };
+        out.push_str(&format!("| {ns}{marker} | {m:.4e} | {c:.4e} |\n"));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,6 +790,20 @@ mod tests {
         for needle in ["CAPP", "ToPL", "Volume", "Power"] {
             assert!(md.contains(needle), "table1 missing {needle}");
         }
+    }
+
+    #[test]
+    fn ablations_renders_three_studies() {
+        let md = ablations(&tiny());
+        assert_eq!(md.matches("## Ablation ").count(), 3, "{md}");
+        for arm in [
+            "| none (SW-direct) |",
+            "| last only (IPP) |",
+            "| accumulated (APP) |",
+        ] {
+            assert!(md.contains(arm), "feedback study missing {arm}:\n{md}");
+        }
+        assert_eq!(md.matches("← optimizer pick").count(), 1, "{md}");
     }
 
     #[test]
@@ -750,9 +860,6 @@ mod tests {
         }
         // One row per (session, mechanism) cell plus the header row.
         let rows = md.lines().filter(|l| l.starts_with("| ")).count();
-        assert_eq!(
-            rows,
-            SessionKind::ALL.len() * pipeline_mechanisms().len() + 1
-        );
+        assert_eq!(rows, SessionKind::ALL.len() * MechanismKind::ALL.len() + 1);
     }
 }

@@ -1,5 +1,5 @@
-//! Global experiment configuration (trial counts, seeds), environment
-//! overridable so benches can scale themselves down.
+//! Global experiment configuration (trial counts, seeds), read from the
+//! environment by `repro`.
 
 /// Configuration shared by every artifact reproduction.
 #[derive(Debug, Clone)]
@@ -68,36 +68,6 @@ pub fn epsilon_grid() -> Vec<f64> {
     vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 }
 
-/// The mechanism axis of the pipeline grid (the `pipeline_grid` artifact
-/// and bench): every [`ldp_mechanisms::MechanismKind`] by default,
-/// overridable via `LDP_GRID_MECHS` as a comma-separated label list
-/// (e.g. `LDP_GRID_MECHS=sw,laplace`). An empty override falls back to
-/// the full axis.
-///
-/// # Panics
-/// Panics on an unrecognized label — a typo must not silently expand the
-/// grid back to all five mechanisms.
-#[must_use]
-pub fn pipeline_mechanisms() -> Vec<ldp_mechanisms::MechanismKind> {
-    let all = ldp_mechanisms::MechanismKind::ALL.to_vec();
-    match std::env::var("LDP_GRID_MECHS") {
-        Ok(spec) => {
-            let picked: Vec<_> = spec
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|s| s.parse().unwrap_or_else(|e| panic!("LDP_GRID_MECHS: {e}")))
-                .collect();
-            if picked.is_empty() {
-                all
-            } else {
-                picked
-            }
-        }
-        Err(_) => all,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,17 +91,5 @@ mod tests {
         assert_eq!(g.len(), 6);
         assert_eq!(g[0], 0.5);
         assert_eq!(g[5], 3.0);
-    }
-
-    #[test]
-    fn pipeline_mechanisms_defaults_to_the_full_axis() {
-        // The env override is process-global, so only assert the default
-        // shape when the variable is absent.
-        if std::env::var("LDP_GRID_MECHS").is_err() {
-            assert_eq!(
-                pipeline_mechanisms(),
-                ldp_mechanisms::MechanismKind::ALL.to_vec()
-            );
-        }
     }
 }

@@ -10,8 +10,6 @@
 //! cargo run -p ldp-experiments --release --bin repro -- fig4
 //! ```
 //!
-//! or through the matching `cargo bench -p ldp-bench` targets.
-//!
 //! Trial counts default to 30 random subsequences per configuration
 //! (the paper averages 100 runs over 50 subsequences); set `LDP_TRIALS` to
 //! override or `LDP_QUICK=1` for smoke-test sizes.

@@ -28,8 +28,9 @@
 //!
 //! The flush cadence comes from `LDP_WAL_FLUSH` (`barrier` — the default,
 //! fsync at each IngestSync — or `batched:<nanos>` for periodic group
-//! commit on top of barrier fsyncs). Clean shutdown (stdin EOF) seals the
-//! log so the next boot replays zero records; a crash replays the
+//! commit on top of barrier fsyncs); a value that is neither is refused
+//! like a bad flag: usage line, exit 2. Clean shutdown (stdin EOF) seals
+//! the log so the next boot replays zero records; a crash replays the
 //! `fsync`ed tail.
 
 use ldp_collector::{Collector, CollectorConfig, SlotRetention};
@@ -90,7 +91,16 @@ fn main() -> ExitCode {
     }
 
     let server = if let Some(dir) = data_dir {
-        let mut wal_config = WalConfig::new(&dir).flush(FlushPolicy::from_env());
+        let flush = match std::env::var("LDP_WAL_FLUSH") {
+            Err(std::env::VarError::NotPresent) => Some(FlushPolicy::Barrier),
+            Ok(raw) => FlushPolicy::parse(&raw),
+            Err(std::env::VarError::NotUnicode(_)) => None,
+        };
+        let Some(flush) = flush else {
+            eprintln!("ldp-server: LDP_WAL_FLUSH must be `barrier` or `batched:<nanos>`");
+            return usage();
+        };
+        let mut wal_config = WalConfig::new(&dir).flush(flush);
         if let Some(bytes) = wal_segment_bytes {
             wal_config = wal_config.segment_bytes(bytes);
         }

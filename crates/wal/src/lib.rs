@@ -105,19 +105,10 @@ pub enum FlushPolicy {
 }
 
 impl FlushPolicy {
-    /// Parse the `LDP_WAL_FLUSH` environment knob.
-    ///
-    /// Accepted forms: `barrier` (the default), `batched:<nanos>`, or a bare
-    /// integer interpreted as nanoseconds (equivalent to `batched:<nanos>`).
-    /// Unparseable values fall back to [`FlushPolicy::Barrier`].
-    pub fn from_env() -> Self {
-        match std::env::var("LDP_WAL_FLUSH") {
-            Ok(raw) => Self::parse(&raw).unwrap_or(FlushPolicy::Barrier),
-            Err(_) => FlushPolicy::Barrier,
-        }
-    }
-
-    /// Parse a policy string; see [`FlushPolicy::from_env`] for the forms.
+    /// Parse a policy string: `barrier` (the default), `batched:<nanos>`,
+    /// or a bare integer interpreted as nanoseconds (equivalent to
+    /// `batched:<nanos>`). `None` for anything else — the caller decides
+    /// how to refuse it; nothing here falls back silently.
     pub fn parse(raw: &str) -> Option<Self> {
         let raw = raw.trim();
         if raw.eq_ignore_ascii_case("barrier") {

@@ -29,7 +29,7 @@ pub struct WalConfig {
     /// (checkpoint + truncate keeps disk bounded near
     /// `segment_bytes * checkpoint_segments`). Default 4.
     pub checkpoint_segments: u64,
-    /// Flush policy; defaults to [`FlushPolicy::from_env`].
+    /// Flush policy. Default [`FlushPolicy::Barrier`].
     pub flush: FlushPolicy,
 }
 
@@ -40,7 +40,7 @@ impl WalConfig {
             dir: dir.into(),
             segment_bytes: 8 << 20,
             checkpoint_segments: 4,
-            flush: FlushPolicy::from_env(),
+            flush: FlushPolicy::Barrier,
         }
     }
 
@@ -596,6 +596,12 @@ mod tests {
             .iter()
             .map(|r| (r.seq, rec.payload(r)))
             .collect()
+    }
+
+    #[test]
+    fn new_config_syncs_at_barriers_only() {
+        // A constant: no environment variable steers an embedder's policy.
+        assert_eq!(WalConfig::new("unused").flush, FlushPolicy::Barrier);
     }
 
     #[test]

@@ -102,6 +102,12 @@ fn snapshot_matches_batch_crowd_path_for_every_grid_cell() {
         );
 
         let snapshot = collector.snapshot();
+        assert_eq!(
+            snapshot.total_reports(),
+            reports,
+            "{}: the collector holds exactly what the fleet uploaded",
+            spec.label()
+        );
         let online = snapshot.per_user_means();
         assert_eq!(online.len(), batch.len());
         for (u, (a, b)) in online.iter().zip(&batch).enumerate() {

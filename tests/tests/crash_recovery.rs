@@ -64,14 +64,23 @@ struct DurableChild {
     recovered: RecoveredBanner,
 }
 
+/// `ldp-server --data-dir <data_dir>` with both pipes the contract uses.
+fn durable_command(data_dir: &Path) -> Command {
+    let mut command = Command::new(bin_dir().join("ldp-server"));
+    command
+        .args(["--data-dir", data_dir.to_str().expect("utf-8 temp dir")])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped());
+    command
+}
+
 impl DurableChild {
     fn spawn(data_dir: &Path) -> Self {
-        let mut child = Command::new(bin_dir().join("ldp-server"))
-            .args(["--data-dir", data_dir.to_str().expect("utf-8 temp dir")])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn durable ldp-server");
+        Self::spawn_command(&mut durable_command(data_dir))
+    }
+
+    fn spawn_command(command: &mut Command) -> Self {
+        let mut child = command.spawn().expect("spawn durable ldp-server");
         let stdout = child.stdout.take().expect("child stdout piped");
         let mut lines = BufReader::new(stdout).lines();
         let mut recovered = None;
@@ -254,6 +263,33 @@ fn sigkill_then_restart_recovers_every_acked_report() {
             "both waves survive the crash + the clean restart"
         );
     }
+    drop(child);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `LDP_WAL_FLUSH` is the operator's durability policy, so a value the
+/// parser does not know (group commit asked for in milliseconds) must
+/// stop the boot — exit 2, no `LISTENING` — rather than silently run an
+/// fsync per ack; a well-formed value boots and serves.
+#[test]
+fn unparseable_wal_flush_refuses_to_boot() {
+    let dir = temp_data_dir("flush-env");
+
+    let refused = durable_command(&dir)
+        .env("LDP_WAL_FLUSH", "batched:2ms")
+        .stderr(Stdio::null())
+        .output()
+        .expect("run ldp-server");
+    assert_eq!(refused.status.code(), Some(2), "usage exit");
+    let stdout = String::from_utf8_lossy(&refused.stdout);
+    assert!(!stdout.contains("LISTENING"), "must not serve: {stdout}");
+
+    let child =
+        DurableChild::spawn_command(durable_command(&dir).env("LDP_WAL_FLUSH", "batched:2000000"));
+    let mut client = RemoteCollector::connect(child.addr).expect("connect");
+    let batch = &synthetic_batches(1, 64, 3)[0];
+    client.ingest(batch).expect("ingest");
+    assert_eq!(client.sync().expect("sync").accepted, 64);
     drop(child);
     let _ = std::fs::remove_dir_all(&dir);
 }

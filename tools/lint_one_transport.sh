@@ -15,8 +15,8 @@
 #                           `ldp_server::wire::checksum` re-exports it)
 #
 # Only non-test library code is scanned: every `*.rs` under a `src/` of
-# `crates/`, up to its first `#[cfg(test)]`. Integration tests, benches
-# and `benchmark/` build fake peers and measure codec stages on purpose.
+# `crates/`, up to its first `#[cfg(test)]`. Integration tests and
+# `benchmark/` build fake peers and measure codec stages on purpose.
 #
 # Usage: tools/lint_one_transport.sh  (from anywhere; exits non-zero on
 # violations and prints each offending line).
