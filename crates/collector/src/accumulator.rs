@@ -15,6 +15,7 @@
 //! subject to retention.
 
 use crate::report::SlotReport;
+use crate::snapshot::SnapshotPart;
 use std::collections::VecDeque;
 
 /// How long a shard keeps per-slot statistics queryable.
@@ -77,28 +78,6 @@ impl SlotStats {
         self.count += other.count;
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
-    }
-
-    /// Removes a previously merged accumulator (the delta-merge path of
-    /// the live query engine). Moment sums are group elements, so this is
-    /// exact up to floating-point cancellation; when the count returns to
-    /// zero the float sums are reset so no residue can masquerade as data.
-    ///
-    /// # Panics
-    /// Panics if `other` was never merged in (`other.count > self.count`)
-    /// — wrapping the count would silently poison every downstream mean.
-    pub fn unmerge(&mut self, other: &SlotStats) {
-        self.count = self
-            .count
-            .checked_sub(other.count)
-            .expect("unmerge of stats never merged");
-        if self.count == 0 {
-            self.sum = 0.0;
-            self.sum_sq = 0.0;
-        } else {
-            self.sum -= other.sum;
-            self.sum_sq -= other.sum_sq;
-        }
     }
 
     /// Mean of the reports, or `None` for an empty slot.
@@ -665,6 +644,25 @@ impl ShardAccumulator {
         self.users.len
     }
 
+    /// Copies out this shard's share of a merge — the retained slot window
+    /// plus the scalar ledger, everything a merged view reads and all that
+    /// a snapshot or a refresh copies while the shard's ingest mutex is
+    /// held: bounded by the retained window, never by how many users the
+    /// shard has accumulated.
+    #[must_use]
+    pub fn part(&self) -> SnapshotPart {
+        SnapshotPart {
+            retained_base: self.base,
+            slot_end: self.slot_end(),
+            start: self.base,
+            slots: self.slots.iter().copied().collect(),
+            frozen: self.frozen,
+            total_reports: self.reports,
+            user_count: self.users.len as u64,
+            user_mean_sum: self.mean_sum,
+        }
+    }
+
     /// Sum of the per-user running means, maintained incrementally at
     /// ingest — O(1) to read, so extracting the shard's population-mean
     /// contribution costs two scalar loads instead of an O(users) table
@@ -711,22 +709,6 @@ mod tests {
         assert_eq!(a.count, whole.count);
         assert!((a.sum - whole.sum).abs() < 1e-12);
         assert!((a.sum_sq - whole.sum_sq).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unmerge_reverses_merge_and_zeroes_residue() {
-        let mut a = SlotStats::default();
-        for v in [0.3, 0.7] {
-            a.add(v);
-        }
-        let b = a;
-        let mut sum = a;
-        sum.merge(&b);
-        sum.unmerge(&b);
-        assert_eq!(sum.count, a.count);
-        assert!((sum.sum - a.sum).abs() < 1e-12);
-        sum.unmerge(&a);
-        assert_eq!(sum, SlotStats::default(), "empty stats carry no residue");
     }
 
     #[test]
@@ -964,16 +946,5 @@ mod tests {
             kernel_steps <= per_row_steps,
             "kernel examined {kernel_steps} slots, per-row fold {per_row_steps}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "never merged")]
-    fn unmerge_of_unknown_stats_panics_instead_of_wrapping() {
-        let mut a = SlotStats::default();
-        a.add(0.5);
-        let mut b = SlotStats::default();
-        b.add(0.1);
-        b.add(0.2);
-        a.unmerge(&b);
     }
 }

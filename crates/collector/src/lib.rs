@@ -36,9 +36,12 @@
 //!   ([`ldp_core::crowd::estimated_population_means`]) — see
 //!   [`ReseedingSession`] and the `tests/` crate's agreement tests.
 //! * [`QueryEngine`] — the **live** query path: per-shard epoch-versioned
-//!   aggregates cached behind an `RwLock`/`Arc` swap, refreshed by
-//!   delta-merging only the shards whose epoch advanced, so crowd queries
-//!   are served in O(window) without ever taking an ingest mutex.
+//!   [`SnapshotPart`]s cached behind an `RwLock`/`Arc` swap, refreshed by
+//!   re-extracting only the shards whose epoch advanced and re-running
+//!   the one merge ([`MergedParts::merge`], the function a snapshot and a
+//!   router use) over the cache, so crowd queries are served in O(window)
+//!   without ever taking an ingest mutex — and a refreshed view's table
+//!   is bit-identical to a snapshot's at quiescence.
 //! * [`SlotRetention`] — bounds per-slot state to the most recent `R`
 //!   slots per shard (expired slots fold into exact frozen prefix
 //!   totals), so collector memory is O(R) on unbounded streams.

@@ -7,20 +7,23 @@
 //!
 //! * Every shard carries a lock-free **epoch** that advances when a batch
 //!   mutates it ([`Collector::shard_epoch`]).
-//! * The engine caches one published `ShardAggregate` per shard, tagged
-//!   with the epoch it was extracted at, plus a merged [`LiveView`] of all
-//!   of them behind an `RwLock<Arc<…>>`.
-//! * [`QueryEngine::refresh`] re-extracts and **delta-merges only the
-//!   shards whose epoch advanced** (subtract the shard's old contribution,
-//!   add the new one) — O(changed shards × retained window), never
-//!   O(every shard) and never O(shard population): the per-user side is
-//!   carried as two scalars ([`crate::ShardAccumulator::user_mean_sum`] is
-//!   maintained incrementally at ingest), so refresh copies **no user
-//!   table** under the ingest mutex no matter how many users the shard
-//!   holds. Unchanged shards cost one atomic load.
+//! * The engine caches one [`SnapshotPart`] per shard, tagged with the
+//!   epoch it was copied out at, plus the [`MergedParts`] of all of them —
+//!   a [`LiveView`] — behind an `RwLock<Arc<…>>`.
+//! * [`QueryEngine::refresh`] **re-extracts only the shards whose epoch
+//!   advanced** — unchanged shards cost one atomic load and are never
+//!   locked — and re-assembles the view with the one merge every tier
+//!   uses ([`MergedParts::merge`], the function [`Collector::snapshot`]
+//!   runs over freshly locked shards and a router over its downstreams'
+//!   replies), over the cached parts. Extraction is O(changed shards ×
+//!   retained window), the merge O(shards × retained window), neither
+//!   O(shard population): the per-user side is carried as two scalars
+//!   ([`crate::ShardAccumulator::user_mean_sum`] is maintained
+//!   incrementally at ingest), so refresh copies **no user table** under
+//!   the ingest mutex no matter how many users the shard holds.
 //! * Queries clone the current `Arc` and answer from the immutable view:
-//!   O(1) for [`LiveView::slot_mean`] / [`LiveView::population_mean`],
-//!   O(window) for [`LiveView::windowed_mean`]. They never touch a shard
+//!   O(1) for [`SlotTable::slot_mean`] / [`MergedParts::population_mean`],
+//!   O(window) for [`SlotTable::windowed_mean`]. They never touch a shard
 //!   mutex, so query load cannot stall ingest.
 //!
 //! # Consistency model
@@ -30,62 +33,30 @@
 //! its lock), different shards may be cut at slightly different instants
 //! (the usual incremental-aggregation tradeoff — exactly the consistency
 //! [`Collector::snapshot`] offers), and a view answers with the state of
-//! the last [`QueryEngine::refresh`], never anything newer. Numbers served
-//! from a fully refreshed view agree with [`Collector::snapshot`] to
-//! floating-point merge-order tolerance (pinned ≤ 1e-9 by the integration
-//! tests).
+//! the last [`QueryEngine::refresh`], never anything newer. At quiescence
+//! a refreshed view's slot table, frozen prefix and scalar ledger are
+//! **bit-identical** to [`Collector::snapshot`]'s — same parts, same
+//! order, same function; nothing is ever subtracted. The one query that
+//! agrees only to ≤ 1e-9 is the population mean:
+//! [`crate::CollectorSnapshot::population_mean`] deliberately recomputes
+//! it row by row as the independent check on the incrementally maintained
+//! mean sum the view divides.
+//!
+//! [`SlotTable::slot_mean`]: crate::SlotTable::slot_mean
+//! [`SlotTable::windowed_mean`]: crate::SlotTable::windowed_mean
 
-use crate::accumulator::{ShardAccumulator, SlotStats};
 use crate::engine::Collector;
-use crate::snapshot::SlotTable;
+use crate::snapshot::{MergedParts, SnapshotPart};
 use crate::sync::{Arc, Mutex, RwLock};
 use ldp_telemetry::Histogram;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 
-/// One shard's aggregate state as published at a specific epoch: the
-/// shard-side half of the engine's cache.
-///
-/// The per-user side is two scalars (`user_count`, `mean_sum`), not a row
-/// table: [`crate::ShardAccumulator`] maintains the mean sum incrementally
-/// at ingest, so extraction cost is bounded by the retained slot window —
-/// never by how many users the shard has accumulated.
-#[derive(Debug, Clone, Default)]
+/// One shard's cached contribution: the part it copied out, tagged with
+/// the shard epoch it was copied at.
+#[derive(Debug, Default)]
 struct ShardAggregate {
-    /// Shard epoch this aggregate was extracted at.
     epoch: u64,
-    /// Global slot index of `slots[0]`.
-    base: u64,
-    /// Retained per-slot stats, dense from `base`.
-    slots: Vec<SlotStats>,
-    /// Aggregate over the shard's expired slots.
-    frozen: SlotStats,
-    /// Distinct users the shard has seen.
-    user_count: usize,
-    /// Sum of the shard's per-user running means (incrementally
-    /// maintained by the accumulator, read here as one scalar).
-    mean_sum: f64,
-    /// Reports folded into the shard so far.
-    reports: u64,
-}
-
-impl ShardAggregate {
-    /// Raw state copy — the only work done while the shard's ingest mutex
-    /// is held: the retained slot window plus four scalars.
-    fn copy_raw(acc: &ShardAccumulator, epoch: u64) -> Self {
-        Self {
-            epoch,
-            base: acc.base(),
-            slots: acc.retained_slots().map(|(_, s)| *s).collect(),
-            frozen: *acc.frozen(),
-            user_count: acc.user_count(),
-            mean_sum: acc.user_mean_sum(),
-            reports: acc.reports(),
-        }
-    }
-
-    fn slot_end(&self) -> u64 {
-        self.base + self.slots.len() as u64
-    }
+    part: SnapshotPart,
 }
 
 /// An immutable, merged view of the collector as of some refresh.
@@ -93,17 +64,25 @@ impl ShardAggregate {
 /// Cheap to share (`Arc`), safe to query from any number of threads, and
 /// guaranteed not to change underneath the caller — repeated queries
 /// against one view are mutually consistent even while ingest continues.
+/// Every query is the [`MergedParts`]' (and, for slots, its
+/// [`crate::SlotTable`]'s), reached by deref — the same type
+/// [`crate::CollectorSnapshot`] answers from.
 #[derive(Debug, Default)]
 pub struct LiveView {
     /// Monotone refresh counter (0 for the pre-first-refresh empty view).
     version: u64,
-    /// The merged slot-query core (shared type with
-    /// [`crate::CollectorSnapshot`], so the two paths answer identically).
-    table: SlotTable,
-    total_reports: u64,
-    user_count: usize,
-    mean_sum: f64,
+    merged: MergedParts,
+    /// The per-shard parts `merged` was assembled from, kept so the next
+    /// refresh re-extracts only the shards that changed.
     shards: Vec<Arc<ShardAggregate>>,
+}
+
+impl Deref for LiveView {
+    type Target = MergedParts;
+
+    fn deref(&self) -> &MergedParts {
+        &self.merged
+    }
 }
 
 impl LiveView {
@@ -112,97 +91,12 @@ impl LiveView {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// Total reports merged into this view.
-    #[must_use]
-    pub fn total_reports(&self) -> u64 {
-        self.total_reports
-    }
-
-    /// Number of distinct users seen.
-    #[must_use]
-    pub fn user_count(&self) -> usize {
-        self.user_count
-    }
-
-    /// The merged slot-query core (base, retained stats, frozen prefix).
-    #[must_use]
-    pub fn table(&self) -> &SlotTable {
-        &self.table
-    }
-
-    /// Global index of the first retained slot.
-    #[must_use]
-    pub fn retained_base(&self) -> u64 {
-        self.table.retained_base()
-    }
-
-    /// One past the highest slot covered.
-    #[must_use]
-    pub fn slot_end(&self) -> u64 {
-        self.table.slot_end()
-    }
-
-    /// Number of retained slots.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.table.slot_count()
-    }
-
-    /// Aggregate over every expired slot below [`Self::retained_base`].
-    #[must_use]
-    pub fn frozen(&self) -> &SlotStats {
-        self.table.frozen()
-    }
-
-    /// Stats for one global slot, or `None` outside the retained range.
-    #[must_use]
-    pub fn slot_stats(&self, slot: u64) -> Option<&SlotStats> {
-        self.table.slot_stats(slot)
-    }
-
-    /// Crowd mean estimate for one slot — O(1).
-    #[must_use]
-    pub fn slot_mean(&self, slot: usize) -> Option<f64> {
-        self.table.slot_mean(slot)
-    }
-
-    /// Crowd variance estimate for one slot — O(1).
-    #[must_use]
-    pub fn slot_variance(&self, slot: usize) -> Option<f64> {
-        self.table.slot_variance(slot)
-    }
-
-    /// Windowed subsequence mean over `range` — O(window). `None` if any
-    /// slot of the range is unreported or expired (same contract as
-    /// [`crate::CollectorSnapshot::windowed_mean`] — both delegate to the shared
-    /// [`SlotTable`]).
-    #[must_use]
-    pub fn windowed_mean(&self, range: Range<usize>) -> Option<f64> {
-        self.table.windowed_mean(range)
-    }
-
-    /// The headline population-mean estimate (average of per-user means),
-    /// or `None` before any user reported — O(1): the per-shard mean sums
-    /// are incrementally maintained at ingest and read as scalars.
-    #[must_use]
-    pub fn population_mean(&self) -> Option<f64> {
-        (self.user_count > 0).then(|| self.mean_sum / self.user_count as f64)
-    }
-
-    /// Sum of per-user running means — the raw mass behind
-    /// [`Self::population_mean`], exposed so a federation tier can add
-    /// disjoint collectors' contributions exactly before dividing once.
-    #[must_use]
-    pub fn user_mean_sum(&self) -> f64 {
-        self.mean_sum
-    }
 }
 
 /// The live query engine over a [`Collector`] (see the module docs for
 /// the architecture). Create one per collector and share it by reference;
-/// any number of query threads may call [`Self::view`] / the query
-/// delegates while others call [`Self::refresh`].
+/// any number of query threads may call [`Self::view`] while others call
+/// [`Self::refresh`].
 ///
 /// Generic over *how* the collector is held: `QueryEngine<&Collector>`
 /// borrows (the in-process shape, as before), while
@@ -213,14 +107,14 @@ impl LiveView {
 pub struct QueryEngine<C: Deref<Target = Collector>> {
     collector: C,
     view: RwLock<Arc<LiveView>>,
-    /// Serializes refreshers so concurrent refreshes cannot interleave
-    /// their subtract/add passes or publish out of order.
+    /// Serializes refreshers so concurrent refreshes cannot publish out
+    /// of order.
     refresh: Mutex<()>,
     /// `query.refresh_nanos` — latency of refreshes that re-published
     /// the view (no-op revalidations are not recorded).
     refresh_nanos: Arc<Histogram>,
     /// `query.refresh.shards_merged` — how many shards each publishing
-    /// refresh delta-merged: the change-set size the engine is paying for.
+    /// refresh re-extracted: the change-set size the engine is paying for.
     refresh_shards: Arc<Histogram>,
 }
 
@@ -256,111 +150,58 @@ impl<C: Deref<Target = Collector>> QueryEngine<C> {
     }
 
     /// The current published view (an `Arc` clone — O(1), never blocks on
-    /// an ingest mutex).
+    /// an ingest mutex). Possibly one refresh stale — call
+    /// [`Self::refresh`] first for the freshest answer.
     #[must_use]
     pub fn view(&self) -> Arc<LiveView> {
         self.view.read().expect("query view poisoned").clone()
     }
 
-    /// Re-publishes the merged view by delta-merging every shard whose
+    /// Re-publishes the merged view after re-extracting every shard whose
     /// epoch advanced since it was last extracted. Returns the number of
-    /// shards that were re-published (0 means the view was already
+    /// shards that were re-extracted (0 means the view was already
     /// current and nothing was swapped).
     ///
-    /// Cost: O(changed shards × retained window) for extraction — the
-    /// per-user side is two scalars, so cost is bounded by the change
-    /// set, never the shard population — plus O(retained window) to
-    /// realign the merged vector; shards that did not change are
-    /// revalidated with one atomic load each.
+    /// Cost: O(changed shards × retained window) under shard locks — the
+    /// per-user side is two scalars, so extraction is bounded by the
+    /// change set, never the shard population — plus one
+    /// O(shards × retained window) merge of the cached parts; shards that
+    /// did not change are revalidated with one atomic load each.
     pub fn refresh(&self) -> usize {
         let _serialize = self.refresh.lock().expect("refresh lock poisoned");
         let timer = self.refresh_nanos.timer();
         let cur = self.view();
 
-        // Extract the shards whose epoch moved. The epoch is re-read under
-        // the shard lock so it is exactly paired with the extracted state;
-        // only the raw copy happens inside the lock, the derived per-user
-        // mean sum is computed after release.
-        let mut changed: Vec<(usize, ShardAggregate)> = Vec::new();
-        for k in 0..self.collector.shard_count() {
-            if self.collector.shard_epoch(k) != cur.shards[k].epoch {
+        // Re-extract the shards whose epoch moved. The epoch is re-read
+        // under the shard lock so it is exactly paired with the extracted
+        // state; only the copy-out happens inside the lock.
+        let mut shards = cur.shards.clone();
+        let mut refreshed = 0;
+        for (k, cached) in shards.iter_mut().enumerate() {
+            if self.collector.shard_epoch(k) != cached.epoch {
                 let guard = self.collector.lock_shard(k);
                 let epoch = self.collector.shard_epoch(k);
-                let agg = ShardAggregate::copy_raw(&guard, epoch);
+                let part = guard.part();
                 drop(guard);
-                changed.push((k, agg));
+                *cached = Arc::new(ShardAggregate { epoch, part });
+                refreshed += 1;
             }
         }
-        if changed.is_empty() {
+        if refreshed == 0 {
             // A no-op revalidation — recording it would drown the
             // latency distribution of real refreshes in atomic loads.
             timer.cancel();
             return 0;
         }
-        let refreshed = changed.len();
         self.refresh_shards.record(refreshed as u64);
-
-        // Delta pass 1: subtract the changed shards' old contributions
-        // from a copy of the merged table and swap in the new aggregates.
-        let mut table = cur.table.clone();
-        let mut shards = cur.shards.clone();
-        for (k, agg) in changed {
-            let old = &shards[k];
-            table.unmerge_from(old.base, &old.slots, &old.frozen);
-            shards[k] = Arc::new(agg);
-        }
-
-        // Realign the merged range to the new aggregates: the base is the
-        // largest shard base (the first slot every shard still retains),
-        // the end the largest shard end.
-        let new_base = shards.iter().map(|a| a.base).max().unwrap_or(0);
-        let new_end = shards.iter().map(|a| a.slot_end()).max().unwrap_or(0);
-        table.realign(new_base, new_end);
-
-        // Delta pass 2: add the new aggregates of the changed shards
-        // (identified by pointer inequality with the previous view).
-        for (k, agg) in shards.iter().enumerate() {
-            if !Arc::ptr_eq(agg, &cur.shards[k]) {
-                table.merge_from(agg.base, &agg.slots, &agg.frozen);
-            }
-        }
-
-        // Scalar totals are O(shards) to recompute — no drift to manage.
-        let total_reports = shards.iter().map(|a| a.reports).sum();
-        let user_count = shards.iter().map(|a| a.user_count).sum();
-        let mean_sum = shards.iter().map(|a| a.mean_sum).sum();
 
         let next = Arc::new(LiveView {
             version: cur.version + 1,
-            table,
-            total_reports,
-            user_count,
-            mean_sum,
+            merged: MergedParts::merge(shards.iter().map(|s| &s.part)),
             shards,
         });
         *self.view.write().expect("query view poisoned") = next;
         refreshed
-    }
-
-    // Convenience delegates answering from the *current* view (possibly
-    // one refresh stale — call `refresh` first for the freshest answer).
-
-    /// See [`LiveView::slot_mean`].
-    #[must_use]
-    pub fn slot_mean(&self, slot: usize) -> Option<f64> {
-        self.view().slot_mean(slot)
-    }
-
-    /// See [`LiveView::windowed_mean`].
-    #[must_use]
-    pub fn windowed_mean(&self, range: Range<usize>) -> Option<f64> {
-        self.view().windowed_mean(range)
-    }
-
-    /// See [`LiveView::population_mean`].
-    #[must_use]
-    pub fn population_mean(&self) -> Option<f64> {
-        self.view().population_mean()
     }
 
     /// Each user's running mean estimate, ordered by user id — the
@@ -459,7 +300,7 @@ mod tests {
         let view = engine.view();
         let snap = c.snapshot();
         assert_eq!(view.total_reports(), snap.total_reports());
-        assert_eq!(view.user_count(), snap.user_count());
+        assert_eq!(view.user_count(), snap.user_count() as u64);
         assert_eq!(view.slot_end(), snap.slot_end());
         for slot in 0..10 {
             assert!(

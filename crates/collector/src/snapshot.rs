@@ -1,13 +1,19 @@
 //! Merged, immutable query views over the collector's shard state.
+//!
+//! Every tier assembles its answer the same way: each contributor — a
+//! shard under its lock, a downstream collector over the wire — copies its
+//! state out as one [`SnapshotPart`], and [`MergedParts::merge`] folds the
+//! parts into the aggregate the query verbs read. [`CollectorSnapshot`],
+//! the live [`crate::LiveView`] and the router's federated answer all hold
+//! a [`MergedParts`] built by that one function, so they cannot drift in
+//! anchoring, windowed-query or summation-order semantics.
 
 use crate::accumulator::{ShardAccumulator, SlotStats};
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
-/// A dense per-slot stats table anchored at a retained base, plus the
-/// frozen aggregate of everything below it — the slot-query core shared
-/// by [`CollectorSnapshot`] and the live [`crate::LiveView`], so the two
-/// paths can never drift in their windowed-query or base-alignment
-/// semantics.
+/// A dense per-slot stats table anchored at a start slot, plus the frozen
+/// aggregate of everything folded in below it — the slot-query core of
+/// every merged view.
 #[derive(Debug, Clone, Default)]
 pub struct SlotTable {
     /// Global slot index of `slots[0]`.
@@ -29,37 +35,32 @@ impl SlotTable {
         }
     }
 
-    /// Global index of the first retained slot.
+    /// Global slot index of the first slot the table carries.
     #[must_use]
-    pub fn retained_base(&self) -> u64 {
+    pub fn start(&self) -> u64 {
         self.base
     }
 
-    /// One past the highest slot covered.
-    #[must_use]
-    pub fn slot_end(&self) -> u64 {
-        self.base + self.slots.len() as u64
-    }
-
-    /// Number of retained slots.
+    /// Number of slots the table carries.
     #[must_use]
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
-    /// The retained per-slot stats, dense from [`Self::retained_base`].
+    /// The per-slot stats, dense from [`Self::start`].
     #[must_use]
     pub fn slots(&self) -> &[SlotStats] {
         &self.slots
     }
 
-    /// Aggregate over every expired slot below [`Self::retained_base`].
+    /// Aggregate over every slot below [`Self::start`] (empty unless a
+    /// bounded retention policy has expired slots).
     #[must_use]
     pub fn frozen(&self) -> &SlotStats {
         &self.frozen
     }
 
-    /// Stats for one global slot, or `None` outside the retained range.
+    /// Stats for one global slot, or `None` outside the carried range.
     #[must_use]
     pub fn slot_stats(&self, slot: u64) -> Option<&SlotStats> {
         let i = usize::try_from(slot.checked_sub(self.base)?).ok()?;
@@ -67,21 +68,27 @@ impl SlotTable {
     }
 
     /// Crowd mean estimate for one slot (`None` if nobody reported it or
-    /// the slot has expired out of the retained range).
+    /// the slot has expired out of the retained range) — O(1).
     #[must_use]
     pub fn slot_mean(&self, slot: usize) -> Option<f64> {
         self.slot_stats(slot as u64).and_then(SlotStats::mean)
     }
 
-    /// Crowd variance estimate for one slot.
+    /// Crowd variance estimate for one slot — O(1).
     #[must_use]
     pub fn slot_variance(&self, slot: usize) -> Option<f64> {
         self.slot_stats(slot as u64).and_then(SlotStats::variance)
     }
 
-    /// Windowed subsequence mean: the average over `range` of the
-    /// per-slot crowd means. `None` if any slot of the range has no
-    /// reports or has expired out of the retained range.
+    /// Windowed subsequence mean: the average over `range` of the per-slot
+    /// crowd means — the collector-side estimate of the population's
+    /// average subsequence mean `M̂(i,j)`, O(window). When every user
+    /// reports every slot of the range this equals the average of the
+    /// per-user means the offline batch path computes, up to
+    /// floating-point summation order.
+    ///
+    /// Returns `None` if any slot in the range has no reports or has
+    /// expired out of the retained range.
     #[must_use]
     pub fn windowed_mean(&self, range: Range<usize>) -> Option<f64> {
         if range.is_empty() {
@@ -95,34 +102,13 @@ impl SlotTable {
         Some(sum / len as f64)
     }
 
-    /// Re-anchors the table at `new_base` (folding slots that fall below
-    /// it into the frozen aggregate) and extends the dense range to
-    /// `new_end`. Anchors only move forward; a smaller `new_base` is
-    /// ignored.
-    pub(crate) fn realign(&mut self, new_base: u64, new_end: u64) {
-        if new_base > self.base {
-            let expire = usize::try_from(new_base - self.base)
-                .expect("slot range overflows usize")
-                .min(self.slots.len());
-            for s in self.slots.drain(..expire) {
-                self.frozen.merge(&s);
-            }
-            self.base = new_base;
-        }
-        let end = new_end.max(self.base);
-        let retained = usize::try_from(end - self.base).expect("slot range overflows usize");
-        if retained > self.slots.len() {
-            self.slots.resize(retained, SlotStats::default());
-        }
-    }
-
-    /// Folds another table's contribution in. Slots below this table's
-    /// base land in the frozen aggregate; callers must have
-    /// [`Self::realign`]ed far enough that nothing lies past the end.
-    pub(crate) fn merge_from(&mut self, base: u64, slots: &[SlotStats], frozen: &SlotStats) {
+    /// Folds one part's slots in. Slots below this table's start land in
+    /// the frozen aggregate; the table must already reach past the part's
+    /// last slot.
+    fn merge_from(&mut self, start: u64, slots: &[SlotStats], frozen: &SlotStats) {
         self.frozen.merge(frozen);
         for (i, s) in slots.iter().enumerate() {
-            let global = base + i as u64;
+            let global = start + i as u64;
             if global < self.base {
                 self.frozen.merge(s);
             } else {
@@ -130,31 +116,17 @@ impl SlotTable {
             }
         }
     }
-
-    /// Removes a contribution previously folded in by
-    /// [`Self::merge_from`] (possibly realigned into the frozen prefix
-    /// since).
-    pub(crate) fn unmerge_from(&mut self, base: u64, slots: &[SlotStats], frozen: &SlotStats) {
-        self.frozen.unmerge(frozen);
-        for (i, s) in slots.iter().enumerate() {
-            let global = base + i as u64;
-            if global < self.base {
-                self.frozen.unmerge(s);
-            } else {
-                self.slots[(global - self.base) as usize].unmerge(s);
-            }
-        }
-    }
 }
 
-/// One collector's contribution to a federated merge — the owned form of
-/// the wire `Parts` frame a downstream serves from its live view.
+/// One contributor's share of a merge: what a shard copies out under its
+/// lock ([`ShardAccumulator::part`]) and, as the wire `Parts` frame, what
+/// a downstream collector serves to a router.
 ///
 /// `slots[i]` covers global slot `start + i`; `start` may sit above the
 /// owner's `retained_base` when the serving query clipped the range. The
 /// per-user side travels as two scalars (`user_count`, `user_mean_sum`)
-/// rather than rows: the federation tier routes each user to exactly one
-/// downstream, so user sets are disjoint and the scalars add exactly.
+/// rather than rows: shards and downstreams own disjoint user sets, so
+/// the scalars add exactly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotPart {
     /// The owner's own first fully-retained slot.
@@ -175,77 +147,97 @@ pub struct SnapshotPart {
     pub user_mean_sum: f64,
 }
 
-/// The result of federating [`SnapshotPart`]s: a merged slot table plus
-/// the summed scalar ledger, answering the same query verbs a single
-/// collector's view does.
+/// The merge of any number of [`SnapshotPart`]s — the one aggregate every
+/// query verb is answered from, at every tier. Slot queries
+/// (`slot_mean`, `windowed_mean`, `slot_stats`, `frozen`, …) are the
+/// [`SlotTable`]'s, reached by deref.
 #[derive(Debug, Clone, Default)]
 pub struct MergedParts {
+    /// Spans only slots some part carries: anchored at the largest part
+    /// `start`, so its size is bounded by the records received.
     table: SlotTable,
+    retained_base: u64,
+    slot_end: u64,
     total_reports: u64,
     user_count: u64,
     user_mean_sum: f64,
 }
 
+impl Deref for MergedParts {
+    type Target = SlotTable;
+
+    fn deref(&self) -> &SlotTable {
+        &self.table
+    }
+}
+
 impl MergedParts {
-    /// Merges per-collector parts with the same largest-base anchoring
-    /// [`CollectorSnapshot::merge`] uses for shards: the merged view is
-    /// anchored at the **largest** per-part `retained_base` — the first
-    /// slot every part still fully retains — and any retained slot below
-    /// that folds into the frozen prefix, so a slot the merged view
-    /// reports is never missing one part's contribution.
+    /// Merges parts in iteration order. Contributors under retention may
+    /// have advanced their bases unevenly (each slides on the slots *it*
+    /// saw), and a clipped part starts above its base; the merged table
+    /// is anchored at the **largest** part `start` — for unclipped parts
+    /// the largest `retained_base`, the first slot every contributor
+    /// still fully retains — and any slot below that folds into the
+    /// frozen prefix, so a slot the merge reports is never missing one
+    /// part's contribution. `retained_base` and `slot_end` are carried as
+    /// the largest scalar any part claims and never sized from: the table
+    /// allocates for slots actually received, nothing for an empty or
+    /// scalar-only merge.
     ///
-    /// Parts must come from collectors owning disjoint user sets (the
-    /// router's hash-routing invariant); the scalar ledgers then add
-    /// exactly, and the merged population mean equals the single-process
-    /// answer up to floating-point summation order.
+    /// Parts must come from owners of disjoint user sets (the engine's
+    /// shard routing, the router's hash routing); the scalar ledgers then
+    /// add exactly, and the same parts in the same order give the same
+    /// bits.
     #[must_use]
     pub fn merge<'a, I>(parts: I) -> Self
     where
         I: IntoIterator<Item = &'a SnapshotPart>,
+        I::IntoIter: Clone,
     {
-        let parts: Vec<&SnapshotPart> = parts.into_iter().collect();
-        let base = parts.iter().map(|p| p.retained_base).max().unwrap_or(0);
-        let end = parts
-            .iter()
-            .map(|p| p.slot_end.max(p.start + p.slots.len() as u64))
-            .max()
-            .unwrap_or(0)
-            .max(base);
-        let mut table = SlotTable::default();
-        table.realign(base, end);
-        let mut total_reports = 0u64;
-        let mut user_count = 0u64;
-        let mut user_mean_sum = 0.0f64;
-        for p in &parts {
-            table.merge_from(p.start, &p.slots, &p.frozen);
-            total_reports += p.total_reports;
-            user_count += p.user_count;
-            user_mean_sum += p.user_mean_sum;
+        let parts = parts.into_iter();
+        let mut merged = Self::default();
+        let (mut start, mut end) = (0u64, 0u64);
+        for p in parts.clone() {
+            let covered = p.start + p.slots.len() as u64;
+            start = start.max(p.start);
+            end = end.max(covered);
+            merged.retained_base = merged.retained_base.max(p.retained_base);
+            merged.slot_end = merged.slot_end.max(p.slot_end).max(covered);
+            merged.total_reports += p.total_reports;
+            merged.user_count += p.user_count;
+            merged.user_mean_sum += p.user_mean_sum;
         }
-        Self {
-            table,
-            total_reports,
-            user_count,
-            user_mean_sum,
+        // `end >= start`: the part with the largest start covers up to at
+        // least there.
+        let span = usize::try_from(end - start).expect("slot range overflows usize");
+        merged.table = SlotTable::new(
+            start,
+            vec![SlotStats::default(); span],
+            SlotStats::default(),
+        );
+        for p in parts {
+            merged.table.merge_from(p.start, &p.slots, &p.frozen);
         }
+        merged
     }
 
-    /// The merged slot-query core (base, retained stats, frozen prefix).
+    /// The merged slot-query core (start, carried stats, frozen prefix).
     #[must_use]
     pub fn table(&self) -> &SlotTable {
         &self.table
     }
 
-    /// Global index of the first slot every part fully retains.
+    /// Global index of the first slot every part fully retains (0 unless
+    /// retention has expired older slots).
     #[must_use]
     pub fn retained_base(&self) -> u64 {
-        self.table.retained_base()
+        self.retained_base
     }
 
     /// One past the highest slot covered by any part.
     #[must_use]
     pub fn slot_end(&self) -> u64 {
-        self.table.slot_end()
+        self.slot_end
     }
 
     /// Total reports across every part (retained + frozen).
@@ -260,55 +252,57 @@ impl MergedParts {
         self.user_count
     }
 
-    /// Sum of per-user running means across every part.
+    /// Sum of per-user running means across every part — the raw mass
+    /// behind [`Self::population_mean`], kept so a further merge can add
+    /// disjoint contributions exactly before dividing once.
     #[must_use]
     pub fn user_mean_sum(&self) -> f64 {
         self.user_mean_sum
     }
 
-    /// Aggregate over every slot below [`Self::retained_base`].
-    #[must_use]
-    pub fn frozen(&self) -> &SlotStats {
-        self.table.frozen()
-    }
-
-    /// Crowd mean estimate for one slot, `None` outside the merged
-    /// retained range or where nobody reported.
-    #[must_use]
-    pub fn slot_mean(&self, slot: usize) -> Option<f64> {
-        self.table.slot_mean(slot)
-    }
-
-    /// Windowed subsequence mean over the merged table.
-    #[must_use]
-    pub fn windowed_mean(&self, range: Range<usize>) -> Option<f64> {
-        self.table.windowed_mean(range)
-    }
-
-    /// The federated population mean: summed per-user mean mass over the
-    /// summed user count, `None` when no user has reported anywhere.
+    /// The headline population-mean estimate (average of per-user means):
+    /// summed per-user mean mass over the summed user count, `None` when
+    /// no user has reported anywhere — O(1).
     #[must_use]
     pub fn population_mean(&self) -> Option<f64> {
         (self.user_count > 0).then(|| self.user_mean_sum / self.user_count as f64)
     }
 
-    /// Re-exports the merged state as a part, so merges compose: a tier
-    /// of routers can merge its downstreams' parts and serve the result
-    /// upward. [`MergedParts::merge`] over the re-exported parts of any
-    /// grouping agrees with a flat merge (associativity; pinned by
-    /// proptest).
+    /// `range` clipped to the slots the table carries — never inverted,
+    /// empty where the two do not overlap.
     #[must_use]
-    pub fn to_part(&self) -> SnapshotPart {
+    pub fn clip(&self, range: Range<u64>) -> Range<u64> {
+        let end = self.table.base + self.table.slots.len() as u64;
+        let start = range.start.max(self.table.base).min(end);
+        start..range.end.min(end).max(start)
+    }
+
+    /// Re-exports the merged state as a part carrying the slots of
+    /// `range` it holds (an empty clip still carries the scalar ledger),
+    /// so merges compose: a collector serves its view this way, a router
+    /// the merge of its downstreams' parts. [`MergedParts::merge`] over
+    /// the re-exported parts of any grouping agrees with a flat merge
+    /// (associativity; pinned by proptest).
+    #[must_use]
+    pub fn part(&self, range: Range<u64>) -> SnapshotPart {
+        let span = self.clip(range);
+        let at = |slot: u64| (slot - self.table.base) as usize;
         SnapshotPart {
-            retained_base: self.table.retained_base(),
-            slot_end: self.table.slot_end(),
-            start: self.table.retained_base(),
-            slots: self.table.slots().to_vec(),
-            frozen: *self.table.frozen(),
+            retained_base: self.retained_base,
+            slot_end: self.slot_end,
+            start: span.start,
+            slots: self.table.slots[at(span.start)..at(span.end)].to_vec(),
+            frozen: self.table.frozen,
             total_reports: self.total_reports,
             user_count: self.user_count,
             user_mean_sum: self.user_mean_sum,
         }
+    }
+
+    /// [`Self::part`] over every slot held.
+    #[must_use]
+    pub fn to_part(&self) -> SnapshotPart {
+        self.part(0..u64::MAX)
     }
 }
 
@@ -317,179 +311,65 @@ impl MergedParts {
 /// Answers the crowd-level queries of the paper's evaluation:
 /// per-slot mean estimates (stream publication), windowed subsequence
 /// means (mean estimation), and the distribution of per-user means
-/// (crowd-level statistics, Theorem 5).
+/// (crowd-level statistics, Theorem 5). The aggregate queries are the
+/// [`MergedParts`]', reached by deref; the per-user rows are what a
+/// snapshot adds.
 ///
 /// Under a bounded [`crate::SlotRetention`] policy the snapshot covers the
 /// retained slot range `[retained_base, slot_end)`; slots that expired
-/// before the snapshot survive only inside [`Self::frozen`], an exact
+/// before the snapshot survive only inside [`SlotTable::frozen`], an exact
 /// aggregate of everything below the base, so lifetime totals never drift
 /// while per-slot queries are bounded to the live window.
 #[derive(Debug, Clone, Default)]
 pub struct CollectorSnapshot {
-    table: SlotTable,
+    merged: MergedParts,
     /// `(user id, report count, value sum)` ordered by user id.
     users: Vec<(u64, u64, f64)>,
-    total_reports: u64,
+}
+
+impl Deref for CollectorSnapshot {
+    type Target = MergedParts;
+
+    fn deref(&self) -> &MergedParts {
+        &self.merged
+    }
 }
 
 impl CollectorSnapshot {
-    /// Merges shard states into one view. Shards own disjoint users, so
-    /// user lists concatenate; slot stats fold index-wise over the global
-    /// slot range.
-    ///
-    /// Shards under retention may have advanced their bases unevenly (each
-    /// slides on the slots *it* saw). The merged view is anchored at the
-    /// **largest** shard base — the first slot every shard still fully
-    /// retains — and any retained slot below that folds into the frozen
-    /// prefix, so a slot the snapshot reports is never missing one shard's
-    /// contribution.
+    /// Merges shard states into one view: each shard's
+    /// [`ShardAccumulator::part`]s go through [`MergedParts::merge`] in
+    /// iteration order, and — shards own disjoint users — the user lists
+    /// concatenate.
     ///
     /// Accepts anything dereferencing to [`ShardAccumulator`] — plain
-    /// references or mutex guards — and visits each item exactly once, so
-    /// the engine can feed it lock guards one shard at a time.
+    /// references or mutex guards — and visits each item exactly once,
+    /// copying its state out while the guard is held and releasing it
+    /// before the next shard is visited.
     #[must_use]
     pub fn merge<I>(shards: I) -> Self
     where
         I: IntoIterator,
-        I::Item: std::ops::Deref<Target = ShardAccumulator>,
+        I::Item: Deref<Target = ShardAccumulator>,
     {
-        // Extraction pass: copy each shard's state out while its guard is
-        // held, releasing it before the next shard is visited.
-        struct Part {
-            base: u64,
-            slots: Vec<SlotStats>,
-            frozen: SlotStats,
-        }
-        let mut parts: Vec<Part> = Vec::new();
+        let mut parts: Vec<SnapshotPart> = Vec::new();
         let mut users: Vec<(u64, u64, f64)> = Vec::new();
-        let mut total_reports = 0;
         for shard in shards {
-            parts.push(Part {
-                base: shard.base(),
-                slots: shard.retained_slots().map(|(_, s)| *s).collect(),
-                frozen: *shard.frozen(),
-            });
+            parts.push(shard.part());
             for (id, stats) in shard.users() {
                 users.push((id, stats.count, stats.sum));
             }
-            total_reports += shard.reports();
-        }
-
-        // Merge pass: align every shard at the largest base.
-        let base = parts.iter().map(|p| p.base).max().unwrap_or(0);
-        let end = parts
-            .iter()
-            .map(|p| p.base + p.slots.len() as u64)
-            .max()
-            .unwrap_or(0)
-            .max(base);
-        let mut table = SlotTable::default();
-        table.realign(base, end);
-        for p in &parts {
-            table.merge_from(p.base, &p.slots, &p.frozen);
         }
         users.sort_unstable_by_key(|&(id, _, _)| id);
-        Self::from_parts(table, users, total_reports)
-    }
-
-    /// Builds a snapshot from already-merged parts: the slot table and
-    /// `(user id, report count, value sum)` rows sorted by user id (the
-    /// query engine's lock-free materialization path).
-    #[must_use]
-    pub fn from_parts(table: SlotTable, users: Vec<(u64, u64, f64)>, total_reports: u64) -> Self {
-        debug_assert!(
-            users.windows(2).all(|w| w[0].0 < w[1].0),
-            "user rows must be sorted and unique"
-        );
         Self {
-            table,
+            merged: MergedParts::merge(&parts),
             users,
-            total_reports,
         }
-    }
-
-    /// Total reports aggregated into this snapshot (retained + frozen).
-    #[must_use]
-    pub fn total_reports(&self) -> u64 {
-        self.total_reports
     }
 
     /// Number of distinct users seen.
     #[must_use]
     pub fn user_count(&self) -> usize {
         self.users.len()
-    }
-
-    /// The slot-query core (base, retained stats, frozen prefix).
-    #[must_use]
-    pub fn table(&self) -> &SlotTable {
-        &self.table
-    }
-
-    /// Global index of the first retained slot (0 unless retention has
-    /// expired older slots).
-    #[must_use]
-    pub fn retained_base(&self) -> u64 {
-        self.table.retained_base()
-    }
-
-    /// One past the highest slot covered (`retained_base + slot_count`).
-    #[must_use]
-    pub fn slot_end(&self) -> u64 {
-        self.table.slot_end()
-    }
-
-    /// Number of retained slots (the dense range `[retained_base,
-    /// slot_end)`).
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.table.slot_count()
-    }
-
-    /// Per-slot stats for the retained range, dense from
-    /// [`Self::retained_base`].
-    #[must_use]
-    pub fn slots(&self) -> &[SlotStats] {
-        self.table.slots()
-    }
-
-    /// Aggregate over every expired slot below [`Self::retained_base`]
-    /// (empty unless a bounded retention policy is active).
-    #[must_use]
-    pub fn frozen(&self) -> &SlotStats {
-        self.table.frozen()
-    }
-
-    /// Stats for one global slot, or `None` outside the retained range.
-    #[must_use]
-    pub fn slot_stats(&self, slot: u64) -> Option<&SlotStats> {
-        self.table.slot_stats(slot)
-    }
-
-    /// Crowd mean estimate for one slot (`None` if nobody reported it or
-    /// the slot has expired out of the retained range).
-    #[must_use]
-    pub fn slot_mean(&self, slot: usize) -> Option<f64> {
-        self.table.slot_mean(slot)
-    }
-
-    /// Crowd variance estimate for one slot.
-    #[must_use]
-    pub fn slot_variance(&self, slot: usize) -> Option<f64> {
-        self.table.slot_variance(slot)
-    }
-
-    /// Windowed subsequence mean: the average over `range` of the per-slot
-    /// crowd means — the collector-side estimate of the population's
-    /// average subsequence mean `M̂(i,j)`. When every user reports every
-    /// slot of the range this equals the average of the per-user means the
-    /// offline batch path computes, up to floating-point summation order.
-    ///
-    /// Returns `None` if any slot in the range has no reports or has
-    /// expired out of the retained range.
-    #[must_use]
-    pub fn windowed_mean(&self, range: Range<usize>) -> Option<f64> {
-        self.table.windowed_mean(range)
     }
 
     /// User ids seen, ascending.
@@ -510,9 +390,10 @@ impl CollectorSnapshot {
             .collect()
     }
 
-    /// The average of the per-user means: the headline population-mean
-    /// estimate, or `None` when no user has reported yet (distinguishable
-    /// from a true zero mean).
+    /// The average of the per-user means, or `None` when no user has
+    /// reported yet (distinguishable from a true zero mean) — recomputed
+    /// row by row, so it is the independent check on the incrementally
+    /// maintained [`MergedParts::user_mean_sum`] every other tier divides.
     #[must_use]
     pub fn population_mean(&self) -> Option<f64> {
         if self.users.is_empty() {
@@ -689,6 +570,48 @@ mod tests {
                 (m, s) => assert_eq!(m, s),
             }
         }
+    }
+
+    /// The wire accepts a zero-record part claiming any `slot_end` (92
+    /// bytes); the merge carries the claim as a scalar and sizes its table
+    /// from the records it was given, never from the claim.
+    #[test]
+    fn merge_allocates_for_records_received_not_for_the_claimed_end() {
+        let hostile = SnapshotPart {
+            slot_end: 1 << 36,
+            ..SnapshotPart::default()
+        };
+        let alone = MergedParts::merge([&hostile]);
+        assert_eq!(alone.slot_end(), 1 << 36);
+        assert_eq!(alone.slot_count(), 0, "no record, no table");
+        assert_eq!(alone.to_part(), hostile, "and it re-exports unchanged");
+
+        let honest = part_of(&[shard_with(&[(0, 0, 0.25), (1, 0, 0.75), (0, 1, 0.5)])]);
+        let merged = MergedParts::merge([&hostile, &honest]);
+        assert_eq!(merged.slot_end(), 1 << 36);
+        assert_eq!(merged.slot_count(), 2, "only the slots a part carries");
+        assert_eq!(merged.slot_mean(0), Some(0.5));
+        assert_eq!(merged.windowed_mean(0..2), Some(0.5));
+        assert_eq!(merged.slot_mean(2), None);
+    }
+
+    /// A clipped part starts above its base: the merge anchors at the
+    /// largest start, and slots a lower-starting part carries below it
+    /// fold into the frozen prefix like slots below the retained base.
+    #[test]
+    fn merge_anchors_at_the_largest_part_start() {
+        let whole = part_of(&[shard_with(&[(0, 0, 0.25), (0, 1, 0.5), (0, 2, 0.75)])]);
+        let clipped = MergedParts::merge([&whole]).part(1..3);
+        assert_eq!((clipped.start, clipped.slots.len()), (1, 2));
+        let merged = MergedParts::merge([&whole, &clipped]);
+        assert_eq!(merged.retained_base(), 0, "what the owners retain");
+        assert_eq!(merged.table().start(), 1, "what every part carries");
+        assert_eq!(merged.slot_end(), 3);
+        assert_eq!(merged.frozen().count, 1, "slot 0 of the whole part");
+        assert_eq!(merged.slot_stats(1).unwrap().count, 2);
+        assert_eq!(merged.slot_mean(0), None);
+        assert_eq!(merged.clip(0..9), 1..3);
+        assert_eq!(merged.clip(7..9), 3..3, "never inverted");
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   reports land on one downstream, so per-user state (the population
 //!   mean's per-user averages) is never split. The user sets of the
 //!   downstreams are disjoint, which is what makes the merged answers
-//!   *exact*: scalar ledgers add, and [`MergedParts::merge`] anchors the
-//!   slot table at the largest per-part retention base exactly like
-//!   `CollectorSnapshot::merge` does across shards in one process.
+//!   *exact*: scalar ledgers add, and [`MergedParts::merge`] — the same
+//!   function a collector runs across its shards — anchors the slot table
+//!   at the first slot every part still carries.
 //! * **Ledger semantics** — ingest frames are partitioned and fanned out
 //!   fire-and-forget; an `IngestSync` barrier is enqueued *behind* the
 //!   pending ingest on every link (FIFO), each link reports its
@@ -50,9 +50,9 @@
 //! * **Queries** — population/windowed/slot-means/summary/parts are all
 //!   answered by fanning out a `QueryParts` request and folding the raw
 //!   per-downstream contributions with [`MergedParts::merge`] — the merge
-//!   is the [`QuerySource`] the driver answers the read verbs from, and
-//!   `QueryParts` itself is answered with the merged part, unclipped, so
-//!   routers stack; stats sums the downstream collectors' report ledgers
+//!   is what the driver answers the read verbs from, `QueryParts` itself
+//!   included (the merged part, so routers stack); stats sums the
+//!   downstream collectors' report ledgers
 //!   under the router's own connection counters; metrics serves the
 //!   router's registry.
 
@@ -62,7 +62,7 @@ use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
 use ldp_server::wire::{code, Frame, IngestScratch, IngestView, StatsBody, HEADER_LEN};
-use ldp_server::{read_reply, Backend, QuerySource, ReconnectPolicy, RemoteCollector, Transport};
+use ldp_server::{read_reply, Backend, ReconnectPolicy, RemoteCollector, Transport};
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
 use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -479,29 +479,17 @@ impl Backend for Federation {
         })
     }
 
+    /// No front-side clipping of the fan-out: each downstream clips to its
+    /// own retained range (and enforces its own slot bound), which is what
+    /// lets routers stack.
     fn query(
         &self,
         conn: &mut Links,
         range: Range<u64>,
-        answer: impl FnOnce(QuerySource<'_>) -> Frame,
+        answer: impl FnOnce(&MergedParts) -> Frame,
     ) -> Frame {
         match self.merged_query(&conn.links, range) {
-            Ok(merged) => answer(QuerySource {
-                table: merged.table(),
-                total_reports: merged.total_reports(),
-                user_count: merged.user_count(),
-                user_mean_sum: merged.user_mean_sum(),
-            }),
-            Err(refusal) => refusal,
-        }
-    }
-
-    /// No front-side clipping: each downstream clips to its own retained
-    /// range (and enforces its own slot bound), which is what lets
-    /// routers stack.
-    fn parts(&self, conn: &mut Links, range: Range<u64>) -> Frame {
-        match self.merged_query(&conn.links, range) {
-            Ok(merged) => Frame::Parts(merged.to_part()),
+            Ok(merged) => answer(&merged),
             Err(refusal) => refusal,
         }
     }

@@ -359,8 +359,8 @@ impl RemoteCollector {
     /// or expired).
     ///
     /// # Errors
-    /// Transport errors, or a server-reported error frame (e.g. an empty
-    /// range).
+    /// Transport errors, or a server-reported error frame (range empty
+    /// or beyond the server's bound).
     pub fn windowed_mean(&mut self, range: Range<u64>) -> std::io::Result<Option<f64>> {
         let frame = Frame::QueryWindowedMean {
             start: range.start,

@@ -8,7 +8,7 @@
 //! ClientFleet ─▶ RemoteCollector ─╥─ framed TCP ─╥─▶ Transport ─▶ Backend
 //!   (sessions)     (client.rs)    ║   (wire.rs)  ║ (transport.rs)   │
 //!                                 ║              ║                  ├─ Server: Collector
-//!            queries ◀────────────╨──────────────╨── QuerySource ◀──┤   + QueryEngine (serve.rs)
+//!            queries ◀────────────╨──────────────╨── MergedParts ◀──┤   + QueryEngine (serve.rs)
 //!                                                                   └─ Router: N × downstream
 //!                                                                       (ldp-router)
 //! ```
@@ -82,7 +82,7 @@ pub use client::{
 };
 pub use durable::{recover, Durability, FlushPolicy, RecoveryReport, WalConfig};
 pub use serve::{Server, ServerConfig};
-pub use transport::{read_reply, Backend, QuerySource, Transport};
+pub use transport::{read_reply, Backend, Transport};
 pub use wire::{
     checksum, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, MetricsView,
     PartsView, SlotMeansView, StatsBody, SummaryBody, WireError, METRICS_SNAPSHOT_VERSION,

@@ -35,11 +35,11 @@
 //!   therefore the IngestSync/Ack barrier — is computed exactly as in a
 //!   serial fold (the connection thread participates until its batch
 //!   completes).
-//! * Queries are answered from the epoch-delta [`QueryEngine`]: each
-//!   query refreshes (bounded by the change set since the last refresh —
-//!   an O(shards) no-op when nothing changed) and reads the immutable
-//!   view; a paced background refresher keeps the view warm between
-//!   queries so the per-query delta stays small.
+//! * Queries are answered from the epoch-cached [`QueryEngine`]: each
+//!   query refreshes (re-extracting only the shards that changed since
+//!   the last refresh — an O(shards) no-op when nothing did) and reads the
+//!   immutable view; a paced background refresher keeps the view warm
+//!   between queries so the per-query change set stays small.
 //! * Shutdown is graceful: [`Server::shutdown`] flips a flag; the accept
 //!   loop and every connection thread observe it within one poll
 //!   interval, finish their in-flight frame, and join.
@@ -53,12 +53,12 @@
 //!   records.
 
 use crate::durable::Durability;
-use crate::transport::{bad_query, Backend, QuerySource, Transport};
-use crate::wire::{Frame, IngestScratch, IngestView, StatsBody, MAX_QUERY_SLOTS};
+use crate::transport::{Backend, Transport};
+use crate::wire::{Frame, IngestScratch, IngestView, StatsBody};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
-use ldp_collector::{Collector, IngestOutcome, QueryEngine, SnapshotPart};
+use ldp_collector::{Collector, IngestOutcome, MergedParts, QueryEngine};
 use ldp_telemetry::{Registry, TelemetrySnapshot};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -70,7 +70,7 @@ const REFRESH_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Server tuning knobs. (The payload and per-query slot bounds are the
 /// protocol constants [`crate::wire::DEFAULT_MAX_PAYLOAD`] and
-/// [`MAX_QUERY_SLOTS`].)
+/// [`crate::wire::MAX_QUERY_SLOTS`].)
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Maximum connections served concurrently; extras are refused with a
@@ -205,41 +205,10 @@ impl Backend for Local {
         &self,
         _ledger: &mut IngestOutcome,
         _range: Range<u64>,
-        answer: impl FnOnce(QuerySource<'_>) -> Frame,
+        answer: impl FnOnce(&MergedParts) -> Frame,
     ) -> Frame {
         self.engine.refresh();
-        let view = self.engine.view();
-        answer(QuerySource {
-            table: view.table(),
-            total_reports: view.total_reports(),
-            user_count: view.user_count() as u64,
-            user_mean_sum: view.user_mean_sum(),
-        })
-    }
-
-    fn parts(&self, _ledger: &mut IngestOutcome, range: Range<u64>) -> Frame {
-        self.engine.refresh();
-        let view = self.engine.view();
-        // Clip to the retained range (an empty clip is fine: the reply
-        // still carries the scalar ledger), but bound the per-slot
-        // response like slot-means.
-        let lo = range.start.max(view.retained_base()).min(view.slot_end());
-        let hi = range.end.min(view.slot_end()).max(lo);
-        if hi - lo > MAX_QUERY_SLOTS {
-            return bad_query("parts range exceeds the server's bound".into());
-        }
-        Frame::Parts(SnapshotPart {
-            retained_base: view.retained_base(),
-            slot_end: view.slot_end(),
-            start: lo,
-            slots: (lo..hi)
-                .map(|s| view.slot_stats(s).copied().unwrap_or_default())
-                .collect(),
-            frozen: *view.frozen(),
-            total_reports: view.total_reports(),
-            user_count: view.user_count() as u64,
-            user_mean_sum: view.user_mean_sum(),
-        })
+        answer(&self.engine.view())
     }
 
     fn stats(&self, _ledger: &mut IngestOutcome) -> Result<StatsBody, Frame> {

@@ -6,10 +6,10 @@
 //! client ───▶│ accept ─ cap? ─ B::open ─▶ conn thread        │      │ open      │
 //!            │   └─ BUSY (counted)          │                │      │ ingest    │
 //!            │        read_frame ─ verify ─ FrameView        │ ───▶ │ sync      │
-//!            │        ping · goodbye · UNSUPPORTED           │      │ query     │
-//!            │        range checks · BAD_QUERY · read verbs  │ ◀─── │ parts     │
-//!            │        reply encode/write · FrontMetrics      │      │ stats     │
-//!            └───────────────────────────────────────────────┘      └───────────┘
+//!            │        ping · goodbye · UNSUPPORTED           │ ◀─── │ query     │
+//!            │        range checks · BAD_QUERY · read verbs  │      │ stats     │
+//!            │        reply encode/write · FrontMetrics      │      └───────────┘
+//!            └───────────────────────────────────────────────┘
 //! ```
 //!
 //! * **The driver owns** bind + the nonblocking accept loop + the
@@ -18,15 +18,16 @@
 //!   buffers; the framed read with its payload bound, checksum verify and
 //!   borrowed decode; [`code::MALFORMED`] + close on a framing error;
 //!   `Ping`, `Goodbye` and the server-to-client [`code::UNSUPPORTED`] arm;
-//!   range validation and [`code::BAD_QUERY`]; the four read verbs,
-//!   answered from a [`QuerySource`]; the reply write; and
+//!   range validation and [`code::BAD_QUERY`]; the five read verbs
+//!   (`QueryParts` among them), answered from the backend's
+//!   [`MergedParts`]; the reply write; and
 //!   `FrontMetrics`, the `connections.* / frames.* / bytes.* /
 //!   queries.answered / ingest.frames` books and the front half of
 //!   [`StatsBody`].
 //! * **A [`Backend`] says** how to open per-connection state (dropping it
 //!   closes it), what to do with an ingest frame and a sync barrier, how
-//!   to obtain the query source for a range, its raw `QueryParts`
-//!   contribution, and the report-ledger half of the stats. There are
+//!   to obtain the merged aggregate covering a range, and the
+//!   report-ledger half of the stats. There are
 //!   exactly two: the local collector ([`crate::serve`]) and the
 //!   federation (`ldp-router`) — a router *is* this driver with a remote
 //!   backend, which is why routers stack.
@@ -51,36 +52,12 @@ use crate::wire::{
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
-use ldp_collector::SlotTable;
+use ldp_collector::MergedParts;
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry, Timer};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
-
-/// What the read verbs are answered from: a local `LiveView` and a
-/// federation's `MergedParts` are both exactly this — a merged slot table
-/// plus three scalars.
-#[derive(Debug, Clone, Copy)]
-pub struct QuerySource<'a> {
-    /// The merged slot-query core (base, retained stats, frozen prefix).
-    pub table: &'a SlotTable,
-    /// Total reports accepted (retained + frozen).
-    pub total_reports: u64,
-    /// Distinct users seen.
-    pub user_count: u64,
-    /// Sum of per-user running means.
-    pub user_mean_sum: f64,
-}
-
-impl QuerySource<'_> {
-    /// The population-mean estimate (average of per-user means), `None`
-    /// before any user reported.
-    #[must_use]
-    pub fn population_mean(&self) -> Option<f64> {
-        (self.user_count > 0).then(|| self.user_mean_sum / self.user_count as f64)
-    }
-}
 
 /// What a tier does behind the [`Transport`]: the part of serving a
 /// connection that differs between a local collector and a federation.
@@ -136,18 +113,16 @@ pub trait Backend: Send + Sync + 'static {
     /// The barrier could not be made durable; see the trait docs.
     fn sync(&self, conn: &mut Self::Conn) -> io::Result<Frame>;
 
-    /// The reply `answer` builds from the state covering `range` (an
-    /// empty range still carries the scalars) — refresh + view locally,
-    /// `QueryParts` fan-out + merge remotely — or the backend's refusal.
+    /// The reply `answer` builds from the merged aggregate covering
+    /// `range` (an empty range still carries the scalars) — refresh +
+    /// view locally, `QueryParts` fan-out + merge remotely — or the
+    /// backend's refusal.
     fn query(
         &self,
         conn: &mut Self::Conn,
         range: Range<u64>,
-        answer: impl FnOnce(QuerySource<'_>) -> Frame,
+        answer: impl FnOnce(&MergedParts) -> Frame,
     ) -> Frame;
-
-    /// The `QueryParts` reply: this tier's raw mergeable contribution.
-    fn parts(&self, conn: &mut Self::Conn, range: Range<u64>) -> Frame;
 
     /// The report-ledger and durability half of the stats (the driver
     /// fills in the front half: connections, frames, bytes, queries).
@@ -589,47 +564,49 @@ impl<B: Backend> Shared<B> {
                         return front.fail(stream, &mut out, code::UNAVAILABLE, unavailable(&e))
                     }
                 },
-                // The four read verbs, answered from whatever source the
+                // The five read verbs, answered from whatever merge the
                 // backend produces for the range. Scalars ask for an empty
                 // one: it still carries the user ledgers they need.
                 FrameView::QueryPopulationMean => {
-                    backend.query(conn, 0..0, |source| Frame::PopulationMean {
-                        mean: source.population_mean(),
+                    backend.query(conn, 0..0, |merged| Frame::PopulationMean {
+                        mean: merged.population_mean(),
                     })
                 }
-                FrameView::QuerySummary => backend.query(conn, 0..0, |source| {
+                FrameView::QuerySummary => backend.query(conn, 0..0, |merged| {
                     Frame::Summary(SummaryBody {
-                        total_reports: source.total_reports,
-                        user_count: source.user_count,
-                        retained_base: source.table.retained_base(),
-                        slot_end: source.table.slot_end(),
-                        frozen_count: source.table.frozen().count,
-                        population_mean: source.population_mean(),
+                        total_reports: merged.total_reports(),
+                        user_count: merged.user_count(),
+                        retained_base: merged.retained_base(),
+                        slot_end: merged.slot_end(),
+                        frozen_count: merged.frozen().count,
+                        population_mean: merged.population_mean(),
                     })
                 }),
-                FrameView::QueryWindowedMean { start, end } if start >= end => {
-                    bad_query("windowed mean over an empty or inverted range".into())
-                }
                 FrameView::QueryWindowedMean { start, end } => {
-                    backend.query(conn, start..end, |source| Frame::WindowedMean {
-                        mean: source.table.windowed_mean(start as usize..end as usize),
+                    refuse_span::<B>("windowed mean", &(start..end), false).unwrap_or_else(|| {
+                        backend.query(conn, start..end, |merged| Frame::WindowedMean {
+                            mean: merged.windowed_mean(start as usize..end as usize),
+                        })
                     })
-                }
-                FrameView::QuerySlotMeans { start, end } if start >= end => {
-                    bad_query("slot means over an empty or inverted range".into())
-                }
-                FrameView::QuerySlotMeans { start, end } if end - start > MAX_QUERY_SLOTS => {
-                    bad_query(format!("slot range exceeds the {}'s bound", B::TIER))
                 }
                 FrameView::QuerySlotMeans { start, end } => {
-                    backend.query(conn, start..end, |source| Frame::SlotMeans {
-                        start,
-                        means: (start..end)
-                            .map(|slot| source.table.slot_mean(slot as usize))
-                            .collect(),
+                    refuse_span::<B>("slot means", &(start..end), false).unwrap_or_else(|| {
+                        backend.query(conn, start..end, |merged| Frame::SlotMeans {
+                            start,
+                            means: (start..end)
+                                .map(|slot| merged.slot_mean(slot as usize))
+                                .collect(),
+                        })
                     })
                 }
-                FrameView::QueryParts { start, end } => backend.parts(conn, start..end),
+                // The tier's raw mergeable contribution, clipped to what it
+                // holds: an empty clip is fine (the reply still carries the
+                // scalar ledger), a wide one is bounded like the verbs above.
+                FrameView::QueryParts { start, end } => backend.query(conn, start..end, |merged| {
+                    let span = merged.clip(start..end);
+                    refuse_span::<B>("parts", &span, true)
+                        .unwrap_or_else(|| Frame::Parts(merged.part(span)))
+                }),
                 FrameView::QueryStats => match backend.stats(conn) {
                     Ok(mut body) => {
                         front.fill(&mut body);
@@ -670,12 +647,23 @@ fn unavailable(error: &io::Error) -> String {
     format!("durability failure: {error}")
 }
 
-/// Builds the [`code::BAD_QUERY`] error reply.
-pub(crate) fn bad_query(message: String) -> Frame {
-    Frame::Error {
+/// The one range check of the ranged read verbs: the [`code::BAD_QUERY`]
+/// refusal for a span that is empty or inverted (unless `may_be_empty`)
+/// or asks for more than [`MAX_QUERY_SLOTS`] per-slot answers — the same
+/// bound and the same text at every tier, so a query one big collector
+/// refuses is refused through any stack of routers, and vice versa.
+fn refuse_span<B: Backend>(verb: &str, span: &Range<u64>, may_be_empty: bool) -> Option<Frame> {
+    let message = if span.start >= span.end && !may_be_empty {
+        format!("{verb} over an empty or inverted range")
+    } else if span.end.saturating_sub(span.start) > MAX_QUERY_SLOTS {
+        format!("{verb} range exceeds the {}'s bound", B::TIER)
+    } else {
+        return None;
+    };
+    Some(Frame::Error {
         code: code::BAD_QUERY,
         message,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -731,18 +719,9 @@ mod tests {
             &self,
             (): &mut (),
             _: Range<u64>,
-            answer: impl FnOnce(QuerySource<'_>) -> Frame,
+            answer: impl FnOnce(&MergedParts) -> Frame,
         ) -> Frame {
-            answer(QuerySource {
-                table: &SlotTable::default(),
-                total_reports: 0,
-                user_count: 0,
-                user_mean_sum: 0.0,
-            })
-        }
-
-        fn parts(&self, (): &mut (), _: Range<u64>) -> Frame {
-            Frame::Goodbye
+            answer(&MergedParts::default())
         }
 
         fn stats(&self, (): &mut ()) -> Result<StatsBody, Frame> {
@@ -867,6 +846,11 @@ mod tests {
             }
             .encode(),
             Frame::QueryPopulationMean.encode(),
+            Frame::QueryParts {
+                start: 0,
+                end: u64::MAX, // bounded on the clipped span, not the asked one
+            }
+            .encode(),
             Frame::IngestSync.encode(),
             garbage,
             Frame::Ping { nonce: 10 }.encode(), // never read
@@ -879,20 +863,21 @@ mod tests {
         assert_eq!(error_code(&replies[2]), code::BAD_QUERY);
         assert_eq!(error_code(&replies[3]), code::BAD_QUERY);
         assert_eq!(replies[4], Frame::PopulationMean { mean: None });
-        assert!(matches!(replies[5], Frame::IngestAck { accepted: 7, .. }));
-        assert_eq!(error_code(&replies[6]), code::MALFORMED);
-        assert_eq!(replies.len(), 7, "closed after the framing error");
+        assert_eq!(replies[5], Frame::Parts(MergedParts::default().to_part()));
+        assert!(matches!(replies[6], Frame::IngestAck { accepted: 7, .. }));
+        assert_eq!(error_code(&replies[7]), code::MALFORMED);
+        assert_eq!(replies.len(), 8, "closed after the framing error");
 
         let front = &shared.front;
-        assert_eq!(front.frames_decoded.get(), 6);
+        assert_eq!(front.frames_decoded.get(), 7);
         assert_eq!(front.frames_failed.get(), 1);
-        assert_eq!(front.queries_answered.get(), 3);
+        assert_eq!(front.queries_answered.get(), 4);
         assert_eq!(front.bytes_out.get(), peer.output.len() as u64);
         let snapshot = shared.backend.registry.snapshot();
         assert_eq!(snapshot.counter("mock.frames.by_type.ping"), Some(1));
         let timed = |name| snapshot.histogram(name).map(|h| h.count());
         assert_eq!(timed("mock.query.windowed_mean_nanos"), Some(1));
-        assert_eq!(timed("mock.frame.decode_nanos"), Some(6));
+        assert_eq!(timed("mock.frame.decode_nanos"), Some(7));
     }
 
     /// Fail-closed: a backend that cannot take an ingest frame answers

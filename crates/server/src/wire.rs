@@ -77,9 +77,11 @@ pub const HEADER_LEN: usize = 16;
 /// ingest frame of ~700k reports; far above anything the fleet sends,
 /// far below an allocation a hostile length field could weaponize).
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 24;
-/// Hard bound on the slot count one [`Frame::QuerySlotMeans`] or (after
-/// clipping to the retained range) [`Frame::QueryParts`] may ask a tier
-/// for — bounds the response allocation.
+/// Hard bound on the slot count one [`Frame::QueryWindowedMean`],
+/// [`Frame::QuerySlotMeans`] or (after clipping to the retained range)
+/// [`Frame::QueryParts`] may ask a tier for — bounds the response
+/// allocation, and the `QueryParts` fan-out a router answers a windowed
+/// mean from, so every tier refuses the same queries.
 pub const MAX_QUERY_SLOTS: u64 = 1 << 16;
 
 /// Error codes carried by [`Frame::Error`].

@@ -25,7 +25,7 @@
 //! the telemetry subsystem keeps the steady state allocation-free *while
 //! enabled and recording*.
 
-use ldp_collector::{Collector, CollectorConfig, ReportBatch};
+use ldp_collector::{Collector, CollectorConfig, MergedParts, ReportBatch, SnapshotPart};
 use ldp_server::wire::{Frame, IngestScratch, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use ldp_server::{Server, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -470,6 +470,34 @@ fn screening_on_the_routing_pass_allocates_nothing_either() {
         "screening branch exercised"
     );
     assert!(collector.rejected_reports() > 0);
+}
+
+#[test]
+fn a_scalar_query_merge_allocates_nothing() {
+    // A router answers `QueryPopulationMean` / `QuerySummary` by fanning
+    // out `QueryParts 0..0` and merging the zero-record replies. However
+    // many slots their owners claim to cover (2²⁰ here; the merge used to
+    // allocate and zero-fill a table that long per query), merging them
+    // sizes nothing.
+    let parts: Vec<SnapshotPart> = (0..8u64)
+        .map(|owner| SnapshotPart {
+            retained_base: owner,
+            slot_end: 1 << 20,
+            start: owner,
+            total_reports: 1000 + owner,
+            user_count: 10,
+            user_mean_sum: 2.5,
+            ..SnapshotPart::default()
+        })
+        .collect();
+    let before = allocation_events();
+    let merged = MergedParts::merge(&parts);
+    let events = allocation_events() - before;
+    assert_eq!(events, 0, "scalar-only merge touched the heap");
+    assert_eq!(merged.slot_end(), 1 << 20);
+    assert_eq!(merged.retained_base(), 7);
+    assert_eq!(merged.user_count(), 80);
+    assert_eq!(merged.population_mean(), Some(0.25));
 }
 
 #[test]

@@ -3,13 +3,16 @@
 //! 1. **Liveness under contention** — query threads never corrupt or stall
 //!    ingest: `total_reports` is monotone while both run, and the final
 //!    drained view agrees with a full locking snapshot.
-//! 2. **Retention boundary** — a collector with bounded [`SlotRetention`]
+//! 2. **One merge** — at quiescence a refreshed view *is* the locking
+//!    snapshot, bit for bit, however many refreshes assembled it.
+//! 3. **Retention boundary** — a collector with bounded [`SlotRetention`]
 //!    answers every query over its retained range identically (≤ 1e-9) to
 //!    an unbounded collector fed the same reports, while holding per-slot
 //!    memory at O(R) on streams far longer than the window.
 
 use ldp_collector::{
     ClientFleet, Collector, CollectorConfig, FleetConfig, QueryEngine, ReportBatch, SlotRetention,
+    SlotStats,
 };
 use ldp_core::online::{OnlineSession, PipelineSpec, SessionKind};
 use proptest::prelude::*;
@@ -86,8 +89,60 @@ fn concurrent_ingest_while_query_stress() {
     let snapshot = collector.snapshot();
     assert_eq!(view.total_reports(), expected);
     assert_eq!(snapshot.total_reports(), expected);
-    assert_eq!(view.user_count(), snapshot.user_count());
+    assert_eq!(view.user_count(), snapshot.user_count() as u64);
     assert_eq!(engine.per_user_means(), snapshot.per_user_means());
+}
+
+/// The view and the snapshot are assembled by one function from the same
+/// per-shard parts in the same order, so after any number of ingest +
+/// refresh cycles — crowd frames that change every shard, and single-user
+/// uploads that change one of 16 — their slot tables, frozen prefixes and
+/// scalar ledgers are equal **bit for bit**. (A refresh that subtracted the
+/// changed shards' old contributions and added the new ones drifted from
+/// the third sparse refresh on.)
+#[test]
+fn refreshed_view_is_bit_identical_to_a_snapshot() {
+    let bits = |s: &SlotStats| (s.count, s.sum.to_bits(), s.sum_sq.to_bits());
+    for retention in [SlotRetention::Unbounded, SlotRetention::Last(24)] {
+        let collector = Collector::new(CollectorConfig {
+            shards: 16,
+            retention,
+            ..CollectorConfig::default()
+        });
+        let engine = QueryEngine::new(&collector);
+        let value = |i: u64| 0.013 + 0.1 * (i % 7) as f64 + 1e-3 * (i % 11) as f64;
+        let mut batch = ReportBatch::new();
+        for cycle in 0..300u64 {
+            let slot = cycle / 3;
+            if cycle % 10 == 0 {
+                // A crowd frame: one slot of many users, every shard moves.
+                batch.clear();
+                for user in 0..200u64 {
+                    batch.push(user, slot, value(user + cycle));
+                }
+                collector.ingest(&batch);
+                assert_eq!(engine.refresh(), 16, "cycle {cycle}");
+            } else {
+                // A single-user upload: one shard moves.
+                let stream: Vec<f64> = (0..5).map(|i| value(cycle * 5 + i)).collect();
+                collector.ingest(&ReportBatch::from_stream(cycle % 40, slot, &stream));
+                assert_eq!(engine.refresh(), 1, "cycle {cycle}");
+            }
+        }
+        let (view, snap) = (engine.view(), collector.snapshot());
+        assert_eq!(view.retained_base(), snap.retained_base(), "{retention:?}");
+        assert_eq!(view.slot_end(), snap.slot_end());
+        assert_eq!(view.total_reports(), snap.total_reports());
+        assert_eq!(
+            view.user_mean_sum().to_bits(),
+            snap.user_mean_sum().to_bits()
+        );
+        assert_eq!(bits(view.frozen()), bits(snap.frozen()), "{retention:?}");
+        assert_eq!(view.slot_count(), snap.slot_count());
+        for (i, (v, s)) in view.slots().iter().zip(snap.slots()).enumerate() {
+            assert_eq!(bits(v), bits(s), "{retention:?}: retained slot {i}");
+        }
+    }
 }
 
 /// A long stream (≥ 100× the retention window) holds collector memory at

@@ -13,14 +13,16 @@
 //! 3. **Accounting** — the server's stats frame reports exactly what the
 //!    collector and the connection ledgers saw.
 
-use ldp_collector::{ClientFleet, Collector, CollectorConfig, FleetConfig, ReportBatch};
+use ldp_collector::{
+    ClientFleet, Collector, CollectorConfig, FleetConfig, ReportBatch, SnapshotPart,
+};
 use ldp_core::online::{PipelineSpec, SessionKind};
 use ldp_router::{Router, RouterConfig};
-use ldp_server::wire::{checksum, code, Frame, HEADER_LEN, MAGIC, WIRE_VERSION};
+use ldp_server::wire::{checksum, code, Frame, HEADER_LEN, MAGIC, MAX_QUERY_SLOTS, WIRE_VERSION};
 use ldp_server::{drive_fleet_loopback, read_reply, RemoteCollector, Server, ServerConfig};
 use ldp_telemetry::TelemetrySnapshot;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 fn server(shards: usize) -> Server {
@@ -351,6 +353,37 @@ fn bad_queries_contract(front: &Front) {
     assert!(client.windowed_mean(0..1).unwrap().is_some());
     assert_eq!(client.summary().unwrap().total_reports, 1);
 
+    // One bound for every ranged verb, the same at either tier: a span of
+    // MAX_QUERY_SLOTS is answered, one slot more is refused — also by a
+    // collector that does hold that many slots. (A `Server` used to answer
+    // any windowed mean while a `Router` relayed its downstream's refusal
+    // of the `QueryParts` behind it.)
+    let stream = vec![0.5; MAX_QUERY_SLOTS as usize + 1];
+    client
+        .ingest(&ReportBatch::from_stream(2, 0, &stream))
+        .unwrap();
+    client.sync().unwrap();
+    let (at, over) = (0..MAX_QUERY_SLOTS, 0..MAX_QUERY_SLOTS + 1);
+    assert_eq!(client.windowed_mean(at.clone()).unwrap(), Some(0.5));
+    assert_eq!(
+        client.slot_means(at.clone()).unwrap().len(),
+        at.end as usize
+    );
+    assert_eq!(client.query_parts(at).unwrap().slots.len(), 1 << 16);
+    for refused in [
+        client.windowed_mean(over.clone()).map(drop),
+        client.slot_means(over.clone()).map(drop),
+        client.query_parts(over).map(drop),
+    ] {
+        assert_eq!(
+            refused.unwrap_err().kind(),
+            std::io::ErrorKind::InvalidInput
+        );
+    }
+    // `QueryParts` bounds what it would send, not what was asked for.
+    let tail = client.query_parts(1..u64::MAX).unwrap();
+    assert_eq!((tail.start, tail.slots.len()), (1, 1 << 16));
+
     // A server-to-client frame parses, so the stream is still in sync: it
     // is answered UNSUPPORTED and the connection keeps serving.
     let mut raw = TcpStream::connect(front.addr()).unwrap();
@@ -376,6 +409,84 @@ fn bad_queries_error_but_do_not_close_the_connection() {
 #[test]
 fn router_front_bad_queries_error_but_do_not_close_the_connection() {
     bad_queries_contract(&Front::router(64));
+}
+
+/// A downstream that answers every `QueryParts` with a zero-record part
+/// claiming to cover 2³⁶ slots — 92 bytes the wire rightly accepts. The
+/// router must size its merge from the records it received, not from the
+/// claim (which used to be a 1.6 TB allocation: the whole process aborted,
+/// every front connection with it), answer, and stay up.
+#[test]
+fn router_survives_a_downstream_claiming_an_enormous_slot_range() {
+    const CLAIMED_END: u64 = 1 << 36;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub downstream");
+    let stub_addr = listener.local_addr().expect("stub addr");
+    let stub = std::thread::spawn(move || {
+        // Serve connections until the test's closing `Goodbye` probe.
+        let mut handlers = Vec::new();
+        loop {
+            let (mut stream, _) = listener.accept().expect("stub accept");
+            let mut buf = Vec::new();
+            let first = read_reply(&mut stream, &mut buf, || false);
+            if matches!(first, Ok(Frame::Goodbye)) {
+                break;
+            }
+            handlers.push(std::thread::spawn(move || {
+                let mut next = first;
+                while let Ok(frame) = next {
+                    let reply = match frame {
+                        Frame::Ping { nonce } => Frame::Pong { nonce },
+                        Frame::QueryParts { .. } => Frame::Parts(SnapshotPart {
+                            slot_end: CLAIMED_END,
+                            ..SnapshotPart::default()
+                        }),
+                        _ => return,
+                    };
+                    if stream.write_all(&reply.encode()).is_err() {
+                        return;
+                    }
+                    next = read_reply(&mut stream, &mut buf, || false);
+                }
+            }));
+        }
+        for handler in handlers {
+            handler.join().expect("stub handler");
+        }
+    });
+
+    let honest = server(2);
+    let mut direct = RemoteCollector::connect(honest.local_addr()).unwrap();
+    direct
+        .ingest(&ReportBatch::from_stream(1, 0, &[0.25, 0.75]))
+        .unwrap();
+    direct.sync().unwrap();
+
+    let mut router = Router::bind(
+        vec![stub_addr, honest.local_addr()],
+        RouterConfig::default(),
+    )
+    .expect("bind router");
+    let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
+    let summary = client.summary().unwrap();
+    assert_eq!(
+        summary.slot_end, CLAIMED_END,
+        "the claim travels as a scalar"
+    );
+    assert_eq!(summary.total_reports, 2);
+    assert_eq!(client.population_mean().unwrap(), Some(0.5));
+    // The honest downstream's slots are still served, and the merged part
+    // carries exactly those.
+    assert_eq!(client.windowed_mean(0..2).unwrap(), Some(0.5));
+    let part = client.query_parts(0..CLAIMED_END).unwrap();
+    assert_eq!((part.slot_end, part.slots.len()), (CLAIMED_END, 2));
+    assert_eq!(client.summary().unwrap().total_reports, 2, "still up");
+
+    drop(client);
+    router.shutdown();
+    TcpStream::connect(stub_addr)
+        .and_then(|mut s| s.write_all(&Frame::Goodbye.encode()))
+        .expect("stop the stub");
+    stub.join().expect("stub thread");
 }
 
 /// The connection limit turns extra clients away with a BUSY error frame
