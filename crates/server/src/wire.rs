@@ -6,7 +6,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic  "LDPW"
-//!      4     1  protocol version (currently 3)
+//!      4     1  protocol version ([`WIRE_VERSION`], currently 4)
 //!      5     1  frame type (see [`Frame`] discriminants)
 //!      6     2  reserved, must be zero
 //!      8     4  payload length, little-endian u32
@@ -1224,15 +1224,21 @@ fn write_ingest_payload(
     buf.extend_from_slice(&rejected_upstream.to_le_bytes());
     let count = u32::try_from(users.len()).expect("batch exceeds u32::MAX reports");
     buf.extend_from_slice(&count.to_le_bytes());
-    for &u in users {
-        buf.extend_from_slice(&u.to_le_bytes());
+    // Size the three columns once, then fill them in place: one bounds
+    // check per column instead of one `extend` per element.
+    let rows = users.len();
+    let columns_at = buf.len();
+    buf.resize(columns_at + 3 * 8 * rows, 0);
+    let (user_bytes, rest) = buf[columns_at..].split_at_mut(8 * rows);
+    let (slot_bytes, value_bytes) = rest.split_at_mut(8 * rows);
+    fn fill(column: &mut [u8], words: impl Iterator<Item = u64>) {
+        for (out, word) in column.chunks_exact_mut(8).zip(words) {
+            out.copy_from_slice(&word.to_le_bytes());
+        }
     }
-    for &s in slots {
-        buf.extend_from_slice(&s.to_le_bytes());
-    }
-    for &v in values {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    fill(user_bytes, users.iter().copied());
+    fill(slot_bytes, slots.iter().copied());
+    fill(value_bytes, values.iter().map(|v| v.to_bits()));
 }
 
 fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
@@ -2179,6 +2185,44 @@ mod tests {
             let (decoded, consumed) = Frame::decode(&bytes, DEFAULT_MAX_PAYLOAD).unwrap();
             prop_assert_eq!(consumed, bytes.len());
             prop_assert_eq!(decoded, frame);
+        }
+
+        #[test]
+        fn ingest_payload_bytes_equal_the_per_element_encoding(
+            n in 0usize..300,
+            rejected in any::<u64>(),
+            seed in 0u64..1000,
+            prefix in 0usize..5,
+        ) {
+            // The encoder sizes the columns once and fills them in place;
+            // it used to push every element on its own. Same bytes, also
+            // when the buffer already holds something (NaN payloads and
+            // negative zero included: values travel as bit patterns).
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                state
+            };
+            let users: Vec<u64> = (0..n).map(|_| next()).collect();
+            let slots: Vec<u64> = (0..n).map(|_| next() >> 40).collect();
+            let values: Vec<f64> = (0..n).map(|_| f64::from_bits(next())).collect();
+
+            let mut expected = vec![0xEE; prefix];
+            expected.extend_from_slice(&rejected.to_le_bytes());
+            expected.extend_from_slice(&(n as u32).to_le_bytes());
+            for &u in &users {
+                expected.extend_from_slice(&u.to_le_bytes());
+            }
+            for &s in &slots {
+                expected.extend_from_slice(&s.to_le_bytes());
+            }
+            for &v in &values {
+                expected.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+
+            let mut buf = vec![0xEE; prefix];
+            write_ingest_payload(&mut buf, rejected, &users, &slots, &values);
+            prop_assert_eq!(buf, expected);
         }
 
         #[test]

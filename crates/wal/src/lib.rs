@@ -24,8 +24,17 @@
 //!   state blob covering every record with `seq <= covered-seq`;
 //! - `*.tmp` — in-flight checkpoint writes, ignored (and removed) on open.
 //!
+//! Reading a log back is one streaming pass, and the only way a log is
+//! read: [`Wal::recovery`] lists the directory and lends the newest valid
+//! checkpoint, then [`Recovery::replay`] streams the segments through one
+//! bounded buffer and hands each surviving record to a visitor as soon as
+//! its checksum verifies, retaining nothing — memory is the buffer, however
+//! long the log. [`Wal::open`] is that pass with a visitor that ignores the
+//! records. The visitor runs on whichever thread called `replay`; this crate
+//! starts none.
+//!
 //! See [`record`] for the record frame format and [`Wal`] for the recovery
-//! contract.
+//! (visitor) contract.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +43,7 @@ mod log;
 pub mod record;
 
 pub use fault::{arm_crash_points, crash_points_armed, install_crash_hook, CrashPoint};
-pub use log::{Recovered, RecoveredRecord, Wal, WalConfig};
+pub use log::{Recovered, Recovery, Wal, WalConfig};
 
 use std::fmt;
 use std::time::Duration;

@@ -1,13 +1,12 @@
 //! The segmented log: append/barrier/checkpoint/seal + recovery scan.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
-use std::ops::Range;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::fault::{self, CrashPoint};
-use crate::record::{self, RecordKind};
+use crate::record::{self, Record, RecordKind, ScanStop};
 use crate::{FlushPolicy, WalError, WalResult};
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
@@ -16,6 +15,8 @@ const CHECKPOINT_VERSION: u8 = 1;
 /// buffer stays bounded between syncs (capacity is retained across flushes,
 /// keeping the steady state allocation-free).
 const FLUSH_THRESHOLD: usize = 256 << 10;
+/// Size of the one buffer a recovery scan streams every segment through.
+const SCAN_BUFFER_BYTES: usize = 1 << 20;
 
 /// Where and how the log persists.
 #[derive(Debug, Clone)]
@@ -66,47 +67,37 @@ impl WalConfig {
     }
 }
 
-/// One surviving ingest record to replay: where its payload sits in the
-/// segment images [`Recovered`] keeps. Read it with [`Recovered::payload`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredRecord {
-    /// The record's sequence number.
-    pub seq: u64,
-    /// Index of the segment image holding the payload.
-    segment: usize,
-    /// The payload's byte range within that image.
-    bytes: Range<usize>,
-}
-
-/// Everything [`Wal::open`] learned from disk.
-#[derive(Debug, Clone)]
+/// What a recovery scan found on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovered {
     /// Highest sequence covered by the newest valid checkpoint (0 if none).
     pub checkpoint_seq: u64,
-    /// The checkpoint's opaque collector state, if one was found.
-    pub checkpoint_state: Option<Vec<u8>>,
-    /// Surviving ingest records with `seq > checkpoint_seq`, in order.
-    pub records: Vec<RecoveredRecord>,
+    /// Surviving ingest records with `seq > checkpoint_seq` — the ones the
+    /// visitor was handed, in order.
+    pub records: u64,
     /// Bytes discarded as a torn/corrupt tail (0 on a clean log).
     pub truncated_bytes: u64,
     /// True when the log ends in a clean-shutdown seal with no damage and
     /// no ingest records after it.
     pub clean: bool,
-    /// The segment files as read, for those that hold a record to replay:
-    /// replay borrows payloads from these instead of owning a copy each.
-    segments: Vec<Vec<u8>>,
 }
 
-impl Recovered {
-    /// The ingest frame payload of `record`, byte-for-byte as originally
-    /// appended.
-    ///
-    /// # Panics
-    /// Panics if `record` did not come from this `Recovered`'s `records`.
-    #[must_use]
-    pub fn payload(&self, record: &RecoveredRecord) -> &[u8] {
-        &self.segments[record.segment][record.bytes.clone()]
-    }
+/// A log directory opened for recovery: the files are listed and the newest
+/// valid checkpoint is in memory, but no segment has been read yet.
+///
+/// The two halves of the visitor contract are the two steps this type
+/// offers. First [`Recovery::checkpoint_state`] *lends* the checkpoint blob;
+/// then [`Recovery::replay`] drops the blob and streams the segments,
+/// handing each surviving record to the visitor, and returns the log ready
+/// for appends. See [`Wal`] for what the visitor may rely on.
+#[derive(Debug)]
+pub struct Recovery {
+    config: WalConfig,
+    /// Live segment files in sequence order, with their length on disk.
+    segments: Vec<(PathBuf, u64)>,
+    checkpoint_seq: u64,
+    /// The chosen checkpoint file as read; the state is its tail.
+    checkpoint: Option<Vec<u8>>,
 }
 
 /// A segmented, checksummed write-ahead log.
@@ -122,6 +113,25 @@ impl Recovered {
 ///   every record appended so far, then prunes all segments.
 /// - After any [`WalError::Dead`] (injected crash) the log refuses all
 ///   further operations, modeling a killed process.
+///
+/// The recovery (visitor) contract — [`Wal::recovery`] then
+/// [`Recovery::replay`]; [`Wal::open`] is the same pass with a visitor that
+/// ignores everything:
+///
+/// - The newest checkpoint whose checksum validates wins and is lent
+///   first ([`Recovery::checkpoint_state`]); it is dropped before the first
+///   segment is read.
+/// - Segments stream through **one** reusable read buffer, in sequence
+///   order. The visitor is handed `(seq, payload)` for every ingest record
+///   with `seq >` the checkpoint's, as soon as *that record's* checksum
+///   verifies — records after it have not been looked at yet. The payload
+///   is lent for the call only: the next read overwrites it.
+/// - The scan stops at the first bad record, physically truncates the
+///   damage and deletes later segments, so what the visitor saw is exactly
+///   the prefix a second open would replay.
+/// - A visitor error ends the scan at once and comes back as
+///   [`WalError::Io`]; nothing on disk has been changed by then, and the
+///   directory opens again.
 pub struct Wal {
     dir: PathBuf,
     segment_bytes: u64,
@@ -153,10 +163,18 @@ impl Wal {
     /// survived: picks the newest valid checkpoint, scans segments in
     /// order, stops at the first bad record, **physically truncates** the
     /// damage (so a later crash cannot silently lose newer data behind an
-    /// old torn tail), and returns the surviving post-checkpoint records.
+    /// old torn tail), and reports what it found. The records themselves
+    /// are verified and dropped; a caller that wants them replays through
+    /// [`Wal::recovery`].
     pub fn open(config: WalConfig) -> WalResult<(Wal, Recovered)> {
+        Wal::recovery(config)?.replay(|_, _| Ok(()))
+    }
+
+    /// First half of an open: list `config.dir` (created if missing) and
+    /// read the newest checkpoint that validates. No segment is read.
+    pub fn recovery(config: WalConfig) -> WalResult<Recovery> {
         fs::create_dir_all(&config.dir)?;
-        let mut segs: Vec<(u64, PathBuf)> = Vec::new();
+        let mut segs: Vec<(u64, PathBuf, u64)> = Vec::new();
         let mut cks: Vec<(u64, PathBuf)> = Vec::new();
         for entry in fs::read_dir(&config.dir)? {
             let entry = entry?;
@@ -173,7 +191,7 @@ impl Wal {
                 .strip_prefix("seg-")
                 .and_then(|s| s.parse::<u64>().ok())
             {
-                segs.push((num, path));
+                segs.push((num, path, entry.metadata()?.len()));
             } else if let Some(num) = name.strip_prefix("ck-").and_then(|s| s.parse::<u64>().ok()) {
                 cks.push((num, path));
             }
@@ -184,125 +202,25 @@ impl Wal {
         // Newest checkpoint that validates wins; corrupt ones are removed so
         // they cannot shadow an older good one forever.
         let mut checkpoint_seq = 0u64;
-        let mut checkpoint_state: Option<Vec<u8>> = None;
+        let mut checkpoint = None;
         for (num, path) in cks.iter().rev() {
             match read_checkpoint(path) {
-                Ok((covered, state)) if covered == *num && checkpoint_state.is_none() => {
+                Ok((covered, image)) if covered == *num => {
                     checkpoint_seq = covered;
-                    checkpoint_state = Some(state);
+                    checkpoint = Some(image);
+                    break;
                 }
-                _ if checkpoint_state.is_none() => {
+                _ => {
                     let _ = fs::remove_file(path);
                 }
-                _ => {}
             }
         }
-
-        let mut records: Vec<RecoveredRecord> = Vec::new();
-        let mut segments: Vec<Vec<u8>> = Vec::new();
-        let mut truncated_bytes = 0u64;
-        let mut clean = false;
-        let mut max_seq = checkpoint_seq;
-        let mut kept: Vec<(PathBuf, u64)> = Vec::new(); // (path, surviving len)
-        let mut damaged = false;
-        for (_, path) in &segs {
-            if damaged {
-                // Framing after damage is unknowable; later segments were
-                // written after the damaged one and cannot be trusted to
-                // chain onto a truncated history.
-                truncated_bytes += fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                let _ = fs::remove_file(path);
-                continue;
-            }
-            let data = fs::read(path)?;
-            let mut off = 0usize;
-            loop {
-                match record::decode_record(&data[off..]) {
-                    Ok(None) => break,
-                    Ok(Some((rec, used))) => {
-                        match rec.kind {
-                            RecordKind::Seal => clean = true,
-                            RecordKind::Ingest => {
-                                clean = false;
-                                if rec.seq > checkpoint_seq {
-                                    // The payload is the record's tail.
-                                    let end = off + used;
-                                    records.push(RecoveredRecord {
-                                        seq: rec.seq,
-                                        segment: segments.len(),
-                                        bytes: end - rec.payload.len()..end,
-                                    });
-                                }
-                            }
-                        }
-                        max_seq = max_seq.max(rec.seq);
-                        off += used;
-                    }
-                    Err(_) => {
-                        truncated_bytes += (data.len() - off) as u64;
-                        let f = OpenOptions::new().write(true).open(path)?;
-                        f.set_len(off as u64)?;
-                        f.sync_all()?;
-                        damaged = true;
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            kept.push((path.clone(), off as u64));
-            if records.last().is_some_and(|r| r.segment == segments.len()) {
-                segments.push(data);
-            }
-        }
-
-        let next_seq = max_seq + 1;
-        let (active_path, file, written) = match kept.last() {
-            Some((path, len)) => {
-                let file = OpenOptions::new().append(true).open(path)?;
-                (path.clone(), file, *len)
-            }
-            None => {
-                let (path, file) = create_segment(&config.dir, next_seq)?;
-                (path, file, 0)
-            }
-        };
-        let closed: u64 = kept
-            .iter()
-            .take(kept.len().saturating_sub(1))
-            .map(|(_, len)| *len)
-            .sum();
-        sync_dir(&config.dir)?;
-
-        let wal = Wal {
-            dir: config.dir,
-            segment_bytes: config.segment_bytes.max(1),
-            checkpoint_segments: config.checkpoint_segments.max(1),
-            flush_policy: config.flush,
-            file,
-            active_path,
-            next_seq,
+        Ok(Recovery {
+            config,
+            segments: segs.into_iter().map(|(_, path, len)| (path, len)).collect(),
             checkpoint_seq,
-            buf: Vec::with_capacity(FLUSH_THRESHOLD * 2),
-            written,
-            synced: written,
-            closed_bytes: closed,
-            closed_segments: kept.len().saturating_sub(1) as u64,
-            last_sync: Instant::now(),
-            dead: false,
-            appended_records: 0,
-            appended_bytes: 0,
-            sync_count: 0,
-            checkpoint_count: 0,
-        };
-        let recovered = Recovered {
-            checkpoint_seq,
-            checkpoint_state,
-            records,
-            truncated_bytes,
-            clean,
-            segments,
-        };
-        Ok((wal, recovered))
+            checkpoint,
+        })
     }
 
     fn check_alive(&self) -> WalResult<()> {
@@ -553,9 +471,15 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Bytes of a checkpoint file before the state blob: magic, version,
+/// checksum, covered sequence.
+const CHECKPOINT_STATE_AT: usize = 4 + 1 + 4 + 8;
+
+/// Reads and validates a checkpoint file; returns the covered sequence and
+/// the file image, whose tail from [`CHECKPOINT_STATE_AT`] is the state.
 fn read_checkpoint(path: &Path) -> WalResult<(u64, Vec<u8>)> {
     let data = fs::read(path)?;
-    if data.len() < 9 + 8 {
+    if data.len() < CHECKPOINT_STATE_AT {
         return Err(WalError::Corrupt("checkpoint too short"));
     }
     if data[0..4] != CHECKPOINT_MAGIC {
@@ -570,12 +494,202 @@ fn read_checkpoint(path: &Path) -> WalResult<(u64, Vec<u8>)> {
         return Err(WalError::Corrupt("checkpoint checksum mismatch"));
     }
     let covered = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    Ok((covered, body[8..].to_vec()))
+    Ok((covered, data))
+}
+
+impl Recovery {
+    /// The checkpoint's opaque collector state, lent from the file image —
+    /// `None` when no checkpoint validated.
+    #[must_use]
+    pub fn checkpoint_state(&self) -> Option<&[u8]> {
+        self.checkpoint
+            .as_deref()
+            .map(|image| &image[CHECKPOINT_STATE_AT..])
+    }
+
+    /// Total bytes in the segment files [`Recovery::replay`] will read.
+    /// Zero means the replay reads nothing, allocates no read buffer and
+    /// never calls its visitor.
+    #[must_use]
+    pub fn segment_bytes(&self) -> u64 {
+        self.segments.iter().map(|(_, len)| len).sum()
+    }
+
+    /// Second half of an open: drop the checkpoint blob, stream every
+    /// segment through one read buffer handing `visit` each surviving
+    /// `(seq, payload)`, repair the tail, and return the log ready for
+    /// appends. See [`Wal`] for the contract.
+    pub fn replay(
+        self,
+        visit: impl FnMut(u64, &[u8]) -> io::Result<()>,
+    ) -> WalResult<(Wal, Recovered)> {
+        self.replay_chunked(SCAN_BUFFER_BYTES, visit)
+    }
+
+    /// [`Recovery::replay`] with the read buffer's size as a parameter, so
+    /// tests can put read boundaries anywhere in a record.
+    fn replay_chunked(
+        self,
+        chunk: usize,
+        mut visit: impl FnMut(u64, &[u8]) -> io::Result<()>,
+    ) -> WalResult<(Wal, Recovered)> {
+        let Recovery {
+            config,
+            segments,
+            checkpoint_seq,
+            checkpoint,
+        } = self;
+        drop(checkpoint);
+
+        // Allocated by the first segment that has bytes: a fresh directory
+        // opens without it.
+        let mut buf: Vec<u8> = Vec::new();
+        let mut records = 0u64;
+        let mut truncated_bytes = 0u64;
+        let mut clean = false;
+        let mut max_seq = checkpoint_seq;
+        let mut kept: Vec<(PathBuf, u64)> = Vec::new(); // (path, surviving len)
+        let mut damaged = false;
+        for (path, len) in segments {
+            if damaged {
+                // Framing after damage is unknowable; later segments were
+                // written after the damaged one and cannot be trusted to
+                // chain onto a truncated history.
+                truncated_bytes += len;
+                let _ = fs::remove_file(&path);
+                continue;
+            }
+            let mut good = 0u64;
+            if len > 0 {
+                if buf.is_empty() {
+                    buf = vec![0; chunk];
+                }
+                let (valid, intact) = scan_segment(File::open(&path)?, &mut buf, |rec| {
+                    match rec.kind {
+                        RecordKind::Seal => clean = true,
+                        RecordKind::Ingest => {
+                            clean = false;
+                            if rec.seq > checkpoint_seq {
+                                records += 1;
+                                visit(rec.seq, rec.payload)?;
+                            }
+                        }
+                    }
+                    max_seq = max_seq.max(rec.seq);
+                    Ok(())
+                })?;
+                good = valid;
+                if !intact {
+                    truncated_bytes += len.saturating_sub(good);
+                    let f = OpenOptions::new().write(true).open(&path)?;
+                    f.set_len(good)?;
+                    f.sync_all()?;
+                    damaged = true;
+                    clean = false;
+                }
+            }
+            kept.push((path, good));
+        }
+
+        let next_seq = max_seq + 1;
+        let (active_path, file, written) = match kept.last() {
+            Some((path, len)) => {
+                let file = OpenOptions::new().append(true).open(path)?;
+                (path.clone(), file, *len)
+            }
+            None => {
+                let (path, file) = create_segment(&config.dir, next_seq)?;
+                (path, file, 0)
+            }
+        };
+        let closed: u64 = kept
+            .iter()
+            .take(kept.len().saturating_sub(1))
+            .map(|(_, len)| *len)
+            .sum();
+        sync_dir(&config.dir)?;
+
+        let wal = Wal {
+            dir: config.dir,
+            segment_bytes: config.segment_bytes.max(1),
+            checkpoint_segments: config.checkpoint_segments.max(1),
+            flush_policy: config.flush,
+            file,
+            active_path,
+            next_seq,
+            checkpoint_seq,
+            buf: Vec::with_capacity(FLUSH_THRESHOLD * 2),
+            written,
+            synced: written,
+            closed_bytes: closed,
+            closed_segments: kept.len().saturating_sub(1) as u64,
+            last_sync: Instant::now(),
+            dead: false,
+            appended_records: 0,
+            appended_bytes: 0,
+            sync_count: 0,
+            checkpoint_count: 0,
+        };
+        let recovered = Recovered {
+            checkpoint_seq,
+            records,
+            truncated_bytes,
+            clean,
+        };
+        Ok((wal, recovered))
+    }
+}
+
+/// Streams one segment from `src` through `buf`, handing `on_record` each
+/// record as soon as it decodes (checksum verified). Returns the length of
+/// the valid prefix and whether the segment ended cleanly there — `false`
+/// means the bytes after the prefix are not a whole valid record.
+///
+/// `buf` is the scan's one read buffer, non-empty on entry. A record that
+/// straddles a read boundary is carried to the buffer's front before the
+/// next read; the buffer grows only when one record is larger than it, and
+/// never past the largest record the codec accepts.
+fn scan_segment(
+    mut src: impl Read,
+    buf: &mut Vec<u8>,
+    mut on_record: impl FnMut(Record<'_>) -> io::Result<()>,
+) -> io::Result<(u64, bool)> {
+    let (mut start, mut end, mut eof) = (0usize, 0usize, false);
+    let mut good = 0u64;
+    loop {
+        match record::decode_record(&buf[start..end]) {
+            Ok(Some((rec, used))) => {
+                on_record(rec)?;
+                start += used;
+                good += used as u64;
+            }
+            Ok(None) if eof => return Ok((good, true)),
+            Err(stop) if eof || stop != ScanStop::Truncated => return Ok((good, false)),
+            // The buffered bytes end between two records or inside one:
+            // carry the partial record to the front and read on.
+            Ok(None) | Err(_) => {
+                buf.copy_within(start..end, 0);
+                end -= start;
+                start = 0;
+                if end == buf.len() {
+                    let largest = record::RECORD_HEADER_LEN + record::MAX_RECORD_BODY;
+                    buf.resize((buf.len() * 2).min(largest), 0);
+                }
+                match src.read(&mut buf[end..]) {
+                    Ok(0) => eof = true,
+                    Ok(n) => end += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -590,12 +704,63 @@ mod tests {
         WalConfig::new(dir).flush(FlushPolicy::Barrier)
     }
 
-    /// What recovery would replay: `(seq, payload)` per surviving record.
-    fn replayable(rec: &Recovered) -> Vec<(u64, &[u8])> {
-        rec.records
-            .iter()
-            .map(|r| (r.seq, rec.payload(r)))
-            .collect()
+    /// One open, with everything its visitor was shown.
+    struct Opened {
+        wal: Wal,
+        rec: Recovered,
+        state: Option<Vec<u8>>,
+        /// What recovery would replay: `(seq, payload)` per surviving record.
+        replayed: Vec<(u64, Vec<u8>)>,
+    }
+
+    fn open_chunked(config: WalConfig, chunk: usize) -> Opened {
+        let recovery = Wal::recovery(config).unwrap();
+        let state = recovery.checkpoint_state().map(<[u8]>::to_vec);
+        let mut replayed = Vec::new();
+        let (wal, rec) = recovery
+            .replay_chunked(chunk, |seq, payload| {
+                replayed.push((seq, payload.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(rec.records, replayed.len() as u64);
+        Opened {
+            wal,
+            rec,
+            state,
+            replayed,
+        }
+    }
+
+    fn open(dir: &Path) -> Opened {
+        open_chunked(cfg(dir), SCAN_BUFFER_BYTES)
+    }
+
+    /// The directory's segment files in sequence order: `(path, bytes)`.
+    fn segment_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| {
+                let name = path.file_name().unwrap().to_str().unwrap();
+                name.starts_with("seg-")
+            })
+            .map(|path| {
+                let bytes = fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Writes `payloads` as one record each into small segments.
+    fn write_log(dir: &Path, segment_bytes: u64, payloads: &[Vec<u8>]) {
+        let (mut wal, _) = Wal::open(cfg(dir).segment_bytes(segment_bytes)).unwrap();
+        for payload in payloads {
+            wal.append(payload).unwrap();
+        }
+        wal.barrier().unwrap();
     }
 
     #[test]
@@ -608,20 +773,20 @@ mod tests {
     fn append_barrier_recover() {
         let dir = temp_dir("abr");
         {
-            let (mut wal, rec) = Wal::open(cfg(&dir)).unwrap();
-            assert_eq!(rec.checkpoint_seq, 0);
-            assert!(rec.records.is_empty());
-            assert!(!rec.clean);
-            assert_eq!(wal.append(b"one").unwrap(), 1);
-            assert_eq!(wal.append(b"two").unwrap(), 2);
-            wal.barrier().unwrap();
+            let mut opened = open(&dir);
+            assert_eq!(opened.rec.checkpoint_seq, 0);
+            assert!(opened.replayed.is_empty());
+            assert!(!opened.rec.clean);
+            assert_eq!(opened.wal.append(b"one").unwrap(), 1);
+            assert_eq!(opened.wal.append(b"two").unwrap(), 2);
+            opened.wal.barrier().unwrap();
         }
-        let (_, rec) = Wal::open(cfg(&dir)).unwrap();
+        let opened = open(&dir);
         assert_eq!(
-            replayable(&rec),
-            vec![(1, b"one".as_slice()), (2, b"two".as_slice())]
+            opened.replayed,
+            [(1, b"one".to_vec()), (2, b"two".to_vec())]
         );
-        assert!(!rec.clean);
+        assert!(!opened.rec.clean);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -634,8 +799,7 @@ mod tests {
         wal.append(b"volatile").unwrap();
         wal.simulate_power_loss().unwrap();
         assert!(matches!(wal.append(b"x"), Err(WalError::Dead)));
-        let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        assert_eq!(replayable(&rec), vec![(1, b"durable".as_slice())]);
+        assert_eq!(open(&dir).replayed, [(1, b"durable".to_vec())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -652,10 +816,10 @@ mod tests {
             wal.barrier().unwrap();
             assert_eq!(wal.live_segments(), 1);
         }
-        let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        assert_eq!(rec.checkpoint_seq, 2);
-        assert_eq!(rec.checkpoint_state.as_deref(), Some(b"STATE".as_slice()));
-        assert_eq!(replayable(&rec), vec![(3, b"c".as_slice())]);
+        let opened = open(&dir);
+        assert_eq!(opened.rec.checkpoint_seq, 2);
+        assert_eq!(opened.state.as_deref(), Some(b"STATE".as_slice()));
+        assert_eq!(opened.replayed, [(3, b"c".to_vec())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -668,10 +832,10 @@ mod tests {
             wal.checkpoint(b"S").unwrap();
             wal.seal().unwrap();
         }
-        let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        assert!(rec.clean);
-        assert!(rec.records.is_empty());
-        assert_eq!(rec.checkpoint_state.as_deref(), Some(b"S".as_slice()));
+        let opened = open(&dir);
+        assert!(opened.rec.clean);
+        assert_eq!(opened.rec.records, 0);
+        assert_eq!(opened.state.as_deref(), Some(b"S".as_slice()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -691,13 +855,14 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&seg_path).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
-        let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        assert_eq!(replayable(&rec), vec![(1, b"good".as_slice())]);
-        assert!(rec.truncated_bytes > 0);
+        let opened = open(&dir);
+        assert_eq!(opened.replayed, [(1, b"good".to_vec())]);
+        assert!(opened.rec.truncated_bytes > 0);
+        drop(opened);
         // The damage is gone from disk: a second open sees a clean log.
         let (_, rec2) = Wal::open(cfg(&dir)).unwrap();
         assert_eq!(rec2.truncated_bytes, 0);
-        assert_eq!(rec2.records.len(), 1);
+        assert_eq!(rec2.records, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -718,9 +883,252 @@ mod tests {
         assert!(!wal.wants_checkpoint());
         // Everything is covered; replay is empty but state survives.
         drop(wal);
-        let (_, rec) = Wal::open(cfg(&dir)).unwrap();
-        assert!(rec.records.is_empty());
-        assert_eq!(rec.checkpoint_state.as_deref(), Some(b"S".as_slice()));
+        let opened = open(&dir);
+        assert_eq!(opened.rec.records, 0);
+        assert_eq!(opened.state.as_deref(), Some(b"S".as_slice()));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_survive_any_read_boundary() {
+        // 3-byte payloads encode to 20 bytes. A 24-byte buffer splits the
+        // second record's header (4 of its 8 bytes arrive first); 20 and 40
+        // end a read exactly on a record boundary; 7 is smaller than a
+        // header, and the 100-byte payload is longer than all of them, so
+        // the buffer has to grow to hold that one record.
+        let dir = temp_dir("boundary");
+        let mut payloads = vec![b"abc".to_vec(); 5];
+        payloads.insert(3, vec![0x5A; 100]);
+        write_log(&dir, 1 << 20, &payloads);
+        let expected: Vec<(u64, Vec<u8>)> = (1..).zip(payloads).collect();
+        for chunk in [24, 20, 40, 7, 1, SCAN_BUFFER_BYTES] {
+            let opened = open_chunked(cfg(&dir), chunk);
+            assert_eq!(opened.replayed, expected, "chunk {chunk}");
+            assert_eq!(opened.rec.truncated_bytes, 0, "chunk {chunk}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_empty_segment_file_is_kept_and_reused() {
+        let dir = temp_dir("empty");
+        drop(Wal::open(cfg(&dir)).unwrap());
+        let before = segment_files(&dir);
+        assert_eq!(before.len(), 1);
+        assert!(before[0].1.is_empty());
+
+        let recovery = Wal::recovery(cfg(&dir)).unwrap();
+        assert_eq!(recovery.segment_bytes(), 0);
+        let (mut wal, rec) = recovery
+            .replay(|_, _| panic!("an empty log has nothing to visit"))
+            .unwrap();
+        assert_eq!(
+            rec,
+            Recovered {
+                checkpoint_seq: 0,
+                records: 0,
+                truncated_bytes: 0,
+                clean: false
+            }
+        );
+        assert_eq!(wal.active_path, before[0].0, "no second file");
+        wal.append(b"x").unwrap();
+        wal.barrier().unwrap();
+        drop(wal);
+        assert_eq!(open_chunked(cfg(&dir), 5).replayed, [(1, b"x".to_vec())]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damage_in_a_middle_segment_drops_every_later_one() {
+        let dir = temp_dir("middle");
+        let payloads: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 16]).collect();
+        write_log(&dir, 64, &payloads);
+        let files = segment_files(&dir);
+        assert!(files.len() >= 4, "{} segments", files.len());
+        // Flip a payload bit of the second record of the second segment.
+        let (path, mut bytes) = files[1].clone();
+        let record_len = record::encoded_len(16);
+        bytes[record_len + record_len - 1] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+
+        let first_segment_records = files[0].1.len() / record_len;
+        let later: u64 = files[2..].iter().map(|(_, b)| b.len() as u64).sum();
+        let opened = open_chunked(cfg(&dir), 48);
+        assert_eq!(opened.replayed.len(), first_segment_records + 1);
+        assert_eq!(
+            opened.rec.truncated_bytes,
+            (bytes.len() - record_len) as u64 + later
+        );
+        assert!(!opened.rec.clean);
+        assert_eq!(opened.wal.active_path, path, "appends resume after the cut");
+        let expected = opened.replayed;
+        drop(opened.wal);
+
+        let after = segment_files(&dir);
+        assert_eq!(after.len(), 2, "later segments are deleted");
+        assert_eq!(after[0], files[0]);
+        assert_eq!(after[1].1, files[1].1[..record_len]);
+        let again = open(&dir);
+        assert_eq!(again.rec.truncated_bytes, 0);
+        assert_eq!(again.replayed, expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_visitor_error_stops_the_scan_and_changes_nothing() {
+        let dir = temp_dir("refuse");
+        write_log(&dir, 64, &vec![vec![7u8; 16]; 9]);
+        let before = segment_files(&dir);
+        let mut seen = 0;
+        let refused = Wal::recovery(cfg(&dir))
+            .unwrap()
+            .replay_chunked(32, |_, _| {
+                seen += 1;
+                if seen == 4 {
+                    return Err(io::Error::other("visitor refuses"));
+                }
+                Ok(())
+            });
+        assert!(matches!(refused, Err(WalError::Io(_))));
+        assert_eq!(seen, 4, "nothing is visited after the refusal");
+        assert_eq!(segment_files(&dir), before);
+        assert_eq!(open(&dir).rec.records, 9);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a whole-file scan of `images` (segment files in order) keeps —
+    /// the loop `Wal::open` ran before it streamed.
+    struct Reference {
+        replayed: Vec<(u64, Vec<u8>)>,
+        truncated_bytes: u64,
+        /// Surviving length per segment; `None` once the file is deleted.
+        lengths: Vec<Option<u64>>,
+        clean: bool,
+    }
+
+    fn reference_scan(images: &[Vec<u8>], checkpoint_seq: u64) -> Reference {
+        let mut out = Reference {
+            replayed: Vec::new(),
+            truncated_bytes: 0,
+            lengths: Vec::new(),
+            clean: false,
+        };
+        let mut damaged = false;
+        for data in images {
+            if damaged {
+                out.truncated_bytes += data.len() as u64;
+                out.lengths.push(None);
+                continue;
+            }
+            let mut off = 0;
+            loop {
+                match record::decode_record(&data[off..]) {
+                    Ok(None) => break,
+                    Ok(Some((rec, used))) => {
+                        out.clean = rec.kind == RecordKind::Seal;
+                        if rec.kind == RecordKind::Ingest && rec.seq > checkpoint_seq {
+                            out.replayed.push((rec.seq, rec.payload.to_vec()));
+                        }
+                        off += used;
+                    }
+                    Err(_) => {
+                        out.truncated_bytes += (data.len() - off) as u64;
+                        damaged = true;
+                        out.clean = false;
+                        break;
+                    }
+                }
+            }
+            out.lengths.push(Some(off as u64));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn streamed_scan_equals_a_whole_file_scan(
+            lengths in proptest::collection::vec(0usize..90, 0..24),
+            chunk in 1usize..80,
+            checkpoint_after in 0usize..40,
+            seal in any::<bool>(),
+            damage in 0usize..3,
+            at in any::<u64>(),
+        ) {
+            let dir = temp_dir("prop");
+            let payloads: Vec<Vec<u8>> = lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|b| (i * 31 + b) as u8).collect())
+                .collect();
+            {
+                let (mut wal, _) = Wal::open(cfg(&dir).segment_bytes(150)).unwrap();
+                for (i, payload) in payloads.iter().enumerate() {
+                    wal.append(payload).unwrap();
+                    if i + 1 == checkpoint_after {
+                        // A crash between the checkpoint's rename and its
+                        // prune: the covered segments are still there.
+                        wal.barrier().unwrap();
+                        let stale = segment_files(&dir);
+                        wal.checkpoint(b"STATE").unwrap();
+                        for (path, bytes) in stale {
+                            if path != wal.active_path {
+                                fs::write(path, bytes).unwrap();
+                            }
+                        }
+                    }
+                }
+                if seal {
+                    wal.seal().unwrap();
+                }
+                wal.barrier().unwrap();
+            }
+
+            // One cut or one bit flip somewhere in the log's bytes.
+            let mut files = segment_files(&dir);
+            let total: usize = files.iter().map(|(_, bytes)| bytes.len()).sum();
+            if damage > 0 && total > 0 {
+                let mut offset = (at % total as u64) as usize;
+                let hit = files
+                    .iter_mut()
+                    .find(|(_, bytes)| {
+                        let inside = offset < bytes.len();
+                        if !inside {
+                            offset -= bytes.len();
+                        }
+                        inside
+                    })
+                    .expect("offset is inside the log");
+                if damage == 1 {
+                    hit.1.truncate(offset);
+                } else {
+                    hit.1[offset] ^= 1 << ((at >> 32) % 8);
+                }
+                fs::write(&hit.0, &hit.1).unwrap();
+            }
+
+            let checkpoint_seq = if (1..=payloads.len()).contains(&checkpoint_after) {
+                checkpoint_after as u64
+            } else {
+                0
+            };
+            let images: Vec<Vec<u8>> = files.iter().map(|(_, bytes)| bytes.clone()).collect();
+            let expected = reference_scan(&images, checkpoint_seq);
+
+            let opened = open_chunked(cfg(&dir), chunk);
+            prop_assert_eq!(opened.rec.checkpoint_seq, checkpoint_seq);
+            prop_assert_eq!(&opened.replayed, &expected.replayed);
+            prop_assert_eq!(opened.rec.truncated_bytes, expected.truncated_bytes);
+            prop_assert_eq!(opened.rec.clean, expected.clean);
+            drop(opened);
+            let surviving: Vec<Option<u64>> = files
+                .iter()
+                .map(|(path, _)| fs::metadata(path).ok().map(|m| m.len()))
+                .collect();
+            prop_assert_eq!(surviving, expected.lengths);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -33,40 +33,49 @@ use std::cell::Cell;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-/// Counts allocation events (alloc / alloc_zeroed / realloc) on the
-/// current thread, delegating the actual memory management to [`System`].
+/// Counts allocation events (alloc / alloc_zeroed / realloc) and the bytes
+/// they asked for on the current thread, delegating the actual memory
+/// management to [`System`].
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATION_EVENTS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     ALLOCATION_EVENTS.with(|c| c.set(c.get() + 1));
+    ALLOCATED_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 fn allocation_events() -> u64 {
     ALLOCATION_EVENTS.with(Cell::get)
 }
 
+/// Bytes requested so far on this thread (a realloc counts its whole new
+/// size; nothing is subtracted on free).
+fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.with(Cell::get)
+}
+
 // SAFETY: pure pass-through to `System`; the only addition is a
-// thread-local event counter, which allocates nothing and upholds every
+// pair of thread-local counters, which allocate nothing and uphold every
 // `GlobalAlloc` contract by construction.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: caller upholds the `GlobalAlloc::alloc` contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: caller upholds the `GlobalAlloc::alloc_zeroed` contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: caller upholds the `GlobalAlloc::realloc` contract, and
         // `ptr` came from this allocator (which delegates to `System`).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -562,48 +571,164 @@ fn wal_batched_ingest_path_performs_zero_allocations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What the `Wal`'s own append buffer asks for, plus room for paths,
+/// directory entries and file handles: the most an open may allocate
+/// besides its one scan buffer.
+const WAL_OPEN_BASE_BYTES: u64 = (512 << 10) + (64 << 10);
+
 #[test]
-fn wal_open_allocates_per_segment_not_per_record() {
-    // Recovery keeps each segment as it was read and hands replay borrowed
-    // payloads; it used to copy every surviving record into a `Vec` of its
-    // own. 2,000 records in a handful of segments must cost `Wal::open` a
-    // few allocations per segment (the image, paths, directory entries)
-    // plus the record index's doublings — nowhere near one per record.
+fn wal_replay_allocates_for_one_buffer_not_for_the_log() {
+    // Recovery streams every segment through one reusable buffer and lends
+    // each payload to the visitor; it used to read each segment into a
+    // `Vec` of its own and keep them all until replay ended. Two logs of
+    // 2,000 records in a handful of segments, one ten times the other's
+    // size (and larger than the scan buffer): the replay asks for the same
+    // bytes for both, and for a number of allocations that depends on the
+    // segment count — nowhere near one per record.
     use ldp_wal::{FlushPolicy, Wal, WalConfig};
 
     const RECORDS: u64 = 2_000;
-    let dir = std::env::temp_dir().join(format!("ldp-alloc-open-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = || {
-        WalConfig::new(&dir)
-            .flush(FlushPolicy::Barrier)
-            .segment_bytes(64 << 10)
-    };
-    let payload = [0xA5u8; 100];
-    let segments = {
-        let (mut wal, _) = Wal::open(config()).expect("fresh log");
-        for _ in 0..RECORDS {
-            wal.append(&payload).expect("append");
-        }
-        wal.barrier().expect("barrier");
-        wal.live_segments()
-    };
-    assert!((3..=8).contains(&segments), "{segments} segments");
+    const SCAN_BUFFER_BYTES: u64 = 1 << 20;
+    let replay = |tag: &str, payload_len: usize| {
+        let dir = std::env::temp_dir().join(format!("ldp-alloc-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || {
+            WalConfig::new(&dir)
+                .flush(FlushPolicy::Barrier)
+                .segment_bytes(640 * payload_len as u64)
+        };
+        let payload = vec![0xA5u8; payload_len];
+        let segments = {
+            let (mut wal, _) = Wal::open(config()).expect("fresh log");
+            for _ in 0..RECORDS {
+                wal.append(&payload).expect("append");
+            }
+            wal.barrier().expect("barrier");
+            wal.live_segments()
+        };
+        assert!((3..=8).contains(&segments), "{segments} segments");
 
-    let before = allocation_events();
-    let (wal, recovered) = Wal::open(config()).expect("recovery");
-    let events = allocation_events() - before;
+        let (events_before, bytes_before) = (allocation_events(), allocated_bytes());
+        let mut intact = 0u64;
+        let (wal, recovered) = Wal::recovery(config())
+            .expect("listing")
+            .replay(|_, seen| {
+                intact += u64::from(seen == payload);
+                Ok(())
+            })
+            .expect("recovery");
+        let events = allocation_events() - events_before;
+        let bytes = allocated_bytes() - bytes_before;
 
-    assert_eq!(recovered.records.len() as u64, RECORDS);
-    assert!(recovered
-        .records
-        .iter()
-        .all(|record| recovered.payload(record) == payload));
+        assert_eq!((recovered.records, intact), (RECORDS, RECORDS));
+        assert!(
+            events <= 24 * segments + 32,
+            "replay made {events} allocations for {RECORDS} records in {segments} segments"
+        );
+        drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+        (segments, bytes)
+    };
+
+    let (small_segments, small) = replay("open-small", 100);
+    let (large_segments, large) = replay("open-large", 1_000);
+    assert_eq!(small_segments, large_segments);
     assert!(
-        events <= 24 * segments + 32,
-        "Wal::open made {events} allocations for {RECORDS} records in {segments} segments"
+        small > SCAN_BUFFER_BYTES && small <= SCAN_BUFFER_BYTES + WAL_OPEN_BASE_BYTES,
+        "a 0.2 MB log asked for {small} bytes"
     );
+    assert!(
+        large.abs_diff(small) <= 1 << 10,
+        "a 2 MB log asked for {large} bytes, a 0.2 MB log for {small}"
+    );
+}
 
-    drop(wal);
-    let _ = std::fs::remove_dir_all(&dir);
+/// The id the next spawned thread gets: `ThreadId`s are handed out from one
+/// process-wide counter, so two probes that read `n` and `n + 1` prove no
+/// thread was created anywhere in the process between them.
+fn next_thread_id() -> u64 {
+    let id = std::thread::spawn(|| std::thread::current().id())
+        .join()
+        .expect("probe thread");
+    let text = format!("{id:?}");
+    text.trim_start_matches("ThreadId(")
+        .trim_end_matches(')')
+        .parse()
+        .expect("ThreadId(N)")
+}
+
+#[test]
+fn opening_a_fresh_directory_allocates_no_scan_buffer_and_spawns_no_thread() {
+    // A 1 MiB block allocated and freed on every open ratchets glibc's
+    // mmap threshold up, after which every frame buffer of a serving
+    // process lands on the heap (measured: +6 to +13 MB peak RSS on the
+    // two-server topology). So an open that finds no segment bytes must
+    // not allocate the scan buffer or a hand-off chunk, and `recover()`
+    // must not start its scan thread.
+    use ldp_server::durable::{self, FlushPolicy, WalConfig};
+    use ldp_wal::Wal;
+
+    let dir = |tag: &str, n: usize| {
+        let dir = std::env::temp_dir().join(format!("ldp-alloc-{tag}-{n}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let config = |dir: &std::path::Path| WalConfig::new(dir).flush(FlushPolicy::Barrier);
+
+    let fresh = dir("fresh-open", 0);
+    let before = allocated_bytes();
+    let opened = Wal::open(config(&fresh)).expect("fresh log");
+    let bytes = allocated_bytes() - before;
+    assert!(
+        bytes <= WAL_OPEN_BASE_BYTES,
+        "opening an empty directory asked for {bytes} bytes"
+    );
+    drop(opened);
+    // ... and so must reopening it: the one segment file exists, empty.
+    let before = allocated_bytes();
+    drop(Wal::open(config(&fresh)).expect("empty log"));
+    assert!(allocated_bytes() - before <= WAL_OPEN_BASE_BYTES);
+    let _ = std::fs::remove_dir_all(&fresh);
+
+    // Other tests of this binary start threads whenever they like, so one
+    // quiet window is enough — and if recovery always spawned, none of
+    // these attempts could find one.
+    let mut frame = Vec::new();
+    Frame::encode_ingest_into(&steady_batch(64, 8, 4, 1), &mut frame);
+    let mut quiet = false;
+    for attempt in 0..200 {
+        let fresh = dir("fresh-recover", attempt);
+        let first = next_thread_id();
+        let recovered = durable::recover(CollectorConfig::default(), config(&fresh));
+        let gap = next_thread_id() - first;
+        let (collector, durability, report) = recovered.expect("fresh durable collector");
+        assert_eq!(report.replayed_records, 0);
+        if attempt == 0 {
+            // The probe is live: the same call on a log with one record
+            // does start the scan thread, every time.
+            durability
+                .ingest_frame(
+                    &collector,
+                    &frame[HEADER_LEN..],
+                    &mut IngestScratch::default(),
+                )
+                .expect("durable ingest");
+            durability.barrier().expect("barrier");
+            drop((collector, durability));
+            let first = next_thread_id();
+            let (_, _, report) = durable::recover(CollectorConfig::default(), config(&fresh))
+                .expect("recovery of one record");
+            assert!(next_thread_id() - first >= 2, "no scan thread was seen");
+            assert_eq!(report.replayed_records, 1);
+        }
+        let _ = std::fs::remove_dir_all(&fresh);
+        if gap == 1 {
+            quiet = true;
+            break;
+        }
+    }
+    assert!(
+        quiet,
+        "every fresh-directory recover() coincided with a new thread"
+    );
 }

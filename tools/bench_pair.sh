@@ -7,11 +7,13 @@
 # alternately, pair i on seed i, odd pairs parent first — only the
 # per-pair ratios and the win count mean much.
 #
-# Usage: tools/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds]
+# Usage: tools/bench_pair.sh <parent-ref> <workload>[,<workload>...] [pairs=10] [seconds]
 #
 #   <parent-ref>  any commit-ish; exported with `git archive` into
 #                 target/bench_pair/parent (no worktree metadata to prune)
-#   <workload>    a workload name from BENCHMARK.json
+#   <workload>    workload names from BENCHMARK.json, comma-separated
+#                 (`recover,durable_fleet,ingest_hot`); each gets all its
+#                 pairs, then its own summary block, in the order given
 #   [seconds]     run length; defaults to BENCHMARK.json's run_seconds
 #
 # Both sides build into their own directories under target/bench_pair/,
@@ -21,11 +23,11 @@
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
-    echo "usage: tools/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds]" >&2
+    echo "usage: tools/bench_pair.sh <parent-ref> <workload>[,<workload>...] [pairs=10] [seconds]" >&2
     exit 2
 fi
 parent_ref="$1"
-workload="$2"
+IFS=',' read -r -a workloads <<<"$2"
 pairs="${3:-10}"
 
 repo_root="$(cd -- "$(dirname -- "$0")/.." && pwd)"
@@ -45,63 +47,69 @@ echo "building parent ($parent_ref) and working tree ..." >&2
 build "$parent_tree" "$work/target-parent"
 build "$repo_root" "$work/target-change"
 
-results="$work/runs-$workload.tsv"
-: >"$results"
-
 field() { # <json line> <metric>
     printf '%s' "$1" | sed -n "s/.*\"$2\": {\"value\": \([-0-9.e+]*\).*/\1/p"
 }
 
-run() { # <side> <pair>
+run() { # <side> <pair>; reads $workload, appends to $results
     local line
     line="$("$work/target-$1/release/ldp-benchmark" \
         --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)"
     case "$line" in
         '{"correct": true, '*'"failed": 0, '*) ;;
-        *) echo "run failed its gates ($1, seed $2): $line" >&2; exit 1 ;;
+        *) echo "run failed its gates ($workload, $1, seed $2): $line" >&2; exit 1 ;;
     esac
     printf '%s\t%s\t%s\t%s\t%s\n' "$2" "$1" \
         "$(field "$line" rows_per_s)" "$(field "$line" setup_s)" \
         "$(field "$line" peak_rss_mb)" | tee -a "$results"
 }
 
-printf 'pair\tside\trows_per_s\tsetup_s\tpeak_rss_mb\n'
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run parent "$pair"
-        run change "$pair"
-    else
-        run change "$pair"
-        run parent "$pair"
-    fi
-done
-
 # Median and quartiles (linear interpolation between order statistics),
 # per side and metric; wins are pairs where the change reads better.
-echo
-for spec in "rows_per_s 3 higher" "setup_s 4 lower" "peak_rss_mb 5 lower"; do
-    set -- $spec
-    for side in parent change; do
-        awk -F'\t' -v side="$side" -v col="$2" '$2 == side { print $col }' "$results" |
-            sort -g |
-            awk -v label="$1 $side" '
-                { v[NR] = $1 }
-                function q(p,    h, lo) {
-                    h = (NR - 1) * p + 1; lo = int(h)
-                    return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+summarize() { # reads $results
+    local spec side
+    for spec in "rows_per_s 3 higher" "setup_s 4 lower" "peak_rss_mb 5 lower"; do
+        set -- $spec
+        for side in parent change; do
+            awk -F'\t' -v side="$side" -v col="$2" '$2 == side { print $col }' "$results" |
+                sort -g |
+                awk -v label="$1 $side" '
+                    { v[NR] = $1 }
+                    function q(p,    h, lo) {
+                        h = (NR - 1) * p + 1; lo = int(h)
+                        return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+                    }
+                    END { printf "%-22s median %.6g  q1 %.6g  q3 %.6g  (n=%d)\n",
+                          label, q(0.5), q(0.25), q(0.75), NR }'
+        done
+        awk -F'\t' -v col="$2" -v better="$3" -v label="$1" '
+            $2 == "parent" { p[$1] = $col }
+            $2 == "change" { c[$1] = $col }
+            END {
+                for (i in p) {
+                    if (c[i] == p[i]) ties++
+                    else if ((better == "higher") == (c[i] > p[i])) wins++
                 }
-                END { printf "%-22s median %.6g  q1 %.6g  q3 %.6g  (n=%d)\n",
-                      label, q(0.5), q(0.25), q(0.75), NR }'
+                printf "%-22s change better in %d of %d pairs (%d ties)\n\n",
+                       label, wins, length(p), ties
+            }' "$results"
     done
-    awk -F'\t' -v col="$2" -v better="$3" -v label="$1" '
-        $2 == "parent" { p[$1] = $col }
-        $2 == "change" { c[$1] = $col }
-        END {
-            for (i in p) {
-                if (c[i] == p[i]) ties++
-                else if ((better == "higher") == (c[i] > p[i])) wins++
-            }
-            printf "%-22s change better in %d of %d pairs (%d ties)\n\n",
-                   label, wins, length(p), ties
-        }' "$results"
+}
+
+for workload in "${workloads[@]}"; do
+    results="$work/runs-$workload.tsv"
+    : >"$results"
+    echo "== $workload"
+    printf 'pair\tside\trows_per_s\tsetup_s\tpeak_rss_mb\n'
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run parent "$pair"
+            run change "$pair"
+        else
+            run change "$pair"
+            run parent "$pair"
+        fi
+    done
+    echo
+    summarize
 done
