@@ -174,6 +174,17 @@ pub struct IngestOutcome {
     pub rejected: u64,
 }
 
+impl IngestOutcome {
+    /// Adds `other` into this ledger. Saturating: the counts a ledger
+    /// sums may be client-controlled, so a hostile `u64::MAX` pins it at
+    /// the ceiling instead of panicking (debug) or wrapping (release).
+    pub fn absorb(&mut self, other: IngestOutcome) {
+        self.accepted = self.accepted.saturating_add(other.accepted);
+        self.dropped = self.dropped.saturating_add(other.dropped);
+        self.rejected = self.rejected.saturating_add(other.rejected);
+    }
+}
+
 /// The collector's registered telemetry handles (see the crate-level
 /// metric catalog in the README). Disposition tallies live here — the
 /// telemetry counters ARE the collector's books, not a copy of them, so

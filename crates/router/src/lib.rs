@@ -18,12 +18,10 @@
 //! ```
 //!
 //! * [`serve`] — the [`Router`]: the federation backend behind
-//!   `ldp-server`'s connection driver — per-connection downstream links,
-//!   counting-sort ingest partition, fan-out + merge query answering,
-//!   degraded mode, health probing, telemetry.
-//! * [`fanout`] — the explorable coordination primitives
-//!   ([`FrameQueue`], [`FanoutGate`]) behind the "no ack before every
-//!   downstream acked" guarantee.
+//!   `ldp-server`'s connection driver — per-connection downstream
+//!   sockets driven by the connection's own thread, counting-sort ingest
+//!   partition gathered once, send-to-all-then-read-from-each fan-out +
+//!   merge query answering, degraded mode, health probing, telemetry.
 //!
 //! A router has no frame loop of its own: it *is* the server's
 //! [`ldp_server::Transport`] with a remote [`ldp_server::Backend`].
@@ -72,8 +70,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fanout;
 pub mod serve;
 
-pub use fanout::{FanoutGate, FrameQueue};
 pub use serve::{downstream_of, Router, RouterConfig, DOWNSTREAM_SEED};

@@ -4,13 +4,15 @@
 //! `ldp-server` collector processes.
 //!
 //! ```text
-//!                      ┌───────────── Router ─────────────┐
-//! RemoteCollector ────▶│ conn thread ── partition by user ─┤─ link 00 ──▶ ldp-server
-//!   (ingest+query)     │   │  hash(user) % N, counting sort│─ link 01 ──▶ ldp-server
-//!                      │   │                               │─ link NN ──▶ ldp-server
-//!                      │   └─ merge answers ◀─ FanoutGate ─┤
-//!                      │ accept thread │ health thread     │
-//!                      └───────────────────────────────────┘
+//!                      ┌────────────── Router ──────────────┐
+//! RemoteCollector ────▶│ conn thread ── partition by user   │
+//!   (ingest+query)     │   │  hash(user) % N, counting sort  │
+//!                      │   ├─ gather + write ──▶ socket 00 ──┼──▶ ldp-server
+//!                      │   ├─ gather + write ──▶ socket 01 ──┼──▶ ldp-server
+//!                      │   └─ send to all, read from each, ◀─┤
+//!                      │      merge answers                  │
+//!                      │ accept thread │ health thread       │
+//!                      └─────────────────────────────────────┘
 //! ```
 //!
 //! The accept loop, the connection cap, the framed read, framing errors,
@@ -18,12 +20,16 @@
 //! frames.* / bytes.*` books are the driver's, byte for byte what a
 //! `Server` runs; this file is what a *federated* tier does with a frame:
 //!
-//! * **Per-connection links** — every front connection opens its own link
-//!   (queue + writer thread) to every downstream before its first frame,
-//!   and closes them — pending ingest drained first — then joins them
-//!   after its last. Ingest ledgers are per-connection on the servers, so
-//!   per-connection links are what keeps `IngestSync` meaning "what *this*
-//!   client sent".
+//! * **One thread per connection** — a front connection owns one plain
+//!   socket (`Link`) per downstream, dialed on first use, and its
+//!   thread drives them itself: no writer threads, no queues, no locks.
+//!   A downstream that stops reading therefore stops this connection's
+//!   thread in `write`, which stops its reads, which stops the client —
+//!   TCP flow control is the backpressure, and a connection costs one
+//!   thread and a few buffers however far its peers fall behind. Ingest
+//!   ledgers are per-connection on the servers, so per-connection
+//!   sockets are what keeps `IngestSync` meaning "what *this* client
+//!   sent".
 //! * **Routing rule** — every report row goes to
 //!   `downstream_of(user) = (user · SEED) >> 32 mod N`: all of a user's
 //!   reports land on one downstream, so per-user state (the population
@@ -32,12 +38,17 @@
 //!   *exact*: scalar ledgers add, and [`MergedParts::merge`] — the same
 //!   function a collector runs across its shards — anchors the slot table
 //!   at the first slot every part still carries.
-//! * **Ledger semantics** — ingest frames are partitioned and fanned out
-//!   fire-and-forget; an `IngestSync` barrier is enqueued *behind* the
-//!   pending ingest on every link (FIFO), each link reports its
-//!   downstream's ack through a [`FanoutGate`], and the router answers
-//!   only when **every** downstream has acked — the reported ledger is
-//!   the sum, "durable at every downstream".
+//! * **One copy per row** — an ingest frame is never widened: the user
+//!   column is hashed straight off the receive buffer, row *indices* are
+//!   counting-sorted by downstream, and each sub-frame is gathered from
+//!   the receive buffer into the connection's one encode buffer and
+//!   written, fire-and-forget.
+//! * **Ledger semantics** — an `IngestSync` barrier is written to every
+//!   downstream *behind* the ingest already written there, then each
+//!   ack is read: the reply is built after the last downstream's ack is
+//!   read, so "no ack before **every** downstream acked" is program
+//!   order, and the wait is the slowest downstream's, not the sum. The
+//!   reported ledger is the sum, "durable at every downstream".
 //! * **Degraded mode** — a dead downstream gets bounded
 //!   reconnect-with-backoff ([`ReconnectPolicy`]). While it is down the
 //!   router keeps serving the healthy set: ingest rows routed to it are
@@ -48,20 +59,19 @@
 //!   taints the link's ledger; the next sync reports degraded once and
 //!   then recovers.
 //! * **Queries** — population/windowed/slot-means/summary/parts are all
-//!   answered by fanning out a `QueryParts` request and folding the raw
-//!   per-downstream contributions with [`MergedParts::merge`] — the merge
-//!   is what the driver answers the read verbs from, `QueryParts` itself
-//!   included (the merged part, so routers stack); stats sums the
-//!   downstream collectors' report ledgers
-//!   under the router's own connection counters; metrics serves the
-//!   router's registry.
+//!   answered by fanning out a `QueryParts` request (sent to all, then
+//!   read from each) and folding the raw per-downstream contributions
+//!   with [`MergedParts::merge`] — the merge is what the driver answers
+//!   the read verbs from, `QueryParts` itself included (the merged part,
+//!   so routers stack); stats sums the downstream collectors' report
+//!   ledgers under the router's own connection counters; metrics serves
+//!   the router's registry.
 
-use crate::fanout::{FanoutGate, FrameQueue};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
-use ldp_server::wire::{code, Frame, IngestScratch, IngestView, StatsBody, HEADER_LEN};
+use ldp_server::wire::{code, Frame, IngestScratch, IngestView, StatsBody};
 use ldp_server::{read_reply, Backend, ReconnectPolicy, RemoteCollector, Transport};
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
 use std::io::{self, ErrorKind, Write};
@@ -142,29 +152,26 @@ struct RouterMetrics {
     /// `router.ingest.rows` — rows arriving at the front (before
     /// partitioning).
     ingest_rows: Arc<Counter>,
-    /// `router.fanout.sync_nanos` — full barrier latency: enqueue behind
-    /// pending ingest → every downstream acked.
+    /// `router.fanout.sync_nanos` — full barrier latency: first barrier
+    /// written → every downstream's ack read.
     fanout_sync_nanos: Arc<Histogram>,
     /// `router.fanout.query_nanos` — fan-out + merge latency per query.
     fanout_query_nanos: Arc<Histogram>,
     /// Per-downstream books.
-    downstream: Vec<Arc<DownstreamMetrics>>,
+    downstream: Vec<DownstreamMetrics>,
 }
 
 impl RouterMetrics {
     fn register(registry: &Registry, downstreams: usize) -> Self {
         let downstream = (0..downstreams)
-            .map(|i| {
-                Arc::new(DownstreamMetrics {
-                    frames: registry.counter(&format!("router.downstream.{i:02}.frames")),
-                    rows: registry.counter(&format!("router.downstream.{i:02}.rows")),
-                    reconnects: registry.counter(&format!("router.downstream.{i:02}.reconnects")),
-                    lost_frames: registry.counter(&format!("router.downstream.{i:02}.lost_frames")),
-                    lost_rows: registry.counter(&format!("router.downstream.{i:02}.lost_rows")),
-                    degraded_acks: registry
-                        .counter(&format!("router.downstream.{i:02}.degraded_acks")),
-                    healthy: registry.gauge(&format!("router.downstream.{i:02}.healthy")),
-                })
+            .map(|i| DownstreamMetrics {
+                frames: registry.counter(&format!("router.downstream.{i:02}.frames")),
+                rows: registry.counter(&format!("router.downstream.{i:02}.rows")),
+                reconnects: registry.counter(&format!("router.downstream.{i:02}.reconnects")),
+                lost_frames: registry.counter(&format!("router.downstream.{i:02}.lost_frames")),
+                lost_rows: registry.counter(&format!("router.downstream.{i:02}.lost_rows")),
+                degraded_acks: registry.counter(&format!("router.downstream.{i:02}.degraded_acks")),
+                healthy: registry.gauge(&format!("router.downstream.{i:02}.healthy")),
             })
             .collect();
         Self {
@@ -177,8 +184,7 @@ impl RouterMetrics {
 }
 
 /// The federation [`Backend`]: what a `Router`'s connections do with a
-/// frame. Shared by the transport's threads, the health probe, and every
-/// downstream link.
+/// frame. Shared by the transport's threads and the health probe.
 struct Federation {
     downstreams: Vec<SocketAddr>,
     registry: Registry,
@@ -217,10 +223,10 @@ impl Router {
 
     /// Binds the front socket to `addr` and starts routing to
     /// `downstreams`: spawns the accept loop and the health probe.
-    /// Downstreams are *not* dialed here — each front connection opens
-    /// its own set of downstream connections (ingest ledgers are
-    /// per-connection on the servers, so per-connection links are what
-    /// keeps `IngestSync` meaning "what *this* client sent").
+    /// Downstreams are *not* dialed here — each front connection dials
+    /// its own set of downstream connections on first use (ingest ledgers
+    /// are per-connection on the servers, so per-connection links are
+    /// what keeps `IngestSync` meaning "what *this* client sent").
     ///
     /// # Errors
     /// Socket errors from bind/listen; `InvalidInput` if `downstreams`
@@ -295,8 +301,8 @@ impl Router {
             .collect()
     }
 
-    /// Graceful shutdown: stops accepting, lets connection threads flush
-    /// their links, joins everything. Called automatically on drop;
+    /// Graceful shutdown: stops accepting, lets connection threads finish
+    /// their in-flight frame, joins everything. Called automatically on drop;
     /// idempotent.
     pub fn shutdown(&mut self) {
         self.transport.shutdown();
@@ -346,61 +352,44 @@ fn health_loop(shared: &Federation) {
     }
 }
 
-/// A message for one downstream link's writer thread.
-enum Msg {
-    /// Pre-encoded ingest sub-frame, fire-and-forget.
-    Ingest { bytes: Vec<u8>, rows: u64 },
-    /// Barrier: write `IngestSync`, read the ack, deposit the outcome.
-    Sync {
-        gate: Arc<FanoutGate<IngestOutcome>>,
-    },
-    /// Request/response: write the query, deposit the reply frame.
-    Query {
-        bytes: Arc<[u8]>,
-        gate: Arc<FanoutGate<Frame>>,
-    },
-}
+/// The longest a connection thread waits on one downstream — dialing it,
+/// or blocked writing to it — before it calls the connection dead.
+const LINK_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One downstream link: queue + writer thread handle.
-struct LinkHandle {
-    queue: Arc<FrameQueue<Msg>>,
-    join: JoinHandle<()>,
-}
-
-/// One front connection's state: its own link to every downstream, plus
-/// the reusable partition buffers. Dropping it closes the link queues
-/// (they drain pending ingest first), then joins the link threads.
-#[derive(Default)]
+/// One front connection's state: its own [`Link`] to every downstream —
+/// driven by the connection's thread and nothing else — plus the reusable
+/// partition and encode buffers. Dropping it parts from each downstream
+/// with a best-effort Goodbye.
 struct Links {
-    links: Vec<LinkHandle>,
+    links: Vec<Link>,
     partition: PartitionScratch,
+    /// The one encode buffer: every sub-frame and request is built here.
+    frame: Vec<u8>,
 }
 
 impl Drop for Links {
     fn drop(&mut self) {
-        for link in &self.links {
-            link.queue.close();
-        }
-        for link in self.links.drain(..) {
-            let _ = link.join.join();
+        for link in &mut self.links {
+            if let Some(mut stream) = link.stream.take() {
+                let _ = stream.write_all(&Frame::Goodbye.encode());
+            }
         }
     }
 }
 
 /// Reusable per-connection buffers for the counting-sort partition of an
-/// ingest frame's rows by downstream.
+/// ingest frame's rows by downstream (the shape of the collector's shard
+/// partition: indices move, rows do not).
 #[derive(Default)]
 struct PartitionScratch {
     /// Destination downstream per row.
     dest: Vec<u32>,
     /// Rows per downstream, then reused as the scatter cursor.
     cursor: Vec<usize>,
-    /// Slice boundaries per downstream (`offsets[k]..offsets[k + 1]`).
+    /// Run boundaries: downstream `k` owns `rows[offsets[k]..offsets[k + 1]]`.
     offsets: Vec<usize>,
-    /// Gathered columns, grouped by downstream.
-    users: Vec<u64>,
-    slots: Vec<u64>,
-    values: Vec<f64>,
+    /// Row indices grouped by downstream — the contiguous runs.
+    rows: Vec<u32>,
 }
 
 impl Backend for Federation {
@@ -416,61 +405,103 @@ impl Backend for Federation {
         &self.shutdown
     }
 
-    /// Spawns the connection's downstream links. A spawn failure (resource
-    /// exhaustion) refuses the connection rather than serve a partial
-    /// federation; the links already spawned close with the dropped
-    /// [`Links`].
-    fn open(self: &Arc<Self>) -> io::Result<Links> {
-        let mut conn = Links::default();
-        for idx in 0..self.downstreams.len() {
-            let queue = Arc::new(FrameQueue::new());
-            let join = {
-                let shared = Arc::clone(self);
-                let queue = Arc::clone(&queue);
-                thread::Builder::new()
-                    .name(format!("ldp-router-link-{idx:02}"))
-                    .spawn(move || link_main(&shared, idx, &queue))?
-            };
-            conn.links.push(LinkHandle { queue, join });
+    /// One undialed link per downstream: nothing is spawned or connected
+    /// until the connection's first frame needs it.
+    fn open(&self) -> Links {
+        Links {
+            links: (0..self.downstreams.len())
+                .map(|idx| Link {
+                    idx,
+                    ..Link::default()
+                })
+                .collect(),
+            partition: PartitionScratch::default(),
+            frame: Vec::new(),
         }
-        Ok(conn)
     }
 
+    /// Partitions the frame's rows by downstream (counting sort over row
+    /// indices) and writes one sub-frame per non-empty downstream, each
+    /// gathered once from the receive buffer. The client-side rejection
+    /// count rides on downstream 0's sub-frame (its ack folds it back
+    /// into the summed ledger).
     fn ingest(
         &self,
         conn: &mut Links,
         ingest: &IngestView<'_>,
         _payload: &[u8],
-        scratch: &mut IngestScratch,
+        _scratch: &mut IngestScratch,
     ) -> io::Result<()> {
         self.metrics.ingest_rows.add(ingest.len() as u64);
-        route_ingest(&conn.links, ingest, scratch, &mut conn.partition);
+        let Links {
+            links,
+            partition,
+            frame,
+        } = conn;
+        let n = links.len();
+
+        // Pass 1: destination per row + per-downstream counts.
+        partition.dest.clear();
+        partition.dest.reserve(ingest.len());
+        partition.cursor.clear();
+        partition.cursor.resize(n, 0);
+        for user in ingest.users() {
+            let d = downstream_of(user, n);
+            partition.dest.push(d as u32);
+            partition.cursor[d] += 1;
+        }
+        // Prefix-sum into run offsets; cursor becomes the scatter position.
+        partition.offsets.clear();
+        partition.offsets.reserve(n + 1);
+        let mut running = 0usize;
+        for count in &mut partition.cursor {
+            partition.offsets.push(running);
+            running += std::mem::replace(count, running);
+        }
+        partition.offsets.push(running);
+        // Pass 2: scatter the row indices into per-downstream runs (a
+        // payload is bounded far below `u32::MAX` rows).
+        partition.rows.resize(ingest.len(), 0);
+        for (row, &d) in partition.dest.iter().enumerate() {
+            let at = &mut partition.cursor[d as usize];
+            partition.rows[*at] = row as u32;
+            *at += 1;
+        }
+
+        for (k, link) in links.iter_mut().enumerate() {
+            let run = &partition.rows[partition.offsets[k]..partition.offsets[k + 1]];
+            let rejected = if k == 0 {
+                ingest.rejected_upstream()
+            } else {
+                0
+            };
+            if run.is_empty() && rejected == 0 {
+                continue;
+            }
+            frame.clear();
+            ingest.encode_rows_into(run, rejected, frame);
+            link.handle_ingest(self, frame, run.len() as u64);
+        }
         Ok(())
     }
 
-    /// The barrier trails the pending ingest on every link (FIFO); the
-    /// ack is the summed ledger once **every** downstream has acked.
+    /// The barrier trails the ingest already written to every downstream
+    /// (one socket each, so FIFO); the ack is the summed ledger, built
+    /// after **every** downstream's ack has been read.
     fn sync(&self, conn: &mut Links) -> io::Result<Frame> {
         let _t = self.metrics.fanout_sync_nanos.timer();
-        let n = conn.links.len();
-        let gate = Arc::new(FanoutGate::new(n));
-        for (idx, link) in conn.links.iter().enumerate() {
-            if !link.queue.push(Msg::Sync {
-                gate: Arc::clone(&gate),
-            }) {
-                gate.deposit(idx, None);
+        let replies = self.fanout(conn, &Frame::IngestSync);
+        let n = replies.len();
+        let mut sum = IngestOutcome::default();
+        let mut failed = 0usize;
+        for (link, reply) in conn.links.iter_mut().zip(replies) {
+            match link.settle_ack(self, reply) {
+                Some(ledger) => sum.absorb(ledger),
+                None => failed += 1,
             }
         }
-        let ledgers = gate.wait();
-        let failed = ledgers.iter().filter(|l| l.is_none()).count();
         if failed > 0 {
             return Ok(degraded_error(failed, n));
-        }
-        let mut sum = IngestOutcome::default();
-        for ledger in ledgers.into_iter().flatten() {
-            sum.accepted = sum.accepted.saturating_add(ledger.accepted);
-            sum.dropped = sum.dropped.saturating_add(ledger.dropped);
-            sum.rejected = sum.rejected.saturating_add(ledger.rejected);
         }
         Ok(Frame::IngestAck {
             accepted: sum.accepted,
@@ -488,7 +519,7 @@ impl Backend for Federation {
         range: Range<u64>,
         answer: impl FnOnce(&MergedParts) -> Frame,
     ) -> Frame {
-        match self.merged_query(&conn.links, range) {
+        match self.merged_query(conn, range) {
             Ok(merged) => answer(&merged),
             Err(refusal) => refusal,
         }
@@ -499,7 +530,7 @@ impl Backend for Federation {
     /// become their federation-wide total).
     fn stats(&self, conn: &mut Links) -> Result<StatsBody, Frame> {
         let _t = self.metrics.fanout_query_nanos.timer();
-        let replies = fanout(&conn.links, &Frame::QueryStats);
+        let replies = self.fanout(conn, &Frame::QueryStats);
         let n = replies.len();
         let mut sum = StatsBody::default();
         let mut failed = 0usize;
@@ -531,109 +562,39 @@ impl Backend for Federation {
     }
 }
 
-/// Partitions one incoming ingest frame's rows by downstream (counting
-/// sort — same discipline as the collector's shard partition) and
-/// enqueues one pre-encoded sub-frame per non-empty downstream. The
-/// client-side rejection count rides on downstream 0's sub-frame (its
-/// ack folds it back into the summed ledger).
-fn route_ingest(
-    links: &[LinkHandle],
-    ingest: &IngestView<'_>,
-    scratch: &mut IngestScratch,
-    partition: &mut PartitionScratch,
-) {
-    let n = links.len();
-    let rejected_upstream = ingest.rejected_upstream();
-    let columns = ingest.columns(scratch);
-    let (users, slots, values) = (columns.users(), columns.slots(), columns.values());
-    let rows = users.len();
-
-    // Pass 1: destination per row + per-downstream counts.
-    partition.dest.clear();
-    partition.dest.reserve(rows);
-    partition.cursor.clear();
-    partition.cursor.resize(n, 0);
-    for &user in users {
-        let d = downstream_of(user, n);
-        partition.dest.push(d as u32);
-        partition.cursor[d] += 1;
-    }
-    // Prefix-sum into slice offsets; cursor becomes the scatter position.
-    partition.offsets.clear();
-    partition.offsets.reserve(n + 1);
-    let mut running = 0usize;
-    for k in 0..n {
-        partition.offsets.push(running);
-        running += partition.cursor[k];
-        partition.cursor[k] = partition.offsets[k];
-    }
-    partition.offsets.push(running);
-    // Pass 2: scatter into contiguous per-downstream column groups.
-    partition.users.resize(rows, 0);
-    partition.slots.resize(rows, 0);
-    partition.values.resize(rows, 0.0);
-    for i in 0..rows {
-        let at = &mut partition.cursor[partition.dest[i] as usize];
-        partition.users[*at] = users[i];
-        partition.slots[*at] = slots[i];
-        partition.values[*at] = values[i];
-        *at += 1;
-    }
-
-    for (k, link) in links.iter().enumerate() {
-        let (lo, hi) = (partition.offsets[k], partition.offsets[k + 1]);
-        let rejected = if k == 0 { rejected_upstream } else { 0 };
-        if lo == hi && rejected == 0 {
-            continue;
-        }
-        // 12 bytes of ingest-payload preamble + 24 per row + envelope.
-        let mut bytes = Vec::with_capacity(HEADER_LEN + 12 + (hi - lo) * 24);
-        Frame::encode_ingest_columns_into(
-            &mut bytes,
-            rejected,
-            &partition.users[lo..hi],
-            &partition.slots[lo..hi],
-            &partition.values[lo..hi],
-        );
-        link.queue.push(Msg::Ingest {
-            bytes,
-            rows: (hi - lo) as u64,
-        });
-    }
-}
-
-/// Fans `frame` out to every link and waits for all replies.
-fn fanout(links: &[LinkHandle], frame: &Frame) -> Vec<Option<Frame>> {
-    let bytes: Arc<[u8]> = frame.encode().into();
-    let gate = Arc::new(FanoutGate::new(links.len()));
-    for (idx, link) in links.iter().enumerate() {
-        if !link.queue.push(Msg::Query {
-            bytes: Arc::clone(&bytes),
-            gate: Arc::clone(&gate),
-        }) {
-            gate.deposit(idx, None);
-        }
-    }
-    gate.wait()
-}
-
 // The Err variant is a full Frame by design (it is written to the wire
 // verbatim) and only materializes on the cold degraded path.
 #[allow(clippy::result_large_err)]
 impl Federation {
+    /// Request/response with every downstream: `request` is written to
+    /// **all** links before the first reply is awaited, so the wait is
+    /// the slowest downstream's, not the sum. `None` = that link failed
+    /// through its reconnect budget.
+    fn fanout(&self, conn: &mut Links, request: &Frame) -> Vec<Option<Frame>> {
+        let Links { links, frame, .. } = conn;
+        frame.clear();
+        request.encode_into(frame);
+        let sent: Vec<_> = links.iter_mut().map(|l| l.send(self, frame)).collect();
+        links
+            .iter_mut()
+            .zip(sent)
+            .map(|(link, sent)| link.receive(self, frame, sent).ok())
+            .collect()
+    }
+
     /// Fans out a `QueryParts` request over `range` and merges the
     /// contributions. `Err` carries the reply to send instead: the first
     /// downstream-reported error frame (e.g. a range beyond that server's
     /// bound), or a [`code::DEGRADED`] error if any link failed — a
     /// partial federation answer would be silently wrong, so it is
     /// refused instead.
-    fn merged_query(&self, links: &[LinkHandle], range: Range<u64>) -> Result<MergedParts, Frame> {
+    fn merged_query(&self, conn: &mut Links, range: Range<u64>) -> Result<MergedParts, Frame> {
         let _t = self.metrics.fanout_query_nanos.timer();
         let query = Frame::QueryParts {
             start: range.start,
             end: range.end,
         };
-        let replies = fanout(links, &query);
+        let replies = self.fanout(conn, &query);
         let n = replies.len();
         let mut parts = Vec::with_capacity(n);
         let mut failed = 0usize;
@@ -669,17 +630,16 @@ fn degraded_error(failed: usize, n: usize) -> Frame {
 }
 
 // ---------------------------------------------------------------------
-// Downstream link writer threads.
+// Downstream links.
 // ---------------------------------------------------------------------
 
-/// One downstream connection owned by its writer thread: dial-on-demand,
-/// bounded reconnect-with-backoff, and the unacked/taint ledger that
-/// keeps sync barriers honest across reconnects.
-struct Link<'a> {
+/// One front connection's socket to one downstream, owned and driven by
+/// that connection's thread: dial-on-demand, bounded
+/// reconnect-with-backoff, and the unacked/taint ledger that keeps sync
+/// barriers honest across reconnects.
+#[derive(Default)]
+struct Link {
     idx: usize,
-    addr: SocketAddr,
-    shared: &'a Federation,
-    metrics: &'a DownstreamMetrics,
     stream: Option<TcpStream>,
     /// Whether a connection ever succeeded (re-dials after this count as
     /// reconnects).
@@ -693,53 +653,18 @@ struct Link<'a> {
     tainted: bool,
     /// Reusable reply payload buffer.
     payload: Vec<u8>,
-    /// Pre-encoded `IngestSync` request.
-    sync_bytes: Vec<u8>,
 }
 
-/// Link writer thread: drains the queue until the front connection
-/// closes it, then parts with a best-effort Goodbye.
-fn link_main(shared: &Federation, idx: usize, queue: &FrameQueue<Msg>) {
-    let mut link = Link {
-        idx,
-        addr: shared.downstreams[idx],
-        shared,
-        metrics: &shared.metrics.downstream[idx],
-        stream: None,
-        connected_before: false,
-        unacked: 0,
-        tainted: false,
-        payload: Vec::new(),
-        sync_bytes: Frame::IngestSync.encode(),
-    };
-    while let Some(msg) = queue.pop() {
-        match msg {
-            Msg::Ingest { bytes, rows } => link.handle_ingest(&bytes, rows),
-            Msg::Sync { gate } => {
-                let outcome = link.handle_sync();
-                gate.deposit(link.idx, outcome);
-            }
-            Msg::Query { bytes, gate } => {
-                let reply = link.request(&bytes).ok();
-                gate.deposit(link.idx, reply);
-            }
-        }
-    }
-    if let Some(mut stream) = link.stream.take() {
-        let _ = stream.write_all(&Frame::Goodbye.encode());
-    }
-}
-
-impl Link<'_> {
+impl Link {
     /// Dials the downstream if not connected. Counts re-dials.
-    fn ensure_stream(&mut self) -> std::io::Result<&mut TcpStream> {
+    fn ensure_stream(&mut self, fed: &Federation) -> io::Result<&mut TcpStream> {
         if self.stream.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
+            let stream = TcpStream::connect_timeout(&fed.downstreams[self.idx], LINK_IO_TIMEOUT)?;
             stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(self.shared.config.poll_interval))?;
-            stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+            stream.set_read_timeout(Some(fed.config.poll_interval))?;
+            stream.set_write_timeout(Some(LINK_IO_TIMEOUT))?;
             if self.connected_before {
-                self.metrics.reconnects.inc();
+                fed.metrics.downstream[self.idx].reconnects.inc();
             }
             self.connected_before = true;
             self.stream = Some(stream);
@@ -756,134 +681,115 @@ impl Link<'_> {
         }
     }
 
-    /// Writes `bytes`, answering failures with up to `budget` backoff +
-    /// re-dial rounds.
-    fn write_with_retry(&mut self, bytes: &[u8], budget: u32) -> std::io::Result<()> {
-        let mut attempt = 0u32;
-        loop {
-            let result = self
-                .ensure_stream()
-                .and_then(|stream| stream.write_all(bytes));
-            let err = match result {
-                Ok(()) => return Ok(()),
-                Err(e) => e,
-            };
-            self.drop_stream();
-            if attempt >= budget || self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(err);
-            }
-            attempt += 1;
-            thread::sleep(self.shared.config.reconnect.backoff(attempt));
+    /// One write on the current connection, dialing first if there is none.
+    fn send(&mut self, fed: &Federation, bytes: &[u8]) -> io::Result<()> {
+        self.ensure_stream(fed)?.write_all(bytes)
+    }
+
+    /// Whether a failed attempt may be answered with a backoff + re-dial:
+    /// `budget` not yet spent and the router not shutting down. Sleeps
+    /// the backoff when it may.
+    fn backs_off(fed: &Federation, attempt: &mut u32, budget: u32) -> bool {
+        if *attempt >= budget || fed.shutdown.load(Ordering::Acquire) {
+            return false;
         }
+        *attempt += 1;
+        thread::sleep(fed.config.reconnect.backoff(*attempt));
+        true
     }
 
     /// Ingest fan-out: fire-and-forget toward this downstream. A link
     /// already known dead gets one cheap dial attempt per frame (so a
     /// recovered downstream heals on the next frame) instead of the full
     /// backoff budget — a dead downstream must not stall the pump.
-    fn handle_ingest(&mut self, bytes: &[u8], rows: u64) {
+    fn handle_ingest(&mut self, fed: &Federation, bytes: &[u8], rows: u64) {
+        let metrics = &fed.metrics.downstream[self.idx];
         let budget = if self.stream.is_some() {
-            self.shared.config.reconnect.max_retries
+            fed.config.reconnect.max_retries
         } else {
             0
         };
-        match self.write_with_retry(bytes, budget) {
-            Ok(()) => {
-                self.unacked += 1;
-                self.metrics.frames.inc();
-                self.metrics.rows.add(rows);
-            }
-            Err(_) => {
+        let mut attempt = 0u32;
+        while self.send(fed, bytes).is_err() {
+            self.drop_stream();
+            if !Self::backs_off(fed, &mut attempt, budget) {
                 // These rows are gone: count them and taint the ledger.
-                // TODO(ROADMAP "Federation follow-ons"): spool these
-                // frames to a router-side WAL (`ldp-wal` now exists for
-                // exactly this record shape) and drain on reconnect,
-                // instead of counted-and-dropped.
+                // TODO(ROADMAP "Exactly-once ingest"): spool these frames
+                // to a router-side WAL (`ldp-wal` exists for exactly this
+                // record shape) and drain on reconnect, instead of
+                // counted-and-dropped.
                 self.tainted = true;
-                self.metrics.lost_frames.inc();
-                self.metrics.lost_rows.add(rows);
+                metrics.lost_frames.inc();
+                metrics.lost_rows.add(rows);
+                return;
             }
         }
+        self.unacked += 1;
+        metrics.frames.inc();
+        metrics.rows.add(rows);
     }
 
-    /// Sync barrier leg: FIFO already put every pending ingest frame on
-    /// the wire ahead of this, so the downstream's ack covers them.
-    /// `None` = this link cannot vouch for durability (transport failure
-    /// or a tainted ledger).
-    fn handle_sync(&mut self) -> Option<IngestOutcome> {
-        // `request` needs `&mut self`; lend it the pre-encoded frame by
-        // moving the buffer out and back rather than cloning it per barrier.
-        let sync_bytes = std::mem::take(&mut self.sync_bytes);
-        let reply = self.request(&sync_bytes);
-        self.sync_bytes = sync_bytes;
-        match reply {
-            Ok(Frame::IngestAck {
-                accepted,
-                dropped,
-                rejected,
-            }) => {
-                self.unacked = 0;
-                if self.tainted {
-                    // Report the gap exactly once; the fresh ledger is
-                    // trustworthy from here on.
-                    self.tainted = false;
-                    self.metrics.degraded_acks.inc();
-                    None
-                } else {
-                    Some(IngestOutcome {
-                        accepted,
-                        dropped,
-                        rejected,
-                    })
-                }
-            }
-            Ok(_) => {
-                self.metrics.degraded_acks.inc();
-                None
-            }
-            Err(_) => {
-                self.metrics.degraded_acks.inc();
-                None
-            }
-        }
-    }
-
-    /// Request/response with bounded reconnect: queries are stateless on
-    /// the downstream, so a retry on a fresh connection is exact. (A
-    /// reconnect here still taints the *ingest* ledger via
-    /// [`Self::drop_stream`] if frames were unacked.)
-    fn request(&mut self, bytes: &[u8]) -> std::io::Result<Frame> {
+    /// The reply to a request whose first write went `sent`, with bounded
+    /// reconnect: a failed attempt is retried whole (write + read) on a
+    /// fresh connection — queries are stateless on the downstream, so the
+    /// retry is exact. (A reconnect here still taints the *ingest* ledger
+    /// via [`Self::drop_stream`] if frames were unacked.) A shutdown
+    /// surfaces as `Interrupted` and a framing error as `InvalidData`
+    /// (neither retried); a downstream that died mid-reply as
+    /// `UnexpectedEof` or the transport's own error (retried).
+    fn receive(
+        &mut self,
+        fed: &Federation,
+        bytes: &[u8],
+        mut sent: io::Result<()>,
+    ) -> io::Result<Frame> {
         let mut attempt = 0u32;
         loop {
-            let err = match self.try_request(bytes) {
+            let err = match sent.and_then(|()| self.read(fed)) {
                 Ok(frame) => return Ok(frame),
                 Err(e) => e,
             };
             let retryable = !matches!(err.kind(), ErrorKind::Interrupted | ErrorKind::InvalidData);
             self.drop_stream();
-            if !retryable
-                || attempt >= self.shared.config.reconnect.max_retries
-                || self.shared.shutdown.load(Ordering::Acquire)
-            {
+            if !retryable || !Self::backs_off(fed, &mut attempt, fed.config.reconnect.max_retries) {
                 return Err(err);
             }
-            attempt += 1;
-            thread::sleep(self.shared.config.reconnect.backoff(attempt));
+            sent = self.send(fed, bytes);
         }
     }
 
-    /// One write + one reply read on the current connection. A shutdown
-    /// surfaces as `Interrupted` and a framing error as `InvalidData`
-    /// (neither retried); a downstream that died mid-reply as
-    /// `UnexpectedEof` or the transport's own error (retried).
-    fn try_request(&mut self, bytes: &[u8]) -> std::io::Result<Frame> {
-        self.ensure_stream()?;
-        let shutdown = &self.shared.shutdown;
-        let stream = self.stream.as_mut().expect("stream just ensured");
-        stream.write_all(bytes)?;
+    /// One reply read on the current connection.
+    fn read(&mut self, fed: &Federation) -> io::Result<Frame> {
+        let stream = self.stream.as_mut().expect("a sent request has a stream");
         read_reply(stream, &mut self.payload, || {
-            shutdown.load(Ordering::Acquire)
+            fed.shutdown.load(Ordering::Acquire)
         })
+    }
+
+    /// Sync barrier leg: this downstream's reply to the `IngestSync` that
+    /// trailed every pending ingest frame on its socket. `None` = this
+    /// link cannot vouch for durability (transport failure or a tainted
+    /// ledger).
+    fn settle_ack(&mut self, fed: &Federation, reply: Option<Frame>) -> Option<IngestOutcome> {
+        if let Some(Frame::IngestAck {
+            accepted,
+            dropped,
+            rejected,
+        }) = reply
+        {
+            self.unacked = 0;
+            // A tainted ledger reports the gap exactly once; the fresh
+            // ledger is trustworthy from here on.
+            if !std::mem::take(&mut self.tainted) {
+                return Some(IngestOutcome {
+                    accepted,
+                    dropped,
+                    rejected,
+                });
+            }
+        }
+        fed.metrics.downstream[self.idx].degraded_acks.inc();
+        None
     }
 }
 

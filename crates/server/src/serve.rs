@@ -144,8 +144,8 @@ impl Backend for Local {
         &self.shutdown
     }
 
-    fn open(self: &Arc<Self>) -> io::Result<IngestOutcome> {
-        Ok(IngestOutcome::default())
+    fn open(&self) -> IngestOutcome {
+        IngestOutcome::default()
     }
 
     fn ingest(
@@ -169,15 +169,11 @@ impl Backend for Local {
             collector.note_upstream_rejections(rejected_upstream);
             collector.ingest_outcome(&columns)
         };
-        // Saturating: `rejected_upstream` is client-controlled, so a
-        // hostile u64::MAX must pin the ledger at the ceiling, not panic
-        // (debug) or wrap to garbage (release).
-        ledger.accepted = ledger.accepted.saturating_add(outcome.accepted);
-        ledger.dropped = ledger.dropped.saturating_add(outcome.dropped);
-        ledger.rejected = ledger
-            .rejected
-            .saturating_add(outcome.rejected)
-            .saturating_add(rejected_upstream);
+        // Saturating throughout: `rejected_upstream` is client-controlled.
+        ledger.absorb(IngestOutcome {
+            rejected: outcome.rejected.saturating_add(rejected_upstream),
+            ..outcome
+        });
         if let Some(d) = &self.durability {
             // Retention: roll a checkpoint once enough segments have
             // closed. An error is counted (`wal.failures`) but not fatal —
@@ -350,11 +346,8 @@ impl Server {
     /// Serves `stream` on the calling thread with the production
     /// per-connection loop ([`Transport::serve_stream`]) — how a test
     /// drives the real frame service over memory instead of a socket.
-    ///
-    /// # Errors
-    /// Never for a server (its per-connection state cannot fail to open).
-    pub fn serve_stream(&self, stream: impl Read + Write) -> io::Result<()> {
-        self.transport.serve_stream(stream)
+    pub fn serve_stream(&self, stream: impl Read + Write) {
+        self.transport.serve_stream(stream);
     }
 
     /// Graceful shutdown: stops accepting, lets every connection thread

@@ -85,12 +85,9 @@ pub trait Backend: Send + Sync + 'static {
     /// by the accept loop and every blocked read within one poll interval.
     fn shutdown(&self) -> &AtomicBool;
 
-    /// Opens one connection's state.
-    ///
-    /// # Errors
-    /// Resource exhaustion; the driver refuses the connection with a
-    /// counted [`code::BUSY`] frame.
-    fn open(self: &Arc<Self>) -> io::Result<Self::Conn>;
+    /// Opens one connection's state. Infallible and cheap at both
+    /// backends: it dials and spawns nothing.
+    fn open(&self) -> Self::Conn;
 
     /// Takes one fire-and-forget ingest frame (`payload` is the frame's
     /// raw payload, `ingest` its borrowed view).
@@ -409,13 +406,9 @@ impl<B: Backend> Transport<B> {
     /// calling thread until EOF, goodbye, a framing error or shutdown —
     /// what every accepted socket runs once admitted, minus the TCP-only
     /// setup and the connection counting.
-    ///
-    /// # Errors
-    /// The backend could not open the connection's state.
-    pub fn serve_stream(&self, mut stream: impl Read + Write) -> io::Result<()> {
-        let mut conn = self.shared.backend.open()?;
+    pub fn serve_stream(&self, mut stream: impl Read + Write) {
+        let mut conn = self.shared.backend.open();
         self.shared.serve(&mut stream, &mut conn);
-        Ok(())
     }
 
     /// Graceful shutdown: flips the backend's flag, then joins the accept
@@ -486,27 +479,20 @@ impl<B: Backend> Shared<B> {
         }
     }
 
-    /// Admission: under the cap and the backend opened its per-connection
-    /// state → counted in `connections.total`/`active`; otherwise the one
-    /// counted, best-effort [`code::BUSY`] refusal.
+    /// Admission: under the cap → counted in `connections.total`/`active`
+    /// and given its per-connection state; otherwise the one counted,
+    /// best-effort [`code::BUSY`] refusal.
     fn admit(&self, stream: &mut impl Write) -> Option<B::Conn> {
         let front = &self.front;
-        let message = if front.connections_active.get() >= self.max_connections as i64 {
-            format!("{} at connection limit", B::TIER)
-        } else {
-            match self.backend.open() {
-                Ok(conn) => {
-                    front.connections_total.inc();
-                    front.connections_active.inc();
-                    return Some(conn);
-                }
-                Err(e) => format!("{} cannot open connection state: {e}", B::TIER),
-            }
-        };
+        if front.connections_active.get() < self.max_connections as i64 {
+            front.connections_total.inc();
+            front.connections_active.inc();
+            return Some(self.backend.open());
+        }
         front.connections_rejected.inc();
         let refusal = Frame::Error {
             code: code::BUSY,
-            message,
+            message: format!("{} at connection limit", B::TIER),
         };
         front.send(stream, &mut Vec::new(), &refusal);
         None
@@ -670,11 +656,10 @@ fn refuse_span<B: Backend>(verb: &str, span: &Range<u64>, may_be_empty: bool) ->
 mod tests {
     use super::*;
 
-    /// A backend that counts nothing and may refuse to open.
+    /// A backend that counts nothing.
     struct Mock {
         registry: Registry,
         shutdown: AtomicBool,
-        opens: bool,
     }
 
     impl Backend for Mock {
@@ -689,13 +674,7 @@ mod tests {
             &self.shutdown
         }
 
-        fn open(self: &Arc<Self>) -> io::Result<()> {
-            if self.opens {
-                Ok(())
-            } else {
-                Err(io::Error::other("out of threads"))
-            }
-        }
+        fn open(&self) {}
 
         fn ingest(
             &self,
@@ -729,11 +708,10 @@ mod tests {
         }
     }
 
-    fn shared(opens: bool, max_connections: usize) -> Shared<Mock> {
+    fn shared(max_connections: usize) -> Shared<Mock> {
         let backend = Arc::new(Mock {
             registry: Registry::new(),
             shutdown: AtomicBool::new(false),
-            opens,
         });
         Shared {
             front: FrontMetrics::register(&backend.registry, Mock::TIER),
@@ -794,27 +772,9 @@ mod tests {
         }
     }
 
-    /// The satellite bugfix: a backend that cannot open its per-connection
-    /// state costs the same one counted BUSY refusal as the connection cap.
-    #[test]
-    fn a_backend_that_cannot_open_is_one_counted_busy_refusal() {
-        let shared = shared(false, 4);
-        let mut wire = Vec::new();
-        assert!(shared.admit(&mut wire).is_none());
-
-        let (refusal, used) = Frame::decode(&wire, DEFAULT_MAX_PAYLOAD).expect("refusal decodes");
-        assert_eq!(used, wire.len(), "exactly one frame");
-        assert_eq!(error_code(&refusal), code::BUSY);
-        let front = &shared.front;
-        assert_eq!(front.connections_rejected.get(), 1);
-        assert_eq!(front.bytes_out.get(), wire.len() as u64);
-        assert_eq!(front.connections_active.get(), 0, "never counted active");
-        assert_eq!(front.connections_total.get(), 0);
-    }
-
     #[test]
     fn the_cap_refuses_through_the_same_path_and_admission_counts() {
-        let shared = shared(true, 1);
+        let shared = shared(1);
         assert!(shared.admit(&mut Vec::new()).is_some());
         assert_eq!(shared.front.connections_active.get(), 1);
         assert_eq!(shared.front.connections_total.get(), 1);
@@ -833,7 +793,7 @@ mod tests {
     /// connection serving, a framing error closes it after one MALFORMED.
     #[test]
     fn the_loop_serves_any_read_write_and_closes_on_a_framing_error() {
-        let shared = shared(true, 4);
+        let shared = shared(4);
         let mut garbage = Frame::IngestSync.encode();
         garbage[0] = b'X';
         let mut peer = Script::new(&[
@@ -884,9 +844,14 @@ mod tests {
     /// UNAVAILABLE, counts the failure and closes.
     #[test]
     fn a_refused_ingest_answers_unavailable_and_closes() {
-        let shared = shared(true, 4);
-        let mut ingest = Vec::new();
-        Frame::encode_ingest_columns_into(&mut ingest, 0, &[1], &[0], &[0.5]);
+        let shared = shared(4);
+        let ingest = Frame::Ingest {
+            rejected_upstream: 0,
+            users: vec![1],
+            slots: vec![0],
+            values: vec![0.5],
+        }
+        .encode();
         let mut peer = Script::new(&[ingest, Frame::Ping { nonce: 1 }.encode()]);
         shared.serve(&mut peer, &mut ());
 
@@ -899,7 +864,7 @@ mod tests {
 
     #[test]
     fn a_truncated_frame_counts_as_failed_and_a_clean_eof_does_not() {
-        let shared = shared(true, 4);
+        let shared = shared(4);
         let full = Frame::QueryWindowedMean { start: 0, end: 4 }.encode();
         let mut peer = Script::new(&[full[..full.len() - 3].to_vec()]);
         shared.serve(&mut peer, &mut ());

@@ -639,6 +639,38 @@ impl<'a> IngestView<'a> {
         self.rejected_upstream
     }
 
+    /// The user-id column, decoded on the fly from the receive buffer —
+    /// all a router needs to partition the frame, so it widens nothing.
+    pub fn users(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.users
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8")))
+    }
+
+    /// Appends one ingest frame carrying this frame's rows `rows` (row
+    /// indices, in that order) and `rejected_upstream` — the router's
+    /// fan-out hot path: each column is gathered straight from the
+    /// receive buffer into `buf`, the only copy a routed row gets.
+    /// Wire-identical to encoding `Frame::Ingest` over the same rows.
+    ///
+    /// # Panics
+    /// If a row index is out of range.
+    pub fn encode_rows_into(&self, rows: &[u32], rejected_upstream: u64, buf: &mut Vec<u8>) {
+        let len = self.len();
+        envelope(buf, FT_INGEST, |buf| {
+            write_ingest_preamble(buf, rejected_upstream, rows.len());
+            for column in [self.users, self.slots, self.values] {
+                let column_at = buf.len();
+                buf.resize(column_at + 8 * rows.len(), 0);
+                for (out, &row) in buf[column_at..].chunks_exact_mut(8).zip(rows) {
+                    let row = row as usize;
+                    assert!(row < len, "row {row} out of range for a {len}-row frame");
+                    out.copy_from_slice(&column[8 * row..8 * row + 8]);
+                }
+            }
+        });
+    }
+
     /// Decodes the columns into `scratch` (one byte-aligned bulk copy per
     /// column, reusing the scratch capacity) and returns them as a
     /// borrowed [`ReportColumns`] ready for
@@ -1207,9 +1239,17 @@ fn envelope(buf: &mut Vec<u8>, frame_type: u8, write_payload: impl FnOnce(&mut V
     buf[header_at + 12..header_at + 16].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Writes the ingest payload layout (rejected count, report count, then
-/// the three columns back-to-back) — shared by the enum encoder and the
-/// hot-path batch encoder so the two can never drift.
+/// Writes what precedes an ingest payload's columns: the rejected count,
+/// then the report count.
+fn write_ingest_preamble(buf: &mut Vec<u8>, rejected_upstream: u64, rows: usize) {
+    buf.extend_from_slice(&rejected_upstream.to_le_bytes());
+    let count = u32::try_from(rows).expect("batch exceeds u32::MAX reports");
+    buf.extend_from_slice(&count.to_le_bytes());
+}
+
+/// Writes the ingest payload layout (preamble, then the three columns
+/// back-to-back) — shared by the enum encoder and the hot-path batch
+/// encoder so the two can never drift.
 fn write_ingest_payload(
     buf: &mut Vec<u8>,
     rejected_upstream: u64,
@@ -1221,9 +1261,7 @@ fn write_ingest_payload(
         users.len() == slots.len() && slots.len() == values.len(),
         "ingest columns disagree in length"
     );
-    buf.extend_from_slice(&rejected_upstream.to_le_bytes());
-    let count = u32::try_from(users.len()).expect("batch exceeds u32::MAX reports");
-    buf.extend_from_slice(&count.to_le_bytes());
+    write_ingest_preamble(buf, rejected_upstream, users.len());
     // Size the three columns once, then fill them in place: one bounds
     // check per column instead of one `extend` per element.
     let rows = users.len();
@@ -1439,26 +1477,6 @@ impl Frame {
                 batch.slots(),
                 batch.values(),
             );
-        });
-    }
-
-    /// Appends an ingest frame built from raw gathered columns — the
-    /// router's fan-out hot path: after partitioning an incoming frame's
-    /// rows by downstream it writes each sub-frame straight from its
-    /// gather buffers, no [`ReportBatch`] or [`Frame`] allocation.
-    /// Wire-identical to encoding `Frame::Ingest` with the same columns.
-    ///
-    /// # Panics
-    /// If the column lengths disagree.
-    pub fn encode_ingest_columns_into(
-        buf: &mut Vec<u8>,
-        rejected_upstream: u64,
-        users: &[u64],
-        slots: &[u64],
-        values: &[f64],
-    ) {
-        envelope(buf, FT_INGEST, |buf| {
-            write_ingest_payload(buf, rejected_upstream, users, slots, values);
         });
     }
 
@@ -2223,6 +2241,57 @@ mod tests {
             let mut buf = vec![0xEE; prefix];
             write_ingest_payload(&mut buf, rejected, &users, &slots, &values);
             prop_assert_eq!(buf, expected);
+        }
+
+        #[test]
+        fn encode_rows_gathers_exactly_the_rows_asked_for(
+            n in 0usize..200,
+            keep in 0usize..200,
+            rejected in any::<u64>(),
+            seed in 0u64..1000,
+            prefix in 0usize..5,
+        ) {
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                state >> 11
+            };
+            let users: Vec<u64> = (0..n).map(|_| next()).collect();
+            let slots: Vec<u64> = (0..n).map(|_| next() >> 40).collect();
+            let values: Vec<f64> = (0..n).map(|_| f64::from_bits(next())).collect();
+            // A permuted subset of the row indices: shuffle, keep a prefix.
+            let mut rows: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                rows.swap(i, next() as usize % (i + 1));
+            }
+            rows.truncate(keep);
+
+            let whole = Frame::Ingest { rejected_upstream: 7, users, slots, values }.encode();
+            let view = IngestView::parse(&whole[HEADER_LEN..]).unwrap();
+            let Frame::Ingest { users, slots, values, .. } = view.to_frame() else {
+                unreachable!("to_frame builds an ingest frame")
+            };
+            prop_assert_eq!(view.users().collect::<Vec<_>>(), users.clone());
+
+            let pick = |i: &u32| *i as usize;
+            let mut expected = vec![0xEE; prefix];
+            Frame::Ingest {
+                rejected_upstream: rejected,
+                users: rows.iter().map(|i| users[pick(i)]).collect(),
+                slots: rows.iter().map(|i| slots[pick(i)]).collect(),
+                values: rows.iter().map(|i| values[pick(i)]).collect(),
+            }
+            .encode_into(&mut expected);
+            let mut buf = vec![0xEE; prefix];
+            view.encode_rows_into(&rows, rejected, &mut buf);
+            prop_assert_eq!(buf, expected);
+
+            // One past the end must panic, never read a neighbouring column.
+            rows.push(n as u32);
+            let out_of_range = std::panic::catch_unwind(|| {
+                view.encode_rows_into(&rows, rejected, &mut Vec::new());
+            });
+            prop_assert!(out_of_range.is_err());
         }
 
         #[test]

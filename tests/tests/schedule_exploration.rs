@@ -388,84 +388,6 @@ mod checked_collector {
 }
 
 // ====================================================================
-// Router coordination invariants: the fan-out primitives behind the
-// federation ack barrier, under the same instrumented facade.
-// ====================================================================
-
-#[cfg(ldp_check)]
-mod checked_router {
-    use super::*;
-    use ldp_router::{FanoutGate, FrameQueue};
-
-    fn invariant_config(seed: u64) -> Config {
-        Config::default().executions(200).seed(seed)
-    }
-
-    /// The federation ack barrier: `FanoutGate::wait` must not return
-    /// before EVERY downstream link deposited its ledger — under every
-    /// explored schedule, no ack can be sent upstream while any
-    /// downstream's write is still in flight.
-    #[test]
-    fn fanout_gate_never_acks_early_under_exploration() {
-        const LINKS: usize = 3;
-        check("fanout-gate-barrier", &invariant_config(0xF0F0), || {
-            let gate = Arc::new(FanoutGate::new(LINKS));
-            let deposited = Arc::new(AtomicUsize::new(0));
-            let links: Vec<_> = (0..LINKS)
-                .map(|idx| {
-                    let gate = Arc::clone(&gate);
-                    let deposited = Arc::clone(&deposited);
-                    thread::spawn(move || {
-                        // The "write to downstream idx landed" point.
-                        deposited.fetch_add(1, Ordering::SeqCst);
-                        // Link 1 degrades; the others ack their index.
-                        gate.deposit(idx, (idx != 1).then_some(idx as u64));
-                    })
-                })
-                .collect();
-
-            let ledgers = gate.wait();
-            // The barrier property: by the time wait() returns, every
-            // link's deposit has happened — no early ack is possible.
-            assert_eq!(
-                deposited.load(Ordering::SeqCst),
-                LINKS,
-                "wait() returned before every downstream deposited"
-            );
-            assert_eq!(ledgers, vec![Some(0), None, Some(2)]);
-            for link in links {
-                link.join().unwrap();
-            }
-        });
-    }
-
-    /// FIFO ordering through the link queue: a sync barrier pushed after
-    /// ingest frames is popped after them — the property that makes an
-    /// `IngestAck` cover everything the client sent before the sync.
-    #[test]
-    fn frame_queue_preserves_ingest_before_sync_order() {
-        check("frame-queue-fifo", &invariant_config(0xF1F1), || {
-            let queue = Arc::new(FrameQueue::new());
-            let producer = {
-                let queue = Arc::clone(&queue);
-                thread::spawn(move || {
-                    for msg in 0..3u32 {
-                        assert!(queue.push(msg), "queue open while producing");
-                    }
-                    queue.close();
-                })
-            };
-            let mut seen = Vec::new();
-            while let Some(msg) = queue.pop() {
-                seen.push(msg);
-            }
-            assert_eq!(seen, vec![0, 1, 2], "links must drain in push order");
-            producer.join().unwrap();
-        });
-    }
-}
-
-// ====================================================================
 // Crash-point exploration: the durability protocol under every crash
 // the scheduler can reach. The WAL's instrumented crash points (append,
 // flush, fsync, checkpoint write/rename/prune, seal) are armed, a

@@ -14,6 +14,12 @@
 #   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
 #                           `ldp_server::wire::checksum` re-exports it)
 #
+# and, since a router connection is one thread driving plain sockets (no
+# writer thread per downstream, no queue, no gate), under crates/router/src:
+#
+#   * `thread::Builder` / `thread::spawn(`  exactly once (the health probe)
+#   * `Mutex` / `Condvar`                   not at all
+#
 # Only non-test library code is scanned: every `*.rs` under a `src/` of
 # `crates/`, up to its first `#[cfg(test)]`. Integration tests and
 # `benchmark/` build fake peers and measure codec stages on purpose.
@@ -64,9 +70,19 @@ if [ "$(grep -c . <<<"$checksums")" -ne 1 ]; then
         "${checksums:-<none>}"
 fi
 
+router_code="$(grep '^crates/router/src/' <<<"$code")"
+spawns="$(grep -E 'thread::Builder|thread::spawn\(' <<<"$router_code")"
+if [ "$(grep -c . <<<"$spawns")" -ne 1 ]; then
+    report "crates/router/src spawns exactly one thread, the health probe (found $(grep -c . <<<"$spawns")):" \
+        "${spawns:-<none>}"
+fi
+
+report "Mutex / Condvar under crates/router/src (a connection's thread owns its links outright):" \
+    "$(grep -E '\b(Mutex|Condvar)\b' <<<"$router_code")"
+
 if [ "$violations" -gt 0 ]; then
     echo "one-transport lint: $violations violation(s)." >&2
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one socket-side header parse, one checksum)."
+echo "one-transport lint: OK (one listener, one socket-side header parse, one checksum, one router thread per connection)."
