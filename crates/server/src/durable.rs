@@ -644,6 +644,10 @@ mod tests {
         let mut segments: Vec<_> = std::fs::read_dir(&config.dir)
             .expect("log directory")
             .map(|entry| entry.expect("entry").path())
+            .filter(|path| {
+                path.file_name()
+                    .is_some_and(|name| name.to_string_lossy().starts_with("seg-"))
+            })
             .collect();
         segments.sort();
         assert!(segments.len() >= 3, "{} segments", segments.len());

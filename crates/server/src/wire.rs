@@ -6,7 +6,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic  "LDPW"
-//!      4     1  protocol version ([`WIRE_VERSION`], currently 4)
+//!      4     1  protocol version ([`WIRE_VERSION`], currently 5)
 //!      5     1  frame type (see [`Frame`] discriminants)
 //!      6     2  reserved, must be zero
 //!      8     4  payload length, little-endian u32
@@ -65,8 +65,11 @@ pub const MAGIC: [u8; 4] = *b"LDPW";
 /// `Error { UNSUPPORTED }`; v4 appended the durability tallies to
 /// [`StatsBody`] (WAL appended records/bytes and recovered records) and
 /// added the [`code::UNAVAILABLE`] error code for write-ahead-log
-/// failures that force a durable server to refuse an ingest.
-pub const WIRE_VERSION: u8 = 4;
+/// failures that force a durable server to refuse an ingest; v5: checksum
+/// computed in four lanes ([`checksum`]); no payload layout change — the
+/// bump makes a v4 peer fail as [`WireError::UnknownVersion`] before its
+/// payload is read, not as a checksum mismatch.
+pub const WIRE_VERSION: u8 = 5;
 /// Version byte of the metrics-snapshot payload carried by
 /// [`Frame::Metrics`] — versioned independently of the envelope so the
 /// snapshot layout can evolve without a protocol-wide bump.
@@ -2076,6 +2079,14 @@ mod tests {
         assert!(matches!(
             Frame::decode(&bad_version, DEFAULT_MAX_PAYLOAD),
             Err(WireError::UnknownVersion(_))
+        ));
+        // A v4 peer (one-lane checksum) is refused by version, before its
+        // payload or checksum is looked at.
+        let mut v4 = Frame::PopulationMean { mean: Some(0.5) }.encode();
+        v4[4] = 4;
+        assert!(matches!(
+            Frame::decode(&v4, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnknownVersion(4))
         ));
         let mut bad_reserved = good;
         bad_reserved[6] = 1;

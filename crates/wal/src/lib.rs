@@ -19,7 +19,16 @@
 //!
 //! On-disk layout (`WalConfig::dir`):
 //!
-//! - `seg-<first-seq, zero padded>` — CRC-framed record segments, append-only;
+//! - `FORMAT` — the directory's format stamp, one line naming the byte
+//!   format of everything else in it (`ldp-wal log format 2`: records and
+//!   checkpoints summed by the four-lane [`record::checksum`]). An open
+//!   writes it (temp file, `fsync`, rename, directory `fsync`) into a
+//!   directory with no segments or checkpoints yet, and refuses with
+//!   [`WalError::Format`] a directory whose segments or checkpoints have no
+//!   stamp (the one-lane format before it wrote none) or another format's —
+//!   before it reads, truncates, prunes or removes anything;
+//! - `seg-<first-seq, zero padded>` — checksummed record segments,
+//!   append-only;
 //! - `ck-<covered-seq, zero padded>` — checkpoint files: an opaque collector
 //!   state blob covering every record with `seq <= covered-seq`;
 //! - `*.tmp` — in-flight checkpoint writes, ignored (and removed) on open.
@@ -55,6 +64,15 @@ pub enum WalError {
     Io(std::io::Error),
     /// Persistent state failed validation (bad magic, version, or checksum).
     Corrupt(&'static str),
+    /// The directory holds a log in a byte format this build does not
+    /// read: segments or checkpoints with no format stamp (written before
+    /// stamps existed, with the one-lane checksum) or a stamp naming
+    /// another format. Refused before anything in the directory was read,
+    /// changed or removed.
+    Format {
+        /// The stamp found; `None` when there was none.
+        found: Option<String>,
+    },
     /// The log hit an injected crash point (or a prior fatal error) and
     /// refuses further writes; the process is expected to die or restart.
     Dead,
@@ -65,6 +83,17 @@ impl fmt::Display for WalError {
         match self {
             WalError::Io(err) => write!(f, "wal i/o error: {err}"),
             WalError::Corrupt(what) => write!(f, "wal corrupt: {what}"),
+            WalError::Format { found } => {
+                match found {
+                    None => f.write_str("wal log format: segments or checkpoints with no stamp")?,
+                    Some(stamp) => write!(f, "wal log format: stamped {stamp:?}")?,
+                }
+                write!(
+                    f,
+                    "; this build reads only {:?} and left the directory untouched",
+                    log::FORMAT_NAME
+                )
+            }
             WalError::Dead => write!(f, "wal is dead (injected crash or prior fatal error)"),
         }
     }

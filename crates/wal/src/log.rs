@@ -11,6 +11,12 @@ use crate::{FlushPolicy, WalError, WalResult};
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
 const CHECKPOINT_VERSION: u8 = 1;
+/// The file that stamps a log directory with its byte format.
+const FORMAT_FILE: &str = "FORMAT";
+/// The byte format this build reads and writes: records and checkpoints
+/// summed by the four-lane [`record::checksum`]. The format before it (one
+/// serial chain) left no stamp.
+pub(crate) const FORMAT_NAME: &str = "ldp-wal log format 2";
 /// Buffered appends are pushed to the kernel past this size so the in-memory
 /// buffer stays bounded between syncs (capacity is retained across flushes,
 /// keeping the steady state allocation-free).
@@ -120,7 +126,9 @@ pub struct Recovery {
 ///
 /// - The newest checkpoint whose checksum validates wins and is lent
 ///   first ([`Recovery::checkpoint_state`]); it is dropped before the first
-///   segment is read.
+///   segment is read. A newer one that is too short or fails its checksum
+///   is removed; one that cannot be read, or has a magic or version this
+///   build does not know, fails the open and stays on disk.
 /// - Segments stream through **one** reusable read buffer, in sequence
 ///   order. The visitor is handed `(seq, payload)` for every ingest record
 ///   with `seq >` the checkpoint's, as soon as *that record's* checksum
@@ -170,18 +178,32 @@ impl Wal {
         Wal::recovery(config)?.replay(|_, _| Ok(()))
     }
 
-    /// First half of an open: list `config.dir` (created if missing) and
-    /// read the newest checkpoint that validates. No segment is read.
+    /// First half of an open: list `config.dir` (created if missing),
+    /// check its format stamp, and read the newest checkpoint that
+    /// validates. No segment is read.
+    ///
+    /// A directory with no segments or checkpoints yet is stamped with this
+    /// build's format. One whose segments or checkpoints carry no stamp, or
+    /// another format's, is refused with [`WalError::Format`] before
+    /// anything in it is read, truncated, pruned or removed.
     pub fn recovery(config: WalConfig) -> WalResult<Recovery> {
         fs::create_dir_all(&config.dir)?;
-        let mut segs: Vec<(u64, PathBuf, u64)> = Vec::new();
-        let mut cks: Vec<(u64, PathBuf)> = Vec::new();
+        let mut entries = Vec::new();
         for entry in fs::read_dir(&config.dir)? {
             let entry = entry?;
+            if let Ok(name) = entry.file_name().into_string() {
+                entries.push((name, entry));
+            }
+        }
+        let has_log = entries
+            .iter()
+            .any(|(name, _)| name.starts_with("seg-") || name.starts_with("ck-"));
+        check_format(&config.dir, has_log)?;
+
+        let mut segs: Vec<(u64, PathBuf, u64)> = Vec::new();
+        let mut cks: Vec<(u64, PathBuf)> = Vec::new();
+        for (name, entry) in entries {
             let path = entry.path();
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
             if name.ends_with(".tmp") {
                 // In-flight checkpoint write that never renamed: dead weight.
                 let _ = fs::remove_file(&path);
@@ -199,18 +221,27 @@ impl Wal {
         segs.sort();
         cks.sort();
 
-        // Newest checkpoint that validates wins; corrupt ones are removed so
-        // they cannot shadow an older good one forever.
+        // Newest checkpoint that validates wins. One whose length or
+        // checksum fails is removed so it cannot shadow an older good one
+        // forever. Anything else — an I/O error, a magic or version this
+        // build does not know — is returned with the file in place: the
+        // segments it covered were pruned when it was written, so removing
+        // it would boot an empty collector.
         let mut checkpoint_seq = 0u64;
         let mut checkpoint = None;
         for (num, path) in cks.iter().rev() {
-            match read_checkpoint(path) {
-                Ok((covered, image)) if covered == *num => {
+            match read_checkpoint(path)? {
+                Some((covered, image)) if covered == *num => {
                     checkpoint_seq = covered;
                     checkpoint = Some(image);
                     break;
                 }
-                _ => {
+                Some(_) => {
+                    return Err(WalError::Corrupt(
+                        "checkpoint covers another sequence than its name",
+                    ))
+                }
+                None => {
                     let _ = fs::remove_file(path);
                 }
             }
@@ -471,30 +502,63 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Accepts `dir` if its stamp names [`FORMAT_NAME`]; stamps it if it has
+/// no stamp and no log files (`has_log` false); refuses it otherwise.
+/// Reads at most one stamp's worth of bytes and changes nothing it refuses.
+fn check_format(dir: &Path, has_log: bool) -> WalResult<()> {
+    let stamp = format!("{FORMAT_NAME}\n");
+    match File::open(dir.join(FORMAT_FILE)) {
+        Ok(file) => {
+            let mut found = Vec::new();
+            file.take(stamp.len() as u64 + 1).read_to_end(&mut found)?;
+            if found == stamp.as_bytes() {
+                return Ok(());
+            }
+            let found = String::from_utf8_lossy(&found).trim_end().to_owned();
+            Err(WalError::Format { found: Some(found) })
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound && has_log => {
+            Err(WalError::Format { found: None })
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let tmp = dir.join(format!("{FORMAT_FILE}.tmp"));
+            let mut file = File::create(&tmp)?;
+            file.write_all(stamp.as_bytes())?;
+            file.sync_all()?;
+            fs::rename(&tmp, dir.join(FORMAT_FILE))?;
+            Ok(sync_dir(dir)?)
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// Bytes of a checkpoint file before the state blob: magic, version,
 /// checksum, covered sequence.
 const CHECKPOINT_STATE_AT: usize = 4 + 1 + 4 + 8;
 
-/// Reads and validates a checkpoint file; returns the covered sequence and
-/// the file image, whose tail from [`CHECKPOINT_STATE_AT`] is the state.
-fn read_checkpoint(path: &Path) -> WalResult<(u64, Vec<u8>)> {
+/// Reads and validates a checkpoint file: the covered sequence and the
+/// file image, whose tail from [`CHECKPOINT_STATE_AT`] is the state, or
+/// `None` when the file is too short or its checksum fails (damage the
+/// caller may remove). An I/O error or an unknown magic or version is
+/// `Err`.
+fn read_checkpoint(path: &Path) -> WalResult<Option<(u64, Vec<u8>)>> {
     let data = fs::read(path)?;
-    if data.len() < CHECKPOINT_STATE_AT {
-        return Err(WalError::Corrupt("checkpoint too short"));
-    }
-    if data[0..4] != CHECKPOINT_MAGIC {
+    if data.len() >= 4 && data[0..4] != CHECKPOINT_MAGIC {
         return Err(WalError::Corrupt("bad checkpoint magic"));
     }
-    if data[4] != CHECKPOINT_VERSION {
+    if data.len() >= 5 && data[4] != CHECKPOINT_VERSION {
         return Err(WalError::Corrupt("unknown checkpoint version"));
     }
-    let crc = u32::from_le_bytes(data[5..9].try_into().expect("4 bytes"));
+    if data.len() < CHECKPOINT_STATE_AT {
+        return Ok(None);
+    }
+    let sum = u32::from_le_bytes(data[5..9].try_into().expect("4 bytes"));
     let body = &data[9..];
-    if record::checksum(body) != crc {
-        return Err(WalError::Corrupt("checkpoint checksum mismatch"));
+    if record::checksum(body) != sum {
+        return Ok(None);
     }
     let covered = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    Ok((covered, data))
+    Ok(Some((covered, data)))
 }
 
 impl Recovery {
@@ -994,6 +1058,128 @@ mod tests {
         assert_eq!(seen, 4, "nothing is visited after the refusal");
         assert_eq!(segment_files(&dir), before);
         assert_eq!(open(&dir).rec.records, 9);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every entry of `dir` by name: file bytes, or `None` for a directory.
+    fn dir_image(dir: &Path) -> std::collections::BTreeMap<String, Option<Vec<u8>>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+                (name, fs::read(&path).ok())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fresh_and_empty_directories_are_stamped_and_reopen() {
+        let missing = temp_dir("fresh");
+        let empty = temp_dir("empty-unstamped");
+        fs::create_dir_all(&empty).unwrap();
+        for dir in [missing, empty] {
+            write_log(&dir, 1 << 20, &[b"row".to_vec()]);
+            let stamp = fs::read(dir.join(FORMAT_FILE)).unwrap();
+            assert_eq!(stamp, format!("{FORMAT_NAME}\n").as_bytes());
+            assert_eq!(open(&dir).replayed, [(1, b"row".to_vec())]);
+            assert_eq!(fs::read(dir.join(FORMAT_FILE)).unwrap(), stamp);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_log_without_this_formats_stamp_is_refused_untouched() {
+        for (tag, stamp) in [
+            ("unstamped", None),
+            ("foreign", Some("ldp-wal log format 1")),
+        ] {
+            let dir = temp_dir(tag);
+            let (mut wal, _) = Wal::open(cfg(&dir).segment_bytes(64)).unwrap();
+            for i in 0..12 {
+                wal.append(&[i; 16]).unwrap();
+                if i == 5 {
+                    wal.checkpoint(b"STATE").unwrap();
+                }
+            }
+            wal.barrier().unwrap();
+            drop(wal);
+            match stamp {
+                None => fs::remove_file(dir.join(FORMAT_FILE)).unwrap(),
+                Some(stamp) => fs::write(dir.join(FORMAT_FILE), format!("{stamp}\n")).unwrap(),
+            }
+            fs::write(dir.join("ck-00000000000000000099.tmp"), b"in flight").unwrap();
+            let before = dir_image(&dir);
+            assert!(before.keys().any(|name| name.starts_with("seg-")));
+            assert!(before.keys().any(|name| name.starts_with("ck-0")));
+
+            match Wal::recovery(cfg(&dir)) {
+                Err(WalError::Format { found }) => {
+                    assert_eq!(found.as_deref(), stamp, "{tag}");
+                }
+                other => panic!("{tag}: {other:?}"),
+            }
+            assert!(matches!(Wal::open(cfg(&dir)), Err(WalError::Format { .. })));
+            assert_eq!(dir_image(&dir), before, "{tag}: every byte unchanged");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_of_unknown_version_fails_the_open_and_stays() {
+        let dir = temp_dir("ck-version");
+        write_log(&dir, 1 << 20, &[b"a".to_vec()]);
+        let covered = Wal::open(cfg(&dir)).unwrap().0.checkpoint(b"S").unwrap();
+        let path = dir.join(format!("ck-{covered:020}"));
+        let mut image = fs::read(&path).unwrap();
+        image[4] = CHECKPOINT_VERSION + 1;
+        fs::write(&path, &image).unwrap();
+        assert!(matches!(
+            Wal::recovery(cfg(&dir)),
+            Err(WalError::Corrupt(_))
+        ));
+        assert_eq!(fs::read(&path).unwrap(), image, "the checkpoint is kept");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unreadable_checkpoint_fails_the_open() {
+        let dir = temp_dir("ck-unreadable");
+        write_log(&dir, 1 << 20, &[b"a".to_vec()]);
+        let covered = Wal::open(cfg(&dir)).unwrap().0.checkpoint(b"S").unwrap();
+        let path = dir.join(format!("ck-{covered:020}"));
+        let image = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        assert!(matches!(Wal::recovery(cfg(&dir)), Err(WalError::Io(_))));
+        fs::remove_dir(&path).unwrap();
+        fs::write(&path, image).unwrap();
+        let opened = open(&dir);
+        assert_eq!(opened.rec.checkpoint_seq, covered);
+        assert_eq!(opened.state.as_deref(), Some(b"S".as_slice()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_checkpoint_is_removed_for_the_older_one() {
+        let dir = temp_dir("ck-damaged");
+        let (mut wal, _) = Wal::open(cfg(&dir)).unwrap();
+        wal.append(b"a").unwrap();
+        let older = wal.checkpoint(b"OLD").unwrap();
+        let older_image = fs::read(dir.join(format!("ck-{older:020}"))).unwrap();
+        wal.append(b"b").unwrap();
+        let newer = wal.checkpoint(b"NEW").unwrap();
+        drop(wal);
+        // The crash the removal exists for: the older checkpoint outlived
+        // its prune, and the newer one was damaged afterwards.
+        fs::write(dir.join(format!("ck-{older:020}")), &older_image).unwrap();
+        let newer_path = dir.join(format!("ck-{newer:020}"));
+        let mut image = fs::read(&newer_path).unwrap();
+        *image.last_mut().unwrap() ^= 1;
+        fs::write(&newer_path, &image).unwrap();
+        let opened = open(&dir);
+        assert_eq!(opened.state.as_deref(), Some(b"OLD".as_slice()));
+        assert!(!newer_path.exists(), "the damaged checkpoint is removed");
         fs::remove_dir_all(&dir).unwrap();
     }
 

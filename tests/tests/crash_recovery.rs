@@ -13,6 +13,7 @@
 
 use ldp_collector::ReportBatch;
 use ldp_server::RemoteCollector;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -264,6 +265,59 @@ fn sigkill_then_restart_recovers_every_acked_report() {
         );
     }
     drop(child);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every entry of `dir` by name with its bytes (`None` for a directory).
+fn dir_image(dir: &Path) -> BTreeMap<String, Option<Vec<u8>>> {
+    std::fs::read_dir(dir)
+        .expect("data dir")
+        .map(|entry| {
+            let path = entry.expect("entry").path();
+            let name = path
+                .file_name()
+                .expect("name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).ok())
+        })
+        .collect()
+}
+
+/// A log directory without this build's format stamp — what every data
+/// directory written before the four-lane checksum looks like — stops the
+/// boot with an error naming the log format, and no byte of it changes:
+/// the old binary would have read every record as damage and booted empty.
+#[test]
+fn an_unstamped_log_refuses_to_boot_and_is_left_unchanged() {
+    let dir = temp_data_dir("unstamped");
+    let child = DurableChild::spawn(&dir);
+    {
+        let mut client = RemoteCollector::connect(child.addr).expect("connect");
+        client
+            .ingest(&synthetic_batches(1, 64, 4)[0])
+            .expect("ingest");
+        assert_eq!(client.sync().expect("sync").accepted, 64);
+    }
+    drop(child); // checkpoint + seal
+    std::fs::remove_file(dir.join("FORMAT")).expect("the log is stamped");
+    let before = dir_image(&dir);
+    assert!(before.keys().any(|name| name.starts_with("seg-")));
+
+    let refused = durable_command(&dir)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run ldp-server");
+    assert!(
+        !refused.status.success(),
+        "must not boot: {:?}",
+        refused.status
+    );
+    let stdout = String::from_utf8_lossy(&refused.stdout);
+    assert!(!stdout.contains("LISTENING"), "must not serve: {stdout}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("log format"), "stderr: {stderr}");
+    assert_eq!(dir_image(&dir), before, "the directory is byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -82,7 +82,20 @@ summarize() { # reads $results
                     END { printf "%-22s median %.6g  q1 %.6g  q3 %.6g  (n=%d)\n",
                           label, q(0.5), q(0.25), q(0.75), NR }'
         done
-        awk -F'\t' -v col="$2" -v better="$3" -v label="$1" '
+        # Per-pair change/parent ratios, sorted: a claim is read as their
+        # median, so it is printed beside the win count with its range.
+        ratios="$(awk -F'\t' -v col="$2" '
+                $2 == "parent" { p[$1] = $col }
+                $2 == "change" { c[$1] = $col }
+                END { for (i in p) if ((i in c) && p[i] != 0) print c[i] / p[i] }' "$results" |
+            sort -g |
+            awk '{ v[NR] = $1 }
+                END {
+                    if (NR == 0) { printf "no ratios"; exit }
+                    m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+                    printf "change/parent median %.4f  min %.4f  max %.4f", m, v[1], v[NR]
+                }')"
+        awk -F'\t' -v col="$2" -v better="$3" -v label="$1" -v ratios="$ratios" '
             $2 == "parent" { p[$1] = $col }
             $2 == "change" { c[$1] = $col }
             END {
@@ -90,8 +103,8 @@ summarize() { # reads $results
                     if (c[i] == p[i]) ties++
                     else if ((better == "higher") == (c[i] > p[i])) wins++
                 }
-                printf "%-22s change better in %d of %d pairs (%d ties)\n\n",
-                       label, wins, length(p), ties
+                printf "%-22s change better in %d of %d pairs (%d ties); %s\n\n",
+                       label, wins, length(p), ties, ratios
             }' "$results"
     done
 }
