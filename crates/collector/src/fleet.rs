@@ -8,10 +8,7 @@
 //! offline batch path via [`ReseedingSession`].
 
 use crate::engine::Collector;
-use crate::query::QueryEngine;
 use crate::report::ReportBatch;
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::thread;
 use ldp_core::online::{OnlineSession, PipelineSpec};
 use ldp_core::StreamMechanism;
 use ldp_streams::{Population, Stream};
@@ -253,101 +250,6 @@ impl ClientFleet {
         })?;
         Ok(total)
     }
-
-    /// Like [`Self::drive`], but with a concurrent query thread hammering
-    /// a [`QueryEngine`] over the same collector while the ingest workers
-    /// run — the live-service shape: crowd statistics answered *during*
-    /// the stream, not after it.
-    ///
-    /// The query thread alternates one [`QueryEngine::refresh`] with a
-    /// burst of view queries (latest slot mean, windowed mean over the
-    /// trailing `query_window` slots, population mean), then yields for
-    /// `QUERY_PACING` (500µs) — the cadence of a live dashboard, and what keeps
-    /// the query thread from starving ingest when cores are scarce (the
-    /// view reads themselves are lock-free; only CPU time is contended).
-    /// Ingest determinism is untouched: published values are identical to
-    /// a plain `drive` with the same config.
-    ///
-    /// # Errors
-    /// Returns an error if `(epsilon, w)` is invalid for the pipeline.
-    ///
-    /// # Panics
-    /// Panics if `range` is out of bounds for any user, `threads == 0`,
-    /// or `query_window == 0`.
-    pub fn drive_with_queries(
-        &self,
-        population: &Population,
-        range: Range<usize>,
-        collector: &Collector,
-        query_window: usize,
-    ) -> ldp_core::Result<QueryLoadReport> {
-        assert!(query_window > 0, "query window must be positive");
-        let _ = OnlineSession::of_spec(self.config.spec, self.config.epsilon, self.config.w)?;
-        let cfg = self.config;
-        let shards = population.shard_slices(cfg.threads);
-        let done = AtomicBool::new(false);
-        let engine = QueryEngine::new(collector);
-        let (uploaded, (queries, mut refreshes)) = std::thread::scope(|scope| {
-            let query_handle = {
-                let (engine, done) = (&engine, &done);
-                scope.spawn(move || {
-                    let mut queries = 0u64;
-                    let mut refreshes = 0u64;
-                    // The done flag is checked *after* each round, so at
-                    // least one refresh-and-burst runs even if ingest
-                    // finishes before this thread's first timeslice.
-                    loop {
-                        if engine.refresh() > 0 {
-                            refreshes += 1;
-                        }
-                        let view = engine.view();
-                        // A dashboard burst: point query, trailing-window
-                        // query, crowd query — all served from the view.
-                        for _ in 0..32 {
-                            let end = view.slot_end() as usize;
-                            let _ = view.slot_mean(end.saturating_sub(1));
-                            let _ = view.windowed_mean(end.saturating_sub(query_window)..end);
-                            let _ = view.population_mean();
-                            queries += 3;
-                        }
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        thread::sleep(QUERY_PACING);
-                    }
-                    (queries, refreshes)
-                })
-            };
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|&(start, users)| {
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        let mut sink = CollectorSink::new(collector);
-                        worker_upload(cfg, start, users, range, &mut sink)
-                            .expect("local collector sink cannot fail");
-                        sink.finish().expect("local collector sink cannot fail")
-                    })
-                })
-                .collect();
-            let uploaded: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-            done.store(true, Ordering::Release);
-            (uploaded, query_handle.join().unwrap())
-        });
-        // One final refresh so the returned view state includes the last
-        // uploads.
-        if engine.refresh() > 0 {
-            refreshes += 1;
-        }
-        let view = engine.view();
-        Ok(QueryLoadReport {
-            uploaded,
-            queries,
-            refreshes,
-            final_population_mean: view.population_mean(),
-            retained_slots: view.slot_count(),
-        })
-    }
 }
 
 /// Users one fleet worker publishes in lock-step. A session is a serial
@@ -364,7 +266,7 @@ const LANES: usize = 4;
 /// through the same call; the worker's sessions, publish buffers and
 /// columnar batch are built once and reused, so the steady state performs
 /// no per-user heap allocation. Shared by every drive flavor (local,
-/// with-queries, remote), so all paths publish bit-identical values.
+/// remote), so all paths publish bit-identical values.
 fn worker_upload<S: ReportSink>(
     cfg: FleetConfig,
     start: usize,
@@ -435,29 +337,6 @@ impl Worker {
         }
         Ok(())
     }
-}
-
-/// Pause between query-thread rounds in
-/// [`ClientFleet::drive_with_queries`]: one refresh + a 32-query burst per
-/// round, then the thread sleeps this long. 500µs ≈ a 2kHz dashboard —
-/// far beyond any human-facing refresh rate — while leaving the CPU to
-/// ingest between rounds.
-const QUERY_PACING: std::time::Duration = std::time::Duration::from_micros(500);
-
-/// Outcome of a [`ClientFleet::drive_with_queries`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryLoadReport {
-    /// Reports accepted by the collector.
-    pub uploaded: u64,
-    /// Individual view queries answered by the query thread.
-    pub queries: u64,
-    /// Refreshes that actually re-published the merged view.
-    pub refreshes: u64,
-    /// Population mean of the final (fully drained) view.
-    pub final_population_mean: Option<f64>,
-    /// Retained slot count of the final view (bounded by the collector's
-    /// retention policy).
-    pub retained_slots: usize,
 }
 
 /// Batch-path adapter reproducing fleet output: a [`StreamMechanism`]
@@ -635,35 +514,6 @@ mod tests {
         assert_eq!(adapter.next_user(), 2);
         adapter.reset();
         assert_eq!(adapter.publish(&xs, &mut unused), first);
-    }
-
-    #[test]
-    fn drive_with_queries_matches_plain_drive() {
-        use crate::accumulator::SlotRetention;
-        let pop = taxi_population(40, 30, 21);
-        let plain = Collector::new(CollectorConfig {
-            shards: 4,
-            ..CollectorConfig::default()
-        });
-        let live = Collector::new(CollectorConfig {
-            shards: 4,
-            retention: SlotRetention::Last(16),
-            ..CollectorConfig::default()
-        });
-        let fleet = fleet(SessionKind::Capp, 4);
-        let n = fleet.drive(&pop, 0..30, &plain).unwrap();
-        let report = fleet.drive_with_queries(&pop, 0..30, &live, 8).unwrap();
-        assert_eq!(report.uploaded, n, "query load must not change ingest");
-        assert!(report.queries > 0, "query thread actually ran");
-        assert!(report.refreshes >= 1, "at least the final state published");
-        assert!(report.retained_slots <= 16);
-        // Values are identical: lifetime per-user means agree exactly.
-        assert_eq!(
-            plain.snapshot().per_user_means(),
-            live.snapshot().per_user_means()
-        );
-        let expected = plain.snapshot().population_mean().unwrap();
-        assert!((report.final_population_mean.unwrap() - expected).abs() < 1e-9);
     }
 
     #[test]

@@ -96,8 +96,7 @@ pub use engine::{
     DEFAULT_PARALLEL_FOLD_MIN,
 };
 pub use fleet::{
-    user_seed, ClientFleet, CollectorSink, FleetConfig, FleetError, QueryLoadReport, ReportSink,
-    ReseedingSession,
+    user_seed, ClientFleet, CollectorSink, FleetConfig, FleetError, ReportSink, ReseedingSession,
 };
 pub use query::{LiveView, QueryEngine};
 pub use report::{AsReportColumns, ReportBatch, ReportColumns, SlotReport};

@@ -1,26 +1,19 @@
 //! One function per paper artifact (Table I, Figures 4–11), plus the
-//! system scenarios (collector scale, pipeline grid, query and server
-//! load) and the design-choice ablations, each regenerating its
-//! rows/series from one configuration.
+//! design-choice ablations, each regenerating its rows/series from one
+//! configuration.
 //!
 //! Every artifact is a pure function of an [`ExperimentConfig`] and
-//! returns a rendered markdown report; [`run`] dispatches by name and
-//! [`names`] lists everything in paper order.
+//! returns a rendered markdown report; [`run`] dispatches by name,
+//! [`names`] lists everything in paper order and [`resolve`] checks a
+//! command line's names before anything runs.
 
 use crate::algorithms::AlgorithmSpec;
 use crate::config::{epsilon_grid, ExperimentConfig};
 use crate::datasets::{Dataset, DatasetData};
 use crate::report::{render_artifact, Series, SeriesTable};
 use crate::runner::{self, Metric, TrialSpec};
-use ldp_collector::{
-    ClientFleet, Collector, CollectorConfig, FleetConfig, ReseedingSession, SlotRetention,
-};
 use ldp_core::highdim::{publish_multidim, SplitStrategy};
-use ldp_core::{
-    crowd, optimal_sample_count, App, Ipp, PipelineSpec, PpKind, Sampling, SessionKind,
-    StreamMechanism,
-};
-use ldp_mechanisms::MechanismKind;
+use ldp_core::{optimal_sample_count, App, Ipp, PpKind, Sampling, StreamMechanism};
 use ldp_metrics::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,12 +36,28 @@ pub fn names() -> &'static [&'static str] {
         "fig9",
         "fig10",
         "fig11",
-        "collector_scale",
-        "pipeline_grid",
-        "query_load",
-        "server_load",
         "ablations",
     ]
+}
+
+/// Resolves a command line's artifact names in order, `all` expanding in
+/// place to [`names`]. `Err` carries the first unknown name, so a caller
+/// can refuse the whole list before it computes anything.
+///
+/// # Errors
+/// The first argument that is neither `all` nor one of [`names`].
+pub fn resolve<S: AsRef<str>>(args: &[S]) -> Result<Vec<&'static str>, String> {
+    let mut resolved = Vec::new();
+    for arg in args {
+        match arg.as_ref() {
+            "all" => resolved.extend_from_slice(names()),
+            name => match names().iter().find(|known| **known == name) {
+                Some(known) => resolved.push(*known),
+                None => return Err(name.to_owned()),
+            },
+        }
+    }
+    Ok(resolved)
 }
 
 /// Runs one artifact by name; `None` for unknown names.
@@ -64,10 +73,6 @@ pub fn run(name: &str, cfg: &ExperimentConfig) -> Option<String> {
         "fig9" => Some(fig9(cfg)),
         "fig10" => Some(fig10(cfg)),
         "fig11" => Some(fig11(cfg)),
-        "collector_scale" => Some(collector_scale(cfg)),
-        "pipeline_grid" => Some(pipeline_grid(cfg)),
-        "query_load" => Some(query_load(cfg)),
-        "server_load" => Some(server_load(cfg)),
         "ablations" => Some(ablations(cfg)),
         _ => None,
     }
@@ -402,273 +407,6 @@ pub fn fig11(cfg: &ExperimentConfig) -> String {
     render_artifact("Figure 11 — clip margin sensitivity", &panels)
 }
 
-/// Collector scalability scenario: drive a sharded client fleet through
-/// the incremental aggregation engine at increasing fleet sizes, and
-/// verify the snapshot agrees with the offline batch path.
-#[must_use]
-pub fn collector_scale(cfg: &ExperimentConfig) -> String {
-    let (epsilon, w) = (2.0, W);
-    let slots = 200;
-    let range = 0..slots;
-    let mut out = String::from(
-        "## Collector scalability — sharded incremental aggregation\n\n\
-         | users | reports | elapsed | reports/s | \\|pop mean − batch\\| | \\|pop mean − truth\\| |\n\
-         |---|---|---|---|---|---|\n",
-    );
-    for scale in [1usize, 4, 16] {
-        let users = (cfg.fleet_users * scale).max(1);
-        let population = ldp_streams::synthetic::taxi_population(
-            users,
-            slots,
-            cfg.sub_seed(&[12, scale as u64]),
-        );
-        let collector = Collector::new(CollectorConfig::default());
-        let fleet = ClientFleet::new(FleetConfig {
-            spec: PipelineSpec::sw(SessionKind::Capp),
-            epsilon,
-            w,
-            seed: cfg.sub_seed(&[12, scale as u64, 1]),
-            threads: ldp_collector::default_parallelism(),
-        });
-        let start = std::time::Instant::now();
-        let reports = fleet
-            .drive(&population, range.clone(), &collector)
-            .expect("static config");
-        let elapsed = start.elapsed();
-        let snapshot = collector.snapshot();
-        let online = snapshot
-            .windowed_mean(range.clone())
-            .expect("full coverage");
-
-        // Offline reference: the batch crowd path over the same seeded
-        // sessions, and the ground truth without privacy.
-        let adapter = ReseedingSession::new(
-            PipelineSpec::sw(SessionKind::Capp),
-            epsilon,
-            w,
-            fleet.config().seed,
-        )
-        .expect("static config");
-        let mut unused = StdRng::seed_from_u64(0);
-        let batch =
-            crowd::estimated_population_means(&population, range.clone(), &adapter, &mut unused);
-        let batch_mean = batch.iter().sum::<f64>() / batch.len() as f64;
-        let truth = crowd::true_windowed_population_mean(&population, range.clone());
-
-        let rate = reports as f64 / elapsed.as_secs_f64().max(1e-9);
-        out.push_str(&format!(
-            "| {users} | {reports} | {:.2?} | {:.3e} | {:.3e} | {:.3e} |\n",
-            elapsed,
-            rate,
-            (online - batch_mean).abs(),
-            (online - truth).abs(),
-        ));
-    }
-    out
-}
-
-/// Pipeline grid scenario: every SessionKind × MechanismKind cell drives
-/// a client fleet end-to-end through the collector at fixed `(ε, w)`,
-/// reporting ingest throughput, the gap to the offline batch path (which
-/// must be ≈ 0 for every cell — the agreement the tests pin at 1e-9),
-/// and the distance to ground truth.
-#[must_use]
-pub fn pipeline_grid(cfg: &ExperimentConfig) -> String {
-    let (epsilon, w) = (2.0, W);
-    let slots = 60;
-    let range = 0..slots;
-    let users = cfg.fleet_users.max(1);
-    let population = ldp_streams::synthetic::taxi_population(users, slots, cfg.sub_seed(&[13]));
-    let truth = crowd::true_windowed_population_mean(&population, range.clone());
-    let mut out = format!(
-        "## Pipeline grid — SessionKind × MechanismKind (ε = {epsilon}, w = {w}, \
-         {users} users × {slots} slots)\n\n\
-         | pipeline | reports | reports/s | \\|pop mean − batch\\| | \\|pop mean − truth\\| |\n\
-         |---|---|---|---|---|\n"
-    );
-    for session in SessionKind::ALL {
-        for mechanism in MechanismKind::ALL {
-            let spec = PipelineSpec::new(session, mechanism);
-            let collector = Collector::new(CollectorConfig::default());
-            let fleet = ClientFleet::new(FleetConfig {
-                spec,
-                epsilon,
-                w,
-                seed: cfg.sub_seed(&[13, 1]),
-                threads: ldp_collector::default_parallelism(),
-            });
-            let start = std::time::Instant::now();
-            let reports = fleet
-                .drive(&population, range.clone(), &collector)
-                .expect("static config");
-            let elapsed = start.elapsed();
-            let snapshot = collector.snapshot();
-            let online = snapshot
-                .windowed_mean(range.clone())
-                .expect("full coverage");
-
-            let adapter = ReseedingSession::new(spec, epsilon, w, fleet.config().seed)
-                .expect("static config");
-            let mut unused = StdRng::seed_from_u64(0);
-            let batch = crowd::estimated_population_means(
-                &population,
-                range.clone(),
-                &adapter,
-                &mut unused,
-            );
-            let batch_mean = batch.iter().sum::<f64>() / batch.len() as f64;
-
-            let rate = reports as f64 / elapsed.as_secs_f64().max(1e-9);
-            out.push_str(&format!(
-                "| {} | {reports} | {rate:.3e} | {:.3e} | {:.3e} |\n",
-                spec.label(),
-                (online - batch_mean).abs(),
-                (online - truth).abs(),
-            ));
-        }
-    }
-    out
-}
-
-/// Query-load scenario: the live query engine answers crowd statistics
-/// *while* the fleet streams, under increasingly tight retention. Each row
-/// drives the same fleet through a collector with a different
-/// [`SlotRetention`] policy plus a concurrent query thread, and compares
-/// the trailing-window estimate served by the query cache against an
-/// unbounded, plainly-driven reference collector — the retention boundary
-/// the integration tests pin at 1e-9, here on the end-to-end path.
-#[must_use]
-pub fn query_load(cfg: &ExperimentConfig) -> String {
-    let (epsilon, w) = (2.0, W);
-    let slots = 24 * W; // a stream much longer than any retained window
-    let range = 0..slots;
-    let users = cfg.fleet_users.max(1);
-    let population = ldp_streams::synthetic::taxi_population(users, slots, cfg.sub_seed(&[14]));
-    let fleet = ClientFleet::new(FleetConfig {
-        spec: PipelineSpec::sw(SessionKind::Capp),
-        epsilon,
-        w,
-        seed: cfg.sub_seed(&[14, 1]),
-        threads: ldp_collector::default_parallelism(),
-    });
-
-    // Unbounded reference, driven without query load.
-    let reference = Collector::new(CollectorConfig::default());
-    fleet
-        .drive(&population, range.clone(), &reference)
-        .expect("static config");
-    let ref_tail = reference
-        .snapshot()
-        .windowed_mean(slots - W..slots)
-        .expect("full coverage");
-
-    let mut out = format!(
-        "## Live query load — bounded retention vs unbounded reference \
-         (ε = {epsilon}, w = {w}, {users} users × {slots} slots)\n\n\
-         | retention | reports | reports/s | queries | queries/s | retained slots | \
-         \\|tail mean − unbounded\\| |\n\
-         |---|---|---|---|---|---|---|\n"
-    );
-    for (label, retention) in [
-        ("unbounded", SlotRetention::Unbounded),
-        ("last 4w", SlotRetention::Last(4 * W as u64)),
-        ("last 2w", SlotRetention::Last(2 * W as u64)),
-    ] {
-        let collector = Collector::new(CollectorConfig {
-            retention,
-            ..CollectorConfig::default()
-        });
-        let start = std::time::Instant::now();
-        let load = fleet
-            .drive_with_queries(&population, range.clone(), &collector, W)
-            .expect("static config");
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        // The query path was exercised live by drive_with_queries; the
-        // post-run tail check just needs one cheap merged read.
-        let tail = collector
-            .snapshot()
-            .windowed_mean(slots - W..slots)
-            .expect("trailing window retained");
-        out.push_str(&format!(
-            "| {label} | {} | {:.3e} | {} | {:.3e} | {} | {:.3e} |\n",
-            load.uploaded,
-            load.uploaded as f64 / elapsed,
-            load.queries,
-            load.queries as f64 / elapsed,
-            load.retained_slots,
-            (tail - ref_tail).abs(),
-        ));
-    }
-    out
-}
-
-/// Server-load scenario: the same seeded fleet drives the collector twice
-/// — once in-process, once through `ldp-server`'s framed TCP loopback
-/// path (each worker its own connection) — and the table reports wire
-/// throughput, the remote-vs-local population-mean gap (pinned ≤ 1e-9 by
-/// the loopback integration test, here surfaced end-to-end), and the
-/// server's own frame counters.
-#[must_use]
-pub fn server_load(cfg: &ExperimentConfig) -> String {
-    use ldp_server::{drive_fleet_loopback, RemoteCollector, Server, ServerConfig};
-    use std::sync::Arc;
-
-    let (epsilon, w) = (2.0, W);
-    let slots = 60;
-    let range = 0..slots;
-    let users = cfg.fleet_users.max(1);
-    let population = ldp_streams::synthetic::taxi_population(users, slots, cfg.sub_seed(&[15]));
-
-    let mut out = format!(
-        "## Server load — framed TCP loopback vs in-process ingest \
-         (ε = {epsilon}, w = {w}, {users} users × {slots} slots)\n\n\
-         | conns | reports | reports/s | \\|pop mean − local\\| | frames | failed | queries |\n\
-         |---|---|---|---|---|---|---|\n"
-    );
-    for conns in [1usize, 2, 4] {
-        let fleet = ClientFleet::new(FleetConfig {
-            spec: PipelineSpec::sw(SessionKind::Capp),
-            epsilon,
-            w,
-            seed: cfg.sub_seed(&[15, 1]),
-            threads: conns,
-        });
-        // In-process reference with the same seeds.
-        let local = Collector::new(CollectorConfig::default());
-        fleet
-            .drive(&population, range.clone(), &local)
-            .expect("static config");
-        let local_pop = local.snapshot().population_mean().expect("users reported");
-
-        // Remote path: one connection per fleet worker.
-        let server = Server::bind(
-            Arc::new(Collector::new(CollectorConfig::default())),
-            ServerConfig::default(),
-        )
-        .expect("bind loopback");
-        let start = std::time::Instant::now();
-        let accepted = drive_fleet_loopback(&fleet, &population, range.clone(), &server)
-            .expect("loopback drive");
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-
-        let mut client = RemoteCollector::connect(server.local_addr()).expect("query connect");
-        let remote_pop = client
-            .population_mean()
-            .expect("population query")
-            .expect("users reported");
-        let stats = client.server_stats().expect("stats query");
-        out.push_str(&format!(
-            "| {conns} | {accepted} | {:.3e} | {:.3e} | {} | {} | {} |\n",
-            accepted as f64 / elapsed,
-            (remote_pop - local_pop).abs(),
-            stats.frames_decoded,
-            stats.frames_failed,
-            stats.queries_answered,
-        ));
-    }
-    out
-}
-
 /// Squared error of the published mean, pointwise MSE and cosine distance
 /// of `algo` on the fixed window `xs`, each averaged over `trials`
 /// independent publications.
@@ -770,7 +508,6 @@ mod tests {
             trials: 1,
             seed: 42,
             crowd_users: 12,
-            fleet_users: 8,
         }
     }
 
@@ -807,59 +544,13 @@ mod tests {
     }
 
     #[test]
-    fn collector_scale_reports_small_batch_gap() {
-        let md = collector_scale(&tiny());
-        assert!(md.contains("reports/s"));
-        // Three scale rows plus the two header lines.
-        assert_eq!(md.lines().filter(|l| l.starts_with("| ")).count(), 3 + 1);
-    }
-
-    #[test]
-    fn query_load_rows_agree_with_the_unbounded_reference() {
-        let md = query_load(&tiny());
-        // Three retention rows plus the header row.
-        assert_eq!(md.lines().filter(|l| l.starts_with("| ")).count(), 3 + 1);
-        // Same fleet seed ⇒ identical published values, so every row's
-        // tail-mean gap column must be ≈ 0.
-        for row in md.lines().filter(|l| l.starts_with("| ")).skip(1) {
-            let gap: f64 = row
-                .split('|')
-                .rfind(|c| !c.trim().is_empty())
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap();
-            assert!(gap < 1e-9, "retention row drifted: {row}");
-        }
-    }
-
-    #[test]
-    fn server_load_rows_agree_with_the_local_reference() {
-        let md = server_load(&tiny());
-        // Three connection rows plus the header row.
-        let rows: Vec<&str> = md.lines().filter(|l| l.starts_with("| ")).collect();
-        assert_eq!(rows.len(), 3 + 1);
-        for row in rows.iter().skip(1) {
-            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
-            let gap: f64 = cells[4].parse().expect("gap column");
-            assert!(gap <= 1e-9, "remote path drifted from local: {row}");
-            let failed: u64 = cells[6].parse().expect("failed column");
-            assert_eq!(failed, 0, "clean run decodes every frame: {row}");
-        }
-    }
-
-    #[test]
-    fn pipeline_grid_covers_every_session_kind() {
-        let md = pipeline_grid(&tiny());
-        for session in SessionKind::ALL {
-            assert!(
-                md.contains(&format!("| {}+", session.label())),
-                "grid missing {} rows:\n{md}",
-                session.label()
-            );
-        }
-        // One row per (session, mechanism) cell plus the header row.
-        let rows = md.lines().filter(|l| l.starts_with("| ")).count();
-        assert_eq!(rows, SessionKind::ALL.len() * MechanismKind::ALL.len() + 1);
+    fn resolve_refuses_the_whole_list_on_any_unknown_name() {
+        assert_eq!(resolve(&["all"]).unwrap(), names());
+        assert_eq!(
+            resolve(&["fig4", "all", "table1"]).unwrap(),
+            [&["fig4"][..], names(), &["table1"]].concat()
+        );
+        assert_eq!(resolve(&["table1", "nope"]), Err("nope".to_owned()));
+        assert_eq!(resolve(&["all", "nope"]), Err("nope".to_owned()));
     }
 }

@@ -8,6 +8,8 @@
 //!
 //! Environment: `LDP_TRIALS` (subsequences per cell, default 30),
 //! `LDP_QUICK=1` (smoke-test sizes), `LDP_SEED`, `LDP_CROWD_USERS`.
+//! An unknown artifact name or an unparseable variable exits 2 before
+//! anything is computed.
 
 use ldp_experiments::artifacts;
 use ldp_experiments::ExperimentConfig;
@@ -26,30 +28,23 @@ fn main() {
         return;
     }
 
-    let cfg = ExperimentConfig::from_env();
+    let requested = artifacts::resolve(&args).unwrap_or_else(|name| {
+        eprintln!(
+            "unknown artifact '{name}'; available: {}",
+            artifacts::names().join(", ")
+        );
+        std::process::exit(2);
+    });
+    let cfg = ExperimentConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "# config: trials={} crowd_users={} seed={:#x}",
         cfg.trials, cfg.crowd_users, cfg.seed
     );
 
-    let requested: Vec<&str> = if args.iter().any(|a| a == "all") {
-        artifacts::names().to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-
     for name in requested {
-        match artifacts::run(name, &cfg) {
-            Some(report) => {
-                println!("{report}");
-            }
-            None => {
-                eprintln!(
-                    "unknown artifact '{name}'; available: {}",
-                    artifacts::names().join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
+        println!("{}", artifacts::run(name, &cfg).expect("resolved name"));
     }
 }

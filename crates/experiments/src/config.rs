@@ -1,6 +1,9 @@
 //! Global experiment configuration (trial counts, seeds), read from the
 //! environment by `repro`.
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 /// Configuration shared by every artifact reproduction.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -12,41 +15,30 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Number of users drawn for crowd-level experiments.
     pub crowd_users: usize,
-    /// Base fleet size for the collector scalability scenario (the
-    /// scenario sweeps multiples of this).
-    pub fleet_users: usize,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 impl ExperimentConfig {
     /// Reads the configuration from the environment:
     /// `LDP_TRIALS` (default 30, or 5 under `LDP_QUICK=1`),
-    /// `LDP_SEED` (default 0xC0FFEE), `LDP_CROWD_USERS` (default 300,
-    /// or 60 under `LDP_QUICK=1`), `LDP_FLEET_USERS` (default 500, or 50
-    /// under `LDP_QUICK=1`).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let quick = std::env::var("LDP_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
-        let parse = |key: &str, default: usize| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Self {
-            trials: parse("LDP_TRIALS", if quick { 5 } else { 30 }),
-            seed: std::env::var("LDP_SEED")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0x00C0_FFEE),
-            crowd_users: parse("LDP_CROWD_USERS", if quick { 60 } else { 300 }),
-            fleet_users: parse("LDP_FLEET_USERS", if quick { 50 } else { 500 }),
-        }
+    /// `LDP_SEED` (default 12648430 = 0xC0FFEE), `LDP_CROWD_USERS`
+    /// (default 300, or 60 under `LDP_QUICK=1`).
+    ///
+    /// # Errors
+    /// A message naming the variable when a set value is not a decimal
+    /// integer, or when `LDP_TRIALS` or `LDP_CROWD_USERS` is zero.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Self::from_env`] over `var`, which returns a variable's value or
+    /// `None` when it is unset.
+    pub(crate) fn from_lookup(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let quick = var("LDP_QUICK").is_some_and(|v| v != "0" && !v.is_empty());
+        Ok(Self {
+            trials: parse(&var, "LDP_TRIALS", if quick { 5 } else { 30 }, 1)?,
+            seed: parse(&var, "LDP_SEED", 0x00C0_FFEE, 0)?,
+            crowd_users: parse(&var, "LDP_CROWD_USERS", if quick { 60 } else { 300 }, 1)?,
+        })
     }
 
     /// Derives a deterministic sub-seed for a named configuration.
@@ -59,6 +51,24 @@ impl ExperimentConfig {
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         h
+    }
+}
+
+/// `key`'s value through `var`: `default` when unset, otherwise a decimal
+/// integer no smaller than `min`.
+fn parse<T: FromStr + PartialOrd + Display>(
+    var: &impl Fn(&str) -> Option<String>,
+    key: &str,
+    default: T,
+    min: T,
+) -> Result<T, String> {
+    let Some(value) = var(key) else {
+        return Ok(default);
+    };
+    match value.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(format!("{key}={value}: must be at least {min}")),
+        Err(_) => Err(format!("{key}={value:?}: not a decimal integer")),
     }
 }
 
@@ -78,11 +88,37 @@ mod tests {
             trials: 1,
             seed: 7,
             crowd_users: 10,
-            fleet_users: 10,
         };
         assert_eq!(cfg.sub_seed(&[1, 2]), cfg.sub_seed(&[1, 2]));
         assert_ne!(cfg.sub_seed(&[1, 2]), cfg.sub_seed(&[2, 1]));
         assert_ne!(cfg.sub_seed(&[1]), cfg.sub_seed(&[1, 0]));
+    }
+
+    #[test]
+    fn lookup_takes_defaults_and_refuses_bad_values_by_name() {
+        let with = |vars: &[(&str, &str)]| {
+            ExperimentConfig::from_lookup(|key| {
+                vars.iter()
+                    .find(|(k, _)| *k == key)
+                    .map(|(_, v)| (*v).to_owned())
+            })
+        };
+        let full = with(&[]).unwrap();
+        assert_eq!(
+            (full.trials, full.seed, full.crowd_users),
+            (30, 0xC0FFEE, 300)
+        );
+        let quick = with(&[("LDP_QUICK", "1"), ("LDP_SEED", "7")]).unwrap();
+        assert_eq!((quick.trials, quick.seed, quick.crowd_users), (5, 7, 60));
+        for (key, value) in [
+            ("LDP_TRIALS", "0"),
+            ("LDP_TRIALS", "3O"),
+            ("LDP_CROWD_USERS", "0"),
+            ("LDP_SEED", "0x1"),
+        ] {
+            let err = with(&[(key, value)]).unwrap_err();
+            assert!(err.starts_with(&format!("{key}=")), "{key}={value}: {err}");
+        }
     }
 
     #[test]

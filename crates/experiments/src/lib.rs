@@ -1,9 +1,9 @@
 //! Experiment harness reproducing every table and figure of the ICDE 2025
 //! paper's evaluation (§VI).
 //!
-//! Each artifact (Table I, Figures 4–11) has a module under [`artifacts`]
+//! Each artifact (Table I, Figures 4–11) has a function in [`artifacts`]
 //! that regenerates the same rows/series the paper reports, over the
-//! synthetic dataset substitutes described in `DESIGN.md` §4. Run them via
+//! synthetic dataset substitutes of `ldp_streams::synthetic`. Run them via
 //!
 //! ```text
 //! cargo run -p ldp-experiments --release --bin repro -- all

@@ -23,15 +23,11 @@ fn main() {
         threads: ldp_collector::default_parallelism(),
     });
 
-    let start = std::time::Instant::now();
     let reports = fleet
         .drive(&population, 0..slots, &collector)
         .expect("valid fleet config");
-    let elapsed = start.elapsed();
     println!(
-        "{users} users × {slots} slots → {reports} reports in {elapsed:.2?} \
-         ({:.1}M reports/s, {} shards)",
-        reports as f64 / elapsed.as_secs_f64() / 1e6,
+        "{users} users × {slots} slots → {reports} reports ({} shards)",
         collector.shard_count(),
     );
 

@@ -43,81 +43,84 @@ fn fleet(threads: usize, seed: u64) -> ClientFleet {
     })
 }
 
-/// The satellite agreement test: remote-vs-in-process ≤ 1e-9.
+/// The satellite agreement test: remote-vs-in-process ≤ 1e-9, with one
+/// fleet thread (one connection) and with four.
 #[test]
 fn remote_fleet_agrees_with_in_process_fleet() {
     let (users, slots) = (60, 40);
     let population = ldp_streams::synthetic::taxi_population(users, slots, 21);
-    let fleet = fleet(4, 1234);
+    for threads in [1, 4] {
+        let fleet = fleet(threads, 1234);
 
-    // In-process reference.
-    let local = Collector::new(CollectorConfig {
-        shards: 4,
-        ..CollectorConfig::default()
-    });
-    let local_accepted = fleet.drive(&population, 0..slots, &local).unwrap();
-    let reference = local.snapshot();
+        // In-process reference.
+        let local = Collector::new(CollectorConfig {
+            shards: 4,
+            ..CollectorConfig::default()
+        });
+        let local_accepted = fleet.drive(&population, 0..slots, &local).unwrap();
+        let reference = local.snapshot();
 
-    // Remote path over real loopback TCP.
-    let srv = server(4);
-    let remote_accepted = drive_fleet_loopback(&fleet, &population, 0..slots, &srv).unwrap();
-    assert_eq!(remote_accepted, local_accepted, "every report arrived");
+        // Remote path over real loopback TCP.
+        let srv = server(4);
+        let remote_accepted = drive_fleet_loopback(&fleet, &population, 0..slots, &srv).unwrap();
+        assert_eq!(remote_accepted, local_accepted, "every report arrived");
 
-    // Queries answered over the wire agree with the local snapshot.
-    let mut client = RemoteCollector::connect(srv.local_addr()).unwrap();
-    let remote_pop = client.population_mean().unwrap().unwrap();
-    let local_pop = reference.population_mean().unwrap();
-    assert!(
-        (remote_pop - local_pop).abs() <= 1e-9,
-        "population mean drifted over the wire: {remote_pop} vs {local_pop}"
-    );
-    // Windowed means: every window of width w, plus the full range.
-    let w = 8usize;
-    for start in 0..=(slots - w) {
-        let remote = client
-            .windowed_mean(start as u64..(start + w) as u64)
-            .unwrap()
-            .unwrap();
-        let local = reference.windowed_mean(start..start + w).unwrap();
+        // Queries answered over the wire agree with the local snapshot.
+        let mut client = RemoteCollector::connect(srv.local_addr()).unwrap();
+        let remote_pop = client.population_mean().unwrap().unwrap();
+        let local_pop = reference.population_mean().unwrap();
         assert!(
-            (remote - local).abs() <= 1e-9,
-            "window {start}..{}: {remote} vs {local}",
-            start + w
+            (remote_pop - local_pop).abs() <= 1e-9,
+            "population mean drifted over the wire: {remote_pop} vs {local_pop}"
         );
+        // Windowed means: every window of width w, plus the full range.
+        let w = 8usize;
+        for start in 0..=(slots - w) {
+            let remote = client
+                .windowed_mean(start as u64..(start + w) as u64)
+                .unwrap()
+                .unwrap();
+            let local = reference.windowed_mean(start..start + w).unwrap();
+            assert!(
+                (remote - local).abs() <= 1e-9,
+                "window {start}..{}: {remote} vs {local}",
+                start + w
+            );
+        }
+        let remote_full = client.windowed_mean(0..slots as u64).unwrap().unwrap();
+        let local_full = reference.windowed_mean(0..slots).unwrap();
+        assert!((remote_full - local_full).abs() <= 1e-9);
+
+        // Per-slot means agree slot-for-slot.
+        let means = client.slot_means(0..slots as u64).unwrap();
+        assert_eq!(means.len(), slots);
+        for (slot, remote) in means.iter().enumerate() {
+            let local = reference.slot_mean(slot).unwrap();
+            assert!((remote.unwrap() - local).abs() <= 1e-9, "slot {slot}");
+        }
+
+        // The server-side collector is *exactly* as populated as the local
+        // one on per-user state (each user's reports ride one connection, so
+        // per-user sums are order-identical).
+        let served = srv.collector().snapshot();
+        assert_eq!(served.total_reports(), reference.total_reports());
+        assert_eq!(served.per_user_means(), reference.per_user_means());
+
+        // Summary + stats frames account for everything.
+        let summary = client.summary().unwrap();
+        assert_eq!(summary.total_reports, local_accepted);
+        assert_eq!(summary.user_count, users as u64);
+        assert_eq!(summary.slot_end, slots as u64);
+        let stats = client.server_stats().unwrap();
+        assert_eq!(stats.accepted_reports, local_accepted);
+        assert_eq!(stats.dropped_reports, 0);
+        assert_eq!(stats.frames_failed, 0);
+        assert!(
+            stats.frames_decoded >= users as u64,
+            "one ingest frame per user"
+        );
+        assert!(stats.queries_answered > 0);
     }
-    let remote_full = client.windowed_mean(0..slots as u64).unwrap().unwrap();
-    let local_full = reference.windowed_mean(0..slots).unwrap();
-    assert!((remote_full - local_full).abs() <= 1e-9);
-
-    // Per-slot means agree slot-for-slot.
-    let means = client.slot_means(0..slots as u64).unwrap();
-    assert_eq!(means.len(), slots);
-    for (slot, remote) in means.iter().enumerate() {
-        let local = reference.slot_mean(slot).unwrap();
-        assert!((remote.unwrap() - local).abs() <= 1e-9, "slot {slot}");
-    }
-
-    // The server-side collector is *exactly* as populated as the local
-    // one on per-user state (each user's reports ride one connection, so
-    // per-user sums are order-identical).
-    let served = srv.collector().snapshot();
-    assert_eq!(served.total_reports(), reference.total_reports());
-    assert_eq!(served.per_user_means(), reference.per_user_means());
-
-    // Summary + stats frames account for everything.
-    let summary = client.summary().unwrap();
-    assert_eq!(summary.total_reports, local_accepted);
-    assert_eq!(summary.user_count, users as u64);
-    assert_eq!(summary.slot_end, slots as u64);
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.accepted_reports, local_accepted);
-    assert_eq!(stats.dropped_reports, 0);
-    assert_eq!(stats.frames_failed, 0);
-    assert!(
-        stats.frames_decoded >= users as u64,
-        "one ingest frame per user"
-    );
-    assert!(stats.queries_answered > 0);
 }
 
 /// Ingest acks carry the per-connection disposition ledger, and

@@ -11,6 +11,9 @@
 #     cargo subcommand, its crate, its timing shim — anywhere outside
 #     `benchmark/`, the history files (CHANGES.md, ROADMAP.md, ISSUE.md)
 #     and this script
+#   * no timing call (`Instant`, `SystemTime`, `.elapsed(`) anywhere under
+#     crates/experiments/ or examples/: `repro` and the demos print
+#     answers, never rates (the dashboard examples are the one exemption)
 #   * every `LDP_*` literal under crates/, tests/, examples/ is a row of
 #     README's "Environment variables" table, and every row is read by
 #     code: a variable cannot appear or linger undocumented
@@ -48,6 +51,13 @@ report "a name of the deleted bench harness (measure with benchmark/, regenerate
         ! -path ./tools/lint_one_harness.sh -print0 |
         xargs -0 grep -InE "$banned")"
 
+# The three dashboard examples poll on a clock by design. ROADMAP item 6's
+# `ldp-top` replaces and deletes them, and this exemption goes with them.
+timing_exempt='examples/src/bin/(live_dashboard|remote_dashboard|telemetry_dashboard)\.rs'
+report "a timing call under crates/experiments/ or examples/ (measure with benchmark/):" \
+    "$(find crates/experiments examples \( "${prune[@]}" \) -prune -o -type f -print0 |
+        xargs -0 grep -HInE 'Instant|SystemTime|\.elapsed\(' | grep -vE "^$timing_exempt:")"
+
 in_code="$(find crates tests examples \( "${prune[@]}" \) -prune -o -type f -print0 |
     xargs -0 grep -IhoE 'LDP_[A-Z0-9_]+' | sort -u)"
 in_table="$(awk '/^## /{in_section = ($0 == "## Environment variables")} in_section' README.md |
@@ -62,4 +72,4 @@ if [ "$violations" -gt 0 ]; then
     exit 1
 fi
 
-echo "one-harness lint: OK (no bench target, no second harness, $(grep -c . <<<"$in_table") LDP_* variables == README's table)."
+echo "one-harness lint: OK (no bench target, no second harness, no timing call in repro or the demos, $(grep -c . <<<"$in_table") LDP_* variables == README's table)."
