@@ -6,7 +6,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic  "LDPW"
-//!      4     1  protocol version ([`WIRE_VERSION`], currently 5)
+//!      4     1  protocol version ([`WIRE_VERSION`], currently 6)
 //!      5     1  frame type (see [`Frame`] discriminants)
 //!      6     2  reserved, must be zero
 //!      8     4  payload length, little-endian u32
@@ -31,7 +31,10 @@
 //!   instead of a garbage [`ReportBatch`] poisoning shard accumulators.
 //! * **Columnar ingest** — the ingest payload carries the
 //!   [`ReportBatch`] columns (users / slots / values) back-to-back, so
-//!   decoding is bulk column copies; no per-report parsing.
+//!   decoding is bulk column copies; no per-report parsing. Each id
+//!   column travels as a `u64` base plus 0/1/2/4/8-byte offsets, the
+//!   width sized from that frame's own span ([`IngestView`] has the
+//!   layout); values stay raw `f64` bits, so folds are bit-identical.
 //! * **Borrowed decode** — [`FrameView`] parses a payload into slices
 //!   *over the receive buffer*; nothing is allocated. The ingest hot path
 //!   ([`IngestView`]) materializes its columns only into a reusable
@@ -68,8 +71,10 @@ pub const MAGIC: [u8; 4] = *b"LDPW";
 /// failures that force a durable server to refuse an ingest; v5: checksum
 /// computed in four lanes ([`checksum`]); no payload layout change — the
 /// bump makes a v4 peer fail as [`WireError::UnknownVersion`] before its
-/// payload is read, not as a checksum mismatch.
-pub const WIRE_VERSION: u8 = 5;
+/// payload is read, not as a checksum mismatch; v6: the ingest payload's
+/// user and slot columns travel as a base plus narrow offsets (see
+/// [`IngestView`]) instead of full `u64`s.
+pub const WIRE_VERSION: u8 = 6;
 /// Version byte of the metrics-snapshot payload carried by
 /// [`Frame::Metrics`] — versioned independently of the envelope so the
 /// snapshot layout can evolve without a protocol-wide bump.
@@ -77,9 +82,16 @@ pub const METRICS_SNAPSHOT_VERSION: u8 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Default upper bound on payload size a peer will read (16 MiB — one
-/// ingest frame of ~700k reports; far above anything the fleet sends,
-/// far below an allocation a hostile length field could weaponize).
+/// ingest frame of ~700k reports at full-width ids; far above anything the
+/// fleet sends, far below an allocation a hostile length field could
+/// weaponize).
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 24;
+/// Most reports one ingest frame may carry, whatever its id widths: as
+/// many 24-byte full-width rows as fit [`DEFAULT_MAX_PAYLOAD`]. Narrow id
+/// columns shrink a row to as little as 8 bytes, so without this bound a
+/// 16 MiB payload could claim ~2M rows and make the receiver's decode
+/// scratch (24 bytes a row once widened) three times the payload.
+pub const MAX_INGEST_ROWS: usize = DEFAULT_MAX_PAYLOAD as usize / 24;
 /// Hard bound on the slot count one [`Frame::QueryWindowedMean`],
 /// [`Frame::QuerySlotMeans`] or (after clipping to the retained range)
 /// [`Frame::QueryParts`] may ask a tier for — bounds the response
@@ -541,17 +553,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Bulk-decodes a packed little-endian `u64` column into `dst` (cleared
-/// first; capacity is reused, so a warmed buffer makes this a pure copy).
-fn fill_u64_column(dst: &mut Vec<u64>, raw: &[u8]) {
-    debug_assert_eq!(raw.len() % 8, 0, "column byte length validated at parse");
-    dst.clear();
-    dst.extend(
-        raw.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8"))),
-    );
-}
-
 /// Bulk-decodes a packed little-endian `f64`-bits column into `dst`.
 fn fill_f64_column(dst: &mut Vec<f64>, raw: &[u8]) {
     debug_assert_eq!(raw.len() % 8, 0, "column byte length validated at parse");
@@ -560,6 +561,149 @@ fn fill_f64_column(dst: &mut Vec<f64>, raw: &[u8]) {
         raw.chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("8"))),
     );
+}
+
+/// The offset widths an id column may travel at, in bytes.
+const ID_WIDTHS: [usize; 5] = [0, 1, 2, 4, 8];
+
+/// The largest offset a `width`-byte column can hold.
+fn max_offset(width: usize) -> u64 {
+    if width == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - 8 * width)
+    }
+}
+
+/// One narrow id column as it travels: `count` little-endian offsets of
+/// `width` bytes each, added to `base`. Width 0 means every row equals
+/// the base; width 8 forces base 0. Both rules follow from the one parse
+/// check that `base + max_offset(width)` fits a `u64`, so no decoded id
+/// can wrap.
+#[derive(Debug, Clone, Copy)]
+struct IdColumn<'a> {
+    width: usize,
+    base: u64,
+    raw: &'a [u8],
+}
+
+impl<'a> IdColumn<'a> {
+    /// The narrowest `(width, base)` that covers `ids`: one min/max pass,
+    /// then the smallest width whose largest offset covers the span. The
+    /// base is the minimum, lowered where needed so that `base` plus the
+    /// width's largest offset still fits a `u64` (the parse rule): ids up
+    /// against `u64::MAX` keep their narrow width, and width 8 gets base 0.
+    fn fit(ids: &[u64]) -> (usize, u64) {
+        if ids.is_empty() {
+            return (0, 0);
+        }
+        let (lo, hi) = ids
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+        let width = ID_WIDTHS
+            .into_iter()
+            .find(|&w| hi - lo <= max_offset(w))
+            .expect("width 8 covers every span");
+        (width, lo.min(u64::MAX - max_offset(width)))
+    }
+
+    /// Reads a column header — width code, then base — refusing a width
+    /// outside [`ID_WIDTHS`] and a base whose largest offset overflows.
+    fn header(r: &mut Reader<'_>) -> WireResult<(usize, u64)> {
+        let width = usize::from(r.take(1)?[0]);
+        let base = r.u64()?;
+        if !ID_WIDTHS.contains(&width) {
+            return Err(WireError::BadPayload("ingest id width not 0, 1, 2, 4 or 8"));
+        }
+        if base.checked_add(max_offset(width)).is_none() {
+            return Err(WireError::BadPayload(
+                "ingest id base overflows at its width",
+            ));
+        }
+        Ok((width, base))
+    }
+
+    /// The id of row `row`.
+    fn get(&self, row: usize) -> u64 {
+        let w = self.width;
+        let bytes = &self.raw[w * row..w * row + w];
+        self.base
+            + match w {
+                0 => 0,
+                1 => u64::from(bytes[0]),
+                2 => u64::from(u16::from_le_bytes(bytes.try_into().expect("2"))),
+                4 => u64::from(u32::from_le_bytes(bytes.try_into().expect("4"))),
+                _ => u64::from_le_bytes(bytes.try_into().expect("8")),
+            }
+    }
+
+    /// Widens the column into `dst` (cleared first; capacity is reused,
+    /// so a warmed buffer makes this a pure widen). One loop per width:
+    /// a fixed-size load and an add per row, no branch inside the loop.
+    fn widen(&self, count: usize, dst: &mut Vec<u64>) {
+        fn run<const W: usize>(dst: &mut Vec<u64>, raw: &[u8], base: u64) {
+            dst.extend(raw.chunks_exact(W).map(|c| {
+                let mut word = [0u8; 8];
+                word[..W].copy_from_slice(c);
+                base + u64::from_le_bytes(word)
+            }));
+        }
+        dst.clear();
+        match self.width {
+            0 => dst.resize(count, self.base),
+            1 => run::<1>(dst, self.raw, self.base),
+            2 => run::<2>(dst, self.raw, self.base),
+            4 => run::<4>(dst, self.raw, self.base),
+            _ => run::<8>(dst, self.raw, self.base),
+        }
+    }
+}
+
+/// Appends the `width`-byte cells `rows` of the packed column `raw`.
+///
+/// # Panics
+/// If a row index is out of range (never reads past `raw`).
+fn gather(buf: &mut Vec<u8>, raw: &[u8], width: usize, rows: &[u32]) {
+    fn run<const W: usize>(out: &mut [u8], raw: &[u8], rows: &[u32]) {
+        let len = raw.len() / W;
+        for (out, &row) in out.chunks_exact_mut(W).zip(rows) {
+            let row = row as usize;
+            assert!(row < len, "row {row} out of range for a {len}-row frame");
+            out.copy_from_slice(&raw[W * row..W * row + W]);
+        }
+    }
+    let at = buf.len();
+    buf.resize(at + width * rows.len(), 0);
+    let out = &mut buf[at..];
+    match width {
+        0 => {}
+        1 => run::<1>(out, raw, rows),
+        2 => run::<2>(out, raw, rows),
+        4 => run::<4>(out, raw, rows),
+        _ => run::<8>(out, raw, rows),
+    }
+}
+
+/// Writes an id column's header: width code, then base.
+fn put_id_header(buf: &mut Vec<u8>, width: usize, base: u64) {
+    buf.push(u8::try_from(width).expect("width is at most 8"));
+    buf.extend_from_slice(&base.to_le_bytes());
+}
+
+/// Writes `ids` as `width`-byte offsets from `base` into `out`.
+fn narrow_into(out: &mut [u8], ids: &[u64], width: usize, base: u64) {
+    fn run<const W: usize>(out: &mut [u8], ids: &[u64], base: u64) {
+        for (out, &id) in out.chunks_exact_mut(W).zip(ids) {
+            out.copy_from_slice(&(id - base).to_le_bytes()[..W]);
+        }
+    }
+    match width {
+        0 => {}
+        1 => run::<1>(out, ids, base),
+        2 => run::<2>(out, ids, base),
+        4 => run::<4>(out, ids, base),
+        _ => run::<8>(out, ids, base),
+    }
 }
 
 /// Reusable per-connection decode scratch for [`IngestView::columns`]:
@@ -573,29 +717,46 @@ pub struct IngestScratch {
 }
 
 /// Borrowed decode of an ingest payload: the three report columns as
-/// **byte slices over the receive buffer**, structurally validated (count
-/// cross-checked against the payload length) but not yet widened to
-/// `u64`/`f64`.
+/// **byte slices over the receive buffer**, structurally validated (id
+/// widths and bases checked, count cross-checked against the payload
+/// length) but not yet widened to `u64`/`f64`.
 ///
-/// The wire layout is packed little-endian with no alignment guarantee,
-/// so reading the columns requires a byte-aligned copy;
-/// [`Self::columns`] makes exactly one, into a reusable
-/// [`IngestScratch`], and hands back a borrowed
-/// [`ReportColumns`] the collector ingests directly — no
-/// `Vec` allocation, no owned [`ReportBatch`], no second copy.
+/// Payload layout (all little-endian):
+///
+/// ```text
+/// u64 rejected_upstream | u32 count
+/// u8 user_width | u64 user_base | u8 slot_width | u64 slot_base
+/// count × user_width bytes   user − user_base
+/// count × slot_width bytes   slot − slot_base
+/// count × 8 bytes            value f64 bits
+/// ```
+///
+/// Each id width is one of 0, 1, 2, 4, 8 — the smallest that covers the
+/// column's span in the frame that was encoded. A row is therefore
+/// 8 + `user_width` + `slot_width` bytes, 24 only when both id columns
+/// span 2³² or more.
+///
+/// The wire layout is packed with no alignment guarantee, so reading the
+/// columns requires a byte-aligned copy; [`Self::columns`] makes exactly
+/// one, widening into a reusable [`IngestScratch`], and hands back a
+/// borrowed [`ReportColumns`] the collector ingests directly — no `Vec`
+/// allocation, no owned [`ReportBatch`], no second copy.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestView<'a> {
     rejected_upstream: u64,
-    users: &'a [u8],
-    slots: &'a [u8],
+    count: usize,
+    users: IdColumn<'a>,
+    slots: IdColumn<'a>,
     values: &'a [u8],
 }
 
 impl<'a> IngestView<'a> {
     /// Parses an ingest payload into column slices. Same validation (and
-    /// same errors) as the owned decoder: the claimed report count is
-    /// cross-checked against the actual payload size *before* anything is
-    /// read, so a hostile count cannot force an allocation here or later.
+    /// same errors) as the owned decoder. Every check — the count against
+    /// [`MAX_INGEST_ROWS`], id widths, id bases, and the count against the
+    /// payload size — runs
+    /// *before* any column byte is read, so a hostile header cannot force
+    /// an allocation here or later.
     ///
     /// # Errors
     /// [`WireError::Truncated`] / [`WireError::BadPayload`].
@@ -603,21 +764,37 @@ impl<'a> IngestView<'a> {
         let mut r = Reader { buf: payload };
         let rejected_upstream = r.u64()?;
         let count = r.u32()? as usize;
+        if count > MAX_INGEST_ROWS {
+            return Err(WireError::BadPayload(
+                "ingest frame exceeds MAX_INGEST_ROWS",
+            ));
+        }
+        let (user_width, user_base) = IdColumn::header(&mut r)?;
+        let (slot_width, slot_base) = IdColumn::header(&mut r)?;
         // Checked: on a 32-bit target a hostile count near u32::MAX would
-        // wrap `count * 24` to a small number and sail past the
+        // wrap the product to a small number and sail past the
         // cross-check; overflow must refuse the frame, not alias it.
         let column_bytes = count
-            .checked_mul(24)
+            .checked_mul(user_width + slot_width + 8)
             .ok_or(WireError::BadPayload("ingest columns disagree with count"))?;
         if r.buf.len() != column_bytes {
             return Err(WireError::BadPayload("ingest columns disagree with count"));
         }
-        let users = r.take(count * 8)?;
-        let slots = r.take(count * 8)?;
+        let users = IdColumn {
+            width: user_width,
+            base: user_base,
+            raw: r.take(count * user_width)?,
+        };
+        let slots = IdColumn {
+            width: slot_width,
+            base: slot_base,
+            raw: r.take(count * slot_width)?,
+        };
         let values = r.take(count * 8)?;
         r.finish()?;
         Ok(Self {
             rejected_upstream,
+            count,
             users,
             slots,
             values,
@@ -627,13 +804,13 @@ impl<'a> IngestView<'a> {
     /// Number of reports the frame carries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.users.len() / 8
+        self.count
     }
 
     /// Whether the frame carries no reports.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
+        self.count == 0
     }
 
     /// Client-side rejections riding along for the server's ledger.
@@ -645,42 +822,39 @@ impl<'a> IngestView<'a> {
     /// The user-id column, decoded on the fly from the receive buffer —
     /// all a router needs to partition the frame, so it widens nothing.
     pub fn users(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        self.users
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8")))
+        let users = self.users;
+        (0..self.count).map(move |row| users.get(row))
     }
 
     /// Appends one ingest frame carrying this frame's rows `rows` (row
     /// indices, in that order) and `rejected_upstream` — the router's
     /// fan-out hot path: each column is gathered straight from the
-    /// receive buffer into `buf`, the only copy a routed row gets.
-    /// Wire-identical to encoding `Frame::Ingest` over the same rows.
+    /// receive buffer into `buf`, the only copy a routed row gets. The
+    /// sub-frame keeps this frame's id widths and bases (valid for any
+    /// subset of its rows), so it decodes to exactly the chosen rows and
+    /// is never wider than this frame.
     ///
     /// # Panics
     /// If a row index is out of range.
     pub fn encode_rows_into(&self, rows: &[u32], rejected_upstream: u64, buf: &mut Vec<u8>) {
-        let len = self.len();
         envelope(buf, FT_INGEST, |buf| {
             write_ingest_preamble(buf, rejected_upstream, rows.len());
-            for column in [self.users, self.slots, self.values] {
-                let column_at = buf.len();
-                buf.resize(column_at + 8 * rows.len(), 0);
-                for (out, &row) in buf[column_at..].chunks_exact_mut(8).zip(rows) {
-                    let row = row as usize;
-                    assert!(row < len, "row {row} out of range for a {len}-row frame");
-                    out.copy_from_slice(&column[8 * row..8 * row + 8]);
-                }
-            }
+            let (users, slots) = (self.users, self.slots);
+            put_id_header(buf, users.width, users.base);
+            put_id_header(buf, slots.width, slots.base);
+            gather(buf, users.raw, users.width, rows);
+            gather(buf, slots.raw, slots.width, rows);
+            gather(buf, self.values, 8, rows);
         });
     }
 
-    /// Decodes the columns into `scratch` (one byte-aligned bulk copy per
-    /// column, reusing the scratch capacity) and returns them as a
-    /// borrowed [`ReportColumns`] ready for
-    /// `Collector::ingest_outcome` — the zero-allocation ingest path.
+    /// Decodes the columns into `scratch` (one widening copy per column,
+    /// reusing the scratch capacity) and returns them as a borrowed
+    /// [`ReportColumns`] ready for `Collector::ingest_outcome` — the
+    /// zero-allocation ingest path.
     pub fn columns<'s>(&self, scratch: &'s mut IngestScratch) -> ReportColumns<'s> {
-        fill_u64_column(&mut scratch.users, self.users);
-        fill_u64_column(&mut scratch.slots, self.slots);
+        self.users.widen(self.count, &mut scratch.users);
+        self.slots.widen(self.count, &mut scratch.slots);
         fill_f64_column(&mut scratch.values, self.values);
         ReportColumns::new(&scratch.users, &scratch.slots, &scratch.values)
     }
@@ -691,8 +865,8 @@ impl<'a> IngestView<'a> {
         let mut users = Vec::new();
         let mut slots = Vec::new();
         let mut values = Vec::new();
-        fill_u64_column(&mut users, self.users);
-        fill_u64_column(&mut slots, self.slots);
+        self.users.widen(self.count, &mut users);
+        self.slots.widen(self.count, &mut slots);
         fill_f64_column(&mut values, self.values);
         Frame::Ingest {
             rejected_upstream: self.rejected_upstream,
@@ -1250,9 +1424,10 @@ fn write_ingest_preamble(buf: &mut Vec<u8>, rejected_upstream: u64, rows: usize)
     buf.extend_from_slice(&count.to_le_bytes());
 }
 
-/// Writes the ingest payload layout (preamble, then the three columns
-/// back-to-back) — shared by the enum encoder and the hot-path batch
-/// encoder so the two can never drift.
+/// Writes the ingest payload layout (preamble, the two id column headers,
+/// then the three columns back-to-back; see [`IngestView`]) — shared by
+/// the enum encoder and the hot-path batch encoder so the two can never
+/// drift.
 fn write_ingest_payload(
     buf: &mut Vec<u8>,
     rejected_upstream: u64,
@@ -1265,21 +1440,22 @@ fn write_ingest_payload(
         "ingest columns disagree in length"
     );
     write_ingest_preamble(buf, rejected_upstream, users.len());
+    let (user_width, user_base) = IdColumn::fit(users);
+    let (slot_width, slot_base) = IdColumn::fit(slots);
+    put_id_header(buf, user_width, user_base);
+    put_id_header(buf, slot_width, slot_base);
     // Size the three columns once, then fill them in place: one bounds
     // check per column instead of one `extend` per element.
     let rows = users.len();
     let columns_at = buf.len();
-    buf.resize(columns_at + 3 * 8 * rows, 0);
-    let (user_bytes, rest) = buf[columns_at..].split_at_mut(8 * rows);
-    let (slot_bytes, value_bytes) = rest.split_at_mut(8 * rows);
-    fn fill(column: &mut [u8], words: impl Iterator<Item = u64>) {
-        for (out, word) in column.chunks_exact_mut(8).zip(words) {
-            out.copy_from_slice(&word.to_le_bytes());
-        }
+    buf.resize(columns_at + (user_width + slot_width + 8) * rows, 0);
+    let (user_bytes, rest) = buf[columns_at..].split_at_mut(user_width * rows);
+    let (slot_bytes, value_bytes) = rest.split_at_mut(slot_width * rows);
+    narrow_into(user_bytes, users, user_width, user_base);
+    narrow_into(slot_bytes, slots, slot_width, slot_base);
+    for (out, value) in value_bytes.chunks_exact_mut(8).zip(values) {
+        out.copy_from_slice(&value.to_bits().to_le_bytes());
     }
-    fill(user_bytes, users.iter().copied());
-    fill(slot_bytes, slots.iter().copied());
-    fill(value_bytes, values.iter().map(|v| v.to_bits()));
 }
 
 fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
@@ -2088,6 +2264,19 @@ mod tests {
             Frame::decode(&v4, DEFAULT_MAX_PAYLOAD),
             Err(WireError::UnknownVersion(4))
         ));
+        // So is a v5 peer (full-width ingest ids).
+        let mut v5 = Frame::Ingest {
+            rejected_upstream: 0,
+            users: vec![1],
+            slots: vec![2],
+            values: vec![0.5],
+        }
+        .encode();
+        v5[4] = 5;
+        assert!(matches!(
+            Frame::decode(&v5, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnknownVersion(5))
+        ));
         let mut bad_reserved = good;
         bad_reserved[6] = 1;
         assert!(matches!(
@@ -2137,25 +2326,181 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn hostile_ingest_count_cannot_force_allocation() {
-        // An ingest frame claiming u32::MAX reports in an 8-byte payload
-        // must be refused by the length cross-check, not by OOM.
+    /// An ingest payload: preamble, the two id column headers (width code,
+    /// base), then `body` zero bytes standing in for the columns.
+    fn ingest_payload(count: u32, user: (u8, u64), slot: (u8, u64), body: usize) -> Vec<u8> {
         let mut payload = Vec::new();
         payload.extend_from_slice(&0u64.to_le_bytes());
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(WIRE_VERSION);
-        bytes.push(1); // FT_INGEST
-        bytes.extend_from_slice(&[0, 0]);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::decode(&bytes, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadPayload(_))
-        ));
+        payload.extend_from_slice(&count.to_le_bytes());
+        for (width, base) in [user, slot] {
+            payload.push(width);
+            payload.extend_from_slice(&base.to_le_bytes());
+        }
+        payload.resize(payload.len() + body, 0);
+        payload
+    }
+
+    #[test]
+    fn hostile_ingest_count_cannot_force_allocation() {
+        // Every refusal comes from the header checks or the length
+        // cross-check, before a column byte is read — never from OOM.
+        let max_rows = u32::try_from(MAX_INGEST_ROWS).expect("fits u32");
+        let refused = [
+            // u32::MAX reports behind a valid column header in a short
+            // payload.
+            ("hostile count", ingest_payload(u32::MAX, (1, 0), (0, 7), 9)),
+            (
+                "hostile count, narrowest ids",
+                ingest_payload(u32::MAX, (0, 0), (0, 0), 8),
+            ),
+            // A count inside the row bound still meets the length
+            // cross-check.
+            (
+                "short payload at the row bound",
+                ingest_payload(max_rows, (1, 0), (0, 7), 9),
+            ),
+            // Length-consistent, but more rows than a full-width frame
+            // could carry: width-0 ids must not let 16 MiB claim ~2M rows.
+            (
+                "one row past the row bound, width-0 ids",
+                ingest_payload(max_rows + 1, (0, 0), (0, 0), 8 * (MAX_INGEST_ROWS + 1)),
+            ),
+            ("user width 3", ingest_payload(2, (3, 0), (0, 0), 2 * 11)),
+            ("user width 5", ingest_payload(2, (5, 0), (0, 0), 2 * 13)),
+            ("slot width 9", ingest_payload(2, (0, 0), (9, 0), 2 * 17)),
+            (
+                "user base u64::MAX at width 1",
+                ingest_payload(2, (1, u64::MAX), (0, 0), 2 * 9),
+            ),
+            (
+                "slot base u64::MAX at width 1",
+                ingest_payload(2, (0, 0), (1, u64::MAX), 2 * 9),
+            ),
+            (
+                "non-zero base at width 8",
+                ingest_payload(2, (8, 1), (0, 0), 2 * 16),
+            ),
+            (
+                "columns one byte short",
+                ingest_payload(3, (2, 10), (1, 5), 3 * 11 - 1),
+            ),
+            (
+                "columns one byte long",
+                ingest_payload(3, (2, 10), (1, 5), 3 * 11 + 1),
+            ),
+            (
+                "column header cut short",
+                ingest_payload(0, (0, 0), (0, 0), 0)[..20].to_vec(),
+            ),
+        ];
+        for (what, payload) in refused {
+            let decoded = Frame::decode(
+                &frame_with_payload(FT_INGEST, &payload),
+                DEFAULT_MAX_PAYLOAD,
+            );
+            assert!(
+                matches!(
+                    decoded,
+                    Err(WireError::BadPayload(_) | WireError::Truncated)
+                ),
+                "{what}: {:?}",
+                decoded.err()
+            );
+        }
+        // The same shapes one step inside each bound are accepted.
+        let accepted = [
+            ingest_payload(3, (2, 10), (1, 5), 3 * 11),
+            ingest_payload(2, (1, u64::MAX - 0xFF), (0, u64::MAX), 2 * 9),
+            ingest_payload(2, (8, 0), (4, u64::MAX - 0xFFFF_FFFF), 2 * 20),
+            ingest_payload(0, (0, 0), (0, 0), 0),
+            ingest_payload(max_rows, (0, 0), (0, 0), 8 * MAX_INGEST_ROWS),
+        ];
+        for payload in accepted {
+            Frame::decode(
+                &frame_with_payload(FT_INGEST, &payload),
+                DEFAULT_MAX_PAYLOAD,
+            )
+            .expect("a payload inside every bound decodes");
+        }
+    }
+
+    /// Parses whitespace-separated hex bytes.
+    fn hex(text: &str) -> Vec<u8> {
+        text.split_whitespace()
+            .map(|byte| u8::from_str_radix(byte, 16).expect("hex byte"))
+            .collect()
+    }
+
+    #[test]
+    fn ingest_payload_bytes_are_pinned_at_every_width() {
+        // One frame per row of id widths; together they reach 0, 1, 2, 4
+        // and 8. Values are raw f64 bits whatever the ids do.
+        let cases = [
+            // users all 7: width 0, base 7. slots 300, 45: span 0xFF,
+            // width 1, base 45.
+            (
+                (vec![7, 7], vec![300, 45], vec![0.5, -1.0]),
+                "03 00 00 00 00 00 00 00  02 00 00 00
+                 00  07 00 00 00 00 00 00 00
+                 01  2D 00 00 00 00 00 00 00
+                 FF 00
+                 00 00 00 00 00 00 E0 3F  00 00 00 00 00 00 F0 BF",
+            ),
+            // users span 0x1_0000: width 4, base 5. slots span 0xFFFF:
+            // width 2, base 1000.
+            (
+                (vec![0x1_0005, 5], vec![1000, 1000 + 0xFFFF], vec![0.0, 2.0]),
+                "03 00 00 00 00 00 00 00  02 00 00 00
+                 04  05 00 00 00 00 00 00 00
+                 02  E8 03 00 00 00 00 00 00
+                 00 00 01 00  00 00 00 00
+                 00 00  FF FF
+                 00 00 00 00 00 00 00 00  00 00 00 00 00 00 00 40",
+            ),
+            // users span 2^32: width 8, base forced to 0. slots all 9.
+            (
+                (vec![(1 << 32) + 1, 1], vec![9, 9], vec![1.0, 0.25]),
+                "03 00 00 00 00 00 00 00  02 00 00 00
+                 08  00 00 00 00 00 00 00 00
+                 00  09 00 00 00 00 00 00 00
+                 01 00 00 00 01 00 00 00  01 00 00 00 00 00 00 00
+                 00 00 00 00 00 00 F0 3F  00 00 00 00 00 00 D0 3F",
+            ),
+            // users and slots both u64::MAX - 1, u64::MAX: span 1, width
+            // 1, base lowered to u64::MAX - 0xFF so the largest offset
+            // fits.
+            (
+                (
+                    vec![u64::MAX - 1, u64::MAX],
+                    vec![u64::MAX, u64::MAX - 1],
+                    vec![0.5, 0.5],
+                ),
+                "03 00 00 00 00 00 00 00  02 00 00 00
+                 01  00 FF FF FF FF FF FF FF
+                 01  00 FF FF FF FF FF FF FF
+                 FE FF
+                 FF FE
+                 00 00 00 00 00 00 E0 3F  00 00 00 00 00 00 E0 3F",
+            ),
+            // The empty frame: both widths 0, both bases 0.
+            (
+                (vec![], vec![], vec![]),
+                "03 00 00 00 00 00 00 00  00 00 00 00
+                 00  00 00 00 00 00 00 00 00
+                 00  00 00 00 00 00 00 00 00",
+            ),
+        ];
+        for ((users, slots, values), expected) in cases {
+            let frame = Frame::Ingest {
+                rejected_upstream: 3,
+                users,
+                slots,
+                values,
+            };
+            let bytes = frame.encode();
+            assert_eq!(bytes[HEADER_LEN..], hex(expected)[..], "{frame:?}");
+            round_trip(&frame);
+        }
     }
 
     #[test]
@@ -2190,6 +2535,29 @@ mod tests {
         }
     }
 
+    /// Id-column spans on each side of every width boundary.
+    const SPAN_BOUNDARIES: [u64; 8] = [
+        0,
+        0xFF,
+        0x100,
+        0xFFFF,
+        0x1_0000,
+        u32::MAX as u64,
+        1 << 32,
+        u64::MAX,
+    ];
+
+    /// The width code the encoder must pick for a column of `span`.
+    fn width_of(span: u64) -> u8 {
+        match span {
+            0 => 0,
+            1..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            0x1_0000..=0xFFFF_FFFF => 4,
+            _ => 8,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -2198,60 +2566,48 @@ mod tests {
             n in 0usize..200,
             rejected in 0u64..100,
             seed in 0u64..1000,
+            user_span in 0usize..8,
+            slot_span in 0usize..8,
+            user_base in any::<u64>(),
+            slot_base in any::<u64>(),
+            user_top in 0usize..2,
+            slot_top in 0usize..2,
         ) {
-            let mut users = Vec::with_capacity(n);
-            let mut slots = Vec::with_capacity(n);
-            let mut values = Vec::with_capacity(n);
-            let mut state = seed;
-            for i in 0..n {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                users.push(state >> 16);
-                slots.push(i as u64);
-                values.push((state % 1000) as f64 / 1000.0 - 0.5);
-            }
-            let frame = Frame::Ingest { rejected_upstream: rejected, users, slots, values };
-            let bytes = frame.encode();
-            let (decoded, consumed) = Frame::decode(&bytes, DEFAULT_MAX_PAYLOAD).unwrap();
-            prop_assert_eq!(consumed, bytes.len());
-            prop_assert_eq!(decoded, frame);
-        }
-
-        #[test]
-        fn ingest_payload_bytes_equal_the_per_element_encoding(
-            n in 0usize..300,
-            rejected in any::<u64>(),
-            seed in 0u64..1000,
-            prefix in 0usize..5,
-        ) {
-            // The encoder sizes the columns once and fills them in place;
-            // it used to push every element on its own. Same bytes, also
-            // when the buffer already holds something (NaN payloads and
-            // negative zero included: values travel as bit patterns).
+            // Each id column's span lands on a width boundary (its first
+            // two rows are its min and max), from any base that leaves
+            // room for it; n = 0 is the empty frame. Half the columns
+            // start within 2^17 of u64::MAX, so a span below its width's
+            // largest offset runs up against the top of the range.
             let mut state = seed;
             let mut next = || {
                 state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 state
             };
-            let users: Vec<u64> = (0..n).map(|_| next()).collect();
-            let slots: Vec<u64> = (0..n).map(|_| next() >> 40).collect();
-            let values: Vec<f64> = (0..n).map(|_| f64::from_bits(next())).collect();
-
-            let mut expected = vec![0xEE; prefix];
-            expected.extend_from_slice(&rejected.to_le_bytes());
-            expected.extend_from_slice(&(n as u32).to_le_bytes());
-            for &u in &users {
-                expected.extend_from_slice(&u.to_le_bytes());
-            }
-            for &s in &slots {
-                expected.extend_from_slice(&s.to_le_bytes());
-            }
-            for &v in &values {
-                expected.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-
-            let mut buf = vec![0xEE; prefix];
-            write_ingest_payload(&mut buf, rejected, &users, &slots, &values);
-            prop_assert_eq!(buf, expected);
+            let mut column = |span: u64, base: u64| -> Vec<u64> {
+                let lo = base.min(u64::MAX - span);
+                (0..n)
+                    .map(|i| match i {
+                        0 => lo,
+                        1 => lo + span,
+                        _ => lo + next() % span.saturating_add(1).max(1),
+                    })
+                    .collect()
+            };
+            let near_top = |top: usize, base: u64| {
+                if top == 1 { u64::MAX - (base & 0x1_FFFF) } else { base }
+            };
+            let users = column(SPAN_BOUNDARIES[user_span], near_top(user_top, user_base));
+            let slots = column(SPAN_BOUNDARIES[slot_span], near_top(slot_top, slot_base));
+            let values = (0..n).map(|i| i as f64 / 8.0 - 0.5).collect();
+            let frame = Frame::Ingest { rejected_upstream: rejected, users, slots, values };
+            let bytes = frame.encode();
+            let (decoded, consumed) = Frame::decode(&bytes, DEFAULT_MAX_PAYLOAD).unwrap();
+            prop_assert_eq!(consumed, bytes.len());
+            prop_assert_eq!(decoded, frame);
+            // The width byte is the narrowest that covers the span.
+            let width = |span: usize| if n < 2 { 0 } else { width_of(SPAN_BOUNDARIES[span]) };
+            prop_assert_eq!(bytes[HEADER_LEN + 12], width(user_span));
+            prop_assert_eq!(bytes[HEADER_LEN + 21], width(slot_span));
         }
 
         #[test]
@@ -2261,14 +2617,19 @@ mod tests {
             rejected in any::<u64>(),
             seed in 0u64..1000,
             prefix in 0usize..5,
+            user_span in 0usize..8,
+            slot_span in 0usize..8,
         ) {
             let mut state = seed;
             let mut next = || {
                 state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 state >> 11
             };
-            let users: Vec<u64> = (0..n).map(|_| next()).collect();
-            let slots: Vec<u64> = (0..n).map(|_| next() >> 40).collect();
+            let mut column = |span: u64| -> Vec<u64> {
+                (0..n).map(|_| (next() << 11 ^ next()) % span.saturating_add(1).max(1)).collect()
+            };
+            let users = column(SPAN_BOUNDARIES[user_span]);
+            let slots = column(SPAN_BOUNDARIES[slot_span]);
             let values: Vec<f64> = (0..n).map(|_| f64::from_bits(next())).collect();
             // A permuted subset of the row indices: shuffle, keep a prefix.
             let mut rows: Vec<u32> = (0..n as u32).collect();
@@ -2284,18 +2645,46 @@ mod tests {
             };
             prop_assert_eq!(view.users().collect::<Vec<_>>(), users.clone());
 
+            let mut buf = vec![0xEE; prefix];
+            view.encode_rows_into(&rows, rejected, &mut buf);
+            prop_assert_eq!(&buf[..prefix], &vec![0xEE; prefix][..]);
+            let (sub, consumed) = Frame::decode(&buf[prefix..], DEFAULT_MAX_PAYLOAD).unwrap();
+            prop_assert_eq!(consumed, buf.len() - prefix);
+            // The sub-frame decodes to exactly the chosen rows (values
+            // compared as bits: NaN payloads travel too) ...
+            let Frame::Ingest {
+                rejected_upstream: sub_rejected,
+                users: sub_users,
+                slots: sub_slots,
+                values: sub_values,
+            } = sub
+            else {
+                unreachable!("encode_rows_into writes an ingest frame")
+            };
             let pick = |i: &u32| *i as usize;
-            let mut expected = vec![0xEE; prefix];
-            Frame::Ingest {
+            prop_assert_eq!(sub_rejected, rejected);
+            prop_assert_eq!(sub_users, rows.iter().map(|i| users[pick(i)]).collect::<Vec<_>>());
+            prop_assert_eq!(sub_slots, rows.iter().map(|i| slots[pick(i)]).collect::<Vec<_>>());
+            prop_assert_eq!(
+                sub_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                rows.iter().map(|i| values[pick(i)].to_bits()).collect::<Vec<_>>()
+            );
+            // ... and is never wider than its parent: it keeps the
+            // parent's widths, so a fresh encode of the same rows is at
+            // most as long.
+            let sub_payload = &buf[prefix + HEADER_LEN..];
+            let parent_payload = &whole[HEADER_LEN..];
+            for width_at in [12, 21] {
+                prop_assert!(sub_payload[width_at] <= parent_payload[width_at]);
+            }
+            let fresh = Frame::Ingest {
                 rejected_upstream: rejected,
                 users: rows.iter().map(|i| users[pick(i)]).collect(),
                 slots: rows.iter().map(|i| slots[pick(i)]).collect(),
                 values: rows.iter().map(|i| values[pick(i)]).collect(),
             }
-            .encode_into(&mut expected);
-            let mut buf = vec![0xEE; prefix];
-            view.encode_rows_into(&rows, rejected, &mut buf);
-            prop_assert_eq!(buf, expected);
+            .encode();
+            prop_assert!(fresh.len() <= buf.len() - prefix);
 
             // One past the end must panic, never read a neighbouring column.
             rows.push(n as u32);

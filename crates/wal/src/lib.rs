@@ -20,13 +20,15 @@
 //! On-disk layout (`WalConfig::dir`):
 //!
 //! - `FORMAT` — the directory's format stamp, one line naming the byte
-//!   format of everything else in it (`ldp-wal log format 2`: records and
-//!   checkpoints summed by the four-lane [`record::checksum`]). An open
-//!   writes it (temp file, `fsync`, rename, directory `fsync`) into a
-//!   directory with no segments or checkpoints yet, and refuses with
-//!   [`WalError::Format`] a directory whose segments or checkpoints have no
-//!   stamp (the one-lane format before it wrote none) or another format's —
-//!   before it reads, truncates, prunes or removes anything;
+//!   format of everything else in it (`ldp-wal log format 3`: records and
+//!   checkpoints summed by the four-lane [`record::checksum`], ingest
+//!   records holding wire v6 payloads, whose id columns are a base plus
+//!   narrow offsets). An open writes it (temp file, `fsync`, rename,
+//!   directory `fsync`) into a directory with no segments or checkpoints
+//!   yet, and refuses with [`WalError::Format`] a directory whose segments
+//!   or checkpoints have no stamp (the one-lane format wrote none) or
+//!   another format's (format 2 logged full-width v5 payloads) — before it
+//!   reads, truncates, prunes or removes anything;
 //! - `seg-<first-seq, zero padded>` — checksummed record segments,
 //!   append-only;
 //! - `ck-<covered-seq, zero padded>` — checkpoint files: an opaque collector

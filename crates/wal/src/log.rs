@@ -14,9 +14,10 @@ const CHECKPOINT_VERSION: u8 = 1;
 /// The file that stamps a log directory with its byte format.
 const FORMAT_FILE: &str = "FORMAT";
 /// The byte format this build reads and writes: records and checkpoints
-/// summed by the four-lane [`record::checksum`]. The format before it (one
-/// serial chain) left no stamp.
-pub(crate) const FORMAT_NAME: &str = "ldp-wal log format 2";
+/// summed by the four-lane [`record::checksum`], ingest records holding
+/// wire v6 payloads (narrow id columns). Format 2 held v5 payloads
+/// (full-width ids); the one-lane format before it left no stamp.
+pub(crate) const FORMAT_NAME: &str = "ldp-wal log format 3";
 /// Buffered appends are pushed to the kernel past this size so the in-memory
 /// buffer stays bounded between syncs (capacity is retained across flushes,
 /// keeping the steady state allocation-free).
@@ -1093,6 +1094,7 @@ mod tests {
         for (tag, stamp) in [
             ("unstamped", None),
             ("foreign", Some("ldp-wal log format 1")),
+            ("format-2", Some("ldp-wal log format 2")),
         ] {
             let dir = temp_dir(tag);
             let (mut wal, _) = Wal::open(cfg(&dir).segment_bytes(64)).unwrap();

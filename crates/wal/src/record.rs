@@ -129,8 +129,9 @@ fn mix(h: u64, word: u64) -> u64 {
 /// Four lanes because one chain runs at the multiply's latency, not the
 /// core's throughput: on this 2-vCPU guest, over 8,192-row ingest payloads,
 /// a single serial chain hashed ~3.4 GB/s and four lanes ~9.6 GB/s (eight
-/// were no faster). The lane count is part of the byte format — wire v5
-/// and the log directory's format stamp both stand for it.
+/// were no faster). The lane count is part of the byte format — the wire
+/// version (v5 on) and the log directory's format stamp (format 2 on)
+/// both stand for it.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u32 {
     let seed = SEED ^ (bytes.len() as u64).wrapping_mul(K);
@@ -222,9 +223,10 @@ mod tests {
             .collect()
     }
 
-    /// A wire ingest payload of `rows` rows, laid out as `ldp_server::wire`
-    /// writes one: `[rejected u64][count u32]` then the user, slot and value
-    /// columns back to back, 8 bytes per row each.
+    /// A full-width ingest-shaped buffer of `rows` rows, laid out as wire
+    /// v5 wrote one: `[rejected u64][count u32]` then the user, slot and
+    /// value columns back to back, 8 bytes per row each. Only its sum is
+    /// pinned, so it stays the same bytes across ingest layout changes.
     fn ingest_payload(rows: u32) -> Vec<u8> {
         let mut out = Vec::with_capacity(12 + 24 * rows as usize);
         out.extend_from_slice(&3u64.to_le_bytes());
@@ -242,8 +244,9 @@ mod tests {
         out
     }
 
-    /// These pin the v5 wire and log byte format: a refactor that changes
-    /// one bit of any sum fails here, not in somebody's data directory.
+    /// These pin the checksum shared by the wire (v5 on) and the log
+    /// (format 2 on): a refactor that changes one bit of any sum fails
+    /// here, not in somebody's data directory.
     #[test]
     fn known_answers_pin_the_format() {
         let answers: [(usize, u32); 11] = [

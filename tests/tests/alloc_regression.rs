@@ -109,6 +109,27 @@ fn steady_batch(reports: usize, users: u64, slots: u64, salt: u64) -> ReportBatc
     batch
 }
 
+/// The ingest inputs every zero-allocation test below runs: a mixed
+/// batch, then one per id-column shape the wire narrows to — every row
+/// on one slot (slot column at width 0) and users spread over a million
+/// ids (user column at width 4) — each with the wire bytes per row its
+/// id widths give.
+fn steady_inputs(reports: usize, salt: u64) -> [(ReportBatch, usize); 3] {
+    [
+        (steady_batch(reports, 512, 64, salt), 2 + 1 + 8),
+        (steady_batch(reports, 512, 1, salt), 2 + 8),
+        (steady_batch(reports, 1_000_000, 64, salt), 4 + 1 + 8),
+    ]
+}
+
+/// Asserts `batch` travels at `row_bytes` per row: 12 preamble bytes and
+/// two 9-byte id column headers, then the columns.
+fn assert_row_bytes(batch: &ReportBatch, row_bytes: usize) {
+    let mut frame = Vec::new();
+    Frame::encode_ingest_into(batch, &mut frame);
+    assert_eq!(frame.len(), HEADER_LEN + 30 + row_bytes * batch.len());
+}
+
 /// The in-memory peer of one scripted connection: serves `bytes` to the
 /// production loop, sampling this thread's allocation counter when the
 /// loop comes back for the first measured byte (everything before
@@ -218,45 +239,49 @@ fn serving(config: CollectorConfig) -> (Arc<Collector>, Server) {
 
 #[test]
 fn steady_state_ingest_path_performs_zero_allocations() {
-    // Multi-shard so the thread-local routing scratch is exercised too
-    // (a single-shard collector skips it entirely).
-    let (collector, server) = serving(CollectorConfig {
-        shards: 4,
-        ..CollectorConfig::default()
-    });
-    let batch = steady_batch(4096, 512, 64, 7);
+    for (batch, row_bytes) in steady_inputs(4096, 7) {
+        assert_row_bytes(&batch, row_bytes);
+        // Multi-shard so the thread-local routing scratch is exercised
+        // too (a single-shard collector skips it entirely).
+        let (collector, server) = serving(CollectorConfig {
+            shards: 4,
+            ..CollectorConfig::default()
+        });
 
-    // Warmup grows the payload buffer, the decode scratch, the routing
-    // scratch, each shard's slot window, and every user-table entry.
-    let driven = drive(&server, &batch, 8, 32, false);
-    assert_eq!(
-        driven.allocations, 0,
-        "steady-state read → decode → route → fold — telemetry included — \
-         must not touch the heap"
-    );
-    assert!(driven.replies.is_empty(), "ingest is fire-and-forget");
+        // Warmup grows the payload buffer, the decode scratch, the
+        // routing scratch, each shard's slot window, and every user-table
+        // entry.
+        let driven = drive(&server, &batch, 8, 32, false);
+        assert_eq!(
+            driven.allocations, 0,
+            "steady-state read → decode → route → fold — telemetry included — \
+             must not touch the heap ({row_bytes} bytes per row)"
+        );
+        assert!(driven.replies.is_empty(), "ingest is fire-and-forget");
 
-    // The registry observed every frame (recording worked, it wasn't
-    // no-op'd away): one fold + one decode sample and one frame count per
-    // frame, and the accepted counter is the collector's own ledger.
-    let snap = collector.telemetry().snapshot();
-    assert_eq!(snap.counter("server.frames.decoded"), Some(40));
-    assert_eq!(snap.counter("server.ingest.frames"), Some(40));
-    assert_eq!(
-        snap.histogram("collector.ingest.fold_nanos")
-            .unwrap()
-            .count(),
-        40
-    );
-    assert_eq!(
-        snap.histogram("server.frame.decode_nanos").unwrap().count(),
-        40
-    );
-    assert_eq!(
-        snap.counter("collector.reports.accepted"),
-        Some(40 * batch.len() as u64),
-        "every report folded"
-    );
+        // The registry observed every frame (recording worked, it wasn't
+        // no-op'd away): one fold + one decode sample and one frame count
+        // per frame, and the accepted counter is the collector's own
+        // ledger.
+        let snap = collector.telemetry().snapshot();
+        assert_eq!(snap.counter("server.frames.decoded"), Some(40));
+        assert_eq!(snap.counter("server.ingest.frames"), Some(40));
+        assert_eq!(
+            snap.histogram("collector.ingest.fold_nanos")
+                .unwrap()
+                .count(),
+            40
+        );
+        assert_eq!(
+            snap.histogram("server.frame.decode_nanos").unwrap().count(),
+            40
+        );
+        assert_eq!(
+            snap.counter("collector.reports.accepted"),
+            Some(40 * batch.len() as u64),
+            "every report folded"
+        );
+    }
 }
 
 #[test]
@@ -432,24 +457,32 @@ fn single_destination_batches_allocate_nothing_either() {
     // finds the batch uniform and folds it straight off its decisions —
     // the fourth caller of the fold kernel, whose block scratch (row
     // indices and probe results) lives on the stack like the others'.
-    let (collector, server) = serving(CollectorConfig {
-        shards: 4,
-        ..CollectorConfig::default()
-    });
-    let neighbours: Vec<u64> = (0..)
-        .filter(|&user| collector.shard_of(user) == 0)
-        .take(48)
-        .collect();
-    let mut batch = ReportBatch::with_capacity(2048);
-    for i in 0..2048usize {
-        batch.push(neighbours[(i * 7) % 48], i as u64 % 16, 0.25);
+    // Three shapes: mixed slots; every row on one slot (slot column at
+    // width 0); neighbours spread over a million ids (user column at
+    // width 4).
+    for (spacing, slots, row_bytes) in [(1, 16, 1 + 1 + 8), (1, 1, 1 + 8), (20_011, 16, 4 + 1 + 8)]
+    {
+        let (collector, server) = serving(CollectorConfig {
+            shards: 4,
+            ..CollectorConfig::default()
+        });
+        let neighbours: Vec<u64> = (0..)
+            .map(|k: u64| k * spacing)
+            .filter(|&user| collector.shard_of(user) == 0)
+            .take(48)
+            .collect();
+        let mut batch = ReportBatch::with_capacity(2048);
+        for i in 0..2048usize {
+            batch.push(neighbours[(i * 7) % 48], i as u64 % slots, 0.25);
+        }
+        assert_row_bytes(&batch, row_bytes);
+        assert_eq!(drive(&server, &batch, 8, 32, false).allocations, 0);
+        assert_eq!(
+            (1..4).map(|s| collector.shard_epoch(s)).sum::<u64>(),
+            0,
+            "only shard 0 was ever touched"
+        );
     }
-    assert_eq!(drive(&server, &batch, 8, 32, false).allocations, 0);
-    assert_eq!(
-        (1..4).map(|s| collector.shard_epoch(s)).sum::<u64>(),
-        0,
-        "only shard 0 was ever touched"
-    );
 }
 
 #[test]
@@ -518,55 +551,58 @@ fn wal_batched_ingest_path_performs_zero_allocations() {
     use ldp_server::durable::{self, FlushPolicy, WalConfig};
     use std::time::Duration;
 
-    let dir = std::env::temp_dir().join(format!("ldp-alloc-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let wal_config = WalConfig::new(&dir)
-        .flush(FlushPolicy::Batched(Duration::from_secs(3600)))
-        .segment_bytes(1 << 30);
-    let (collector, durability, _) = durable::recover(
-        CollectorConfig {
-            shards: 4,
-            ..CollectorConfig::default()
-        },
-        wal_config,
-    )
-    .expect("fresh durable collector");
+    for (input, (batch, row_bytes)) in steady_inputs(4096, 33).into_iter().enumerate() {
+        assert_row_bytes(&batch, row_bytes);
+        let dir =
+            std::env::temp_dir().join(format!("ldp-alloc-wal-{}-{input}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal_config = WalConfig::new(&dir)
+            .flush(FlushPolicy::Batched(Duration::from_secs(3600)))
+            .segment_bytes(1 << 30);
+        let (collector, durability, _) = durable::recover(
+            CollectorConfig {
+                shards: 4,
+                ..CollectorConfig::default()
+            },
+            wal_config,
+        )
+        .expect("fresh durable collector");
 
-    let batch = steady_batch(4096, 512, 64, 33);
-    let mut frame_buf = Vec::new();
-    let mut scratch = IngestScratch::default();
-    frame_buf.clear();
-    Frame::encode_ingest_into(&batch, &mut frame_buf);
-    let payload = &frame_buf[HEADER_LEN..];
+        let mut frame_buf = Vec::new();
+        let mut scratch = IngestScratch::default();
+        Frame::encode_ingest_into(&batch, &mut frame_buf);
+        let payload = &frame_buf[HEADER_LEN..];
 
-    // Warmup: user tables, routing scratch, and the WAL write buffer.
-    for _ in 0..8 {
-        let outcome = durability
-            .ingest_frame(&collector, payload, &mut scratch)
-            .expect("durable ingest");
-        assert_eq!(outcome.accepted, batch.len() as u64);
+        // Warmup: user tables, routing scratch, and the WAL write buffer.
+        for _ in 0..8 {
+            let outcome = durability
+                .ingest_frame(&collector, payload, &mut scratch)
+                .expect("durable ingest");
+            assert_eq!(outcome.accepted, batch.len() as u64);
+        }
+
+        let before = allocation_events();
+        let mut accepted = 0u64;
+        for _ in 0..32 {
+            accepted += durability
+                .ingest_frame(&collector, payload, &mut scratch)
+                .expect("durable ingest")
+                .accepted;
+        }
+        let after = allocation_events();
+
+        assert_eq!(accepted, 32 * batch.len() as u64, "every report folded");
+        assert_eq!(
+            after - before,
+            0,
+            "WAL append (batched mode) → decode → fold must not touch the heap \
+             ({row_bytes} bytes per row)"
+        );
+        assert_eq!(durability.appended_records(), 40);
+
+        drop(durability);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-
-    let before = allocation_events();
-    let mut accepted = 0u64;
-    for _ in 0..32 {
-        accepted += durability
-            .ingest_frame(&collector, payload, &mut scratch)
-            .expect("durable ingest")
-            .accepted;
-    }
-    let after = allocation_events();
-
-    assert_eq!(accepted, 32 * batch.len() as u64, "every report folded");
-    assert_eq!(
-        after - before,
-        0,
-        "WAL append (batched mode) → decode → fold must not touch the heap"
-    );
-    assert_eq!(durability.appended_records(), 40);
-
-    drop(durability);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// What the `Wal`'s own append buffer asks for, plus room for paths,

@@ -5,7 +5,9 @@
 # benchmark/README.md, "Noise"): this machine drifts by tens of percent
 # over minutes, so the two sides are built once each and then run
 # alternately, pair i on seed i, odd pairs parent first — only the
-# per-pair ratios and the win count mean much.
+# per-pair ratios and the win count mean much. After a workload's pairs,
+# one `--trace 1` run per side prints its stage budget and bytes per row,
+# so the stage a change touched shows its before/after row.
 #
 # Usage: tools/bench_pair.sh <parent-ref> <workload>[,<workload>...] [pairs=10] [seconds]
 #
@@ -109,6 +111,22 @@ summarize() { # reads $results
     done
 }
 
+# One traced run per side (seed 1): the stage-budget table, then the
+# bytes each row costs on the wire and in the log.
+traced() { # reads $workload
+    local side out
+    for side in parent change; do
+        out="$("$work/target-$side/release/ldp-benchmark" \
+            --workload "$workload" --seed 1 --seconds "$seconds" --trace 1)"
+        echo "-- traced $side"
+        printf '%s\n' "$out" | awk '
+            /^stage budget for / { table = 1 }
+            table && !/^(stage budget for |  )/ { table = 0 }
+            table || /^(wal\.bytes_per_row|serve\.bytes_in_per_row) / { print }'
+        echo
+    done
+}
+
 for workload in "${workloads[@]}"; do
     results="$work/runs-$workload.tsv"
     : >"$results"
@@ -125,4 +143,5 @@ for workload in "${workloads[@]}"; do
     done
     echo
     summarize
+    traced
 done
