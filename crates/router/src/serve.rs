@@ -7,8 +7,8 @@
 //!                      ┌────────────── Router ──────────────┐
 //! RemoteCollector ────▶│ conn thread ── partition by user   │
 //!   (ingest+query)     │   │  hash(user) % N, counting sort  │
-//!                      │   ├─ gather + write ──▶ socket 00 ──┼──▶ ldp-server
-//!                      │   ├─ gather + write ──▶ socket 01 ──┼──▶ ldp-server
+//!                      │   ├─ gather + write ──▶ handle 00 ──┼──▶ ldp-server
+//!                      │   ├─ gather + write ──▶ handle 01 ──┼──▶ ldp-server
 //!                      │   └─ send to all, read from each, ◀─┤
 //!                      │      merge answers                  │
 //!                      │ accept thread │ health thread       │
@@ -20,16 +20,18 @@
 //! frames.* / bytes.*` books are the driver's, byte for byte what a
 //! `Server` runs; this file is what a *federated* tier does with a frame:
 //!
-//! * **One thread per connection** — a front connection owns one plain
-//!   socket (`Link`) per downstream, dialed on first use, and its
+//! * **One thread per connection** — a front connection owns one
+//!   [`RemoteCollector`] per downstream, dialed on first use, and its
 //!   thread drives them itself: no writer threads, no queues, no locks.
 //!   A downstream that stops reading therefore stops this connection's
 //!   thread in `write`, which stops its reads, which stops the client —
 //!   TCP flow control is the backpressure, and a connection costs one
 //!   thread and a few buffers however far its peers fall behind. Ingest
 //!   ledgers are per-connection on the servers, so per-connection
-//!   sockets are what keeps `IngestSync` meaning "what *this* client
-//!   sent".
+//!   handles are what keeps `IngestSync` meaning "what *this* client
+//!   sent". The handle is the client library's: dialing, reconnect, the
+//!   written-but-unacknowledged ledger and the reply read exist once,
+//!   and a read blocked on a quiet downstream ends at shutdown.
 //! * **Routing rule** — every report row goes to
 //!   `downstream_of(user) = (user · SEED) >> 32 mod N`: all of a user's
 //!   reports land on one downstream, so per-user state (the population
@@ -41,23 +43,26 @@
 //! * **One copy per row** — an ingest frame is never widened: the user
 //!   column is hashed straight off the receive buffer, row *indices* are
 //!   counting-sorted by downstream, and each sub-frame is gathered from
-//!   the receive buffer into the connection's one encode buffer and
-//!   written, fire-and-forget.
+//!   the receive buffer into that downstream's handle and written,
+//!   fire-and-forget.
 //! * **Ledger semantics** — an `IngestSync` barrier is written to every
 //!   downstream *behind* the ingest already written there, then each
 //!   ack is read: the reply is built after the last downstream's ack is
 //!   read, so "no ack before **every** downstream acked" is program
 //!   order, and the wait is the slowest downstream's, not the sum. The
 //!   reported ledger is the sum, "durable at every downstream".
-//! * **Degraded mode** — a dead downstream gets bounded
-//!   reconnect-with-backoff ([`ReconnectPolicy`]). While it is down the
-//!   router keeps serving the healthy set: ingest rows routed to it are
-//!   dropped and counted (`router.downstream.NN.lost_*`), and any
-//!   barrier or query that cannot be answered *exactly* is refused with
-//!   a typed [`code::DEGRADED`] error frame rather than silently served
-//!   from a partial federation. A reconnect that loses unacked frames
-//!   taints the link's ledger; the next sync reports degraded once and
-//!   then recovers.
+//! * **Degraded mode** — a dead downstream gets the handle's bounded
+//!   reconnect-with-backoff ([`ReconnectPolicy`]); once a budget is
+//!   spent, each ingest sub-frame costs one dial and no backoff until the
+//!   downstream answers again. While it is down the router keeps serving
+//!   the healthy set: ingest rows routed to it are dropped and counted
+//!   (`router.downstream.NN.lost_*`), and any barrier or query that
+//!   cannot be answered *exactly* is refused with a typed
+//!   [`code::DEGRADED`] error frame rather than silently served from a
+//!   partial federation. A connection that dies with unacknowledged
+//!   frames (the handle's [`ldp_server::IngestLoss`]) or a dropped
+//!   sub-frame makes the next sync report degraded once; then it
+//!   recovers.
 //! * **Queries** — population/windowed/slot-means/summary/parts are all
 //!   answered by fanning out a `QueryParts` request (sent to all, then
 //!   read from each) and folding the raw per-downstream contributions
@@ -72,10 +77,10 @@ use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
 use ldp_server::wire::{code, Frame, IngestScratch, IngestView, StatsBody};
-use ldp_server::{read_reply, Backend, ReconnectPolicy, RemoteCollector, Transport};
+use ldp_server::{Backend, ReconnectPolicy, RemoteCollector, Transport};
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
-use std::io::{self, ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -138,7 +143,8 @@ pub(crate) struct DownstreamMetrics {
     /// `…NN.lost_rows` — rows those dropped frames carried.
     pub lost_rows: Arc<Counter>,
     /// `…NN.degraded_acks` — sync barriers this link could not vouch for
-    /// (transport failure, or a reconnect that lost unacked frames).
+    /// (transport failure, frames lost with a connection, or a sub-frame
+    /// dropped since the last barrier).
     pub degraded_acks: Arc<Counter>,
     /// `…NN.healthy` — the health probe's last verdict (1 = pinged OK).
     pub healthy: Arc<Gauge>,
@@ -189,7 +195,9 @@ struct Federation {
     downstreams: Vec<SocketAddr>,
     registry: Registry,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
+    /// Raised by shutdown; shared with every downstream handle, so a
+    /// reply read blocked on a quiet downstream ends within a poll tick.
+    shutdown: Arc<AtomicBool>,
     config: RouterConfig,
 }
 
@@ -248,7 +256,7 @@ impl Router {
             downstreams,
             registry,
             metrics,
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::default(),
             config,
         });
         let transport = Transport::bind(
@@ -318,33 +326,21 @@ impl Drop for Router {
     }
 }
 
-/// Background health probe: one persistent ping client per downstream,
-/// re-dialed on failure, gauge updated every `health_interval`. Pings
-/// touch no collector state, so probing never skews downstream books.
+/// Background health probe: one persistent ping handle per downstream
+/// (re-dialed by its next ping after a failure), gauge updated every
+/// `health_interval`. Pings touch no collector state, so probing never
+/// skews downstream books.
 fn health_loop(shared: &Federation) {
-    let mut probes: Vec<Option<RemoteCollector>> =
-        shared.downstreams.iter().map(|_| None).collect();
+    let mut probes: Vec<RemoteCollector> = shared
+        .downstreams
+        .iter()
+        .map(|&addr| shared.handle(addr, ReconnectPolicy::none()))
+        .collect();
     let mut last: Option<Instant> = None;
     while !shared.shutdown.load(Ordering::Acquire) {
         if last.is_none_or(|t| t.elapsed() >= shared.config.health_interval) {
-            for (idx, addr) in shared.downstreams.iter().enumerate() {
-                let probe = &mut probes[idx];
-                if probe.is_none() {
-                    *probe = RemoteCollector::connect_with(addr, ReconnectPolicy::none()).ok();
-                }
-                let healthy = match probe.as_mut() {
-                    Some(client) => {
-                        let ok = client.ping().is_ok();
-                        if !ok {
-                            *probe = None; // re-dial next tick
-                        }
-                        ok
-                    }
-                    None => false,
-                };
-                shared.metrics.downstream[idx]
-                    .healthy
-                    .set(i64::from(healthy));
+            for (probe, metrics) in probes.iter_mut().zip(&shared.metrics.downstream) {
+                metrics.healthy.set(i64::from(probe.ping().is_ok()));
             }
             last = Some(Instant::now());
         }
@@ -352,27 +348,34 @@ fn health_loop(shared: &Federation) {
     }
 }
 
-/// The longest a connection thread waits on one downstream — dialing it,
-/// or blocked writing to it — before it calls the connection dead.
-const LINK_IO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// One front connection's state: its own [`Link`] to every downstream —
+/// One front connection's state: a [`Downstream`] per downstream —
 /// driven by the connection's thread and nothing else — plus the reusable
-/// partition and encode buffers. Dropping it parts from each downstream
-/// with a best-effort Goodbye.
+/// partition buffers. Dropping it parts from each downstream with the
+/// handles' Goodbye.
 struct Links {
-    links: Vec<Link>,
+    links: Vec<Downstream>,
     partition: PartitionScratch,
-    /// The one encode buffer: every sub-frame and request is built here.
-    frame: Vec<u8>,
 }
 
-impl Drop for Links {
-    fn drop(&mut self) {
-        for link in &mut self.links {
-            if let Some(mut stream) = link.stream.take() {
-                let _ = stream.write_all(&Frame::Goodbye.encode());
-            }
+/// A front connection's view of one downstream: the handle (dialed on
+/// first use) and the two books the router keeps beside it.
+struct Downstream {
+    client: RemoteCollector,
+    /// The handle's reconnects already added to
+    /// `router.downstream.NN.reconnects`.
+    reconnects: u64,
+    /// An ingest frame for this downstream was counted and dropped since
+    /// the last barrier, so the next barrier cannot vouch for it.
+    undelivered: bool,
+}
+
+impl Downstream {
+    /// Publishes the reconnects the handle made since the last call.
+    fn note_reconnects(&mut self, metrics: &DownstreamMetrics) {
+        let fresh = self.client.reconnects() - self.reconnects;
+        if fresh > 0 {
+            metrics.reconnects.add(fresh);
+            self.reconnects += fresh;
         }
     }
 }
@@ -405,18 +408,20 @@ impl Backend for Federation {
         &self.shutdown
     }
 
-    /// One undialed link per downstream: nothing is spawned or connected
-    /// until the connection's first frame needs it.
+    /// One undialed handle per downstream: nothing is spawned or
+    /// connected until the connection's first frame needs it.
     fn open(&self) -> Links {
         Links {
-            links: (0..self.downstreams.len())
-                .map(|idx| Link {
-                    idx,
-                    ..Link::default()
+            links: self
+                .downstreams
+                .iter()
+                .map(|&addr| Downstream {
+                    client: self.handle(addr, self.config.reconnect),
+                    reconnects: 0,
+                    undelivered: false,
                 })
                 .collect(),
             partition: PartitionScratch::default(),
-            frame: Vec::new(),
         }
     }
 
@@ -433,11 +438,7 @@ impl Backend for Federation {
         _scratch: &mut IngestScratch,
     ) -> io::Result<()> {
         self.metrics.ingest_rows.add(ingest.len() as u64);
-        let Links {
-            links,
-            partition,
-            frame,
-        } = conn;
+        let Links { links, partition } = conn;
         let n = links.len();
 
         // Pass 1: destination per row + per-downstream counts.
@@ -478,26 +479,47 @@ impl Backend for Federation {
             if run.is_empty() && rejected == 0 {
                 continue;
             }
-            frame.clear();
-            ingest.encode_rows_into(run, rejected, frame);
-            link.handle_ingest(self, frame, run.len() as u64);
+            let metrics = &self.metrics.downstream[k];
+            let rows = run.len() as u64;
+            if link.client.ingest_rows(ingest, run, rejected).is_ok() {
+                metrics.frames.inc();
+                metrics.rows.add(rows);
+            } else {
+                // These rows are gone: count them, and the next barrier
+                // degrades.
+                // TODO(ROADMAP "Exactly-once ingest"): spool these frames
+                // to a router-side WAL (`ldp-wal` exists for exactly this
+                // record shape) and drain on reconnect, instead of
+                // counted-and-dropped.
+                link.undelivered = true;
+                metrics.lost_frames.inc();
+                metrics.lost_rows.add(rows);
+            }
+            link.note_reconnects(metrics);
         }
         Ok(())
     }
 
     /// The barrier trails the ingest already written to every downstream
     /// (one socket each, so FIFO); the ack is the summed ledger, built
-    /// after **every** downstream's ack has been read.
+    /// after **every** downstream's ack has been read. A downstream whose
+    /// handle lost frames with a connection ([`ldp_server::IngestLoss`])
+    /// or that had a frame dropped since the last barrier cannot vouch
+    /// for it: that barrier reports degraded, once.
     fn sync(&self, conn: &mut Links) -> io::Result<Frame> {
         let _t = self.metrics.fanout_sync_nanos.timer();
-        let replies = self.fanout(conn, &Frame::IngestSync);
+        let replies = self.fanout(conn, &Frame::IngestSync, RemoteCollector::finish_sync);
         let n = replies.len();
         let mut sum = IngestOutcome::default();
         let mut failed = 0usize;
-        for (link, reply) in conn.links.iter_mut().zip(replies) {
-            match link.settle_ack(self, reply) {
-                Some(ledger) => sum.absorb(ledger),
-                None => failed += 1,
+        for (k, (link, reply)) in conn.links.iter_mut().zip(replies).enumerate() {
+            let undelivered = std::mem::take(&mut link.undelivered);
+            match reply {
+                Ok(ledger) if !undelivered => sum.absorb(ledger),
+                _ => {
+                    self.metrics.downstream[k].degraded_acks.inc();
+                    failed += 1;
+                }
             }
         }
         if failed > 0 {
@@ -530,12 +552,12 @@ impl Backend for Federation {
     /// become their federation-wide total).
     fn stats(&self, conn: &mut Links) -> Result<StatsBody, Frame> {
         let _t = self.metrics.fanout_query_nanos.timer();
-        let replies = self.fanout(conn, &Frame::QueryStats);
+        let replies = self.fanout(conn, &Frame::QueryStats, RemoteCollector::finish);
         let n = replies.len();
         let mut sum = StatsBody::default();
         let mut failed = 0usize;
         for reply in replies {
-            let Some(Frame::Stats(stats)) = reply else {
+            let Ok(Frame::Stats(stats)) = reply else {
                 failed += 1;
                 continue;
             };
@@ -566,19 +588,38 @@ impl Backend for Federation {
 // verbatim) and only materializes on the cold degraded path.
 #[allow(clippy::result_large_err)]
 impl Federation {
+    /// A handle to `addr` whose reply reads end at the router's shutdown:
+    /// what every connection's links and the health probe hold.
+    fn handle(&self, addr: SocketAddr, reconnect: ReconnectPolicy) -> RemoteCollector {
+        let stop = Arc::clone(&self.shutdown);
+        RemoteCollector::with_stop(addr, reconnect, stop, self.config.poll_interval)
+    }
+
     /// Request/response with every downstream: `request` is written to
-    /// **all** links before the first reply is awaited, so the wait is
-    /// the slowest downstream's, not the sum. `None` = that link failed
-    /// through its reconnect budget.
-    fn fanout(&self, conn: &mut Links, request: &Frame) -> Vec<Option<Frame>> {
-        let Links { links, frame, .. } = conn;
-        frame.clear();
-        request.encode_into(frame);
-        let sent: Vec<_> = links.iter_mut().map(|l| l.send(self, frame)).collect();
-        links
+    /// **all** handles before the first reply is awaited, so the wait is
+    /// the slowest downstream's, not the sum; each reply is read by
+    /// `finish`. `Err` = that downstream failed through its reconnect
+    /// budget.
+    fn fanout<T>(
+        &self,
+        conn: &mut Links,
+        request: &Frame,
+        finish: fn(&mut RemoteCollector, io::Result<()>) -> io::Result<T>,
+    ) -> Vec<io::Result<T>> {
+        let sent: Vec<_> = conn
+            .links
+            .iter_mut()
+            .map(|l| l.client.send(request))
+            .collect();
+        conn.links
             .iter_mut()
             .zip(sent)
-            .map(|(link, sent)| link.receive(self, frame, sent).ok())
+            .enumerate()
+            .map(|(k, (link, sent))| {
+                let reply = finish(&mut link.client, sent);
+                link.note_reconnects(&self.metrics.downstream[k]);
+                reply
+            })
             .collect()
     }
 
@@ -594,21 +635,21 @@ impl Federation {
             start: range.start,
             end: range.end,
         };
-        let replies = self.fanout(conn, &query);
+        let replies = self.fanout(conn, &query, RemoteCollector::finish);
         let n = replies.len();
         let mut parts = Vec::with_capacity(n);
         let mut failed = 0usize;
         let mut downstream_error = None;
         for (idx, reply) in replies.into_iter().enumerate() {
             match reply {
-                Some(Frame::Parts(part)) => parts.push(part),
-                Some(Frame::Error { code, message }) => {
+                Ok(Frame::Parts(part)) => parts.push(part),
+                Ok(Frame::Error { code, message }) => {
                     downstream_error.get_or_insert(Frame::Error {
                         code,
                         message: format!("downstream {idx:02}: {message}"),
                     });
                 }
-                Some(_) | None => failed += 1,
+                Ok(_) | Err(_) => failed += 1,
             }
         }
         if let Some(error) = downstream_error {
@@ -626,170 +667,6 @@ fn degraded_error(failed: usize, n: usize) -> Frame {
     Frame::Error {
         code: code::DEGRADED,
         message: format!("{failed} of {n} downstreams unavailable"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Downstream links.
-// ---------------------------------------------------------------------
-
-/// One front connection's socket to one downstream, owned and driven by
-/// that connection's thread: dial-on-demand, bounded
-/// reconnect-with-backoff, and the unacked/taint ledger that keeps sync
-/// barriers honest across reconnects.
-#[derive(Default)]
-struct Link {
-    idx: usize,
-    stream: Option<TcpStream>,
-    /// Whether a connection ever succeeded (re-dials after this count as
-    /// reconnects).
-    connected_before: bool,
-    /// Ingest frames written on the current connection since its last
-    /// ack — what a lost connection would silently drop from the ledger.
-    unacked: u64,
-    /// The current sync epoch cannot be vouched for: a connection died
-    /// with unacked frames, or ingest frames were dropped outright. The
-    /// next barrier reports degraded once, then the ledger restarts.
-    tainted: bool,
-    /// Reusable reply payload buffer.
-    payload: Vec<u8>,
-}
-
-impl Link {
-    /// Dials the downstream if not connected. Counts re-dials.
-    fn ensure_stream(&mut self, fed: &Federation) -> io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&fed.downstreams[self.idx], LINK_IO_TIMEOUT)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(fed.config.poll_interval))?;
-            stream.set_write_timeout(Some(LINK_IO_TIMEOUT))?;
-            if self.connected_before {
-                fed.metrics.downstream[self.idx].reconnects.inc();
-            }
-            self.connected_before = true;
-            self.stream = Some(stream);
-        }
-        Ok(self.stream.as_mut().expect("stream just ensured"))
-    }
-
-    /// Drops the current connection. Unacked ingest frames die with the
-    /// server-side ledger, so the next barrier must report degraded.
-    fn drop_stream(&mut self) {
-        if self.stream.take().is_some() && self.unacked > 0 {
-            self.tainted = true;
-            self.unacked = 0;
-        }
-    }
-
-    /// One write on the current connection, dialing first if there is none.
-    fn send(&mut self, fed: &Federation, bytes: &[u8]) -> io::Result<()> {
-        self.ensure_stream(fed)?.write_all(bytes)
-    }
-
-    /// Whether a failed attempt may be answered with a backoff + re-dial:
-    /// `budget` not yet spent and the router not shutting down. Sleeps
-    /// the backoff when it may.
-    fn backs_off(fed: &Federation, attempt: &mut u32, budget: u32) -> bool {
-        if *attempt >= budget || fed.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
-        *attempt += 1;
-        thread::sleep(fed.config.reconnect.backoff(*attempt));
-        true
-    }
-
-    /// Ingest fan-out: fire-and-forget toward this downstream. A link
-    /// already known dead gets one cheap dial attempt per frame (so a
-    /// recovered downstream heals on the next frame) instead of the full
-    /// backoff budget — a dead downstream must not stall the pump.
-    fn handle_ingest(&mut self, fed: &Federation, bytes: &[u8], rows: u64) {
-        let metrics = &fed.metrics.downstream[self.idx];
-        let budget = if self.stream.is_some() {
-            fed.config.reconnect.max_retries
-        } else {
-            0
-        };
-        let mut attempt = 0u32;
-        while self.send(fed, bytes).is_err() {
-            self.drop_stream();
-            if !Self::backs_off(fed, &mut attempt, budget) {
-                // These rows are gone: count them and taint the ledger.
-                // TODO(ROADMAP "Exactly-once ingest"): spool these frames
-                // to a router-side WAL (`ldp-wal` exists for exactly this
-                // record shape) and drain on reconnect, instead of
-                // counted-and-dropped.
-                self.tainted = true;
-                metrics.lost_frames.inc();
-                metrics.lost_rows.add(rows);
-                return;
-            }
-        }
-        self.unacked += 1;
-        metrics.frames.inc();
-        metrics.rows.add(rows);
-    }
-
-    /// The reply to a request whose first write went `sent`, with bounded
-    /// reconnect: a failed attempt is retried whole (write + read) on a
-    /// fresh connection — queries are stateless on the downstream, so the
-    /// retry is exact. (A reconnect here still taints the *ingest* ledger
-    /// via [`Self::drop_stream`] if frames were unacked.) A shutdown
-    /// surfaces as `Interrupted` and a framing error as `InvalidData`
-    /// (neither retried); a downstream that died mid-reply as
-    /// `UnexpectedEof` or the transport's own error (retried).
-    fn receive(
-        &mut self,
-        fed: &Federation,
-        bytes: &[u8],
-        mut sent: io::Result<()>,
-    ) -> io::Result<Frame> {
-        let mut attempt = 0u32;
-        loop {
-            let err = match sent.and_then(|()| self.read(fed)) {
-                Ok(frame) => return Ok(frame),
-                Err(e) => e,
-            };
-            let retryable = !matches!(err.kind(), ErrorKind::Interrupted | ErrorKind::InvalidData);
-            self.drop_stream();
-            if !retryable || !Self::backs_off(fed, &mut attempt, fed.config.reconnect.max_retries) {
-                return Err(err);
-            }
-            sent = self.send(fed, bytes);
-        }
-    }
-
-    /// One reply read on the current connection.
-    fn read(&mut self, fed: &Federation) -> io::Result<Frame> {
-        let stream = self.stream.as_mut().expect("a sent request has a stream");
-        read_reply(stream, &mut self.payload, || {
-            fed.shutdown.load(Ordering::Acquire)
-        })
-    }
-
-    /// Sync barrier leg: this downstream's reply to the `IngestSync` that
-    /// trailed every pending ingest frame on its socket. `None` = this
-    /// link cannot vouch for durability (transport failure or a tainted
-    /// ledger).
-    fn settle_ack(&mut self, fed: &Federation, reply: Option<Frame>) -> Option<IngestOutcome> {
-        if let Some(Frame::IngestAck {
-            accepted,
-            dropped,
-            rejected,
-        }) = reply
-        {
-            self.unacked = 0;
-            // A tainted ledger reports the gap exactly once; the fresh
-            // ledger is trustworthy from here on.
-            if !std::mem::take(&mut self.tainted) {
-                return Some(IngestOutcome {
-                    accepted,
-                    dropped,
-                    rejected,
-                });
-            }
-        }
-        fed.metrics.downstream[self.idx].degraded_acks.inc();
-        None
     }
 }
 

@@ -13,25 +13,37 @@
 //! or dropped socket retries the in-flight operation on a fresh
 //! connection instead of poisoning the handle (see
 //! [`RemoteCollector::connect_with`] for the exact semantics).
+//!
+//! This is the one downstream connection in the workspace: a router
+//! holds one [`RemoteCollector`] per downstream
+//! ([`RemoteCollector::with_stop`]) and forwards through the same dialer,
+//! retry loop, unacked-frame ledger and reply read the client verbs use,
+//! splitting a request at [`RemoteCollector::send`] so every downstream
+//! is asked before any reply is awaited.
 
-use crate::serve::Server;
 use crate::transport::read_reply;
-use crate::wire::{code, Frame, StatsBody, SummaryBody};
-use ldp_collector::sync::thread;
+use crate::wire::{code, Frame, IngestView, StatsBody, SummaryBody};
+use ldp_collector::sync::atomic::{AtomicBool, Ordering};
+use ldp_collector::sync::{thread, Arc};
 use ldp_collector::{
     ClientFleet, FleetError, IngestOutcome, ReportBatch, ReportSink, SnapshotPart,
 };
 use ldp_streams::Population;
 use ldp_telemetry::TelemetrySnapshot;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
 
+/// The longest one dial, or one blocked write, may take before the
+/// connection counts as dead (and the retry budget takes over).
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Bounded reconnect-with-backoff for [`RemoteCollector`]: how many times
-/// a transient transport failure (reset / aborted / broken pipe /
-/// unexpected EOF) may be answered by sleeping an exponentially growing
-/// backoff and dialing a fresh connection before the error is surfaced.
+/// a failed attempt (a refused dial, a reset, a hang-up, a write blocked
+/// past its bound — anything but the owner's stop or a peer speaking
+/// garbage) may be answered by sleeping an exponentially growing backoff
+/// and retrying on a fresh connection before the error is surfaced.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconnectPolicy {
     /// Reconnect attempts per failing operation (0 = a dropped
@@ -104,29 +116,25 @@ impl std::fmt::Display for IngestLoss {
 
 impl std::error::Error for IngestLoss {}
 
-/// Whether an I/O error is a transient *transport* failure worth a
-/// reconnect. Server-reported error frames (mapped to refused / invalid
-/// input / invalid data kinds) are never transient: the connection is
-/// healthy, the server said no.
-fn is_transient(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::UnexpectedEof
-            | std::io::ErrorKind::NotConnected
-    )
-}
-
-/// A connection to an `ldp-server`, presenting the collector's ingest
-/// and query surface over the wire.
+/// A connection to an `ldp-server` (or a router), presenting the
+/// collector's ingest and query surface over the wire.
 #[derive(Debug)]
 pub struct RemoteCollector {
-    stream: TcpStream,
+    /// The live connection: `None` before the first dial and after a
+    /// failed attempt (the next one dials).
+    stream: Option<TcpStream>,
     /// Resolved addresses for reconnects (first that answers wins).
     addrs: Vec<SocketAddr>,
     reconnect: ReconnectPolicy,
+    /// Ends a blocked reply read (as `Interrupted`) once raised, checked
+    /// every `poll`; with `poll` `None` the read has no timeout and the
+    /// flag is never consulted.
+    stop: Arc<AtomicBool>,
+    /// See [`Self::stop`].
+    poll: Option<Duration>,
+    /// Successful dials over the handle's lifetime (all but the first
+    /// are reconnects).
+    dials: u64,
     /// Ping nonce counter (each ping must echo a fresh token).
     nonce: u64,
     /// Reusable encode buffer (one frame at a time).
@@ -166,13 +174,18 @@ impl RemoteCollector {
     ///
     /// Reconnect semantics: a fresh connection has a **fresh server-side
     /// ledger**, and any pipelined ingest frames the old connection had
-    /// not yet delivered are gone with it. Queries and pings are
+    /// not yet acknowledged are gone with it. Queries and pings are
     /// stateless, so retrying them on the new connection is exact; an
-    /// `ingest` retry re-sends only the batch that failed to write; a
-    /// `sync` after a mid-stream reconnect acknowledges only what the
-    /// *new* connection carried. Callers that need exactly-once
-    /// accounting across reconnects (the router does) track
-    /// unacknowledged frames themselves and report the gap.
+    /// `ingest` retry re-sends only the batch that failed to write. The
+    /// handle books the frames a dead connection took with it as an
+    /// [`IngestLoss`], which the next [`Self::sync`] returns instead of an
+    /// ack covering only what the *new* connection carried.
+    ///
+    /// A dial and each write are bounded by 10 s; a connection that
+    /// exceeds either counts as dead. An `ingest` on a handle whose last
+    /// operation failed makes one dial and no backoff (a dead peer must
+    /// not stall an upload loop for the whole budget per batch); every
+    /// other operation gets the policy's budget.
     ///
     /// # Errors
     /// Connection errors (the initial dial is not retried — a target
@@ -182,12 +195,40 @@ impl RemoteCollector {
         addr: A,
         reconnect: ReconnectPolicy,
     ) -> std::io::Result<Self> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let stream = Self::open(&addrs)?;
-        Ok(Self {
-            stream,
+        let addrs = addr.to_socket_addrs()?.collect();
+        let mut this = Self::new(addrs, reconnect, Arc::default(), None);
+        this.dial()?;
+        Ok(this)
+    }
+
+    /// A handle to `addr` that dials on its first operation, not here,
+    /// and whose reply reads end once `stop` is raised — checked every
+    /// `poll` — so an owner that is shutting down is never held by a
+    /// peer that went quiet. What a tier forwarding to `addr` holds (a
+    /// router's downstream links and health probes).
+    #[must_use]
+    pub fn with_stop(
+        addr: SocketAddr,
+        reconnect: ReconnectPolicy,
+        stop: Arc<AtomicBool>,
+        poll: Duration,
+    ) -> Self {
+        Self::new(vec![addr], reconnect, stop, Some(poll))
+    }
+
+    fn new(
+        addrs: Vec<SocketAddr>,
+        reconnect: ReconnectPolicy,
+        stop: Arc<AtomicBool>,
+        poll: Option<Duration>,
+    ) -> Self {
+        Self {
+            stream: None,
             addrs,
             reconnect,
+            stop,
+            poll,
+            dials: 0,
             nonce: 0,
             out: Vec::with_capacity(4096),
             payload: Vec::new(),
@@ -196,62 +237,78 @@ impl RemoteCollector {
             unreported: None,
             lost_frames: 0,
             lost_rows: 0,
-        })
+        }
     }
 
-    /// Dials the first resolved address that answers.
-    fn open(addrs: &[SocketAddr]) -> std::io::Result<TcpStream> {
+    /// The one dialer: the first resolved address that answers within
+    /// [`IO_TIMEOUT`], with Nagle off, each write bounded by
+    /// [`IO_TIMEOUT`] and reads waking every `poll` to consult `stop`.
+    fn dial(&mut self) -> std::io::Result<()> {
         let mut last_err = None;
-        for addr in addrs {
-            match TcpStream::connect(addr) {
+        for addr in &self.addrs {
+            match TcpStream::connect_timeout(addr, IO_TIMEOUT) {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
-                    return Ok(stream);
+                    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+                    stream.set_read_timeout(self.poll)?;
+                    self.stream = Some(stream);
+                    self.dials += 1;
+                    return Ok(());
                 }
                 Err(e) => last_err = Some(e),
             }
         }
         Err(last_err.unwrap_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address to connect to")
+            std::io::Error::new(ErrorKind::InvalidInput, "no address to connect to")
         }))
     }
 
-    /// Runs `op`, answering transient transport failures with up to
-    /// `max_retries` backoff-then-reconnect rounds. A reconnect that
-    /// itself fails consumes a retry and leaves the old stream in place
-    /// (the next `op` failure triggers the next round), so a dead target
-    /// costs exactly `max_retries` dial attempts.
+    /// Writes the encode buffer on the live connection, dialing one first
+    /// if there is none.
+    fn write_out(&mut self) -> std::io::Result<()> {
+        if self.stream.is_none() {
+            self.dial()?;
+        }
+        let stream = self.stream.as_mut().expect("dialed above");
+        stream.write_all(&self.out)
+    }
+
+    /// Runs `op` and answers a failure with up to `budget` rounds of
+    /// backoff + a fresh attempt (which dials). Every failure first drops
+    /// the connection — its stream position is untrustworthy, and the
+    /// ingest frames it carried unacked are booked as lost, so the loss
+    /// is surfaced even when the budget runs out. `Interrupted` (the
+    /// owner's stop) and `InvalidData` (a peer speaking garbage) are
+    /// surfaced at once, as is any failure once `stop` is raised.
     fn with_reconnect<T>(
         &mut self,
+        budget: u32,
         mut op: impl FnMut(&mut Self) -> std::io::Result<T>,
     ) -> std::io::Result<T> {
         let mut attempt = 0u32;
         loop {
             let err = match op(self) {
                 Ok(v) => return Ok(v),
-                Err(e) if is_transient(&e) => e,
-                Err(e) => return Err(e),
+                Err(e) => e,
             };
-            // The connection is dead either way: any pipelined ingest
-            // frames it carried are now unaccounted for. Book the loss
-            // before deciding whether to retry, so it is surfaced even
-            // when retries are exhausted.
-            self.note_connection_loss();
-            if attempt >= self.reconnect.max_retries {
+            self.drop_connection();
+            if matches!(err.kind(), ErrorKind::Interrupted | ErrorKind::InvalidData)
+                || attempt >= budget
+                || self.stop.load(Ordering::Acquire)
+            {
                 return Err(err);
             }
             attempt += 1;
             thread::sleep(self.reconnect.backoff(attempt));
-            if let Ok(stream) = Self::open(&self.addrs) {
-                self.stream = stream;
-            }
         }
     }
 
-    /// Books pipelined-but-unacked ingest frames as lost when the
-    /// connection dies. Folded into `unreported` (surfaced by the next
-    /// [`Self::sync`]) and the handle's cumulative loss counters.
-    fn note_connection_loss(&mut self) {
+    /// Drops the connection after a failed attempt, booking the
+    /// pipelined-but-unacked ingest frames it carried as lost: folded
+    /// into `unreported` (surfaced by the next [`Self::sync`]) and the
+    /// handle's cumulative loss counters.
+    fn drop_connection(&mut self) {
+        self.stream = None;
         if self.pending_frames == 0 {
             return;
         }
@@ -281,21 +338,55 @@ impl RemoteCollector {
         self.lost_rows
     }
 
+    /// Successful re-dials after the handle's first connection.
+    #[must_use]
+    pub fn reconnects(&self) -> u64 {
+        self.dials.saturating_sub(1)
+    }
+
     /// Uploads one batch (fire-and-forget; pair with [`Self::sync`] for
     /// the acceptance ledger). The batch's client-side rejection count
     /// rides along so the server ledger accounts for it.
     ///
     /// # Errors
-    /// Transport errors (after reconnect retries are exhausted).
+    /// Transport errors (after reconnect retries are exhausted); the
+    /// batch is then not booked as in flight.
     pub fn ingest(&mut self, batch: &ReportBatch) -> std::io::Result<()> {
         self.out.clear();
         // Encode straight from the batch columns — no intermediate
         // column clones on the hot path.
         Frame::encode_ingest_into(batch, &mut self.out);
-        self.with_reconnect(|this| this.stream.write_all(&this.out))?;
-        // Written, not yet acked: at risk until the next sync barrier.
+        self.write_ingest(batch.len() as u64)
+    }
+
+    /// Forwards rows `rows` (indices into `view`) of a received ingest
+    /// frame, plus `rejected` client-side rejections, as one ingest frame:
+    /// gathered by [`IngestView::encode_rows_into`] straight from the
+    /// receive buffer into the handle's encode buffer, then written and
+    /// booked exactly as [`Self::ingest`] writes a batch.
+    ///
+    /// # Errors
+    /// As [`Self::ingest`].
+    pub fn ingest_rows(
+        &mut self,
+        view: &IngestView<'_>,
+        rows: &[u32],
+        rejected: u64,
+    ) -> std::io::Result<()> {
+        self.out.clear();
+        view.encode_rows_into(rows, rejected, &mut self.out);
+        self.write_ingest(rows.len() as u64)
+    }
+
+    /// Writes the ingest frame in the encode buffer — one dial and no
+    /// backoff if the last operation failed, the policy's budget
+    /// otherwise — and books it unacked until the next sync.
+    fn write_ingest(&mut self, rows: u64) -> std::io::Result<()> {
+        let live = self.stream.is_some();
+        let budget = if live { self.reconnect.max_retries } else { 0 };
+        self.with_reconnect(budget, Self::write_out)?;
         self.pending_frames += 1;
-        self.pending_rows += batch.len() as u64;
+        self.pending_rows += rows;
         Ok(())
     }
 
@@ -314,17 +405,23 @@ impl RemoteCollector {
     /// only what the replacement connection carried. A subsequent `sync`
     /// proceeds normally against the current connection's ledger.
     pub fn sync(&mut self) -> std::io::Result<IngestOutcome> {
+        let sent = self.send(&Frame::IngestSync);
+        self.finish_sync(sent)
+    }
+
+    /// The reply half of [`Self::sync`], for a barrier written by
+    /// [`Self::send`] (`sent` is that write's outcome).
+    ///
+    /// # Errors
+    /// As [`Self::sync`].
+    pub fn finish_sync(&mut self, sent: std::io::Result<()>) -> std::io::Result<IngestOutcome> {
+        let reply = self.finish(sent);
         if let Some(loss) = self.unreported.take() {
+            // The ack, if any, comes from a ledger that does not cover the
+            // lost frames, so the loss outranks it.
             return Err(std::io::Error::other(loss));
         }
-        let reply = self.request(&Frame::IngestSync);
-        if let Some(loss) = self.unreported.take() {
-            // The connection died mid-sync and the barrier was retried on
-            // a fresh ledger — its ack does not cover the lost frames, so
-            // the loss outranks it.
-            return Err(std::io::Error::other(loss));
-        }
-        match reply? {
+        match server_reply(reply?)? {
             Frame::IngestAck {
                 accepted,
                 dropped,
@@ -438,7 +535,7 @@ impl RemoteCollector {
         match self.request(&Frame::Ping { nonce })? {
             Frame::Pong { nonce: echoed } if echoed == nonce => Ok(()),
             Frame::Pong { .. } => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
+                ErrorKind::InvalidData,
                 "pong echoed the wrong nonce",
             )),
             other => Err(unexpected_reply(&other)),
@@ -464,39 +561,52 @@ impl RemoteCollector {
         }
     }
 
-    /// Sends one frame and reads the server's reply (reconnect-retried
-    /// on transient transport failure), mapping a server [`Frame::Error`]
+    /// Writes one request frame: the first half of an exchange, for an
+    /// owner with several peers to ask before it reads any reply (a
+    /// router's fan-out). A failed write is not final — hand its outcome
+    /// to [`Self::finish`], which retries the whole exchange.
+    ///
+    /// # Errors
+    /// The dial or the write failed.
+    pub fn send(&mut self, request: &Frame) -> std::io::Result<()> {
+        self.out.clear();
+        request.encode_into(&mut self.out);
+        self.write_out()
+    }
+
+    /// The reply to the request [`Self::send`] last wrote (`sent` is that
+    /// write's outcome). A failed attempt is retried whole — dial, write
+    /// from the encode buffer, read — within the policy's budget: exact
+    /// for queries and pings, which are stateless on the server. The raw
+    /// reply is returned, a server's [`Frame::Error`] included.
+    ///
+    /// # Errors
+    /// The last attempt's transport error; `Interrupted` once the stop
+    /// flag is raised, `InvalidData` for a reply that is not a valid frame.
+    pub fn finish(&mut self, sent: std::io::Result<()>) -> std::io::Result<Frame> {
+        let mut sent = Some(sent);
+        self.with_reconnect(self.reconnect.max_retries, |this| {
+            sent.take().unwrap_or_else(|| this.write_out())?;
+            let stream = this.stream.as_mut().ok_or(ErrorKind::NotConnected)?;
+            let stop = &this.stop;
+            read_reply(stream, &mut this.payload, || stop.load(Ordering::Acquire))
+        })
+    }
+
+    /// One request/response exchange, mapping a server [`Frame::Error`]
     /// to `io::Error`.
     fn request(&mut self, frame: &Frame) -> std::io::Result<Frame> {
-        self.out.clear();
-        frame.encode_into(&mut self.out);
-        let reply = self.with_reconnect(|this| {
-            this.stream.write_all(&this.out)?;
-            // Blocking, no read timeout: nothing ever asks this read to stop.
-            read_reply(&mut this.stream, &mut this.payload, || false)
-        })?;
-        if let Frame::Error { code: c, message } = reply {
-            let kind = match c {
-                code::BUSY => std::io::ErrorKind::ConnectionRefused,
-                code::BAD_QUERY => std::io::ErrorKind::InvalidInput,
-                code::DEGRADED => std::io::ErrorKind::Other,
-                _ => std::io::ErrorKind::InvalidData,
-            };
-            return Err(std::io::Error::new(
-                kind,
-                format!("server error {c}: {message}"),
-            ));
-        }
-        Ok(reply)
+        let sent = self.send(frame);
+        server_reply(self.finish(sent)?)
     }
 }
 
 impl Drop for RemoteCollector {
     fn drop(&mut self) {
         // Polite close; the server treats plain EOF identically.
-        self.out.clear();
-        Frame::Goodbye.encode_into(&mut self.out);
-        let _ = self.stream.write_all(&self.out);
+        if let Some(stream) = &mut self.stream {
+            let _ = stream.write_all(&Frame::Goodbye.encode());
+        }
     }
 }
 
@@ -537,24 +647,27 @@ pub fn drive_fleet_remote<A: ToSocketAddrs + Sync>(
     })
 }
 
-/// Convenience for tests and examples: drives the fleet against a
-/// [`Server`] already running in this process (over real loopback TCP).
-///
-/// # Errors
-/// See [`drive_fleet_remote`].
-pub fn drive_fleet_loopback(
-    fleet: &ClientFleet,
-    population: &Population,
-    range: Range<usize>,
-    server: &Server,
-) -> Result<u64, FleetError> {
-    drive_fleet_remote(fleet, population, range, server.local_addr())
+/// A server [`Frame::Error`] as `io::Error`; any other reply as is.
+fn server_reply(reply: Frame) -> std::io::Result<Frame> {
+    let Frame::Error { code: c, message } = reply else {
+        return Ok(reply);
+    };
+    let kind = match c {
+        code::BUSY => ErrorKind::ConnectionRefused,
+        code::BAD_QUERY => ErrorKind::InvalidInput,
+        code::DEGRADED => ErrorKind::Other,
+        _ => ErrorKind::InvalidData,
+    };
+    Err(std::io::Error::new(
+        kind,
+        format!("server error {c}: {message}"),
+    ))
 }
 
 /// `io::Error` for a structurally valid but contextually wrong reply.
 fn unexpected_reply(frame: &Frame) -> std::io::Error {
     std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
+        ErrorKind::InvalidData,
         format!("unexpected reply frame type {}", frame.frame_type()),
     )
 }

@@ -27,8 +27,8 @@
 //!   [`ldp_collector::Collector`] + [`ldp_collector::QueryEngine`], with
 //!   per-connection ingest ledgers, optional write-ahead logging, and
 //!   graceful shutdown.
-//! * [`client`] — [`RemoteCollector`]: the same batch-ingest surface the
-//!   fleet drives in-process, over one connection; and
+//! * [`client`] — [`RemoteCollector`]: the fleet's in-process ingest
+//!   surface over one connection (also each router downstream link); and
 //!   [`drive_fleet_remote`], the fleet's remote mode.
 //! * [`durable`] — crash durability: a write-ahead ingest log
 //!   ([`ldp_wal`]) appended before every fold, fsynced before every ack,
@@ -45,7 +45,7 @@
 //! ```
 //! use ldp_collector::{ClientFleet, Collector, CollectorConfig, FleetConfig};
 //! use ldp_core::{PipelineSpec, SessionKind};
-//! use ldp_server::{drive_fleet_loopback, RemoteCollector, Server, ServerConfig};
+//! use ldp_server::{drive_fleet_remote, RemoteCollector, Server, ServerConfig};
 //! use ldp_streams::synthetic::taxi_population;
 //! use std::sync::Arc;
 //!
@@ -60,7 +60,7 @@
 //!     seed: 99,
 //!     threads: 2,
 //! });
-//! let accepted = drive_fleet_loopback(&fleet, &population, 0..16, &server).unwrap();
+//! let accepted = drive_fleet_remote(&fleet, &population, 0..16, server.local_addr()).unwrap();
 //! assert_eq!(accepted, 20 * 16);
 //!
 //! let mut client = RemoteCollector::connect(server.local_addr()).unwrap();
@@ -77,9 +77,7 @@ pub mod serve;
 pub mod transport;
 pub mod wire;
 
-pub use client::{
-    drive_fleet_loopback, drive_fleet_remote, IngestLoss, ReconnectPolicy, RemoteCollector,
-};
+pub use client::{drive_fleet_remote, IngestLoss, ReconnectPolicy, RemoteCollector};
 pub use durable::{recover, Durability, FlushPolicy, RecoveryReport, WalConfig};
 pub use serve::{Server, ServerConfig};
 pub use transport::{read_reply, Backend, Transport};

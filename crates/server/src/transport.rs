@@ -314,8 +314,8 @@ fn read_frame<'b>(
 }
 
 /// Reads one complete, verified, owned frame — the reply half of a
-/// request/response exchange ([`crate::RemoteCollector`], the router's
-/// downstream links).
+/// request/response exchange, read by [`crate::RemoteCollector`] (a
+/// client's, or a router's downstream link).
 ///
 /// # Errors
 /// `UnexpectedEof` for a peer that closed before or inside the reply

@@ -12,7 +12,7 @@
 
 use ldp_collector::{ClientFleet, Collector, CollectorConfig, FleetConfig, SlotRetention};
 use ldp_core::{PipelineSpec, SessionKind};
-use ldp_server::{drive_fleet_loopback, RemoteCollector, Server, ServerConfig};
+use ldp_server::{drive_fleet_remote, RemoteCollector, Server, ServerConfig};
 use ldp_streams::synthetic::taxi_population;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,7 +49,7 @@ fn main() {
     let start = Instant::now();
     let uploaded = std::thread::scope(|scope| {
         let ingest = scope.spawn(|| {
-            let n = drive_fleet_loopback(&fleet, &population, 0..slots, &server)
+            let n = drive_fleet_remote(&fleet, &population, 0..slots, server.local_addr())
                 .expect("loopback fleet drive");
             done.store(true, Ordering::Release);
             n

@@ -2,17 +2,19 @@
 //! connection is killed by the server transparently redials (bounded by
 //! [`ReconnectPolicy`]) and completes the operation; with the policy
 //! disabled the same drop is fatal. Pinned against a raw in-test
-//! listener so the test controls exactly which connections die.
+//! listener so the test controls exactly which connections die. The
+//! router's downstream links are this same handle, so its dial and retry
+//! rules are pinned here on the client too.
 
 use ldp_collector::ReportBatch;
-use ldp_server::wire::HEADER_LEN;
-use ldp_server::{Frame, Header, IngestLoss, ReconnectPolicy, RemoteCollector};
+use ldp_server::wire::{SummaryBody, HEADER_LEN};
+use ldp_server::{read_reply, Frame, Header, IngestLoss, ReconnectPolicy, RemoteCollector};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A server that drops its first `drop_first` accepted connections on
 /// the floor, then answers transport verbs on the survivors.
@@ -246,6 +248,92 @@ fn lost_pipelined_ingest_surfaces_typed_error() {
     // replacement connection's (empty) ledger.
     let outcome = client.sync().expect("post-loss sync proceeds");
     assert_eq!(outcome.accepted, 0);
+    drop(client);
+    server.join().expect("server thread");
+}
+
+/// Waits (bounded) for `cond`: a dial completes in the listener's backlog
+/// before the test server's accept loop counts it.
+fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A handle whose last operation used up its retry budget is known dead:
+/// the next `ingest` makes exactly one dial and sleeps no backoff, so a
+/// dead peer cannot stall an upload loop for the whole budget per batch.
+#[test]
+fn an_ingest_after_an_exhausted_budget_costs_one_dial_and_no_backoff() {
+    const BACKOFF: Duration = Duration::from_millis(300);
+    let server = FlakyServer::start(usize::MAX); // hangs up on everyone
+    let mut client = RemoteCollector::connect_with(
+        server.addr,
+        ReconnectPolicy {
+            max_retries: 2,
+            initial_backoff: BACKOFF,
+            max_backoff: BACKOFF,
+        },
+    )
+    .expect("initial connect");
+    client.ping().expect_err("every connection is hung up on");
+    wait_for(|| server.accepted() == 3, "the dial plus the two retries");
+
+    let mut batch = ReportBatch::new();
+    assert!(batch.push(7, 0, 0.5));
+    let started = Instant::now();
+    // Whether the write lands before the hang-up is a race; the dial
+    // count and the absence of a backoff are not.
+    let _ = client.ingest(&batch);
+    let took = started.elapsed();
+    wait_for(|| server.accepted() == 4, "the ingest's dial");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(server.accepted(), 4, "exactly one dial");
+    assert!(took < BACKOFF, "the ingest slept a backoff ({took:?})");
+}
+
+/// A peer that reads a query and hangs up before replying: the client
+/// retries the whole exchange — dial, write, read — on a fresh connection
+/// and returns that connection's answer.
+#[test]
+fn a_query_reply_lost_mid_exchange_is_retried_on_a_fresh_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        let (mut first, _) = listener.accept().expect("accept 1");
+        let asked = read_reply(&mut first, &mut buf, || false).expect("the query");
+        assert_eq!(asked, Frame::QuerySummary);
+        drop(first); // read, never answered
+        let (mut second, _) = listener.accept().expect("accept 2");
+        let asked = read_reply(&mut second, &mut buf, || false).expect("the retry");
+        assert_eq!(asked, Frame::QuerySummary);
+        let reply = Frame::Summary(SummaryBody {
+            total_reports: 6,
+            user_count: 3,
+            ..SummaryBody::default()
+        });
+        second.write_all(&reply.encode()).expect("reply");
+        // Hold the connection until the client's Goodbye.
+        let _ = read_reply(&mut second, &mut buf, || false);
+    });
+
+    let mut client = RemoteCollector::connect_with(
+        addr,
+        ReconnectPolicy {
+            max_retries: 3,
+            initial_backoff: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(20),
+        },
+    )
+    .expect("initial connect");
+    let summary = client
+        .summary()
+        .expect("answered from the second connection");
+    assert_eq!((summary.total_reports, summary.user_count), (6, 3));
+    assert_eq!(client.reconnects(), 1);
     drop(client);
     server.join().expect("server thread");
 }

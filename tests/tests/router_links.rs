@@ -1,4 +1,5 @@
-//! A router connection is one thread driving plain downstream sockets.
+//! A router connection is one thread driving one client handle
+//! ([`RemoteCollector`]) per downstream.
 //! Pinned against scripted in-test downstreams, so each test controls
 //! exactly what a downstream does with a connection:
 //!
@@ -12,6 +13,8 @@
 //!    mid-exchange is retried on a fresh connection (exact for queries,
 //!    degraded once for a barrier that had frames in flight), and a dead
 //!    target costs `1 + max_retries` dials per fanned-out request.
+//! 4. **Shutdown is never held by a downstream** — the health probe's
+//!    reply read ends at shutdown like a link's.
 
 use ldp_collector::{ReportBatch, SnapshotPart};
 use ldp_router::{Router, RouterConfig};
@@ -336,4 +339,30 @@ fn a_dead_target_costs_one_dial_plus_the_retry_budget_per_request() {
 
     drop(client);
     router.shutdown();
+}
+
+/// A downstream that accepts the health probe's connection and never
+/// answers its ping: the probe's reply read ends at the router's shutdown
+/// like a link's does, so `shutdown` returns instead of waiting on a peer
+/// that will never speak. (A watchdog fails the test rather than hang it.)
+#[test]
+fn shutdown_returns_while_a_mute_downstream_holds_the_probe() {
+    let mute = FakeDownstream::start(|_stream, closed| {
+        while !closed.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    let mut router = Router::bind(vec![mute.addr], RouterConfig::default()).expect("bind router");
+    wait_for(|| mute.accepted() == 1, "the health probe's dial");
+
+    let (done, finished) = std::sync::mpsc::channel();
+    let watchdog = std::thread::spawn(move || {
+        router.shutdown();
+        let _ = done.send(());
+    });
+    let returned = finished.recv_timeout(Duration::from_secs(5));
+    // Release the probe's connection either way, so the watchdog joins.
+    drop(mute);
+    watchdog.join().expect("watchdog thread");
+    assert!(returned.is_ok(), "Router::shutdown still blocked after 5 s");
 }

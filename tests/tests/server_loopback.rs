@@ -19,7 +19,7 @@ use ldp_collector::{
 use ldp_core::online::{PipelineSpec, SessionKind};
 use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::{checksum, code, Frame, HEADER_LEN, MAGIC, MAX_QUERY_SLOTS, WIRE_VERSION};
-use ldp_server::{drive_fleet_loopback, read_reply, RemoteCollector, Server, ServerConfig};
+use ldp_server::{drive_fleet_remote, read_reply, RemoteCollector, Server, ServerConfig};
 use ldp_telemetry::TelemetrySnapshot;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -62,7 +62,8 @@ fn remote_fleet_agrees_with_in_process_fleet() {
 
         // Remote path over real loopback TCP.
         let srv = server(4);
-        let remote_accepted = drive_fleet_loopback(&fleet, &population, 0..slots, &srv).unwrap();
+        let remote_accepted =
+            drive_fleet_remote(&fleet, &population, 0..slots, srv.local_addr()).unwrap();
         assert_eq!(remote_accepted, local_accepted, "every report arrived");
 
         // Queries answered over the wire agree with the local snapshot.

@@ -1,20 +1,25 @@
 #!/usr/bin/env bash
 # One-transport lint: the socket tier exists once. The connection driver
 # in crates/server/src/transport.rs owns the listening socket and the
-# framed read; the server and the router are backends behind it, and the
-# client and the router's downstream links read replies through its
-# `read_reply` (`read_frame` + verify + owned decode). A second accept
-# loop, a second socket-side header parse, or a second checksum body is
-# how the two tiers drifted apart before, so this script fails CI on any
-# of them:
+# framed read; the server and the router are backends behind it. The
+# other end of every connection is `RemoteCollector`
+# (crates/server/src/client.rs): the client and the router's downstream
+# links are that one handle, so it alone dials and reads replies through
+# transport.rs's `read_reply` (`read_frame` + verify + owned decode). A
+# second accept loop, dialer, reply read, socket-side header parse or
+# checksum body is how the tiers drifted apart before, so this script
+# fails CI on any of them:
 #
 #   * `TcpListener::bind(`  only in crates/server/src/transport.rs
-#   * `Header::parse(`      only there, plus wire.rs's pure slice decoder
-#                           (`Frame::decode`, which reads no socket)
+#   * `TcpStream::connect`  (`connect(` or `connect_timeout(`) only in
+#                           crates/server/src/client.rs: one dialer
+#   * `read_reply(`         called only there (transport.rs defines it)
+#   * `Header::parse(`      only in transport.rs, plus wire.rs's pure slice
+#                           decoder (`Frame::decode`, which reads no socket)
 #   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
 #                           `ldp_server::wire::checksum` re-exports it)
 #
-# and, since a router connection is one thread driving plain sockets (no
+# and, since a router connection is one thread driving its downstream handles (no
 # writer thread per downstream, no queue, no gate), under crates/router/src:
 #
 #   * `thread::Builder` / `thread::spawn(`  exactly once (the health probe)
@@ -33,6 +38,7 @@ repo_root="$(cd -- "$(dirname -- "$0")/.." && pwd)"
 cd "$repo_root" || exit 1
 
 transport='crates/server/src/transport.rs'
+client='crates/server/src/client.rs'
 wire='crates/server/src/wire.rs'
 
 # "<file>:<lineno>:<code>" for every non-test line, trailing `//` comments
@@ -61,6 +67,12 @@ code="$(non_test_code)"
 report "TcpListener::bind( outside $transport (bind through ldp_server::Transport):" \
     "$(grep -F 'TcpListener::bind(' <<<"$code" | grep -v "^$transport:")"
 
+report "TcpStream::connect outside $client (dial through ldp_server::RemoteCollector):" \
+    "$(grep -F 'TcpStream::connect' <<<"$code" | grep -v "^$client:")"
+
+report "read_reply( outside $client / $transport (read replies through ldp_server::RemoteCollector):" \
+    "$(grep -F 'read_reply(' <<<"$code" | grep -Ev "^($client|$transport):")"
+
 report "Header::parse( outside $transport / $wire (read through ldp_server::read_reply):" \
     "$(grep -F 'Header::parse(' <<<"$code" | grep -Ev "^($transport|$wire):")"
 
@@ -85,4 +97,4 @@ if [ "$violations" -gt 0 ]; then
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one socket-side header parse, one checksum, one router thread per connection)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one socket-side header parse, one checksum, one router thread per connection)."
