@@ -135,6 +135,9 @@ pub struct RemoteCollector {
     /// Successful dials over the handle's lifetime (all but the first
     /// are reconnects).
     dials: u64,
+    /// Whether the last operation failed for good: the next `ingest` then
+    /// makes one dial and no backoff.
+    failed: bool,
     /// Ping nonce counter (each ping must echo a fresh token).
     nonce: u64,
     /// Reusable encode buffer (one frame at a time).
@@ -229,6 +232,7 @@ impl RemoteCollector {
             stop,
             poll,
             dials: 0,
+            failed: false,
             nonce: 0,
             out: Vec::with_capacity(4096),
             payload: Vec::new(),
@@ -288,7 +292,10 @@ impl RemoteCollector {
         let mut attempt = 0u32;
         loop {
             let err = match op(self) {
-                Ok(v) => return Ok(v),
+                Ok(v) => {
+                    self.failed = false;
+                    return Ok(v);
+                }
                 Err(e) => e,
             };
             self.drop_connection();
@@ -296,6 +303,7 @@ impl RemoteCollector {
                 || attempt >= budget
                 || self.stop.load(Ordering::Acquire)
             {
+                self.failed = true;
                 return Err(err);
             }
             attempt += 1;
@@ -382,8 +390,11 @@ impl RemoteCollector {
     /// backoff if the last operation failed, the policy's budget
     /// otherwise — and books it unacked until the next sync.
     fn write_ingest(&mut self, rows: u64) -> std::io::Result<()> {
-        let live = self.stream.is_some();
-        let budget = if live { self.reconnect.max_retries } else { 0 };
+        let budget = if self.failed {
+            0
+        } else {
+            self.reconnect.max_retries
+        };
         self.with_reconnect(budget, Self::write_out)?;
         self.pending_frames += 1;
         self.pending_rows += rows;
@@ -415,28 +426,29 @@ impl RemoteCollector {
     /// # Errors
     /// As [`Self::sync`].
     pub fn finish_sync(&mut self, sent: std::io::Result<()>) -> std::io::Result<IngestOutcome> {
-        let reply = self.finish(sent);
+        let reply = self.finish(sent).and_then(server_reply);
+        if let Ok(Frame::IngestAck { .. }) = reply {
+            // Everything pipelined before the barrier is now covered by
+            // the ack — no longer at risk, even when an earlier
+            // connection's loss is what this call returns.
+            self.pending_frames = 0;
+            self.pending_rows = 0;
+        }
         if let Some(loss) = self.unreported.take() {
             // The ack, if any, comes from a ledger that does not cover the
             // lost frames, so the loss outranks it.
             return Err(std::io::Error::other(loss));
         }
-        match server_reply(reply?)? {
+        match reply? {
             Frame::IngestAck {
                 accepted,
                 dropped,
                 rejected,
-            } => {
-                // Everything pipelined before the barrier is now covered
-                // by the ack — no longer at risk.
-                self.pending_frames = 0;
-                self.pending_rows = 0;
-                Ok(IngestOutcome {
-                    accepted,
-                    dropped,
-                    rejected,
-                })
-            }
+            } => Ok(IngestOutcome {
+                accepted,
+                dropped,
+                rejected,
+            }),
             other => Err(unexpected_reply(&other)),
         }
     }

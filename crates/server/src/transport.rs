@@ -5,7 +5,7 @@
 //!            ┌──────────────── Transport<B> ─────────────────┐      ┌─ Backend ─┐
 //! client ───▶│ accept ─ cap? ─ B::open ─▶ conn thread        │      │ open      │
 //!            │   └─ BUSY (counted)          │                │      │ ingest    │
-//!            │        read_frame ─ verify ─ FrameView        │ ───▶ │ sync      │
+//!            │        read_frame ─ verify ─ decode_request   │ ───▶ │ sync      │
 //!            │        ping · goodbye · UNSUPPORTED           │ ◀─── │ query     │
 //!            │        range checks · BAD_QUERY · read verbs  │      │ stats     │
 //!            │        reply encode/write · FrontMetrics      │      └───────────┘
@@ -16,8 +16,10 @@
 //!   connection cap + the one counted [`code::BUSY`] refusal +
 //!   join-on-shutdown; socket options; the reusable payload/scratch/reply
 //!   buffers; the framed read with its payload bound, checksum verify and
-//!   borrowed decode; [`code::MALFORMED`] + close on a framing error;
-//!   `Ping`, `Goodbye` and the server-to-client [`code::UNSUPPORTED`] arm;
+//!   request decode ([`Header::decode_request`]); [`code::MALFORMED`] +
+//!   close on a framing error; `Ping`, `Goodbye` and the
+//!   [`code::UNSUPPORTED`] answer to a server-to-client frame type, whose
+//!   payload is never parsed;
 //!   range validation and [`code::BAD_QUERY`]; the five read verbs
 //!   (`QueryParts` among them), answered from the backend's
 //!   [`MergedParts`]; the reply write; and
@@ -36,14 +38,14 @@
 //! path) and its per-connection loop takes any `Read + Write`, so tests
 //! drive the production loop over memory. The steady-state ingest path is
 //! **allocation- and copy-free**: the payload lands in a reusable buffer
-//! (grown once, never re-zeroed), is parsed as a borrowed [`FrameView`],
-//! and an ingest frame's columns are decoded into the connection's
-//! [`IngestScratch`] — no `Vec` per frame, no owned `ReportBatch`.
+//! (grown once, never re-zeroed), is parsed as a borrowed [`IngestView`],
+//! and its columns are decoded into the connection's [`IngestScratch`] —
+//! no `Vec` per frame, no owned `ReportBatch`.
 //!
 //! `read_frame` is the only socket-side frame reader: the driver calls it
 //! directly, [`crate::RemoteCollector`] and the router's downstream links
-//! through [`read_reply`] (`tools/lint_one_transport.sh` keeps it that
-//! way).
+//! through [`read_reply`], which decodes the owned [`Frame`]
+//! (`tools/lint_one_transport.sh` keeps it that way).
 
 use crate::wire::{
     code, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, StatsBody,
@@ -278,8 +280,8 @@ fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -
 /// into `payload_buf` (grown to the largest frame seen, then reused as a
 /// slice — `resize` from zero every frame would memset the whole payload
 /// before the read overwrites it). The payload is **not** yet verified:
-/// finish with [`Header::decode`]. `Ok(None)` is a clean close at a frame
-/// boundary.
+/// finish with [`Header::verify`] and a decode. `Ok(None)` is a clean
+/// close at a frame boundary.
 ///
 /// # Errors
 /// `InvalidData` for a framing error (the [`WireError`] text is the
@@ -329,7 +331,8 @@ pub fn read_reply(
 ) -> io::Result<Frame> {
     let (header, payload) = read_frame(stream, payload_buf, stop)?
         .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "peer closed before replying"))?;
-    Ok(header.decode(payload)?.into_owned())
+    header.verify(payload)?;
+    Ok(Frame::decode_body(header.frame_type, payload)?)
 }
 
 /// State shared by the accept loop and the connection threads.
@@ -523,8 +526,8 @@ impl<B: Backend> Shared<B> {
             };
             front.bytes_in.add((HEADER_LEN + payload.len()) as u64);
             let decode_timer = front.decode_nanos.timer();
-            let view = match header.decode(payload) {
-                Ok(view) => view,
+            let request = match header.decode_request(payload) {
+                Ok(request) => request,
                 Err(e) => {
                     decode_timer.cancel();
                     front.fail(stream, &mut out, code::MALFORMED, e.to_string());
@@ -534,8 +537,8 @@ impl<B: Backend> Shared<B> {
             drop(decode_timer);
             let verb_timer = front.count_frame(header.frame_type);
 
-            let reply = match view {
-                FrameView::Ingest(ingest) => {
+            let request = match request {
+                Some(FrameView::Ingest(ingest)) => {
                     front.ingest_frames.inc();
                     match backend.ingest(conn, &ingest, payload, &mut scratch) {
                         Ok(()) => continue, // fire-and-forget
@@ -544,7 +547,11 @@ impl<B: Backend> Shared<B> {
                         }
                     }
                 }
-                FrameView::IngestSync => match backend.sync(conn) {
+                Some(FrameView::Owned(request)) => Some(request),
+                None => None,
+            };
+            let reply = match request {
+                Some(Frame::IngestSync) => match backend.sync(conn) {
                     Ok(reply) => reply,
                     Err(e) => {
                         return front.fail(stream, &mut out, code::UNAVAILABLE, unavailable(&e))
@@ -553,12 +560,12 @@ impl<B: Backend> Shared<B> {
                 // The five read verbs, answered from whatever merge the
                 // backend produces for the range. Scalars ask for an empty
                 // one: it still carries the user ledgers they need.
-                FrameView::QueryPopulationMean => {
+                Some(Frame::QueryPopulationMean) => {
                     backend.query(conn, 0..0, |merged| Frame::PopulationMean {
                         mean: merged.population_mean(),
                     })
                 }
-                FrameView::QuerySummary => backend.query(conn, 0..0, |merged| {
+                Some(Frame::QuerySummary) => backend.query(conn, 0..0, |merged| {
                     Frame::Summary(SummaryBody {
                         total_reports: merged.total_reports(),
                         user_count: merged.user_count(),
@@ -568,14 +575,14 @@ impl<B: Backend> Shared<B> {
                         population_mean: merged.population_mean(),
                     })
                 }),
-                FrameView::QueryWindowedMean { start, end } => {
+                Some(Frame::QueryWindowedMean { start, end }) => {
                     refuse_span::<B>("windowed mean", &(start..end), false).unwrap_or_else(|| {
                         backend.query(conn, start..end, |merged| Frame::WindowedMean {
                             mean: merged.windowed_mean(start as usize..end as usize),
                         })
                     })
                 }
-                FrameView::QuerySlotMeans { start, end } => {
+                Some(Frame::QuerySlotMeans { start, end }) => {
                     refuse_span::<B>("slot means", &(start..end), false).unwrap_or_else(|| {
                         backend.query(conn, start..end, |merged| Frame::SlotMeans {
                             start,
@@ -588,34 +595,28 @@ impl<B: Backend> Shared<B> {
                 // The tier's raw mergeable contribution, clipped to what it
                 // holds: an empty clip is fine (the reply still carries the
                 // scalar ledger), a wide one is bounded like the verbs above.
-                FrameView::QueryParts { start, end } => backend.query(conn, start..end, |merged| {
-                    let span = merged.clip(start..end);
-                    refuse_span::<B>("parts", &span, true)
-                        .unwrap_or_else(|| Frame::Parts(merged.part(span)))
-                }),
-                FrameView::QueryStats => match backend.stats(conn) {
+                Some(Frame::QueryParts { start, end }) => {
+                    backend.query(conn, start..end, |merged| {
+                        let span = merged.clip(start..end);
+                        refuse_span::<B>("parts", &span, true)
+                            .unwrap_or_else(|| Frame::Parts(merged.part(span)))
+                    })
+                }
+                Some(Frame::QueryStats) => match backend.stats(conn) {
                     Ok(mut body) => {
                         front.fill(&mut body);
                         Frame::Stats(body)
                     }
                     Err(refusal) => refusal,
                 },
-                FrameView::QueryMetrics => Frame::Metrics(backend.registry().snapshot()),
-                FrameView::Ping { nonce } => Frame::Pong { nonce },
-                FrameView::Goodbye => return,
-                // Server-to-client frames arriving at a front socket: the
-                // frame parsed, so the stream is still in sync — answer
-                // with an error and keep serving.
-                FrameView::IngestAck { .. }
-                | FrameView::PopulationMean { .. }
-                | FrameView::WindowedMean { .. }
-                | FrameView::SlotMeans(_)
-                | FrameView::Summary(_)
-                | FrameView::Stats(_)
-                | FrameView::Metrics(_)
-                | FrameView::Pong { .. }
-                | FrameView::Parts(_)
-                | FrameView::Error { .. } => Frame::Error {
+                Some(Frame::QueryMetrics) => Frame::Metrics(backend.registry().snapshot()),
+                Some(Frame::Ping { nonce }) => Frame::Pong { nonce },
+                Some(Frame::Goodbye) => return,
+                // A server-to-client frame type, refused unparsed (`None`;
+                // no request decodes to any other frame). Its length prefix
+                // and checksum kept the stream in sync, so answer with an
+                // error and keep serving.
+                _ => Frame::Error {
                     code: code::UNSUPPORTED,
                     message: "frame type is server-to-client".into(),
                 },
@@ -838,6 +839,32 @@ mod tests {
         let timed = |name| snapshot.histogram(name).map(|h| h.count());
         assert_eq!(timed("mock.query.windowed_mean_nanos"), Some(1));
         assert_eq!(timed("mock.frame.decode_nanos"), Some(7));
+    }
+
+    /// A server-to-client frame type is refused from its type byte: a
+    /// `Pong` whose payload does not even parse is answered UNSUPPORTED,
+    /// not MALFORMED, and the connection keeps serving.
+    #[test]
+    fn a_misdirected_frame_is_refused_unparsed_and_the_connection_serves_on() {
+        let shared = shared(4);
+        let mut short_pong = Frame::Pong { nonce: 1 }.encode();
+        short_pong.pop(); // a 7-byte payload
+        short_pong[8..12].copy_from_slice(&7u32.to_le_bytes());
+        let sum = crate::wire::checksum(&short_pong[HEADER_LEN..]);
+        short_pong[12..16].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Frame::decode(&short_pong, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::Truncated)
+        ));
+        let mut peer = Script::new(&[short_pong, Frame::Ping { nonce: 2 }.encode()]);
+        shared.serve(&mut peer, &mut ());
+
+        let replies = peer.replies();
+        assert_eq!(error_code(&replies[0]), code::UNSUPPORTED);
+        assert_eq!(replies[1], Frame::Pong { nonce: 2 });
+        assert_eq!(replies.len(), 2);
+        assert_eq!(shared.front.frames_decoded.get(), 2);
+        assert_eq!(shared.front.frames_failed.get(), 0);
     }
 
     /// Fail-closed: a backend that cannot take an ingest frame answers

@@ -17,6 +17,8 @@
 //! driven over an in-memory `Read + Write` ([`Server::serve_stream`]), not
 //! a replica of it: the scripted peer serves warm-up frames, then the
 //! measured frames, and samples the allocator at the boundary and at EOF.
+//! The same peer pins the hostile side: megabyte-sized server-to-client
+//! frames sent to a server cost it only its refusals.
 //!
 //! Telemetry rides along deliberately: the collector's ingest metrics
 //! (fold-latency histogram, disposition counters) record inside
@@ -25,9 +27,12 @@
 //! the telemetry subsystem keeps the steady state allocation-free *while
 //! enabled and recording*.
 
-use ldp_collector::{Collector, CollectorConfig, MergedParts, ReportBatch, SnapshotPart};
-use ldp_server::wire::{Frame, IngestScratch, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
+use ldp_collector::{
+    Collector, CollectorConfig, MergedParts, ReportBatch, SlotStats, SnapshotPart,
+};
+use ldp_server::wire::{code, Frame, IngestScratch, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use ldp_server::{Server, ServerConfig};
+use ldp_telemetry::{MetricEntry, MetricValue, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -130,16 +135,21 @@ fn assert_row_bytes(batch: &ReportBatch, row_bytes: usize) {
     assert_eq!(frame.len(), HEADER_LEN + 30 + row_bytes * batch.len());
 }
 
+/// This thread's allocation events and requested bytes so far.
+fn allocation_sample() -> (u64, u64) {
+    (allocation_events(), allocated_bytes())
+}
+
 /// The in-memory peer of one scripted connection: serves `bytes` to the
-/// production loop, sampling this thread's allocation counter when the
+/// production loop, sampling this thread's allocation counters when the
 /// loop comes back for the first measured byte (everything before
 /// `boundary` is warm-up, fully processed by then) and when it reads EOF.
 struct ScriptedPeer {
     bytes: Vec<u8>,
     pos: usize,
     boundary: usize,
-    at_boundary: Option<u64>,
-    at_eof: Option<u64>,
+    at_boundary: Option<(u64, u64)>,
+    at_eof: Option<(u64, u64)>,
     /// What the loop wrote back; pre-sized, so collecting it allocates
     /// nothing on the measured thread.
     written: Vec<u8>,
@@ -148,10 +158,10 @@ struct ScriptedPeer {
 impl Read for ScriptedPeer {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.pos == self.boundary {
-            self.at_boundary.get_or_insert_with(allocation_events);
+            self.at_boundary.get_or_insert_with(allocation_sample);
         }
         if self.pos == self.bytes.len() {
-            self.at_eof.get_or_insert_with(allocation_events);
+            self.at_eof.get_or_insert_with(allocation_sample);
         }
         let n = buf.len().min(self.bytes.len() - self.pos);
         buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
@@ -179,8 +189,39 @@ impl Write for ScriptedPeer {
 struct Driven {
     /// Allocation events on this thread across the measured span.
     allocations: u64,
+    /// Bytes those allocations asked for.
+    allocated_bytes: u64,
     /// Every frame the loop wrote back, warm-up included.
     replies: Vec<Frame>,
+}
+
+/// Serves `bytes` to one connection with the production loop, measuring
+/// from `boundary` to EOF; the replies must fit `reply_capacity` bytes.
+fn serve_script(server: &Server, bytes: Vec<u8>, boundary: usize, reply_capacity: usize) -> Driven {
+    let mut peer = ScriptedPeer {
+        bytes,
+        pos: 0,
+        boundary,
+        at_boundary: None,
+        at_eof: None,
+        written: Vec::with_capacity(reply_capacity),
+    };
+    server.serve_stream(&mut peer);
+
+    let mut replies = Vec::new();
+    let mut rest = &peer.written[..];
+    while !rest.is_empty() {
+        let (reply, used) = Frame::decode(rest, DEFAULT_MAX_PAYLOAD).expect("reply decodes");
+        replies.push(reply);
+        rest = &rest[used..];
+    }
+    let (events_before, bytes_before) = peer.at_boundary.expect("measured span");
+    let (events_after, bytes_after) = peer.at_eof.expect("read to EOF");
+    Driven {
+        allocations: events_after - events_before,
+        allocated_bytes: bytes_after - bytes_before,
+        replies,
+    }
 }
 
 /// Serves one connection over memory with the production loop: `warmup`
@@ -208,27 +249,8 @@ fn drive(
         }
         bytes.extend_from_slice(&barrier);
     }
-    let mut peer = ScriptedPeer {
-        boundary: warmup * frame.len() + barrier.len(),
-        bytes,
-        pos: 0,
-        at_boundary: None,
-        at_eof: None,
-        written: Vec::with_capacity(256),
-    };
-    server.serve_stream(&mut peer);
-
-    let mut replies = Vec::new();
-    let mut rest = &peer.written[..];
-    while !rest.is_empty() {
-        let (reply, used) = Frame::decode(rest, DEFAULT_MAX_PAYLOAD).expect("reply decodes");
-        replies.push(reply);
-        rest = &rest[used..];
-    }
-    Driven {
-        allocations: peer.at_eof.expect("read to EOF") - peer.at_boundary.expect("measured span"),
-        replies,
-    }
+    let boundary = warmup * frame.len() + barrier.len();
+    serve_script(server, bytes, boundary, 256)
 }
 
 fn serving(config: CollectorConfig) -> (Arc<Collector>, Server) {
@@ -317,6 +339,68 @@ fn a_trailing_sync_reply_allocates_nothing_either() {
     let snap = collector.telemetry().snapshot();
     assert_eq!(snap.counter("server.frames.decoded"), Some(42));
     assert_eq!(snap.counter("server.frames.by_type.ingest_sync"), Some(2));
+}
+
+#[test]
+fn misdirected_replies_cost_a_server_only_its_refusals() {
+    // A server refuses a server-to-client frame type from its type byte,
+    // before parsing the payload. Four such frames of 0.5–1.2 MB, each one
+    // an owned decode would spend megabytes materializing, cost a warmed
+    // connection only the four refusal messages.
+    let (_, server) = serving(CollectorConfig::default());
+    let counters = (0..60_000u64)
+        .map(|i| MetricEntry {
+            name: format!("m{i:06}"),
+            value: MetricValue::Counter(i),
+        })
+        .collect();
+    let record = SlotStats {
+        count: 1,
+        sum: 0.5,
+        sum_sq: 0.25,
+    };
+    let misdirected = [
+        Frame::Metrics(TelemetrySnapshot { entries: counters }),
+        Frame::Parts(SnapshotPart {
+            slot_end: 40_000,
+            slots: vec![record; 40_000],
+            ..SnapshotPart::default()
+        }),
+        Frame::SlotMeans {
+            start: 0,
+            means: vec![Some(0.5); 60_000],
+        },
+        Frame::Error {
+            code: code::MALFORMED,
+            message: "x".repeat(500_000),
+        },
+    ];
+    let mut frames = Vec::new();
+    for frame in &misdirected {
+        let encoded = frame.encode();
+        assert!((500_000..1_200_000).contains(&encoded.len()));
+        frames.extend_from_slice(&encoded);
+    }
+    // The warm-up span sends the same four, growing the payload buffer to
+    // the largest; the measured span ends with a ping, so the connection
+    // is seen serving on.
+    let mut bytes = frames.repeat(2);
+    bytes.extend_from_slice(&Frame::Ping { nonce: 7 }.encode());
+    let driven = serve_script(&server, bytes, frames.len(), 1024);
+
+    assert!(
+        driven.allocated_bytes <= 1024,
+        "refusing four misdirected replies asked for {} bytes",
+        driven.allocated_bytes
+    );
+    let (refusals, pong) = driven.replies.split_at(8);
+    for refusal in refusals {
+        assert!(
+            matches!(refusal, Frame::Error { code: c, .. } if *c == code::UNSUPPORTED),
+            "{refusal:?}"
+        );
+    }
+    assert_eq!(pong, [Frame::Pong { nonce: 7 }]);
 }
 
 #[test]

@@ -252,6 +252,113 @@ fn lost_pipelined_ingest_surfaces_typed_error() {
     server.join().expect("server thread");
 }
 
+/// An ack covers the frames its connection carried even when the same
+/// `sync` reports an earlier connection's loss: those frames are not
+/// booked lost a second time when their connection dies too.
+#[test]
+fn frames_an_ack_covered_are_not_booked_lost_again() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        let mut next = |stream: &mut TcpStream| read_reply(stream, &mut buf, || false);
+        // Connection 1 takes ingest A, then hangs up on the ping: A is lost.
+        let (mut s1, _) = listener.accept().expect("accept 1");
+        assert!(matches!(next(&mut s1), Ok(Frame::Ingest { .. })));
+        assert!(matches!(next(&mut s1), Ok(Frame::Ping { .. })));
+        drop(s1);
+        // Connection 2 answers the retried ping, takes B and C, acks
+        // them, then hangs up.
+        let (mut s2, _) = listener.accept().expect("accept 2");
+        let Ok(Frame::Ping { nonce }) = next(&mut s2) else {
+            panic!("the retried ping");
+        };
+        s2.write_all(&Frame::Pong { nonce }.encode()).expect("pong");
+        for _ in 0..2 {
+            assert!(matches!(next(&mut s2), Ok(Frame::Ingest { .. })));
+        }
+        assert_eq!(next(&mut s2).expect("the barrier"), Frame::IngestSync);
+        let ack = Frame::IngestAck {
+            accepted: 4,
+            dropped: 0,
+            rejected: 0,
+        };
+        s2.write_all(&ack.encode()).expect("ack");
+        drop(s2);
+        // Connection 3: the next sync's redial.
+        let (s3, _) = listener.accept().expect("accept 3");
+        serve_empty_acks(s3);
+    });
+
+    let mut client = RemoteCollector::connect_with(
+        addr,
+        ReconnectPolicy {
+            max_retries: 3,
+            initial_backoff: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(20),
+        },
+    )
+    .expect("initial connect");
+    let rows = |user: u64| ReportBatch::from_stream(user, 0, &[0.5, 0.25]);
+    client.ingest(&rows(1)).expect("A");
+    client.ping().expect("the ping rides out the hang-up");
+    client.ingest(&rows(2)).expect("B");
+    client.ingest(&rows(3)).expect("C");
+
+    let err = client.sync().expect_err("A's loss outranks the ack");
+    let loss = err
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<IngestLoss>())
+        .copied();
+    let only_a = IngestLoss {
+        lost_frames: 1,
+        lost_rows: 2,
+    };
+    assert_eq!(loss, Some(only_a));
+
+    // Connection 2 is gone too, but everything it carried was acked.
+    let outcome = client.sync().expect("nothing unacked died with it");
+    assert_eq!(outcome.accepted, 0, "connection 3's fresh ledger");
+    assert_eq!((client.lost_frames(), client.lost_rows()), (1, 2));
+    drop(client);
+    server.join().expect("server thread");
+}
+
+/// A fresh handle's first `ingest` gets the policy's budget: a
+/// `with_stop` handle dials on first use, and a peer that comes up during
+/// the backoff takes the upload.
+#[test]
+fn a_fresh_handles_first_ingest_gets_the_retry_budget() {
+    // Reserve a port, then free it: nobody listens there until the peer
+    // binds it 30 ms into the first backoff.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|probe| probe.local_addr())
+        .expect("a free port");
+    let peer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(30));
+        let listener = TcpListener::bind(addr).expect("rebind the freed port");
+        let (mut stream, _) = listener.accept().expect("the ingest's dial");
+        read_reply(&mut stream, &mut Vec::new(), || false).expect("the upload")
+    });
+
+    let mut client = RemoteCollector::with_stop(
+        addr,
+        ReconnectPolicy {
+            max_retries: 3,
+            initial_backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_millis(50),
+        },
+        Arc::default(),
+        Duration::from_millis(10),
+    );
+    let batch = ReportBatch::from_stream(7, 0, &[0.5]);
+    client
+        .ingest(&batch)
+        .expect("the first ingest waits out a peer that is not up yet");
+    let upload = peer.join().expect("late peer");
+    assert!(matches!(upload, Frame::Ingest { users, .. } if users == [7]));
+}
+
 /// Waits (bounded) for `cond`: a dial completes in the listener's backlog
 /// before the test server's accept loop counts it.
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {

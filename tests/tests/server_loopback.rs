@@ -388,8 +388,9 @@ fn bad_queries_contract(front: &Front) {
     let tail = client.query_parts(1..u64::MAX).unwrap();
     assert_eq!((tail.start, tail.slots.len()), (1, 1 << 16));
 
-    // A server-to-client frame parses, so the stream is still in sync: it
-    // is answered UNSUPPORTED and the connection keeps serving.
+    // A server-to-client frame is refused from its type byte; its length
+    // prefix and checksum keep the stream in sync, so it is answered
+    // UNSUPPORTED and the connection keeps serving.
     let mut raw = TcpStream::connect(front.addr()).unwrap();
     let mut buf = Vec::new();
     raw.write_all(&Frame::Pong { nonce: 1 }.encode()).unwrap();

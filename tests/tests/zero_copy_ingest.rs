@@ -9,11 +9,11 @@
 //!    ingest produces.
 //! 3. The borrowed `IngestView` scratch columns agree field-for-field
 //!    with the owned `Frame` decode on well-formed ingest frames of
-//!    every size. (The owned decoder delegates to `FrameView`, but the
-//!    *column materialization* paths are genuinely distinct — scratch
-//!    bulk-widen vs owned `Vec` collect — so this comparison is not
-//!    tautological; hostile/truncated payload agreement is fuzzed in
-//!    `ldp-server`'s own proptests, next to the codec.)
+//!    every size. (`Frame::decode_body` parses an ingest payload with
+//!    `IngestView` too and widens it into fresh `Vec`s, so what this pins
+//!    is that widening into a reused scratch matches; hostile/truncated
+//!    payload agreement is fuzzed in `ldp-server`'s own proptests, next to
+//!    the codec.)
 //! 4. The single-user run fold — the path every batch whose rows share
 //!    one user takes — ≡ folding the accepted rows one `ingest_parts` at
 //!    a time: the shard's whole checkpoint image (table-scan order and

@@ -19,6 +19,14 @@
 #   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
 #                           `ldp_server::wire::checksum` re-exports it)
 #
+# and one decode per frame layout in crates/server/src/wire.rs:
+# `Frame::decode_body` parses every layout into the owned `Frame`, and
+# only the ingest payload has a borrowed form, so
+#
+#   * `pub struct` / `pub enum` with a lifetime parameter: only
+#                           `IngestView` and `FrameView` (ingest or owned)
+#   * `fn into_owned`       not at all (nothing borrowed mirrors `Frame`)
+#
 # and, since a router connection is one thread driving its downstream handles (no
 # writer thread per downstream, no queue, no gate), under crates/router/src:
 #
@@ -82,6 +90,14 @@ if [ "$(grep -c . <<<"$checksums")" -ne 1 ]; then
         "${checksums:-<none>}"
 fi
 
+wire_code="$(grep "^$wire:" <<<"$code")"
+report "borrowed pub type in $wire other than IngestView / FrameView (decode a reply with Frame::decode_body):" \
+    "$(grep -E "pub (struct|enum) [A-Za-z0-9_]+<'" <<<"$wire_code" |
+        grep -Ev "pub (struct|enum) (IngestView|FrameView)<'")"
+
+report "fn into_owned in $wire (one decode per frame layout, no borrowed mirror of Frame):" \
+    "$(grep -E '\bfn into_owned\b' <<<"$wire_code")"
+
 router_code="$(grep '^crates/router/src/' <<<"$code")"
 spawns="$(grep -E 'thread::Builder|thread::spawn\(' <<<"$router_code")"
 if [ "$(grep -c . <<<"$spawns")" -ne 1 ]; then
@@ -97,4 +113,4 @@ if [ "$violations" -gt 0 ]; then
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one dialer, one reply read, one socket-side header parse, one checksum, one router thread per connection)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one socket-side header parse, one checksum, one decode per frame layout, one router thread per connection)."
