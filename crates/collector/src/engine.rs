@@ -187,9 +187,8 @@ impl IngestOutcome {
 
 /// The collector's registered telemetry handles (see the crate-level
 /// metric catalog in the README). Disposition tallies live here — the
-/// telemetry counters ARE the collector's books, not a copy of them, so
-/// the `Stats` wire frame and the `MetricsSnapshot` frame can never
-/// disagree.
+/// telemetry counters ARE the collector's books, not a copy of them, and
+/// the wire's `Metrics` frame is the one place they travel.
 #[derive(Debug)]
 struct CollectorMetrics {
     /// `collector.reports.accepted` — reports folded into shards.

@@ -68,17 +68,21 @@
 //!   read from each) and folding the raw per-downstream contributions
 //!   with [`MergedParts::merge`] — the merge is what the driver answers
 //!   the read verbs from, `QueryParts` itself included (the merged part,
-//!   so routers stack); stats sums the downstream collectors' report
-//!   ledgers under the router's own connection counters; metrics serves
-//!   the router's registry.
+//!   so routers stack). `QueryMetrics` fans out too, nesting each
+//!   downstream's snapshot under `downstream.NN.` beside the router's
+//!   own, so one query sees the whole fleet, however deep the stack.
 
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
-use ldp_server::wire::{code, Frame, IngestScratch, IngestView, StatsBody};
+use ldp_server::wire::{
+    code, metrics_payload_len, Frame, IngestScratch, IngestView, DEFAULT_MAX_PAYLOAD,
+};
 use ldp_server::{Backend, ReconnectPolicy, RemoteCollector, Transport};
-use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
+use ldp_telemetry::{
+    Counter, Gauge, Histogram, MetricEntry, MetricValue, Registry, TelemetrySnapshot,
+};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
@@ -152,7 +156,7 @@ pub(crate) struct DownstreamMetrics {
 
 /// The federation's own books (the front-side `router.connections.* /
 /// frames.* / bytes.*` are the driver's `FrontMetrics`); handles into
-/// the router's [`Registry`], served verbatim by the metrics query frame.
+/// the router's [`Registry`], which heads the metrics query frame's reply.
 #[derive(Debug)]
 struct RouterMetrics {
     /// `router.ingest.rows` — rows arriving at the front (before
@@ -290,8 +294,8 @@ impl Router {
         &self.backend().downstreams
     }
 
-    /// A point-in-time snapshot of the router's own registry — exactly
-    /// what the metrics query frame serves.
+    /// A point-in-time snapshot of the router's own registry — what the
+    /// metrics query frame serves before its `downstream.NN.` entries.
     #[must_use]
     pub fn metrics(&self) -> TelemetrySnapshot {
         self.backend().registry.snapshot()
@@ -547,40 +551,47 @@ impl Backend for Federation {
         }
     }
 
-    /// Fans out `QueryStats` and sums the downstream collectors'
-    /// report-disposition and durability ledgers (per-downstream-WAL books
-    /// become their federation-wide total).
-    fn stats(&self, conn: &mut Links) -> Result<StatsBody, Frame> {
+    /// The router's own registry plus each downstream's entries renamed
+    /// `downstream.NN.<name>` and a `downstream.NN.answered` gauge, sorted
+    /// by name. A downstream that fails, answers anything but `Metrics`,
+    /// or whose renamed entries would overflow the `u16` name length,
+    /// collide with that gauge or push the reply past
+    /// [`DEFAULT_MAX_PAYLOAD`] is marked `answered 0`, not merged — so
+    /// no downstream can make the reply unencodable.
+    fn metrics(&self, conn: &mut Links) -> TelemetrySnapshot {
         let _t = self.metrics.fanout_query_nanos.timer();
-        let replies = self.fanout(conn, &Frame::QueryStats, RemoteCollector::finish);
-        let n = replies.len();
-        let mut sum = StatsBody::default();
-        let mut failed = 0usize;
-        for reply in replies {
-            let Ok(Frame::Stats(stats)) = reply else {
-                failed += 1;
+        let replies = self.fanout(conn, &Frame::QueryMetrics, RemoteCollector::finish);
+        let mut answered: Vec<MetricEntry> = (0..replies.len())
+            .map(|k| MetricEntry {
+                name: format!("downstream.{k:02}.answered"),
+                value: MetricValue::Gauge(0),
+            })
+            .collect();
+        let mut entries = self.registry.snapshot().entries;
+        for (k, reply) in replies.into_iter().enumerate() {
+            let Ok(Frame::Metrics(snapshot)) = reply else {
                 continue;
             };
-            sum.accepted_reports = sum.accepted_reports.saturating_add(stats.accepted_reports);
-            sum.dropped_reports = sum.dropped_reports.saturating_add(stats.dropped_reports);
-            sum.rejected_reports = sum.rejected_reports.saturating_add(stats.rejected_reports);
-            sum.upstream_rejected_reports = sum
-                .upstream_rejected_reports
-                .saturating_add(stats.upstream_rejected_reports);
-            sum.wal_appended_records = sum
-                .wal_appended_records
-                .saturating_add(stats.wal_appended_records);
-            sum.wal_appended_bytes = sum
-                .wal_appended_bytes
-                .saturating_add(stats.wal_appended_bytes);
-            sum.wal_recovered_records = sum
-                .wal_recovered_records
-                .saturating_add(stats.wal_recovered_records);
+            let renamed: Vec<MetricEntry> = snapshot
+                .entries
+                .into_iter()
+                .map(|entry| MetricEntry {
+                    name: format!("downstream.{k:02}.{}", entry.name),
+                    value: entry.value,
+                })
+                .collect();
+            let encodable = renamed
+                .iter()
+                .all(|e| e.name.len() <= usize::from(u16::MAX) && e.name != answered[k].name);
+            let len = metrics_payload_len(entries.iter().chain(&answered).chain(&renamed));
+            if encodable && len <= DEFAULT_MAX_PAYLOAD as usize {
+                answered[k].value = MetricValue::Gauge(1);
+                entries.extend(renamed);
+            }
         }
-        if failed > 0 {
-            return Err(degraded_error(failed, n));
-        }
-        Ok(sum)
+        entries.append(&mut answered);
+        entries.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        TelemetrySnapshot { entries }
     }
 }
 

@@ -22,7 +22,7 @@
 //! is asked before any reply is awaited.
 
 use crate::transport::read_reply;
-use crate::wire::{code, Frame, IngestView, StatsBody, SummaryBody};
+use crate::wire::{code, Frame, IngestView, SummaryBody};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::{thread, Arc};
 use ldp_collector::{
@@ -510,20 +510,11 @@ impl RemoteCollector {
         }
     }
 
-    /// The server's operational counters.
-    ///
-    /// # Errors
-    /// Transport errors, or a server-reported error frame.
-    pub fn server_stats(&mut self) -> std::io::Result<StatsBody> {
-        match self.request(&Frame::QueryStats)? {
-            Frame::Stats(s) => Ok(s),
-            other => Err(unexpected_reply(&other)),
-        }
-    }
-
-    /// A full telemetry snapshot of the server — every registered
-    /// counter, gauge, and histogram (with full bucket arrays, so p50/
-    /// p90/p99 latency estimates are derivable client-side).
+    /// A full telemetry snapshot of the tier — every registered counter,
+    /// gauge, and histogram (with full bucket arrays, so p50/p90/p99
+    /// latency estimates are derivable client-side). A router's carries
+    /// each downstream's snapshot under `downstream.NN.`, with a
+    /// `downstream.NN.answered` gauge (0 = that downstream is missing).
     ///
     /// # Errors
     /// Transport errors, or a server-reported error frame.

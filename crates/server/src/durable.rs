@@ -46,8 +46,8 @@ use std::time::Instant;
 pub use ldp_wal::{FlushPolicy, WalConfig};
 
 /// Durability metric handles (`wal.*` in the shared registry). Like every
-/// other subsystem's metrics, these ARE the books — the stats frame reads
-/// the same atomics.
+/// other subsystem's metrics, these ARE the books — the metrics snapshot
+/// reads the same atomics.
 #[derive(Debug)]
 struct WalMetrics {
     /// `wal.appended_records`.
@@ -321,18 +321,6 @@ impl Durability {
     #[must_use]
     pub fn appended_records(&self) -> u64 {
         self.metrics.appended_records.get()
-    }
-
-    /// Encoded bytes appended since boot.
-    #[must_use]
-    pub fn appended_bytes(&self) -> u64 {
-        self.metrics.appended_bytes.get()
-    }
-
-    /// Records replayed at the last recovery.
-    #[must_use]
-    pub fn recovered_records(&self) -> u64 {
-        self.metrics.recovered_records.get()
     }
 }
 

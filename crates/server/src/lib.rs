@@ -15,8 +15,9 @@
 //!
 //! * [`wire`] — the versioned, length-prefixed, checksummed binary frame
 //!   codec: columnar report uploads, the query request/response family
-//!   (population mean, windowed/per-slot means, snapshot summary, server
-//!   stats), and explicit error frames.
+//!   (population mean, windowed/per-slot means, snapshot summary, the
+//!   telemetry snapshot that carries every counter), and explicit error
+//!   frames.
 //! * [`transport`] — the **one** connection driver, [`Transport`]: accept
 //!   loop, connection limit, the framed read, framing-error
 //!   and bad-query replies, the read verbs, the reply write and the front
@@ -82,6 +83,6 @@ pub use durable::{recover, Durability, FlushPolicy, RecoveryReport, WalConfig};
 pub use serve::{Server, ServerConfig};
 pub use transport::{read_reply, Backend, Transport};
 pub use wire::{
-    checksum, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, StatsBody,
-    SummaryBody, WireError, METRICS_SNAPSHOT_VERSION, WIRE_VERSION,
+    checksum, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, SummaryBody,
+    WireError, METRICS_SNAPSHOT_VERSION, WIRE_VERSION,
 };

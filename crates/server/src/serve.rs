@@ -54,7 +54,7 @@
 
 use crate::durable::Durability;
 use crate::transport::{Backend, Transport};
-use crate::wire::{Frame, IngestScratch, IngestView, StatsBody};
+use crate::wire::{Frame, IngestScratch, IngestView};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
@@ -103,30 +103,6 @@ struct Local {
 impl Local {
     fn collector(&self) -> &Collector {
         self.engine.collector()
-    }
-
-    /// The report-ledger and durability half of the stats.
-    fn ledger_stats(&self) -> StatsBody {
-        let c = self.collector();
-        let (wal_appended_records, wal_appended_bytes, wal_recovered_records) =
-            match &self.durability {
-                Some(d) => (
-                    d.appended_records(),
-                    d.appended_bytes(),
-                    d.recovered_records(),
-                ),
-                None => (0, 0, 0),
-            };
-        StatsBody {
-            accepted_reports: c.total_reports(),
-            dropped_reports: c.dropped_reports(),
-            rejected_reports: c.rejected_reports(),
-            upstream_rejected_reports: c.upstream_rejected_reports(),
-            wal_appended_records,
-            wal_appended_bytes,
-            wal_recovered_records,
-            ..StatsBody::default()
-        }
     }
 }
 
@@ -205,10 +181,6 @@ impl Backend for Local {
     ) -> Frame {
         self.engine.refresh();
         answer(&self.engine.view())
-    }
-
-    fn stats(&self, _ledger: &mut IngestOutcome) -> Result<StatsBody, Frame> {
-        Ok(self.ledger_stats())
     }
 }
 
@@ -325,14 +297,6 @@ impl Server {
     #[must_use]
     pub fn collector(&self) -> &Arc<Collector> {
         &self.collector
-    }
-
-    /// Current operational counters (what the stats query frame serves).
-    #[must_use]
-    pub fn stats(&self) -> StatsBody {
-        let mut body = self.transport.backend().ledger_stats();
-        self.transport.front().fill(&mut body);
-        body
     }
 
     /// A point-in-time snapshot of every registered metric — collector,

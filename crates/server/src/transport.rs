@@ -7,7 +7,7 @@
 //!            │   └─ BUSY (counted)          │                │      │ ingest    │
 //!            │        read_frame ─ verify ─ decode_request   │ ───▶ │ sync      │
 //!            │        ping · goodbye · UNSUPPORTED           │ ◀─── │ query     │
-//!            │        range checks · BAD_QUERY · read verbs  │      │ stats     │
+//!            │        range checks · BAD_QUERY · read verbs  │      │ metrics   │
 //!            │        reply encode/write · FrontMetrics      │      └───────────┘
 //!            └───────────────────────────────────────────────┘
 //! ```
@@ -24,13 +24,12 @@
 //!   (`QueryParts` among them), answered from the backend's
 //!   [`MergedParts`]; the reply write; and
 //!   `FrontMetrics`, the `connections.* / frames.* / bytes.* /
-//!   queries.answered / ingest.frames` books and the front half of
-//!   [`StatsBody`].
+//!   queries.answered / ingest.frames` books in the backend's registry.
 //! * **A [`Backend`] says** how to open per-connection state (dropping it
 //!   closes it), what to do with an ingest frame and a sync barrier, how
-//!   to obtain the merged aggregate covering a range, and the
-//!   report-ledger half of the stats. There are
-//!   exactly two: the local collector ([`crate::serve`]) and the
+//!   to obtain the merged aggregate covering a range, and the snapshot
+//!   `QueryMetrics` answers — the one way counters reach the wire. There
+//!   are exactly two: the local collector ([`crate::serve`]) and the
 //!   federation (`ldp-router`) — a router *is* this driver with a remote
 //!   backend, which is why routers stack.
 //!
@@ -48,14 +47,14 @@
 //! (`tools/lint_one_transport.sh` keeps it that way).
 
 use crate::wire::{
-    code, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, StatsBody,
-    SummaryBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
+    code, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, SummaryBody,
+    WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
 };
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::MergedParts;
-use ldp_telemetry::{Counter, Gauge, Histogram, Registry, Timer};
+use ldp_telemetry::{Counter, Gauge, Histogram, Registry, TelemetrySnapshot, Timer};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::ops::Range;
@@ -79,8 +78,8 @@ pub trait Backend: Send + Sync + 'static {
     /// dropping it after the last frame closes it.
     type Conn: Send + 'static;
 
-    /// The registry the driver registers its front books in and
-    /// `QueryMetrics` serves.
+    /// The tier's own registry, which the driver registers its front
+    /// books in.
     fn registry(&self) -> &Registry;
 
     /// The tier's shutdown flag: set by [`Transport::shutdown`], observed
@@ -123,23 +122,22 @@ pub trait Backend: Send + Sync + 'static {
         answer: impl FnOnce(&MergedParts) -> Frame,
     ) -> Frame;
 
-    /// The report-ledger and durability half of the stats (the driver
-    /// fills in the front half: connections, frames, bytes, queries).
-    ///
-    /// # Errors
-    /// The refusal to send instead (written to the wire verbatim, and
-    /// only ever built on a cold path — hence the large `Err`).
-    #[allow(clippy::result_large_err)]
-    fn stats(&self, conn: &mut Self::Conn) -> Result<StatsBody, Frame>;
+    /// The snapshot `QueryMetrics` answers with: the tier's own registry
+    /// by default; a federation adds every downstream's, renamed under
+    /// `downstream.NN.`. Never a refusal — a downstream that cannot
+    /// answer is marked in the snapshot instead.
+    fn metrics(&self, _conn: &mut Self::Conn) -> TelemetrySnapshot {
+        self.registry().snapshot()
+    }
 }
 
 /// A tier's front-side operational metrics, registered once per tier as
 /// `<tier>.connections.*`, `<tier>.frames.*`, `<tier>.bytes.*`, … — these
-/// handles **are** the tier's books (not copies), so the stats frame and
-/// the metrics-snapshot frame can never disagree. Every update is a
+/// handles **are** the tier's books (not copies), and the metrics
+/// snapshot is the only place the wire reads them. Every update is a
 /// relaxed atomic RMW, lock-free and allocation-free.
 #[derive(Debug)]
-pub(crate) struct FrontMetrics {
+struct FrontMetrics {
     /// `<tier>.connections.active`.
     connections_active: Arc<Gauge>,
     /// `<tier>.connections.total`.
@@ -194,21 +192,6 @@ impl FrontMetrics {
                 })
                 .collect(),
         }
-    }
-
-    /// Fills the front half of `body` — connection, frame, byte and query
-    /// counters, which describe *this* tier — leaving the report-ledger
-    /// half the backend produced untouched.
-    pub(crate) fn fill(&self, body: &mut StatsBody) {
-        body.active_connections = self.connections_active.get().max(0) as u64;
-        body.total_connections = self.connections_total.get();
-        body.rejected_connections = self.connections_rejected.get();
-        body.frames_decoded = self.frames_decoded.get();
-        body.frames_failed = self.frames_failed.get();
-        body.queries_answered = self.queries_answered.get();
-        body.ingest_frames = self.ingest_frames.get();
-        body.bytes_in = self.bytes_in.get();
-        body.bytes_out = self.bytes_out.get();
     }
 
     /// Counts one successfully decoded frame; a query verb is also counted
@@ -398,11 +381,6 @@ impl<B: Backend> Transport<B> {
     #[must_use]
     pub fn backend(&self) -> &Arc<B> {
         &self.shared.backend
-    }
-
-    /// The tier's front-side books.
-    pub(crate) fn front(&self) -> &FrontMetrics {
-        &self.shared.front
     }
 
     /// Runs the production per-connection loop over `stream` on the
@@ -602,14 +580,7 @@ impl<B: Backend> Shared<B> {
                             .unwrap_or_else(|| Frame::Parts(merged.part(span)))
                     })
                 }
-                Some(Frame::QueryStats) => match backend.stats(conn) {
-                    Ok(mut body) => {
-                        front.fill(&mut body);
-                        Frame::Stats(body)
-                    }
-                    Err(refusal) => refusal,
-                },
-                Some(Frame::QueryMetrics) => Frame::Metrics(backend.registry().snapshot()),
+                Some(Frame::QueryMetrics) => Frame::Metrics(backend.metrics(conn)),
                 Some(Frame::Ping { nonce }) => Frame::Pong { nonce },
                 Some(Frame::Goodbye) => return,
                 // A server-to-client frame type, refused unparsed (`None`;
@@ -702,10 +673,6 @@ mod tests {
             answer: impl FnOnce(&MergedParts) -> Frame,
         ) -> Frame {
             answer(&MergedParts::default())
-        }
-
-        fn stats(&self, (): &mut ()) -> Result<StatsBody, Frame> {
-            Ok(StatsBody::default())
         }
     }
 

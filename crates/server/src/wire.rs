@@ -6,7 +6,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic  "LDPW"
-//!      4     1  protocol version ([`WIRE_VERSION`], currently 6)
+//!      4     1  protocol version ([`WIRE_VERSION`], currently 7)
 //!      5     1  frame type (see [`Frame`] discriminants)
 //!      6     2  reserved, must be zero
 //!      8     4  payload length, little-endian u32
@@ -62,24 +62,24 @@ pub const MAGIC: [u8; 4] = *b"LDPW";
 /// Current protocol version.
 ///
 /// History: v1 was the original protocol; v2 appended collector and
-/// transport tallies to [`StatsBody`] (the existing fields keep their
-/// offsets, but the payload layout of an existing frame changed, which
-/// per the versioning rule bumps the version) and added the
+/// transport tallies to the (since deleted) stats reply and added the
 /// [`Frame::QueryMetrics`] / [`Frame::Metrics`] telemetry frames; v3
 /// added the [`Frame::Ping`] / [`Frame::Pong`] health-check frames, the
 /// [`Frame::QueryParts`] / [`Frame::Parts`] federation-merge family, and
 /// the [`code::DEGRADED`] error code, so a v3 federation tier never
 /// half-speaks to a v2 peer that would soft-fail its health checks with
-/// `Error { UNSUPPORTED }`; v4 appended the durability tallies to
-/// [`StatsBody`] (WAL appended records/bytes and recovered records) and
+/// `Error { UNSUPPORTED }`; v4 appended the durability tallies to the
+/// stats reply (WAL appended records/bytes and recovered records) and
 /// added the [`code::UNAVAILABLE`] error code for write-ahead-log
 /// failures that force a durable server to refuse an ingest; v5: checksum
 /// computed in four lanes ([`checksum`]); no payload layout change — the
 /// bump makes a v4 peer fail as [`WireError::UnknownVersion`] before its
 /// payload is read, not as a checksum mismatch; v6: the ingest payload's
 /// user and slot columns travel as a base plus narrow offsets (see
-/// [`IngestView`]) instead of full `u64`s.
-pub const WIRE_VERSION: u8 = 6;
+/// [`IngestView`]) instead of full `u64`s; v7 deleted the stats pair —
+/// every counter travels in [`Frame::Metrics`] — and renumbered the
+/// frame types after it, keeping them the dense range `1..=19`.
+pub const WIRE_VERSION: u8 = 7;
 /// Version byte of the metrics-snapshot payload carried by
 /// [`Frame::Metrics`] — versioned independently of the envelope so the
 /// snapshot layout can evolve without a protocol-wide bump.
@@ -289,48 +289,6 @@ pub struct SummaryBody {
     pub population_mean: Option<f64>,
 }
 
-/// Server-side operational counters served by [`Frame::QueryStats`] — the
-/// numbers a dashboard needs to see the service breathing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsBody {
-    /// Reports folded into shard accumulators.
-    pub accepted_reports: u64,
-    /// Reports dropped for an out-of-bound slot index.
-    pub dropped_reports: u64,
-    /// Reports rejected for non-finite values (client- or server-side).
-    pub rejected_reports: u64,
-    /// Connections currently being served.
-    pub active_connections: u64,
-    /// Connections accepted since the server started.
-    pub total_connections: u64,
-    /// Connections turned away at the connection limit.
-    pub rejected_connections: u64,
-    /// Frames decoded successfully, across all connections.
-    pub frames_decoded: u64,
-    /// Frames refused (bad magic/version/checksum/payload/…).
-    pub frames_failed: u64,
-    /// Query frames answered.
-    pub queries_answered: u64,
-    // --- appended in wire version 2 (older fields keep their offsets) ---
-    /// Reports the *clients* rejected before upload (non-finite values),
-    /// folded into `rejected_reports` and also broken out here.
-    pub upstream_rejected_reports: u64,
-    /// Ingest frames folded, across all connections.
-    pub ingest_frames: u64,
-    /// Payload + header bytes read from clients.
-    pub bytes_in: u64,
-    /// Payload + header bytes written to clients.
-    pub bytes_out: u64,
-    // --- appended in wire version 4 (older fields keep their offsets) ---
-    /// Ingest records appended to the write-ahead log (0 when the server
-    /// runs without durability).
-    pub wal_appended_records: u64,
-    /// Encoded bytes appended to the write-ahead log.
-    pub wal_appended_bytes: u64,
-    /// Ingest records replayed from the log at the last recovery.
-    pub wal_recovered_records: u64,
-}
-
 /// One protocol message. Client→server frames are `Ingest`, `IngestSync`,
 /// the `Query*` family, `Ping` and `Goodbye`; server→client frames are
 /// `IngestAck`, the query responses, `Pong` and `Error`.
@@ -401,10 +359,6 @@ pub enum Frame {
     QuerySummary,
     /// Reply to [`Frame::QuerySummary`].
     Summary(SummaryBody),
-    /// Server-counters query.
-    QueryStats,
-    /// Reply to [`Frame::QueryStats`].
-    Stats(StatsBody),
     /// Telemetry query: asks for a full metrics snapshot.
     QueryMetrics,
     /// Reply to [`Frame::QueryMetrics`]: every registered metric —
@@ -466,16 +420,14 @@ const FT_QUERY_SLOT_MEANS: u8 = 8;
 const FT_SLOT_MEANS: u8 = 9;
 const FT_QUERY_SUMMARY: u8 = 10;
 const FT_SUMMARY: u8 = 11;
-const FT_QUERY_STATS: u8 = 12;
-const FT_STATS: u8 = 13;
-const FT_ERROR: u8 = 14;
-const FT_GOODBYE: u8 = 15;
-const FT_QUERY_METRICS: u8 = 16;
-const FT_METRICS: u8 = 17;
-const FT_PING: u8 = 18;
-const FT_PONG: u8 = 19;
-const FT_QUERY_PARTS: u8 = 20;
-const FT_PARTS: u8 = 21;
+const FT_ERROR: u8 = 12;
+const FT_GOODBYE: u8 = 13;
+const FT_QUERY_METRICS: u8 = 14;
+const FT_METRICS: u8 = 15;
+const FT_PING: u8 = 16;
+const FT_PONG: u8 = 17;
+const FT_QUERY_PARTS: u8 = 18;
+const FT_PARTS: u8 = 19;
 
 /// The contiguous range of assigned frame-type discriminants (used by the
 /// server to size its per-frame-type telemetry counters).
@@ -492,7 +444,6 @@ fn is_reply(frame_type: u8) -> bool {
             | FT_WINDOWED_MEAN
             | FT_SLOT_MEANS
             | FT_SUMMARY
-            | FT_STATS
             | FT_METRICS
             | FT_ERROR
             | FT_PONG
@@ -516,8 +467,6 @@ pub fn frame_type_name(frame_type: u8) -> Option<&'static str> {
         FT_SLOT_MEANS => "slot_means",
         FT_QUERY_SUMMARY => "query_summary",
         FT_SUMMARY => "summary",
-        FT_QUERY_STATS => "query_stats",
-        FT_STATS => "stats",
         FT_ERROR => "error",
         FT_GOODBYE => "goodbye",
         FT_QUERY_METRICS => "query_metrics",
@@ -638,6 +587,9 @@ impl<'a> Reader<'a> {
     ///   gauge:     i64 value
     ///   histogram: u64 sum, u64 max, u8 bucket count (≤ 64), count × u64
     /// ```
+    ///
+    /// A histogram whose buckets add up past `u64::MAX` is refused, so
+    /// every decoded histogram's `count()` is its exact bucket total.
     fn snapshot(&mut self) -> WireResult<TelemetrySnapshot> {
         if self.take(1)?[0] != METRICS_SNAPSHOT_VERSION {
             return Err(WireError::BadPayload("unknown metrics snapshot version"));
@@ -666,9 +618,18 @@ impl<'a> Reader<'a> {
                     if buckets > HISTOGRAM_BUCKETS {
                         return Err(WireError::BadPayload("histogram bucket count exceeds 64"));
                     }
-                    let buckets = (0..buckets)
+                    let buckets: Vec<u64> = (0..buckets)
                         .map(|_| self.u64())
                         .collect::<WireResult<_>>()?;
+                    if buckets
+                        .iter()
+                        .try_fold(0u64, |total, &n| total.checked_add(n))
+                        .is_none()
+                    {
+                        return Err(WireError::BadPayload(
+                            "histogram bucket total overflows u64",
+                        ));
+                    }
                     MetricValue::Histogram(HistogramSnapshot::from_parts(sum, max, buckets))
                 }
                 _ => return Err(WireError::BadPayload("unknown metric kind")),
@@ -688,6 +649,21 @@ impl<'a> Reader<'a> {
             Err(WireError::BadPayload("trailing bytes after payload"))
         }
     }
+}
+
+/// Bytes `entries` take as a [`Frame::Metrics`] payload (the layout is
+/// `Reader::snapshot`'s) — what a tier assembling a snapshot from other
+/// tiers' checks against [`DEFAULT_MAX_PAYLOAD`].
+#[must_use]
+pub fn metrics_payload_len<'a>(entries: impl IntoIterator<Item = &'a MetricEntry>) -> usize {
+    let value_len = |value: &MetricValue| match value {
+        MetricValue::Counter(_) | MetricValue::Gauge(_) => 8,
+        MetricValue::Histogram(h) => 17 + 8 * h.buckets().len(),
+    };
+    5 + entries
+        .into_iter()
+        .map(|entry| 3 + entry.name.len() + value_len(&entry.value))
+        .sum::<usize>()
 }
 
 /// Bulk-decodes a packed little-endian `f64`-bits column into `dst`.
@@ -1124,8 +1100,6 @@ impl Frame {
             Frame::SlotMeans { .. } => FT_SLOT_MEANS,
             Frame::QuerySummary => FT_QUERY_SUMMARY,
             Frame::Summary(_) => FT_SUMMARY,
-            Frame::QueryStats => FT_QUERY_STATS,
-            Frame::Stats(_) => FT_STATS,
             Frame::QueryMetrics => FT_QUERY_METRICS,
             Frame::Metrics(_) => FT_METRICS,
             Frame::Error { .. } => FT_ERROR,
@@ -1161,7 +1135,6 @@ impl Frame {
             Frame::IngestSync
             | Frame::QueryPopulationMean
             | Frame::QuerySummary
-            | Frame::QueryStats
             | Frame::QueryMetrics
             | Frame::Goodbye => {}
             Frame::IngestAck {
@@ -1195,28 +1168,6 @@ impl Frame {
                 buf.extend_from_slice(&s.slot_end.to_le_bytes());
                 buf.extend_from_slice(&s.frozen_count.to_le_bytes());
                 put_opt_f64(buf, s.population_mean);
-            }
-            Frame::Stats(s) => {
-                for v in [
-                    s.accepted_reports,
-                    s.dropped_reports,
-                    s.rejected_reports,
-                    s.active_connections,
-                    s.total_connections,
-                    s.rejected_connections,
-                    s.frames_decoded,
-                    s.frames_failed,
-                    s.queries_answered,
-                    s.upstream_rejected_reports,
-                    s.ingest_frames,
-                    s.bytes_in,
-                    s.bytes_out,
-                    s.wal_appended_records,
-                    s.wal_appended_bytes,
-                    s.wal_recovered_records,
-                ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
             }
             Frame::Metrics(snap) => {
                 buf.push(METRICS_SNAPSHOT_VERSION);
@@ -1356,25 +1307,6 @@ impl Frame {
                 frozen_count: r.u64()?,
                 population_mean: r.opt_f64()?,
             }),
-            FT_QUERY_STATS => Frame::QueryStats,
-            FT_STATS => Frame::Stats(StatsBody {
-                accepted_reports: r.u64()?,
-                dropped_reports: r.u64()?,
-                rejected_reports: r.u64()?,
-                active_connections: r.u64()?,
-                total_connections: r.u64()?,
-                rejected_connections: r.u64()?,
-                frames_decoded: r.u64()?,
-                frames_failed: r.u64()?,
-                queries_answered: r.u64()?,
-                upstream_rejected_reports: r.u64()?,
-                ingest_frames: r.u64()?,
-                bytes_in: r.u64()?,
-                bytes_out: r.u64()?,
-                wal_appended_records: r.u64()?,
-                wal_appended_bytes: r.u64()?,
-                wal_recovered_records: r.u64()?,
-            }),
             FT_QUERY_METRICS => Frame::QueryMetrics,
             FT_METRICS => Frame::Metrics(r.snapshot()?),
             FT_ERROR => {
@@ -1475,13 +1407,6 @@ mod tests {
                 slot_end: 44,
                 frozen_count: 600,
                 population_mean: Some(0.42),
-            }),
-            Frame::QueryStats,
-            Frame::Stats(StatsBody {
-                accepted_reports: 9,
-                frames_decoded: 3,
-                bytes_in: 4096,
-                ..StatsBody::default()
             }),
             Frame::QueryMetrics,
             Frame::Metrics(TelemetrySnapshot {
@@ -1590,6 +1515,19 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), 1 << 30);
         assert_eq!(h.p99(), snap.histogram("ingest.fold_nanos").unwrap().p99());
+
+        // The assigned types are the dense range the per-type books index.
+        assert_eq!(KNOWN_FRAME_TYPES, 1..=19);
+        assert!((1..=19).all(|ft| frame_type_name(ft).is_some()));
+        assert_eq!(frame_type_name(20), None);
+
+        // `metrics_payload_len` is the encoder's payload length, exactly.
+        for frame in &frames {
+            if let Frame::Metrics(snap) = frame {
+                let payload = metrics_payload_len(&snap.entries);
+                assert_eq!(frame.encode().len(), HEADER_LEN + payload);
+            }
+        }
     }
 
     #[test]
@@ -1719,16 +1657,25 @@ mod tests {
         // ascending" also covers).
         let unsorted = with_entries(&[encode_entry("b", 0), encode_entry("a", 0)]);
         let duplicate = with_entries(&[encode_entry("a", 0), encode_entry("a", 0)]);
+        // One histogram "h" claiming `claimed` buckets, then `buckets`.
+        let histogram = |claimed: u8, buckets: &[u64]| {
+            let mut p = vec![METRICS_SNAPSHOT_VERSION];
+            p.extend_from_slice(&1u32.to_le_bytes());
+            p.extend_from_slice(&(1u16).to_le_bytes());
+            p.push(b'h');
+            p.push(2);
+            p.extend_from_slice(&[0; 16]); // sum, max
+            p.push(claimed);
+            for b in buckets {
+                p.extend_from_slice(&b.to_le_bytes());
+            }
+            p
+        };
         // Histogram claiming more than 64 buckets.
-        let mut fat_hist = vec![METRICS_SNAPSHOT_VERSION];
-        fat_hist.extend_from_slice(&1u32.to_le_bytes());
-        fat_hist.extend_from_slice(&(1u16).to_le_bytes());
-        fat_hist.push(b'h');
-        fat_hist.push(2);
-        fat_hist.extend_from_slice(&0u64.to_le_bytes()); // sum
-        fat_hist.extend_from_slice(&0u64.to_le_bytes()); // max
-        fat_hist.push(65);
-        fat_hist.extend_from_slice(&vec![0u8; 65 * 8]);
+        let fat_hist = histogram(65, &[0; 65]);
+        // Buckets whose total overflows u64: `count()` and the quantiles
+        // add them up.
+        let overflowing = histogram(2, &[u64::MAX, 1]);
         // Non-UTF-8 name.
         let mut bad_name = vec![METRICS_SNAPSHOT_VERSION];
         bad_name.extend_from_slice(&1u32.to_le_bytes());
@@ -1737,12 +1684,25 @@ mod tests {
         bad_name.push(0);
         bad_name.extend_from_slice(&0u64.to_le_bytes());
 
-        for payload in [bad_kind, unsorted, duplicate, fat_hist, bad_name] {
+        for payload in [
+            bad_kind,
+            unsorted,
+            duplicate,
+            fat_hist,
+            overflowing,
+            bad_name,
+        ] {
             assert!(matches!(
                 Frame::decode(&metrics_frame_with_payload(&payload), DEFAULT_MAX_PAYLOAD),
                 Err(WireError::BadPayload(_))
             ));
         }
+        // A total of exactly `u64::MAX` still fits, and counts exactly.
+        let full = metrics_frame_with_payload(&histogram(2, &[u64::MAX, 0]));
+        let Ok((Frame::Metrics(snap), _)) = Frame::decode(&full, DEFAULT_MAX_PAYLOAD) else {
+            panic!("a full histogram decodes");
+        };
+        assert_eq!(snap.histogram("h").unwrap().count(), u64::MAX);
 
         // Truncation anywhere in a valid metrics frame is caught (by the
         // checksum at the envelope level, or Truncated below it).
@@ -2372,24 +2332,6 @@ mod tests {
                 slot_end: start + len,
                 frozen_count: len * 3,
                 population_mean: opt,
-            }));
-            round_trip(&Frame::Stats(StatsBody {
-                accepted_reports: start,
-                dropped_reports: len,
-                rejected_reports: n_means as u64,
-                active_connections: 3,
-                total_connections: 9,
-                rejected_connections: 1,
-                frames_decoded: start / 3,
-                frames_failed: 2,
-                queries_answered: len,
-                upstream_rejected_reports: n_means as u64 / 2,
-                ingest_frames: start / 7,
-                bytes_in: start * 24,
-                bytes_out: len * 17,
-                wal_appended_records: start / 5,
-                wal_appended_bytes: start * 31,
-                wal_recovered_records: len / 2,
             }));
             round_trip(&Frame::Ping { nonce: start.wrapping_mul(len + 1) });
             round_trip(&Frame::Pong { nonce: start ^ len });

@@ -6,7 +6,8 @@
 //! a *remote* dashboard — a separate connection polling the query frames
 //! (summary, windowed mean, population mean) and the server's operational
 //! counters (accepted/dropped/rejected reports, connections, frames
-//! decoded/failed) while ingest runs.
+//! decoded/failed) — read from its metrics snapshot, the one place the
+//! wire carries counters — while ingest runs.
 //!
 //! Run: `cargo run --release -p ldp-examples --bin remote_dashboard`
 
@@ -14,6 +15,7 @@ use ldp_collector::{ClientFleet, Collector, CollectorConfig, FleetConfig, SlotRe
 use ldp_core::{PipelineSpec, SessionKind};
 use ldp_server::{drive_fleet_remote, RemoteCollector, Server, ServerConfig};
 use ldp_streams::synthetic::taxi_population;
+use ldp_telemetry::TelemetrySnapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,7 +68,8 @@ fn main() {
     print_row(start, &mut dash, w);
 
     let elapsed = start.elapsed();
-    let stats = dash.server_stats().expect("stats");
+    let metrics = dash.metrics().expect("metrics");
+    let counter = |name| count(&metrics, name);
     let summary = dash.summary().expect("summary");
     println!(
         "\n{uploaded} reports in {elapsed:.2?} ({:.1}M reports/s) through the wire path",
@@ -75,23 +78,22 @@ fn main() {
     println!(
         "server counters: {} accepted, {} dropped, {} rejected ({} upstream); \
          {} connections total ({} refused); {} frames decoded, {} failed; {} queries",
-        stats.accepted_reports,
-        stats.dropped_reports,
-        stats.rejected_reports,
-        stats.upstream_rejected_reports,
-        stats.total_connections,
-        stats.rejected_connections,
-        stats.frames_decoded,
-        stats.frames_failed,
-        stats.queries_answered,
+        counter("collector.reports.accepted"),
+        counter("collector.reports.dropped"),
+        counter("collector.reports.rejected"),
+        counter("collector.reports.rejected_upstream"),
+        counter("server.connections.total"),
+        counter("server.connections.rejected"),
+        counter("server.frames.decoded"),
+        counter("server.frames.failed"),
+        counter("server.queries.answered"),
     );
     println!(
         "wire transport: {} ingest frames, {:.1} MiB in, {:.1} MiB out",
-        stats.ingest_frames,
-        stats.bytes_in as f64 / (1 << 20) as f64,
-        stats.bytes_out as f64 / (1 << 20) as f64,
+        counter("server.ingest.frames"),
+        counter("server.bytes.in") as f64 / (1 << 20) as f64,
+        counter("server.bytes.out") as f64 / (1 << 20) as f64,
     );
-    let metrics = dash.metrics().expect("metrics");
     if let Some(fold) = metrics.histogram("collector.ingest.fold_nanos") {
         println!(
             "ingest fold latency: p99 ≤ {}µs over {} batches (p50 ≤ {}µs, max {}µs)",
@@ -110,9 +112,14 @@ fn main() {
     );
 }
 
+/// A counter from the server's metrics snapshot (0 if unregistered).
+fn count(metrics: &TelemetrySnapshot, name: &str) -> u64 {
+    metrics.counter(name).unwrap_or(0)
+}
+
 fn print_row(start: Instant, dash: &mut RemoteCollector, w: usize) {
     let summary = dash.summary().expect("summary query");
-    let stats = dash.server_stats().expect("stats query");
+    let metrics = dash.metrics().expect("metrics query");
     let end = summary.slot_end;
     let from = end.saturating_sub(w as u64).max(summary.retained_base);
     let window = if from < end {
@@ -125,11 +132,11 @@ fn print_row(start: Instant, dash: &mut RemoteCollector, w: usize) {
         "  {:>7.0?}  {:>8}   {:>5}   {:>6}/{:<3}      {:>11}   {:>15}   {:>7}",
         start.elapsed(),
         summary.total_reports,
-        stats.active_connections,
-        stats.frames_decoded,
-        stats.frames_failed,
+        metrics.gauge("server.connections.active").unwrap_or(0),
+        count(&metrics, "server.frames.decoded"),
+        count(&metrics, "server.frames.failed"),
         fmt(window),
         fmt(summary.population_mean),
-        stats.queries_answered,
+        count(&metrics, "server.queries.answered"),
     );
 }

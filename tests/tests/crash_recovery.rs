@@ -229,10 +229,11 @@ fn sigkill_then_restart_recovers_every_acked_report() {
             (Some(a), Some(b)) => assert_close(a, b, "population mean across the crash"),
             (a, b) => panic!("population mean availability changed: {a:?} vs {b:?}"),
         }
-        let stats = client.server_stats().expect("stats");
+        let metrics = client.metrics().expect("metrics");
         assert_eq!(
-            stats.wal_recovered_records, 3,
-            "wire stats carry the replay"
+            metrics.counter("wal.recovered_records"),
+            Some(3),
+            "wire metrics carry the replay"
         );
 
         // The recovered server keeps serving: second wave, acked.

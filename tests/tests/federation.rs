@@ -12,6 +12,7 @@
 use ldp_collector::ReportBatch;
 use ldp_router::{downstream_of, Router, RouterConfig};
 use ldp_server::RemoteCollector;
+use ldp_telemetry::{MetricValue, TelemetrySnapshot};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -157,6 +158,21 @@ fn synthetic_batches(
 }
 
 /// Uploads every batch through `client` and returns the sync ledger.
+/// `name` summed over every collector a router's metrics carry, at any
+/// depth of `downstream.NN.` nesting.
+fn fleet_counter(metrics: &TelemetrySnapshot, name: &str) -> u64 {
+    let nested = format!(".{name}");
+    metrics
+        .entries
+        .iter()
+        .filter(|e| e.name.starts_with("downstream.") && e.name.ends_with(&nested))
+        .map(|e| match e.value {
+            MetricValue::Counter(v) => v,
+            ref other => panic!("{} is not a counter: {other:?}", e.name),
+        })
+        .sum()
+}
+
 fn upload(client: &mut RemoteCollector, batches: &[ReportBatch]) -> ldp_collector::IngestOutcome {
     for batch in batches {
         client.ingest(batch).expect("ingest");
@@ -250,21 +266,32 @@ fn assert_all_verbs_agree(
             &format!("{what}: part slot {slot} sum_sq"),
         );
     }
-    // stats: the merged report ledger
-    let (fst, sst) = (
-        fed.server_stats().expect("fed stats"),
-        single.server_stats().expect("single stats"),
+    // metrics: every downstream's report ledger, summed
+    let (fm, sm) = (
+        fed.metrics().expect("fed metrics"),
+        single.metrics().expect("single metrics"),
+    );
+    for name in ["collector.reports.accepted", "collector.reports.rejected"] {
+        assert_eq!(
+            fleet_counter(&fm, name),
+            sm.counter(name).expect("registered"),
+            "{what}: {name}"
+        );
+    }
+    // (`downstream.NN.answered` is the one gauge of that name; the
+    // `*.queries.answered` books are counters.)
+    let answered: Vec<_> = fm
+        .entries
+        .iter()
+        .filter(|e| e.name.ends_with(".answered") && matches!(e.value, MetricValue::Gauge(_)))
+        .collect();
+    assert!(
+        !answered.is_empty() && answered.iter().all(|e| e.value == MetricValue::Gauge(1)),
+        "{what}: every downstream answered: {answered:?}"
     );
     assert_eq!(
-        fst.accepted_reports, sst.accepted_reports,
-        "{what}: accepted"
-    );
-    assert_eq!(
-        fst.rejected_reports, sst.rejected_reports,
-        "{what}: rejected"
-    );
-    assert_eq!(
-        fst.frames_failed, 0,
+        fm.counter("router.frames.failed"),
+        Some(0),
         "{what}: no failed frames at the router"
     );
     // ping end-to-end through the front
@@ -320,6 +347,52 @@ fn federated_queries_agree_with_single_collector() {
             0
         );
     }
+}
+
+/// Routers stack: a front router over a router over two real servers
+/// answers every verb like one collector, and its one `Metrics` reply
+/// carries both servers' ledgers two levels down.
+#[test]
+fn stacked_routers_agree_and_nest_their_metrics() {
+    const SLOTS: u64 = 16;
+    let downstreams = spawn_servers(2, &[]);
+    let single = spawn_servers(1, &[]);
+    let inner = Router::bind(
+        downstreams.iter().map(|c| c.addr).collect(),
+        RouterConfig::default(),
+    )
+    .expect("bind inner router");
+    let front =
+        Router::bind(vec![inner.local_addr()], RouterConfig::default()).expect("bind front router");
+
+    let batches = synthetic_batches(6, 512, 200, SLOTS);
+    let mut fed = RemoteCollector::connect(front.local_addr()).expect("connect front");
+    let mut one = RemoteCollector::connect(single[0].addr).expect("connect single");
+    assert_eq!(upload(&mut fed, &batches), upload(&mut one, &batches));
+
+    assert_all_verbs_agree(&mut fed, &mut one, SLOTS, "stacked routers");
+
+    let (fm, sm) = (
+        fed.metrics().expect("front"),
+        one.metrics().expect("single"),
+    );
+    for name in ["collector.reports.accepted", "collector.reports.rejected"] {
+        let nested: u64 = (0..2)
+            .map(|k| {
+                fm.counter(&format!("downstream.00.downstream.{k:02}.{name}"))
+                    .expect("two levels down")
+            })
+            .sum();
+        assert_eq!(nested, sm.counter(name).expect("registered"), "{name}");
+    }
+    for answered in [
+        "downstream.00.answered",
+        "downstream.00.downstream.00.answered",
+        "downstream.00.downstream.01.answered",
+    ] {
+        assert_eq!(fm.gauge(answered), Some(1), "{answered}");
+    }
+    assert!(fm.counter("downstream.00.router.ingest.rows") > Some(0));
 }
 
 /// Same agreement with bounded retention: every downstream expires

@@ -15,11 +15,14 @@
 //!    target costs `1 + max_retries` dials per fanned-out request.
 //! 4. **Shutdown is never held by a downstream** — the health probe's
 //!    reply read ends at shutdown like a link's.
+//! 5. **No downstream can break the merged `Metrics` reply** — one that
+//!    fails or answers unencodably is marked `answered 0`, not refused.
 
 use ldp_collector::{ReportBatch, SnapshotPart};
 use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::Frame;
 use ldp_server::{read_reply, RemoteCollector};
+use ldp_telemetry::{MetricEntry, MetricValue, TelemetrySnapshot};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -332,10 +335,59 @@ fn a_dead_target_costs_one_dial_plus_the_retry_budget_per_request() {
     wait_for(|| dead.accepted() == 1 + per_request, "the query's dials");
     assert_degraded(&client.sync().unwrap_err());
     wait_for(|| dead.accepted() == 1 + 2 * per_request, "the barrier's");
-    assert_degraded(&client.server_stats().unwrap_err());
-    wait_for(|| dead.accepted() == 1 + 3 * per_request, "the stats'");
+    // Metrics are not refused: the dead downstream is marked unanswered.
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.gauge("downstream.00.answered"), Some(0));
+    wait_for(|| dead.accepted() == 1 + 3 * per_request, "the metrics'");
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(dead.accepted(), 1 + 3 * per_request, "and not one more");
+
+    drop(client);
+    router.shutdown();
+}
+
+/// A router's `Metrics` carries each downstream's snapshot under
+/// `downstream.NN.`; a downstream whose names would not fit the wire's
+/// `u16` name length once renamed is marked `answered 0` instead, the
+/// reply still encodes, and the connection keeps serving.
+#[test]
+fn a_downstream_metric_name_too_long_to_rename_is_marked_not_merged() {
+    let snapshot = |name: String| {
+        Frame::Metrics(TelemetrySnapshot {
+            entries: vec![MetricEntry {
+                name,
+                value: MetricValue::Counter(7),
+            }],
+        })
+    };
+    let script = |name: &'static str, len: usize| {
+        move |stream, _: &AtomicBool| {
+            respond(stream, |frame, _| match frame {
+                Frame::QueryMetrics => Some(snapshot(name.repeat(len))),
+                _ => None,
+            });
+        }
+    };
+    let fine = FakeDownstream::start(script("a", 1));
+    let hostile = FakeDownstream::start(script("x", 65_530));
+    let mut router = quiet_router(vec![fine.addr, hostile.addr]);
+    let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
+
+    for _ in 0..2 {
+        let metrics = client.metrics().expect("the router replies");
+        assert_eq!(metrics.gauge("downstream.00.answered"), Some(1));
+        assert_eq!(metrics.counter("downstream.00.a"), Some(7));
+        assert_eq!(metrics.gauge("downstream.01.answered"), Some(0));
+        let from_hostile = metrics
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with("downstream.01."))
+            .count();
+        assert_eq!(from_hostile, 1, "only the answered gauge");
+        assert!(metrics.counter("router.queries.answered") > Some(0));
+    }
+    client.ping().expect("the connection keeps serving");
+    assert_eq!(client.reconnects(), 0, "on the one connection");
 
     drop(client);
     router.shutdown();

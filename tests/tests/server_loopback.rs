@@ -10,7 +10,7 @@
 //!    connections keep ingesting and querying. This *transport contract*
 //!    is written once and run against both tiers — a `Server`, and a
 //!    `Router` over a `Server`.
-//! 3. **Accounting** — the server's stats frame reports exactly what the
+//! 3. **Accounting** — the server's metrics frame reports exactly what the
 //!    collector and the connection ledgers saw.
 
 use ldp_collector::{
@@ -107,20 +107,21 @@ fn remote_fleet_agrees_with_in_process_fleet() {
         assert_eq!(served.total_reports(), reference.total_reports());
         assert_eq!(served.per_user_means(), reference.per_user_means());
 
-        // Summary + stats frames account for everything.
+        // Summary + metrics frames account for everything.
         let summary = client.summary().unwrap();
         assert_eq!(summary.total_reports, local_accepted);
         assert_eq!(summary.user_count, users as u64);
         assert_eq!(summary.slot_end, slots as u64);
-        let stats = client.server_stats().unwrap();
-        assert_eq!(stats.accepted_reports, local_accepted);
-        assert_eq!(stats.dropped_reports, 0);
-        assert_eq!(stats.frames_failed, 0);
+        let metrics = client.metrics().unwrap();
+        let counter = |name| metrics.counter(name).expect("registered");
+        assert_eq!(counter("collector.reports.accepted"), local_accepted);
+        assert_eq!(counter("collector.reports.dropped"), 0);
+        assert_eq!(counter("server.frames.failed"), 0);
         assert!(
-            stats.frames_decoded >= users as u64,
+            counter("server.frames.decoded") >= users as u64,
             "one ingest frame per user"
         );
-        assert!(stats.queries_answered > 0);
+        assert!(counter("server.queries.answered") > 0);
     }
 }
 
@@ -147,10 +148,10 @@ fn ingest_sync_ledger_accounts_for_drops_and_rejects() {
     assert_eq!(totals.dropped, 1);
     assert_eq!(totals.rejected, 1, "client-side NaN reaches the ledger");
 
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.accepted_reports, 2);
-    assert_eq!(stats.dropped_reports, 1);
-    assert_eq!(stats.rejected_reports, 1);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.counter("collector.reports.accepted"), Some(2));
+    assert_eq!(metrics.counter("collector.reports.dropped"), Some(1));
+    assert_eq!(metrics.counter("collector.reports.rejected"), Some(1));
 
     // A NaN smuggled around ReportBatch::push (raw columns, as a buggy
     // client could) is still screened server-side.
@@ -216,6 +217,23 @@ impl Front {
         match self {
             Front::Server(server) => ("server", server.metrics()),
             Front::Router { router, .. } => ("router", router.metrics()),
+        }
+    }
+
+    /// The prefix the tier's front books carry.
+    fn tier(&self) -> &'static str {
+        match self {
+            Front::Server(_) => "server",
+            Front::Router { .. } => "router",
+        }
+    }
+
+    /// Where the collector's books sit in the tier's wire-served metrics:
+    /// at the top of a server's, under its one downstream's in a router's.
+    fn ledger(&self) -> &'static str {
+        match self {
+            Front::Server(_) => "",
+            Front::Router { .. } => "downstream.00.",
         }
     }
 
@@ -298,19 +316,22 @@ fn malformed_frames_contract(front: &Front) {
     assert!(healthy.population_mean().unwrap().is_some());
     // The truncated-EOF connection races the accept loop: poll until the
     // front has processed (and counted) all six malformed streams.
-    let mut stats = healthy.server_stats().unwrap();
+    let failed_name = format!("{}.frames.failed", front.tier());
+    let mut wire = healthy.metrics().unwrap();
     for _ in 0..200 {
-        if stats.frames_failed >= 6 {
+        if wire.counter(&failed_name) >= Some(6) {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
-        stats = healthy.server_stats().unwrap();
+        wire = healthy.metrics().unwrap();
     }
-    assert!(
-        stats.frames_failed >= 6,
-        "each malformed stream counted: {stats:?}"
+    let failed = wire.counter(&failed_name).expect("registered");
+    assert!(failed >= 6, "each malformed stream counted: {failed}");
+    assert_eq!(
+        wire.counter(&format!("{}collector.reports.accepted", front.ledger())),
+        Some(4),
+        "nothing malformed was folded"
     );
-    assert_eq!(stats.accepted_reports, 4, "nothing malformed was folded");
     assert_eq!(healthy.summary().unwrap().total_reports, 4);
 
     // The per-type books are the same driver's at either tier: both
@@ -319,7 +340,7 @@ fn malformed_frames_contract(front: &Front) {
     let counter = |name: &str| metrics.counter(&format!("{tier}.{name}"));
     assert_eq!(counter("ingest.frames"), Some(2));
     assert_eq!(counter("frames.by_type.ingest"), counter("ingest.frames"));
-    assert_eq!(counter("frames.failed"), Some(stats.frames_failed));
+    assert_eq!(counter("frames.failed"), Some(failed));
 }
 
 #[test]
@@ -403,7 +424,8 @@ fn bad_queries_contract(front: &Front) {
     assert_eq!(pong, Frame::Pong { nonce: 2 });
 
     // None of that was a framing failure.
-    assert_eq!(client.server_stats().unwrap().frames_failed, 0);
+    let failed = format!("{}.frames.failed", front.tier());
+    assert_eq!(client.metrics().unwrap().counter(&failed), Some(0));
 }
 
 #[test]
@@ -526,17 +548,19 @@ fn connection_limit_contract(mut front: Front) {
     assert!(refused, "over-limit connection was never refused with BUSY");
 
     // The first connection is untouched by the refusals, and reads them
-    // back through QueryStats.
+    // back through QueryMetrics — the same books the tier holds.
     assert!(first.population_mean().unwrap().is_some());
-    let stats = first.server_stats().unwrap();
-    assert!(stats.rejected_connections >= 1, "{stats:?}");
-    assert_eq!(stats.active_connections, 1);
-    if let Front::Server(server) = &front {
-        assert_eq!(
-            server.stats().rejected_connections,
-            stats.rejected_connections
-        );
-    }
+    let wire = first.metrics().unwrap();
+    let (tier, books) = front.metrics();
+    let rejected = wire
+        .counter(&format!("{tier}.connections.rejected"))
+        .expect("registered");
+    assert!(rejected >= 1, "{rejected}");
+    assert_eq!(wire.gauge(&format!("{tier}.connections.active")), Some(1));
+    assert_eq!(
+        books.counter(&format!("{tier}.connections.rejected")),
+        Some(rejected)
+    );
 
     front.shutdown(); // idempotent, joins accept/helper/conn threads
     front.shutdown();

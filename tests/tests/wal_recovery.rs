@@ -11,7 +11,7 @@
 //! * **Server round trip** — a durable loopback [`Server`] driven over
 //!   real TCP, shut down cleanly, recovers to the exact pre-shutdown
 //!   state: ledger tallies exact, per-user means bit-identical,
-//!   wire-served stats carrying the WAL books.
+//!   wire-served metrics carrying the WAL books.
 //! * **Power loss** — `simulate_power_loss` (buffered bytes vanish, the
 //!   active segment truncates to the fsync high-water mark) loses only
 //!   what no ack ever covered: every synced batch survives exactly.
@@ -215,7 +215,7 @@ fn recovery_then_more_ingest_then_recovery_again() {
 
 /// The headline guarantee: a durable server driven over loopback TCP,
 /// shut down cleanly, recovers to the exact pre-shutdown state — and the
-/// recovered server's wire stats carry the WAL books.
+/// server's wire-served metrics carry the WAL books.
 #[test]
 fn durable_server_clean_shutdown_recovers_exact_state() {
     let dir = temp_dir("srv");
@@ -231,9 +231,9 @@ fn durable_server_clean_shutdown_recovers_exact_state() {
         }
         let ack = client.sync().expect("sync");
         assert_eq!(ack.accepted, BATCHES * 16);
-        let stats = client.server_stats().expect("stats");
-        assert_eq!(stats.wal_appended_records, BATCHES);
-        assert!(stats.wal_appended_bytes > 0);
+        let metrics = client.metrics().expect("metrics");
+        assert_eq!(metrics.counter("wal.appended_records"), Some(BATCHES));
+        assert!(metrics.counter("wal.appended_bytes") > Some(0));
         drop(client);
         let totals = collector.total_reports();
         let means = user_mean_bits(&collector);
@@ -281,14 +281,14 @@ fn power_loss_preserves_every_acked_batch_exactly() {
         }
         let ack = client.sync().expect("sync");
         assert_eq!(ack.accepted, ACKED * 16);
-        // Two more pipelined frames, never synced. The stats query (FIFO
+        // Two more pipelined frames, never synced. The metrics query (FIFO
         // behind them on the connection) proves the server folded and
         // appended them before the power cut — they are lost from the
         // *log tail*, not unsent.
         client.ingest(&batch(ACKED)).expect("ingest");
         client.ingest(&batch(ACKED + 1)).expect("ingest");
-        let stats = client.server_stats().expect("stats");
-        assert_eq!(stats.wal_appended_records, ACKED + 2);
+        let metrics = client.metrics().expect("metrics");
+        assert_eq!(metrics.counter("wal.appended_records"), Some(ACKED + 2));
         d.simulate_power_loss().expect("power loss");
         drop(client);
         drop(server); // shutdown's seal fails on the dead log (counted), harmless

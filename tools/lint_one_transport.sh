@@ -33,6 +33,12 @@
 #   * `thread::Builder` / `thread::spawn(`  exactly once (the health probe)
 #   * `Mutex` / `Condvar`                   not at all
 #
+# and one set of books on the wire: every counter reaches it through the
+# `Metrics` frame (`Backend::metrics`), never a second hand-copied ledger,
+# so anywhere under crates/:
+#
+#   * `StatsBody` / `QueryStats` / `fn stats(`  not at all
+#
 # Only non-test library code is scanned: every `*.rs` under a `src/` of
 # `crates/`, up to its first `#[cfg(test)]`. Integration tests and
 # `benchmark/` build fake peers and measure codec stages on purpose.
@@ -108,9 +114,12 @@ fi
 report "Mutex / Condvar under crates/router/src (a connection's thread owns its links outright):" \
     "$(grep -E '\b(Mutex|Condvar)\b' <<<"$router_code")"
 
+report "a second ledger on the wire (counters travel only in Frame::Metrics):" \
+    "$(grep -E '\b(StatsBody|QueryStats)\b|\bfn stats\(' <<<"$code")"
+
 if [ "$violations" -gt 0 ]; then
     echo "one-transport lint: $violations violation(s)." >&2
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one dialer, one reply read, one socket-side header parse, one checksum, one decode per frame layout, one router thread per connection)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one socket-side header parse, one checksum, one decode per frame layout, one router thread per connection, one set of books on the wire)."
