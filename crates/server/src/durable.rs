@@ -34,7 +34,7 @@
 //! and two `std::sync::mpsc` queues), so the explorer sees exactly the
 //! decisions the calling thread makes.
 
-use crate::wire::{IngestScratch, IngestView};
+use crate::wire::{IngestScratch, IngestView, HEADER_LEN};
 use ldp_collector::sync::{Arc, Mutex, RwLock};
 use ldp_collector::{Collector, CollectorConfig, IngestOutcome};
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry};
@@ -52,7 +52,7 @@ pub use ldp_wal::{FlushPolicy, WalConfig};
 struct WalMetrics {
     /// `wal.appended_records`.
     appended_records: Arc<Counter>,
-    /// `wal.appended_bytes` (encoded record bytes, framing included).
+    /// `wal.appended_bytes` (logged frame bytes, header included).
     appended_bytes: Arc<Counter>,
     /// `wal.flush_nanos` — time inside a sync barrier (flush + fsync).
     flush_nanos: Arc<Histogram>,
@@ -173,7 +173,10 @@ impl Durability {
         let gate = self.gate.read().expect("durability gate poisoned");
         let append = {
             let mut wal = self.wal.lock().expect("wal mutex poisoned");
-            wal.append(payload)
+            let append = wal.append(payload);
+            // An append that rolled the segment changed the count.
+            self.metrics.segments.set(wal.live_segments() as i64);
+            append
         };
         if let Err(e) = append {
             self.metrics.failures.inc();
@@ -183,7 +186,7 @@ impl Durability {
         self.metrics.appended_records.inc();
         self.metrics
             .appended_bytes
-            .add(ldp_wal::record::encoded_len(payload.len()) as u64);
+            .add((HEADER_LEN + payload.len()) as u64);
         let outcome = apply_payload(collector, payload, scratch);
         drop(gate);
         outcome
@@ -483,9 +486,95 @@ fn replay_overlapped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Frame, HEADER_LEN};
+    use crate::wire::{Frame, WireError, DEFAULT_MAX_PAYLOAD, KNOWN_FRAME_TYPES};
     use ldp_collector::sync::atomic::{AtomicUsize, Ordering};
     use ldp_collector::ReportBatch;
+    use ldp_wal::record::SEAL;
+    use std::path::{Path, PathBuf};
+
+    /// The directory's `seg-*` files in sequence order.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut segments: Vec<_> = std::fs::read_dir(dir)
+            .expect("log directory")
+            .map(|entry| entry.expect("entry").path())
+            .filter(|path| {
+                path.file_name()
+                    .is_some_and(|name| name.to_string_lossy().starts_with("seg-"))
+            })
+            .collect();
+        segments.sort();
+        segments
+    }
+
+    #[test]
+    fn a_segment_is_a_file_of_wire_frames() {
+        let dir = std::env::temp_dir().join(format!("ldp-durable-frames-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut wal, _) = Wal::open(WalConfig::new(&dir)).expect("fresh log");
+        let frames: Vec<Frame> = (0..3u64)
+            .map(|salt| Frame::Ingest {
+                rejected_upstream: salt,
+                users: (0..40).map(|u| u * 7 + salt).collect(),
+                slots: (0..40).map(|u| u / 8 + salt * 1000).collect(),
+                values: (0..40).map(|u| u as f64 / 40.0 - salt as f64).collect(),
+            })
+            .collect();
+        let mut sent = Vec::new();
+        for frame in &frames {
+            let bytes = frame.encode();
+            wal.append(&bytes[HEADER_LEN..]).expect("append");
+            sent.extend_from_slice(&bytes);
+        }
+        wal.seal().expect("seal");
+        drop(wal);
+
+        let segments = segment_files(&dir);
+        assert_eq!(segments.len(), 1);
+        let logged = std::fs::read(&segments[0]).expect("segment");
+        assert_eq!(logged[..sent.len()], sent, "the wire's bytes, as sent");
+        let mut at = 0;
+        for frame in &frames {
+            let (decoded, used) = Frame::decode(&logged[at..], DEFAULT_MAX_PAYLOAD).expect("frame");
+            assert_eq!(&decoded, frame);
+            at += used;
+        }
+        // The seal is an envelope the wire refuses by its type alone.
+        assert_eq!(logged.len(), at + HEADER_LEN);
+        assert!(matches!(
+            Frame::decode(&logged[at..], DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnknownFrameType(SEAL))
+        ));
+        assert!(!KNOWN_FRAME_TYPES.contains(&SEAL));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_segments_gauge_counts_the_files_after_every_roll() {
+        let dir = std::env::temp_dir().join(format!("ldp-durable-gauge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal_config = WalConfig::new(&dir)
+            .segment_bytes(256)
+            .checkpoint_segments(64);
+        let (collector, durability, _) =
+            recover(CollectorConfig::default(), wal_config).expect("fresh durable collector");
+        let mut batch = ReportBatch::new();
+        for user in 0..64u64 {
+            batch.push(user, user % 4, 0.5);
+        }
+        let mut frame = Vec::new();
+        Frame::encode_ingest_into(&batch, &mut frame);
+        let mut scratch = IngestScratch::default();
+        for _ in 0..10 {
+            durability
+                .ingest_frame(&collector, &frame[HEADER_LEN..], &mut scratch)
+                .expect("durable ingest");
+            let gauge = collector.telemetry().snapshot().gauge("wal.segments");
+            assert_eq!(gauge, Some(segment_files(&dir).len() as i64));
+        }
+        assert_eq!(segment_files(&dir).len(), 11, "every append rolled");
+        drop(durability);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn connections_that_both_saw_the_trigger_take_one_checkpoint() {
@@ -629,15 +718,7 @@ mod tests {
     #[test]
     fn an_unreadable_segment_fails_recovery_promptly() {
         let config = write_log("unreadable", 200, |_| {});
-        let mut segments: Vec<_> = std::fs::read_dir(&config.dir)
-            .expect("log directory")
-            .map(|entry| entry.expect("entry").path())
-            .filter(|path| {
-                path.file_name()
-                    .is_some_and(|name| name.to_string_lossy().starts_with("seg-"))
-            })
-            .collect();
-        segments.sort();
+        let segments = segment_files(&config.dir);
         assert!(segments.len() >= 3, "{} segments", segments.len());
         // A directory where the second segment was: it opens, and every
         // read of it fails.

@@ -16,7 +16,7 @@
 //!   connection cap + the one counted [`code::BUSY`] refusal +
 //!   join-on-shutdown; socket options; the reusable payload/scratch/reply
 //!   buffers; the framed read with its payload bound, checksum verify and
-//!   request decode ([`Header::decode_request`]); [`code::MALFORMED`] +
+//!   request decode ([`decode_request`]); [`code::MALFORMED`] +
 //!   close on a framing error; `Ping`, `Goodbye` and the
 //!   [`code::UNSUPPORTED`] answer to a server-to-client frame type, whose
 //!   payload is never parsed;
@@ -47,8 +47,8 @@
 //! (`tools/lint_one_transport.sh` keeps it that way).
 
 use crate::wire::{
-    code, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, SummaryBody,
-    WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
+    code, decode_request, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView,
+    SummaryBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
 };
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
@@ -279,7 +279,7 @@ fn read_frame<'b>(
     if !read_full(stream, &mut header_buf, &stop)? {
         return Ok(None);
     }
-    let header = Header::parse(&header_buf)?;
+    let header = Header::parse(&header_buf).map_err(WireError::from)?;
     if header.payload_len > DEFAULT_MAX_PAYLOAD {
         return Err(WireError::Oversized {
             len: header.payload_len,
@@ -314,7 +314,7 @@ pub fn read_reply(
 ) -> io::Result<Frame> {
     let (header, payload) = read_frame(stream, payload_buf, stop)?
         .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "peer closed before replying"))?;
-    header.verify(payload)?;
+    header.verify(payload).map_err(WireError::from)?;
     Ok(Frame::decode_body(header.frame_type, payload)?)
 }
 
@@ -504,7 +504,7 @@ impl<B: Backend> Shared<B> {
             };
             front.bytes_in.add((HEADER_LEN + payload.len()) as u64);
             let decode_timer = front.decode_nanos.timer();
-            let request = match header.decode_request(payload) {
+            let request = match decode_request(&header, payload) {
                 Ok(request) => request,
                 Err(e) => {
                     decode_timer.cancel();

@@ -1,18 +1,13 @@
 //! The versioned, length-prefixed binary wire protocol.
 //!
-//! Every message on the wire is one **frame**:
-//!
-//! ```text
-//! offset  size  field
-//! ------  ----  -----------------------------------------------
-//!      0     4  magic  "LDPW"
-//!      4     1  protocol version ([`WIRE_VERSION`], currently 7)
-//!      5     1  frame type (see [`Frame`] discriminants)
-//!      6     2  reserved, must be zero
-//!      8     4  payload length, little-endian u32
-//!     12     4  payload checksum, little-endian u32
-//!     16     n  payload (frame-type specific, all little-endian)
-//! ```
+//! Every message on the wire is one **frame**: the 16-byte envelope
+//! (magic, [`WIRE_VERSION`], frame type, reserved, payload length, payload
+//! checksum), then the payload its frame type lays out, all
+//! little-endian. The envelope — its layout, constants, [`Header::parse`]
+//! / [`Header::verify`] and the writer — is defined once in
+//! [`ldp_wal::record`] and re-exported here, because the write-ahead log
+//! is a file of these same frames. This module owns the frame types and
+//! their payloads.
 //!
 //! Design rules:
 //!
@@ -46,8 +41,7 @@
 //!   allocation**. A server reads a [`FrameView`]: the borrowed ingest, or
 //!   any other request owned — those carry only scalars, so they allocate
 //!   nothing either — while a server-to-client frame type is refused from
-//!   its type byte before its payload is parsed
-//!   ([`Header::decode_request`]).
+//!   its type byte before its payload is parsed ([`decode_request`]).
 //!
 //! The codec is pure (`&[u8]` ↔ [`Frame`], ingest also ↔ [`IngestView`])
 //! and std-only; framed I/O on sockets lives in [`crate::transport`].
@@ -57,40 +51,10 @@ use ldp_telemetry::{
     HistogramSnapshot, MetricEntry, MetricValue, TelemetrySnapshot, HISTOGRAM_BUCKETS,
 };
 
-/// Frame magic: the first four bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"LDPW";
-/// Current protocol version.
-///
-/// History: v1 was the original protocol; v2 appended collector and
-/// transport tallies to the (since deleted) stats reply and added the
-/// [`Frame::QueryMetrics`] / [`Frame::Metrics`] telemetry frames; v3
-/// added the [`Frame::Ping`] / [`Frame::Pong`] health-check frames, the
-/// [`Frame::QueryParts`] / [`Frame::Parts`] federation-merge family, and
-/// the [`code::DEGRADED`] error code, so a v3 federation tier never
-/// half-speaks to a v2 peer that would soft-fail its health checks with
-/// `Error { UNSUPPORTED }`; v4 appended the durability tallies to the
-/// stats reply (WAL appended records/bytes and recovered records) and
-/// added the [`code::UNAVAILABLE`] error code for write-ahead-log
-/// failures that force a durable server to refuse an ingest; v5: checksum
-/// computed in four lanes ([`checksum`]); no payload layout change — the
-/// bump makes a v4 peer fail as [`WireError::UnknownVersion`] before its
-/// payload is read, not as a checksum mismatch; v6: the ingest payload's
-/// user and slot columns travel as a base plus narrow offsets (see
-/// [`IngestView`]) instead of full `u64`s; v7 deleted the stats pair —
-/// every counter travels in [`Frame::Metrics`] — and renumbered the
-/// frame types after it, keeping them the dense range `1..=19`.
-pub const WIRE_VERSION: u8 = 7;
 /// Version byte of the metrics-snapshot payload carried by
 /// [`Frame::Metrics`] — versioned independently of the envelope so the
 /// snapshot layout can evolve without a protocol-wide bump.
 pub const METRICS_SNAPSHOT_VERSION: u8 = 1;
-/// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 16;
-/// Default upper bound on payload size a peer will read (16 MiB — one
-/// ingest frame of ~700k reports at full-width ids; far above anything the
-/// fleet sends, far below an allocation a hostile length field could
-/// weaponize).
-pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 24;
 /// Most reports one ingest frame may carry, whatever its id widths: as
 /// many 24-byte full-width rows as fit [`DEFAULT_MAX_PAYLOAD`]. Narrow id
 /// columns shrink a row to as little as 8 bytes, so without this bound a
@@ -199,77 +163,40 @@ impl From<WireError> for std::io::Error {
 /// `Result` alias for codec operations.
 pub type WireResult<T> = Result<T, WireError>;
 
-/// The payload checksum — [`ldp_wal::record::checksum`], re-exported: the
-/// write-ahead log stores wire ingest payloads verbatim, so the two
-/// formats share one definition (and `ldp-wal` stays dependency-free).
-pub use ldp_wal::record::checksum;
+/// The envelope — [`ldp_wal::record`], re-exported: the write-ahead log
+/// is a file of wire frames, so the two share one definition of the
+/// header, its constants and the checksum (and `ldp-wal` stays
+/// dependency-free).
+pub use ldp_wal::record::{
+    checksum, EnvelopeError, Header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, WIRE_VERSION,
+};
+use ldp_wal::record::{envelope, INGEST};
 
-/// A parsed frame header (magic/version/reserved already validated).
-#[derive(Debug, Clone, Copy)]
-pub struct Header {
-    /// Raw frame-type byte: validated against the known types by
-    /// [`Frame::decode_body`], and read alone by [`Self::decode_request`]
-    /// to refuse a server-to-client type unparsed (the length prefix lets
-    /// a reader skip any payload it does not parse).
-    pub frame_type: u8,
-    /// Payload length in bytes.
-    pub payload_len: u32,
-    /// Expected payload checksum.
-    pub checksum: u32,
+impl From<EnvelopeError> for WireError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::BadMagic(magic) => WireError::BadMagic(magic),
+            EnvelopeError::UnknownVersion(version) => WireError::UnknownVersion(version),
+            EnvelopeError::BadReserved => WireError::BadReserved,
+            EnvelopeError::BadChecksum => WireError::BadChecksum,
+        }
+    }
 }
 
-impl Header {
-    /// Parses and validates the fixed 16-byte header.
-    ///
-    /// # Errors
-    /// [`WireError::BadMagic`] / [`WireError::UnknownVersion`] /
-    /// [`WireError::BadReserved`].
-    pub fn parse(bytes: &[u8; HEADER_LEN]) -> WireResult<Self> {
-        if bytes[0..4] != MAGIC {
-            return Err(WireError::BadMagic([
-                bytes[0], bytes[1], bytes[2], bytes[3],
-            ]));
-        }
-        if bytes[4] != WIRE_VERSION {
-            return Err(WireError::UnknownVersion(bytes[4]));
-        }
-        if bytes[6] != 0 || bytes[7] != 0 {
-            return Err(WireError::BadReserved);
-        }
-        Ok(Self {
-            frame_type: bytes[5],
-            payload_len: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
-            checksum: u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")),
-        })
+/// [`Header::verify`], then what a server makes of a request: `None` for a
+/// server-to-client frame type, refused from the type byte alone — its
+/// payload is never parsed, so a misdirected reply costs no allocation
+/// whatever it claims to hold — and the [`FrameView`] of any other.
+///
+/// # Errors
+/// [`WireError::BadChecksum`], or whatever [`FrameView::decode_body`]
+/// raises.
+pub fn decode_request<'a>(header: &Header, payload: &'a [u8]) -> WireResult<Option<FrameView<'a>>> {
+    header.verify(payload)?;
+    if is_reply(header.frame_type) {
+        return Ok(None);
     }
-
-    /// Verifies `payload` against the header's checksum.
-    ///
-    /// # Errors
-    /// [`WireError::BadChecksum`].
-    pub fn verify(&self, payload: &[u8]) -> WireResult<()> {
-        if checksum(payload) != self.checksum {
-            return Err(WireError::BadChecksum);
-        }
-        Ok(())
-    }
-
-    /// [`Self::verify`], then what a server makes of a request: `None`
-    /// for a server-to-client frame type, refused from the type byte
-    /// alone — its payload is never parsed, so a misdirected reply costs
-    /// no allocation whatever it claims to hold — and the [`FrameView`]
-    /// of any other.
-    ///
-    /// # Errors
-    /// [`WireError::BadChecksum`], or whatever
-    /// [`FrameView::decode_body`] raises.
-    pub fn decode_request<'a>(&self, payload: &'a [u8]) -> WireResult<Option<FrameView<'a>>> {
-        self.verify(payload)?;
-        if is_reply(self.frame_type) {
-            return Ok(None);
-        }
-        FrameView::decode_body(self.frame_type, payload).map(Some)
-    }
+    FrameView::decode_body(header.frame_type, payload).map(Some)
 }
 
 /// Snapshot-level summary served by [`Frame::QuerySummary`].
@@ -409,7 +336,7 @@ pub enum Frame {
 }
 
 // Frame-type discriminants.
-const FT_INGEST: u8 = 1;
+const FT_INGEST: u8 = INGEST;
 const FT_INGEST_SYNC: u8 = 2;
 const FT_INGEST_ACK: u8 = 3;
 const FT_QUERY_POPULATION_MEAN: u8 = 4;
@@ -435,7 +362,7 @@ pub(crate) const KNOWN_FRAME_TYPES: std::ops::RangeInclusive<u8> = FT_INGEST..=F
 
 /// Whether `frame_type` travels server to client — the one definition of
 /// a frame type's direction. A server refuses these unparsed
-/// ([`Header::decode_request`]).
+/// ([`decode_request`]).
 fn is_reply(frame_type: u8) -> bool {
     matches!(
         frame_type,
@@ -1016,25 +943,6 @@ impl<'a> FrameView<'a> {
             Frame::decode_body(frame_type, payload).map(FrameView::Owned)
         }
     }
-}
-
-/// Writes the frame envelope — header, payload (via `write_payload`),
-/// then the backpatched length + checksum — the single definition of the
-/// header layout shared by every encoder.
-fn envelope(buf: &mut Vec<u8>, frame_type: u8, write_payload: impl FnOnce(&mut Vec<u8>)) {
-    let header_at = buf.len();
-    buf.extend_from_slice(&MAGIC);
-    buf.push(WIRE_VERSION);
-    buf.push(frame_type);
-    buf.extend_from_slice(&[0, 0]);
-    buf.extend_from_slice(&[0; 8]); // length + checksum backpatched below
-    let payload_at = buf.len();
-    write_payload(buf);
-    let payload_len =
-        u32::try_from(buf.len() - payload_at).expect("payload exceeds u32::MAX bytes");
-    let sum = checksum(&buf[payload_at..]);
-    buf[header_at + 8..header_at + 12].copy_from_slice(&payload_len.to_le_bytes());
-    buf[header_at + 12..header_at + 16].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Writes what precedes an ingest payload's columns: the rejected count,

@@ -1,11 +1,12 @@
 //! Segmented, checksummed write-ahead ingest log.
 //!
 //! `ldp-wal` gives the collector tier crash durability: the server appends
-//! every accepted ingest frame's columnar payload to the active segment
-//! *before* folding it, and only answers an `IngestSync` barrier after the
-//! covered bytes are `fsync`ed. Recovery replays surviving records through
-//! the normal ingest path, so the restarted collector's ledger, snapshots,
-//! and telemetry books match the pre-crash process exactly.
+//! every accepted ingest frame to the active segment — the wire's own
+//! frame, in the one envelope [`record`] defines — *before* folding it,
+//! and only answers an `IngestSync` barrier after the covered bytes are
+//! `fsync`ed. Recovery replays surviving records through the normal
+//! ingest path, so the restarted collector's ledger, snapshots, and
+//! telemetry books match the pre-crash process exactly.
 //!
 //! Design constraints, in the same discipline as `crates/shims`:
 //!
@@ -20,17 +21,22 @@
 //! On-disk layout (`WalConfig::dir`):
 //!
 //! - `FORMAT` — the directory's format stamp, one line naming the byte
-//!   format of everything else in it (`ldp-wal log format 3`: records and
-//!   checkpoints summed by the four-lane [`record::checksum`], ingest
-//!   records holding wire v6 payloads, whose id columns are a base plus
-//!   narrow offsets). An open writes it (temp file, `fsync`, rename,
-//!   directory `fsync`) into a directory with no segments or checkpoints
-//!   yet, and refuses with [`WalError::Format`] a directory whose segments
-//!   or checkpoints have no stamp (the one-lane format wrote none) or
-//!   another format's (format 2 logged full-width v5 payloads) — before it
-//!   reads, truncates, prunes or removes anything;
-//! - `seg-<first-seq, zero padded>` — checksummed record segments,
-//!   append-only;
+//!   format of everything else in it (`ldp-wal log format 4, wire v7`:
+//!   segments of wire frames at the named wire version, checkpoints summed
+//!   by the four-lane [`record::checksum`]; the version comes from
+//!   [`record::WIRE_VERSION`], so a wire bump is a new stamp). An open
+//!   writes it (temp file, `fsync`, rename, directory `fsync`) into a
+//!   directory with no segments or checkpoints yet, and refuses with
+//!   [`WalError::Format`] a directory whose segments or checkpoints have
+//!   no stamp (the one-lane format wrote none) or another one (format 2
+//!   logged full-width v5 payloads, format 3 framed v6 payloads in the
+//!   log's own record codec, and a format-4 stamp of another wire version
+//!   holds frames this build's header parse refuses) — before it reads,
+//!   truncates, prunes or removes anything;
+//! - `seg-<first-seq, zero padded>` — append-only segments, each nothing
+//!   but wire frames ([`record`]) back to back: an ingest frame per record
+//!   and an empty seal frame at a clean shutdown. A record's sequence
+//!   number is `first-seq` plus its index in the file;
 //! - `ck-<covered-seq, zero padded>` — checkpoint files: an opaque collector
 //!   state blob covering every record with `seq <= covered-seq`;
 //! - `*.tmp` — in-flight checkpoint writes, ignored (and removed) on open.
@@ -44,7 +50,7 @@
 //! records. The visitor runs on whichever thread called `replay`; this crate
 //! starts none.
 //!
-//! See [`record`] for the record frame format and [`Wal`] for the recovery
+//! See [`record`] for the frame format and [`Wal`] for the recovery
 //! (visitor) contract.
 
 #![forbid(unsafe_code)]
@@ -69,8 +75,8 @@ pub enum WalError {
     /// The directory holds a log in a byte format this build does not
     /// read: segments or checkpoints with no format stamp (written before
     /// stamps existed, with the one-lane checksum) or a stamp naming
-    /// another format. Refused before anything in the directory was read,
-    /// changed or removed.
+    /// another format or wire version. Refused before anything in the
+    /// directory was read, changed or removed.
     Format {
         /// The stamp found; `None` when there was none.
         found: Option<String>,
@@ -93,7 +99,7 @@ impl fmt::Display for WalError {
                 write!(
                     f,
                     "; this build reads only {:?} and left the directory untouched",
-                    log::FORMAT_NAME
+                    log::format_name()
                 )
             }
             WalError::Dead => write!(f, "wal is dead (injected crash or prior fatal error)"),

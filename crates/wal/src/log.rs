@@ -6,18 +6,24 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::fault::{self, CrashPoint};
-use crate::record::{self, Record, RecordKind, ScanStop};
+use crate::record::{self, Header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, INGEST, SEAL, WIRE_VERSION};
 use crate::{FlushPolicy, WalError, WalResult};
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
 const CHECKPOINT_VERSION: u8 = 1;
 /// The file that stamps a log directory with its byte format.
 const FORMAT_FILE: &str = "FORMAT";
-/// The byte format this build reads and writes: records and checkpoints
-/// summed by the four-lane [`record::checksum`], ingest records holding
-/// wire v6 payloads (narrow id columns). Format 2 held v5 payloads
-/// (full-width ids); the one-lane format before it left no stamp.
-pub(crate) const FORMAT_NAME: &str = "ldp-wal log format 3";
+/// The byte format this build reads and writes, as its stamp names it:
+/// segments of wire frames ([`record`]) at this build's [`WIRE_VERSION`],
+/// checkpoints summed by the four-lane [`record::checksum`]. The wire
+/// version is part of the name because every logged frame carries it: a
+/// build speaking another version refuses the directory untouched instead
+/// of truncating its first frame as damage. Format 3 framed v6 payloads in
+/// the log's own record codec; format 2 held v5 payloads (full-width
+/// ids); the one-lane format before it left no stamp.
+pub(crate) fn format_name() -> String {
+    format!("ldp-wal log format 4, wire v{WIRE_VERSION}")
+}
 /// Buffered appends are pushed to the kernel past this size so the in-memory
 /// buffer stays bounded between syncs (capacity is retained across flushes,
 /// keeping the steady state allocation-free).
@@ -100,8 +106,9 @@ pub struct Recovered {
 #[derive(Debug)]
 pub struct Recovery {
     config: WalConfig,
-    /// Live segment files in sequence order, with their length on disk.
-    segments: Vec<(PathBuf, u64)>,
+    /// Live segment files in sequence order: the first sequence their name
+    /// gives, the path, and their length on disk.
+    segments: Vec<(u64, PathBuf, u64)>,
     checkpoint_seq: u64,
     /// The chosen checkpoint file as read; the state is its tail.
     checkpoint: Option<Vec<u8>>,
@@ -155,16 +162,10 @@ pub struct Wal {
     written: u64,
     /// Prefix of `written` known to be `fsync`ed.
     synced: u64,
-    /// Total bytes in closed (rolled, durable) segments not yet pruned.
-    closed_bytes: u64,
     /// Closed segments awaiting the next checkpoint prune.
     closed_segments: u64,
     last_sync: Instant,
     dead: bool,
-    appended_records: u64,
-    appended_bytes: u64,
-    sync_count: u64,
-    checkpoint_count: u64,
 }
 
 impl Wal {
@@ -249,7 +250,7 @@ impl Wal {
         }
         Ok(Recovery {
             config,
-            segments: segs.into_iter().map(|(_, path, len)| (path, len)).collect(),
+            segments: segs,
             checkpoint_seq,
             checkpoint,
         })
@@ -267,18 +268,25 @@ impl Wal {
         Err(WalError::Dead)
     }
 
-    /// Buffer one ingest payload; returns its sequence number. The record
-    /// is durable only after a later successful [`Wal::barrier`].
+    /// Buffer one ingest payload as an [`INGEST`] frame; returns its
+    /// sequence number. The record is durable only after a later
+    /// successful [`Wal::barrier`].
+    ///
+    /// # Panics
+    /// When `payload` is longer than [`DEFAULT_MAX_PAYLOAD`], which the
+    /// recovery scan would refuse as damage.
     pub fn append(&mut self, payload: &[u8]) -> WalResult<u64> {
         self.check_alive()?;
         if fault::hit(CrashPoint::Append) {
             return self.die();
         }
+        assert!(
+            payload.len() <= DEFAULT_MAX_PAYLOAD as usize,
+            "ingest payload above the log's frame bound"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
-        record::encode_record(seq, RecordKind::Ingest, payload, &mut self.buf);
-        self.appended_records += 1;
-        self.appended_bytes += record::encoded_len(payload.len()) as u64;
+        record::envelope(&mut self.buf, INGEST, |buf| buf.extend_from_slice(payload));
         if self.buf.len() >= FLUSH_THRESHOLD {
             self.flush_buf()?;
         }
@@ -351,7 +359,6 @@ impl Wal {
         self.active_path = new_path.clone();
         self.written = 0;
         self.synced = 0;
-        self.closed_bytes = 0;
         self.closed_segments = 0;
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -368,20 +375,19 @@ impl Wal {
         }
         sync_dir(&self.dir)?;
         self.checkpoint_seq = covered;
-        self.checkpoint_count += 1;
         Ok(covered)
     }
 
-    /// Append the clean-shutdown seal and sync it. A log whose last record
-    /// is a seal recovers with `clean = true`.
+    /// Append the clean-shutdown seal (an empty [`SEAL`] frame, which takes
+    /// a sequence number like any record) and sync it. A log whose last
+    /// record is a seal recovers with `clean = true`.
     pub fn seal(&mut self) -> WalResult<()> {
         self.check_alive()?;
         if fault::hit(CrashPoint::Seal) {
             return self.die();
         }
-        let seq = self.next_seq;
         self.next_seq += 1;
-        record::encode_record(seq, RecordKind::Seal, &[], &mut self.buf);
+        record::envelope(&mut self.buf, SEAL, |_| {});
         self.sync_to_disk()
     }
 
@@ -406,7 +412,6 @@ impl Wal {
             }
             self.file.sync_data()?;
             self.synced = self.written;
-            self.sync_count += 1;
         }
         self.last_sync = Instant::now();
         Ok(())
@@ -416,7 +421,6 @@ impl Wal {
     fn roll_segment(&mut self) -> WalResult<()> {
         self.sync_to_disk()?;
         let (path, file) = create_segment(&self.dir, self.next_seq)?;
-        self.closed_bytes += self.written;
         self.closed_segments += 1;
         self.file = file;
         self.active_path = path;
@@ -425,52 +429,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Next sequence number to be issued.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Covered sequence of the last checkpoint taken or recovered.
     #[must_use]
     pub fn checkpoint_seq(&self) -> u64 {
         self.checkpoint_seq
     }
 
-    /// Records appended through this handle (excludes recovered history).
-    #[must_use]
-    pub fn appended_records(&self) -> u64 {
-        self.appended_records
-    }
-
-    /// Encoded bytes appended through this handle.
-    #[must_use]
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended_bytes
-    }
-
-    /// `fsync`s issued through this handle.
-    #[must_use]
-    pub fn sync_count(&self) -> u64 {
-        self.sync_count
-    }
-
-    /// Checkpoints taken through this handle.
-    #[must_use]
-    pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoint_count
-    }
-
     /// Live (unpruned) segment files, including the active one.
     #[must_use]
     pub fn live_segments(&self) -> u64 {
         self.closed_segments + 1
-    }
-
-    /// Total live log bytes on disk plus buffered.
-    #[must_use]
-    pub fn live_bytes(&self) -> u64 {
-        self.closed_bytes + self.written + self.buf.len() as u64
     }
 
     /// Test support: model a kill plus power loss. Buffered bytes vanish
@@ -503,11 +471,11 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Accepts `dir` if its stamp names [`FORMAT_NAME`]; stamps it if it has
+/// Accepts `dir` if its stamp names [`format_name`]; stamps it if it has
 /// no stamp and no log files (`has_log` false); refuses it otherwise.
 /// Reads at most one stamp's worth of bytes and changes nothing it refuses.
 fn check_format(dir: &Path, has_log: bool) -> WalResult<()> {
-    let stamp = format!("{FORMAT_NAME}\n");
+    let stamp = format!("{}\n", format_name());
     match File::open(dir.join(FORMAT_FILE)) {
         Ok(file) => {
             let mut found = Vec::new();
@@ -577,7 +545,7 @@ impl Recovery {
     /// never calls its visitor.
     #[must_use]
     pub fn segment_bytes(&self) -> u64 {
-        self.segments.iter().map(|(_, len)| len).sum()
+        self.segments.iter().map(|(_, _, len)| len).sum()
     }
 
     /// Second half of an open: drop the checkpoint blob, stream every
@@ -592,7 +560,7 @@ impl Recovery {
     }
 
     /// [`Recovery::replay`] with the read buffer's size as a parameter, so
-    /// tests can put read boundaries anywhere in a record.
+    /// tests can put read boundaries anywhere in a frame.
     fn replay_chunked(
         self,
         chunk: usize,
@@ -612,10 +580,10 @@ impl Recovery {
         let mut records = 0u64;
         let mut truncated_bytes = 0u64;
         let mut clean = false;
-        let mut max_seq = checkpoint_seq;
-        let mut kept: Vec<(PathBuf, u64)> = Vec::new(); // (path, surviving len)
+        // (path, surviving len, sequence after its last surviving frame)
+        let mut kept: Vec<(PathBuf, u64, u64)> = Vec::new();
         let mut damaged = false;
-        for (path, len) in segments {
+        for (first_seq, path, len) in segments {
             if damaged {
                 // Framing after damage is unknowable; later segments were
                 // written after the damaged one and cannot be trusted to
@@ -624,25 +592,22 @@ impl Recovery {
                 let _ = fs::remove_file(&path);
                 continue;
             }
+            let mut seq = first_seq;
             let mut good = 0u64;
             if len > 0 {
                 if buf.is_empty() {
                     buf = vec![0; chunk];
                 }
-                let (valid, intact) = scan_segment(File::open(&path)?, &mut buf, |rec| {
-                    match rec.kind {
-                        RecordKind::Seal => clean = true,
-                        RecordKind::Ingest => {
-                            clean = false;
-                            if rec.seq > checkpoint_seq {
-                                records += 1;
-                                visit(rec.seq, rec.payload)?;
-                            }
+                let (valid, intact) =
+                    scan_segment(File::open(&path)?, &mut buf, |frame_type, payload| {
+                        clean = frame_type == SEAL;
+                        if frame_type == INGEST && seq > checkpoint_seq {
+                            records += 1;
+                            visit(seq, payload)?;
                         }
-                    }
-                    max_seq = max_seq.max(rec.seq);
-                    Ok(())
-                })?;
+                        seq += 1;
+                        Ok(())
+                    })?;
                 good = valid;
                 if !intact {
                     truncated_bytes += len.saturating_sub(good);
@@ -653,25 +618,28 @@ impl Recovery {
                     clean = false;
                 }
             }
-            kept.push((path, good));
+            kept.push((path, good, seq));
         }
 
-        let next_seq = max_seq + 1;
-        let (active_path, file, written) = match kept.last() {
-            Some((path, len)) => {
-                let file = OpenOptions::new().append(true).open(path)?;
-                (path.clone(), file, *len)
+        // Appends resume in the last surviving segment, unless damage cut
+        // the log back to records the checkpoint covers: the next record's
+        // sequence must follow the checkpoint's, and a record's sequence is
+        // its segment's name plus its index, so it starts a fresh segment.
+        let next_seq = kept
+            .last()
+            .map_or(0, |(_, _, next)| *next)
+            .max(checkpoint_seq + 1);
+        let (active_path, file, written) = match kept.pop() {
+            Some((path, len, next)) if next == next_seq => {
+                let file = OpenOptions::new().append(true).open(&path)?;
+                (path, file, len)
             }
-            None => {
+            last => {
+                kept.extend(last);
                 let (path, file) = create_segment(&config.dir, next_seq)?;
                 (path, file, 0)
             }
         };
-        let closed: u64 = kept
-            .iter()
-            .take(kept.len().saturating_sub(1))
-            .map(|(_, len)| *len)
-            .sum();
         sync_dir(&config.dir)?;
 
         let wal = Wal {
@@ -686,14 +654,9 @@ impl Recovery {
             buf: Vec::with_capacity(FLUSH_THRESHOLD * 2),
             written,
             synced: written,
-            closed_bytes: closed,
-            closed_segments: kept.len().saturating_sub(1) as u64,
+            closed_segments: kept.len() as u64,
             last_sync: Instant::now(),
             dead: false,
-            appended_records: 0,
-            appended_bytes: 0,
-            sync_count: 0,
-            checkpoint_count: 0,
         };
         let recovered = Recovered {
             checkpoint_seq,
@@ -705,48 +668,68 @@ impl Recovery {
     }
 }
 
-/// Streams one segment from `src` through `buf`, handing `on_record` each
-/// record as soon as it decodes (checksum verified). Returns the length of
-/// the valid prefix and whether the segment ended cleanly there — `false`
-/// means the bytes after the prefix are not a whole valid record.
+/// Streams one segment from `src` through `buf`, handing `on_frame` each
+/// frame's type and payload as soon as its checksum verifies. Returns the
+/// length of the valid prefix and whether the segment ended cleanly there
+/// — `false` means the bytes after the prefix are not a whole valid frame.
 ///
-/// `buf` is the scan's one read buffer, non-empty on entry. A record that
+/// Only a short buffer — under a header, or under the header plus its
+/// payload length — makes the scan read on. Anything else is damage: a
+/// header [`Header::parse`] refuses, a length above
+/// [`DEFAULT_MAX_PAYLOAD`], a type other than [`INGEST`] and [`SEAL`], or
+/// a payload [`Header::verify`] refuses.
+///
+/// `buf` is the scan's one read buffer, non-empty on entry. A frame that
 /// straddles a read boundary is carried to the buffer's front before the
-/// next read; the buffer grows only when one record is larger than it, and
-/// never past the largest record the codec accepts.
+/// next read; the buffer grows only when one frame is larger than it, and
+/// never past the largest frame the scan accepts.
 fn scan_segment(
     mut src: impl Read,
     buf: &mut Vec<u8>,
-    mut on_record: impl FnMut(Record<'_>) -> io::Result<()>,
+    mut on_frame: impl FnMut(u8, &[u8]) -> io::Result<()>,
 ) -> io::Result<(u64, bool)> {
     let (mut start, mut end, mut eof) = (0usize, 0usize, false);
     let mut good = 0u64;
     loop {
-        match record::decode_record(&buf[start..end]) {
-            Ok(Some((rec, used))) => {
-                on_record(rec)?;
+        let bytes = &buf[start..end];
+        if let Some(head) = bytes.first_chunk::<HEADER_LEN>() {
+            let header = match Header::parse(head) {
+                Ok(header)
+                    if header.payload_len <= DEFAULT_MAX_PAYLOAD
+                        && matches!(header.frame_type, INGEST | SEAL) =>
+                {
+                    header
+                }
+                _ => return Ok((good, false)),
+            };
+            if let Some(payload) = bytes[HEADER_LEN..].get(..header.payload_len as usize) {
+                if header.verify(payload).is_err() {
+                    return Ok((good, false));
+                }
+                on_frame(header.frame_type, payload)?;
+                let used = HEADER_LEN + payload.len();
                 start += used;
                 good += used as u64;
+                continue;
             }
-            Ok(None) if eof => return Ok((good, true)),
-            Err(stop) if eof || stop != ScanStop::Truncated => return Ok((good, false)),
-            // The buffered bytes end between two records or inside one:
-            // carry the partial record to the front and read on.
-            Ok(None) | Err(_) => {
-                buf.copy_within(start..end, 0);
-                end -= start;
-                start = 0;
-                if end == buf.len() {
-                    let largest = record::RECORD_HEADER_LEN + record::MAX_RECORD_BODY;
-                    buf.resize((buf.len() * 2).min(largest), 0);
-                }
-                match src.read(&mut buf[end..]) {
-                    Ok(0) => eof = true,
-                    Ok(n) => end += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
+        }
+        if eof {
+            return Ok((good, start == end));
+        }
+        // The buffered bytes end between two frames or inside one: carry
+        // the partial frame to the front and read on.
+        buf.copy_within(start..end, 0);
+        end -= start;
+        start = 0;
+        if end == buf.len() {
+            let largest = HEADER_LEN + DEFAULT_MAX_PAYLOAD as usize;
+            buf.resize((buf.len() * 2).min(largest), 0);
+        }
+        match src.read(&mut buf[end..]) {
+            Ok(0) => eof = true,
+            Ok(n) => end += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -956,17 +939,18 @@ mod tests {
 
     #[test]
     fn records_survive_any_read_boundary() {
-        // 3-byte payloads encode to 20 bytes. A 24-byte buffer splits the
-        // second record's header (4 of its 8 bytes arrive first); 20 and 40
-        // end a read exactly on a record boundary; 7 is smaller than a
-        // header, and the 100-byte payload is longer than all of them, so
-        // the buffer has to grow to hold that one record.
+        // 3-byte payloads frame to 19 bytes. A 24-byte buffer splits the
+        // second frame's header (5 of its 16 bytes arrive first); 19 and 38
+        // end a read exactly on a frame boundary, 20 and 40 one byte into
+        // the next frame; 7 is smaller than a header, and the 100-byte
+        // payload is longer than all of them, so the buffer has to grow to
+        // hold that one frame.
         let dir = temp_dir("boundary");
         let mut payloads = vec![b"abc".to_vec(); 5];
         payloads.insert(3, vec![0x5A; 100]);
         write_log(&dir, 1 << 20, &payloads);
         let expected: Vec<(u64, Vec<u8>)> = (1..).zip(payloads).collect();
-        for chunk in [24, 20, 40, 7, 1, SCAN_BUFFER_BYTES] {
+        for chunk in [24, 19, 38, 20, 40, 7, 1, SCAN_BUFFER_BYTES] {
             let opened = open_chunked(cfg(&dir), chunk);
             assert_eq!(opened.replayed, expected, "chunk {chunk}");
             assert_eq!(opened.rec.truncated_bytes, 0, "chunk {chunk}");
@@ -1013,7 +997,7 @@ mod tests {
         assert!(files.len() >= 4, "{} segments", files.len());
         // Flip a payload bit of the second record of the second segment.
         let (path, mut bytes) = files[1].clone();
-        let record_len = record::encoded_len(16);
+        let record_len = HEADER_LEN + 16;
         bytes[record_len + record_len - 1] ^= 0x10;
         fs::write(&path, &bytes).unwrap();
 
@@ -1037,6 +1021,43 @@ mod tests {
         let again = open(&dir);
         assert_eq!(again.rec.truncated_bytes, 0);
         assert_eq!(again.replayed, expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_cut_back_below_its_checkpoint_resumes_after_it() {
+        let dir = temp_dir("below-checkpoint");
+        let (mut wal, _) = Wal::open(cfg(&dir).segment_bytes(64)).unwrap();
+        for i in 0..4 {
+            wal.append(&[i; 16]).unwrap();
+        }
+        wal.barrier().unwrap();
+        // A crash between the checkpoint's rename and its prune leaves the
+        // covered segments behind.
+        let stale = segment_files(&dir);
+        assert_eq!(wal.checkpoint(b"S").unwrap(), 4);
+        for (path, bytes) in &stale {
+            if *path != wal.active_path {
+                fs::write(path, bytes).unwrap();
+            }
+        }
+        wal.append(b"after").unwrap();
+        wal.barrier().unwrap();
+        drop(wal);
+        // Damage in the first stale frame cuts the log back to nothing the
+        // checkpoint does not cover.
+        let (path, mut bytes) = stale[0].clone();
+        bytes[HEADER_LEN] ^= 1;
+        fs::write(&path, &bytes).unwrap();
+
+        let mut opened = open(&dir);
+        assert!(opened.replayed.is_empty());
+        assert!(opened.rec.truncated_bytes > 0);
+        assert_eq!(opened.wal.append(b"kept").unwrap(), 5);
+        assert_eq!(opened.wal.active_path, dir.join(format!("seg-{:020}", 5)));
+        opened.wal.barrier().unwrap();
+        drop(opened);
+        assert_eq!(open(&dir).replayed, [(5, b"kept".to_vec())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1082,7 +1103,7 @@ mod tests {
         for dir in [missing, empty] {
             write_log(&dir, 1 << 20, &[b"row".to_vec()]);
             let stamp = fs::read(dir.join(FORMAT_FILE)).unwrap();
-            assert_eq!(stamp, format!("{FORMAT_NAME}\n").as_bytes());
+            assert_eq!(stamp, format!("{}\n", format_name()).as_bytes());
             assert_eq!(open(&dir).replayed, [(1, b"row".to_vec())]);
             assert_eq!(fs::read(dir.join(FORMAT_FILE)).unwrap(), stamp);
             fs::remove_dir_all(&dir).unwrap();
@@ -1091,10 +1112,13 @@ mod tests {
 
     #[test]
     fn a_log_without_this_formats_stamp_is_refused_untouched() {
+        let other_wire = format!("ldp-wal log format 4, wire v{}", WIRE_VERSION + 1);
         for (tag, stamp) in [
             ("unstamped", None),
             ("foreign", Some("ldp-wal log format 1")),
             ("format-2", Some("ldp-wal log format 2")),
+            ("format-3", Some("ldp-wal log format 3")),
+            ("other-wire", Some(other_wire.as_str())),
         ] {
             let dir = temp_dir(tag);
             let (mut wal, _) = Wal::open(cfg(&dir).segment_bytes(64)).unwrap();
@@ -1185,7 +1209,7 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// What a whole-file scan of `images` (segment files in order) keeps —
+    /// What a whole-file scan of `files` (segment files in order) keeps —
     /// the loop `Wal::open` ran before it streamed.
     struct Reference {
         replayed: Vec<(u64, Vec<u8>)>,
@@ -1195,7 +1219,19 @@ mod tests {
         clean: bool,
     }
 
-    fn reference_scan(images: &[Vec<u8>], checkpoint_seq: u64) -> Reference {
+    /// The log frame heading `data`: type, payload and encoded length, or
+    /// `None` when `data` does not start with a whole valid one.
+    fn whole_frame(data: &[u8]) -> Option<(u8, &[u8], usize)> {
+        let header = Header::parse(data.first_chunk()?).ok()?;
+        if header.payload_len > DEFAULT_MAX_PAYLOAD || !matches!(header.frame_type, INGEST | SEAL) {
+            return None;
+        }
+        let payload = data[HEADER_LEN..].get(..header.payload_len as usize)?;
+        header.verify(payload).ok()?;
+        Some((header.frame_type, payload, HEADER_LEN + payload.len()))
+    }
+
+    fn reference_scan(files: &[(PathBuf, Vec<u8>)], checkpoint_seq: u64) -> Reference {
         let mut out = Reference {
             replayed: Vec::new(),
             truncated_bytes: 0,
@@ -1203,32 +1239,42 @@ mod tests {
             clean: false,
         };
         let mut damaged = false;
-        for data in images {
+        let mut next_seq = 0;
+        for (path, data) in files {
             if damaged {
                 out.truncated_bytes += data.len() as u64;
                 out.lengths.push(None);
                 continue;
             }
+            let name = path.file_name().unwrap().to_str().unwrap();
+            let mut seq: u64 = name.strip_prefix("seg-").unwrap().parse().unwrap();
             let mut off = 0;
-            loop {
-                match record::decode_record(&data[off..]) {
-                    Ok(None) => break,
-                    Ok(Some((rec, used))) => {
-                        out.clean = rec.kind == RecordKind::Seal;
-                        if rec.kind == RecordKind::Ingest && rec.seq > checkpoint_seq {
-                            out.replayed.push((rec.seq, rec.payload.to_vec()));
-                        }
-                        off += used;
-                    }
-                    Err(_) => {
-                        out.truncated_bytes += (data.len() - off) as u64;
-                        damaged = true;
-                        out.clean = false;
-                        break;
-                    }
+            while off < data.len() {
+                let Some((kind, payload, used)) = whole_frame(&data[off..]) else {
+                    out.truncated_bytes += (data.len() - off) as u64;
+                    damaged = true;
+                    out.clean = false;
+                    break;
+                };
+                out.clean = kind == SEAL;
+                if kind == INGEST && seq > checkpoint_seq {
+                    out.replayed.push((seq, payload.to_vec()));
                 }
+                seq += 1;
+                off += used;
             }
             out.lengths.push(Some(off as u64));
+            next_seq = seq;
+        }
+        // Cut back to records the checkpoint covers, the log resumes in a
+        // fresh segment named for the sequence after the checkpoint's.
+        if next_seq <= checkpoint_seq {
+            let fresh = format!("seg-{:020}", checkpoint_seq + 1);
+            for ((path, _), length) in files.iter().zip(&mut out.lengths) {
+                if path.file_name() == Some(fresh.as_ref()) {
+                    *length = Some(0);
+                }
+            }
         }
         out
     }
@@ -1302,8 +1348,7 @@ mod tests {
             } else {
                 0
             };
-            let images: Vec<Vec<u8>> = files.iter().map(|(_, bytes)| bytes.clone()).collect();
-            let expected = reference_scan(&images, checkpoint_seq);
+            let expected = reference_scan(&files, checkpoint_seq);
 
             let opened = open_chunked(cfg(&dir), chunk);
             prop_assert_eq!(opened.rec.checkpoint_seq, checkpoint_seq);

@@ -2,9 +2,10 @@
 //!
 //! Four tiers:
 //!
-//! * **Record codec (proptest)** — encode → decode round-trips exactly;
-//!   every torn-tail cut and every single-bit flip is refused at or
-//!   before the damaged record, never decoded as garbage.
+//! * **Log frame codec (proptest)** — a record is a wire frame: enveloped
+//!   → parsed + verified round-trips exactly; every torn-tail cut and
+//!   every single-bit flip is refused at or before the damaged frame,
+//!   never decoded as garbage.
 //! * **Replay idempotence** — recovering the same directory any number of
 //!   times yields bit-identical collectors: no record is ever
 //!   double-counted, with or without an interleaved checkpoint.
@@ -20,7 +21,7 @@ use ldp_collector::{Collector, CollectorConfig, ReportBatch};
 use ldp_server::durable::{self, Durability, FlushPolicy, WalConfig};
 use ldp_server::wire::{Frame, IngestScratch, HEADER_LEN};
 use ldp_server::{RemoteCollector, Server, ServerConfig};
-use ldp_wal::record::{decode_record, encode_record, encoded_len, RecordKind};
+use ldp_wal::record::{envelope, Header, DEFAULT_MAX_PAYLOAD, INGEST, SEAL};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -335,73 +336,89 @@ fn dead_log_fails_closed_over_the_wire() {
 }
 
 // ====================================================================
-// Record codec properties
+// Log frame codec properties
 // ====================================================================
+
+/// The log frame heading `buf`, read by the log scan's rules: its type and
+/// payload plus its encoded length, or `None` when `buf` does not start
+/// with a whole frame whose header parses, whose length is in bounds,
+/// whose type is `INGEST` or `SEAL` and whose payload verifies.
+fn log_frame(buf: &[u8]) -> Option<(u8, &[u8], usize)> {
+    let header = Header::parse(buf.first_chunk()?).ok()?;
+    if header.payload_len > DEFAULT_MAX_PAYLOAD || !matches!(header.frame_type, INGEST | SEAL) {
+        return None;
+    }
+    let payload = buf[HEADER_LEN..].get(..header.payload_len as usize)?;
+    header.verify(payload).ok()?;
+    Some((header.frame_type, payload, HEADER_LEN + payload.len()))
+}
+
+/// Appends `payloads` as ingest frames; returns where each frame ends.
+fn log_frames(payloads: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
+    let mut buf = Vec::new();
+    let mut boundaries = vec![0usize];
+    for p in payloads {
+        envelope(&mut buf, INGEST, |out| out.extend_from_slice(p));
+        boundaries.push(buf.len());
+    }
+    (buf, boundaries)
+}
+
+/// The payloads of the frames a scan of `buf` yields before it stops.
+fn scanned(buf: &[u8]) -> Vec<&[u8]> {
+    let mut off = 0;
+    let mut seen = Vec::new();
+    while let Some((kind, payload, used)) = log_frame(&buf[off..]) {
+        assert_eq!(kind, INGEST, "only ingest frames were written");
+        seen.push(payload);
+        off += used;
+    }
+    seen
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Encode → decode is the identity, and the encoded length matches
-    /// the accounting helper.
+    /// Envelope → parse + verify is the identity, and the encoded length
+    /// is the header plus the payload.
     #[test]
     fn record_codec_round_trips(
-        seq in 1u64..u64::MAX,
         is_seal in any::<bool>(),
         payload in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let kind = if is_seal { RecordKind::Seal } else { RecordKind::Ingest };
+        let kind = if is_seal { SEAL } else { INGEST };
         let mut buf = Vec::new();
-        encode_record(seq, kind, &payload, &mut buf);
-        prop_assert_eq!(buf.len(), encoded_len(payload.len()));
-        let (rec, used) = decode_record(&buf)
-            .expect("fresh record must decode")
-            .expect("non-empty buffer");
+        envelope(&mut buf, kind, |out| out.extend_from_slice(&payload));
+        prop_assert_eq!(buf.len(), HEADER_LEN + payload.len());
+        let (decoded, body, used) = log_frame(&buf).expect("fresh frame must decode");
         prop_assert_eq!(used, buf.len());
-        prop_assert_eq!(rec.seq, seq);
-        prop_assert_eq!(rec.kind, kind);
-        prop_assert_eq!(rec.payload, &payload[..]);
+        prop_assert_eq!(decoded, kind);
+        prop_assert_eq!(body, &payload[..]);
     }
 
-    /// Torn tail: cut a multi-record buffer anywhere strictly inside it —
-    /// the scan yields exactly the records that fit before the cut and
-    /// refuses the rest. Never a phantom record, never a reordering.
+    /// Torn tail: cut a multi-frame buffer anywhere strictly inside it —
+    /// the scan yields exactly the frames that fit before the cut and
+    /// refuses the rest. Never a phantom frame, never a reordering.
     #[test]
     fn torn_tail_yields_only_the_intact_prefix(
         payloads in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..64), 1..6),
         cut_frac in 0.0f64..1.0,
     ) {
-        let mut buf = Vec::new();
-        let mut boundaries = vec![0usize];
-        for (i, p) in payloads.iter().enumerate() {
-            encode_record(i as u64 + 1, RecordKind::Ingest, p, &mut buf);
-            boundaries.push(buf.len());
-        }
+        let (buf, boundaries) = log_frames(&payloads);
         // Cut strictly inside the buffer (cut == len is the clean case).
         let cut = ((buf.len() as f64 - 1.0) * cut_frac) as usize;
-        let torn = &buf[..cut];
         let intact = boundaries.iter().filter(|b| **b <= cut).count() - 1;
-
-        let mut off = 0;
-        let mut seen = 0usize;
-        loop {
-            match decode_record(&torn[off..]) {
-                Ok(None) => break,
-                Ok(Some((rec, used))) => {
-                    prop_assert_eq!(rec.seq, seen as u64 + 1, "order preserved");
-                    prop_assert_eq!(rec.payload, &payloads[seen][..]);
-                    seen += 1;
-                    off += used;
-                }
-                Err(_) => break,
-            }
+        let seen = scanned(&buf[..cut]);
+        prop_assert_eq!(seen.len(), intact, "exactly the frames before the cut");
+        for (got, sent) in seen.iter().zip(&payloads) {
+            prop_assert_eq!(*got, &sent[..], "order preserved");
         }
-        prop_assert_eq!(seen, intact, "exactly the records before the cut");
     }
 
     /// Any single bit flip is detected: the scan stops at (or before) the
-    /// damaged record, and every record it does yield is an exact
-    /// original. Garbage never decodes.
+    /// damaged frame, and every frame it does yield is an exact original.
+    /// Garbage never decodes.
     #[test]
     fn single_bit_flip_never_decodes_as_garbage(
         payloads in proptest::collection::vec(
@@ -409,33 +426,18 @@ proptest! {
         flip_frac in 0.0f64..1.0,
         bit in 0u32..8,
     ) {
-        let mut buf = Vec::new();
-        let mut boundaries = vec![0usize];
-        for (i, p) in payloads.iter().enumerate() {
-            encode_record(i as u64 + 1, RecordKind::Ingest, p, &mut buf);
-            boundaries.push(buf.len());
-        }
+        let (mut buf, boundaries) = log_frames(&payloads);
         let flip_at = ((buf.len() - 1) as f64 * flip_frac) as usize;
         buf[flip_at] ^= 1 << bit;
-        let damaged_record = boundaries.iter().filter(|b| **b <= flip_at).count() - 1;
-
-        let mut off = 0;
-        let mut seen = 0usize;
-        loop {
-            match decode_record(&buf[off..]) {
-                Ok(None) => break,
-                Ok(Some((rec, used))) => {
-                    prop_assert_eq!(rec.seq, seen as u64 + 1);
-                    prop_assert_eq!(rec.payload, &payloads[seen][..]);
-                    seen += 1;
-                    off += used;
-                }
-                Err(_) => break,
-            }
-        }
+        let damaged_frame = boundaries.iter().filter(|b| **b <= flip_at).count() - 1;
+        let seen = scanned(&buf);
         prop_assert!(
-            seen <= damaged_record,
-            "scan must stop at or before the flipped record ({seen} > {damaged_record})"
+            seen.len() <= damaged_frame,
+            "scan must stop at or before the flipped frame ({} > {damaged_frame})",
+            seen.len()
         );
+        for (got, sent) in seen.iter().zip(&payloads) {
+            prop_assert_eq!(*got, &sent[..]);
+        }
     }
 }

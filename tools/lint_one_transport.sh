@@ -16,8 +16,20 @@
 #   * `read_reply(`         called only there (transport.rs defines it)
 #   * `Header::parse(`      only in transport.rs, plus wire.rs's pure slice
 #                           decoder (`Frame::decode`, which reads no socket)
+#                           and the log scan in crates/wal/src/log.rs
 #   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
 #                           `ldp_server::wire::checksum` re-exports it)
+#
+# and one envelope, on the wire and on disk: the write-ahead log is a file
+# of wire frames, so the frame header is defined once, in
+# crates/wal/src/record.rs (`ldp_server::wire` re-exports it):
+#
+#   * `const MAGIC`, `const HEADER_LEN`, `const WIRE_VERSION` and the
+#                           envelope writer `fn envelope`: only there
+#   * `encode_record` / `decode_record` / `RecordKind` / `ScanStop` /
+#     `RECORD_HEADER_LEN` / `MAX_RECORD_BODY`: nowhere under crates/, tests
+#                           and comments included (the log's own record
+#                           codec is gone)
 #
 # and one decode per frame layout in crates/server/src/wire.rs:
 # `Frame::decode_body` parses every layout into the owned `Frame`, and
@@ -39,9 +51,10 @@
 #
 #   * `StatsBody` / `QueryStats` / `fn stats(`  not at all
 #
-# Only non-test library code is scanned: every `*.rs` under a `src/` of
-# `crates/`, up to its first `#[cfg(test)]`. Integration tests and
-# `benchmark/` build fake peers and measure codec stages on purpose.
+# Apart from the record-codec rule, only non-test library code is
+# scanned: every `*.rs` under a `src/` of `crates/`, up to its first
+# `#[cfg(test)]`. Integration tests and `benchmark/` build fake peers and
+# measure codec stages on purpose.
 #
 # Usage: tools/lint_one_transport.sh  (from anywhere; exits non-zero on
 # violations and prints each offending line).
@@ -54,6 +67,8 @@ cd "$repo_root" || exit 1
 transport='crates/server/src/transport.rs'
 client='crates/server/src/client.rs'
 wire='crates/server/src/wire.rs'
+record='crates/wal/src/record.rs'
+wal_log='crates/wal/src/log.rs'
 
 # "<file>:<lineno>:<code>" for every non-test line, trailing `//` comments
 # (and so whole doc/comment lines) blanked.
@@ -87,14 +102,22 @@ report "TcpStream::connect outside $client (dial through ldp_server::RemoteColle
 report "read_reply( outside $client / $transport (read replies through ldp_server::RemoteCollector):" \
     "$(grep -F 'read_reply(' <<<"$code" | grep -Ev "^($client|$transport):")"
 
-report "Header::parse( outside $transport / $wire (read through ldp_server::read_reply):" \
-    "$(grep -F 'Header::parse(' <<<"$code" | grep -Ev "^($transport|$wire):")"
+report "Header::parse( outside $transport / $wire / $wal_log (read through ldp_server::read_reply):" \
+    "$(grep -F 'Header::parse(' <<<"$code" | grep -Ev "^($transport|$wire|$wal_log):")"
 
 checksums="$(grep -E '\bfn checksum\b' <<<"$code")"
 if [ "$(grep -c . <<<"$checksums")" -ne 1 ]; then
     report "fn checksum must be defined exactly once (found $(grep -c . <<<"$checksums")):" \
         "${checksums:-<none>}"
 fi
+
+report "the envelope defined outside $record (one envelope on the wire and on disk):" \
+    "$(grep -E '\bconst (MAGIC|HEADER_LEN|WIRE_VERSION)\b|\bfn envelope\b' <<<"$code" |
+        grep -v "^$record:")"
+
+report "the log's own record codec under crates/ (a log record is a wire frame):" \
+    "$(grep -rnE '\b(encode_record|decode_record|RecordKind|ScanStop|RECORD_HEADER_LEN|MAX_RECORD_BODY)\b' \
+        --include='*.rs' crates)"
 
 wire_code="$(grep "^$wire:" <<<"$code")"
 report "borrowed pub type in $wire other than IngestView / FrameView (decode a reply with Frame::decode_body):" \
@@ -122,4 +145,4 @@ if [ "$violations" -gt 0 ]; then
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one dialer, one reply read, one socket-side header parse, one checksum, one decode per frame layout, one router thread per connection, one set of books on the wire)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one header parse outside the log scan, one checksum, one envelope on the wire and on disk, one decode per frame layout, one router thread per connection, one set of books on the wire)."
