@@ -132,9 +132,19 @@ impl std::fmt::Debug for Durability {
     }
 }
 
-/// Replay/live shared apply path: decode the ingest payload and fold it,
-/// with the upstream-rejection bookkeeping in the same order the serve
-/// loop historically used — replayed books match live books bit-for-bit.
+/// The one fold of a decoded ingest frame. Live ingest, in memory or
+/// durable, and replay all run it, so their books match bit for bit.
+pub(crate) fn fold(
+    collector: &Collector,
+    ingest: &IngestView<'_>,
+    scratch: &mut IngestScratch,
+) -> IngestOutcome {
+    let columns = ingest.columns(scratch);
+    collector.note_upstream_rejections(ingest.rejected_upstream());
+    collector.ingest_outcome(&columns)
+}
+
+/// [`fold`] of a logged payload, which reaches the fold unparsed.
 fn apply_payload(
     collector: &Collector,
     payload: &[u8],
@@ -142,10 +152,7 @@ fn apply_payload(
 ) -> io::Result<IngestOutcome> {
     let view = IngestView::parse(payload)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let rejected_upstream = view.rejected_upstream();
-    let columns = view.columns(scratch);
-    collector.note_upstream_rejections(rejected_upstream);
-    Ok(collector.ingest_outcome(&columns))
+    Ok(fold(collector, &view, scratch))
 }
 
 fn wal_err(e: WalError) -> io::Error {
@@ -489,7 +496,7 @@ mod tests {
     use crate::wire::{Frame, WireError, DEFAULT_MAX_PAYLOAD, KNOWN_FRAME_TYPES};
     use ldp_collector::sync::atomic::{AtomicUsize, Ordering};
     use ldp_collector::ReportBatch;
-    use ldp_wal::record::SEAL;
+    use ldp_wal::record::{CHECKPOINT, SEAL};
     use std::path::{Path, PathBuf};
 
     /// The directory's `seg-*` files in sequence order.
@@ -545,6 +552,23 @@ mod tests {
             Err(WireError::UnknownFrameType(SEAL))
         ));
         assert!(!KNOWN_FRAME_TYPES.contains(&SEAL));
+
+        // So is a checkpoint's every frame: its state pieces and its seal.
+        let (mut wal, _) = Wal::open(WalConfig::new(&dir)).expect("reopen");
+        let covered = wal.checkpoint(b"collector state").expect("checkpoint");
+        drop(wal);
+        let image = std::fs::read(dir.join(format!("ck-{covered:020}"))).expect("checkpoint");
+        let piece = HEADER_LEN + b"collector state".len();
+        assert_eq!(image.len(), piece + HEADER_LEN);
+        assert!(matches!(
+            Frame::decode(&image, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnknownFrameType(CHECKPOINT))
+        ));
+        assert!(matches!(
+            Frame::decode(&image[piece..], DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnknownFrameType(SEAL))
+        ));
+        assert!(!KNOWN_FRAME_TYPES.contains(&CHECKPOINT));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

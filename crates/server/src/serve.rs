@@ -10,7 +10,7 @@
 //!                    │                  work-stealing ingest pool     │
 //!                    │                             │                  │
 //! RemoteCollector ──▶│ conn thread ─ query ─▶ QueryEngine/LiveView    │
-//!                    │ accept thread │ refresher thread (paced)       │
+//!                    │ accept thread                                  │
 //!                    └────────────────────────────────────────────────┘
 //! ```
 //!
@@ -38,11 +38,14 @@
 //! * Queries are answered from the epoch-cached [`QueryEngine`]: each
 //!   query refreshes (re-extracting only the shards that changed since
 //!   the last refresh — an O(shards) no-op when nothing did) and reads the
-//!   immutable view; a paced background refresher keeps the view warm
-//!   between queries so the per-query change set stays small.
+//!   immutable view. The server runs no thread of its own besides the
+//!   transport's: nothing refreshes the view between queries.
 //! * Shutdown is graceful: [`Server::shutdown`] flips a flag; the accept
 //!   loop and every connection thread observe it within one poll
 //!   interval, finish their in-flight frame, and join.
+//! * Every ingest frame is folded by `durable::fold`, the one fold
+//!   replay also runs, so live in-memory, live durable and replayed books
+//!   come from the same code.
 //! * A server bound with [`Server::bind_addr_durable`] logs every
 //!   accepted ingest frame to a write-ahead log before folding it
 //!   ([`crate::durable`]): an `IngestAck` only travels after the covered
@@ -52,11 +55,10 @@
 //!   shutdown checkpoints and seals the log so the next boot replays zero
 //!   records.
 
-use crate::durable::Durability;
+use crate::durable::{self, Durability};
 use crate::transport::{Backend, Transport};
 use crate::wire::{Frame, IngestScratch, IngestView};
-use ldp_collector::sync::atomic::{AtomicBool, Ordering};
-use ldp_collector::sync::thread::{self, JoinHandle};
+use ldp_collector::sync::atomic::AtomicBool;
 use ldp_collector::sync::Arc;
 use ldp_collector::{Collector, IngestOutcome, MergedParts, QueryEngine};
 use ldp_telemetry::{Registry, TelemetrySnapshot};
@@ -64,9 +66,6 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
-
-/// Cadence of the background view refresher.
-const REFRESH_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Server tuning knobs. (The payload and per-query slot bounds are the
 /// protocol constants [`crate::wire::DEFAULT_MAX_PAYLOAD`] and
@@ -91,7 +90,7 @@ impl Default for ServerConfig {
 }
 
 /// The local-collector [`Backend`]: what a `Server`'s connections do with
-/// a frame. Shared by the transport's threads and the refresher.
+/// a frame. Shared by the transport's threads.
 struct Local {
     engine: QueryEngine<Arc<Collector>>,
     shutdown: AtomicBool,
@@ -132,22 +131,16 @@ impl Backend for Local {
         scratch: &mut IngestScratch,
     ) -> io::Result<()> {
         let collector = self.collector();
-        let rejected_upstream = ingest.rejected_upstream();
-        let outcome = if let Some(d) = &self.durability {
-            // Durable path: append the raw frame payload to the WAL, then
-            // fold (the append reuses these borrowed bytes — no re-encode,
-            // no copy beyond the log's own buffer). A frame the log
-            // refuses is NOT folded and closes the connection, so no later
-            // ack can cover it.
-            d.ingest_frame(collector, payload, scratch)?
-        } else {
-            let columns = ingest.columns(scratch);
-            collector.note_upstream_rejections(rejected_upstream);
-            collector.ingest_outcome(&columns)
+        let outcome = match &self.durability {
+            // Log the borrowed payload (no re-encode), then fold it. A frame
+            // the log refuses is NOT folded and closes the connection, so no
+            // later ack can cover it.
+            Some(d) => d.ingest_frame(collector, payload, scratch)?,
+            None => durable::fold(collector, ingest, scratch),
         };
         // Saturating throughout: `rejected_upstream` is client-controlled.
         ledger.absorb(IngestOutcome {
-            rejected: outcome.rejected.saturating_add(rejected_upstream),
+            rejected: outcome.rejected.saturating_add(ingest.rejected_upstream()),
             ..outcome
         });
         if let Some(d) = &self.durability {
@@ -189,7 +182,6 @@ impl Backend for Local {
 pub struct Server {
     transport: Transport<Local>,
     collector: Arc<Collector>,
-    refresher: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -224,7 +216,7 @@ impl Server {
     }
 
     /// Binds to `addr` and starts serving `collector`: spawns the accept
-    /// loop and the paced view refresher.
+    /// loop.
     ///
     /// # Errors
     /// Socket errors from bind/listen.
@@ -265,24 +257,11 @@ impl Server {
             shutdown: AtomicBool::new(false),
             durability,
         });
-        let transport = Transport::bind(
-            addr,
-            Arc::clone(&backend),
-            config.max_connections,
-            config.poll_interval,
-        )?;
-        let refresher = thread::Builder::new()
-            .name("ldp-server-refresh".into())
-            .spawn(move || {
-                while !backend.shutdown.load(Ordering::Acquire) {
-                    backend.engine.refresh();
-                    thread::sleep(REFRESH_INTERVAL);
-                }
-            })?;
+        let transport =
+            Transport::bind(addr, backend, config.max_connections, config.poll_interval)?;
         Ok(Self {
             transport,
             collector,
-            refresher: Some(refresher),
         })
     }
 
@@ -321,11 +300,7 @@ impl Server {
     /// so the seal covers every accepted frame and the next boot replays
     /// zero records. Called automatically on drop; idempotent.
     pub fn shutdown(&mut self) {
-        let first = self.transport.shutdown();
-        if let Some(h) = self.refresher.take() {
-            let _ = h.join();
-        }
-        if first {
+        if self.transport.shutdown() {
             if let Some(d) = &self.transport.backend().durability {
                 d.seal(&self.collector);
             }

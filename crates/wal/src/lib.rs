@@ -21,32 +21,30 @@
 //! On-disk layout (`WalConfig::dir`):
 //!
 //! - `FORMAT` — the directory's format stamp, one line naming the byte
-//!   format of everything else in it (`ldp-wal log format 4, wire v7`:
-//!   segments of wire frames at the named wire version, checkpoints summed
-//!   by the four-lane [`record::checksum`]; the version comes from
-//!   [`record::WIRE_VERSION`], so a wire bump is a new stamp). An open
-//!   writes it (temp file, `fsync`, rename, directory `fsync`) into a
-//!   directory with no segments or checkpoints yet, and refuses with
-//!   [`WalError::Format`] a directory whose segments or checkpoints have
-//!   no stamp (the one-lane format wrote none) or another one (format 2
-//!   logged full-width v5 payloads, format 3 framed v6 payloads in the
-//!   log's own record codec, and a format-4 stamp of another wire version
-//!   holds frames this build's header parse refuses) — before it reads,
-//!   truncates, prunes or removes anything;
+//!   format of everything else in it (`ldp-wal log format 5, wire v7`;
+//!   the version comes from [`record::WIRE_VERSION`], so a wire bump is a
+//!   new stamp). An open writes it (temp file, `fsync`, rename, directory
+//!   `fsync`) into a directory with no segments or checkpoints yet, and
+//!   refuses with [`WalError::Format`] one whose segments or checkpoints
+//!   carry no stamp or another one (an older format, or this one at
+//!   another wire version) before it reads, truncates, prunes or removes
+//!   anything;
 //! - `seg-<first-seq, zero padded>` — append-only segments, each nothing
 //!   but wire frames ([`record`]) back to back: an ingest frame per record
 //!   and an empty seal frame at a clean shutdown. A record's sequence
 //!   number is `first-seq` plus its index in the file;
-//! - `ck-<covered-seq, zero padded>` — checkpoint files: an opaque collector
-//!   state blob covering every record with `seq <= covered-seq`;
+//! - `ck-<covered-seq, zero padded>` — checkpoints, wire frames too: an
+//!   opaque collector state covering every record with `seq <=
+//!   covered-seq`, in checkpoint frames, then one empty seal frame. Only
+//!   the newest is read, and one that is not whole fails the open;
 //! - `*.tmp` — in-flight checkpoint writes, ignored (and removed) on open.
 //!
 //! Reading a log back is one streaming pass, and the only way a log is
-//! read: [`Wal::recovery`] lists the directory and lends the newest valid
-//! checkpoint, then [`Recovery::replay`] streams the segments through one
-//! bounded buffer and hands each surviving record to a visitor as soon as
-//! its checksum verifies, retaining nothing — memory is the buffer, however
-//! long the log. [`Wal::open`] is that pass with a visitor that ignores the
+//! read: [`Wal::recovery`] lists the directory and lends the newest
+//! checkpoint's state, then [`Recovery::replay`] streams the segments
+//! through one bounded buffer and hands each surviving record to a visitor
+//! as soon as its checksum verifies, retaining nothing — memory is the
+//! buffer, however long the log. [`Wal::open`] is that pass with a visitor that ignores the
 //! records. The visitor runs on whichever thread called `replay`; this crate
 //! starts none.
 //!
@@ -70,7 +68,8 @@ use std::time::Duration;
 pub enum WalError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// Persistent state failed validation (bad magic, version, or checksum).
+    /// The newest checkpoint is not whole wire frames ending in its one
+    /// seal. Refused with the directory unchanged.
     Corrupt(&'static str),
     /// The directory holds a log in a byte format this build does not
     /// read: segments or checkpoints with no format stamp (written before

@@ -6,23 +6,23 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::fault::{self, CrashPoint};
-use crate::record::{self, Header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, INGEST, SEAL, WIRE_VERSION};
+use crate::record::{
+    self, Header, CHECKPOINT, DEFAULT_MAX_PAYLOAD, HEADER_LEN, INGEST, SEAL, WIRE_VERSION,
+};
 use crate::{FlushPolicy, WalError, WalResult};
 
-const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
-const CHECKPOINT_VERSION: u8 = 1;
 /// The file that stamps a log directory with its byte format.
 const FORMAT_FILE: &str = "FORMAT";
 /// The byte format this build reads and writes, as its stamp names it:
-/// segments of wire frames ([`record`]) at this build's [`WIRE_VERSION`],
-/// checkpoints summed by the four-lane [`record::checksum`]. The wire
-/// version is part of the name because every logged frame carries it: a
-/// build speaking another version refuses the directory untouched instead
-/// of truncating its first frame as damage. Format 3 framed v6 payloads in
-/// the log's own record codec; format 2 held v5 payloads (full-width
-/// ids); the one-lane format before it left no stamp.
+/// segments and checkpoints, both files of wire frames ([`record`]) at
+/// this build's [`WIRE_VERSION`]. The wire version is part of the name
+/// because every logged frame carries it: a build speaking another version
+/// refuses the directory untouched instead of truncating its first frame
+/// as damage. Format 4 gave checkpoints an envelope of their own; format 3
+/// framed v6 payloads in the log's own record codec; format 2 held v5
+/// payloads (full-width ids); the one-lane format before it left no stamp.
 pub(crate) fn format_name() -> String {
-    format!("ldp-wal log format 4, wire v{WIRE_VERSION}")
+    format!("ldp-wal log format 5, wire v{WIRE_VERSION}")
 }
 /// Buffered appends are pushed to the kernel past this size so the in-memory
 /// buffer stays bounded between syncs (capacity is retained across flushes,
@@ -83,7 +83,7 @@ impl WalConfig {
 /// What a recovery scan found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovered {
-    /// Highest sequence covered by the newest valid checkpoint (0 if none).
+    /// Sequence the newest checkpoint covers (0 if none).
     pub checkpoint_seq: u64,
     /// Surviving ingest records with `seq > checkpoint_seq` — the ones the
     /// visitor was handed, in order.
@@ -96,7 +96,7 @@ pub struct Recovered {
 }
 
 /// A log directory opened for recovery: the files are listed and the newest
-/// valid checkpoint is in memory, but no segment has been read yet.
+/// checkpoint's state is in memory, but no segment has been read yet.
 ///
 /// The two halves of the visitor contract are the two steps this type
 /// offers. First [`Recovery::checkpoint_state`] *lends* the checkpoint blob;
@@ -110,8 +110,10 @@ pub struct Recovery {
     /// gives, the path, and their length on disk.
     segments: Vec<(u64, PathBuf, u64)>,
     checkpoint_seq: u64,
-    /// The chosen checkpoint file as read; the state is its tail.
+    /// The newest checkpoint's state; `None` when there is none.
     checkpoint: Option<Vec<u8>>,
+    /// The scan's one read buffer, as the checkpoint read left it.
+    buf: Vec<u8>,
 }
 
 /// A segmented, checksummed write-ahead log.
@@ -124,7 +126,8 @@ pub struct Recovery {
 /// - [`Wal::barrier`] returns only after every appended record is `fsync`ed;
 ///   an ack sent after a successful barrier is a durable promise.
 /// - [`Wal::checkpoint`] atomically persists an opaque state blob covering
-///   every record appended so far, then prunes all segments.
+///   every record appended so far, then prunes all segments and older
+///   checkpoints.
 /// - After any [`WalError::Dead`] (injected crash) the log refuses all
 ///   further operations, modeling a killed process.
 ///
@@ -132,11 +135,12 @@ pub struct Recovery {
 /// [`Recovery::replay`]; [`Wal::open`] is the same pass with a visitor that
 /// ignores everything:
 ///
-/// - The newest checkpoint whose checksum validates wins and is lent
-///   first ([`Recovery::checkpoint_state`]); it is dropped before the first
-///   segment is read. A newer one that is too short or fails its checksum
-///   is removed; one that cannot be read, or has a magic or version this
-///   build does not know, fails the open and stays on disk.
+/// - Only the newest checkpoint counts; its state is lent first
+///   ([`Recovery::checkpoint_state`]) and dropped before the first segment
+///   is read. One that is not whole frames ending in its only seal
+///   ([`WalError::Corrupt`]) or cannot be read ([`WalError::Io`]) fails
+///   the open with nothing on disk changed: it is the only copy of the
+///   records it covers.
 /// - Segments stream through **one** reusable read buffer, in sequence
 ///   order. The visitor is handed `(seq, payload)` for every ingest record
 ///   with `seq >` the checkpoint's, as soon as *that record's* checksum
@@ -170,8 +174,8 @@ pub struct Wal {
 
 impl Wal {
     /// Open (or create) the log at `config.dir`, recovering whatever
-    /// survived: picks the newest valid checkpoint, scans segments in
-    /// order, stops at the first bad record, **physically truncates** the
+    /// survived: reads the newest checkpoint, scans segments in order,
+    /// stops at the first bad record, **physically truncates** the
     /// damage (so a later crash cannot silently lose newer data behind an
     /// old torn tail), and reports what it found. The records themselves
     /// are verified and dropped; a caller that wants them replays through
@@ -181,8 +185,8 @@ impl Wal {
     }
 
     /// First half of an open: list `config.dir` (created if missing),
-    /// check its format stamp, and read the newest checkpoint that
-    /// validates. No segment is read.
+    /// check its format stamp, and read the newest checkpoint. No segment
+    /// is read.
     ///
     /// A directory with no segments or checkpoints yet is stamped with this
     /// build's format. One whose segments or checkpoints carry no stamp, or
@@ -190,69 +194,43 @@ impl Wal {
     /// anything in it is read, truncated, pruned or removed.
     pub fn recovery(config: WalConfig) -> WalResult<Recovery> {
         fs::create_dir_all(&config.dir)?;
-        let mut entries = Vec::new();
+        let (mut segs, mut cks, mut in_flight) = (Vec::new(), Vec::new(), Vec::new());
+        let mut has_log = false;
         for entry in fs::read_dir(&config.dir)? {
             let entry = entry?;
-            if let Ok(name) = entry.file_name().into_string() {
-                entries.push((name, entry));
-            }
-        }
-        let has_log = entries
-            .iter()
-            .any(|(name, _)| name.starts_with("seg-") || name.starts_with("ck-"));
-        check_format(&config.dir, has_log)?;
-
-        let mut segs: Vec<(u64, PathBuf, u64)> = Vec::new();
-        let mut cks: Vec<(u64, PathBuf)> = Vec::new();
-        for (name, entry) in entries {
-            let path = entry.path();
+            let (name, path) = (entry.file_name(), entry.path());
+            let name = name.to_string_lossy();
+            let number = |prefix| name.strip_prefix(prefix)?.parse::<u64>().ok();
+            has_log |= name.starts_with("seg-") || name.starts_with("ck-");
             if name.ends_with(".tmp") {
-                // In-flight checkpoint write that never renamed: dead weight.
-                let _ = fs::remove_file(&path);
-                continue;
-            }
-            if let Some(num) = name
-                .strip_prefix("seg-")
-                .and_then(|s| s.parse::<u64>().ok())
-            {
+                in_flight.push(path);
+            } else if let Some(num) = number("seg-") {
                 segs.push((num, path, entry.metadata()?.len()));
-            } else if let Some(num) = name.strip_prefix("ck-").and_then(|s| s.parse::<u64>().ok()) {
+            } else if let Some(num) = number("ck-") {
                 cks.push((num, path));
             }
         }
+        check_format(&config.dir, has_log)?;
         segs.sort();
-        cks.sort();
 
-        // Newest checkpoint that validates wins. One whose length or
-        // checksum fails is removed so it cannot shadow an older good one
-        // forever. Anything else — an I/O error, a magic or version this
-        // build does not know — is returned with the file in place: the
-        // segments it covered were pruned when it was written, so removing
-        // it would boot an empty collector.
-        let mut checkpoint_seq = 0u64;
-        let mut checkpoint = None;
-        for (num, path) in cks.iter().rev() {
-            match read_checkpoint(path)? {
-                Some((covered, image)) if covered == *num => {
-                    checkpoint_seq = covered;
-                    checkpoint = Some(image);
-                    break;
-                }
-                Some(_) => {
-                    return Err(WalError::Corrupt(
-                        "checkpoint covers another sequence than its name",
-                    ))
-                }
-                None => {
-                    let _ = fs::remove_file(path);
-                }
-            }
+        // Only the newest checkpoint counts, and it must read back whole:
+        // the segments it covered were pruned when it was written, so an
+        // error here fails the open with the directory as it was.
+        let mut buf = Vec::new();
+        let (checkpoint_seq, checkpoint) = match cks.into_iter().max() {
+            Some((covered, path)) => (covered, Some(read_state(&path, &mut buf)?)),
+            None => (0, None),
+        };
+        for path in in_flight {
+            // A checkpoint write that never renamed: dead weight.
+            let _ = fs::remove_file(&path);
         }
         Ok(Recovery {
             config,
             segments: segs,
             checkpoint_seq,
             checkpoint,
+            buf,
         })
     }
 
@@ -318,12 +296,14 @@ impl Wal {
         self.closed_segments >= self.checkpoint_segments
     }
 
-    /// Persist `state` as a checkpoint covering every record appended so
-    /// far, then prune all segments (their records are all covered) and
-    /// start a fresh one. Crash-safe: the checkpoint is written to a temp
-    /// file, `fsync`ed, and atomically renamed before anything is deleted;
-    /// a crash at any point leaves either the old or the new checkpoint
-    /// authoritative, with stale segments filtered by sequence on replay.
+    /// Persist `state` — cut into [`CHECKPOINT`] frames of at most
+    /// [`DEFAULT_MAX_PAYLOAD`] bytes, then one empty [`SEAL`] frame — as a
+    /// checkpoint covering every record appended so far, then prune all
+    /// segments (their records are all covered) and start a fresh one.
+    /// Crash-safe: the checkpoint is written to a temp file, `fsync`ed, and
+    /// atomically renamed before anything is deleted; a crash at any point
+    /// leaves either the old or the new checkpoint the newest, with stale
+    /// segments filtered by sequence on replay.
     pub fn checkpoint(&mut self, state: &[u8]) -> WalResult<u64> {
         self.check_alive()?;
         self.sync_to_disk()?;
@@ -333,17 +313,15 @@ impl Wal {
         }
         let final_path = self.dir.join(format!("ck-{covered:020}"));
         let tmp_path = self.dir.join(format!("ck-{covered:020}.tmp"));
-        {
-            let mut body = Vec::with_capacity(8 + state.len());
-            body.extend_from_slice(&covered.to_le_bytes());
-            body.extend_from_slice(state);
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&CHECKPOINT_MAGIC)?;
-            f.write_all(&[CHECKPOINT_VERSION])?;
-            f.write_all(&record::checksum(&body).to_le_bytes())?;
-            f.write_all(&body)?;
-            f.sync_all()?;
+        let piece = DEFAULT_MAX_PAYLOAD as usize;
+        let mut image = Vec::with_capacity(state.len() + HEADER_LEN * (2 + state.len() / piece));
+        for part in state.chunks(piece) {
+            record::envelope(&mut image, CHECKPOINT, |buf| buf.extend_from_slice(part));
         }
+        record::envelope(&mut image, SEAL, |_| {});
+        let mut f = File::create(&tmp_path)?;
+        f.write_all(&image)?;
+        f.sync_all()?;
         if fault::hit(CrashPoint::CheckpointRename) {
             return self.die();
         }
@@ -354,22 +332,13 @@ impl Wal {
         }
         // Roll to a fresh segment, then delete everything the checkpoint
         // covers: all other segments and all older checkpoints.
-        let (new_path, new_file) = create_segment(&self.dir, self.next_seq)?;
-        self.file = new_file;
-        self.active_path = new_path.clone();
-        self.written = 0;
-        self.synced = 0;
+        self.start_segment()?;
         self.closed_segments = 0;
         for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path == new_path || path == final_path {
-                continue;
-            }
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            if name.starts_with("seg-") || name.starts_with("ck-") {
+            let (name, path) = entry.map(|entry| (entry.file_name(), entry.path()))?;
+            let name = name.to_string_lossy();
+            let covered = name.starts_with("seg-") || name.starts_with("ck-");
+            if covered && path != self.active_path && path != final_path {
                 let _ = fs::remove_file(&path);
             }
         }
@@ -420,12 +389,15 @@ impl Wal {
     /// Close the active segment (durable) and start a new one.
     fn roll_segment(&mut self) -> WalResult<()> {
         self.sync_to_disk()?;
-        let (path, file) = create_segment(&self.dir, self.next_seq)?;
+        self.start_segment()?;
         self.closed_segments += 1;
-        self.file = file;
-        self.active_path = path;
-        self.written = 0;
-        self.synced = 0;
+        Ok(())
+    }
+
+    /// Make a fresh segment, named for the next sequence, the active one.
+    fn start_segment(&mut self) -> WalResult<()> {
+        (self.active_path, self.file) = create_segment(&self.dir, self.next_seq)?;
+        (self.written, self.synced) = (0, 0);
         Ok(())
     }
 
@@ -501,43 +473,39 @@ fn check_format(dir: &Path, has_log: bool) -> WalResult<()> {
     }
 }
 
-/// Bytes of a checkpoint file before the state blob: magic, version,
-/// checksum, covered sequence.
-const CHECKPOINT_STATE_AT: usize = 4 + 1 + 4 + 8;
-
-/// Reads and validates a checkpoint file: the covered sequence and the
-/// file image, whose tail from [`CHECKPOINT_STATE_AT`] is the state, or
-/// `None` when the file is too short or its checksum fails (damage the
-/// caller may remove). An I/O error or an unknown magic or version is
-/// `Err`.
-fn read_checkpoint(path: &Path) -> WalResult<Option<(u64, Vec<u8>)>> {
-    let data = fs::read(path)?;
-    if data.len() >= 4 && data[0..4] != CHECKPOINT_MAGIC {
-        return Err(WalError::Corrupt("bad checkpoint magic"));
+/// Reads the checkpoint at `path` through `buf`, sized here for the file:
+/// the state its [`CHECKPOINT`] frames concatenate to, in one `Vec`
+/// reserved from the file's length. A file that does not scan whole, or
+/// whose last frame is not its only [`SEAL`], is [`WalError::Corrupt`].
+fn read_state(path: &Path, buf: &mut Vec<u8>) -> WalResult<Vec<u8>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    buf.resize(len.clamp(1, SCAN_BUFFER_BYTES), 0);
+    let mut state = Vec::with_capacity(len);
+    let (mut sealed, mut in_order) = (false, true);
+    let (_, intact) = scan_segment(file, buf, &[CHECKPOINT, SEAL], |frame_type, payload| {
+        in_order &= !sealed;
+        sealed = frame_type == SEAL;
+        if !sealed {
+            state.extend_from_slice(payload);
+        }
+        Ok(())
+    })?;
+    if intact && sealed && in_order {
+        Ok(state)
+    } else {
+        Err(WalError::Corrupt(
+            "the newest checkpoint is not whole frames ending in its one seal",
+        ))
     }
-    if data.len() >= 5 && data[4] != CHECKPOINT_VERSION {
-        return Err(WalError::Corrupt("unknown checkpoint version"));
-    }
-    if data.len() < CHECKPOINT_STATE_AT {
-        return Ok(None);
-    }
-    let sum = u32::from_le_bytes(data[5..9].try_into().expect("4 bytes"));
-    let body = &data[9..];
-    if record::checksum(body) != sum {
-        return Ok(None);
-    }
-    let covered = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    Ok(Some((covered, data)))
 }
 
 impl Recovery {
-    /// The checkpoint's opaque collector state, lent from the file image —
-    /// `None` when no checkpoint validated.
+    /// The newest checkpoint's opaque collector state — `None` when the
+    /// directory has no checkpoint.
     #[must_use]
     pub fn checkpoint_state(&self) -> Option<&[u8]> {
-        self.checkpoint
-            .as_deref()
-            .map(|image| &image[CHECKPOINT_STATE_AT..])
+        self.checkpoint.as_deref()
     }
 
     /// Total bytes in the segment files [`Recovery::replay`] will read.
@@ -571,12 +539,10 @@ impl Recovery {
             segments,
             checkpoint_seq,
             checkpoint,
+            mut buf,
         } = self;
         drop(checkpoint);
 
-        // Allocated by the first segment that has bytes: a fresh directory
-        // opens without it.
-        let mut buf: Vec<u8> = Vec::new();
         let mut records = 0u64;
         let mut truncated_bytes = 0u64;
         let mut clean = false;
@@ -595,11 +561,14 @@ impl Recovery {
             let mut seq = first_seq;
             let mut good = 0u64;
             if len > 0 {
-                if buf.is_empty() {
-                    buf = vec![0; chunk];
-                }
-                let (valid, intact) =
-                    scan_segment(File::open(&path)?, &mut buf, |frame_type, payload| {
+                // Back to `chunk` bytes after the checkpoint or a larger
+                // frame; a fresh directory never allocates it.
+                buf.resize(chunk, 0);
+                let (valid, intact) = scan_segment(
+                    File::open(&path)?,
+                    &mut buf,
+                    &[INGEST, SEAL],
+                    |frame_type, payload| {
                         clean = frame_type == SEAL;
                         if frame_type == INGEST && seq > checkpoint_seq {
                             records += 1;
@@ -607,7 +576,8 @@ impl Recovery {
                         }
                         seq += 1;
                         Ok(())
-                    })?;
+                    },
+                )?;
                 good = valid;
                 if !intact {
                     truncated_bytes += len.saturating_sub(good);
@@ -668,16 +638,17 @@ impl Recovery {
     }
 }
 
-/// Streams one segment from `src` through `buf`, handing `on_frame` each
-/// frame's type and payload as soon as its checksum verifies. Returns the
-/// length of the valid prefix and whether the segment ended cleanly there
-/// — `false` means the bytes after the prefix are not a whole valid frame.
+/// Streams one file of frames — a segment or a checkpoint — from `src`
+/// through `buf`, handing `on_frame` each frame's type and payload as soon
+/// as its checksum verifies. Returns the length of the valid prefix and
+/// whether the file ended cleanly there — `false` means the bytes after
+/// the prefix are not a whole valid frame.
 ///
 /// Only a short buffer — under a header, or under the header plus its
 /// payload length — makes the scan read on. Anything else is damage: a
 /// header [`Header::parse`] refuses, a length above
-/// [`DEFAULT_MAX_PAYLOAD`], a type other than [`INGEST`] and [`SEAL`], or
-/// a payload [`Header::verify`] refuses.
+/// [`DEFAULT_MAX_PAYLOAD`], a type not in `accept`, or a payload
+/// [`Header::verify`] refuses.
 ///
 /// `buf` is the scan's one read buffer, non-empty on entry. A frame that
 /// straddles a read boundary is carried to the buffer's front before the
@@ -686,6 +657,7 @@ impl Recovery {
 fn scan_segment(
     mut src: impl Read,
     buf: &mut Vec<u8>,
+    accept: &[u8],
     mut on_frame: impl FnMut(u8, &[u8]) -> io::Result<()>,
 ) -> io::Result<(u64, bool)> {
     let (mut start, mut end, mut eof) = (0usize, 0usize, false);
@@ -696,7 +668,7 @@ fn scan_segment(
             let header = match Header::parse(head) {
                 Ok(header)
                     if header.payload_len <= DEFAULT_MAX_PAYLOAD
-                        && matches!(header.frame_type, INGEST | SEAL) =>
+                        && accept.contains(&header.frame_type) =>
                 {
                     header
                 }
@@ -1112,12 +1084,14 @@ mod tests {
 
     #[test]
     fn a_log_without_this_formats_stamp_is_refused_untouched() {
-        let other_wire = format!("ldp-wal log format 4, wire v{}", WIRE_VERSION + 1);
+        let format_4 = format!("ldp-wal log format 4, wire v{WIRE_VERSION}");
+        let other_wire = format!("ldp-wal log format 5, wire v{}", WIRE_VERSION + 1);
         for (tag, stamp) in [
             ("unstamped", None),
             ("foreign", Some("ldp-wal log format 1")),
             ("format-2", Some("ldp-wal log format 2")),
             ("format-3", Some("ldp-wal log format 3")),
+            ("format-4", Some(format_4.as_str())),
             ("other-wire", Some(other_wire.as_str())),
         ] {
             let dir = temp_dir(tag);
@@ -1151,6 +1125,50 @@ mod tests {
         }
     }
 
+    /// The frames of the checkpoint file at `path`: `(type, payload)` each,
+    /// read with the wire's own header parse and checksum.
+    fn checkpoint_frames(path: &Path) -> Vec<(u8, Vec<u8>)> {
+        let image = fs::read(path).unwrap();
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < image.len() {
+            let header = Header::parse(image[at..].first_chunk().unwrap()).unwrap();
+            let payload = &image[at + HEADER_LEN..][..header.payload_len as usize];
+            header.verify(payload).unwrap();
+            frames.push((header.frame_type, payload.to_vec()));
+            at += HEADER_LEN + payload.len();
+        }
+        frames
+    }
+
+    #[test]
+    fn a_checkpoint_is_a_file_of_wire_frames() {
+        let dir = temp_dir("ck-frames");
+        let piece = DEFAULT_MAX_PAYLOAD as usize;
+        let state: Vec<u8> = (0..=piece).map(|i| (i % 251) as u8).collect();
+        let (mut wal, _) = Wal::open(cfg(&dir)).unwrap();
+        wal.append(b"a").unwrap();
+        let covered = wal.checkpoint(&state).unwrap();
+        drop(wal);
+        let frames = checkpoint_frames(&dir.join(format!("ck-{covered:020}")));
+        let types: Vec<u8> = frames.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(types, [CHECKPOINT, CHECKPOINT, SEAL]);
+        assert_eq!((frames[0].1.len(), frames[1].1.len()), (piece, 1));
+        assert!(frames[2].1.is_empty());
+        assert_eq!([&frames[0].1[..], &frames[1].1[..]].concat(), state);
+        let opened = open(&dir);
+        assert_eq!(opened.rec.checkpoint_seq, covered);
+        assert_eq!(opened.state.as_deref(), Some(&state[..]));
+        drop(opened);
+
+        // An empty state is a lone seal, and still a checkpoint.
+        let covered = open(&dir).wal.checkpoint(b"").unwrap();
+        let path = dir.join(format!("ck-{covered:020}"));
+        assert_eq!(checkpoint_frames(&path), [(SEAL, Vec::new())]);
+        assert_eq!(open(&dir).state.as_deref(), Some(&b""[..]));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn a_checkpoint_of_unknown_version_fails_the_open_and_stays() {
         let dir = temp_dir("ck-version");
@@ -1158,13 +1176,15 @@ mod tests {
         let covered = Wal::open(cfg(&dir)).unwrap().0.checkpoint(b"S").unwrap();
         let path = dir.join(format!("ck-{covered:020}"));
         let mut image = fs::read(&path).unwrap();
-        image[4] = CHECKPOINT_VERSION + 1;
+        assert_eq!(image[4], WIRE_VERSION, "the first frame's version byte");
+        image[4] = WIRE_VERSION + 1;
         fs::write(&path, &image).unwrap();
+        let before = dir_image(&dir);
         assert!(matches!(
             Wal::recovery(cfg(&dir)),
             Err(WalError::Corrupt(_))
         ));
-        assert_eq!(fs::read(&path).unwrap(), image, "the checkpoint is kept");
+        assert_eq!(dir_image(&dir), before, "the checkpoint is kept");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1186,26 +1206,84 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Flips bit `bit` of byte `at` of the file at `path`.
+    fn flip(path: &Path, at: usize, bit: u32) {
+        let mut image = fs::read(path).unwrap();
+        image[at] ^= 1 << bit;
+        fs::write(path, &image).unwrap();
+    }
+
     #[test]
-    fn a_damaged_checkpoint_is_removed_for_the_older_one() {
-        let dir = temp_dir("ck-damaged");
+    fn a_damaged_checkpoint_refuses_the_open_untouched() {
+        // In both shapes a record was acked after the next older
+        // checkpoint (or none), so falling back to it would lose that row.
+        let sole = temp_dir("ck-damaged-sole");
+        let (mut wal, _) = Wal::open(cfg(&sole)).unwrap();
+        wal.append(b"a").unwrap();
+        wal.append(b"b").unwrap();
+        let sole_ck = sole.join(format!("ck-{:020}", wal.checkpoint(b"AB").unwrap()));
+        wal.append(b"c").unwrap();
+        wal.barrier().unwrap();
+        drop(wal);
+
+        let beside = temp_dir("ck-damaged-beside");
+        let (mut wal, _) = Wal::open(cfg(&beside)).unwrap();
+        wal.append(b"a").unwrap();
+        let older = beside.join(format!("ck-{:020}", wal.checkpoint(b"OLD").unwrap()));
+        let older_image = fs::read(&older).unwrap();
+        wal.append(b"b").unwrap();
+        wal.barrier().unwrap();
+        let newer = beside.join(format!("ck-{:020}", wal.checkpoint(b"NEW").unwrap()));
+        drop(wal);
+        // The older checkpoint outlived its prune (a crash before it).
+        fs::write(&older, &older_image).unwrap();
+
+        for (dir, damaged, state) in [
+            (&sole, &sole_ck, &b"AB"[..]),
+            (&beside, &newer, &b"NEW"[..]),
+        ] {
+            let image = fs::read(damaged).unwrap();
+            // One bit of the state's second byte.
+            flip(damaged, HEADER_LEN + 1, 0);
+            fs::write(dir.join("ck-00000000000000000099.tmp"), b"in flight").unwrap();
+            let before = dir_image(dir);
+            assert!(matches!(Wal::recovery(cfg(dir)), Err(WalError::Corrupt(_))));
+            assert!(matches!(Wal::open(cfg(dir)), Err(WalError::Corrupt(_))));
+            assert_eq!(dir_image(dir), before, "nothing removed, nothing truncated");
+
+            // Undamaged, the same directory recovers every acked row.
+            fs::write(damaged, &image).unwrap();
+            let opened = open(dir);
+            assert_eq!(opened.state.as_deref(), Some(state));
+            assert_eq!(opened.rec.truncated_bytes, 0);
+            fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_checkpoint_refuses_the_open_untouched() {
+        let dir = temp_dir("ck-flips");
         let (mut wal, _) = Wal::open(cfg(&dir)).unwrap();
         wal.append(b"a").unwrap();
-        let older = wal.checkpoint(b"OLD").unwrap();
-        let older_image = fs::read(dir.join(format!("ck-{older:020}"))).unwrap();
+        let path = dir.join(format!("ck-{:020}", wal.checkpoint(b"STATE").unwrap()));
         wal.append(b"b").unwrap();
-        let newer = wal.checkpoint(b"NEW").unwrap();
+        wal.barrier().unwrap();
         drop(wal);
-        // The crash the removal exists for: the older checkpoint outlived
-        // its prune, and the newer one was damaged afterwards.
-        fs::write(dir.join(format!("ck-{older:020}")), &older_image).unwrap();
-        let newer_path = dir.join(format!("ck-{newer:020}"));
-        let mut image = fs::read(&newer_path).unwrap();
-        *image.last_mut().unwrap() ^= 1;
-        fs::write(&newer_path, &image).unwrap();
-        let opened = open(&dir);
-        assert_eq!(opened.state.as_deref(), Some(b"OLD".as_slice()));
-        assert!(!newer_path.exists(), "the damaged checkpoint is removed");
+        let image = fs::read(&path).unwrap();
+        assert_eq!(image.len(), 2 * HEADER_LEN + 5);
+        for at in 0..image.len() {
+            for bit in 0..8 {
+                flip(&path, at, bit);
+                let before = dir_image(&dir);
+                assert!(
+                    matches!(Wal::recovery(cfg(&dir)), Err(WalError::Corrupt(_))),
+                    "flip {at}:{bit}"
+                );
+                assert_eq!(dir_image(&dir), before, "flip {at}:{bit}");
+                flip(&path, at, bit);
+            }
+        }
+        assert_eq!(open(&dir).replayed, [(2, b"b".to_vec())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

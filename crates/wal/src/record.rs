@@ -14,11 +14,12 @@
 //!     16     n  payload
 //! ```
 //!
-//! A log segment is nothing but frames back to back: one [`INGEST`] frame
-//! per appended payload — the wire's own ingest frame, byte for byte — and
-//! an empty [`SEAL`] frame at a clean shutdown. A record's sequence number
-//! is not stored: it is the first sequence in its segment's file name plus
-//! the frame's index in the file.
+//! Every file the log writes is frames back to back. A segment holds one
+//! [`INGEST`] frame per appended payload — the wire's own ingest frame,
+//! byte for byte — and an empty [`SEAL`] frame at a clean shutdown; a
+//! record's sequence number is the first sequence in the file's name plus
+//! the frame's index. A checkpoint holds its state in [`CHECKPOINT`]
+//! frames, then one empty [`SEAL`] frame that marks it complete.
 //!
 //! The payload layouts of the wire's frame types live in
 //! `ldp_server::wire`, which re-exports everything here; this crate knows
@@ -64,11 +65,13 @@ pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 24;
 /// Frame type of an ingest frame — the wire's, and the log's record of an
 /// appended payload.
 pub const INGEST: u8 = 1;
-/// Frame type of the log's clean-shutdown seal: everything before it was
-/// checkpointed and the process exited gracefully. Empty payload. Outside
-/// the wire's frame types, which grow up from 1, so the wire never sends
-/// one and a wire decoder refuses one.
+/// Frame type of the log's empty seal: a segment's clean-shutdown mark, a
+/// checkpoint's last frame. Outside the wire's frame types, which grow up
+/// from 1, so the wire never sends one and a wire decoder refuses one.
 pub const SEAL: u8 = 0xFF;
+/// Frame type of one piece of a checkpoint's state; the pieces concatenate
+/// to the state. Outside the wire's frame types, like [`SEAL`].
+pub const CHECKPOINT: u8 = 0xFE;
 
 /// Why [`Header::parse`] or [`Header::verify`] refused a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +103,8 @@ impl std::error::Error for EnvelopeError {}
 #[derive(Debug, Clone, Copy)]
 pub struct Header {
     /// Raw frame-type byte, validated by whoever reads the payload: the
-    /// wire against its known types, the log scan against [`INGEST`] and
-    /// [`SEAL`]. The length prefix lets a reader skip any payload it does
-    /// not parse.
+    /// wire against its known types, the log scan against the file's. The
+    /// length prefix lets a reader skip any payload it does not parse.
     pub frame_type: u8,
     /// Payload length in bytes.
     pub payload_len: u32,
@@ -188,9 +190,8 @@ fn mix(h: u64, word: u64) -> u64 {
 }
 
 /// The one checksum behind every frame payload, on the wire and in the
-/// log, and behind checkpoints (`ldp_server::wire::checksum` re-exports
-/// it): a multiply–xor word hash run in four independent lanes and folded
-/// to 32 bits.
+/// log (`ldp_server::wire::checksum` re-exports it): a multiply–xor word
+/// hash run in four independent lanes and folded to 32 bits.
 ///
 /// Word *k* of every 32-byte block goes through lane *k*'s step; the lanes
 /// start from the length-mixed seed xor a per-lane constant. The four lane
@@ -267,9 +268,10 @@ mod tests {
     }
 
     /// These pin the checksum shared by the wire (v5 on) and the log
-    /// (format 2 on), and the frame the log writes (format 4 on): a
-    /// refactor that changes one bit of any sum or header fails here, not
-    /// in somebody's data directory.
+    /// (format 2 on), and the frames the log writes (format 4 on for
+    /// segments, format 5 on for checkpoints): a refactor that changes one
+    /// bit of any sum or header fails here, not in somebody's data
+    /// directory.
     #[test]
     fn known_answers_pin_the_format() {
         let answers: [(usize, u32); 11] = [
@@ -292,11 +294,13 @@ mod tests {
         assert_eq!(payload.len(), 12 + 24 * 8192);
         assert_eq!(checksum(&payload), 0x6648_41D1);
 
-        // One whole logged ingest frame and the seal, byte for byte.
+        // One whole logged ingest frame, the seal, and one checkpoint
+        // piece, byte for byte.
         let mut frames = Vec::new();
         logged(INGEST, &pattern(20), &mut frames);
         logged(SEAL, b"", &mut frames);
-        assert_eq!(frames.len(), 2 * HEADER_LEN + 20);
+        logged(CHECKPOINT, &pattern(20), &mut frames);
+        assert_eq!(frames.len(), 3 * HEADER_LEN + 40);
         let mut expected = b"LDPW\x07\x01\0\0".to_vec();
         expected.extend_from_slice(&20u32.to_le_bytes());
         expected.extend_from_slice(&0x6FD3_2E88u32.to_le_bytes());
@@ -304,6 +308,10 @@ mod tests {
         expected.extend_from_slice(b"LDPW\x07\xFF\0\0");
         expected.extend_from_slice(&0u32.to_le_bytes());
         expected.extend_from_slice(&0xFAE7_3ABAu32.to_le_bytes());
+        expected.extend_from_slice(b"LDPW\x07\xFE\0\0");
+        expected.extend_from_slice(&20u32.to_le_bytes());
+        expected.extend_from_slice(&0x6FD3_2E88u32.to_le_bytes());
+        expected.extend_from_slice(&pattern(20));
         assert_eq!(frames, expected);
     }
 

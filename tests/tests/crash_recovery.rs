@@ -322,6 +322,54 @@ fn an_unstamped_log_refuses_to_boot_and_is_left_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint is the only copy of the rows it covers — their segments
+/// were pruned when it was written — so one flipped bit in it stops the
+/// boot with the `recover` error and leaves every byte in place, instead
+/// of booting without the acked rows.
+#[test]
+fn a_damaged_checkpoint_refuses_to_boot_and_is_left_unchanged() {
+    let dir = temp_data_dir("damaged-checkpoint");
+    let child = DurableChild::spawn(&dir);
+    {
+        let mut client = RemoteCollector::connect(child.addr).expect("connect");
+        client
+            .ingest(&synthetic_batches(1, 64, 5)[0])
+            .expect("ingest");
+        assert_eq!(client.sync().expect("sync").accepted, 64);
+    }
+    drop(child); // checkpoint + seal
+    let checkpoint = std::fs::read_dir(&dir)
+        .expect("data dir")
+        .map(|entry| entry.expect("entry").path())
+        .find(|path| {
+            path.file_name()
+                .is_some_and(|name| name.to_string_lossy().starts_with("ck-"))
+        })
+        .expect("clean shutdown wrote a checkpoint");
+    let mut image = std::fs::read(&checkpoint).expect("checkpoint");
+    let middle = image.len() / 2;
+    image[middle] ^= 0x08;
+    std::fs::write(&checkpoint, &image).expect("flip one bit");
+    let before = dir_image(&dir);
+
+    let refused = durable_command(&dir)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run ldp-server");
+    assert!(
+        !refused.status.success(),
+        "must not boot: {:?}",
+        refused.status
+    );
+    let stdout = String::from_utf8_lossy(&refused.stdout);
+    assert!(!stdout.contains("LISTENING"), "must not serve: {stdout}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("ldp-server: recover"), "stderr: {stderr}");
+    assert!(stderr.contains("checkpoint"), "stderr: {stderr}");
+    assert_eq!(dir_image(&dir), before, "the directory is byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `LDP_WAL_FLUSH` is the operator's durability policy, so a value the
 /// parser does not know (group commit asked for in milliseconds) must
 /// stop the boot — exit 2, no `LISTENING` — rather than silently run an

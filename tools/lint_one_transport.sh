@@ -20,16 +20,23 @@
 #   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
 #                           `ldp_server::wire::checksum` re-exports it)
 #
-# and one envelope, on the wire and on disk: the write-ahead log is a file
-# of wire frames, so the frame header is defined once, in
-# crates/wal/src/record.rs (`ldp_server::wire` re-exports it):
+# and one envelope, on the wire and on disk: every file the write-ahead
+# log writes, segment and checkpoint alike, is a file of wire frames, so
+# the frame header is defined once, in crates/wal/src/record.rs
+# (`ldp_server::wire` re-exports it):
 #
 #   * `const MAGIC`, `const HEADER_LEN`, `const WIRE_VERSION` and the
 #                           envelope writer `fn envelope`: only there
 #   * `encode_record` / `decode_record` / `RecordKind` / `ScanStop` /
-#     `RECORD_HEADER_LEN` / `MAX_RECORD_BODY`: nowhere under crates/, tests
-#                           and comments included (the log's own record
-#                           codec is gone)
+#     `RECORD_HEADER_LEN` / `MAX_RECORD_BODY`, and the checkpoint's own
+#     envelope `LDPK` / `CHECKPOINT_STATE_AT` / `fn read_checkpoint`:
+#                           nowhere under crates/, tests and comments
+#                           included (the log's own record codec and
+#                           checkpoint envelope are gone)
+#   * `checksum(`           nowhere in crates/wal/src/log.rs, tests
+#                           included: every byte the log writes goes
+#                           through `envelope`, every byte it reads
+#                           through `Header::verify`
 #
 # and one decode per frame layout in crates/server/src/wire.rs:
 # `Frame::decode_body` parses every layout into the owned `Frame`, and
@@ -51,8 +58,14 @@
 #
 #   * `StatsBody` / `QueryStats` / `fn stats(`  not at all
 #
-# Apart from the record-codec rule, only non-test library code is
-# scanned: every `*.rs` under a `src/` of `crates/`, up to its first
+# and a server runs only the transport's threads (each query refreshes
+# the view it reads; nothing refreshes it in the background):
+#
+#   * `thread::Builder` / `thread::spawn(` / `thread::scope(`  not at all
+#                           in crates/server/src/serve.rs
+#
+# Apart from the record-codec and log-checksum rules, only non-test
+# library code is scanned: every `*.rs` under a `src/` of `crates/`, up to its first
 # `#[cfg(test)]`. Integration tests and `benchmark/` build fake peers and
 # measure codec stages on purpose.
 #
@@ -69,6 +82,7 @@ client='crates/server/src/client.rs'
 wire='crates/server/src/wire.rs'
 record='crates/wal/src/record.rs'
 wal_log='crates/wal/src/log.rs'
+serve='crates/server/src/serve.rs'
 
 # "<file>:<lineno>:<code>" for every non-test line, trailing `//` comments
 # (and so whole doc/comment lines) blanked.
@@ -119,6 +133,12 @@ report "the log's own record codec under crates/ (a log record is a wire frame):
     "$(grep -rnE '\b(encode_record|decode_record|RecordKind|ScanStop|RECORD_HEADER_LEN|MAX_RECORD_BODY)\b' \
         --include='*.rs' crates)"
 
+report "the checkpoint's own envelope under crates/ (a checkpoint is a file of wire frames):" \
+    "$(grep -rnE 'LDPK|\bCHECKPOINT_STATE_AT\b|\bfn read_checkpoint\b' --include='*.rs' crates)"
+
+report "checksum( in $wal_log (the log writes through envelope, reads through Header::verify):" \
+    "$(grep -nE '\bchecksum\(' "$wal_log" | sed "s|^|$wal_log:|")"
+
 wire_code="$(grep "^$wire:" <<<"$code")"
 report "borrowed pub type in $wire other than IngestView / FrameView (decode a reply with Frame::decode_body):" \
     "$(grep -E "pub (struct|enum) [A-Za-z0-9_]+<'" <<<"$wire_code" |
@@ -140,9 +160,12 @@ report "Mutex / Condvar under crates/router/src (a connection's thread owns its 
 report "a second ledger on the wire (counters travel only in Frame::Metrics):" \
     "$(grep -E '\b(StatsBody|QueryStats)\b|\bfn stats\(' <<<"$code")"
 
+report "a thread spawned in $serve (a query refreshes the view it reads):" \
+    "$(grep "^$serve:" <<<"$code" | grep -E 'thread::(Builder|spawn\(|scope\()')"
+
 if [ "$violations" -gt 0 ]; then
     echo "one-transport lint: $violations violation(s)." >&2
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one dialer, one reply read, one header parse outside the log scan, one checksum, one envelope on the wire and on disk, one decode per frame layout, one router thread per connection, one set of books on the wire)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one header parse outside the log scan, one checksum, one envelope on the wire and on disk (segments and checkpoints), one decode per frame layout, one router thread per connection, one set of books on the wire, no server thread besides the transport's)."
