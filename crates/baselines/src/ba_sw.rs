@@ -25,8 +25,8 @@
 //! while on fluctuating streams the halved budget and probe noise make it
 //! the weakest SW-based method.
 
-use ldp_core::{Result, StreamMechanism};
-use ldp_mechanisms::{Mechanism, MechanismError, SquareWave};
+use ldp_core::{slot_budget, Result, StreamMechanism};
+use ldp_mechanisms::{Mechanism, SquareWave};
 use rand::RngCore;
 
 /// Budget-absorption baseline over SW.
@@ -46,13 +46,7 @@ impl BaSw {
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn new(epsilon: f64, w: usize) -> Result<Self> {
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(MechanismError::InvalidEpsilon(epsilon));
-        }
-        if w == 0 {
-            return Err(MechanismError::InvalidEpsilon(0.0));
-        }
-        let slot = epsilon / w as f64;
+        let slot = slot_budget(epsilon, w)?;
         Ok(Self {
             eps_probe: slot / 2.0,
             eps_pub: slot / 2.0,
@@ -131,7 +125,10 @@ mod tests {
     #[test]
     fn rejects_invalid_config() {
         assert!(BaSw::new(0.0, 5).is_err());
-        assert!(BaSw::new(1.0, 0).is_err());
+        assert_eq!(
+            BaSw::new(1.0, 0).unwrap_err(),
+            ldp_mechanisms::MechanismError::InvalidWindow(0)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! "Sampling" arm of Figures 6–8, i.e. PP-S without the perturbation-
 //! parameterization feedback.
 
-use ldp_core::{PpKind, Result, Sampling, StreamMechanism};
+use ldp_core::{Result, Sampling, SessionKind, StreamMechanism};
 use rand::RngCore;
 
 /// Sampling without deviation feedback.
@@ -20,7 +20,7 @@ impl NaiveSampling {
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn new(epsilon: f64, w: usize) -> Result<Self> {
         Ok(Self {
-            inner: Sampling::new(PpKind::Direct, epsilon, w)?,
+            inner: Sampling::new(SessionKind::SwDirect, epsilon, w)?,
         })
     }
 
@@ -71,7 +71,7 @@ mod tests {
             .collect();
         let truth = xs.iter().sum::<f64>() / q as f64;
         let naive = NaiveSampling::new(eps, w).unwrap();
-        let apps = Sampling::new(PpKind::App, eps, w).unwrap();
+        let apps = Sampling::new(SessionKind::App, eps, w).unwrap();
         let mut r = rng(2);
         let trials = 500;
         let (mut err_n, mut err_a) = (0.0, 0.0);

@@ -1,15 +1,14 @@
 //! The naive baseline: Square Wave applied independently to every value.
 
-use ldp_core::{DirectMechanismStream, Result, StreamMechanism};
-use ldp_mechanisms::SquareWave;
+use ldp_core::{Direct, Result, StreamMechanism};
+use ldp_mechanisms::MechanismKind;
 use rand::RngCore;
 
 /// SW-direct: each slot perturbed with budget `ε/w`, no feedback, no
-/// post-processing.
+/// post-processing — the SW cell of [`ldp_core::Direct`].
 #[derive(Debug, Clone, Copy)]
 pub struct SwDirect {
-    inner: DirectMechanismStream<SquareWave>,
-    slot_epsilon: f64,
+    inner: Direct,
 }
 
 impl SwDirect {
@@ -18,27 +17,24 @@ impl SwDirect {
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn new(epsilon: f64, w: usize) -> Result<Self> {
-        if w == 0 {
-            return Err(ldp_mechanisms::MechanismError::InvalidEpsilon(0.0));
-        }
-        Self::with_slot_budget(epsilon / w as f64)
+        Ok(Self {
+            inner: Direct::of_mechanism(MechanismKind::SquareWave, epsilon, w)?,
+        })
     }
 
-    /// Creates SW-direct spending exactly `slot_epsilon` per slot.
+    /// Creates SW-direct spending exactly `slot_epsilon` per slot (a
+    /// window of one slot).
     ///
     /// # Errors
     /// Returns an error for an invalid budget.
     pub fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
-        Ok(Self {
-            inner: DirectMechanismStream::new(SquareWave::new(slot_epsilon)?),
-            slot_epsilon,
-        })
+        Self::new(slot_epsilon, 1)
     }
 
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {
-        self.slot_epsilon
+        self.inner.slot_epsilon()
     }
 }
 
@@ -59,7 +55,7 @@ impl StreamMechanism for SwDirect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_mechanisms::Mechanism;
+    use ldp_mechanisms::{Mechanism, MechanismError, SquareWave};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -77,7 +73,9 @@ mod tests {
 
     #[test]
     fn rejects_zero_window() {
-        assert!(SwDirect::new(1.0, 0).is_err());
+        let err = SwDirect::new(1.0, 0).unwrap_err();
+        assert_eq!(err, MechanismError::InvalidWindow(0));
+        assert!(err.to_string().contains("window size w"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! of the SW-based algorithms. Implementing it end-to-end reproduces that
 //! gap mechanically rather than by assumption.
 
-use ldp_core::{Result, StreamMechanism};
+use ldp_core::{slot_budget, Result, StreamMechanism};
 use ldp_mechanisms::sw_estimate::{estimate_distribution, EmConfig};
 use ldp_mechanisms::{Hybrid, Mechanism, MechanismError, SquareWave};
 use rand::RngCore;
@@ -39,10 +39,7 @@ impl ToPL {
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn new(epsilon: f64, w: usize) -> Result<Self> {
-        if w == 0 {
-            return Err(MechanismError::InvalidEpsilon(0.0));
-        }
-        Self::with_slot_budget(epsilon / w as f64)
+        Self::with_slot_budget(slot_budget(epsilon, w)?)
     }
 
     /// Creates ToPL spending exactly `slot_epsilon` per slot.
@@ -130,7 +127,10 @@ mod tests {
 
     #[test]
     fn rejects_invalid_config() {
-        assert!(ToPL::new(1.0, 0).is_err());
+        assert_eq!(
+            ToPL::new(1.0, 0).unwrap_err(),
+            MechanismError::InvalidWindow(0)
+        );
         assert!(ToPL::with_slot_budget(0.0).is_err());
     }
 

@@ -13,6 +13,26 @@
 //! and [`WEventAccountant::max_window_spend`] is O(1) instead of a rescan
 //! of the whole stream history.
 
+use crate::Result;
+use ldp_mechanisms::MechanismError;
+
+/// The per-slot budget `ε/w` of the paper's w-event schedule: spending it
+/// on every slot totals ε in any window of `w` slots (Theorem 3). Every
+/// publisher configured by `(ε, w)` derives its slot budget here.
+///
+/// # Errors
+/// [`MechanismError::InvalidEpsilon`] unless `0 < ε < ∞`;
+/// [`MechanismError::InvalidWindow`] if `w == 0`.
+pub fn slot_budget(epsilon: f64, w: usize) -> Result<f64> {
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(MechanismError::InvalidEpsilon(epsilon));
+    }
+    if w == 0 {
+        return Err(MechanismError::InvalidWindow(w));
+    }
+    Ok(epsilon / w as f64)
+}
+
 /// Ledger of per-time-slot privacy spends over a sliding window.
 ///
 /// Internally a ring buffer of the last `w` spends: [`Self::record`] (and

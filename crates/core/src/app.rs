@@ -8,8 +8,9 @@
 //! which is what makes APP strong for subsequence mean estimation
 //! (Lemma IV.2).
 
-use crate::backend::UnitBackend;
-use crate::kernel::{Feedback, Kernel};
+use crate::accountant::slot_budget;
+use crate::kernel::Kernel;
+use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::smoothing::sma;
 use crate::Result;
@@ -22,8 +23,7 @@ pub const DEFAULT_SMOOTHING: usize = 3;
 /// The APP algorithm over any LDP mechanism (SW by default).
 #[derive(Debug, Clone, Copy)]
 pub struct App {
-    backend: UnitBackend,
-    slot_epsilon: f64,
+    kernel: Kernel,
     smoothing: usize,
 }
 
@@ -43,28 +43,9 @@ impl App {
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn of_mechanism(kind: MechanismKind, epsilon: f64, w: usize) -> Result<Self> {
-        if w == 0 {
-            return Err(ldp_mechanisms::MechanismError::InvalidEpsilon(0.0));
-        }
-        Self::with_slot_budget_of(kind, epsilon / w as f64)
-    }
-
-    /// Creates APP over SW spending exactly `slot_epsilon` per slot.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
-        Self::with_slot_budget_of(MechanismKind::SquareWave, slot_epsilon)
-    }
-
-    /// Creates APP over `kind` spending exactly `slot_epsilon` per slot.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget_of(kind: MechanismKind, slot_epsilon: f64) -> Result<Self> {
+        let spec = PipelineSpec::new(SessionKind::App, kind);
         Ok(Self {
-            backend: UnitBackend::new(kind, slot_epsilon)?,
-            slot_epsilon,
+            kernel: Kernel::of_spec(spec, slot_budget(epsilon, w)?)?,
             smoothing: DEFAULT_SMOOTHING,
         })
     }
@@ -79,19 +60,19 @@ impl App {
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {
-        self.slot_epsilon
+        self.kernel.backend().epsilon()
     }
 
     /// The underlying mechanism instance.
     #[must_use]
     pub fn mechanism(&self) -> &AnyMechanism {
-        self.backend.mechanism()
+        self.kernel.backend().mechanism()
     }
 
     /// The mechanism kind driving this instance.
     #[must_use]
     pub fn mechanism_kind(&self) -> MechanismKind {
-        self.backend.kind()
+        self.kernel.backend().kind()
     }
 
     /// Runs the APP collection loop, returning the raw (unsmoothed)
@@ -106,7 +87,7 @@ impl App {
     /// The collection loop of [`Self::publish_raw`], writing into a reused
     /// buffer (cleared first) instead of allocating.
     pub fn publish_raw_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        Kernel::new(self.backend, Feedback::Accumulated, None).publish_into(xs, out, rng);
+        self.kernel.publish_into(xs, out, rng);
     }
 }
 
@@ -132,7 +113,9 @@ mod tests {
 
     #[test]
     fn rejects_zero_window() {
-        assert!(App::new(1.0, 0).is_err());
+        let err = App::new(1.0, 0).unwrap_err();
+        assert_eq!(err, ldp_mechanisms::MechanismError::InvalidWindow(0));
+        assert!(err.to_string().contains("window size w"), "{err}");
     }
 
     #[test]

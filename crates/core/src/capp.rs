@@ -18,8 +18,10 @@
 //! Theorem 4: clipping and normalization are deterministic pre-processing,
 //! so CAPP keeps the same w-event guarantee as APP.
 
+use crate::accountant::slot_budget;
 use crate::backend::UnitBackend;
-use crate::kernel::{Feedback, Kernel};
+use crate::kernel::Kernel;
+use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::smoothing::sma;
 use crate::Result;
@@ -136,9 +138,7 @@ impl ClipBounds {
 /// The CAPP algorithm over any LDP mechanism (SW by default).
 #[derive(Debug, Clone, Copy)]
 pub struct Capp {
-    backend: UnitBackend,
-    slot_epsilon: f64,
-    bounds: ClipBounds,
+    kernel: Kernel,
     smoothing: usize,
 }
 
@@ -159,31 +159,9 @@ impl Capp {
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn of_mechanism(kind: MechanismKind, epsilon: f64, w: usize) -> Result<Self> {
-        if w == 0 {
-            return Err(MechanismError::InvalidEpsilon(0.0));
-        }
-        Self::with_slot_budget_of(kind, epsilon / w as f64)
-    }
-
-    /// Creates CAPP over SW spending exactly `slot_epsilon` per slot with
-    /// the recommended clip bounds.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
-        Self::with_slot_budget_of(MechanismKind::SquareWave, slot_epsilon)
-    }
-
-    /// Creates CAPP over `kind` spending exactly `slot_epsilon` per slot.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget_of(kind: MechanismKind, slot_epsilon: f64) -> Result<Self> {
-        let bounds = ClipBounds::recommended_for(kind, slot_epsilon)?;
+        let spec = PipelineSpec::new(SessionKind::Capp, kind);
         Ok(Self {
-            backend: UnitBackend::new(kind, slot_epsilon)?,
-            slot_epsilon,
-            bounds,
+            kernel: Kernel::of_spec(spec, slot_budget(epsilon, w)?)?,
             smoothing: crate::app::DEFAULT_SMOOTHING,
         })
     }
@@ -191,7 +169,7 @@ impl Capp {
     /// Overrides the clip bounds (used by the Figure 11 δ sweep).
     #[must_use]
     pub fn with_bounds(mut self, bounds: ClipBounds) -> Self {
-        self.bounds = bounds;
+        self.kernel.range = Some(bounds.domain());
         self
     }
 
@@ -205,25 +183,29 @@ impl Capp {
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {
-        self.slot_epsilon
+        self.kernel.backend().epsilon()
     }
 
     /// Active clip bounds.
     #[must_use]
     pub fn bounds(&self) -> ClipBounds {
-        self.bounds
+        let range = self.kernel.range.expect("a CAPP kernel always clips");
+        ClipBounds {
+            l: range.lo(),
+            u: range.hi(),
+        }
     }
 
     /// The underlying mechanism instance.
     #[must_use]
     pub fn mechanism(&self) -> &AnyMechanism {
-        self.backend.mechanism()
+        self.kernel.backend().mechanism()
     }
 
     /// The mechanism kind driving this instance.
     #[must_use]
     pub fn mechanism_kind(&self) -> MechanismKind {
-        self.backend.kind()
+        self.kernel.backend().kind()
     }
 
     /// Runs the CAPP collection loop without the SMA post-processing.
@@ -237,12 +219,7 @@ impl Capp {
     /// The collection loop of [`Self::publish_raw`], writing into a reused
     /// buffer (cleared first) instead of allocating.
     pub fn publish_raw_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        Kernel::new(
-            self.backend,
-            Feedback::Accumulated,
-            Some(self.bounds.domain()),
-        )
-        .publish_into(xs, out, rng);
+        self.kernel.publish_into(xs, out, rng);
     }
 }
 
@@ -383,7 +360,9 @@ mod tests {
 
     #[test]
     fn zero_window_rejected() {
-        assert!(Capp::new(1.0, 0).is_err());
+        let err = Capp::new(1.0, 0).unwrap_err();
+        assert_eq!(err, MechanismError::InvalidWindow(0));
+        assert!(err.to_string().contains("window size w"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   Unreported slots are filled by carrying the last published value
 //!   forward (the first published value is back-filled at the start).
 
-use crate::sampling::PpKind;
+use crate::accountant::slot_budget;
+use crate::kernel::Kernel;
+use crate::online::{PipelineSpec, SessionKind};
 use crate::smoothing::sma;
 use crate::Result;
 use ldp_streams::MultiDimStream;
@@ -41,7 +43,8 @@ impl SplitStrategy {
     }
 }
 
-/// Publishes a `d`-dimensional series under w-event LDP.
+/// Publishes a `d`-dimensional series under w-event LDP, each dimension
+/// through `kind`'s rule over SW.
 ///
 /// Returns one published stream per dimension, each of the input length.
 /// The published object is the *full-length* stream, so the SMA
@@ -56,7 +59,7 @@ impl SplitStrategy {
 /// Returns an error if the implied per-report budget is invalid.
 pub fn publish_multidim(
     series: &MultiDimStream,
-    kind: PpKind,
+    kind: SessionKind,
     strategy: SplitStrategy,
     epsilon: f64,
     w: usize,
@@ -64,25 +67,27 @@ pub fn publish_multidim(
 ) -> Result<Vec<Vec<f64>>> {
     let d = series.dims();
     let len = series.len();
+    let mut published = Vec::with_capacity(len);
     match strategy {
         SplitStrategy::BudgetSplit => {
-            let slot_eps = epsilon / (d as f64 * w as f64);
-            let algo = kind.build_raw(slot_eps)?;
+            let kernel = Kernel::of_spec(PipelineSpec::sw(kind), slot_budget(epsilon, d * w)?)?;
             Ok(series
                 .iter()
-                .map(|dim| sma(&algo.publish(dim.values(), rng), SMOOTHING_WINDOW))
+                .map(|dim| {
+                    kernel.publish_into(dim.values(), &mut published, rng);
+                    sma(&published, SMOOTHING_WINDOW)
+                })
                 .collect())
         }
         SplitStrategy::SampleSplit => {
-            let slot_eps = epsilon / w as f64;
-            let algo = kind.build_raw(slot_eps)?;
+            let kernel = Kernel::of_spec(PipelineSpec::sw(kind), slot_budget(epsilon, w)?)?;
             let mut out = Vec::with_capacity(d);
             for (k, dim) in series.iter().enumerate() {
                 // Slots where this dimension reports: t ≡ k (mod d).
                 let reported_idx: Vec<usize> = (k..len).step_by(d).collect();
                 let sub: Vec<f64> = reported_idx.iter().map(|&t| dim.values()[t]).collect();
-                let pub_sub = algo.publish(&sub, rng);
-                let expanded = expand_holding_last(len, &reported_idx, &pub_sub);
+                kernel.publish_into(&sub, &mut published, rng);
+                let expanded = expand_holding_last(len, &reported_idx, &published);
                 out.push(sma(&expanded, SMOOTHING_WINDOW));
             }
             Ok(out)
@@ -136,7 +141,7 @@ mod tests {
         let m = sin_multidim(4, 60, 1);
         let out = publish_multidim(
             &m,
-            PpKind::App,
+            SessionKind::App,
             SplitStrategy::BudgetSplit,
             2.0,
             10,
@@ -152,7 +157,7 @@ mod tests {
         let m = sin_multidim(3, 61, 2);
         let out = publish_multidim(
             &m,
-            PpKind::Capp,
+            SessionKind::Capp,
             SplitStrategy::SampleSplit,
             2.0,
             9,
@@ -168,7 +173,7 @@ mod tests {
         let m = sin_multidim(5, 50, 3);
         let out = publish_multidim(
             &m,
-            PpKind::Direct,
+            SessionKind::SwDirect,
             SplitStrategy::SampleSplit,
             1.0,
             10,
@@ -214,10 +219,24 @@ mod tests {
         let trials = 40;
         let (mut err_bs, mut err_ss) = (0.0, 0.0);
         for _ in 0..trials {
-            let bs = publish_multidim(&m, PpKind::App, SplitStrategy::BudgetSplit, 1.0, 10, &mut r)
-                .unwrap();
-            let ss = publish_multidim(&m, PpKind::App, SplitStrategy::SampleSplit, 1.0, 10, &mut r)
-                .unwrap();
+            let bs = publish_multidim(
+                &m,
+                SessionKind::App,
+                SplitStrategy::BudgetSplit,
+                1.0,
+                10,
+                &mut r,
+            )
+            .unwrap();
+            let ss = publish_multidim(
+                &m,
+                SessionKind::App,
+                SplitStrategy::SampleSplit,
+                1.0,
+                10,
+                &mut r,
+            )
+            .unwrap();
             for k in 0..d {
                 let truth = m.dim(k).values();
                 err_bs += ldp_metrics::mse(&bs[k], truth);

@@ -5,8 +5,9 @@
 //! deviation of the *previous* report. Lemma III.1 shows this always
 //! achieves lower mean deviation than perturbing `x_t` directly.
 
-use crate::backend::UnitBackend;
-use crate::kernel::{Feedback, Kernel};
+use crate::accountant::slot_budget;
+use crate::kernel::Kernel;
+use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::Result;
 use ldp_mechanisms::{AnyMechanism, MechanismKind};
@@ -15,8 +16,7 @@ use rand::RngCore;
 /// The IPP algorithm over any LDP mechanism (SW by default).
 #[derive(Debug, Clone, Copy)]
 pub struct Ipp {
-    backend: UnitBackend,
-    slot_epsilon: f64,
+    kernel: Kernel,
 }
 
 impl Ipp {
@@ -35,47 +35,28 @@ impl Ipp {
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
     pub fn of_mechanism(kind: MechanismKind, epsilon: f64, w: usize) -> Result<Self> {
-        if w == 0 {
-            return Err(ldp_mechanisms::MechanismError::InvalidEpsilon(0.0));
-        }
-        Self::with_slot_budget_of(kind, epsilon / w as f64)
-    }
-
-    /// Creates IPP over SW spending exactly `slot_epsilon` on every slot.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
-        Self::with_slot_budget_of(MechanismKind::SquareWave, slot_epsilon)
-    }
-
-    /// Creates IPP over `kind` spending exactly `slot_epsilon` per slot.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget_of(kind: MechanismKind, slot_epsilon: f64) -> Result<Self> {
+        let spec = PipelineSpec::new(SessionKind::Ipp, kind);
         Ok(Self {
-            backend: UnitBackend::new(kind, slot_epsilon)?,
-            slot_epsilon,
+            kernel: Kernel::of_spec(spec, slot_budget(epsilon, w)?)?,
         })
     }
 
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {
-        self.slot_epsilon
+        self.kernel.backend().epsilon()
     }
 
     /// The underlying mechanism instance.
     #[must_use]
     pub fn mechanism(&self) -> &AnyMechanism {
-        self.backend.mechanism()
+        self.kernel.backend().mechanism()
     }
 
     /// The mechanism kind driving this instance.
     #[must_use]
     pub fn mechanism_kind(&self) -> MechanismKind {
-        self.backend.kind()
+        self.kernel.backend().kind()
     }
 }
 
@@ -89,7 +70,7 @@ impl StreamMechanism for Ipp {
     /// Allocation-free override: IPP has no post-processing, so the loop
     /// writes straight into the reused buffer.
     fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        Kernel::new(self.backend, Feedback::Last, None).publish_into(xs, out, rng);
+        self.kernel.publish_into(xs, out, rng);
     }
 
     fn name(&self) -> &'static str {
@@ -100,7 +81,7 @@ impl StreamMechanism for Ipp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_mechanisms::{Mechanism, SquareWave};
+    use ldp_mechanisms::{Mechanism, MechanismError, SquareWave};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -109,7 +90,9 @@ mod tests {
 
     #[test]
     fn rejects_zero_window() {
-        assert!(Ipp::new(1.0, 0).is_err());
+        let err = Ipp::new(1.0, 0).unwrap_err();
+        assert_eq!(err, MechanismError::InvalidWindow(0));
+        assert!(err.to_string().contains("window size w"), "{err}");
     }
 
     #[test]

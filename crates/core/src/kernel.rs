@@ -4,9 +4,11 @@
 //! settings only — which range the deviation-adjusted input is clipped to,
 //! and how the deviation `x − x'` of a report carries into later inputs —
 //! so the step `x_t + dev → clip → (normalize) → perturb → (denormalize)
-//! → feed back` is written once, here, and the batch publishers
-//! ([`crate::Ipp`], [`crate::App`], [`crate::Capp`]) and
-//! [`crate::OnlineSession`] all run it.
+//! → feed back` is written once, here, and [`Kernel::of_spec`] is the one
+//! place a [`PipelineSpec`] cell picks those two settings. Every publisher
+//! builds through it: the batch publishers ([`crate::Direct`],
+//! [`crate::Ipp`], [`crate::App`], [`crate::Capp`]), PP-S
+//! ([`crate::Sampling`], [`crate::highdim`]) and [`crate::OnlineSession`].
 //!
 //! Each published value depends on the one before it, so one stream is a
 //! serial floating-point chain whose cost is latency, not arithmetic.
@@ -18,6 +20,9 @@
 //! with two virtual draws per value.
 
 use crate::backend::UnitBackend;
+use crate::capp::ClipBounds;
+use crate::online::{PipelineSpec, SessionKind};
+use crate::Result;
 use ldp_mechanisms::Domain;
 use rand::RngCore;
 
@@ -40,16 +45,31 @@ pub(crate) struct Kernel {
     /// CAPP's clip range `[l, u]`, normalized onto `[0, 1]` around the
     /// perturbation. `None` clips to the unit interval itself, which
     /// needs no normalization (and keeps its division off the chain).
-    range: Option<Domain>,
+    pub(crate) range: Option<Domain>,
 }
 
 impl Kernel {
-    pub(crate) fn new(backend: UnitBackend, feedback: Feedback, range: Option<Domain>) -> Self {
-        Self {
-            backend,
+    /// The kernel of one pipeline cell spending `slot_epsilon` per report:
+    /// the rule's feedback, CAPP's recommended clip range for the cell's
+    /// mechanism, and that mechanism's unit-scale backend.
+    ///
+    /// # Errors
+    /// Returns an error for an invalid budget.
+    pub(crate) fn of_spec(spec: PipelineSpec, slot_epsilon: f64) -> Result<Self> {
+        let (feedback, range) = match spec.session {
+            SessionKind::SwDirect => (Feedback::None, None),
+            SessionKind::Ipp => (Feedback::Last, None),
+            SessionKind::App => (Feedback::Accumulated, None),
+            SessionKind::Capp => {
+                let bounds = ClipBounds::recommended_for(spec.mechanism, slot_epsilon)?;
+                (Feedback::Accumulated, Some(bounds.domain()))
+            }
+        };
+        Ok(Self {
+            backend: UnitBackend::new(spec.mechanism, slot_epsilon)?,
             feedback,
             range,
-        }
+        })
     }
 
     pub(crate) fn backend(&self) -> &UnitBackend {

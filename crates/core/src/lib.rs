@@ -11,6 +11,8 @@
 //!
 //! # Algorithms
 //!
+//! * [`Direct`] — perturbs every value on its own (no feedback): the
+//!   mechanism-direct comparator.
 //! * [`Ipp`] — corrects only the most recent deviation (the baseline).
 //! * [`App`] — corrects the *accumulated* deviation `D = Σ d_i`, followed
 //!   by simple-moving-average smoothing.
@@ -19,19 +21,18 @@
 //!   (see [`capp::ClipBounds`]).
 //! * [`Sampling`] — PP-S: perturbs per-segment means with an optimized
 //!   segment count for better subsequence mean estimation.
-//! * [`GenericApp`] — the APP feedback loop over any
-//!   [`ldp_mechanisms::Mechanism`] on its *native* input domain (the
-//!   Figure 9 evaluation shape).
 //! * [`highdim`] — Budget-Split and Sample-Split strategies for
 //!   d-dimensional series.
 //! * [`crowd`] — crowd-level statistics over user populations.
 //!
 //! # Mechanism-generic pipelines
 //!
-//! Every feedback algorithm above runs over an interchangeable
-//! perturbation backend: [`App`], [`Capp`], [`Ipp`], and
-//! [`OnlineSession`] accept any [`ldp_mechanisms::MechanismKind`]
-//! (`of_mechanism` / [`OnlineSession::of_spec`]), defaulting to SW. The
+//! Every rule above runs over an interchangeable perturbation backend:
+//! [`Direct`], [`Ipp`], [`App`], [`Capp`] and [`OnlineSession`] accept any
+//! [`ldp_mechanisms::MechanismKind`] (`of_mechanism` /
+//! [`OnlineSession::of_spec`]), defaulting to SW, and all of them —
+//! PP-S included — run one publication kernel, built from the cell's
+//! [`PipelineSpec`] in one place. The
 //! [`backend::UnitBackend`] adapter translates between the unit-scale
 //! stream and each mechanism's native domain, and routes debiasing:
 //! unbiased mechanisms (SR / PM / Laplace / HM) take the **direct path**
@@ -43,9 +44,9 @@
 //! [`PipelineSpec`]; [`PipelineSpec::grid`] enumerates all cells for the
 //! collector fleet and the experiment grid.
 //!
-//! Every algorithm spends `ε/w` per time slot (or the sampling equivalent),
-//! so any sliding window of `w` slots is covered by total budget `ε`
-//! (w-event LDP, Theorems 3, 4 and 6 of the paper). The
+//! Every algorithm spends `ε/w` per time slot ([`slot_budget`]; or the
+//! sampling equivalent), so any sliding window of `w` slots is covered by
+//! total budget `ε` (w-event LDP, Theorems 3, 4 and 6 of the paper). The
 //! [`accountant::WEventAccountant`] verifies this bookkeeping in tests.
 //!
 //! # Quickstart
@@ -68,7 +69,8 @@ pub mod app;
 pub mod backend;
 pub mod capp;
 pub mod crowd;
-pub mod generic;
+pub mod direct;
+mod generic;
 pub mod highdim;
 pub mod ipp;
 mod kernel;
@@ -77,15 +79,15 @@ pub mod publisher;
 pub mod sampling;
 pub mod smoothing;
 
-pub use accountant::WEventAccountant;
+pub use accountant::{slot_budget, WEventAccountant};
 pub use app::App;
 pub use backend::UnitBackend;
 pub use capp::{Capp, ClipBounds};
-pub use generic::{DirectMechanismStream, GenericApp};
+pub use direct::Direct;
 pub use ipp::Ipp;
 pub use online::{OnlineSession, PipelineSpec, SessionKind};
 pub use publisher::StreamMechanism;
-pub use sampling::{optimal_sample_count, PpKind, Sampling};
+pub use sampling::{optimal_sample_count, Sampling};
 pub use smoothing::{sma, sma_into};
 
 /// Errors raised by algorithm constructors.

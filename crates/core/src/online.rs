@@ -24,10 +24,8 @@
 //! ([`WEventAccountant`]), so per-session memory is flat no matter how
 //! long the stream runs.
 
-use crate::accountant::WEventAccountant;
-use crate::backend::UnitBackend;
-use crate::capp::ClipBounds;
-use crate::kernel::{Feedback, Kernel};
+use crate::accountant::{slot_budget, WEventAccountant};
+use crate::kernel::Kernel;
 use crate::Result;
 use ldp_mechanisms::{MechanismError, MechanismKind};
 use rand::RngCore;
@@ -167,34 +165,12 @@ pub struct OnlineSession {
 }
 
 impl OnlineSession {
-    fn new(epsilon: f64, w: usize, kind: SessionKind, mechanism: MechanismKind) -> Result<Self> {
-        if w == 0 || !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(MechanismError::InvalidEpsilon(epsilon));
-        }
-        let slot = epsilon / w as f64;
-        let (feedback, range) = match kind {
-            SessionKind::SwDirect => (Feedback::None, None),
-            SessionKind::Ipp => (Feedback::Last, None),
-            SessionKind::App => (Feedback::Accumulated, None),
-            SessionKind::Capp => {
-                let bounds = ClipBounds::recommended_for(mechanism, slot)?;
-                (Feedback::Accumulated, Some(bounds.domain()))
-            }
-        };
-        Ok(Self {
-            kernel: Kernel::new(UnitBackend::new(mechanism, slot)?, feedback, range),
-            kind,
-            deviation: 0.0,
-            accountant: WEventAccountant::new(w, epsilon),
-        })
-    }
-
     /// Mechanism-direct session (no feedback) — baseline behaviour.
     ///
     /// # Errors
     /// Returns an error for invalid `(epsilon, w)`.
     pub fn sw_direct(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_kind(SessionKind::SwDirect, epsilon, w)
+        Self::of_spec(PipelineSpec::sw(SessionKind::SwDirect), epsilon, w)
     }
 
     /// IPP session (last-deviation feedback).
@@ -202,7 +178,7 @@ impl OnlineSession {
     /// # Errors
     /// Returns an error for invalid `(epsilon, w)`.
     pub fn ipp(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_kind(SessionKind::Ipp, epsilon, w)
+        Self::of_spec(PipelineSpec::sw(SessionKind::Ipp), epsilon, w)
     }
 
     /// APP session (accumulated-deviation feedback).
@@ -210,7 +186,7 @@ impl OnlineSession {
     /// # Errors
     /// Returns an error for invalid `(epsilon, w)`.
     pub fn app(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_kind(SessionKind::App, epsilon, w)
+        Self::of_spec(PipelineSpec::sw(SessionKind::App), epsilon, w)
     }
 
     /// CAPP session (accumulated feedback with the recommended clip range).
@@ -218,15 +194,7 @@ impl OnlineSession {
     /// # Errors
     /// Returns an error for invalid `(epsilon, w)`.
     pub fn capp(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_kind(SessionKind::Capp, epsilon, w)
-    }
-
-    /// Builds an SW-backed session of the given [`SessionKind`].
-    ///
-    /// # Errors
-    /// Returns an error for invalid `(epsilon, w)`.
-    pub fn of_kind(kind: SessionKind, epsilon: f64, w: usize) -> Result<Self> {
-        Self::new(epsilon, w, kind, MechanismKind::SquareWave)
+        Self::of_spec(PipelineSpec::sw(SessionKind::Capp), epsilon, w)
     }
 
     /// Builds a session for an arbitrary [`PipelineSpec`] cell.
@@ -234,7 +202,12 @@ impl OnlineSession {
     /// # Errors
     /// Returns an error for invalid `(epsilon, w)`.
     pub fn of_spec(spec: PipelineSpec, epsilon: f64, w: usize) -> Result<Self> {
-        Self::new(epsilon, w, spec.session, spec.mechanism)
+        Ok(Self {
+            kernel: Kernel::of_spec(spec, slot_budget(epsilon, w)?)?,
+            kind: spec.session,
+            deviation: 0.0,
+            accountant: WEventAccountant::new(w, epsilon),
+        })
     }
 
     /// The pipeline cell this session runs.
@@ -358,7 +331,9 @@ mod tests {
     #[test]
     fn rejects_invalid_configs() {
         assert!(OnlineSession::app(0.0, 5).is_err());
-        assert!(OnlineSession::capp(1.0, 0).is_err());
+        let err = OnlineSession::capp(2.0, 0).unwrap_err();
+        assert_eq!(err, MechanismError::InvalidWindow(0));
+        assert!(err.to_string().contains("window size w"), "{err}");
     }
 
     #[test]
@@ -373,35 +348,54 @@ mod tests {
         assert!((s.accountant().max_window_spend() - 1.0).abs() < 1e-9);
     }
 
+    /// Same kernel, same draws: for every mechanism, the batch publisher
+    /// of `session`'s rule (unsmoothed) reports exactly what a session of
+    /// that cell reports.
+    fn assert_online_matches_batch(session: SessionKind) {
+        let (epsilon, w) = (4.0, 10);
+        let xs: Vec<f64> = (0..60)
+            .map(|i| 0.5 + 0.45 * (i as f64 / 7.0).sin())
+            .collect();
+        for mechanism in MechanismKind::ALL {
+            let spec = PipelineSpec::new(session, mechanism);
+            let mut r = rng(2);
+            let batch = match session {
+                SessionKind::SwDirect => crate::Direct::of_mechanism(mechanism, epsilon, w)
+                    .unwrap()
+                    .publish(&xs, &mut r),
+                SessionKind::Ipp => crate::Ipp::of_mechanism(mechanism, epsilon, w)
+                    .unwrap()
+                    .publish(&xs, &mut r),
+                SessionKind::App => crate::App::of_mechanism(mechanism, epsilon, w)
+                    .unwrap()
+                    .publish_raw(&xs, &mut r),
+                SessionKind::Capp => crate::Capp::of_mechanism(mechanism, epsilon, w)
+                    .unwrap()
+                    .publish_raw(&xs, &mut r),
+            };
+            let mut online = OnlineSession::of_spec(spec, epsilon, w).unwrap();
+            assert_eq!(batch, online.report_all(&xs, &mut rng(2)), "{spec}");
+        }
+    }
+
+    #[test]
+    fn online_direct_matches_batch_direct() {
+        assert_online_matches_batch(SessionKind::SwDirect);
+    }
+
     #[test]
     fn online_app_matches_batch_app() {
-        // Same RNG stream, same feedback rule ⇒ identical raw outputs.
-        let batch = crate::App::new(1.0, 10).unwrap().with_smoothing(0);
-        let xs: Vec<f64> = (0..60).map(|i| i as f64 / 60.0).collect();
-        let expected = batch.publish(&xs, &mut rng(2));
-        let mut session = OnlineSession::app(1.0, 10).unwrap();
-        let got = session.report_all(&xs, &mut rng(2));
-        assert_eq!(expected, got);
+        assert_online_matches_batch(SessionKind::App);
     }
 
     #[test]
     fn online_ipp_matches_batch_ipp() {
-        let batch = crate::Ipp::new(1.0, 10).unwrap();
-        let xs = vec![0.3; 40];
-        let expected = batch.publish(&xs, &mut rng(3));
-        let mut session = OnlineSession::ipp(1.0, 10).unwrap();
-        assert_eq!(expected, session.report_all(&xs, &mut rng(3)));
+        assert_online_matches_batch(SessionKind::Ipp);
     }
 
     #[test]
     fn online_capp_matches_batch_capp_raw() {
-        let batch = crate::Capp::new(1.0, 10).unwrap();
-        let xs: Vec<f64> = (0..50)
-            .map(|i| 0.5 + 0.3 * (i as f64 / 7.0).sin())
-            .collect();
-        let expected = batch.publish_raw(&xs, &mut rng(4));
-        let mut session = OnlineSession::capp(1.0, 10).unwrap();
-        assert_eq!(expected, session.report_all(&xs, &mut rng(4)));
+        assert_online_matches_batch(SessionKind::Capp);
     }
 
     #[test]
@@ -416,7 +410,6 @@ mod tests {
 
     #[test]
     fn pipeline_spec_grid_covers_every_cell() {
-        use ldp_mechanisms::MechanismKind;
         let grid = PipelineSpec::grid();
         assert_eq!(
             grid.len(),
@@ -444,19 +437,23 @@ mod tests {
     }
 
     #[test]
-    fn of_spec_with_sw_matches_of_kind() {
-        // The spec route with the SW default is the of_kind route.
+    fn named_sessions_are_their_sw_cells() {
+        let named = [
+            OnlineSession::sw_direct(2.0, 8),
+            OnlineSession::ipp(2.0, 8),
+            OnlineSession::app(2.0, 8),
+            OnlineSession::capp(2.0, 8),
+        ]
+        .map(Result::unwrap);
         let xs: Vec<f64> = (0..40).map(|i| i as f64 / 40.0).collect();
-        for kind in SessionKind::ALL {
-            let mut a = OnlineSession::of_kind(kind, 2.0, 8).unwrap();
+        for (kind, mut a) in SessionKind::ALL.into_iter().zip(named) {
             let mut b = OnlineSession::of_spec(PipelineSpec::sw(kind), 2.0, 8).unwrap();
+            assert_eq!(a.spec(), PipelineSpec::sw(kind));
             assert_eq!(
                 a.report_all(&xs, &mut rng(11)),
                 b.report_all(&xs, &mut rng(11)),
-                "{}",
-                kind.label()
+                "{kind}"
             );
-            assert_eq!(b.spec(), PipelineSpec::sw(kind));
         }
     }
 

@@ -25,72 +25,13 @@
 //! input `x = 1` (Equation 13): `Var = (µ₄ − σ²·(n_s−3)/(n_s−1)) / n_s`,
 //! with σ² and µ₄ the SW output central moments.
 
-use crate::app::App;
-use crate::capp::Capp;
-use crate::ipp::Ipp;
+use crate::accountant::slot_budget;
+use crate::kernel::Kernel;
+use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::Result;
-use ldp_mechanisms::{MechanismError, SquareWave};
+use ldp_mechanisms::SquareWave;
 use rand::RngCore;
-
-/// Which perturbation-parameterization core a composite algorithm runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PpKind {
-    /// No feedback: perturb each value directly (naive sampling baseline).
-    Direct,
-    /// Iterative PP (last deviation only).
-    Ipp,
-    /// Accumulated PP.
-    App,
-    /// Clipped accumulated PP.
-    Capp,
-}
-
-impl PpKind {
-    /// Instantiates the slot-level algorithm with budget `slot_epsilon`
-    /// and the paper's default SMA post-processing (for APP/CAPP).
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn build(self, slot_epsilon: f64) -> Result<Box<dyn StreamMechanism + Send + Sync>> {
-        Ok(match self {
-            PpKind::Direct => Box::new(crate::generic::DirectMechanismStream::new(
-                SquareWave::new(slot_epsilon)?,
-            )),
-            PpKind::Ipp => Box::new(Ipp::with_slot_budget(slot_epsilon)?),
-            PpKind::App => Box::new(App::with_slot_budget(slot_epsilon)?),
-            PpKind::Capp => Box::new(Capp::with_slot_budget(slot_epsilon)?),
-        })
-    }
-
-    /// Instantiates the slot-level algorithm *without* smoothing — used by
-    /// PP-S, which replicates perturbed segment means and must not blur
-    /// segment boundaries (Algorithm 3 has no smoothing step).
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn build_raw(self, slot_epsilon: f64) -> Result<Box<dyn StreamMechanism + Send + Sync>> {
-        Ok(match self {
-            PpKind::Direct => Box::new(crate::generic::DirectMechanismStream::new(
-                SquareWave::new(slot_epsilon)?,
-            )),
-            PpKind::Ipp => Box::new(Ipp::with_slot_budget(slot_epsilon)?),
-            PpKind::App => Box::new(App::with_slot_budget(slot_epsilon)?.with_smoothing(0)),
-            PpKind::Capp => Box::new(Capp::with_slot_budget(slot_epsilon)?.with_smoothing(0)),
-        })
-    }
-
-    /// Human-readable suffix for composite algorithm names.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            PpKind::Direct => "Sampling",
-            PpKind::Ipp => "IPP-S",
-            PpKind::App => "APP-S",
-            PpKind::Capp => "CAPP-S",
-        }
-    }
-}
 
 /// Variance of the sample variance of `ns` i.i.d. SW outputs at `x = 1`
 /// (paper Equation 13). Defined for `ns ≥ 2`.
@@ -141,10 +82,13 @@ pub fn optimal_sample_count(epsilon: f64, w: usize, q: usize) -> usize {
     best.1
 }
 
-/// PP-S: sampling composed with a perturbation-parameterization core.
+/// PP-S: sampling composed with a perturbation-parameterization rule over
+/// SW (with [`SessionKind::SwDirect`], the naive "Sampling" baseline).
+/// The segment means are published unsmoothed: replicated means must not
+/// blur segment boundaries (Algorithm 3 has no smoothing step).
 #[derive(Debug, Clone)]
 pub struct Sampling {
-    kind: PpKind,
+    kind: SessionKind,
     epsilon: f64,
     w: usize,
     ns: Option<usize>,
@@ -156,13 +100,8 @@ impl Sampling {
     ///
     /// # Errors
     /// Returns an error if `epsilon` is invalid or `w == 0`.
-    pub fn new(kind: PpKind, epsilon: f64, w: usize) -> Result<Self> {
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(MechanismError::InvalidEpsilon(epsilon));
-        }
-        if w == 0 {
-            return Err(MechanismError::InvalidEpsilon(0.0));
-        }
+    pub fn new(kind: SessionKind, epsilon: f64, w: usize) -> Result<Self> {
+        slot_budget(epsilon, w)?;
         Ok(Self {
             kind,
             epsilon,
@@ -206,9 +145,7 @@ impl StreamMechanism for Sampling {
         let ns = self.sample_count(q);
         let seg_len = (q / ns).max(1);
         let eps_seg = self.upload_epsilon(q);
-        let inner = self
-            .kind
-            .build_raw(eps_seg)
+        let kernel = Kernel::of_spec(PipelineSpec::sw(self.kind), eps_seg)
             .expect("validated at construction");
 
         // Segment boundaries: ns−1 segments of seg_len, remainder to last.
@@ -225,7 +162,8 @@ impl StreamMechanism for Sampling {
                 seg.iter().sum::<f64>() / seg.len() as f64
             })
             .collect();
-        let perturbed = inner.publish(&means, rng);
+        let mut perturbed = Vec::with_capacity(ns);
+        kernel.publish_into(&means, &mut perturbed, rng);
 
         let mut out = Vec::with_capacity(q);
         for (r, win) in bounds.windows(2).enumerate() {
@@ -235,7 +173,12 @@ impl StreamMechanism for Sampling {
     }
 
     fn name(&self) -> &'static str {
-        self.kind.label()
+        match self.kind {
+            SessionKind::SwDirect => "Sampling",
+            SessionKind::Ipp => "IPP-S",
+            SessionKind::App => "APP-S",
+            SessionKind::Capp => "CAPP-S",
+        }
     }
 }
 
@@ -282,7 +225,7 @@ mod tests {
 
     #[test]
     fn output_has_input_length_and_segment_structure() {
-        let s = Sampling::new(PpKind::App, 1.0, 10)
+        let s = Sampling::new(SessionKind::App, 1.0, 10)
             .unwrap()
             .with_sample_count(3);
         let xs: Vec<f64> = (0..31).map(|i| i as f64 / 31.0).collect();
@@ -296,7 +239,7 @@ mod tests {
 
     #[test]
     fn upload_budget_grows_with_segment_length() {
-        let s = Sampling::new(PpKind::App, 1.0, 10).unwrap();
+        let s = Sampling::new(SessionKind::App, 1.0, 10).unwrap();
         let few = s.clone().with_sample_count(2).upload_epsilon(40); // seg_len 20 ≥ w
         let many = s.with_sample_count(20).upload_epsilon(40); // seg_len 2
         assert!(few > many, "{few} vs {many}");
@@ -308,8 +251,9 @@ mod tests {
         let (eps, w, q) = (1.0, 20, 30);
         let xs: Vec<f64> = (0..q).map(|i| 0.4 + 0.2 * (i as f64 / 6.0).sin()).collect();
         let truth = xs.iter().sum::<f64>() / q as f64;
-        let samp = Sampling::new(PpKind::App, eps, w).unwrap();
-        let direct = PpKind::Direct.build(eps / w as f64).unwrap();
+        let samp = Sampling::new(SessionKind::App, eps, w).unwrap();
+        let direct =
+            crate::Direct::of_mechanism(ldp_mechanisms::MechanismKind::SquareWave, eps, w).unwrap();
         let mut r = rng(2);
         let trials = 300;
         let (mut err_s, mut err_d) = (0.0, 0.0);
@@ -329,20 +273,26 @@ mod tests {
 
     #[test]
     fn empty_stream_publishes_empty() {
-        let s = Sampling::new(PpKind::Capp, 1.0, 5).unwrap();
+        let s = Sampling::new(SessionKind::Capp, 1.0, 5).unwrap();
         assert!(s.publish(&[], &mut rng(3)).is_empty());
     }
 
     #[test]
     fn labels_match_paper_names() {
-        assert_eq!(PpKind::Direct.label(), "Sampling");
-        assert_eq!(PpKind::App.label(), "APP-S");
-        assert_eq!(PpKind::Capp.label(), "CAPP-S");
+        for (kind, label) in [
+            (SessionKind::SwDirect, "Sampling"),
+            (SessionKind::Ipp, "IPP-S"),
+            (SessionKind::App, "APP-S"),
+            (SessionKind::Capp, "CAPP-S"),
+        ] {
+            assert_eq!(Sampling::new(kind, 1.0, 5).unwrap().name(), label);
+        }
     }
 
     #[test]
     fn rejects_invalid_config() {
-        assert!(Sampling::new(PpKind::App, 0.0, 5).is_err());
-        assert!(Sampling::new(PpKind::App, 1.0, 0).is_err());
+        assert!(Sampling::new(SessionKind::App, 0.0, 5).is_err());
+        let err = Sampling::new(SessionKind::App, 1.0, 0).unwrap_err();
+        assert_eq!(err, ldp_mechanisms::MechanismError::InvalidWindow(0));
     }
 }

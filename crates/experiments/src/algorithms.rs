@@ -2,36 +2,9 @@
 
 use ldp_baselines::{BaSw, NaiveSampling, SwDirect, ToPL};
 use ldp_core::{
-    App, Capp, ClipBounds, DirectMechanismStream, GenericApp, Ipp, PpKind, Sampling,
-    StreamMechanism,
+    App, Capp, ClipBounds, Direct, Ipp, PipelineSpec, Sampling, SessionKind, StreamMechanism,
 };
-use ldp_mechanisms::{Hybrid, Laplace, Piecewise, StochasticRounding};
-
-/// The non-SW mechanisms of the generalizability study (Figure 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AltMechanism {
-    /// Additive Laplace noise on `[−1, 1]`.
-    Laplace,
-    /// Duchi et al.'s binary mechanism.
-    Sr,
-    /// The Piecewise Mechanism.
-    Pm,
-    /// The Hybrid Mechanism.
-    Hm,
-}
-
-impl AltMechanism {
-    /// Figure-legend label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            AltMechanism::Laplace => "Laplace",
-            AltMechanism::Sr => "SR",
-            AltMechanism::Pm => "PM",
-            AltMechanism::Hm => "HM",
-        }
-    }
-}
+use ldp_mechanisms::{Domain, Mechanism, MechanismKind};
 
 /// Every algorithm arm of the evaluation, with its configuration knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,10 +31,9 @@ pub enum AlgorithmSpec {
     AppSampling,
     /// CAPP over segment means (PP-S).
     CappSampling,
-    /// Alternative mechanism applied per slot on `[−1, 1]` (Fig 9).
-    MechDirect(AltMechanism),
-    /// APP feedback over an alternative mechanism on `[−1, 1]` (Fig 9).
-    MechApp(AltMechanism),
+    /// One (rule, mechanism) cell of the pipeline grid, scored on the
+    /// mechanism's input domain (Fig 9's direct and APP arms).
+    Cell(PipelineSpec),
 }
 
 impl AlgorithmSpec {
@@ -79,19 +51,39 @@ impl AlgorithmSpec {
             AlgorithmSpec::NaiveSampling => "Sampling".into(),
             AlgorithmSpec::AppSampling => "APP-S".into(),
             AlgorithmSpec::CappSampling => "CAPP-S".into(),
-            AlgorithmSpec::MechDirect(m) => format!("{}-direct", m.label()),
-            AlgorithmSpec::MechApp(m) => format!("{}-APP", m.label()),
+            AlgorithmSpec::Cell(spec) => {
+                let mechanism = match spec.mechanism {
+                    MechanismKind::SquareWave => "SW",
+                    MechanismKind::StochasticRounding => "SR",
+                    MechanismKind::Piecewise => "PM",
+                    MechanismKind::Laplace => "Laplace",
+                    MechanismKind::Hybrid => "HM",
+                };
+                let rule = match spec.session {
+                    SessionKind::SwDirect => "direct",
+                    SessionKind::Ipp => "IPP",
+                    SessionKind::App => "APP",
+                    SessionKind::Capp => "CAPP",
+                };
+                format!("{mechanism}-{rule}")
+            }
         }
     }
 
-    /// Whether this algorithm expects inputs on `[−1, 1]` (the alternative-
-    /// mechanism family) rather than `[0, 1]`.
+    /// The domain the metric compares published and true streams on.
+    /// Every arm publishes on the unit scale; a grid cell is scored on its
+    /// mechanism's input domain (`[−1, 1]` for all but SW), as the paper
+    /// evaluates Figure 9.
     #[must_use]
-    pub fn uses_symmetric_domain(self) -> bool {
-        matches!(
-            self,
-            AlgorithmSpec::MechDirect(_) | AlgorithmSpec::MechApp(_)
-        )
+    pub fn metric_domain(self) -> Domain {
+        match self {
+            AlgorithmSpec::Cell(spec) => spec
+                .mechanism
+                .build(1.0)
+                .expect("a unit budget is valid")
+                .input_domain(),
+            _ => Domain::UNIT,
+        }
     }
 
     /// Builds the algorithm for window budget `epsilon` and window size `w`.
@@ -101,7 +93,6 @@ impl AlgorithmSpec {
     /// static, so construction failures are programming errors.
     #[must_use]
     pub fn build(self, epsilon: f64, w: usize) -> Box<dyn StreamMechanism + Send + Sync> {
-        let slot = epsilon / w as f64;
         match self {
             AlgorithmSpec::SwDirect => Box::new(SwDirect::new(epsilon, w).unwrap()),
             AlgorithmSpec::BaSw => Box::new(BaSw::new(epsilon, w).unwrap()),
@@ -115,49 +106,38 @@ impl AlgorithmSpec {
             ),
             AlgorithmSpec::ToPL => Box::new(ToPL::new(epsilon, w).unwrap()),
             AlgorithmSpec::NaiveSampling => Box::new(NaiveSampling::new(epsilon, w).unwrap()),
-            AlgorithmSpec::AppSampling => Box::new(Sampling::new(PpKind::App, epsilon, w).unwrap()),
-            AlgorithmSpec::CappSampling => {
-                Box::new(Sampling::new(PpKind::Capp, epsilon, w).unwrap())
+            AlgorithmSpec::AppSampling => {
+                Box::new(Sampling::new(SessionKind::App, epsilon, w).unwrap())
             }
-            AlgorithmSpec::MechDirect(m) => match m {
-                AltMechanism::Laplace => {
-                    Box::new(DirectMechanismStream::new(Laplace::new(slot).unwrap()))
+            AlgorithmSpec::CappSampling => {
+                Box::new(Sampling::new(SessionKind::Capp, epsilon, w).unwrap())
+            }
+            AlgorithmSpec::Cell(spec) => {
+                let m = spec.mechanism;
+                match spec.session {
+                    SessionKind::SwDirect => Box::new(Direct::of_mechanism(m, epsilon, w).unwrap()),
+                    SessionKind::Ipp => Box::new(Ipp::of_mechanism(m, epsilon, w).unwrap()),
+                    SessionKind::App => Box::new(App::of_mechanism(m, epsilon, w).unwrap()),
+                    SessionKind::Capp => Box::new(Capp::of_mechanism(m, epsilon, w).unwrap()),
                 }
-                AltMechanism::Sr => Box::new(DirectMechanismStream::new(
-                    StochasticRounding::new(slot).unwrap(),
-                )),
-                AltMechanism::Pm => {
-                    Box::new(DirectMechanismStream::new(Piecewise::new(slot).unwrap()))
-                }
-                AltMechanism::Hm => {
-                    Box::new(DirectMechanismStream::new(Hybrid::new(slot).unwrap()))
-                }
-            },
-            AlgorithmSpec::MechApp(m) => match m {
-                AltMechanism::Laplace => Box::new(GenericApp::new(Laplace::new(slot).unwrap())),
-                AltMechanism::Sr => {
-                    Box::new(GenericApp::new(StochasticRounding::new(slot).unwrap()))
-                }
-                AltMechanism::Pm => Box::new(GenericApp::new(Piecewise::new(slot).unwrap())),
-                AltMechanism::Hm => Box::new(GenericApp::new(Hybrid::new(slot).unwrap())),
-            },
+            }
         }
     }
 
-    /// The SW-vs-alternatives arms of Figure 9, including SW itself
-    /// expressed in the same direct/APP pairing.
+    /// The arms of Figure 9: direct and APP over Laplace, SR, PM and SW.
     #[must_use]
-    pub fn fig9_arms() -> Vec<(String, AlgorithmSpec)> {
-        let mut arms: Vec<(String, AlgorithmSpec)> = Vec::new();
-        for m in [AltMechanism::Laplace, AltMechanism::Sr, AltMechanism::Pm] {
-            arms.push((
-                format!("{}-direct", m.label()),
-                AlgorithmSpec::MechDirect(m),
-            ));
-            arms.push((format!("{}-APP", m.label()), AlgorithmSpec::MechApp(m)));
+    pub fn fig9_arms() -> Vec<AlgorithmSpec> {
+        let mut arms = Vec::new();
+        for m in [
+            MechanismKind::Laplace,
+            MechanismKind::StochasticRounding,
+            MechanismKind::Piecewise,
+            MechanismKind::SquareWave,
+        ] {
+            for session in [SessionKind::SwDirect, SessionKind::App] {
+                arms.push(AlgorithmSpec::Cell(PipelineSpec::new(session, m)));
+            }
         }
-        arms.push(("SW-direct".into(), AlgorithmSpec::SwDirect));
-        arms.push(("SW-APP".into(), AlgorithmSpec::App));
         arms
     }
 }
@@ -169,7 +149,7 @@ mod tests {
 
     #[test]
     fn every_spec_builds_and_publishes() {
-        let specs = [
+        let mut specs = vec![
             AlgorithmSpec::SwDirect,
             AlgorithmSpec::BaSw,
             AlgorithmSpec::Ipp,
@@ -180,11 +160,8 @@ mod tests {
             AlgorithmSpec::NaiveSampling,
             AlgorithmSpec::AppSampling,
             AlgorithmSpec::CappSampling,
-            AlgorithmSpec::MechDirect(AltMechanism::Laplace),
-            AlgorithmSpec::MechApp(AltMechanism::Pm),
-            AlgorithmSpec::MechDirect(AltMechanism::Hm),
-            AlgorithmSpec::MechApp(AltMechanism::Sr),
         ];
+        specs.extend(PipelineSpec::grid().into_iter().map(AlgorithmSpec::Cell));
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let xs = vec![0.5; 24];
         for spec in specs {
@@ -198,23 +175,40 @@ mod tests {
     fn labels_are_paper_facing() {
         assert_eq!(AlgorithmSpec::Capp { margin: None }.label(), "CAPP");
         assert_eq!(AlgorithmSpec::AppSampling.label(), "APP-S");
-        assert_eq!(
-            AlgorithmSpec::MechApp(AltMechanism::Laplace).label(),
-            "Laplace-APP"
-        );
+        let laplace_app = PipelineSpec::new(SessionKind::App, MechanismKind::Laplace);
+        assert_eq!(AlgorithmSpec::Cell(laplace_app).label(), "Laplace-APP");
     }
 
     #[test]
     fn fig9_arms_cover_four_mechanisms_both_ways() {
-        let arms = AlgorithmSpec::fig9_arms();
-        assert_eq!(arms.len(), 8);
-        assert!(arms.iter().any(|(l, _)| l == "SW-APP"));
-        assert!(arms.iter().any(|(l, _)| l == "PM-direct"));
+        let labels: Vec<String> = AlgorithmSpec::fig9_arms()
+            .into_iter()
+            .map(AlgorithmSpec::label)
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "Laplace-direct",
+                "Laplace-APP",
+                "SR-direct",
+                "SR-APP",
+                "PM-direct",
+                "PM-APP",
+                "SW-direct",
+                "SW-APP"
+            ]
+        );
     }
 
     #[test]
     fn symmetric_domain_flag() {
-        assert!(AlgorithmSpec::MechDirect(AltMechanism::Sr).uses_symmetric_domain());
-        assert!(!AlgorithmSpec::App.uses_symmetric_domain());
+        let sr = PipelineSpec::new(SessionKind::SwDirect, MechanismKind::StochasticRounding);
+        assert_eq!(
+            AlgorithmSpec::Cell(sr).metric_domain(),
+            Domain::new(-1.0, 1.0).unwrap()
+        );
+        let sw_app = PipelineSpec::sw(SessionKind::App);
+        assert_eq!(AlgorithmSpec::Cell(sw_app).metric_domain(), Domain::UNIT);
+        assert_eq!(AlgorithmSpec::App.metric_domain(), Domain::UNIT);
     }
 }

@@ -13,7 +13,7 @@ use crate::datasets::{Dataset, DatasetData};
 use crate::report::{render_artifact, Series, SeriesTable};
 use crate::runner::{self, Metric, TrialSpec};
 use ldp_core::highdim::{publish_multidim, SplitStrategy};
-use ldp_core::{optimal_sample_count, App, Ipp, PpKind, Sampling, StreamMechanism};
+use ldp_core::{optimal_sample_count, App, Ipp, Sampling, SessionKind, StreamMechanism};
 use ldp_metrics::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -316,7 +316,7 @@ pub fn fig8(cfg: &ExperimentConfig) -> String {
 pub fn fig9(cfg: &ExperimentConfig) -> String {
     let data = Dataset::C6h6.materialize(1, cfg.sub_seed(&[9]));
     let mut panel = SeriesTable::new("C6H6, direct vs APP per mechanism", "ε", "MSE");
-    for (ai, (label, arm)) in AlgorithmSpec::fig9_arms().into_iter().enumerate() {
+    for (ai, arm) in AlgorithmSpec::fig9_arms().into_iter().enumerate() {
         let points = epsilon_grid()
             .into_iter()
             .map(|eps| {
@@ -327,7 +327,10 @@ pub fn fig9(cfg: &ExperimentConfig) -> String {
                 )
             })
             .collect();
-        panel.push(Series { label, points });
+        panel.push(Series {
+            label: arm.label(),
+            points,
+        });
     }
     render_artifact("Figure 9 — mechanism generalizability", &[panel])
 }
@@ -345,8 +348,9 @@ pub fn fig10(cfg: &ExperimentConfig) -> String {
             let mut rng = StdRng::seed_from_u64(cfg.sub_seed(&[10, d as u64, 1]));
             let mut summary = Summary::new();
             for _ in 0..cfg.trials.max(1) {
-                let published = publish_multidim(&series, PpKind::App, strategy, 2.0, W, &mut rng)
-                    .expect("static config");
+                let published =
+                    publish_multidim(&series, SessionKind::App, strategy, 2.0, W, &mut rng)
+                        .expect("static config");
                 for (k, stream) in series.iter().enumerate() {
                     summary.add(ldp_metrics::mse(&published[k], stream.values()));
                 }
@@ -484,7 +488,7 @@ pub fn ablations(cfg: &ExperimentConfig) -> String {
     ));
     let picked = optimal_sample_count(epsilon, w, q);
     for ns in [1usize, 2, 3, 5, 10, 15, 30] {
-        let algo = Sampling::new(PpKind::App, epsilon, w)
+        let algo = Sampling::new(SessionKind::App, epsilon, w)
             .expect("static config")
             .with_sample_count(ns);
         let seed = cfg.sub_seed(&[16, 3, ns as u64]);

@@ -1,10 +1,11 @@
 //! Trial runner: repeats a configuration over random subsequences,
-//! sharding trials across threads.
+//! spreading trials across threads.
 
 use crate::algorithms::AlgorithmSpec;
 use crate::datasets::DatasetData;
 use ldp_core::crowd;
 use ldp_metrics::{cosine_distance, wasserstein_cdf_sum, Summary};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Bins used by the crowd-level Wasserstein distance (Fig 8).
@@ -35,23 +36,49 @@ pub enum Metric {
     CosineDistance,
 }
 
-fn shard_counts(trials: usize) -> Vec<usize> {
-    let shards = ldp_collector::default_parallelism()
-        .min(8)
-        .min(trials.max(1));
-    let base = trials / shards;
-    let extra = trials % shards;
-    (0..shards)
-        .map(|i| base + usize::from(i < extra))
-        .filter(|&n| n > 0)
-        .collect()
+/// The threads a cell's trials are spread over.
+fn workers() -> usize {
+    ldp_collector::default_parallelism().min(8)
 }
+
+/// The mean of `value` over the cell's trials. Trial `i` draws from its
+/// own generator, seeded by `(trial.seed, i)`, and the values are averaged
+/// in trial order, so the result is a function of the cell alone: the
+/// `workers` threads only decide who computes which trial. Each thread
+/// keeps one `S` (reused buffers) across its trials.
+fn mean_over_trials<S: Default>(
+    trial: &TrialSpec,
+    workers: usize,
+    value: impl Fn(&mut S, &mut StdRng) -> f64 + Sync,
+) -> f64 {
+    let mut values = vec![0.0; trial.trials];
+    let chunk = trial.trials.div_ceil(workers).max(1);
+    std::thread::scope(|scope| {
+        for (c, out) in values.chunks_mut(chunk).enumerate() {
+            let value = &value;
+            scope.spawn(move || {
+                let mut state = S::default();
+                for (j, v) in out.iter_mut().enumerate() {
+                    let i = (c * chunk + j) as u64;
+                    let mut rng =
+                        StdRng::seed_from_u64(trial.seed ^ i.wrapping_mul(TRIAL_SEED_MIX));
+                    *v = value(&mut state, &mut rng);
+                }
+            });
+        }
+    });
+    values.into_iter().collect::<Summary>().mean()
+}
+
+/// Odd multiplier spreading trial indices over the seed's bits.
+const TRIAL_SEED_MIX: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// Runs one experiment cell and returns the trial-averaged metric.
 ///
-/// For symmetric-domain algorithms (the Laplace/SR/PM family of Fig 9) the
-/// subsequence is mapped from `[0,1]` onto `[−1,1]` first and the metric is
-/// computed in that domain, matching the paper's setup.
+/// Every arm publishes the unit-scale subsequence; the published and true
+/// streams are then mapped onto [`AlgorithmSpec::metric_domain`] (`[−1,1]`
+/// for Fig 9's Laplace/SR/PM cells) and the metric is computed there,
+/// matching the paper's setup.
 #[must_use]
 pub fn subsequence_metric(
     data: &DatasetData,
@@ -59,52 +86,62 @@ pub fn subsequence_metric(
     trial: &TrialSpec,
     metric: Metric,
 ) -> f64 {
-    let counts = shard_counts(trial.trials);
-    let summaries: Vec<Summary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = counts
-            .iter()
-            .enumerate()
-            .map(|(shard, &n)| {
-                scope.spawn(move || {
-                    let mut rng =
-                        rand::rngs::StdRng::seed_from_u64(trial.seed ^ (shard as u64) << 32);
-                    let algo = spec.build(trial.epsilon, trial.w);
-                    let mut summary = Summary::new();
-                    // Both buffers are reused across trials: the publish
-                    // path writes through `StreamMechanism::publish_into`,
-                    // so per-trial allocation disappears once warmed up.
-                    let mut truth: Vec<f64> = Vec::new();
-                    let mut published: Vec<f64> = Vec::new();
-                    for _ in 0..n {
-                        let raw = data.random_subsequence(trial.q, &mut rng);
-                        truth.clear();
-                        if spec.uses_symmetric_domain() {
-                            truth.extend(raw.iter().map(|&x| 2.0 * x - 1.0));
-                        } else {
-                            truth.extend_from_slice(raw);
-                        }
-                        algo.publish_into(&truth, &mut published, &mut rng);
-                        let value = match metric {
-                            Metric::MeanSquaredError => {
-                                let m_est = published.iter().sum::<f64>() / published.len() as f64;
-                                let m_true = truth.iter().sum::<f64>() / truth.len() as f64;
-                                (m_est - m_true) * (m_est - m_true)
-                            }
-                            Metric::CosineDistance => cosine_distance(&published, &truth),
-                        };
-                        summary.add(value);
-                    }
-                    summary
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut total = Summary::new();
-    for s in &summaries {
-        total.merge(s);
-    }
-    total.mean()
+    subsequence_metric_on(workers(), data, spec, trial, metric)
+}
+
+fn subsequence_metric_on(
+    workers: usize,
+    data: &DatasetData,
+    spec: AlgorithmSpec,
+    trial: &TrialSpec,
+    metric: Metric,
+) -> f64 {
+    let algo = spec.build(trial.epsilon, trial.w);
+    let dom = spec.metric_domain();
+    // Both buffers are reused across a thread's trials: the publish path
+    // writes through `StreamMechanism::publish_into`.
+    mean_over_trials(
+        trial,
+        workers,
+        |(truth, published): &mut (Vec<f64>, Vec<f64>), rng| {
+            let raw = data.random_subsequence(trial.q, rng);
+            algo.publish_into(raw, published, rng);
+            truth.clear();
+            truth.extend(raw.iter().map(|&x| dom.denormalize(x)));
+            for y in published.iter_mut() {
+                *y = dom.denormalize(*y);
+            }
+            match metric {
+                Metric::MeanSquaredError => {
+                    let m_est = published.iter().sum::<f64>() / published.len() as f64;
+                    let m_true = truth.iter().sum::<f64>() / truth.len() as f64;
+                    (m_est - m_true) * (m_est - m_true)
+                }
+                Metric::CosineDistance => cosine_distance(published, truth),
+            }
+        },
+    )
+}
+
+/// One crowd-level cell: every trial draws a random `q`-slot range, every
+/// user publishes it, and `score` compares the estimated per-user means
+/// with the true ones.
+fn crowd_cell(
+    data: &DatasetData,
+    spec: AlgorithmSpec,
+    trial: &TrialSpec,
+    score: impl Fn(&[f64], &[f64]) -> f64 + Sync,
+) -> f64 {
+    let population = data.population();
+    let len = population.users()[0].len();
+    assert!(len >= trial.q, "user streams shorter than q");
+    let algo = spec.build(trial.epsilon, trial.w);
+    mean_over_trials(trial, workers(), |(): &mut (), rng| {
+        let start = rng.gen_range(0..=len - trial.q);
+        let range = start..start + trial.q;
+        let est = crowd::estimated_population_means(population, range.clone(), algo.as_ref(), rng);
+        score(&est, &crowd::true_population_means(population, range))
+    })
 }
 
 /// Runs one crowd-level cell (Fig 8): every user publishes the same query
@@ -116,43 +153,9 @@ pub fn subsequence_metric(
 /// Panics if the dataset is single-user.
 #[must_use]
 pub fn crowd_wasserstein(data: &DatasetData, spec: AlgorithmSpec, trial: &TrialSpec) -> f64 {
-    let population = data.population();
-    let len = population.users()[0].len();
-    assert!(len >= trial.q, "user streams shorter than q");
-    let counts = shard_counts(trial.trials);
-    let summaries: Vec<Summary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = counts
-            .iter()
-            .enumerate()
-            .map(|(shard, &n)| {
-                scope.spawn(move || {
-                    let mut rng =
-                        rand::rngs::StdRng::seed_from_u64(trial.seed ^ (shard as u64) << 32);
-                    let algo = spec.build(trial.epsilon, trial.w);
-                    let mut summary = Summary::new();
-                    for _ in 0..n {
-                        let start = rng.gen_range(0..=len - trial.q);
-                        let range = start..start + trial.q;
-                        let est = crowd::estimated_population_means(
-                            population,
-                            range.clone(),
-                            algo.as_ref(),
-                            &mut rng,
-                        );
-                        let truth = crowd::true_population_means(population, range);
-                        summary.add(wasserstein_cdf_sum(&est, &truth, WASSERSTEIN_BINS));
-                    }
-                    summary
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut total = Summary::new();
-    for s in &summaries {
-        total.merge(s);
-    }
-    total.mean()
+    crowd_cell(data, spec, trial, |est, truth| {
+        wasserstein_cdf_sum(est, truth, WASSERSTEIN_BINS)
+    })
 }
 
 /// Runs one crowd-averaged mean-estimation cell (the paper's Table I
@@ -167,45 +170,11 @@ pub fn crowd_wasserstein(data: &DatasetData, spec: AlgorithmSpec, trial: &TrialS
 /// Panics if the dataset is single-user.
 #[must_use]
 pub fn population_mean_mse(data: &DatasetData, spec: AlgorithmSpec, trial: &TrialSpec) -> f64 {
-    let population = data.population();
-    let len = population.users()[0].len();
-    assert!(len >= trial.q, "user streams shorter than q");
-    let counts = shard_counts(trial.trials);
-    let summaries: Vec<Summary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = counts
-            .iter()
-            .enumerate()
-            .map(|(shard, &n)| {
-                scope.spawn(move || {
-                    let mut rng =
-                        rand::rngs::StdRng::seed_from_u64(trial.seed ^ (shard as u64) << 32);
-                    let algo = spec.build(trial.epsilon, trial.w);
-                    let mut summary = Summary::new();
-                    for _ in 0..n {
-                        let start = rng.gen_range(0..=len - trial.q);
-                        let range = start..start + trial.q;
-                        let est = crowd::estimated_population_means(
-                            population,
-                            range.clone(),
-                            algo.as_ref(),
-                            &mut rng,
-                        );
-                        let est_mean = est.iter().sum::<f64>() / est.len() as f64;
-                        let truth = crowd::true_population_means(population, range);
-                        let true_mean = truth.iter().sum::<f64>() / truth.len() as f64;
-                        summary.add((est_mean - true_mean) * (est_mean - true_mean));
-                    }
-                    summary
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut total = Summary::new();
-    for s in &summaries {
-        total.merge(s);
-    }
-    total.mean()
+    crowd_cell(data, spec, trial, |est, truth| {
+        let est_mean = est.iter().sum::<f64>() / est.len() as f64;
+        let true_mean = truth.iter().sum::<f64>() / truth.len() as f64;
+        (est_mean - true_mean) * (est_mean - true_mean)
+    })
 }
 
 #[cfg(test)]
@@ -224,11 +193,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_partition_trials() {
-        for trials in [1, 2, 7, 30, 100] {
-            let counts = shard_counts(trials);
-            assert_eq!(counts.iter().sum::<usize>(), trials);
-            assert!(counts.iter().all(|&c| c > 0));
+    fn a_cell_does_not_depend_on_its_worker_count() {
+        // Trial i draws from its own generator and values are averaged in
+        // trial order, so 1 and 3 threads compute the same bits (7 trials:
+        // chunks of 7 vs 3 + 3 + 1).
+        let data = Dataset::C6h6.materialize(1, 3);
+        for spec_ in [AlgorithmSpec::App, AlgorithmSpec::SwDirect] {
+            let t = spec(7);
+            let one = subsequence_metric_on(1, &data, spec_, &t, Metric::MeanSquaredError);
+            let three = subsequence_metric_on(3, &data, spec_, &t, Metric::MeanSquaredError);
+            assert_eq!(one.to_bits(), three.to_bits(), "{}", spec_.label());
         }
     }
 
@@ -303,7 +277,10 @@ mod tests {
         let data = Dataset::Volume.materialize(1, 7);
         let v = subsequence_metric(
             &data,
-            AlgorithmSpec::MechDirect(crate::algorithms::AltMechanism::Laplace),
+            AlgorithmSpec::Cell(ldp_core::PipelineSpec::new(
+                ldp_core::SessionKind::SwDirect,
+                ldp_mechanisms::MechanismKind::Laplace,
+            )),
             &spec(5),
             Metric::CosineDistance,
         );

@@ -7,6 +7,8 @@ use std::fmt;
 pub enum MechanismError {
     /// The privacy budget must be a finite, strictly positive number.
     InvalidEpsilon(f64),
+    /// A w-event window must span at least one slot.
+    InvalidWindow(usize),
     /// A sensitivity / scale parameter must be finite and positive.
     InvalidSensitivity(f64),
     /// A domain bound pair was not ordered `lo < hi` or not finite.
@@ -26,6 +28,9 @@ impl fmt::Display for MechanismError {
         match self {
             Self::InvalidEpsilon(e) => {
                 write!(f, "privacy budget must be finite and > 0, got {e}")
+            }
+            Self::InvalidWindow(w) => {
+                write!(f, "window size w must be at least 1 slot, got w = {w}")
             }
             Self::InvalidSensitivity(s) => {
                 write!(f, "sensitivity must be finite and > 0, got {s}")

@@ -89,6 +89,11 @@ fn main() -> ExitCode {
             return usage();
         }
     }
+    // The collector asserts both bounds; refuse them like a bad flag.
+    if collector_config.shards == 0 || u32::try_from(collector_config.shards).is_err() {
+        eprintln!("ldp-server: --shards must be between 1 and {}", u32::MAX);
+        return usage();
+    }
 
     let server = if let Some(dir) = data_dir {
         let flush = match std::env::var("LDP_WAL_FLUSH") {

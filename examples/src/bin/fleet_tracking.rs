@@ -11,7 +11,7 @@
 //! vs non-sampling pipelines.
 
 use ldp_core::crowd::{estimated_population_means, true_population_means};
-use ldp_core::{App, PpKind, Sampling, StreamMechanism};
+use ldp_core::{App, Sampling, SessionKind, StreamMechanism};
 use ldp_metrics::{wasserstein_cdf_sum, Summary};
 use ldp_streams::synthetic::taxi_population;
 use rand::SeedableRng;
@@ -27,7 +27,7 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
 
     let app = App::new(epsilon, w).expect("valid budget");
-    let app_sampling = Sampling::new(PpKind::App, epsilon, w).expect("valid budget");
+    let app_sampling = Sampling::new(SessionKind::App, epsilon, w).expect("valid budget");
     println!(
         "PP-S picks n_s = {} segments for q = {q} (per-upload ε = {:.3})",
         app_sampling.sample_count(q),

@@ -4,85 +4,60 @@
 //! ```text
 //! cargo run -p ldp-examples --release --bin mechanism_playground
 //! ```
+//!
+//! Every mechanism publishes the same unit-scale signal through the one
+//! publication kernel; errors are measured on each mechanism's own input
+//! domain (`[0, 1]` for SW, `[−1, 1]` for the others), as in the paper.
 
-use ldp_core::{DirectMechanismStream, GenericApp, StreamMechanism};
-use ldp_mechanisms::{Laplace, Mechanism, Piecewise, SquareWave, StochasticRounding};
+use ldp_core::{App, Direct, StreamMechanism};
+use ldp_mechanisms::{Mechanism, MechanismKind};
 use ldp_metrics::{cosine_distance, mse};
 use ldp_streams::synthetic::sinusoidal;
 use rand::SeedableRng;
 
-fn evaluate(
-    name: &str,
-    direct: &dyn StreamMechanism,
-    app: &dyn StreamMechanism,
-    truth: &[f64],
-    rng: &mut rand::rngs::StdRng,
-) {
-    let pub_direct = direct.publish(truth, rng);
-    let pub_app = app.publish(truth, rng);
-    println!(
-        "{:<10} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",
-        name,
-        mse(&pub_direct, truth),
-        mse(&pub_app, truth),
-        cosine_distance(&pub_direct, truth),
-        cosine_distance(&pub_app, truth),
-    );
-}
-
 fn main() {
-    let slot_epsilon = 0.2; // ε = 2 over a window of w = 10
+    let (epsilon, w) = (2.0, 10);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-
-    // Signal on [0, 1] for SW; mapped to [−1, 1] for the others.
     let unit = sinusoidal(500, 0.01);
-    let sym: Vec<f64> = unit.values().iter().map(|x| 2.0 * x - 1.0).collect();
 
-    println!("per-slot ε = {slot_epsilon} (ε = 2, w = 10), 500-slot sinusoid\n");
+    println!(
+        "per-slot ε = {} (ε = {epsilon}, w = {w}), 500-slot sinusoid\n",
+        epsilon / w as f64
+    );
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>12}",
         "mechanism", "MSE direct", "MSE APP", "cos direct", "cos APP"
     );
 
-    let sw = SquareWave::new(slot_epsilon).unwrap();
-    evaluate(
-        "SW",
-        &DirectMechanismStream::new(sw),
-        &GenericApp::new(sw),
-        unit.values(),
-        &mut rng,
-    );
-
-    let lap = Laplace::new(slot_epsilon).unwrap();
-    evaluate(
-        "Laplace",
-        &DirectMechanismStream::new(lap),
-        &GenericApp::new(lap),
-        &sym,
-        &mut rng,
-    );
-
-    let sr = StochasticRounding::new(slot_epsilon).unwrap();
-    evaluate(
-        "SR",
-        &DirectMechanismStream::new(sr),
-        &GenericApp::new(sr),
-        &sym,
-        &mut rng,
-    );
-
-    let pm = Piecewise::new(slot_epsilon).unwrap();
-    println!(
-        "(PM output range at this budget: ±{:.1})",
-        pm.output_domain().hi()
-    );
-    evaluate(
-        "PM",
-        &DirectMechanismStream::new(pm),
-        &GenericApp::new(pm),
-        &sym,
-        &mut rng,
-    );
+    for kind in [
+        MechanismKind::SquareWave,
+        MechanismKind::Laplace,
+        MechanismKind::StochasticRounding,
+        MechanismKind::Piecewise,
+    ] {
+        let mech = kind.build(epsilon / w as f64).expect("valid budget");
+        if kind == MechanismKind::Piecewise {
+            println!(
+                "(PM output range at this budget: ±{:.1})",
+                mech.output_domain().hi()
+            );
+        }
+        let dom = mech.input_domain();
+        let native = |xs: &[f64]| -> Vec<f64> { xs.iter().map(|&x| dom.denormalize(x)).collect() };
+        let truth = native(unit.values());
+        let direct = Direct::of_mechanism(kind, epsilon, w).expect("valid budget");
+        let app = App::of_mechanism(kind, epsilon, w).expect("valid budget");
+        let pub_direct = native(&direct.publish(unit.values(), &mut rng));
+        let pub_app = native(&app.publish(unit.values(), &mut rng));
+        println!(
+            "{:<10} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",
+            kind.label(),
+            mse(&pub_direct, &truth),
+            mse(&pub_app, &truth),
+            cosine_distance(&pub_direct, &truth),
+            cosine_distance(&pub_app, &truth),
+        );
+    }
 
     println!("\nAPP reduces error for every mechanism; SW's bounded output");
     println!("range keeps it far ahead at small budgets (paper §IV-C).");

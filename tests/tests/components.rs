@@ -3,7 +3,7 @@
 
 use integration_tests::test_rng;
 use ldp_core::highdim::{publish_multidim, SplitStrategy};
-use ldp_core::{optimal_sample_count, PpKind, Sampling, StreamMechanism};
+use ldp_core::{optimal_sample_count, Sampling, SessionKind, StreamMechanism};
 use ldp_metrics::{cosine_distance, mse};
 use ldp_streams::synthetic::{sin_multidim, volume};
 use ldp_streams::{load_population_csv, load_stream_csv, Stream};
@@ -40,7 +40,7 @@ fn sample_count_minimizes_objective() {
 /// the segment count.
 #[test]
 fn sampling_publishes_exactly_ns_distinct_values() {
-    let algo = Sampling::new(PpKind::Capp, 2.0, 10)
+    let algo = Sampling::new(SessionKind::Capp, 2.0, 10)
         .unwrap()
         .with_sample_count(5);
     let data = volume(400, 31);
@@ -62,7 +62,8 @@ fn highdim_strategies_improve_with_budget() {
             .iter()
             .map(|&eps| {
                 let published =
-                    publish_multidim(&series, PpKind::App, strategy, eps, 10, &mut rng).unwrap();
+                    publish_multidim(&series, SessionKind::App, strategy, eps, 10, &mut rng)
+                        .unwrap();
                 (0..4)
                     .map(|k| mse(&published[k], series.dim(k).values()))
                     .sum::<f64>()

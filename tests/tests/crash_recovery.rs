@@ -396,3 +396,22 @@ fn unparseable_wal_flush_refuses_to_boot() {
     drop(child);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A shard count the collector cannot take (none, or more than 32 bits
+/// can index) is refused like any malformed flag — usage, exit 2, no
+/// `LISTENING` — instead of panicking inside `Collector::new`.
+#[test]
+fn an_impossible_shard_count_refuses_to_boot() {
+    for shards in ["0", "5000000000"] {
+        let refused = Command::new(bin_dir().join("ldp-server"))
+            .args(["--shards", shards])
+            .output()
+            .expect("run ldp-server");
+        assert_eq!(refused.status.code(), Some(2), "--shards {shards}");
+        let stdout = String::from_utf8_lossy(&refused.stdout);
+        assert!(!stdout.contains("LISTENING"), "--shards {shards}: {stdout}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains("usage:"), "--shards {shards}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--shards {shards}: {stderr}");
+    }
+}

@@ -5,9 +5,10 @@
 //! 1. **Dispatch parity** — routing a mechanism through
 //!    [`MechanismKind::build`] / [`AnyMechanism`] must be seed-for-seed
 //!    identical to calling the concrete type directly, for the scalar,
-//!    batch-into, and batch-alloc sampling paths alike. Otherwise the
-//!    fleet (dispatched) and the figure reproductions (concrete) would
-//!    silently disagree.
+//!    batch-into, and batch-alloc sampling paths alike. The fleet and the
+//!    figure reproductions both publish through the one kernel over the
+//!    dispatched mechanism, so this is what ties every published bit to
+//!    the concrete mechanisms the paper defines.
 //! 2. **w-event safety of every grid cell** — an [`OnlineSession`] for
 //!    any `(SessionKind, MechanismKind)` pair spends at most ε in any
 //!    window of `w` slots, because the budget schedule is set by the

@@ -2,7 +2,7 @@
 //! pointwise ε-LDP density bound for every mechanism.
 
 use integration_tests::test_rng;
-use ldp_core::{optimal_sample_count, PpKind, Sampling, WEventAccountant};
+use ldp_core::{optimal_sample_count, Sampling, SessionKind, WEventAccountant};
 use ldp_mechanisms::{Hybrid, Laplace, Mechanism, Piecewise, SquareWave, StochasticRounding};
 use ldp_streams::are_w_neighboring;
 
@@ -78,7 +78,7 @@ fn sampling_schedule_satisfies_w_event() {
     for &(w, q) in &[(10usize, 30usize), (20, 40), (30, 10), (5, 100)] {
         let ns = optimal_sample_count(eps, w, q);
         let seg_len = (q / ns).max(1);
-        let sampler = Sampling::new(PpKind::App, eps, w).unwrap();
+        let sampler = Sampling::new(SessionKind::App, eps, w).unwrap();
         let eps_upload = sampler.upload_epsilon(q);
         let mut acc = WEventAccountant::new(w, eps);
         for t in 0..q {

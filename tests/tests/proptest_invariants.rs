@@ -2,7 +2,7 @@
 //! and streams must never break the structural invariants.
 
 use ldp_core::{
-    optimal_sample_count, sma, App, Capp, ClipBounds, Ipp, PpKind, Sampling, StreamMechanism,
+    optimal_sample_count, sma, App, Capp, ClipBounds, Ipp, Sampling, SessionKind, StreamMechanism,
     WEventAccountant,
 };
 use ldp_mechanisms::{Mechanism, SquareWave};
@@ -30,7 +30,7 @@ proptest! {
             Box::new(Ipp::new(eps, w).unwrap()),
             Box::new(App::new(eps, w).unwrap()),
             Box::new(Capp::new(eps, w).unwrap()),
-            Box::new(Sampling::new(PpKind::App, eps, w).unwrap()),
+            Box::new(Sampling::new(SessionKind::App, eps, w).unwrap()),
         ];
         for algo in algos {
             let out = algo.publish(&xs, &mut rng);

@@ -1,8 +1,10 @@
 //! End-to-end shape assertions: the qualitative orderings the paper's
 //! evaluation reports must hold on the synthetic substrate.
 
+use ldp_core::{PipelineSpec, SessionKind};
 use ldp_experiments::runner::{subsequence_metric, Metric};
 use ldp_experiments::{AlgorithmSpec, Dataset, TrialSpec};
+use ldp_mechanisms::MechanismKind;
 
 fn trial(epsilon: f64, w: usize, q: usize, trials: usize, seed: u64) -> TrialSpec {
     TrialSpec {
@@ -34,10 +36,15 @@ fn topl_is_orders_of_magnitude_worse() {
 
 /// Figure 4 shape: the perturbation-parameterization family does not lose
 /// to SW-direct for mean estimation on temporally correlated data.
+///
+/// Over 20,000 trials CAPP/SW-direct measures 1.032 (standard error
+/// 0.0055) and APP/SW-direct 0.970, so the 10 % margin holds but is
+/// narrow: 2,000 trials put it about 4 standard errors of the ratio away
+/// (120 trials could not resolve it).
 #[test]
 fn pp_family_beats_sw_direct_for_mean_estimation() {
     let data = Dataset::Taxi.materialize(100, 12);
-    let spec = trial(1.0, 30, 30, 120, 102);
+    let spec = trial(1.0, 30, 30, 2_000, 102);
     let sw = subsequence_metric(
         &data,
         AlgorithmSpec::SwDirect,
@@ -103,21 +110,16 @@ fn sampling_improves_mean_estimation() {
 /// publication at equal budget, and APP helps each mechanism.
 #[test]
 fn sw_dominates_alternative_mechanisms() {
-    use ldp_experiments::algorithms::AltMechanism;
     let data = Dataset::C6h6.materialize(1, 15);
     let spec = trial(1.0, 10, 10, 40, 105);
     let sw_app = subsequence_metric(&data, AlgorithmSpec::App, &spec, Metric::MeanSquaredError);
-    for m in [AltMechanism::Laplace, AltMechanism::Pm] {
-        let alt = subsequence_metric(
-            &data,
-            AlgorithmSpec::MechApp(m),
-            &spec,
-            Metric::MeanSquaredError,
-        );
+    for m in [MechanismKind::Laplace, MechanismKind::Piecewise] {
+        let arm = AlgorithmSpec::Cell(PipelineSpec::new(SessionKind::App, m));
+        let alt = subsequence_metric(&data, arm, &spec, Metric::MeanSquaredError);
         assert!(
             sw_app < alt,
-            "SW-APP {sw_app} should beat {}-APP {alt}",
-            m.label()
+            "SW-APP {sw_app} should beat {} {alt}",
+            arm.label()
         );
     }
 }
@@ -126,18 +128,18 @@ fn sw_dominates_alternative_mechanisms() {
 /// improvement).
 #[test]
 fn app_feedback_improves_laplace() {
-    use ldp_experiments::algorithms::AltMechanism;
     let data = Dataset::Volume.materialize(1, 16);
     let spec = trial(1.0, 10, 20, 150, 106);
+    let laplace = |rule| AlgorithmSpec::Cell(PipelineSpec::new(rule, MechanismKind::Laplace));
     let direct = subsequence_metric(
         &data,
-        AlgorithmSpec::MechDirect(AltMechanism::Laplace),
+        laplace(SessionKind::SwDirect),
         &spec,
         Metric::MeanSquaredError,
     );
     let app = subsequence_metric(
         &data,
-        AlgorithmSpec::MechApp(AltMechanism::Laplace),
+        laplace(SessionKind::App),
         &spec,
         Metric::MeanSquaredError,
     );
