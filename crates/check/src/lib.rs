@@ -76,9 +76,6 @@ pub struct Config {
     /// Per-execution scheduling-point budget; exceeding it is reported as a
     /// possible livelock.
     pub max_steps: u64,
-    /// Bound on forced preemptions per execution (`RandomWalk` only;
-    /// `None` = unbounded).
-    pub max_preemptions: Option<u32>,
     pub policy: Policy,
 }
 
@@ -88,7 +85,6 @@ impl Default for Config {
             executions: 200,
             seed: 0x01d9_5eed,
             max_steps: 20_000,
-            max_preemptions: None,
             policy: Policy::RandomWalk,
         }
     }
@@ -114,12 +110,6 @@ impl Config {
     #[must_use]
     pub fn max_steps(mut self, n: u64) -> Self {
         self.max_steps = n;
-        self
-    }
-
-    #[must_use]
-    pub fn max_preemptions(mut self, n: u32) -> Self {
-        self.max_preemptions = Some(n);
         self
     }
 
@@ -237,7 +227,6 @@ where
         depth,
         config.max_steps,
         horizon,
-        config.max_preemptions,
         replay_trace,
     ));
     let (os, _tid) = sync::spawn_checked(&exec, Some("ldp-check-root".to_string()), move || {

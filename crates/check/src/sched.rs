@@ -87,8 +87,6 @@ struct SchedState {
     max_steps: u64,
     rng: Pcg32,
     policy: PolicyKind,
-    preemptions: u32,
-    max_preemptions: Option<u32>,
     change_points: Vec<u64>,
     next_low: i64,
     trace: Vec<u32>,
@@ -112,7 +110,6 @@ impl Execution {
         pct_depth: u32,
         max_steps: u64,
         horizon: u64,
-        max_preemptions: Option<u32>,
         replay: Option<Vec<u32>>,
     ) -> Self {
         let mut rng = Pcg32::new(seed, PCG_STREAM);
@@ -136,8 +133,6 @@ impl Execution {
                 max_steps,
                 rng,
                 policy,
-                preemptions: 0,
-                max_preemptions,
                 change_points,
                 next_low: -1,
                 trace: Vec::new(),
@@ -535,7 +530,7 @@ impl Execution {
                 None => return,
             }
         } else {
-            pick(st, &candidates, timeout_fired)
+            pick(st, &candidates)
         };
         if timeout_fired {
             st.threads[choice as usize].state = TState::Runnable;
@@ -586,22 +581,10 @@ fn fail(st: &mut SchedState, kind: FailKind, message: String) {
     st.aborting = true;
 }
 
-fn pick(st: &mut SchedState, candidates: &[u32], timeout_fired: bool) -> u32 {
+fn pick(st: &mut SchedState, candidates: &[u32]) -> u32 {
     let current = st.running as u32;
-    let current_runnable = !timeout_fired && candidates.contains(&current);
     match st.policy {
-        PolicyKind::RandomWalk => {
-            let idx = st.rng.below(candidates.len());
-            let mut choice = candidates[idx];
-            if current_runnable && choice != current {
-                if st.max_preemptions.is_some_and(|m| st.preemptions >= m) {
-                    choice = current;
-                } else {
-                    st.preemptions += 1;
-                }
-            }
-            choice
-        }
+        PolicyKind::RandomWalk => candidates[st.rng.below(candidates.len())],
         PolicyKind::Pct => {
             if st.change_points.binary_search(&st.steps).is_ok() {
                 let low = st.next_low;

@@ -14,7 +14,6 @@
 //! sums are O(1) per user regardless of stream length, so they are not
 //! subject to retention.
 
-use crate::report::SlotReport;
 use crate::snapshot::SnapshotPart;
 use std::collections::VecDeque;
 
@@ -393,14 +392,8 @@ impl ShardAccumulator {
         }
     }
 
-    /// Folds one report in.
-    pub fn ingest(&mut self, report: &SlotReport) {
-        self.ingest_parts(report.user, report.slot, report.value);
-    }
-
-    /// Folds one report in from its columnar parts — the shape the
-    /// engine's column-walking ingest loop hands over, with no row struct
-    /// materialized in between.
+    /// Folds one report in — the per-row reference fold: [`Self::ingest_rows`]
+    /// must leave the shard exactly as one call of this per row would.
     pub fn ingest_parts(&mut self, user: u64, slot: u64, value: f64) {
         match self.retained_index(slot) {
             Some(i) => self.slots[i].add(value),
@@ -714,21 +707,9 @@ mod tests {
     #[test]
     fn shard_ingest_grows_slots_and_tracks_users() {
         let mut shard = ShardAccumulator::new();
-        shard.ingest(&SlotReport {
-            user: 3,
-            slot: 5,
-            value: 0.5,
-        });
-        shard.ingest(&SlotReport {
-            user: 3,
-            slot: 6,
-            value: 0.7,
-        });
-        shard.ingest(&SlotReport {
-            user: 9,
-            slot: 5,
-            value: 0.1,
-        });
+        shard.ingest_parts(3, 5, 0.5);
+        shard.ingest_parts(3, 6, 0.7);
+        shard.ingest_parts(9, 5, 0.1);
         assert_eq!(shard.reports(), 3);
         assert_eq!(shard.base(), 0);
         assert_eq!(shard.slot_count(), 7);

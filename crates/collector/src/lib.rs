@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! OnlineSession ─┐                       ┌─ shard 0: SlotStats[] + user sums
-//! OnlineSession ─┼─ SlotReport batches ─▶│  shard 1: …            ──▶ merge
+//! OnlineSession ─┼─── report batches ───▶│  shard 1: …            ──▶ merge
 //!      …         │     (ReportBatch)     │     …                       │
 //! OnlineSession ─┘                       └─ shard k                    ▼
 //!                                                            CollectorSnapshot
@@ -99,5 +99,5 @@ pub use fleet::{
     user_seed, ClientFleet, CollectorSink, FleetConfig, FleetError, ReportSink, ReseedingSession,
 };
 pub use query::{LiveView, QueryEngine};
-pub use report::{AsReportColumns, ReportBatch, ReportColumns, SlotReport};
+pub use report::{AsReportColumns, ReportBatch, ReportColumns};
 pub use snapshot::{CollectorSnapshot, MergedParts, SlotTable, SnapshotPart};

@@ -5,8 +5,7 @@
 //! columns instead of an array of structs, so the shard routing pass
 //! touches only the `users` column and the accumulation pass streams the
 //! `values` column cache-line by cache-line — the layout the collector's
-//! ~20M+ reports/s hot path is built around. [`SlotReport`] survives as
-//! the row view for element access and iteration.
+//! ~20M+ reports/s hot path is built around.
 //!
 //! [`ReportColumns`] is the **borrowed** counterpart: the same three
 //! columns as slices over storage owned elsewhere (a wire decoder's
@@ -15,22 +14,12 @@
 //! zero-copy wire path feeds shard accumulators without ever
 //! materializing a `ReportBatch`.
 
-/// One perturbed report: user `user` published `value` for time slot
-/// `slot`. The value is already private — the collector never sees ground
-/// truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlotReport {
-    /// Stable user id (assigned by the transport layer).
-    pub user: u64,
-    /// Global time-slot index.
-    pub slot: u64,
-    /// The perturbed value.
-    pub value: f64,
-}
-
-/// A batch of reports uploaded together (one RPC / queue message in a real
-/// deployment). Batching is what keeps per-report overhead negligible:
-/// the collector locks each shard once per batch, not once per report.
+/// A batch of perturbed reports uploaded together (one RPC / queue
+/// message in a real deployment): row `i` says user `users()[i]`
+/// published `values()[i]` for time slot `slots()[i]`. The values are
+/// already private — the collector never sees ground truth. Batching is
+/// what keeps per-report overhead negligible: the collector locks each
+/// shard once per batch, not once per report.
 ///
 /// Non-finite values (NaN / ±∞) are rejected at [`push`](Self::push) time
 /// and counted in [`rejected_non_finite`](Self::rejected_non_finite) — a
@@ -175,25 +164,6 @@ impl ReportBatch {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Row view of report `i`, or `None` past the end.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<SlotReport> {
-        Some(SlotReport {
-            user: *self.users.get(i)?,
-            slot: self.slots[i],
-            value: self.values[i],
-        })
-    }
-
-    /// Iterates the batch as rows.
-    pub fn iter(&self) -> impl Iterator<Item = SlotReport> + '_ {
-        self.users
-            .iter()
-            .zip(&self.slots)
-            .zip(&self.values)
-            .map(|((&user, &slot), &value)| SlotReport { user, slot, value })
-    }
 }
 
 /// A borrowed struct-of-arrays view over report columns — the zero-copy
@@ -262,17 +232,6 @@ impl<'a> ReportColumns<'a> {
     pub fn values(&self) -> &'a [f64] {
         self.values
     }
-
-    /// Copies the view into an owned batch (the cold path; ingest never
-    /// needs this).
-    #[must_use]
-    pub fn to_batch(&self) -> ReportBatch {
-        ReportBatch::from_columns(
-            self.users.to_vec(),
-            self.slots.to_vec(),
-            self.values.to_vec(),
-        )
-    }
 }
 
 /// Anything the collector can ingest: an owned [`ReportBatch`] or a
@@ -302,16 +261,6 @@ impl AsReportColumns for ReportColumns<'_> {
     }
 }
 
-impl FromIterator<SlotReport> for ReportBatch {
-    fn from_iter<T: IntoIterator<Item = SlotReport>>(iter: T) -> Self {
-        let mut batch = Self::new();
-        for r in iter {
-            batch.push(r.user, r.slot, r.value);
-        }
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,23 +269,9 @@ mod tests {
     fn from_stream_numbers_slots_consecutively() {
         let b = ReportBatch::from_stream(7, 100, &[0.1, 0.2, 0.3]);
         assert_eq!(b.len(), 3);
-        assert_eq!(
-            b.get(0).unwrap(),
-            SlotReport {
-                user: 7,
-                slot: 100,
-                value: 0.1
-            }
-        );
-        assert_eq!(
-            b.get(2).unwrap(),
-            SlotReport {
-                user: 7,
-                slot: 102,
-                value: 0.3
-            }
-        );
-        assert_eq!(b.get(3), None);
+        assert_eq!(b.users(), &[7, 7, 7]);
+        assert_eq!(b.slots(), &[100, 101, 102]);
+        assert_eq!(b.values(), &[0.1, 0.2, 0.3]);
     }
 
     #[test]
@@ -344,11 +279,10 @@ mod tests {
         let mut b = ReportBatch::new();
         assert!(b.is_empty());
         assert!(b.push(1, 0, 0.5));
-        let c: ReportBatch = b.iter().collect();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.users(), &[1]);
-        assert_eq!(c.slots(), &[0]);
-        assert_eq!(c.values(), &[0.5]);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.users(), &[1]);
+        assert_eq!(b.slots(), &[0]);
+        assert_eq!(b.values(), &[0.5]);
     }
 
     #[test]
@@ -383,8 +317,6 @@ mod tests {
         assert_eq!(cols.users(), b.users());
         assert_eq!(cols.slots(), b.slots());
         assert_eq!(cols.values(), b.values());
-        let owned = cols.to_batch();
-        assert_eq!(owned.users(), b.users());
         // A view is itself a column source (the generic-ingest identity).
         let again = cols.report_columns();
         assert_eq!(again.slots(), cols.slots());

@@ -408,12 +408,11 @@ impl CollectorSnapshot {
 mod tests {
     use super::*;
     use crate::accumulator::SlotRetention;
-    use crate::report::SlotReport;
 
     fn shard_with(reports: &[(u64, u64, f64)]) -> ShardAccumulator {
         let mut s = ShardAccumulator::new();
         for &(user, slot, value) in reports {
-            s.ingest(&SlotReport { user, slot, value });
+            s.ingest_parts(user, slot, value);
         }
         s
     }

@@ -76,6 +76,7 @@ use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
+use ldp_server::transport::POLL_INTERVAL;
 use ldp_server::wire::{
     code, metrics_payload_len, Frame, IngestScratch, IngestView, DEFAULT_MAX_PAYLOAD,
 };
@@ -111,9 +112,6 @@ pub struct RouterConfig {
     /// Maximum front connections served concurrently; extras are refused
     /// with a [`code::BUSY`] error frame.
     pub max_connections: usize,
-    /// How often blocked reads / the accept loop wake to check for
-    /// shutdown.
-    pub poll_interval: Duration,
     /// Cadence of the background downstream health probe (ping).
     pub health_interval: Duration,
     /// Per-message reconnect-with-backoff budget for downstream links.
@@ -124,7 +122,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            poll_interval: Duration::from_millis(20),
             health_interval: Duration::from_millis(150),
             reconnect: ReconnectPolicy::default(),
         }
@@ -263,12 +260,7 @@ impl Router {
             shutdown: Arc::default(),
             config,
         });
-        let transport = Transport::bind(
-            addr,
-            Arc::clone(&backend),
-            config.max_connections,
-            config.poll_interval,
-        )?;
+        let transport = Transport::bind(addr, Arc::clone(&backend), config.max_connections)?;
         let health = thread::Builder::new()
             .name("ldp-router-health".into())
             .spawn(move || health_loop(&backend))?;
@@ -348,7 +340,7 @@ fn health_loop(shared: &Federation) {
             }
             last = Some(Instant::now());
         }
-        thread::sleep(shared.config.poll_interval);
+        thread::sleep(POLL_INTERVAL);
     }
 }
 
@@ -603,7 +595,7 @@ impl Federation {
     /// what every connection's links and the health probe hold.
     fn handle(&self, addr: SocketAddr, reconnect: ReconnectPolicy) -> RemoteCollector {
         let stop = Arc::clone(&self.shutdown);
-        RemoteCollector::with_stop(addr, reconnect, stop, self.config.poll_interval)
+        RemoteCollector::with_stop(addr, reconnect, stop)
     }
 
     /// Request/response with every downstream: `request` is written to

@@ -21,7 +21,7 @@
 //! splitting a request at [`RemoteCollector::send`] so every downstream
 //! is asked before any reply is awaited.
 
-use crate::transport::read_reply;
+use crate::transport::{read_reply, POLL_INTERVAL};
 use crate::wire::{code, Frame, IngestView, SummaryBody};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::{thread, Arc};
@@ -127,8 +127,9 @@ pub struct RemoteCollector {
     addrs: Vec<SocketAddr>,
     reconnect: ReconnectPolicy,
     /// Ends a blocked reply read (as `Interrupted`) once raised, checked
-    /// every `poll`; with `poll` `None` the read has no timeout and the
-    /// flag is never consulted.
+    /// every `poll` ([`POLL_INTERVAL`] for a [`Self::with_stop`] handle);
+    /// with `poll` `None` the read has no timeout and the flag is never
+    /// consulted.
     stop: Arc<AtomicBool>,
     /// See [`Self::stop`].
     poll: Option<Duration>,
@@ -206,17 +207,12 @@ impl RemoteCollector {
 
     /// A handle to `addr` that dials on its first operation, not here,
     /// and whose reply reads end once `stop` is raised — checked every
-    /// `poll` — so an owner that is shutting down is never held by a
-    /// peer that went quiet. What a tier forwarding to `addr` holds (a
-    /// router's downstream links and health probes).
+    /// [`POLL_INTERVAL`] — so an owner that is shutting down is never
+    /// held by a peer that went quiet. What a tier forwarding to `addr`
+    /// holds (a router's downstream links and health probes).
     #[must_use]
-    pub fn with_stop(
-        addr: SocketAddr,
-        reconnect: ReconnectPolicy,
-        stop: Arc<AtomicBool>,
-        poll: Duration,
-    ) -> Self {
-        Self::new(vec![addr], reconnect, stop, Some(poll))
+    pub fn with_stop(addr: SocketAddr, reconnect: ReconnectPolicy, stop: Arc<AtomicBool>) -> Self {
+        Self::new(vec![addr], reconnect, stop, Some(POLL_INTERVAL))
     }
 
     fn new(

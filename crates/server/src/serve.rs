@@ -41,8 +41,9 @@
 //!   immutable view. The server runs no thread of its own besides the
 //!   transport's: nothing refreshes the view between queries.
 //! * Shutdown is graceful: [`Server::shutdown`] flips a flag; the accept
-//!   loop and every connection thread observe it within one poll
-//!   interval, finish their in-flight frame, and join.
+//!   loop and every connection thread observe it within one
+//!   [`crate::transport::POLL_INTERVAL`], finish their in-flight frame,
+//!   and join.
 //! * Every ingest frame is folded by `durable::fold`, the one fold
 //!   replay also runs, so live in-memory, live durable and replayed books
 //!   come from the same code.
@@ -65,7 +66,6 @@ use ldp_telemetry::{Registry, TelemetrySnapshot};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
-use std::time::Duration;
 
 /// Server tuning knobs. (The payload and per-query slot bounds are the
 /// protocol constants [`crate::wire::DEFAULT_MAX_PAYLOAD`] and
@@ -75,16 +75,12 @@ pub struct ServerConfig {
     /// Maximum connections served concurrently; extras are refused with a
     /// [`crate::wire::code::BUSY`] error frame.
     pub max_connections: usize,
-    /// How often blocked reads / the accept loop wake to check for
-    /// shutdown — the upper bound on shutdown latency per thread.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            poll_interval: Duration::from_millis(20),
         }
     }
 }
@@ -257,8 +253,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             durability,
         });
-        let transport =
-            Transport::bind(addr, backend, config.max_connections, config.poll_interval)?;
+        let transport = Transport::bind(addr, backend, config.max_connections)?;
         Ok(Self {
             transport,
             collector,

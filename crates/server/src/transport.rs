@@ -60,6 +60,13 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
 
+/// How often every blocked read and accept loop in the workspace wakes to
+/// consult its owner's stop flag: the upper bound on a thread's shutdown
+/// latency. The server's and router's accept loops and connection reads,
+/// the router's health loop and [`crate::RemoteCollector::with_stop`]
+/// handles all wake on it.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
 /// What a tier does behind the [`Transport`]: the part of serving a
 /// connection that differs between a local collector and a federation.
 ///
@@ -83,7 +90,7 @@ pub trait Backend: Send + Sync + 'static {
     fn registry(&self) -> &Registry;
 
     /// The tier's shutdown flag: set by [`Transport::shutdown`], observed
-    /// by the accept loop and every blocked read within one poll interval.
+    /// by the accept loop and every blocked read within one [`POLL_INTERVAL`].
     fn shutdown(&self) -> &AtomicBool;
 
     /// Opens one connection's state. Infallible and cheap at both
@@ -323,7 +330,6 @@ struct Shared<B: Backend> {
     backend: Arc<B>,
     front: FrontMetrics,
     max_connections: usize,
-    poll_interval: Duration,
 }
 
 /// A running front socket serving `B`: the accept thread plus one thread
@@ -337,8 +343,8 @@ pub struct Transport<B: Backend> {
 impl<B: Backend> Transport<B> {
     /// Binds `addr` and starts the accept loop. At most `max_connections`
     /// are served concurrently (extras are refused with [`code::BUSY`]);
-    /// `poll_interval` is how often blocked reads and the accept loop wake
-    /// to check for shutdown.
+    /// blocked reads and the accept loop wake every [`POLL_INTERVAL`] to
+    /// check for shutdown.
     ///
     /// # Errors
     /// Socket errors from bind/listen.
@@ -346,7 +352,6 @@ impl<B: Backend> Transport<B> {
         addr: A,
         backend: Arc<B>,
         max_connections: usize,
-        poll_interval: Duration,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -356,7 +361,6 @@ impl<B: Backend> Transport<B> {
             backend,
             front,
             max_connections,
-            poll_interval,
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -424,7 +428,7 @@ impl<B: Backend> Shared<B> {
         while !self.stopping() {
             let Ok((mut stream, _peer)) = listener.accept() else {
                 // Nothing pending (`WouldBlock`) or a transient accept error.
-                thread::sleep(self.poll_interval);
+                thread::sleep(POLL_INTERVAL);
                 continue;
             };
             handles.retain(|h| !h.is_finished());
@@ -435,7 +439,7 @@ impl<B: Backend> Shared<B> {
             // reads busy-spin), as does the refusal write.
             let _ = stream.set_nonblocking(false);
             let _ = stream.set_nodelay(true);
-            let _ = stream.set_read_timeout(Some(self.poll_interval));
+            let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
             let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
             let Some(mut conn) = self.admit(&mut stream) else {
                 continue;
@@ -685,7 +689,6 @@ mod tests {
             front: FrontMetrics::register(&backend.registry, Mock::TIER),
             backend,
             max_connections,
-            poll_interval: Duration::from_millis(1),
         }
     }
 

@@ -20,9 +20,8 @@
 //!   safe on a zero-alloc hot path. p50/p90/p99/max are derived from a
 //!   [`HistogramSnapshot`], never maintained online.
 //! * [`Timer`] — a scoped latency probe: started from a histogram,
-//!   records elapsed nanoseconds on drop. When the histogram is
-//!   [disabled](Histogram::set_enabled), starting the timer skips the
-//!   clock read entirely — the disabled cost is one relaxed atomic load.
+//!   records elapsed nanoseconds on drop, or nothing once
+//!   [cancelled](Timer::cancel).
 //! * [`Registry`] — a named directory of metric handles. The *hot path*
 //!   (updating a metric through its `Arc` handle) is lock-free;
 //!   registration and [`Registry::snapshot`] are cold paths that take a
@@ -30,7 +29,8 @@
 //!   subsystems naming the same metric share one atomic.
 //! * [`TelemetrySnapshot`] — an owned, point-in-time copy of every
 //!   registered metric: the unit served over the wire by `ldp-server`'s
-//!   `MetricsSnapshot` frame and rendered by the dashboards. A histogram
+//!   `Metrics` reply (every tier's counters travel only there) and
+//!   rendered by the workspace's `dashboard` example. A histogram
 //!   snapshot's total count is *derived from its buckets*, so bucket sum
 //!   and count can never disagree (no torn two-counter reads).
 //!

@@ -8,7 +8,7 @@
 //! being a few stores behind any individual writer.
 
 use crate::snapshot::HistogramSnapshot;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotone event counter.
@@ -128,7 +128,6 @@ pub fn bucket_bound(index: usize) -> u64 {
 /// stale, never internally torn.
 #[derive(Debug)]
 pub struct Histogram {
-    enabled: AtomicBool,
     sum: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -137,7 +136,6 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Self {
-            enabled: AtomicBool::new(true),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -146,32 +144,16 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A fresh, enabled, empty histogram.
+    /// A fresh, empty histogram.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Whether recording is currently enabled.
-    #[inline]
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables recording. While disabled, [`Self::record`] is
-    /// one atomic load and [`Self::timer`] never reads the clock.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
     /// Records one sample — three relaxed RMWs (bucket, sum, conditional
-    /// max), zero allocation. A no-op while disabled.
+    /// max), zero allocation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
@@ -185,14 +167,13 @@ impl Histogram {
     }
 
     /// Starts a scoped timer that records the elapsed nanoseconds into
-    /// this histogram when dropped. When the histogram is disabled the
-    /// timer holds no clock reading and drop is free.
+    /// this histogram when dropped.
     #[inline]
     #[must_use]
     pub fn timer(&self) -> Timer<'_> {
         Timer {
             histogram: self,
-            start: self.is_enabled().then(Instant::now),
+            start: Instant::now(),
         }
     }
 
@@ -224,21 +205,19 @@ impl Histogram {
 #[derive(Debug)]
 pub struct Timer<'a> {
     histogram: &'a Histogram,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Timer<'_> {
     /// Discards the timer without recording anything.
-    pub fn cancel(mut self) {
-        self.start = None;
+    pub fn cancel(self) {
+        std::mem::forget(self);
     }
 }
 
 impl Drop for Timer<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.histogram.record_duration(start.elapsed());
-        }
+        self.histogram.record_duration(self.start.elapsed());
     }
 }
 
@@ -296,23 +275,6 @@ mod tests {
         assert_eq!(snap.count(), 6);
         assert_eq!(snap.max(), u64::MAX);
         assert_eq!(snap.buckets()[0], 2, "0 and 1 share bucket 0");
-    }
-
-    #[test]
-    fn disabled_histogram_records_nothing_and_timer_skips_the_clock() {
-        let h = Histogram::new();
-        h.set_enabled(false);
-        h.record(99);
-        {
-            let t = h.timer();
-            assert!(format!("{t:?}").contains("None"), "no clock was read");
-        }
-        assert_eq!(h.snapshot().count(), 0);
-        h.set_enabled(true);
-        {
-            let _t = h.timer();
-        }
-        assert_eq!(h.snapshot().count(), 1);
     }
 
     #[test]

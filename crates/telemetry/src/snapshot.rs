@@ -1,5 +1,5 @@
-//! Owned, point-in-time copies of metric state: what dashboards render
-//! and what the server's `MetricsSnapshot` wire frame carries.
+//! Owned, point-in-time copies of metric state: what a dashboard renders
+//! and what the server's `Metrics` reply carries.
 
 use crate::metric::{bucket_bound, HISTOGRAM_BUCKETS};
 
@@ -129,7 +129,7 @@ pub struct MetricEntry {
 
 /// A point-in-time copy of every metric in a [`crate::Registry`], sorted
 /// by name. This is the unit the server serves over the wire and the
-/// dashboards render.
+/// `dashboard` example renders.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// All entries, sorted by name (the registry guarantees uniqueness).

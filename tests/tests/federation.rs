@@ -462,7 +462,6 @@ fn dead_downstream_degrades_loudly_not_wrongly() {
                 max_backoff: Duration::from_millis(10),
             },
             health_interval: Duration::from_millis(30),
-            poll_interval: Duration::from_millis(5),
             ..RouterConfig::default()
         },
     )

@@ -349,7 +349,6 @@ fn a_fresh_handles_first_ingest_gets_the_retry_budget() {
             max_backoff: Duration::from_millis(50),
         },
         Arc::default(),
-        Duration::from_millis(10),
     );
     let batch = ReportBatch::from_stream(7, 0, &[0.5]);
     client

@@ -12,9 +12,12 @@
 //!    `Router` over a `Server`.
 //! 3. **Accounting** — the server's metrics frame reports exactly what the
 //!    collector and the connection ledgers saw.
+//! 4. **One read path** — every derived read verb answers bit for bit what
+//!    a client computes from `MergedParts::merge` of one `Parts` reply.
 
 use ldp_collector::{
-    ClientFleet, Collector, CollectorConfig, FleetConfig, ReportBatch, SnapshotPart,
+    ClientFleet, Collector, CollectorConfig, FleetConfig, MergedParts, ReportBatch, SlotRetention,
+    SnapshotPart,
 };
 use ldp_core::online::{PipelineSpec, SessionKind};
 use ldp_router::{Router, RouterConfig};
@@ -175,20 +178,21 @@ fn ingest_sync_ledger_accounts_for_drops_and_rejects() {
 // BUSY, the books count all of it — must hold at either.
 // ---------------------------------------------------------------------
 
-/// A front socket under test: a plain `Server`, or a `Router` over one
-/// in-process `Server` (the topology `benchmark/src/topology.rs` builds).
+/// A front socket under test: a plain `Server`, or a `Router` over
+/// in-process `Server`s (over one: the topology `benchmark/src/topology.rs`
+/// builds).
 enum Front {
     Server(Server),
-    Router { router: Router, _downstream: Server },
+    Router {
+        router: Router,
+        _downstreams: Vec<Server>,
+    },
 }
 
 impl Front {
     fn server(max_connections: usize) -> Self {
         let collector = Arc::new(Collector::new(CollectorConfig::default()));
-        let config = ServerConfig {
-            max_connections,
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { max_connections };
         Front::Server(Server::bind(collector, config).expect("bind server"))
     }
 
@@ -201,7 +205,31 @@ impl Front {
         let router = Router::bind(vec![downstream.local_addr()], config).expect("bind router");
         Front::Router {
             router,
-            _downstream: downstream,
+            _downstreams: vec![downstream],
+        }
+    }
+
+    /// A front over collectors that keep only the last `retain` slots: a
+    /// plain `Server` when `downstreams` is 0, else a `Router` over that
+    /// many.
+    fn retaining(retain: u64, downstreams: usize) -> Self {
+        let bind = || {
+            let collector = Arc::new(Collector::new(CollectorConfig {
+                retention: SlotRetention::Last(retain),
+                shards: 2,
+                ..CollectorConfig::default()
+            }));
+            Server::bind(collector, ServerConfig::default()).expect("bind server")
+        };
+        if downstreams == 0 {
+            return Front::Server(bind());
+        }
+        let servers: Vec<Server> = (0..downstreams).map(|_| bind()).collect();
+        let addrs = servers.iter().map(Server::local_addr).collect();
+        let router = Router::bind(addrs, RouterConfig::default()).expect("bind router");
+        Front::Router {
+            router,
+            _downstreams: servers,
         }
     }
 
@@ -514,6 +542,101 @@ fn router_survives_a_downstream_claiming_an_enormous_slot_range() {
         .and_then(|mut s| s.write_all(&Frame::Goodbye.encode()))
         .expect("stop the stub");
     stub.join().expect("stub thread");
+}
+
+/// Every derived read verb is a merge of one `Parts` reply: after a seeded
+/// fleet has synced, `population_mean`, `summary`, `windowed_mean(r)` and
+/// `slot_means(r)` equal, bit for bit, what the client computes from
+/// `MergedParts::merge` of one `query_parts(r)` — for ranges inside the
+/// retained window, straddling its expired edge, wholly expired, running
+/// past the last slot, and the whole line. This is what a dashboard that
+/// reads only `Parts` relies on. The front's collectors keep the last
+/// [`RETAIN`] slots.
+fn derived_verbs_contract(front: &Front) {
+    let (users, slots) = (40, 48u64);
+    let population = ldp_streams::synthetic::taxi_population(users, slots as usize, 5);
+    let accepted = drive_fleet_remote(&fleet(2, 77), &population, 0..slots as usize, front.addr())
+        .expect("fleet drive");
+    assert_eq!(accepted, users as u64 * slots);
+
+    let mut client = RemoteCollector::connect(front.addr()).unwrap();
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    let base = slots - RETAIN;
+    let ranges = [
+        0..u64::MAX,
+        0..slots,
+        base..slots,
+        base + 3..base + 9,
+        base - 5..base + 5,
+        0..base,
+        3..11,
+        slots - 4..slots + 20,
+        slots - 1..slots,
+        slots + 2..slots + 30,
+    ];
+    let summary = client.summary().unwrap();
+    let population_mean = client.population_mean().unwrap();
+    for r in ranges {
+        let part = client.query_parts(r.clone()).unwrap();
+        let merged = MergedParts::merge(std::slice::from_ref(&part));
+        assert_eq!(merged.retained_base(), base, "{r:?}: retention clipped");
+
+        assert_eq!(
+            bits(population_mean),
+            bits(merged.population_mean()),
+            "population mean vs parts {r:?}"
+        );
+        let from_parts = (
+            merged.total_reports(),
+            merged.user_count(),
+            merged.retained_base(),
+            merged.slot_end(),
+            merged.frozen().count,
+            bits(merged.population_mean()),
+        );
+        let served = (
+            summary.total_reports,
+            summary.user_count,
+            summary.retained_base,
+            summary.slot_end,
+            summary.frozen_count,
+            bits(summary.population_mean),
+        );
+        assert_eq!(served, from_parts, "summary vs parts {r:?}");
+
+        if r.end - r.start > MAX_QUERY_SLOTS {
+            continue; // the ranged verbs refuse it (bad_queries_contract)
+        }
+        let window = r.start as usize..r.end as usize;
+        assert_eq!(
+            bits(client.windowed_mean(r.clone()).unwrap()),
+            bits(merged.windowed_mean(window)),
+            "windowed mean {r:?}"
+        );
+        let served: Vec<_> = client
+            .slot_means(r.clone())
+            .unwrap()
+            .into_iter()
+            .map(bits)
+            .collect();
+        let from_parts: Vec<_> = r
+            .clone()
+            .map(|slot| bits(merged.slot_mean(slot as usize)))
+            .collect();
+        assert_eq!(served, from_parts, "slot means {r:?}");
+    }
+}
+
+const RETAIN: u64 = 16;
+
+#[test]
+fn derived_verbs_equal_a_merge_of_one_parts_reply() {
+    derived_verbs_contract(&Front::retaining(RETAIN, 0));
+}
+
+#[test]
+fn router_front_derived_verbs_equal_a_merge_of_one_parts_reply() {
+    derived_verbs_contract(&Front::retaining(RETAIN, 2));
 }
 
 /// The connection limit turns extra clients away with a BUSY error frame
