@@ -184,7 +184,7 @@ mod tests {
         // seeds); 0.9 asserts that advantage with a little headroom while
         // still failing if absorption stops buying accuracy.
         let direct = SquareWave::new(eps / w as f64).unwrap();
-        let direct_rms = (direct.deviation_variance(0.42)
+        let direct_rms = (direct.output_variance(0.42)
             + direct.deviation_mean(0.42) * direct.deviation_mean(0.42))
         .sqrt();
         assert!(

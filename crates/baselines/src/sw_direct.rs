@@ -22,15 +22,6 @@ impl SwDirect {
         })
     }
 
-    /// Creates SW-direct spending exactly `slot_epsilon` per slot (a
-    /// window of one slot).
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
-        Self::new(slot_epsilon, 1)
-    }
-
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {

@@ -42,11 +42,9 @@ impl ToPL {
         Self::with_slot_budget(slot_budget(epsilon, w)?)
     }
 
-    /// Creates ToPL spending exactly `slot_epsilon` per slot.
-    ///
-    /// # Errors
-    /// Returns an error for an invalid budget.
-    pub fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
+    /// Creates ToPL spending exactly `slot_epsilon` per slot; an invalid
+    /// budget is an error.
+    fn with_slot_budget(slot_epsilon: f64) -> Result<Self> {
         if !(slot_epsilon.is_finite() && slot_epsilon > 0.0) {
             return Err(MechanismError::InvalidEpsilon(slot_epsilon));
         }

@@ -44,10 +44,6 @@ impl Trace {
     pub fn decisions(&self) -> &[u32] {
         &self.decisions
     }
-
-    pub fn into_decisions(self) -> Vec<u32> {
-        self.decisions
-    }
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u32) {

@@ -282,18 +282,6 @@ impl UserTable {
         }
     }
 
-    /// Stats for one user, or `None` if the user never reported.
-    fn get(&self, user: u64) -> Option<UserStats> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let e = &self.entries[self.probe(user)];
-        (e.count != 0).then_some(UserStats {
-            count: e.count,
-            sum: e.sum,
-        })
-    }
-
     /// Iterates occupied entries in unspecified order.
     fn iter(&self) -> impl Iterator<Item = (u64, UserStats)> + '_ {
         self.entries.iter().filter(|e| e.count > 0).map(|e| {
@@ -625,12 +613,6 @@ impl ShardAccumulator {
         self.users.iter()
     }
 
-    /// Running stats for one user, or `None` if the user never reported.
-    #[must_use]
-    pub fn user_stats(&self, user: u64) -> Option<UserStats> {
-        self.users.get(user)
-    }
-
     /// Number of distinct users this shard has seen — O(1).
     #[must_use]
     pub fn user_count(&self) -> usize {
@@ -672,6 +654,15 @@ impl ShardAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One user's running stats, read through the shard's user iterator.
+    fn user(shard: &ShardAccumulator, id: u64) -> UserStats {
+        shard
+            .users()
+            .find(|&(u, _)| u == id)
+            .expect("user reported")
+            .1
+    }
 
     #[test]
     fn slot_stats_moments() {
@@ -716,8 +707,8 @@ mod tests {
         assert_eq!(shard.slot_end(), 7);
         assert_eq!(shard.slot_stats(5).unwrap().count, 2);
         assert_eq!(shard.slot_stats(0).unwrap().count, 0);
-        assert!((shard.user_stats(3).unwrap().mean().unwrap() - 0.6).abs() < 1e-12);
-        assert_eq!(shard.user_stats(9).unwrap().count, 1);
+        assert!((user(&shard, 3).mean().unwrap() - 0.6).abs() < 1e-12);
+        assert_eq!(user(&shard, 9).count, 1);
     }
 
     #[test]
@@ -736,7 +727,7 @@ mod tests {
         assert_eq!(shard.slot_stats(7).unwrap().count, 1);
         assert_eq!(shard.slot_stats(6), None);
         // Lifetime user stats unaffected by expiry.
-        assert_eq!(shard.user_stats(1).unwrap().count, 10);
+        assert_eq!(user(&shard, 1).count, 10);
     }
 
     #[test]
@@ -748,11 +739,7 @@ mod tests {
         assert_eq!(shard.reports(), 2);
         assert_eq!(shard.frozen().count, 1);
         assert!((shard.frozen().sum - 0.75).abs() < 1e-12);
-        assert_eq!(
-            shard.user_stats(2).unwrap().count,
-            1,
-            "user totals still exact"
-        );
+        assert_eq!(user(&shard, 2).count, 1, "user totals still exact");
     }
 
     #[test]

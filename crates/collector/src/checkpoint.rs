@@ -292,11 +292,17 @@ mod tests {
         assert_eq!(restored.total_reports(), original.total_reports());
         assert_eq!(restored.dropped_reports(), original.dropped_reports());
         assert_eq!(restored.rejected_reports(), original.rejected_reports());
-        assert_eq!(
-            restored.upstream_rejected_reports(),
-            original.upstream_rejected_reports()
+        let (books, restored_books) = (
+            original.telemetry().snapshot(),
+            restored.telemetry().snapshot(),
         );
-        assert_eq!(restored.ingested_batches(), original.ingested_batches());
+        for name in [
+            "collector.reports.rejected_upstream",
+            "collector.ingest.batches",
+        ] {
+            assert!(books.counter(name) > Some(0), "{name} exercised");
+            assert_eq!(restored_books.counter(name), books.counter(name), "{name}");
+        }
 
         let a = original.snapshot();
         let b = restored.snapshot();

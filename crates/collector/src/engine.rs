@@ -703,21 +703,6 @@ impl Collector {
         self.metrics.rejected.get()
     }
 
-    /// The subset of [`Self::rejected_reports`] that was screened
-    /// *upstream* of this collector (client-side batch building or a
-    /// remote client's forwarded count) rather than at ingest.
-    #[must_use]
-    pub fn upstream_rejected_reports(&self) -> u64 {
-        self.metrics.rejected_upstream.get()
-    }
-
-    /// Non-empty batches ingested so far (each counted once, whatever
-    /// mix of accept/drop/reject it carried).
-    #[must_use]
-    pub fn ingested_batches(&self) -> u64 {
-        self.metrics.batches.get()
-    }
-
     /// Folds in rejections that happened upstream of ingest (e.g.
     /// [`crate::ReportBatch::push`] refusing a non-finite client report, or a
     /// remote client's wire frame carrying its local rejection count), so
@@ -1104,7 +1089,7 @@ mod tests {
     fn assert_bit_identical(a: &Collector, b: &Collector) {
         let (sa, sb) = (a.snapshot(), b.snapshot());
         assert_eq!(sa.total_reports(), sb.total_reports());
-        assert_eq!(sa.user_ids(), sb.user_ids());
+        assert_eq!(a.per_user_rows(), b.per_user_rows());
         let means_a: Vec<u64> = sa.per_user_means().iter().map(|m| m.to_bits()).collect();
         let means_b: Vec<u64> = sb.per_user_means().iter().map(|m| m.to_bits()).collect();
         assert_eq!(means_a, means_b, "per-user means must match bit for bit");

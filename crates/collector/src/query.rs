@@ -219,15 +219,6 @@ impl<C: Deref<Target = Collector>> QueryEngine<C> {
     }
 }
 
-impl Collector {
-    /// Creates a borrowing [`QueryEngine`] over this collector
-    /// (convenience for `QueryEngine::new(&collector)`).
-    #[must_use]
-    pub fn query_engine(&self) -> QueryEngine<&Collector> {
-        QueryEngine::new(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +246,7 @@ mod tests {
     fn fresh_engine_sees_preexisting_state() {
         let c = collector(3, SlotRetention::Unbounded);
         c.ingest(&batch(&[(1, 0, 0.5), (2, 0, 0.7), (3, 1, 0.1)]));
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         let view = engine.view();
         assert_eq!(view.total_reports(), 3);
         assert_eq!(view.user_count(), 3);
@@ -267,7 +258,7 @@ mod tests {
     fn refresh_is_noop_when_nothing_changed() {
         let c = collector(4, SlotRetention::Unbounded);
         c.ingest(&batch(&[(1, 0, 0.5)]));
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         let v1 = engine.view().version();
         assert_eq!(engine.refresh(), 0, "no epoch moved");
         assert_eq!(engine.view().version(), v1, "view not re-published");
@@ -277,7 +268,7 @@ mod tests {
     fn refresh_republishes_only_changed_shards() {
         let c = collector(4, SlotRetention::Unbounded);
         c.ingest(&batch(&[(1, 0, 0.5), (2, 0, 0.7), (9, 1, 0.3)]));
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         // One more batch touching a single user → a single shard.
         c.ingest(&batch(&[(1, 1, 0.9)]));
         assert_eq!(engine.refresh(), 1);
@@ -296,7 +287,7 @@ mod tests {
             }
             c.ingest(&b);
         }
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         let view = engine.view();
         let snap = c.snapshot();
         assert_eq!(view.total_reports(), snap.total_reports());
@@ -320,7 +311,7 @@ mod tests {
     #[test]
     fn incremental_refreshes_track_a_sliding_retention_window() {
         let c = collector(3, SlotRetention::Last(5));
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         for slot in 0..50u64 {
             let mut b = ReportBatch::new();
             for user in 0..12u64 {
@@ -350,7 +341,7 @@ mod tests {
     fn views_are_stable_while_ingest_continues() {
         let c = collector(2, SlotRetention::Unbounded);
         c.ingest(&batch(&[(1, 0, 0.5)]));
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         let view = engine.view();
         let before = view.total_reports();
         c.ingest(&batch(&[(2, 0, 0.9)]));
@@ -362,7 +353,7 @@ mod tests {
     #[test]
     fn empty_collector_yields_a_well_defined_view() {
         let c = collector(2, SlotRetention::Unbounded);
-        let engine = c.query_engine();
+        let engine = QueryEngine::new(&c);
         let view = engine.view();
         assert_eq!(view.total_reports(), 0);
         assert_eq!(view.population_mean(), None);

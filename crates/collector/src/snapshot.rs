@@ -298,12 +298,6 @@ impl MergedParts {
             user_mean_sum: self.user_mean_sum,
         }
     }
-
-    /// [`Self::part`] over every slot held.
-    #[must_use]
-    pub fn to_part(&self) -> SnapshotPart {
-        self.part(0..u64::MAX)
-    }
 }
 
 /// A consistent-per-shard, merged view of the collector at some instant.
@@ -372,12 +366,6 @@ impl CollectorSnapshot {
         self.users.len()
     }
 
-    /// User ids seen, ascending.
-    #[must_use]
-    pub fn user_ids(&self) -> Vec<u64> {
-        self.users.iter().map(|&(id, _, _)| id).collect()
-    }
-
     /// Each user's running mean estimate, ordered by user id — the
     /// population-mean distribution of the paper's crowd-level statistics
     /// (the online analogue of
@@ -428,7 +416,7 @@ mod tests {
         assert_eq!(snap.retained_base(), 0);
         assert!((snap.slot_mean(0).unwrap() - 0.4).abs() < 1e-12);
         assert!((snap.slot_mean(1).unwrap() - 0.6).abs() < 1e-12);
-        assert_eq!(snap.user_ids(), vec![0, 1]);
+        assert_eq!(snap.users.iter().map(|u| u.0).collect::<Vec<_>>(), [0, 1]);
         let means = snap.per_user_means();
         assert!((means[0] - 0.3).abs() < 1e-12);
         assert!((means[1] - 0.7).abs() < 1e-12);
@@ -557,7 +545,7 @@ mod tests {
         let b = part_of(&[shard_with(&[(1, 2, 0.5)])]);
         let c = part_of(&[shard_with(&[(2, 1, 0.75)])]);
         let flat = MergedParts::merge([&a, &b, &c]);
-        let ab = MergedParts::merge([&a, &b]).to_part();
+        let ab = MergedParts::merge([&a, &b]).part(0..u64::MAX);
         let nested = MergedParts::merge([&ab, &c]);
         assert_eq!(nested.total_reports(), flat.total_reports());
         assert_eq!(nested.user_count(), flat.user_count());
@@ -583,7 +571,11 @@ mod tests {
         let alone = MergedParts::merge([&hostile]);
         assert_eq!(alone.slot_end(), 1 << 36);
         assert_eq!(alone.slot_count(), 0, "no record, no table");
-        assert_eq!(alone.to_part(), hostile, "and it re-exports unchanged");
+        assert_eq!(
+            alone.part(0..u64::MAX),
+            hostile,
+            "and it re-exports unchanged"
+        );
 
         let honest = part_of(&[shard_with(&[(0, 0, 0.25), (1, 0, 0.75), (0, 1, 0.5)])]);
         let merged = MergedParts::merge([&hostile, &honest]);

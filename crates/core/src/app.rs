@@ -69,12 +69,6 @@ impl App {
         self.kernel.backend().mechanism()
     }
 
-    /// The mechanism kind driving this instance.
-    #[must_use]
-    pub fn mechanism_kind(&self) -> MechanismKind {
-        self.kernel.backend().kind()
-    }
-
     /// Runs the APP collection loop, returning the raw (unsmoothed)
     /// perturbed stream `{x'_i}`.
     #[must_use]
@@ -105,6 +99,7 @@ impl StreamMechanism for App {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_mechanisms::{Mechanism, Piecewise, StochasticRounding};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -206,10 +201,7 @@ mod tests {
     #[test]
     fn default_backend_is_square_wave() {
         let app = App::new(1.0, 5).unwrap();
-        assert_eq!(
-            app.mechanism_kind(),
-            ldp_mechanisms::MechanismKind::SquareWave
-        );
+        assert_eq!(app.mechanism().kind(), MechanismKind::SquareWave);
     }
 
     #[test]
@@ -236,5 +228,80 @@ mod tests {
         let mut buf = vec![9.0; 3];
         app.publish_raw_into(&xs, &mut buf, &mut rng(8));
         assert_eq!(buf, app.publish_raw(&xs, &mut rng(8)));
+    }
+
+    #[test]
+    fn generic_app_over_laplace_tracks_running_sum() {
+        let g = App::of_mechanism(MechanismKind::Laplace, 1.0, 1)
+            .unwrap()
+            .with_smoothing(0);
+        let xs: Vec<f64> = (0..200)
+            .map(|i| (0.5 * (i as f64 / 11.0).sin() + 1.0) / 2.0)
+            .collect();
+        let out = g.publish_raw(&xs, &mut rng(2));
+        // Telescoping: Σx − Σy = final accumulated deviation. One Laplace
+        // draw has native scale 2 (unit scale 1), so the drift stays
+        // modest (not O(n)).
+        let drift = (xs.iter().sum::<f64>() - out.iter().sum::<f64>()).abs();
+        assert!(drift < 15.0, "drift {drift}");
+    }
+
+    #[test]
+    fn generic_app_beats_direct_for_mean_under_laplace() {
+        let g = App::of_mechanism(MechanismKind::Laplace, 0.4, 1)
+            .unwrap()
+            .with_smoothing(0);
+        let d = crate::Direct::of_mechanism(MechanismKind::Laplace, 0.4, 1).unwrap();
+        let xs: Vec<f64> = (0..40).map(|i| 0.25 + (i as f64 / 80.0)).collect();
+        let truth = xs.iter().sum::<f64>() / xs.len() as f64;
+        let mut r = rng(3);
+        let trials = 400;
+        let (mut err_g, mut err_d) = (0.0, 0.0);
+        for _ in 0..trials {
+            let mg = g.publish_raw(&xs, &mut r).iter().sum::<f64>() / xs.len() as f64;
+            err_g += (mg - truth).powi(2);
+            let md = d.publish(&xs, &mut r).iter().sum::<f64>() / xs.len() as f64;
+            err_d += (md - truth).powi(2);
+        }
+        assert!(
+            err_g < err_d,
+            "APP(Laplace) MSE {} should beat direct {}",
+            err_g / trials as f64,
+            err_d / trials as f64
+        );
+    }
+
+    #[test]
+    fn generic_app_over_sr_emits_only_atoms() {
+        let sr = StochasticRounding::new(0.8).unwrap();
+        let g = App::of_mechanism(MechanismKind::StochasticRounding, 0.8, 1)
+            .unwrap()
+            .with_smoothing(0);
+        let dom = sr.input_domain();
+        for y in g.publish_raw(&[0.55; 50], &mut rng(4)) {
+            assert!(y == dom.normalize(sr.c()) || y == dom.normalize(-sr.c()));
+        }
+    }
+
+    #[test]
+    fn generic_app_over_pm_stays_in_pm_range() {
+        let pm = Piecewise::new(1.0).unwrap();
+        let g = App::of_mechanism(MechanismKind::Piecewise, 1.0, 1)
+            .unwrap()
+            .with_smoothing(0);
+        let dom = pm.input_domain();
+        for y in g.publish_raw(&[0.5; 100], &mut rng(5)) {
+            assert!(dom.denormalize(y).abs() <= pm.c() + 1e-9);
+        }
+    }
+
+    #[test]
+    fn smoothing_default_is_three() {
+        let g = App::of_mechanism(MechanismKind::Laplace, 1.0, 1).unwrap();
+        let xs = vec![0.5; 30];
+        assert_eq!(
+            g.publish(&xs, &mut rng(6)),
+            sma(&g.publish_raw(&xs, &mut rng(6)), 3)
+        );
     }
 }

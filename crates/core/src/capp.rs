@@ -202,12 +202,6 @@ impl Capp {
         self.kernel.backend().mechanism()
     }
 
-    /// The mechanism kind driving this instance.
-    #[must_use]
-    pub fn mechanism_kind(&self) -> MechanismKind {
-        self.kernel.backend().kind()
-    }
-
     /// Runs the CAPP collection loop without the SMA post-processing.
     #[must_use]
     pub fn publish_raw(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {

@@ -49,19 +49,6 @@ pub fn true_windowed_population_mean(population: &Population, range: Range<usize
     means.iter().sum::<f64>() / means.len() as f64
 }
 
-/// The sample-size bound of Theorem 5: with per-user error ≤ β, target
-/// uniform CDF error η > β and confidence 1 − δ, it suffices that
-/// `N ≥ ln(2/δ) / (2(η − β)²)`.
-///
-/// # Panics
-/// Panics unless `0 < β < η` and `0 < δ < 1`.
-#[must_use]
-pub fn required_sample_size(beta: f64, eta: f64, delta: f64) -> usize {
-    assert!(beta >= 0.0 && eta > beta, "need 0 ≤ β < η");
-    assert!(delta > 0.0 && delta < 1.0, "need δ ∈ (0,1)");
-    ((2.0 / delta).ln() / (2.0 * (eta - beta) * (eta - beta))).ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,25 +100,5 @@ mod tests {
             d_hi < d_lo,
             "more budget should shrink the crowd distance: {d_hi} vs {d_lo}"
         );
-    }
-
-    #[test]
-    fn theorem5_bound_monotonicity() {
-        // Tighter target η ⇒ more samples; higher confidence ⇒ more samples.
-        let base = required_sample_size(0.05, 0.1, 0.05);
-        assert!(required_sample_size(0.05, 0.08, 0.05) > base);
-        assert!(required_sample_size(0.05, 0.1, 0.01) > base);
-    }
-
-    #[test]
-    fn theorem5_known_value() {
-        // N ≥ ln(2/0.05) / (2·0.05²) = ln(40)/0.005 ≈ 737.8 → 738.
-        assert_eq!(required_sample_size(0.05, 0.1, 0.05), 738);
-    }
-
-    #[test]
-    #[should_panic(expected = "need 0 ≤ β < η")]
-    fn theorem5_rejects_eta_below_beta() {
-        let _ = required_sample_size(0.2, 0.1, 0.05);
     }
 }

@@ -59,3 +59,19 @@ impl StreamMechanism for Direct {
         "direct"
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    fn rng(seed: u64) -> rand::rngs::StdRng {
+        rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    #[test]
+    fn direct_length_matches() {
+        let d = Direct::of_mechanism(MechanismKind::SquareWave, 1.0, 1).unwrap();
+        assert_eq!(d.publish(&[0.5; 13], &mut rng(1)).len(), 13);
+    }
+}

@@ -52,12 +52,6 @@ impl Ipp {
     pub fn mechanism(&self) -> &AnyMechanism {
         self.kernel.backend().mechanism()
     }
-
-    /// The mechanism kind driving this instance.
-    #[must_use]
-    pub fn mechanism_kind(&self) -> MechanismKind {
-        self.kernel.backend().kind()
-    }
 }
 
 impl StreamMechanism for Ipp {

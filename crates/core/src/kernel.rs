@@ -143,3 +143,95 @@ impl Kernel {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The APP feedback loop is mechanism-agnostic (paper §IV-C,
+    //! "Extension to other mechanisms", evaluated in Figure 9): whatever
+    //! mechanism produced the report, the user knows the deviation exactly
+    //! and adds the accumulated deviation to the next input. The kernel
+    //! runs that loop on the unit scale, the backend mapping each input
+    //! onto the mechanism's native domain; this pins that the unit-scale
+    //! loop is the paper's native-domain loop.
+
+    use super::*;
+    use crate::smoothing::sma;
+    use crate::{App, StreamMechanism};
+    use ldp_mechanisms::{Mechanism, MechanismKind};
+    use rand::SeedableRng;
+
+    fn rng(seed: u64) -> rand::rngs::StdRng {
+        rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// The APP loop written on `M`'s native input domain, as §IV-C states
+    /// it: the reference the unit-scale kernel is checked against.
+    fn native_app(mech: &impl Mechanism, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
+        let dom = mech.input_domain();
+        let mut acc_dev = 0.0;
+        xs.iter()
+            .map(|&x| {
+                let reported = mech.perturb(dom.clip(x + acc_dev), rng);
+                acc_dev += x - reported;
+                reported
+            })
+            .collect()
+    }
+
+    /// A native-domain signal on `[−1, 1]` and its unit-scale image.
+    fn signal(n: usize) -> (Vec<f64>, Vec<f64>) {
+        let native: Vec<f64> = (0..n).map(|i| 0.5 * (i as f64 / 11.0).sin()).collect();
+        let unit = native.iter().map(|&x| (x + 1.0) / 2.0).collect();
+        (native, unit)
+    }
+
+    #[test]
+    fn kernel_app_is_the_native_domain_loop() {
+        // Figure 9's Laplace/SR/PM/HM arms publish on the unit scale and
+        // are mapped back onto [−1, 1] for the metric.
+        let (native, unit) = signal(3_000);
+        let exact = [MechanismKind::StochasticRounding, MechanismKind::Hybrid];
+        for kind in exact
+            .into_iter()
+            .chain([MechanismKind::Laplace, MechanismKind::Piecewise])
+        {
+            let mech = kind.build(0.1).unwrap(); // Figure 9's ε = 1, w = 10
+            let dom = mech.input_domain();
+            let close = |y: f64, r: f64| (y - r).abs() <= 1e-12 * r.abs().max(1.0);
+
+            // Step by step, fed the reference's own accumulated deviation,
+            // every report mapped back is the reference's.
+            let kernel = Kernel::of_spec(PipelineSpec::new(SessionKind::App, kind), 0.1).unwrap();
+            let (mut r_ref, mut r_kernel) = (rng(1), rng(1));
+            let mut acc_dev = 0.0;
+            for (t, (&x, &x01)) in native.iter().zip(&unit).enumerate() {
+                let r = mech.perturb(dom.clip(x + acc_dev), &mut r_ref);
+                let mut dev01 = acc_dev / dom.width();
+                let y = dom.denormalize(kernel.step(x01, &mut dev01, &mut r_kernel));
+                assert!(close(y, r), "{kind} step {t}: {y} vs {r}");
+                acc_dev += x - r;
+            }
+
+            // Whole smoothed streams, as Figure 9 publishes them. PM is
+            // left out: an unclipped plateau report moves with its input
+            // at slope (C + 1)/2 ≈ 20 here, so any rounding difference in
+            // the running deviation grows about 20× per such step and the
+            // two loops part after a few hundred slots.
+            if kind == MechanismKind::Piecewise {
+                continue;
+            }
+            let reference = sma(&native_app(&mech, &native, &mut rng(2)), 3);
+            let app = App::of_mechanism(kind, 1.0, 10).unwrap();
+            let got = app.publish(&unit, &mut rng(2));
+            assert_eq!(got.len(), reference.len());
+            for (t, (&y, &r)) in got.iter().zip(&reference).enumerate() {
+                let y = dom.denormalize(y);
+                if exact.contains(&kind) {
+                    assert_eq!(y, r, "{kind} slot {t}");
+                } else {
+                    assert!(close(y, r), "{kind} slot {t}: {y} vs {r}");
+                }
+            }
+        }
+    }
+}

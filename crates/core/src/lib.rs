@@ -25,7 +25,7 @@
 //!   d-dimensional series.
 //! * [`crowd`] — crowd-level statistics over user populations.
 //!
-//! # Mechanism-generic pipelines
+//! # Any mechanism under every rule (paper §IV-C)
 //!
 //! Every rule above runs over an interchangeable perturbation backend:
 //! [`Direct`], [`Ipp`], [`App`], [`Capp`] and [`OnlineSession`] accept any
@@ -42,7 +42,8 @@
 //! [`ldp_mechanisms::sw_estimate`] reconstructs distributions
 //! downstream). A `(SessionKind, MechanismKind)` pair is a
 //! [`PipelineSpec`]; [`PipelineSpec::grid`] enumerates all cells for the
-//! collector fleet and the experiment grid.
+//! collector fleet and the experiment grid. The kernel's tests pin its
+//! unit-scale APP loop to the paper's native-domain loop.
 //!
 //! Every algorithm spends `ε/w` per time slot ([`slot_budget`]; or the
 //! sampling equivalent), so any sliding window of `w` slots is covered by
@@ -70,7 +71,6 @@ pub mod backend;
 pub mod capp;
 pub mod crowd;
 pub mod direct;
-mod generic;
 pub mod highdim;
 pub mod ipp;
 mod kernel;

@@ -222,12 +222,6 @@ impl OnlineSession {
         self.accountant.window()
     }
 
-    /// Total budget ε allowed inside any window of `w` slots.
-    #[must_use]
-    pub fn window_budget(&self) -> f64 {
-        self.accountant.budget()
-    }
-
     /// Per-slot privacy budget.
     #[must_use]
     pub fn slot_epsilon(&self) -> f64 {

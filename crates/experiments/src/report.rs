@@ -83,19 +83,6 @@ impl SeriesTable {
         }
         out
     }
-
-    /// The series' final-x ranking (ascending y) — used by tests to check
-    /// "who wins" orderings.
-    #[must_use]
-    pub fn ranking_at_last_x(&self) -> Vec<String> {
-        let mut pairs: Vec<(String, f64)> = self
-            .series
-            .iter()
-            .filter_map(|s| s.points.last().map(|p| (s.label.clone(), p.1)))
-            .collect();
-        pairs.sort_by(|a, b| a.1.total_cmp(&b.1));
-        pairs.into_iter().map(|(l, _)| l).collect()
-    }
 }
 
 /// Renders a whole artifact (list of panels) to markdown under a heading.
@@ -133,11 +120,6 @@ mod tests {
         assert!(md.contains("| 0.5 |"));
         assert!(md.contains("2.0000e-1"));
         assert!(md.contains("5.0000e-2"));
-    }
-
-    #[test]
-    fn ranking_sorts_by_final_value() {
-        assert_eq!(sample_table().ranking_at_last_x(), vec!["B", "A"]);
     }
 
     #[test]

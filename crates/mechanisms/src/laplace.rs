@@ -20,9 +20,6 @@ pub struct Laplace {
 }
 
 impl Laplace {
-    /// Sensitivity of the canonical `[−1, 1]` input domain.
-    pub const SENSITIVITY: f64 = 2.0;
-
     /// Creates a Laplace mechanism with budget `epsilon` on `[−1, 1]`.
     ///
     /// # Errors

@@ -143,13 +143,6 @@ impl SquareWave {
         self.q * ((1.0 + 2.0 * self.b) * x - (self.b + 0.5))
     }
 
-    /// Variance of the deviation `D_x = x − SW(x)`; equals the output
-    /// variance since `x` is a constant shift.
-    #[must_use]
-    pub fn deviation_variance(&self, x: f64) -> f64 {
-        self.output_variance(x)
-    }
-
     /// The paper's closed-form worst-case deviation variance at `x = 1`:
     ///
     /// `Var(D₁) = 2b³p/3 − b²q² + b²q − bq² + bq − q²/4 + q/3`.
@@ -406,7 +399,8 @@ mod tests {
     fn worst_case_deviation_variance_matches_integration() {
         for &eps in &[0.2, 0.5, 1.0, 2.0, 4.0] {
             let sw = SquareWave::new(eps).unwrap();
-            let exact = sw.deviation_variance(1.0);
+            // Var(x − SW(x)) = Var(SW(x)): x is a constant shift.
+            let exact = sw.output_variance(1.0);
             let paper = sw.worst_case_deviation_variance();
             assert!(
                 (exact - paper).abs() < 1e-10,

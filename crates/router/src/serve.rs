@@ -293,18 +293,6 @@ impl Router {
         self.backend().registry.snapshot()
     }
 
-    /// The health probe's last verdict per downstream (1 = pinged OK,
-    /// 0 = unreachable or not yet probed).
-    #[must_use]
-    pub fn downstream_health(&self) -> Vec<i64> {
-        self.backend()
-            .metrics
-            .downstream
-            .iter()
-            .map(|d| d.healthy.get())
-            .collect()
-    }
-
     /// Graceful shutdown: stops accepting, lets connection threads finish
     /// their in-flight frame, joins everything. Called automatically on drop;
     /// idempotent.

@@ -29,7 +29,9 @@
 //! The flush cadence comes from `LDP_WAL_FLUSH` (`barrier` — the default,
 //! fsync at each IngestSync — or `batched:<nanos>` for periodic group
 //! commit on top of barrier fsyncs); a value that is neither is refused
-//! like a bad flag: usage line, exit 2. Clean shutdown (stdin EOF) seals
+//! like a bad flag — usage line, exit 2 — with or without `--data-dir`, as
+//! is `--wal-segment-bytes` without `--data-dir`. A valid `LDP_WAL_FLUSH`
+//! on a server with no data dir is ignored. Clean shutdown (stdin EOF) seals
 //! the log so the next boot replays zero records; a crash replays the
 //! `fsync`ed tail.
 
@@ -94,17 +96,23 @@ fn main() -> ExitCode {
         eprintln!("ldp-server: --shards must be between 1 and {}", u32::MAX);
         return usage();
     }
+    // WAL settings are checked whether or not the server is durable, so a
+    // typo never boots a server that silently drops them.
+    if wal_segment_bytes.is_some() && data_dir.is_none() {
+        eprintln!("ldp-server: --wal-segment-bytes needs --data-dir");
+        return usage();
+    }
+    let flush = match std::env::var("LDP_WAL_FLUSH") {
+        Err(std::env::VarError::NotPresent) => Some(FlushPolicy::Barrier),
+        Ok(raw) => FlushPolicy::parse(&raw),
+        Err(std::env::VarError::NotUnicode(_)) => None,
+    };
+    let Some(flush) = flush else {
+        eprintln!("ldp-server: LDP_WAL_FLUSH must be `barrier` or `batched:<nanos>`");
+        return usage();
+    };
 
     let server = if let Some(dir) = data_dir {
-        let flush = match std::env::var("LDP_WAL_FLUSH") {
-            Err(std::env::VarError::NotPresent) => Some(FlushPolicy::Barrier),
-            Ok(raw) => FlushPolicy::parse(&raw),
-            Err(std::env::VarError::NotUnicode(_)) => None,
-        };
-        let Some(flush) = flush else {
-            eprintln!("ldp-server: LDP_WAL_FLUSH must be `barrier` or `batched:<nanos>`");
-            return usage();
-        };
         let mut wal_config = WalConfig::new(&dir).flush(flush);
         if let Some(bytes) = wal_segment_bytes {
             wal_config = wal_config.segment_bytes(bytes);

@@ -794,7 +794,10 @@ mod tests {
         assert_eq!(error_code(&replies[2]), code::BAD_QUERY);
         assert_eq!(error_code(&replies[3]), code::BAD_QUERY);
         assert_eq!(replies[4], Frame::PopulationMean { mean: None });
-        assert_eq!(replies[5], Frame::Parts(MergedParts::default().to_part()));
+        assert_eq!(
+            replies[5],
+            Frame::Parts(MergedParts::default().part(0..u64::MAX))
+        );
         assert!(matches!(replies[6], Frame::IngestAck { accepted: 7, .. }));
         assert_eq!(error_code(&replies[7]), code::MALFORMED);
         assert_eq!(replies.len(), 8, "closed after the framing error");

@@ -5,18 +5,16 @@
 //! [`MultiDimStream`] (one user, many dimensions) — plus sliding-window
 //! utilities implementing the *w-neighboring* relation of w-event privacy,
 //! and deterministic synthetic generators standing in for the four
-//! real-world datasets of the paper's evaluation (see `DESIGN.md` §4 for
-//! the substitution rationale).
+//! real-world datasets of the paper's evaluation (README, "Reproducing
+//! the paper" → "Datasets", gives the substitution rationale).
 
 #![forbid(unsafe_code)]
 
-pub mod io;
 pub mod population;
 pub mod stream;
 pub mod synthetic;
 pub mod window;
 
-pub use io::{load_population_csv, load_stream_csv, LoadError};
 pub use population::{MultiDimStream, Population};
 pub use stream::Stream;
 pub use window::{are_w_neighboring, SlidingWindows};

@@ -38,12 +38,6 @@ impl Stream {
         &self.values
     }
 
-    /// Consumes the stream, returning the raw vector.
-    #[must_use]
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     /// The subsequence `X(i,j) = {x_i, …, x_j}` over a half-open range
     /// (`range.start..range.end` in 0-based slots).
     ///
@@ -91,14 +85,6 @@ impl Stream {
         }
         let w = hi - lo;
         self.values.iter_mut().for_each(|v| *v = (*v - lo) / w);
-    }
-
-    /// Returns a copy min-max normalized into `[0, 1]`.
-    #[must_use]
-    pub fn normalized_unit(&self) -> Self {
-        let mut s = self.clone();
-        s.normalize_unit();
-        s
     }
 
     /// Affinely rescales values from `[0,1]` onto `[lo, hi]` in place.

@@ -6,7 +6,8 @@
 //! Sin-data). The real datasets are not redistributable here, so each
 //! generator reproduces the published characteristics that the algorithms
 //! actually interact with (value range, temporal correlation, periodicity,
-//! constancy patterns); `DESIGN.md` §4 records the substitution rationale.
+//! constancy patterns). README's "Datasets" paragraph, under "Reproducing
+//! the paper", records the substitution rationale.
 //!
 //! Every generator is deterministic in its `seed`, so experiments are
 //! exactly reproducible.

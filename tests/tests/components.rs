@@ -1,13 +1,12 @@
 //! Component-interaction tests: sampling internals, high-dimensional
-//! splits, the EM estimator, and the CSV loaders wired into the pipeline.
+//! splits and the EM estimator, wired into the pipeline.
 
 use integration_tests::test_rng;
 use ldp_core::highdim::{publish_multidim, SplitStrategy};
 use ldp_core::{optimal_sample_count, Sampling, SessionKind, StreamMechanism};
 use ldp_metrics::{cosine_distance, mse};
 use ldp_streams::synthetic::{sin_multidim, volume};
-use ldp_streams::{load_population_csv, load_stream_csv, Stream};
-use std::io::Write as _;
+use ldp_streams::Stream;
 
 /// The n_s optimizer truly minimizes the paper's objective
 /// `n_s · Var(n_s, ε)`: its pick is never beaten by any other candidate.
@@ -77,52 +76,6 @@ fn highdim_strategies_improve_with_budget() {
             errs[0]
         );
     }
-}
-
-/// CSV loaders feed the pipeline end to end: write a stream to disk, load
-/// it, publish it, and verify structural invariants.
-#[test]
-fn csv_roundtrip_through_publication() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ldp_it_csv_{}.csv", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&path).unwrap();
-        writeln!(f, "reading").unwrap();
-        for i in 0..50 {
-            writeln!(f, "{}", 10.0 + (i as f64 / 5.0).sin() * 3.0).unwrap();
-        }
-    }
-    let stream = load_stream_csv(&path, 0, true).unwrap();
-    assert_eq!(stream.len(), 50);
-    assert!(stream.min() >= 0.0 && stream.max() <= 1.0);
-    let capp = ldp_core::Capp::new(1.0, 10).unwrap();
-    let out = capp.publish(stream.values(), &mut test_rng(35));
-    assert_eq!(out.len(), 50);
-    std::fs::remove_file(path).unwrap();
-}
-
-/// Population CSVs preserve user count and joint normalization through the
-/// crowd pipeline.
-#[test]
-fn population_csv_through_crowd_estimation() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ldp_it_pop_{}.csv", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&path).unwrap();
-        for u in 0..20 {
-            let row: Vec<String> = (0..30)
-                .map(|t| format!("{}", u as f64 + (t as f64 / 3.0).cos()))
-                .collect();
-            writeln!(f, "{}", row.join(",")).unwrap();
-        }
-    }
-    let pop = load_population_csv(&path, false).unwrap();
-    assert_eq!(pop.len(), 20);
-    let algo = ldp_core::App::new(4.0, 10).unwrap();
-    let est = ldp_core::crowd::estimated_population_means(&pop, 0..30, &algo, &mut test_rng(36));
-    assert_eq!(est.len(), 20);
-    assert!(est.iter().all(|m| m.is_finite()));
-    std::fs::remove_file(path).unwrap();
 }
 
 /// Cosine distance of published streams falls as the budget grows, for the

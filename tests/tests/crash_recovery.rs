@@ -415,3 +415,37 @@ fn an_impossible_shard_count_refuses_to_boot() {
         assert!(!stderr.contains("panicked"), "--shards {shards}: {stderr}");
     }
 }
+
+/// WAL settings are refused like a malformed flag on a server with no
+/// data dir too — `--wal-segment-bytes` without `--data-dir`, and an
+/// unparseable `LDP_WAL_FLUSH` — instead of booting a non-durable server
+/// that silently drops them. A valid `LDP_WAL_FLUSH` without a data dir is
+/// ignored: the server boots, and exits 0 at stdin EOF.
+#[test]
+fn wal_settings_without_a_data_dir_refuse_to_boot() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["--wal-segment-bytes", "1024"], "barrier"),
+        (&[], "garbage"),
+    ];
+    for (args, flush) in cases {
+        let what = format!("{args:?} LDP_WAL_FLUSH={flush}");
+        let refused = Command::new(bin_dir().join("ldp-server"))
+            .args(args)
+            .env("LDP_WAL_FLUSH", flush)
+            .output()
+            .expect("run ldp-server");
+        assert_eq!(refused.status.code(), Some(2), "{what}");
+        let stdout = String::from_utf8_lossy(&refused.stdout);
+        assert!(!stdout.contains("LISTENING"), "{what}: {stdout}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains("usage:"), "{what}: {stderr}");
+    }
+
+    let ignored = Command::new(bin_dir().join("ldp-server"))
+        .env("LDP_WAL_FLUSH", "batched:2000000")
+        .output()
+        .expect("run ldp-server");
+    assert_eq!(ignored.status.code(), Some(0), "valid flush, no data dir");
+    let stdout = String::from_utf8_lossy(&ignored.stdout);
+    assert!(stdout.starts_with("LISTENING "), "{stdout}");
+}

@@ -473,12 +473,15 @@ fn dead_downstream_degrades_loudly_not_wrongly() {
     assert_eq!(ack.accepted, 1024, "healthy federation acks everything");
 
     // Wait for the probe to see both downstreams healthy, then kill one.
-    wait_for(|| router.downstream_health() == vec![1, 1], "both healthy");
+    // The health probe's last verdict per downstream, as the router's
+    // registry serves it (1 = pinged OK, 0 = unreachable or not probed).
+    let health = || {
+        let metrics = router.metrics();
+        [0, 1].map(|i| metrics.gauge(&format!("router.downstream.{i:02}.healthy")))
+    };
+    wait_for(|| health() == [Some(1), Some(1)], "both healthy");
     downstreams[1].kill();
-    wait_for(
-        || router.downstream_health() == vec![1, 0],
-        "death observed",
-    );
+    wait_for(|| health() == [Some(1), Some(0)], "death observed");
 
     // Exact-answer verbs refuse with the typed DEGRADED code (mapped to
     // ErrorKind::Other by the client).

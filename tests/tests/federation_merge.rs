@@ -1,7 +1,7 @@
 //! Property tests for the federation merge algebra:
 //! [`MergedParts::merge`] over [`SnapshotPart`]s with *differing*
 //! retention bases must be order-independent and associative (merging a
-//! merge's [`MergedParts::to_part`] re-export agrees with the flat
+//! merge's [`MergedParts::part`] re-export agrees with the flat
 //! merge) — the invariants that let routers stack and let a router fan
 //! out to downstreams in any order.
 
@@ -99,7 +99,7 @@ proptest! {
         assert_merges_agree(&forward, &backward, "permutation");
     }
 
-    /// Associativity through `to_part`: pre-merging any prefix at an
+    /// Associativity through the `part` re-export: pre-merging any prefix at an
     /// intermediate router and merging its re-export with the remaining
     /// parts agrees with the flat merge — so routers stack.
     #[test]
@@ -109,7 +109,7 @@ proptest! {
     ) {
         let flat = MergedParts::merge(&parts);
         let split = 1 + split_seed % (parts.len() - 1);
-        let left = MergedParts::merge(&parts[..split]).to_part();
+        let left = MergedParts::merge(&parts[..split]).part(0..u64::MAX);
         let nested_inputs: Vec<&SnapshotPart> =
             std::iter::once(&left).chain(&parts[split..]).collect();
         let nested = MergedParts::merge(nested_inputs);

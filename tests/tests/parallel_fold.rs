@@ -69,7 +69,7 @@ fn assert_bit_identical(serial: &Collector, parallel: &Collector, label: &str) {
         "{label}"
     );
     let (a, b) = (serial.snapshot(), parallel.snapshot());
-    assert_eq!(a.user_ids(), b.user_ids(), "{label}");
+    assert_eq!(serial.per_user_rows(), parallel.per_user_rows(), "{label}");
     let means_a: Vec<u64> = a.per_user_means().iter().map(|m| m.to_bits()).collect();
     let means_b: Vec<u64> = b.per_user_means().iter().map(|m| m.to_bits()).collect();
     assert_eq!(means_a, means_b, "{label}: per-user means bit-identical");

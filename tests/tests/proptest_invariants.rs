@@ -56,7 +56,7 @@ proptest! {
         let sw = SquareWave::new(eps).unwrap();
         prop_assert!((sw.raw_moment(x, 1) - sw.expected_output(x)).abs() < 1e-9);
         prop_assert!(
-            (sw.deviation_variance(1.0) - sw.worst_case_deviation_variance()).abs() < 1e-8
+            (sw.output_variance(1.0) - sw.worst_case_deviation_variance()).abs() < 1e-8
         );
         // deviation mean closed form vs direct difference
         prop_assert!((sw.deviation_mean(x) - (x - sw.expected_output(x))).abs() < 1e-9);

@@ -215,7 +215,7 @@ proptest! {
         fleet.drive(&population, 0..slots, &bounded).unwrap();
 
         let reference = unbounded.snapshot();
-        let engine = bounded.query_engine();
+        let engine = QueryEngine::new(&bounded);
         let view = engine.view();
 
         prop_assert!(view.slot_count() as u64 <= r, "memory bound violated");

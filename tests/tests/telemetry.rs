@@ -251,8 +251,15 @@ fn loopback_metrics_agree_exactly_with_client_ledgers() {
     assert_eq!(collector.total_reports(), accepted);
     assert_eq!(collector.dropped_reports(), dropped);
     assert_eq!(collector.rejected_reports(), rejected);
-    assert_eq!(collector.upstream_rejected_reports(), upstream);
-    assert_eq!(collector.ingested_batches(), ingest_frames);
+    let books = collector.telemetry().snapshot();
+    assert_eq!(
+        books.counter("collector.reports.rejected_upstream"),
+        Some(upstream)
+    );
+    assert_eq!(
+        books.counter("collector.ingest.batches"),
+        Some(ingest_frames)
+    );
 
     // …and so does the MetricsSnapshot frame, the one way counters
     // travel the wire: the same atomics, serialized through the registry.

@@ -409,7 +409,7 @@ proptest! {
         // Same reports, same order, same shards: the resulting state is
         // bit-identical, not merely close.
         let (snap_owned, snap_borrowed) = (owned.snapshot(), borrowed.snapshot());
-        prop_assert_eq!(snap_owned.user_ids(), snap_borrowed.user_ids());
+        prop_assert_eq!(owned.per_user_rows(), borrowed.per_user_rows());
         prop_assert_eq!(snap_owned.per_user_means(), snap_borrowed.per_user_means());
         prop_assert_eq!(snap_owned.slot_count(), snap_borrowed.slot_count());
         for (a, b) in snap_owned.slots().iter().zip(snap_borrowed.slots()) {
