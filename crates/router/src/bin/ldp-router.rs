@@ -9,6 +9,9 @@
 //! ldp-router --downstream ADDR [--downstream ADDR ...]
 //!            [--bind ADDR] [--max-connections N]
 //! ```
+//!
+//! A repeated `--downstream` exits 1 before binding (its users would be
+//! counted twice); `--max-connections 0` is refused like a bad flag.
 
 use ldp_router::{Router, RouterConfig};
 use std::io::{Read, Write};
@@ -55,6 +58,11 @@ fn main() -> ExitCode {
     if downstreams.is_empty() {
         return usage();
     }
+    // A tier that refuses every connection is a typo, not a setting.
+    if config.max_connections == 0 {
+        eprintln!("ldp-router: --max-connections must be at least 1");
+        return usage();
+    }
 
     let router = match Router::bind_addr(bind.as_str(), downstreams, config) {
         Ok(router) => router,
@@ -72,6 +80,6 @@ fn main() -> ExitCode {
     let mut sink = [0u8; 256];
     let mut stdin = std::io::stdin().lock();
     while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-    drop(router); // graceful shutdown: joins accept/health/conn threads
+    drop(router); // graceful shutdown: joins the accept and connection threads
     ExitCode::SUCCESS
 }

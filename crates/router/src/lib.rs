@@ -21,7 +21,8 @@
 //!   `ldp-server`'s connection driver — per-connection downstream
 //!   sockets driven by the connection's own thread, counting-sort ingest
 //!   partition gathered once, send-to-all-then-read-from-each fan-out +
-//!   merge query answering, degraded mode, health probing, telemetry.
+//!   merge query answering, degraded mode, telemetry (a downstream's
+//!   liveness is the `downstream.NN.answered` gauge of a `Metrics` query).
 //!
 //! A router has no frame loop of its own: it *is* the server's
 //! [`ldp_server::Transport`] with a remote [`ldp_server::Backend`].

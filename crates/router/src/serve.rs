@@ -11,7 +11,7 @@
 //!                      │   ├─ gather + write ──▶ handle 01 ──┼──▶ ldp-server
 //!                      │   └─ send to all, read from each, ◀─┤
 //!                      │      merge answers                  │
-//!                      │ accept thread │ health thread       │
+//!                      │ accept thread                       │
 //!                      └─────────────────────────────────────┘
 //! ```
 //!
@@ -52,12 +52,12 @@
 //!   order, and the wait is the slowest downstream's, not the sum. The
 //!   reported ledger is the sum, "durable at every downstream".
 //! * **Degraded mode** — a dead downstream gets the handle's bounded
-//!   reconnect-with-backoff ([`ReconnectPolicy`]); once a budget is
-//!   spent, each ingest sub-frame costs one dial and no backoff until the
-//!   downstream answers again. While it is down the router keeps serving
-//!   the healthy set: ingest rows routed to it are dropped and counted
-//!   (`router.downstream.NN.lost_*`), and any barrier or query that
-//!   cannot be answered *exactly* is refused with a typed
+//!   reconnect-with-backoff ([`ReconnectPolicy::default`]); once a
+//!   budget is spent, each ingest sub-frame costs one dial and no backoff
+//!   until the downstream answers again. While it is down the router
+//!   keeps serving the healthy set: ingest rows routed to it are dropped
+//!   and counted (`router.downstream.NN.lost_*`), and any barrier or
+//!   query that cannot be answered *exactly* is refused with a typed
 //!   [`code::DEGRADED`] error frame rather than silently served from a
 //!   partial federation. A connection that dies with unacknowledged
 //!   frames (the handle's [`ldp_server::IngestLoss`]) or a dropped
@@ -71,23 +71,20 @@
 //!   so routers stack). `QueryMetrics` fans out too, nesting each
 //!   downstream's snapshot under `downstream.NN.` beside the router's
 //!   own, so one query sees the whole fleet, however deep the stack.
+//!   Its `downstream.NN.answered` gauge is the federation's liveness
+//!   verdict: 1 if that downstream answered *this* query, else 0.
 
-use ldp_collector::sync::atomic::{AtomicBool, Ordering};
-use ldp_collector::sync::thread::{self, JoinHandle};
+use ldp_collector::sync::atomic::AtomicBool;
 use ldp_collector::sync::Arc;
 use ldp_collector::{IngestOutcome, MergedParts};
-use ldp_server::transport::POLL_INTERVAL;
 use ldp_server::wire::{
     code, metrics_payload_len, Frame, IngestScratch, IngestView, DEFAULT_MAX_PAYLOAD,
 };
 use ldp_server::{Backend, ReconnectPolicy, RemoteCollector, Transport};
-use ldp_telemetry::{
-    Counter, Gauge, Histogram, MetricEntry, MetricValue, Registry, TelemetrySnapshot,
-};
+use ldp_telemetry::{Counter, Histogram, MetricEntry, MetricValue, Registry, TelemetrySnapshot};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// The router's user→downstream multiplier (Fibonacci-style multiply-
 /// shift, like the collector's shard router — but a **different** odd
@@ -106,24 +103,19 @@ pub fn downstream_of(user: u64, downstreams: usize) -> usize {
 }
 
 /// Router tuning knobs. (The payload and per-query slot bounds are the
-/// protocol constants in [`ldp_server::wire`], the same for every tier.)
+/// protocol constants in [`ldp_server::wire`], the same for every tier;
+/// downstream links reconnect by [`ReconnectPolicy::default`].)
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Maximum front connections served concurrently; extras are refused
     /// with a [`code::BUSY`] error frame.
     pub max_connections: usize,
-    /// Cadence of the background downstream health probe (ping).
-    pub health_interval: Duration,
-    /// Per-message reconnect-with-backoff budget for downstream links.
-    pub reconnect: ReconnectPolicy,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            health_interval: Duration::from_millis(150),
-            reconnect: ReconnectPolicy::default(),
         }
     }
 }
@@ -147,8 +139,6 @@ pub(crate) struct DownstreamMetrics {
     /// (transport failure, frames lost with a connection, or a sub-frame
     /// dropped since the last barrier).
     pub degraded_acks: Arc<Counter>,
-    /// `…NN.healthy` — the health probe's last verdict (1 = pinged OK).
-    pub healthy: Arc<Gauge>,
 }
 
 /// The federation's own books (the front-side `router.connections.* /
@@ -178,7 +168,6 @@ impl RouterMetrics {
                 lost_frames: registry.counter(&format!("router.downstream.{i:02}.lost_frames")),
                 lost_rows: registry.counter(&format!("router.downstream.{i:02}.lost_rows")),
                 degraded_acks: registry.counter(&format!("router.downstream.{i:02}.degraded_acks")),
-                healthy: registry.gauge(&format!("router.downstream.{i:02}.healthy")),
             })
             .collect();
         Self {
@@ -191,7 +180,7 @@ impl RouterMetrics {
 }
 
 /// The federation [`Backend`]: what a `Router`'s connections do with a
-/// frame. Shared by the transport's threads and the health probe.
+/// frame. Shared by the transport's threads.
 struct Federation {
     downstreams: Vec<SocketAddr>,
     registry: Registry,
@@ -199,14 +188,12 @@ struct Federation {
     /// Raised by shutdown; shared with every downstream handle, so a
     /// reply read blocked on a quiet downstream ends within a poll tick.
     shutdown: Arc<AtomicBool>,
-    config: RouterConfig,
 }
 
 /// A running federation front. Dropping the handle shuts the router down
 /// gracefully.
 pub struct Router {
     transport: Transport<Federation>,
-    health: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Router {
@@ -214,7 +201,6 @@ impl std::fmt::Debug for Router {
         f.debug_struct("Router")
             .field("local_addr", &self.local_addr())
             .field("downstreams", &self.backend().downstreams)
-            .field("config", &self.backend().config)
             .finish_non_exhaustive()
     }
 }
@@ -225,21 +211,22 @@ impl Router {
     ///
     /// # Errors
     /// Socket errors from bind/listen; `InvalidInput` if `downstreams`
-    /// is empty.
+    /// is empty or lists an address twice.
     pub fn bind(downstreams: Vec<SocketAddr>, config: RouterConfig) -> std::io::Result<Self> {
         Self::bind_addr(("127.0.0.1", 0), downstreams, config)
     }
 
     /// Binds the front socket to `addr` and starts routing to
-    /// `downstreams`: spawns the accept loop and the health probe.
-    /// Downstreams are *not* dialed here — each front connection dials
-    /// its own set of downstream connections on first use (ingest ledgers
-    /// are per-connection on the servers, so per-connection links are
-    /// what keeps `IngestSync` meaning "what *this* client sent").
+    /// `downstreams`: spawns the accept loop, and nothing else.
+    /// Downstreams are *not* dialed here — each front connection dials its
+    /// own set of downstream connections on first use (ingest ledgers are
+    /// per-connection on the servers, so per-connection links are what
+    /// keeps `IngestSync` meaning "what *this* client sent").
     ///
     /// # Errors
     /// Socket errors from bind/listen; `InvalidInput` if `downstreams`
-    /// is empty.
+    /// is empty or lists an address twice — the merge adds the
+    /// downstreams' books, so a repeated one would count its users twice.
     pub fn bind_addr<A: ToSocketAddrs>(
         addr: A,
         downstreams: Vec<SocketAddr>,
@@ -251,6 +238,13 @@ impl Router {
                 "router needs at least one downstream",
             ));
         }
+        let repeated = (1..downstreams.len()).find(|&i| downstreams[..i].contains(&downstreams[i]));
+        if let Some(i) = repeated {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                format!("downstream {} is listed twice", downstreams[i]),
+            ));
+        }
         let registry = Registry::new();
         let metrics = RouterMetrics::register(&registry, downstreams.len());
         let backend = Arc::new(Federation {
@@ -258,16 +252,9 @@ impl Router {
             registry,
             metrics,
             shutdown: Arc::default(),
-            config,
         });
-        let transport = Transport::bind(addr, Arc::clone(&backend), config.max_connections)?;
-        let health = thread::Builder::new()
-            .name("ldp-router-health".into())
-            .spawn(move || health_loop(&backend))?;
-        Ok(Self {
-            transport,
-            health: Some(health),
-        })
+        let transport = Transport::bind(addr, backend, config.max_connections)?;
+        Ok(Self { transport })
     }
 
     fn backend(&self) -> &Federation {
@@ -294,41 +281,10 @@ impl Router {
     }
 
     /// Graceful shutdown: stops accepting, lets connection threads finish
-    /// their in-flight frame, joins everything. Called automatically on drop;
-    /// idempotent.
+    /// their in-flight frame, joins everything. Idempotent; dropping the
+    /// router does the same.
     pub fn shutdown(&mut self) {
         self.transport.shutdown();
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Background health probe: one persistent ping handle per downstream
-/// (re-dialed by its next ping after a failure), gauge updated every
-/// `health_interval`. Pings touch no collector state, so probing never
-/// skews downstream books.
-fn health_loop(shared: &Federation) {
-    let mut probes: Vec<RemoteCollector> = shared
-        .downstreams
-        .iter()
-        .map(|&addr| shared.handle(addr, ReconnectPolicy::none()))
-        .collect();
-    let mut last: Option<Instant> = None;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        if last.is_none_or(|t| t.elapsed() >= shared.config.health_interval) {
-            for (probe, metrics) in probes.iter_mut().zip(&shared.metrics.downstream) {
-                metrics.healthy.set(i64::from(probe.ping().is_ok()));
-            }
-            last = Some(Instant::now());
-        }
-        thread::sleep(POLL_INTERVAL);
     }
 }
 
@@ -400,7 +356,7 @@ impl Backend for Federation {
                 .downstreams
                 .iter()
                 .map(|&addr| Downstream {
-                    client: self.handle(addr, self.config.reconnect),
+                    client: self.handle(addr),
                     reconnects: 0,
                     undelivered: false,
                 })
@@ -580,10 +536,10 @@ impl Backend for Federation {
 #[allow(clippy::result_large_err)]
 impl Federation {
     /// A handle to `addr` whose reply reads end at the router's shutdown:
-    /// what every connection's links and the health probe hold.
-    fn handle(&self, addr: SocketAddr, reconnect: ReconnectPolicy) -> RemoteCollector {
+    /// what every connection's links hold.
+    fn handle(&self, addr: SocketAddr) -> RemoteCollector {
         let stop = Arc::clone(&self.shutdown);
-        RemoteCollector::with_stop(addr, reconnect, stop)
+        RemoteCollector::with_stop(addr, ReconnectPolicy::default(), stop)
     }
 
     /// Request/response with every downstream: `request` is written to
@@ -693,5 +649,10 @@ mod tests {
     fn router_refuses_empty_downstream_set() {
         let err = Router::bind(Vec::new(), RouterConfig::default()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        // A repeated address would have its users counted once per listing.
+        let a: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let b: SocketAddr = "127.0.0.1:10".parse().unwrap();
+        let err = Router::bind(vec![a, b, a], RouterConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
     }
 }

@@ -96,6 +96,10 @@ fn main() -> ExitCode {
         eprintln!("ldp-server: --shards must be between 1 and {}", u32::MAX);
         return usage();
     }
+    if server_config.max_connections == 0 {
+        eprintln!("ldp-server: --max-connections must be at least 1");
+        return usage();
+    }
     // WAL settings are checked whether or not the server is durable, so a
     // typo never boots a server that silently drops them.
     if wal_segment_bytes.is_some() && data_dir.is_none() {

@@ -68,15 +68,6 @@ impl Default for ReconnectPolicy {
 }
 
 impl ReconnectPolicy {
-    /// No reconnects: any transport failure is immediately fatal.
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
     /// Backoff before reconnect attempt `attempt` (1-based).
     #[must_use]
     pub fn backoff(&self, attempt: u32) -> Duration {
@@ -209,7 +200,7 @@ impl RemoteCollector {
     /// and whose reply reads end once `stop` is raised — checked every
     /// [`POLL_INTERVAL`] — so an owner that is shutting down is never
     /// held by a peer that went quiet. What a tier forwarding to `addr`
-    /// holds (a router's downstream links and health probes).
+    /// holds (a router's downstream links).
     #[must_use]
     pub fn with_stop(addr: SocketAddr, reconnect: ReconnectPolicy, stop: Arc<AtomicBool>) -> Self {
         Self::new(vec![addr], reconnect, stop, Some(POLL_INTERVAL))
@@ -521,9 +512,9 @@ impl RemoteCollector {
         }
     }
 
-    /// Health check: sends a [`Frame::Ping`] and verifies the echoed
-    /// nonce — one round trip touching no collector state, so a
-    /// federation tier can probe a downstream without skewing its books.
+    /// Liveness check: sends a [`Frame::Ping`] and verifies the echoed
+    /// nonce — one round trip touching no collector state, so it never
+    /// skews the peer's books.
     ///
     /// # Errors
     /// Transport errors, a server-reported error frame (a pre-v3 server

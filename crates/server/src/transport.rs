@@ -62,9 +62,8 @@ use std::time::Duration;
 
 /// How often every blocked read and accept loop in the workspace wakes to
 /// consult its owner's stop flag: the upper bound on a thread's shutdown
-/// latency. The server's and router's accept loops and connection reads,
-/// the router's health loop and [`crate::RemoteCollector::with_stop`]
-/// handles all wake on it.
+/// latency. The server's and router's accept loops and connection reads
+/// and [`crate::RemoteCollector::with_stop`] handles all wake on it.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// What a tier does behind the [`Transport`]: the part of serving a

@@ -304,8 +304,8 @@ pub enum Frame {
     /// Polite connection close.
     Goodbye,
     /// Liveness probe (added in v3): a peer answers with [`Frame::Pong`]
-    /// echoing the nonce, touching no collector state — how a federation
-    /// tier health-checks downstreams without issuing a real query.
+    /// echoing the nonce, touching no collector state — a round trip that
+    /// issues no real query.
     Ping {
         /// Opaque caller token, echoed verbatim in the pong.
         nonce: u64,

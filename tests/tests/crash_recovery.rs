@@ -397,22 +397,29 @@ fn unparseable_wal_flush_refuses_to_boot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A shard count the collector cannot take (none, or more than 32 bits
-/// can index) is refused like any malformed flag — usage, exit 2, no
-/// `LISTENING` — instead of panicking inside `Collector::new`.
+/// A count the server cannot honor is refused like any malformed flag —
+/// usage, exit 2, no `LISTENING`: a shard count the collector cannot take
+/// (none, or more than 32 bits can index) instead of panicking inside
+/// `Collector::new`, and a connection cap of 0 instead of booting a
+/// server that answers everyone `BUSY`.
 #[test]
-fn an_impossible_shard_count_refuses_to_boot() {
-    for shards in ["0", "5000000000"] {
+fn an_impossible_count_refuses_to_boot() {
+    let cases = [
+        ("--shards", "0"),
+        ("--shards", "5000000000"),
+        ("--max-connections", "0"),
+    ];
+    for (flag, value) in cases {
         let refused = Command::new(bin_dir().join("ldp-server"))
-            .args(["--shards", shards])
+            .args([flag, value])
             .output()
             .expect("run ldp-server");
-        assert_eq!(refused.status.code(), Some(2), "--shards {shards}");
+        assert_eq!(refused.status.code(), Some(2), "{flag} {value}");
         let stdout = String::from_utf8_lossy(&refused.stdout);
-        assert!(!stdout.contains("LISTENING"), "--shards {shards}: {stdout}");
+        assert!(!stdout.contains("LISTENING"), "{flag} {value}: {stdout}");
         let stderr = String::from_utf8_lossy(&refused.stderr);
-        assert!(stderr.contains("usage:"), "--shards {shards}: {stderr}");
-        assert!(!stderr.contains("panicked"), "--shards {shards}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
 }
 

@@ -130,8 +130,11 @@ fn client_survives_server_killing_first_connection() {
 #[test]
 fn disabled_policy_makes_first_drop_fatal() {
     let server = FlakyServer::start(1);
-    let mut client = RemoteCollector::connect_with(server.addr, ReconnectPolicy::none())
-        .expect("initial connect");
+    let none = ReconnectPolicy {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let mut client = RemoteCollector::connect_with(server.addr, none).expect("initial connect");
     client.ping().expect_err("no-retry client must fail");
     assert_eq!(server.accepted(), 1, "no redial without a policy");
 }

@@ -13,15 +13,15 @@
 //!    mid-exchange is retried on a fresh connection (exact for queries,
 //!    degraded once for a barrier that had frames in flight), and a dead
 //!    target costs `1 + max_retries` dials per fanned-out request.
-//! 4. **Shutdown is never held by a downstream** — the health probe's
-//!    reply read ends at shutdown like a link's.
+//! 4. **Shutdown is never held by a downstream** — a link's reply read
+//!    blocked on a mute downstream ends at shutdown.
 //! 5. **No downstream can break the merged `Metrics` reply** — one that
 //!    fails or answers unencodably is marked `answered 0`, not refused.
 
 use ldp_collector::{ReportBatch, SnapshotPart};
 use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::Frame;
-use ldp_server::{read_reply, RemoteCollector};
+use ldp_server::{read_reply, ReconnectPolicy, RemoteCollector};
 use ldp_telemetry::{MetricEntry, MetricValue, TelemetrySnapshot};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -85,10 +85,9 @@ impl Drop for FakeDownstream {
     }
 }
 
-/// Serves one connection the way a collector frames it: pongs pings (the
-/// router's health probe), swallows ingest frames counting their rows,
-/// and answers everything else with `script(frame, rows so far)` —
-/// `None` hangs up without replying.
+/// Serves one connection the way a collector frames it: swallows ingest
+/// frames counting their rows, and answers everything else with
+/// `script(frame, rows so far)` — `None` hangs up without replying.
 fn respond(mut stream: TcpStream, mut script: impl FnMut(Frame, u64) -> Option<Frame>) {
     let mut buf = Vec::new();
     let mut rows = 0u64;
@@ -99,7 +98,6 @@ fn respond(mut stream: TcpStream, mut script: impl FnMut(Frame, u64) -> Option<F
                 rows += users.len() as u64;
                 continue;
             }
-            Frame::Ping { nonce } => Frame::Pong { nonce },
             other => match script(other, rows) {
                 Some(reply) => reply,
                 None => return,
@@ -128,14 +126,8 @@ fn batch(users: u64) -> ReportBatch {
     batch
 }
 
-/// A router whose health probe dials each downstream once, at startup,
-/// and then stays out of the way of the accept counts.
-fn quiet_router(downstreams: Vec<SocketAddr>) -> Router {
-    let config = RouterConfig {
-        health_interval: Duration::from_secs(3600),
-        ..RouterConfig::default()
-    };
-    Router::bind(downstreams, config).expect("bind router")
+fn bind_router(downstreams: Vec<SocketAddr>) -> Router {
+    Router::bind(downstreams, RouterConfig::default()).expect("bind router")
 }
 
 fn counter(router: &Router, name: &str) -> u64 {
@@ -177,7 +169,7 @@ fn the_slowest_downstream_sets_the_ack_latency_not_the_sum() {
         })
     };
     let (a, b) = (slow(), slow());
-    let mut router = quiet_router(vec![a.addr, b.addr]);
+    let mut router = bind_router(vec![a.addr, b.addr]);
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
     client.ingest(&batch(100)).unwrap();
 
@@ -213,7 +205,7 @@ fn a_stalled_downstream_stops_the_client_through_tcp() {
             std::thread::sleep(Duration::from_millis(5));
         }
     });
-    let mut router = quiet_router(vec![stalled.addr]);
+    let mut router = bind_router(vec![stalled.addr]);
 
     let mut frame = Vec::new();
     Frame::encode_ingest_into(&batch(8_192), &mut frame);
@@ -271,7 +263,7 @@ fn a_query_reply_lost_mid_exchange_is_answered_from_a_fresh_connection() {
             });
         }
     });
-    let mut router = quiet_router(vec![flaky.addr]);
+    let mut router = bind_router(vec![flaky.addr]);
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
 
     let summary = client.summary().unwrap();
@@ -301,7 +293,7 @@ fn a_barrier_reply_lost_with_frames_in_flight_degrades_exactly_once() {
             });
         }
     });
-    let mut router = quiet_router(vec![flaky.addr]);
+    let mut router = bind_router(vec![flaky.addr]);
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
 
     client.ingest(&batch(10)).unwrap();
@@ -324,23 +316,22 @@ fn a_barrier_reply_lost_with_frames_in_flight_degrades_exactly_once() {
 #[test]
 fn a_dead_target_costs_one_dial_plus_the_retry_budget_per_request() {
     let dead = FakeDownstream::start(|stream, _| drop(stream));
-    let mut router = quiet_router(vec![dead.addr]);
-    let per_request = 1 + RouterConfig::default().reconnect.max_retries as usize;
-    wait_for(|| dead.accepted() == 1, "the health probe's one dial");
+    let mut router = bind_router(vec![dead.addr]);
+    let per_request = 1 + ReconnectPolicy::default().max_retries as usize;
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
 
     // (A dial completes in the listener's backlog before the fake counts
     // it, so each count is awaited; a dial too many fails the next one.)
     assert_degraded(&client.summary().unwrap_err());
-    wait_for(|| dead.accepted() == 1 + per_request, "the query's dials");
+    wait_for(|| dead.accepted() == per_request, "the query's dials");
     assert_degraded(&client.sync().unwrap_err());
-    wait_for(|| dead.accepted() == 1 + 2 * per_request, "the barrier's");
+    wait_for(|| dead.accepted() == 2 * per_request, "the barrier's");
     // Metrics are not refused: the dead downstream is marked unanswered.
     let metrics = client.metrics().unwrap();
     assert_eq!(metrics.gauge("downstream.00.answered"), Some(0));
-    wait_for(|| dead.accepted() == 1 + 3 * per_request, "the metrics'");
+    wait_for(|| dead.accepted() == 3 * per_request, "the metrics'");
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(dead.accepted(), 1 + 3 * per_request, "and not one more");
+    assert_eq!(dead.accepted(), 3 * per_request, "and not one more");
 
     drop(client);
     router.shutdown();
@@ -370,7 +361,7 @@ fn a_downstream_metric_name_too_long_to_rename_is_marked_not_merged() {
     };
     let fine = FakeDownstream::start(script("a", 1));
     let hostile = FakeDownstream::start(script("x", 65_530));
-    let mut router = quiet_router(vec![fine.addr, hostile.addr]);
+    let mut router = bind_router(vec![fine.addr, hostile.addr]);
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
 
     for _ in 0..2 {
@@ -393,19 +384,32 @@ fn a_downstream_metric_name_too_long_to_rename_is_marked_not_merged() {
     router.shutdown();
 }
 
-/// A downstream that accepts the health probe's connection and never
-/// answers its ping: the probe's reply read ends at the router's shutdown
-/// like a link's does, so `shutdown` returns instead of waiting on a peer
-/// that will never speak. (A watchdog fails the test rather than hang it.)
+/// A downstream that reads a client's query and never answers it: the
+/// link's reply read ends at the router's shutdown, so `shutdown` returns
+/// instead of waiting on a peer that will never speak. (A watchdog fails
+/// the test rather than hang it.)
 #[test]
-fn shutdown_returns_while_a_mute_downstream_holds_the_probe() {
-    let mute = FakeDownstream::start(|_stream, closed| {
-        while !closed.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(5));
+fn shutdown_returns_while_a_mute_downstream_holds_a_link() {
+    let asked = Arc::new(AtomicBool::new(false));
+    let mute = FakeDownstream::start({
+        let asked = Arc::clone(&asked);
+        move |stream, closed| {
+            respond(stream, |_, _| {
+                asked.store(true, Ordering::SeqCst);
+                while !closed.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                None
+            });
         }
     });
-    let mut router = Router::bind(vec![mute.addr], RouterConfig::default()).expect("bind router");
-    wait_for(|| mute.accepted() == 1, "the health probe's dial");
+    let mut router = bind_router(vec![mute.addr]);
+    let front = router.local_addr();
+    let querying = std::thread::spawn(move || {
+        let mut client = RemoteCollector::connect(front).unwrap();
+        client.summary()
+    });
+    wait_for(|| asked.load(Ordering::SeqCst), "the link's query");
 
     let (done, finished) = std::sync::mpsc::channel();
     let watchdog = std::thread::spawn(move || {
@@ -413,8 +417,13 @@ fn shutdown_returns_while_a_mute_downstream_holds_the_probe() {
         let _ = done.send(());
     });
     let returned = finished.recv_timeout(Duration::from_secs(5));
-    // Release the probe's connection either way, so the watchdog joins.
+    // Release the link's connection either way, so the watchdog joins.
     drop(mute);
     watchdog.join().expect("watchdog thread");
     assert!(returned.is_ok(), "Router::shutdown still blocked after 5 s");
+    let answer = querying.join().expect("querying client");
+    assert!(
+        answer.is_err(),
+        "a query no downstream answered: {answer:?}"
+    );
 }

@@ -80,7 +80,7 @@ fn k_front_connections_cost_k_threads_not_k_times_the_downstreams() {
         RouterConfig::default(),
     )
     .expect("bind router");
-    let before = threads(); // harness + accept loop + health probe
+    let before = threads(); // harness + accept loop
 
     let mut batch = ReportBatch::new();
     for user in 0..64 {

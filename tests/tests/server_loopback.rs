@@ -198,10 +198,7 @@ impl Front {
 
     fn router(max_connections: usize) -> Self {
         let downstream = server(2);
-        let config = RouterConfig {
-            max_connections,
-            ..RouterConfig::default()
-        };
+        let config = RouterConfig { max_connections };
         let router = Router::bind(vec![downstream.local_addr()], config).expect("bind router");
         Front::Router {
             router,
