@@ -114,26 +114,32 @@ impl UserStats {
 /// empty-slot marker — a user only ever enters the table together with
 /// its first report, so a real entry always has `count ≥ 1` (and any
 /// `u64` remains usable as a user id; no sentinel id is reserved).
+///
+/// 24 bytes: the running mean is not stored. A fold recomputes the
+/// previous mean as `sum / count`, the same division that produced it, so
+/// the result is bit-identical to caching it — and a 1M-user table is a
+/// quarter smaller, a quarter fewer bytes for the fold's cache misses.
 #[derive(Debug, Clone, Copy, Default)]
 struct UserEntry {
     user: u64,
     count: u64,
     sum: f64,
-    /// Cached running mean (`sum / count` of the current state) — saves
-    /// recomputing the *previous* mean on the next report, halving the
-    /// ingest hot path's division count with bit-identical results.
-    mean: f64,
 }
 
 impl UserEntry {
+    /// The running mean: `sum / count`, or `0.0` before the first report.
+    #[inline]
+    fn mean(&self) -> f64 {
+        self.sum / self.count.max(1) as f64
+    }
+
     /// Folds one report in and returns the change in the running mean.
     #[inline]
     fn fold(&mut self, value: f64) -> f64 {
-        let old_mean = self.mean;
+        let old_mean = self.mean();
         self.count += 1;
         self.sum += value;
-        self.mean = self.sum / self.count as f64;
-        self.mean - old_mean
+        self.mean() - old_mean
     }
 }
 
@@ -162,6 +168,16 @@ struct UserTable {
     len: usize,
 }
 
+/// The table's one growth rule: `users` entries fit in `capacity` slots
+/// while they fill at most half of them. A hit in a linear-probing table at
+/// load α examines about (1 + 1/(1 − α))/2 slots (Knuth, TAOCP Vol. 3
+/// §6.4): at most 1.5 here, against 4.5 at 7/8 full. An insert that would
+/// break the rule doubles the table first, and checkpoint restore sizes
+/// the table with it ([`UserTable::sized_for`]), so the two agree.
+const fn fits(users: usize, capacity: usize) -> bool {
+    users * 2 <= capacity
+}
+
 /// Hash multiplier for [`UserTable`] (SplitMix64's odd constant) —
 /// deliberately different from the engine's shard-routing multiplier so
 /// the table index is decorrelated from the shard assignment that
@@ -178,18 +194,20 @@ impl UserTable {
     }
 
     /// An empty table already as large as inserting `users` entries one by
-    /// one would have grown it: the smallest power of two ≥ 16 that the
-    /// last insert finds under 7/8 full. Checkpoint restore sizes the
-    /// table this way *before* inserting: a checkpoint lists users in
-    /// table-scan order, i.e. sorted by hash, and feeding hash-sorted keys
-    /// to a table that is still smaller than the final user count piles
-    /// them into one linear-probe cluster — quadratic in the user count.
+    /// one would have grown it: the smallest power of two ≥ 16 that
+    /// [`fits`] them. Growth happens only on an insert that would break
+    /// that rule, so a table's capacity is a function of its user count
+    /// alone. Checkpoint restore sizes the table this way *before*
+    /// inserting: a checkpoint lists users in table-scan order, i.e.
+    /// sorted by hash, and feeding hash-sorted keys to a table that is
+    /// still smaller than the final user count piles them into one
+    /// linear-probe cluster — quadratic in the user count.
     fn sized_for(users: usize) -> Self {
         if users == 0 {
             return Self::default();
         }
         let mut capacity = 16;
-        while (users - 1) * 8 >= capacity * 7 {
+        while !fits(users, capacity) {
             capacity *= 2;
         }
         Self {
@@ -220,10 +238,9 @@ impl UserTable {
         }
     }
 
-    /// The entry a report for `user` folds into: grows the table if it is
-    /// 7/8 full, then finds `user`'s entry, claiming the empty slot its
-    /// probe ends at for a user not seen before. The caller must leave the
-    /// entry with a non-zero count.
+    /// The entry a report for `user` folds into: `user`'s entry, or for a
+    /// user not seen before a claimed empty one (see [`Self::find_or_claim`]).
+    /// The caller must leave the entry with a non-zero count.
     ///
     /// `hint` is where an earlier [`Self::probe`] for `user` ended. It is
     /// used only if that slot holds `user` now — a user sits in at most one
@@ -232,21 +249,37 @@ impl UserTable {
     /// or the table has grown since) repeats the probe.
     #[inline(always)]
     fn entry_for_fold(&mut self, user: u64, hint: Option<usize>) -> &mut UserEntry {
-        if self.len * 8 >= self.entries.len() * 7 {
-            self.grow();
-        }
         let still_there = |i: &usize| {
             self.entries
                 .get(*i)
                 .is_some_and(|e| e.count != 0 && e.user == user)
         };
-        let i = hint.filter(still_there).unwrap_or_else(|| self.probe(user));
-        let e = &mut self.entries[i];
-        if e.count == 0 {
-            e.user = user;
-            self.len += 1;
+        let i = hint
+            .filter(still_there)
+            .unwrap_or_else(|| self.find_or_claim(user));
+        &mut self.entries[i]
+    }
+
+    /// Index of `user`'s entry. A user not seen before claims the empty
+    /// slot its probe ends at — after the table doubles, if one more entry
+    /// would break [`fits`]; a lookup that finds its user never grows the
+    /// table. The caller must leave the entry with a non-zero count.
+    #[inline(always)]
+    fn find_or_claim(&mut self, user: u64) -> usize {
+        let mut i = 0;
+        if !self.entries.is_empty() {
+            i = self.probe(user);
+            if self.entries[i].count != 0 {
+                return i;
+            }
         }
-        e
+        if !fits(self.len + 1, self.entries.len()) {
+            self.grow();
+            i = self.probe(user);
+        }
+        self.entries[i].user = user;
+        self.len += 1;
+        i
     }
 
     /// Folds one report into `user`'s running stats and returns the
@@ -257,17 +290,11 @@ impl UserTable {
     }
 
     /// Checkpoint-restore insert: seeds a user's full running stats in one
-    /// shot. The cached mean is recomputed as `sum / count` — exactly the
-    /// value the ingest path left cached, since it maintains the same
-    /// invariant after every fold — so restored state is bit-identical.
+    /// shot. Nothing is derived from them but the mean each fold
+    /// recomputes, so restored state is bit-identical.
     pub(crate) fn insert_stats(&mut self, user: u64, count: u64, sum: f64) {
         debug_assert!(count > 0, "restored user must have reported");
-        *self.entry_for_fold(user, None) = UserEntry {
-            user,
-            count,
-            sum,
-            mean: sum / count as f64,
-        };
+        *self.entry_for_fold(user, None) = UserEntry { user, count, sum };
     }
 
     /// Doubles the slot array (from 16) and re-inserts every entry.
@@ -282,9 +309,15 @@ impl UserTable {
         }
     }
 
-    /// Iterates occupied entries in unspecified order.
+    /// Iterates occupied entries in table-scan order from the first empty
+    /// slot. No probe run wraps past an empty slot, so inserting the
+    /// entries in this order into an empty table of the same capacity puts
+    /// each one back where it was: a table restored from a checkpoint
+    /// scans — and checkpoints — exactly like the one that wrote it.
     fn iter(&self) -> impl Iterator<Item = (u64, UserStats)> + '_ {
-        self.entries.iter().filter(|e| e.count > 0).map(|e| {
+        let start = self.entries.iter().position(|e| e.count == 0);
+        let (head, tail) = self.entries.split_at(start.unwrap_or(0));
+        tail.iter().chain(head).filter(|e| e.count > 0).map(|e| {
             (
                 e.user,
                 UserStats {
@@ -349,12 +382,13 @@ impl ShardAccumulator {
 
     /// Checkpoint-restore constructor: rebuilds a shard from its
     /// serialized parts (see `crate::checkpoint`). `users` holds
-    /// `(user, count, sum)` triples; the cached per-user means and the
-    /// incremental `mean_sum` are restored bit-exactly (the stored
-    /// `mean_sum` is the pre-crash scalar, and every cached mean is
-    /// `sum / count`, the invariant the fold path maintains). The user
-    /// table is sized once for `users.len()` before any insert (see
-    /// `UserTable::sized_for`), so restore is linear in the user count.
+    /// `(user, count, sum)` triples — all of a user's state, since a fold
+    /// recomputes the running mean from them — and the incremental
+    /// `mean_sum` is the pre-crash scalar, so the shard is restored
+    /// bit-exactly. The user table is sized once for `users.len()` before
+    /// any insert (see `UserTable::sized_for`), at the capacity the
+    /// original had grown to: restore is linear in the user count, and fed
+    /// in the original's scan order, every user lands in its original slot.
     pub(crate) fn restore(
         retention: SlotRetention,
         base: u64,
@@ -482,37 +516,33 @@ impl ShardAccumulator {
     /// every single-user upload — performing the same operations in the
     /// same order as one [`Self::ingest_parts`] call per row, so the shard
     /// ends bit-identical. What the run saves is per-row work: the user's
-    /// table entry is looked up per run, not per row, and its running
-    /// stats and the shard's `mean_sum` stay in registers across the rows.
+    /// table entry is looked up per run, not per row (only that lookup can
+    /// insert, hence grow the table, as the per-row path's first row
+    /// would), and its running stats, its previous mean and the shard's
+    /// `mean_sum` stay in registers across the rows — one division a row.
     ///
     /// # Panics
     /// Panics if `slots` and `values` differ in length.
     pub fn ingest_user_run(&mut self, user: u64, slots: &[u64], values: &[f64]) {
         assert_eq!(slots.len(), values.len(), "ingest_user_run: column lengths");
-        let (Some((&slot, slots)), Some((&value, values))) =
-            (slots.split_first(), values.split_first())
-        else {
-            return;
-        };
-        // The first row takes the per-row path: it is the one that may
-        // insert the user, and the lookup below then repeats exactly the
-        // table-growth check the per-row path makes for a second row — so
-        // table capacity (hence table-scan order) never depends on which
-        // path folded. No later row can grow the table.
-        self.ingest_parts(user, slot, value);
         if slots.is_empty() {
             return;
         }
-        let mut entry = *self.users.entry_for_fold(user, None);
+        let at = self.users.find_or_claim(user);
+        let mut entry = self.users.entries[at];
+        let mut mean = entry.mean();
         let mut mean_sum = self.mean_sum;
         for (&slot, &value) in slots.iter().zip(values) {
             match self.retained_index(slot) {
                 Some(i) => self.slots[i].add(value),
                 None => self.frozen.add(value),
             }
-            mean_sum += entry.fold(value);
+            entry.count += 1;
+            entry.sum += value;
+            let new_mean = entry.sum / entry.count as f64;
+            mean_sum += new_mean - mean;
+            mean = new_mean;
         }
-        let at = self.users.probe(user);
         self.users.entries[at] = entry;
         self.mean_sum = mean_sum;
         self.reports += slots.len() as u64;
@@ -848,10 +878,16 @@ mod tests {
 
     #[test]
     fn kernel_grows_the_table_on_the_same_rows_as_the_per_row_fold() {
-        // 14 and 28 users are where the 16- and 32-slot tables reach 7/8;
-        // new users arriving mid-block cross them, and rows for users that
-        // were probed before the growth follow it.
-        for prior in [10, 13, 14, 24, 27, 28] {
+        // The most users the 16- and 32-slot tables hold under the growth
+        // rule, and a few fewer: new users arriving mid-block cross the
+        // limit, and rows for users that were probed before the growth
+        // follow it.
+        let most = |capacity| (1..).take_while(|&n| fits(n, capacity)).last().unwrap();
+        for prior in [16, 32]
+            .into_iter()
+            .flat_map(|c| [most(c) - 3, most(c) - 1, most(c)])
+        {
+            let prior = prior as u64;
             let shard = shard_with_users(prior);
             let rows: Vec<(u64, u64, f64)> = (0..FOLD_BLOCK as u64 + 9)
                 .map(|i| {
@@ -890,7 +926,7 @@ mod tests {
     fn steady_state_kernel_examines_no_more_table_slots_than_the_per_row_fold() {
         // Every user present and the table not about to grow: the fold pass
         // must reuse where the block's probe pass ended, not probe again.
-        let shard = shard_with_users(40); // 64 slots, 40 used
+        let shard = shard_with_users(40); // 128 slots, 40 used
         let n = 3 * FOLD_BLOCK + 5;
         let users: Vec<u64> = (0..n as u64).map(|i| 1000 + (i * 7) % 40).collect();
         let slots = vec![2u64; n];
@@ -914,5 +950,33 @@ mod tests {
             kernel_steps <= per_row_steps,
             "kernel examined {kernel_steps} slots, per-row fold {per_row_steps}"
         );
+    }
+
+    #[test]
+    fn a_steady_state_pass_examines_few_slots_per_row() {
+        // One `ingest_hot` shard's population: 5,000 users, here with
+        // SplitMix64 ids. Half load puts them in 16,384 slots, where a hit
+        // examines ~1.20 slots; a table grown only at 7/8 full holds them
+        // in 8,192, at ~1.76.
+        let mut state = 0u64;
+        let users: Vec<u64> = (0..5_000)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect();
+        let slots = vec![0u64; users.len()];
+        let values = vec![0.5; users.len()];
+        let mut shard = ShardAccumulator::new();
+        shard.ingest_rows(&users, &slots, &values, 0..users.len());
+        assert_eq!(shard.user_count(), users.len());
+
+        let before = PROBE_STEPS.with(std::cell::Cell::get);
+        shard.ingest_rows(&users, &slots, &values, 0..users.len());
+        let steps = PROBE_STEPS.with(std::cell::Cell::get) - before;
+        let per_row = steps as f64 / users.len() as f64;
+        assert!(per_row <= 1.35, "{per_row:.3} slots examined per row");
     }
 }

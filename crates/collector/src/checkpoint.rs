@@ -13,12 +13,14 @@
 //! count, entry invariants) but carries no CRC of its own.
 //!
 //! Exactness argument: a shard's state is exactly `(base, slots, frozen,
-//! {user → (count, sum)}, mean_sum, reports)`. The only derived quantity,
-//! each user's cached mean, is `sum / count` after every fold, so restoring
-//! it as `sum / count` reproduces the pre-crash bits; `mean_sum` is stored
-//! as raw f64 bits. Replaying post-checkpoint frames through the normal
-//! ingest path therefore evolves the restored state exactly as the
-//! pre-crash collector evolved.
+//! {user → (count, sum)}, mean_sum, reports)`. Nothing per user is derived
+//! and stored — a fold recomputes the user's previous mean as
+//! `sum / count` — and `mean_sum` is stored as raw f64 bits. Replaying
+//! post-checkpoint frames through the normal ingest path therefore evolves
+//! the restored state exactly as the pre-crash collector evolved. Users
+//! are listed in their table's scan order, and restore rebuilds each table
+//! at the capacity growth gave it, so a restored collector encodes to the
+//! same bytes as the one it was restored from.
 
 use crate::accumulator::{ShardAccumulator, SlotStats};
 use crate::engine::{Collector, CollectorConfig};
@@ -283,11 +285,26 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_exact() {
+        // From ~12 to ~2,000 users a shard, so the user tables span several
+        // doublings.
+        for batches in [1, 3, 8, 20, 60, 160] {
+            round_trip_of(batches);
+        }
+    }
+
+    fn round_trip_of(batches: usize) {
         let original = Collector::new(config());
-        drive(&original, 20, 7);
+        drive(&original, batches, 7);
         original.note_upstream_rejections(3);
         let blob = original.encode_checkpoint();
         let restored = Collector::restore_checkpoint(config(), &blob).unwrap();
+        // Restore sizes each table as growth did and puts every user back
+        // in its slot, so the restored collector scans — and checkpoints —
+        // to the very same bytes.
+        assert!(
+            restored.encode_checkpoint() == blob,
+            "batches = {batches}: the restored collector checkpoints differently"
+        );
 
         assert_eq!(restored.total_reports(), original.total_reports());
         assert_eq!(restored.dropped_reports(), original.dropped_reports());

@@ -78,8 +78,10 @@ pub struct CollectorConfig {
     /// the submitter participates (fold-own, then steal) until its
     /// batch's completion counter drains, so per-batch
     /// [`IngestOutcome`] ledgers are exact and results are bit-identical
-    /// to a serial fold. Default: [`default_ingest_workers`]
-    /// (`LDP_INGEST_WORKERS` overrides).
+    /// to a serial fold. At most `shards − 1` workers are spawned, whatever
+    /// is asked: a fold holds its shard's mutex, so no more than `shards`
+    /// folds run at once, and the submitter is one of them. Default:
+    /// [`default_ingest_workers`] (`LDP_INGEST_WORKERS` overrides).
     pub ingest_workers: usize,
     /// Minimum routed (accepted) report count before a multi-shard
     /// batch's fold pass is dispatched to the pool; smaller batches —
@@ -285,7 +287,7 @@ impl Collector {
                 .collect(),
             shard_magic: (u64::MAX / config.shards as u64).wrapping_add(1),
             max_slots: config.max_slots,
-            ingest_workers: config.ingest_workers,
+            ingest_workers: config.ingest_workers.min(config.shards - 1),
             parallel_fold_min: config.parallel_fold_min.max(1),
             pool: OnceLock::new(),
             telemetry,
@@ -303,12 +305,6 @@ impl Collector {
             self.pool
                 .get_or_init(|| IngestPool::start(self.ingest_workers, &self.telemetry)),
         )
-    }
-
-    /// Configured fold-pool worker count (0 = always-inline folds).
-    #[must_use]
-    pub fn ingest_workers(&self) -> usize {
-        self.ingest_workers
     }
 
     /// Stops the fold pool's worker threads, if they were ever spawned.
@@ -1176,6 +1172,23 @@ mod tests {
         assert_bit_identical(&serial, &parallel);
         let snap = parallel.telemetry().snapshot();
         assert!(snap.counter("collector.pool.runs").unwrap_or(0) >= 2);
+    }
+
+    #[test]
+    fn fold_pool_is_never_larger_than_the_shards_can_use() {
+        // Nothing is ingested: a pool-qualifying batch would spawn every
+        // worker the field holds.
+        for (shards, asked, kept) in [(2, 10_000, 1), (1, 4, 0), (4, 2, 2)] {
+            let c = Collector::new(CollectorConfig {
+                shards,
+                ingest_workers: asked,
+                ..CollectorConfig::default()
+            });
+            assert_eq!(
+                c.ingest_workers, kept,
+                "{shards} shards, {asked} workers asked"
+            );
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ fn retention_of(retained: u64) -> SlotRetention {
 }
 
 /// A shard that already holds `users` other users (ids from 1000), one
-/// report each — around 14 and 28 users the next fold grows the table.
+/// report each — at 8, 16 and 32 users the next new user grows the table.
 fn shard_with_users(retention: SlotRetention, users: u64) -> ShardAccumulator {
     let mut shard = ShardAccumulator::with_retention(retention);
     for user in 0..users {

@@ -7,7 +7,12 @@
 # alternately, pair i on seed i, odd pairs parent first — only the
 # per-pair ratios and the win count mean much. After a workload's pairs,
 # one `--trace 1` run per side prints its stage budget and bytes per row,
-# so the stage a change touched shows its before/after row.
+# so the stage a change touched shows its before/after row. Each metric's
+# summary ends with two verdicts: the claim rule (the change wins at
+# least 9/10 of the pairs and its median beats the parent's by more than
+# the parent's q3 − q1) and the regression rule (the change's median is
+# no worse than the parent's by more than the metric's `bound` in
+# BENCHMARK.json's `end_to_end`, which the script only reads).
 #
 # Usage: tools/bench_pair.sh <parent-ref> <workload>[,<workload>...] [pairs=10] [seconds]
 #
@@ -66,24 +71,43 @@ run() { # <side> <pair>; reads $workload, appends to $results
         "$(field "$line" peak_rss_mb)" | tee -a "$results"
 }
 
-# Median and quartiles (linear interpolation between order statistics),
-# per side and metric; wins are pairs where the change reads better.
+# The regression bound of an end-to-end metric, read from BENCHMARK.json.
+bound_of() { # <metric>
+    awk -v metric="$1" '
+        /"end_to_end"/ { in_list = 1 }
+        in_list && /^ *\]/ { in_list = 0 }
+        in_list && /"name":/ { name = $0; gsub(/.*"name": *"|".*/, "", name) }
+        in_list && /"bound":/ && name == metric {
+            bound = $0; gsub(/.*"bound": *|[ ,]*$/, "", bound); print bound; exit
+        }' "$repo_root/BENCHMARK.json"
+}
+
+# Median, q1, q3 and count of one side's runs of one metric (linear
+# interpolation between order statistics).
+quartiles() { # <side> <column>; reads $results
+    awk -F'\t' -v side="$1" -v col="$2" '$2 == side { print $col }' "$results" |
+        sort -g |
+        awk '
+            { v[NR] = $1 }
+            function q(p,    h, lo) {
+                h = (NR - 1) * p + 1; lo = int(h)
+                return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+            }
+            END { printf "%.6g %.6g %.6g %d\n", q(0.5), q(0.25), q(0.75), NR }'
+}
+
+# Per side and metric: quartiles, then the win count (pairs where the
+# change reads better) with the per-pair change/parent ratios, then the
+# two verdicts a claim and a regression are judged by.
 summarize() { # reads $results
-    local spec side
+    local spec parent_stats change_stats wins ratios won pairs_run ties
     for spec in "rows_per_s 3 higher" "setup_s 4 lower" "peak_rss_mb 5 lower"; do
         set -- $spec
-        for side in parent change; do
-            awk -F'\t' -v side="$side" -v col="$2" '$2 == side { print $col }' "$results" |
-                sort -g |
-                awk -v label="$1 $side" '
-                    { v[NR] = $1 }
-                    function q(p,    h, lo) {
-                        h = (NR - 1) * p + 1; lo = int(h)
-                        return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-                    }
-                    END { printf "%-22s median %.6g  q1 %.6g  q3 %.6g  (n=%d)\n",
-                          label, q(0.5), q(0.25), q(0.75), NR }'
-        done
+        parent_stats="$(quartiles parent "$2")"
+        change_stats="$(quartiles change "$2")"
+        # shellcheck disable=SC2086 # each side's four numbers, one line each
+        printf '%-22s median %s  q1 %s  q3 %s  (n=%s)\n' \
+            "$1 parent" $parent_stats "$1 change" $change_stats
         # Per-pair change/parent ratios, sorted: a claim is read as their
         # median, so it is printed beside the win count with its range.
         ratios="$(awk -F'\t' -v col="$2" '
@@ -97,7 +121,7 @@ summarize() { # reads $results
                     m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
                     printf "change/parent median %.4f  min %.4f  max %.4f", m, v[1], v[NR]
                 }')"
-        awk -F'\t' -v col="$2" -v better="$3" -v label="$1" -v ratios="$ratios" '
+        wins="$(awk -F'\t' -v col="$2" -v better="$3" '
             $2 == "parent" { p[$1] = $col }
             $2 == "change" { c[$1] = $col }
             END {
@@ -105,9 +129,25 @@ summarize() { # reads $results
                     if (c[i] == p[i]) ties++
                     else if ((better == "higher") == (c[i] > p[i])) wins++
                 }
-                printf "%-22s change better in %d of %d pairs (%d ties); %s\n\n",
-                       label, wins, length(p), ties, ratios
-            }' "$results"
+                printf "%d %d %d\n", wins, length(p), ties
+            }' "$results")"
+        read -r won pairs_run ties <<<"$wins"
+        printf '%-22s change better in %d of %d pairs (%d ties); %s\n' \
+            "$1" "$won" "$pairs_run" "$ties" "$ratios"
+        awk -v label="$1" -v better="$3" -v bound="$(bound_of "$1")" \
+            -v won="$won" -v pairs="$pairs_run" -v p="$parent_stats" -v c="$change_stats" '
+            BEGIN {
+                split(p, ps, " "); split(c, cs, " ")
+                gain = better == "higher" ? cs[1] - ps[1] : ps[1] - cs[1]
+                iqr = ps[3] - ps[2]
+                claim = won * 10 >= pairs * 9 && gain > iqr
+                printf "%-22s claim %s: wins %d/%d (need 9/10 of pairs), median gain %.6g vs parent q3-q1 %.6g\n",
+                       label, (claim ? "MET" : "not met"), won, pairs, gain, iqr
+                worse = ps[1] == 0 ? 0 : -gain / ps[1]
+                printf "%-22s regression %s: change median %.6g vs parent %.6g, %.2f%% %s, bound %.0f%% worse\n\n",
+                       label, (worse > bound ? "PAST BOUND" : "within bound"), cs[1], ps[1],
+                       100 * (worse < 0 ? -worse : worse), (worse > 0 ? "worse" : "better"), 100 * bound
+            }'
     done
 }
 
