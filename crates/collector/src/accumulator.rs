@@ -512,40 +512,94 @@ impl ShardAccumulator {
         }
     }
 
-    /// Folds a run of reports that all come from `user` — the shape of
-    /// every single-user upload — performing the same operations in the
-    /// same order as one [`Self::ingest_parts`] call per row, so the shard
-    /// ends bit-identical. What the run saves is per-row work: the user's
-    /// table entry is looked up per run, not per row (only that lookup can
-    /// insert, hence grow the table, as the per-row path's first row
-    /// would), and its running stats, its previous mean and the shard's
-    /// `mean_sum` stay in registers across the rows — one division a row.
+    /// Folds `user`'s `(first_slot, values)` runs in order, each run's
+    /// `values` being the reports for the consecutive slots `first_slot,
+    /// first_slot + 1, …` — the shape of every device upload — leaving the
+    /// shard bit-identical to one [`Self::ingest_parts`] call per row.
+    /// What the runs save is per-row work: the user's table entry is
+    /// looked up once for all of them (not at all when every run is empty;
+    /// only that lookup can insert, hence grow the table, as the per-row
+    /// path's first row would), its running stats, its previous mean and
+    /// the shard's `mean_sum` stay in registers across the rows — one
+    /// division a row — and the slot range is resolved once per retention
+    /// window, not once per row. Returns the number of reports folded.
     ///
     /// # Panics
-    /// Panics if `slots` and `values` differ in length.
-    pub fn ingest_user_run(&mut self, user: u64, slots: &[u64], values: &[f64]) {
-        assert_eq!(slots.len(), values.len(), "ingest_user_run: column lengths");
-        if slots.is_empty() {
-            return;
+    /// Panics if a run's last slot, `first_slot + values.len() − 1`,
+    /// overflows `u64`.
+    pub fn ingest_user_runs<'v>(
+        &mut self,
+        user: u64,
+        runs: impl IntoIterator<Item = (u64, &'v [f64])>,
+    ) -> u64 {
+        let mut runs = runs
+            .into_iter()
+            .filter(|(_, values)| !values.is_empty())
+            .peekable();
+        if runs.peek().is_none() {
+            return 0;
         }
         let at = self.users.find_or_claim(user);
         let mut entry = self.users.entries[at];
         let mut mean = entry.mean();
         let mut mean_sum = self.mean_sum;
-        for (&slot, &value) in slots.iter().zip(values) {
-            match self.retained_index(slot) {
-                Some(i) => self.slots[i].add(value),
-                None => self.frozen.add(value),
-            }
-            entry.count += 1;
-            entry.sum += value;
-            let new_mean = entry.sum / entry.count as f64;
-            mean_sum += new_mean - mean;
-            mean = new_mean;
+        let mut folded = 0u64;
+        for (first_slot, values) in runs {
+            // The user's stats fold inside the slot loop: one pass, and the
+            // slot adds fill the gaps the division leaves.
+            self.fold_slot_run(first_slot, values, |value| {
+                entry.count += 1;
+                entry.sum += value;
+                let new_mean = entry.sum / entry.count as f64;
+                mean_sum += new_mean - mean;
+                mean = new_mean;
+            });
+            folded += values.len() as u64;
         }
         self.users.entries[at] = entry;
         self.mean_sum = mean_sum;
-        self.reports += slots.len() as u64;
+        self.reports += folded;
+        folded
+    }
+
+    /// Adds the non-empty `values` into slots `first_slot..`, handing each
+    /// value to `each` in order, and leaves every slot, `frozen` and the
+    /// window as one [`Self::retained_index`] per row would. Late rows
+    /// (below `base`) can only lead a run — the window never slides past
+    /// the slot that slid it — so they go to `frozen` first. The rest goes
+    /// a chunk of at most `R` rows at a time: resolving the chunk's last
+    /// slot slides the window once and expires only slots below the
+    /// chunk's first, which already hold every row this run gives them, so
+    /// each freezes with the stats, and in the order, the per-row slides
+    /// give it. (The per-row path may also expire slots it created empty;
+    /// merging an empty slot into `frozen` changes no bit.)
+    #[inline(always)]
+    fn fold_slot_run(&mut self, first_slot: u64, values: &[f64], mut each: impl FnMut(f64)) {
+        assert!(
+            first_slot.checked_add(values.len() as u64 - 1).is_some(),
+            "ingest_user_runs: a run's last slot overflows u64"
+        );
+        let late = usize::try_from(self.base.saturating_sub(first_slot))
+            .map_or(values.len(), |late| late.min(values.len()));
+        for &value in &values[..late] {
+            self.frozen.add(value);
+            each(value);
+        }
+        let window = self
+            .retention
+            .map_or(usize::MAX, |r| usize::try_from(r).unwrap_or(usize::MAX));
+        let first = first_slot + late as u64;
+        for (k, chunk) in values[late..].chunks(window).enumerate() {
+            let last = first + (k * window + chunk.len() - 1) as u64;
+            let end = self
+                .retained_index(last)
+                .expect("a run's slots stay at or above the base")
+                + 1;
+            for (stats, &value) in self.slots.range_mut(end - chunk.len()..end).zip(chunk) {
+                stats.add(value);
+                each(value);
+            }
+        }
     }
 
     /// Index of `slot` in the retained deque, growing and/or advancing the

@@ -363,8 +363,10 @@ impl Collector {
     /// The batch is columnar: the shard-routing pass reads only the user
     /// column (screening slots and values as it routes), and accumulation
     /// streams the slot/value columns. A batch whose rows all belong to
-    /// one user — every [`crate::ClientFleet`] upload — folds as a run:
-    /// one lock, no routing scratch, the user's entry looked up once. A
+    /// one user — a device's own stream off the wire — folds as runs of
+    /// consecutive slots: one lock, no routing scratch, the user's entry
+    /// looked up once. (An in-process [`crate::ClientFleet`] upload never
+    /// becomes a batch: [`crate::CollectorSink`] folds it as one run.) A
     /// collector configured with one shard also skips routing. Otherwise
     /// the batch's indices are counting-sorted into contiguous per-shard
     /// runs inside a reusable thread-local scratch, so each lock is held
@@ -395,18 +397,16 @@ impl Collector {
             self.ingest_chunked(users, slots, values, ROUTE_CHUNK_ROWS, &mut tally);
         }
         drop(fold_timer); // record route+fold, not the tallying below
-        self.metrics.batches.inc();
-        self.metrics.accepted.add(tally.accepted);
-        self.metrics.dropped.add(tally.dropped);
-        self.metrics.rejected.add(tally.rejected);
+        self.book(tally);
         tally
     }
 
-    /// The single-user path (every fleet upload, and any device's own
-    /// stream): one shard, one lock, no routing scratch. Rows are screened
-    /// in order and every maximal stretch of accepted rows folds through
-    /// [`ShardAccumulator::ingest_user_run`] — the shard ends bit-identical
-    /// to folding the accepted rows one at a time.
+    /// The single-user path (any device's own stream off the wire): one
+    /// shard, one lock, no routing scratch, the user looked up once. Rows
+    /// are screened in order and the accepted ones fold as maximal runs of
+    /// consecutive slots through [`ShardAccumulator::ingest_user_runs`] —
+    /// the shard ends bit-identical to folding the accepted rows one at a
+    /// time.
     fn ingest_user_batch(
         &self,
         user: u64,
@@ -414,36 +414,110 @@ impl Collector {
         values: &[f64],
         tally: &mut IngestOutcome,
     ) {
-        let shard_idx = self.shard_of(user);
-        let shard = &self.shards[shard_idx];
-        let mut accepted = 0usize;
-        {
-            let mut acc = shard.acc.lock().expect("collector shard poisoned");
-            let mut row = 0;
+        let max_slots = self.max_slots;
+        let mut row = 0;
+        let runs = std::iter::from_fn(|| {
             while row < slots.len() {
-                if slots[row] >= self.max_slots {
+                if slots[row] >= max_slots {
                     tally.dropped += 1;
-                    row += 1;
                 } else if !values[row].is_finite() {
                     tally.rejected += 1;
-                    row += 1;
                 } else {
-                    let run = slots[row..]
-                        .iter()
-                        .zip(&values[row..])
-                        .take_while(|&(&slot, value)| slot < self.max_slots && value.is_finite())
-                        .count();
-                    acc.ingest_user_run(user, &slots[row..row + run], &values[row..row + run]);
-                    accepted += run;
-                    row += run;
+                    break;
                 }
+                row += 1;
             }
+            if row == slots.len() {
+                return None;
+            }
+            let (start, first) = (row, slots[row]);
+            // The run: finite values whose slots count up from `first`,
+            // staying below `max_slots`.
+            row += slots[start..]
+                .iter()
+                .zip(&values[start..])
+                .zip(first..max_slots)
+                .take_while(|&((&slot, value), expected)| slot == expected && value.is_finite())
+                .count();
+            Some((first, &values[start..row]))
+        });
+        tally.accepted += self.fold_user_runs(user, runs);
+    }
+
+    /// The in-process upload of one device's stream, what
+    /// [`crate::CollectorSink`] delivers: `values[i]` is `user`'s report
+    /// for slot `first_slot + i`, saturating at `u64::MAX`, so a row past
+    /// the end of the slot space is dropped like any other row at or past
+    /// `max_slots`. Non-finite values are refused as a client refuses them
+    /// and booked as upstream rejections; the rest folds under one shard
+    /// lock, each maximal finite run through
+    /// [`ShardAccumulator::ingest_user_runs`], and no columns are written.
+    /// Every book moves as [`Self::note_upstream_rejections`] plus
+    /// [`Self::ingest`] of the stream's `ReportBatch::from_stream` would
+    /// move it. Returns the number of reports accepted.
+    pub(crate) fn ingest_stream(&self, user: u64, first_slot: u64, values: &[f64]) -> u64 {
+        if !values.iter().any(|v| v.is_finite()) {
+            // Nothing reaches the collector: the batch would be empty.
+            self.note_upstream_rejections(values.len() as u64);
+            return 0;
         }
-        if accepted > 0 {
+        let fold_timer = self.metrics.fold_nanos.timer();
+        let in_bounds = usize::try_from(self.max_slots.saturating_sub(first_slot))
+            .map_or(values.len(), |rows| rows.min(values.len()));
+        let (kept, past_bound) = values.split_at(in_bounds);
+        // One pass over `kept`: the fold drains the split, which yields one
+        // run more than `kept` holds non-finite values.
+        let mut runs = 0u64;
+        let mut slot = first_slot;
+        let accepted = self.fold_user_runs(
+            user,
+            kept.split(|v| !v.is_finite()).map(|run| {
+                runs += 1;
+                let first = slot;
+                // Past the last run this may pass `max_slots`; it is not read.
+                slot = slot.wrapping_add(run.len() as u64 + 1);
+                (first, run)
+            }),
+        );
+        drop(fold_timer);
+        let dropped = past_bound.iter().filter(|v| v.is_finite()).count() as u64;
+        self.note_upstream_rejections(runs - 1 + (past_bound.len() as u64 - dropped));
+        self.book(IngestOutcome {
+            accepted,
+            dropped,
+            rejected: 0,
+        });
+        accepted
+    }
+
+    /// Folds one user's `(first_slot, values)` runs under the user's
+    /// shard lock, advancing the shard's epoch and batch book once if
+    /// anything folded. Returns the number of reports folded.
+    fn fold_user_runs<'v>(
+        &self,
+        user: u64,
+        runs: impl IntoIterator<Item = (u64, &'v [f64])>,
+    ) -> u64 {
+        let shard_idx = self.shard_of(user);
+        let shard = &self.shards[shard_idx];
+        let folded = shard
+            .acc
+            .lock()
+            .expect("collector shard poisoned")
+            .ingest_user_runs(user, runs);
+        if folded > 0 {
             shard.epoch.fetch_add(1, Ordering::Release);
             self.metrics.shard_batches[shard_idx].inc();
-            tally.accepted += accepted as u64;
         }
+        folded
+    }
+
+    /// Books one non-empty batch's disposition.
+    fn book(&self, tally: IngestOutcome) {
+        self.metrics.batches.inc();
+        self.metrics.accepted.add(tally.accepted);
+        self.metrics.dropped.add(tally.dropped);
+        self.metrics.rejected.add(tally.rejected);
     }
 
     /// The single-shard fast path (a one-shard collector): one lock, no
@@ -692,8 +766,8 @@ impl Collector {
 
     /// Reports rejected for carrying a non-finite value (one NaN folded
     /// into a shard would poison every mean it touches) — whether screened
-    /// at ingest or already refused while the upload batch was built (the
-    /// fleet forwards those counts here).
+    /// at ingest or already refused client-side (a fleet upload's
+    /// non-finite values, or a wire frame's upstream rejection count).
     #[must_use]
     pub fn rejected_reports(&self) -> u64 {
         self.metrics.rejected.get()
@@ -923,6 +997,27 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.slot_count(), 6);
         assert_eq!(snap.user_count(), 1);
+    }
+
+    #[test]
+    fn a_stream_running_off_the_slot_space_is_dropped_not_wrapped() {
+        let values = [0.25, 0.5, 0.75];
+        let by_batch = Collector::new(config(2));
+        let out = by_batch.ingest_outcome(&ReportBatch::from_stream(1, u64::MAX - 1, &values));
+        assert_eq!(
+            out,
+            IngestOutcome {
+                accepted: 0,
+                dropped: 3,
+                rejected: 0
+            }
+        );
+        let by_stream = Collector::new(config(2));
+        assert_eq!(by_stream.ingest_stream(1, u64::MAX - 1, &values), 0);
+        for c in [&by_batch, &by_stream] {
+            assert_eq!(c.dropped_reports(), 3);
+            assert_eq!(c.snapshot().slot_count(), 0, "slot 0 untouched");
+        }
     }
 
     #[test]

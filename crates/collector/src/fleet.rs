@@ -8,7 +8,6 @@
 //! offline batch path via [`ReseedingSession`].
 
 use crate::engine::Collector;
-use crate::report::ReportBatch;
 use ldp_core::online::{OnlineSession, PipelineSpec};
 use ldp_core::StreamMechanism;
 use ldp_streams::{Population, Stream};
@@ -35,9 +34,10 @@ pub struct FleetConfig {
     /// Thread count never changes published values, only scheduling.
     ///
     /// This is *client-side* parallelism: each worker uploads its own
-    /// users' single-user batches, which take the collector's
-    /// single-user (one shard, one lock, no routing) run fold. The collector-side counterpart
-    /// for few hot connections carrying big mixed batches is
+    /// users' streams, each of which the collector folds as one
+    /// contiguous run (one shard, one lock, no routing). The
+    /// collector-side counterpart for few hot connections carrying big
+    /// mixed batches is
     /// [`crate::CollectorConfig::ingest_workers`] — the work-stealing
     /// parallel shard fold.
     pub threads: usize,
@@ -53,20 +53,22 @@ pub fn user_seed(base: u64, user: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Where a fleet worker delivers its upload batches: a local
-/// [`Collector`] (in-process, the simulation shape) or a remote
-/// connection (the `ldp-server` crate's `RemoteCollector`, the deployment
-/// shape). One sink instance belongs to one worker thread, so
-/// implementations need no internal synchronization.
+/// Where a fleet worker delivers its uploads: a local [`Collector`]
+/// (in-process, the simulation shape) or a remote connection (the
+/// `ldp-server` crate's `RemoteCollector`, the deployment shape). One
+/// sink instance belongs to one worker thread, so implementations need no
+/// internal synchronization.
 pub trait ReportSink {
-    /// Submits one user's upload batch. The batch's
-    /// [`ReportBatch::rejected_non_finite`] count must reach the
-    /// downstream rejection ledger — values refused client-side still
-    /// have to be visible in the collector's accounting.
+    /// Submits one device's upload: `values[i]` is `user`'s published
+    /// report for slot `first_slot + i`. A non-finite value must not be
+    /// folded, and must reach the downstream rejection ledger as an
+    /// upstream rejection — values refused client-side still have to be
+    /// visible in the collector's accounting; the finite values keep
+    /// their own slots.
     ///
     /// # Errors
     /// Transport errors (a local sink never fails).
-    fn submit(&mut self, batch: &ReportBatch) -> std::io::Result<()>;
+    fn submit(&mut self, user: u64, first_slot: u64, values: &[f64]) -> std::io::Result<()>;
     /// Flushes buffered submissions and returns the number of reports the
     /// downstream collector *accepted* from this sink.
     ///
@@ -75,7 +77,10 @@ pub trait ReportSink {
     fn finish(&mut self) -> std::io::Result<u64>;
 }
 
-/// The in-process [`ReportSink`]: feeds [`Collector::ingest`] directly.
+/// The in-process [`ReportSink`]: folds each upload straight into the
+/// collector as one contiguous run — one shard lock, one user lookup, the
+/// slot range resolved once, no columns written — with the books
+/// [`Collector::ingest`] of the same upload as a `ReportBatch` would keep.
 #[derive(Debug)]
 pub struct CollectorSink<'c> {
     collector: &'c Collector,
@@ -94,13 +99,11 @@ impl<'c> CollectorSink<'c> {
 }
 
 impl ReportSink for CollectorSink<'_> {
-    fn submit(&mut self, batch: &ReportBatch) -> std::io::Result<()> {
+    fn submit(&mut self, user: u64, first_slot: u64, values: &[f64]) -> std::io::Result<()> {
         // A session must never publish NaN; if one ever does, the refusal
         // has to surface in the collector's ledger, not vanish
-        // client-side.
-        self.collector
-            .note_upstream_rejections(batch.rejected_non_finite());
-        self.accepted += self.collector.ingest(batch) as u64;
+        // client-side — `ingest_stream` books it as rejected upstream.
+        self.accepted += self.collector.ingest_stream(user, first_slot, values);
         Ok(())
     }
 
@@ -170,15 +173,15 @@ impl ClientFleet {
     }
 
     /// Runs every user's session over `range` of their stream and uploads
-    /// the perturbed reports into `collector` (one batch per user, slots
+    /// the perturbed reports into `collector` (one upload per user, slots
     /// numbered relative to `range.start`). Returns the total number of
     /// reports uploaded.
     ///
     /// Deterministic in `(population, range, config.seed, config.spec)`:
     /// the thread count only changes scheduling, not any published value.
-    /// Each worker builds its sessions, publish buffers and columnar
-    /// [`ReportBatch`] once and reuses them across its users, so the
-    /// steady-state upload loop performs no per-user heap allocation.
+    /// Each worker builds its sessions and publish buffers once and reuses
+    /// them across its users, so the steady-state upload loop performs no
+    /// per-user heap allocation.
     ///
     /// # Errors
     /// Returns an error if `(epsilon, w)` is invalid for the pipeline.
@@ -260,13 +263,13 @@ impl ClientFleet {
 const LANES: usize = 4;
 
 /// One ingest worker: runs the sessions of `users` (ids starting at
-/// `start`) over `range` and submits one batch per user, in user order,
+/// `start`) over `range` and submits one upload per user, in user order,
 /// into `sink`. Users go [`LANES`] at a time through
 /// [`OnlineSession::report_lanes_into`], the remainder one at a time
-/// through the same call; the worker's sessions, publish buffers and
-/// columnar batch are built once and reused, so the steady state performs
-/// no per-user heap allocation. Shared by every drive flavor (local,
-/// remote), so all paths publish bit-identical values.
+/// through the same call; the worker's sessions and publish buffers are
+/// built once and reused, so the steady state performs no per-user heap
+/// allocation. Shared by every drive flavor (local, remote), so all paths
+/// publish bit-identical values.
 fn worker_upload<S: ReportSink>(
     cfg: FleetConfig,
     start: usize,
@@ -282,7 +285,6 @@ fn worker_upload<S: ReportSink>(
                 .expect("config validated by the caller")
         }),
         published: Default::default(),
-        batch: ReportBatch::new(),
     };
     let mut groups = users.chunks_exact(LANES);
     let mut first_user = start as u64;
@@ -303,12 +305,11 @@ struct Worker {
     range: Range<usize>,
     sessions: [OnlineSession; LANES],
     published: [Vec<f64>; LANES],
-    batch: ReportBatch,
 }
 
 impl Worker {
     /// Publishes the `K` users `first_user..` (whose streams are
-    /// `streams`) on the first `K` lanes, then submits their batches.
+    /// `streams`) on the first `K` lanes, then submits their uploads.
     fn upload<const K: usize, S: ReportSink>(
         &mut self,
         first_user: u64,
@@ -331,9 +332,7 @@ impl Worker {
             rngs.each_mut(),
         );
         for (k, values) in published.iter().enumerate() {
-            self.batch.clear();
-            self.batch.push_stream(first_user + k as u64, 0, values);
-            sink.submit(&self.batch)?;
+            sink.submit(first_user + k as u64, 0, values)?;
         }
         Ok(())
     }
@@ -447,6 +446,46 @@ mod tests {
         assert_eq!(snap.user_count(), 30);
         assert_eq!(snap.slot_count(), 20);
         assert!(snap.slots().iter().all(|s| s.count == 30));
+    }
+
+    #[test]
+    fn local_sink_books_a_non_finite_value_as_rejected_upstream() {
+        let config = CollectorConfig {
+            shards: 2,
+            ..CollectorConfig::default()
+        };
+        let values = [0.5, f64::NAN, 0.25];
+        let collector = Collector::new(config);
+        let mut sink = CollectorSink::new(&collector);
+        sink.submit(5, 0, &values).unwrap();
+        assert_eq!(sink.finish().unwrap(), 2);
+        assert_eq!(collector.total_reports(), 2);
+        assert_eq!(collector.rejected_reports(), 1);
+        let books = collector.telemetry().snapshot();
+        assert_eq!(
+            books.counter("collector.reports.rejected_upstream"),
+            Some(1)
+        );
+        let counts: Vec<u64> = collector
+            .snapshot()
+            .slots()
+            .iter()
+            .map(|s| s.count)
+            .collect();
+        assert_eq!(counts, [1, 0, 1], "the finite rows keep slots 0 and 2");
+
+        // The books and state of the same upload sent as a batch.
+        let by_batch = Collector::new(config);
+        let batch = crate::ReportBatch::from_stream(5, 0, &values);
+        by_batch.note_upstream_rejections(batch.rejected_non_finite());
+        by_batch.ingest(&batch);
+        assert_eq!(collector.encode_checkpoint(), by_batch.encode_checkpoint());
+        let folds = |c: &Collector| {
+            let snap = c.telemetry().snapshot();
+            snap.histogram("collector.ingest.fold_nanos")
+                .map(|h| h.count())
+        };
+        assert_eq!(folds(&collector), folds(&by_batch));
     }
 
     #[test]

@@ -66,15 +66,17 @@ impl ReportBatch {
 
     /// Appends a user's contiguous published subsequence starting at
     /// `start_slot` (the common upload shape for an
-    /// [`ldp_core::online::OnlineSession`]). Returns the number of
-    /// reports accepted.
+    /// [`ldp_core::online::OnlineSession`]): `values[i]` goes to slot
+    /// `start_slot + i`, saturating at `u64::MAX` — a stream that runs off
+    /// the end of the slot space puts its later rows at `u64::MAX`, which
+    /// every collector drops as out of bound, instead of wrapping them
+    /// onto slots 0, 1, …. Returns the number of reports accepted.
     pub fn push_stream(&mut self, user: u64, start_slot: u64, values: &[f64]) -> usize {
         self.reserve(values.len());
+        let slots = (start_slot..=u64::MAX).chain(std::iter::repeat(u64::MAX));
         let mut accepted = 0;
-        for (i, &value) in values.iter().enumerate() {
-            if self.push(user, start_slot + i as u64, value) {
-                accepted += 1;
-            }
+        for (&value, slot) in values.iter().zip(slots) {
+            accepted += usize::from(self.push(user, slot, value));
         }
         accepted
     }
@@ -303,6 +305,16 @@ mod tests {
         let accepted = b.push_stream(9, 10, &[0.1, f64::NAN, 0.3]);
         assert_eq!(accepted, 2);
         assert_eq!(b.slots(), &[10, 12], "finite slots keep their indices");
+        assert_eq!(b.rejected_non_finite(), 1);
+    }
+
+    #[test]
+    fn push_stream_saturates_slots_at_the_end_of_the_slot_space() {
+        let top = u64::MAX;
+        let b = ReportBatch::from_stream(1, top - 1, &[0.1, 0.2, 0.3]);
+        assert_eq!(b.slots(), &[top - 1, top, top]);
+        let b = ReportBatch::from_stream(1, top - 1, &[0.1, f64::NAN, 0.3, 0.4]);
+        assert_eq!(b.slots(), &[top - 1, top, top]);
         assert_eq!(b.rejected_non_finite(), 1);
     }
 

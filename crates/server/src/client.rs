@@ -134,6 +134,10 @@ pub struct RemoteCollector {
     nonce: u64,
     /// Reusable encode buffer (one frame at a time).
     out: Vec<u8>,
+    /// Reusable batch a [`ReportSink`] upload is filled into before it
+    /// is encoded (empty, and unallocated, on a handle that never
+    /// uploads a stream).
+    upload: ReportBatch,
     /// Reusable payload read buffer — grown to the largest reply seen,
     /// then sliced per frame (never re-zeroed, never reallocated), so a
     /// long-lived connection performs no per-frame heap allocation on
@@ -222,6 +226,7 @@ impl RemoteCollector {
             failed: false,
             nonce: 0,
             out: Vec::with_capacity(4096),
+            upload: ReportBatch::new(),
             payload: Vec::new(),
             pending_frames: 0,
             pending_rows: 0,
@@ -601,10 +606,18 @@ impl Drop for RemoteCollector {
 }
 
 /// One [`RemoteCollector`] per fleet worker is a [`ReportSink`], which is
-/// all [`ClientFleet::drive_with_sinks`] needs for remote mode.
+/// all [`ClientFleet::drive_with_sinks`] needs for remote mode. An upload
+/// goes out as the ingest frame of its `ReportBatch::from_stream` —
+/// non-finite values refused and counted in the frame's upstream
+/// rejections — filled into one batch the handle reuses.
 impl ReportSink for RemoteCollector {
-    fn submit(&mut self, batch: &ReportBatch) -> std::io::Result<()> {
-        self.ingest(batch)
+    fn submit(&mut self, user: u64, first_slot: u64, values: &[f64]) -> std::io::Result<()> {
+        let mut upload = std::mem::take(&mut self.upload);
+        upload.clear();
+        upload.push_stream(user, first_slot, values);
+        let sent = self.ingest(&upload);
+        self.upload = upload;
+        sent
     }
 
     fn finish(&mut self) -> std::io::Result<u64> {

@@ -454,10 +454,10 @@ fn parallel_fold_steady_state_performs_zero_allocations() {
 
 #[test]
 fn laned_fleet_worker_allocates_nothing_per_user() {
-    // A fleet worker builds its lane sessions, publish buffers and upload
-    // batch once; after its first upload every further user — full lane
-    // groups and the single-lane remainder alike — must publish, batch
-    // and fold without touching the heap. The worker runs on a thread the
+    // A fleet worker builds its lane sessions and publish buffers once;
+    // after its first upload every further user — full lane groups and
+    // the single-lane remainder alike — must publish, upload and fold
+    // without touching the heap. The worker runs on a thread the
     // fleet spawns, so the sink (which lives on that thread) samples this
     // file's thread-local allocation counter after every submit.
     use ldp_collector::{ClientFleet, CollectorSink, FleetConfig, ReportSink};
@@ -471,8 +471,8 @@ fn laned_fleet_worker_allocates_nothing_per_user() {
     }
 
     impl ReportSink for SamplingSink<'_> {
-        fn submit(&mut self, batch: &ReportBatch) -> std::io::Result<()> {
-            self.inner.submit(batch)?;
+        fn submit(&mut self, user: u64, first_slot: u64, values: &[f64]) -> std::io::Result<()> {
+            self.inner.submit(user, first_slot, values)?;
             let events = allocation_events();
             // Pre-sized below, so recording a sample allocates nothing.
             self.samples.lock().expect("samples").push(events);

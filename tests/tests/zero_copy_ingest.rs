@@ -14,12 +14,17 @@
 //!    is that widening into a reused scratch matches; hostile/truncated
 //!    payload agreement is fuzzed in `ldp-server`'s own proptests, next to
 //!    the codec.)
-//! 4. The single-user run fold — the path every batch whose rows share
-//!    one user takes — ≡ folding the accepted rows one `ingest_parts` at
-//!    a time: the shard's whole checkpoint image (table-scan order and
-//!    the `mean_sum` bits included) is identical, on runs that cross a
-//!    retention expiry, carry late slots below the retained base, grow
-//!    the user table, and are split mid-run by dropped or non-finite rows.
+//! 4. The run fold over consecutive slots — `ShardAccumulator::ingest_user_runs`,
+//!    the path every device upload (`CollectorSink`) and every batch whose
+//!    rows share one user takes — ≡ folding the accepted rows one
+//!    `ingest_parts` at a time: the shard's whole checkpoint image
+//!    (table-scan order and the `mean_sum` bits included) is identical,
+//!    under unbounded retention and windows shorter and longer than the
+//!    run, on runs that start below an advanced base, grow the user
+//!    table, cross `max_slots` or the end of the slot space, and are split
+//!    by non-finite values or by slots that are not consecutive — with a
+//!    collector's whole `encode_checkpoint()` and every book as the
+//!    per-row reference leaves them.
 //! 5. The block-probed fold kernel — the path every multi-user batch
 //!    takes, serial, pooled, single-destination and one-shard alike — ≡
 //!    the same: `ShardAccumulator::ingest_rows` over an index run leaves
@@ -29,7 +34,8 @@
 //!    touched shard per batch.
 
 use ldp_collector::{
-    Collector, CollectorConfig, ReportBatch, ReportColumns, ShardAccumulator, SlotRetention,
+    Collector, CollectorConfig, CollectorSink, ReportBatch, ReportColumns, ReportSink,
+    ShardAccumulator, SlotRetention,
 };
 use ldp_server::wire::{Frame, FrameView, Header, IngestScratch, HEADER_LEN};
 use proptest::prelude::*;
@@ -209,27 +215,47 @@ proptest! {
         n in 0usize..260,
         seed in 0u64..10_000,
         retained in 0u64..9,
+        wide in any::<bool>(),
         prior_users in 0u64..40,
+        prior_slot in 0u64..400,
+        first_slot in 0u64..400,
         user_known in any::<bool>(),
     ) {
-        let retention = retention_of(retained);
-        let (slots, values) = one_user_rows(n, seed, 512, false);
+        // A window of up to 8 slots, or of up to 320 — longer than most runs.
+        let retention = retention_of(if wide { retained * 40 } else { retained });
+        let (_, values) = one_user_rows(n, seed, 512, false);
         let user = if user_known && prior_users > 0 { 1000 } else { 7 };
+        // A report at `prior_slot` slides a short window past where the
+        // run may start.
+        let prior = || {
+            let mut shard = shard_with_users(retention, prior_users);
+            shard.ingest_parts(999, prior_slot, 0.125);
+            shard
+        };
 
-        let mut by_row = shard_with_users(retention, prior_users);
-        for (&slot, &value) in slots.iter().zip(&values) {
-            by_row.ingest_parts(user, slot, value);
+        let mut by_row = prior();
+        for (i, &value) in values.iter().enumerate() {
+            by_row.ingest_parts(user, first_slot + i as u64, value);
         }
-        let mut by_run = shard_with_users(retention, prior_users);
-        by_run.ingest_user_run(user, &slots, &values);
+        let mut by_run = prior();
+        prop_assert_eq!(by_run.ingest_user_runs(user, [(first_slot, &values[..])]), n as u64);
         prop_assert_eq!(shard_image(&by_run), shard_image(&by_row));
 
-        // The same rows as two runs: state carries across the boundary.
-        let mut by_two_runs = shard_with_users(retention, prior_users);
+        // The same rows as two runs, in one call and in two: state carries
+        // across the boundary.
         let cut = n / 3;
-        by_two_runs.ingest_user_run(user, &slots[..cut], &values[..cut]);
-        by_two_runs.ingest_user_run(user, &slots[cut..], &values[cut..]);
+        let halves = [
+            (first_slot, &values[..cut]),
+            (first_slot + cut as u64, &values[cut..]),
+        ];
+        let mut by_two_runs = prior();
+        prop_assert_eq!(by_two_runs.ingest_user_runs(user, halves), n as u64);
         prop_assert_eq!(shard_image(&by_two_runs), shard_image(&by_row));
+        let mut by_two_calls = prior();
+        for run in halves {
+            by_two_calls.ingest_user_runs(user, [run]);
+        }
+        prop_assert_eq!(shard_image(&by_two_calls), shard_image(&by_row));
     }
 
     #[test]
@@ -377,6 +403,118 @@ proptest! {
         prop_assert_eq!(sharded.per_user_rows(), one_shard.per_user_rows());
         let epochs: u64 = (0..shards).map(|s| sharded.shard_epoch(s)).sum();
         prop_assert_eq!(epochs, u64::from(outcome.accepted > 0), "one shard touched, once");
+    }
+
+    #[test]
+    fn device_uploads_checkpoint_like_their_rows_folded_one_by_one(
+        n in 0usize..200,
+        seed in 0u64..10_000,
+        retained in 0u64..9,
+        wide in any::<bool>(),
+        shards in 1usize..4,
+        first_slot in 0u64..600,
+        nan_every in 0usize..6,
+        late in any::<bool>(),
+    ) {
+        let max_slots = 512;
+        let retention = retention_of(if wide { retained * 40 } else { retained });
+        let collector = Collector::new(CollectorConfig {
+            shards,
+            max_slots,
+            retention,
+            ..CollectorConfig::default()
+        });
+        let mut reference: Vec<ShardAccumulator> =
+            (0..shards).map(|_| ShardAccumulator::with_retention(retention)).collect();
+        let mut shard_batches = vec![0u64; shards];
+        let mut books = [0u64; 5]; // accepted, dropped, rejected, upstream, batches
+        // Folds one accepted row into the reference, marking its shard.
+        let fold = |reference: &mut [ShardAccumulator], touched: &mut [bool], user: u64, slot: u64, value: f64| {
+            let shard = collector.shard_of(user);
+            reference[shard].ingest_parts(user, slot, value);
+            touched[shard] = true;
+        };
+
+        let (_, stream) = one_user_rows(n, seed, max_slots, false);
+        let stream: Vec<f64> = stream
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if nan_every > 0 && i % nan_every == 1 { f64::NAN } else { v })
+            .collect();
+        let (slots, values) = one_user_rows(n, seed ^ 1, max_slots, true);
+        // A stream that may cross `max_slots`, a single-user wire batch
+        // with gaps, NaN and out-of-bound slots, a stream that starts below
+        // the base the first one advanced (or right after it), and one
+        // that runs off the end of the slot space.
+        let end_of_space = [0.5, 0.25, 0.75];
+        let mut sink = CollectorSink::new(&collector);
+        let mut sink_accepted = 0;
+        for step in 0..4 {
+            let mut touched = vec![false; shards];
+            let (mut accepted, mut dropped, mut rejected, mut upstream) = (0, 0, 0, 0);
+            let (user, start, upload): (u64, u64, &[f64]) = match step {
+                0 => (7, first_slot, &stream),
+                2 => (7, if late { 0 } else { first_slot + n as u64 }, &stream),
+                3 => (8, u64::MAX - 1, &end_of_space),
+                _ => {
+                    let users = vec![8; n];
+                    for row in 0..n {
+                        if slots[row] >= max_slots {
+                            dropped += 1;
+                        } else if !values[row].is_finite() {
+                            rejected += 1;
+                        } else {
+                            fold(&mut reference, &mut touched, 8, slots[row], values[row]);
+                            accepted += 1;
+                        }
+                    }
+                    let outcome = collector.ingest_outcome(&ReportColumns::new(&users, &slots, &values));
+                    prop_assert_eq!(
+                        (outcome.accepted, outcome.dropped, outcome.rejected),
+                        (accepted, dropped, rejected)
+                    );
+                    books[4] += u64::from(n > 0);
+                    (8, 0, &[][..])
+                }
+            };
+            for (i, &value) in upload.iter().enumerate() {
+                let slot = start.saturating_add(i as u64);
+                if !value.is_finite() {
+                    upstream += 1;
+                } else if slot >= max_slots {
+                    dropped += 1;
+                } else {
+                    fold(&mut reference, &mut touched, user, slot, value);
+                    accepted += 1;
+                }
+            }
+            if step != 1 {
+                sink.submit(user, start, upload).expect("a local sink never fails");
+                sink_accepted += accepted;
+                books[4] += u64::from(upload.iter().any(|v| v.is_finite()));
+            }
+            books[0] += accepted;
+            books[1] += dropped;
+            books[2] += rejected + upstream;
+            books[3] += upstream;
+            for (batches, touched) in shard_batches.iter_mut().zip(touched) {
+                *batches += u64::from(touched);
+            }
+        }
+        prop_assert_eq!(sink.finish().expect("a local sink never fails"), sink_accepted);
+        for (shard, &batches) in shard_batches.iter().enumerate() {
+            prop_assert_eq!(collector.shard_epoch(shard), batches, "one epoch bump per fold");
+        }
+
+        let mut expected = vec![shards as u64];
+        expected.extend(books);
+        for (shard, batches) in reference.iter().zip(shard_batches) {
+            expected.push(batches);
+            expected.extend(shard_image(shard));
+        }
+        let expected: Vec<u8> = expected.iter().flat_map(|word| word.to_le_bytes()).collect();
+        let checkpoint = collector.encode_checkpoint();
+        prop_assert_eq!(&checkpoint[5..], &expected[..]);
     }
 
     #[test]
