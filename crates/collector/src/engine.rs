@@ -12,12 +12,12 @@ use std::cell::RefCell;
 /// Default bound on the dense slot range (see [`CollectorConfig::max_slots`]).
 pub const DEFAULT_MAX_SLOTS: u64 = 1 << 20;
 
-/// Default minimum routed-report count before a batch's fold pass is
-/// dispatched to the work-stealing pool (see
-/// [`CollectorConfig::parallel_fold_min`]). Below this, handing runs to
-/// other threads costs more than folding them in place: the injector
-/// round trip is ~a microsecond while a small run folds in less.
-pub const DEFAULT_PARALLEL_FOLD_MIN: usize = 16 * 1024;
+/// Minimum routed (accepted) report count before a multi-shard batch's
+/// fold pass is dispatched to the work-stealing pool; smaller batches —
+/// and batches touching a single shard — fold inline. Below this, handing
+/// runs to other threads costs more than folding them in place: the
+/// injector round trip is ~a microsecond while a small run folds in less.
+pub const PARALLEL_FOLD_MIN: usize = 16 * 1024;
 
 /// The machine's available parallelism, queried once and cached — the
 /// single number collector shard defaults, fleet thread counts, and
@@ -80,14 +80,11 @@ pub struct CollectorConfig {
     /// [`IngestOutcome`] ledgers are exact and results are bit-identical
     /// to a serial fold. At most `shards − 1` workers are spawned, whatever
     /// is asked: a fold holds its shard's mutex, so no more than `shards`
-    /// folds run at once, and the submitter is one of them. Default:
-    /// [`default_ingest_workers`] (`LDP_INGEST_WORKERS` overrides).
+    /// folds run at once, and the submitter is one of them. Only a batch
+    /// of at least [`PARALLEL_FOLD_MIN`] routed reports qualifies.
+    /// Default: [`default_ingest_workers`] (`LDP_INGEST_WORKERS`
+    /// overrides).
     pub ingest_workers: usize,
-    /// Minimum routed (accepted) report count before a multi-shard
-    /// batch's fold pass is dispatched to the pool; smaller batches —
-    /// and batches touching a single shard — fold inline. Default:
-    /// [`DEFAULT_PARALLEL_FOLD_MIN`].
-    pub parallel_fold_min: usize,
 }
 
 impl Default for CollectorConfig {
@@ -102,7 +99,6 @@ impl Default for CollectorConfig {
             max_slots: DEFAULT_MAX_SLOTS,
             retention: SlotRetention::Unbounded,
             ingest_workers: default_ingest_workers(),
-            parallel_fold_min: DEFAULT_PARALLEL_FOLD_MIN,
         }
     }
 }
@@ -247,7 +243,6 @@ pub struct Collector {
     shard_magic: u64,
     max_slots: u64,
     ingest_workers: usize,
-    parallel_fold_min: usize,
     /// The work-stealing fold pool, spawned lazily on the first batch
     /// that qualifies for parallel dispatch (never, when
     /// `ingest_workers == 0`). Living inside the collector means every
@@ -288,7 +283,6 @@ impl Collector {
             shard_magic: (u64::MAX / config.shards as u64).wrapping_add(1),
             max_slots: config.max_slots,
             ingest_workers: config.ingest_workers.min(config.shards - 1),
-            parallel_fold_min: config.parallel_fold_min.max(1),
             pool: OnceLock::new(),
             telemetry,
             metrics,
@@ -686,7 +680,7 @@ impl Collector {
         // submitter participates until its batch drains, so the ledger
         // above is already exact); small ones fold inline — below the
         // threshold the injector round trip costs more than the fold.
-        if non_empty_runs >= 2 && total as usize >= self.parallel_fold_min {
+        if non_empty_runs >= 2 && total as usize >= PARALLEL_FOLD_MIN {
             if let Some(pool) = self.pool().filter(|p| p.is_active()) {
                 let parallel_timer = self.metrics.fold_parallel_nanos.timer();
                 pool.fold_batch(self, users, slots, values, &scratch.idx, &scratch.starts);
@@ -1243,13 +1237,13 @@ mod tests {
 
     #[test]
     fn parallel_fold_is_bit_identical_and_survives_pool_stop() {
-        let (users, slots, values) = hostile_columns(4096, 99);
+        // Twice the threshold: ~78 % of the hostile rows are accepted.
+        let (users, slots, values) = hostile_columns(2 * PARALLEL_FOLD_MIN, 99);
         let batch = ReportBatch::from_columns(users, slots, values);
         let serial = Collector::new(config(4));
         let parallel = Collector::new(CollectorConfig {
             shards: 4,
             ingest_workers: 2,
-            parallel_fold_min: 1,
             ..CollectorConfig::default()
         });
         assert_eq!(

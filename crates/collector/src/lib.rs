@@ -93,7 +93,7 @@ pub use accumulator::{ShardAccumulator, SlotRetention, SlotStats, UserStats};
 pub use checkpoint::CheckpointError;
 pub use engine::{
     default_ingest_workers, default_parallelism, Collector, CollectorConfig, IngestOutcome,
-    DEFAULT_PARALLEL_FOLD_MIN,
+    PARALLEL_FOLD_MIN,
 };
 pub use fleet::{
     user_seed, ClientFleet, CollectorSink, FleetConfig, FleetError, ReportSink, ReseedingSession,

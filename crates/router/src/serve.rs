@@ -52,7 +52,7 @@
 //!   order, and the wait is the slowest downstream's, not the sum. The
 //!   reported ledger is the sum, "durable at every downstream".
 //! * **Degraded mode** — a dead downstream gets the handle's bounded
-//!   reconnect-with-backoff ([`ReconnectPolicy::default`]); once a
+//!   reconnect-with-backoff ([`RemoteCollector::connect`]); once a
 //!   budget is spent, each ingest sub-frame costs one dial and no backoff
 //!   until the downstream answers again. While it is down the router
 //!   keeps serving the healthy set: ingest rows routed to it are dropped
@@ -80,7 +80,7 @@ use ldp_collector::{IngestOutcome, MergedParts};
 use ldp_server::wire::{
     code, metrics_payload_len, Frame, IngestScratch, IngestView, DEFAULT_MAX_PAYLOAD,
 };
-use ldp_server::{Backend, ReconnectPolicy, RemoteCollector, Transport};
+use ldp_server::{Backend, RemoteCollector, Transport};
 use ldp_telemetry::{Counter, Histogram, MetricEntry, MetricValue, Registry, TelemetrySnapshot};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -104,7 +104,8 @@ pub fn downstream_of(user: u64, downstreams: usize) -> usize {
 
 /// Router tuning knobs. (The payload and per-query slot bounds are the
 /// protocol constants in [`ldp_server::wire`], the same for every tier;
-/// downstream links reconnect by [`ReconnectPolicy::default`].)
+/// downstream links reconnect with the one fixed backoff every
+/// [`RemoteCollector`] has.)
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Maximum front connections served concurrently; extras are refused
@@ -539,7 +540,7 @@ impl Federation {
     /// what every connection's links hold.
     fn handle(&self, addr: SocketAddr) -> RemoteCollector {
         let stop = Arc::clone(&self.shutdown);
-        RemoteCollector::with_stop(addr, ReconnectPolicy::default(), stop)
+        RemoteCollector::with_stop(addr, stop)
     }
 
     /// Request/response with every downstream: `request` is written to

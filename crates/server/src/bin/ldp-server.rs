@@ -30,10 +30,10 @@
 //! fsync at each IngestSync — or `batched:<nanos>` for periodic group
 //! commit on top of barrier fsyncs); a value that is neither is refused
 //! like a bad flag — usage line, exit 2 — with or without `--data-dir`, as
-//! is `--wal-segment-bytes` without `--data-dir`. A valid `LDP_WAL_FLUSH`
-//! on a server with no data dir is ignored. Clean shutdown (stdin EOF) seals
-//! the log so the next boot replays zero records; a crash replays the
-//! `fsync`ed tail.
+//! is `--wal-segment-bytes` without `--data-dir` or with `0`. A valid
+//! `LDP_WAL_FLUSH` on a server with no data dir is ignored. Clean shutdown
+//! (stdin EOF) seals the log so the next boot replays zero records; a
+//! crash replays the `fsync`ed tail.
 
 use ldp_collector::{Collector, CollectorConfig, SlotRetention};
 use ldp_server::durable::{self, FlushPolicy, WalConfig};
@@ -98,6 +98,11 @@ fn main() -> ExitCode {
     }
     if server_config.max_connections == 0 {
         eprintln!("ldp-server: --max-connections must be at least 1");
+        return usage();
+    }
+    // A zero-byte segment would roll the log on every append.
+    if wal_segment_bytes == Some(0) {
+        eprintln!("ldp-server: --wal-segment-bytes must be at least 1");
         return usage();
     }
     // WAL settings are checked whether or not the server is durable, so a

@@ -8,11 +8,11 @@
 //! the same accept/drop/reject accounting [`ldp_collector::Collector`]
 //! keeps in-process. Queries are classic request/response.
 //!
-//! Transient connection failures are survivable: a [`ReconnectPolicy`]
-//! gives the handle bounded reconnect-with-backoff, so a server restart
-//! or dropped socket retries the in-flight operation on a fresh
-//! connection instead of poisoning the handle (see
-//! [`RemoteCollector::connect_with`] for the exact semantics).
+//! Transient connection failures are survivable: every handle has the
+//! same bounded reconnect-with-backoff (three retries, 10 ms doubling to
+//! a 200 ms ceiling), so a server restart or dropped socket retries the
+//! in-flight operation on a fresh connection instead of poisoning the
+//! handle (see [`RemoteCollector::connect`] for the exact semantics).
 //!
 //! This is the one downstream connection in the workspace: a router
 //! holds one [`RemoteCollector`] per downstream
@@ -39,43 +39,23 @@ use std::time::Duration;
 /// connection counts as dead (and the retry budget takes over).
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Bounded reconnect-with-backoff for [`RemoteCollector`]: how many times
-/// a failed attempt (a refused dial, a reset, a hang-up, a write blocked
-/// past its bound — anything but the owner's stop or a peer speaking
-/// garbage) may be answered by sleeping an exponentially growing backoff
-/// and retrying on a fresh connection before the error is surfaced.
-#[derive(Debug, Clone, Copy)]
-pub struct ReconnectPolicy {
-    /// Reconnect attempts per failing operation (0 = a dropped
-    /// connection is immediately fatal, the pre-v3 behavior).
-    pub max_retries: u32,
-    /// Backoff before the first reconnect attempt; doubles per attempt.
-    pub initial_backoff: Duration,
-    /// Ceiling on the per-attempt backoff.
-    pub max_backoff: Duration,
-}
+/// How many times a failed attempt (a refused dial, a reset, a hang-up, a
+/// write blocked past its bound — anything but the owner's stop or a peer
+/// speaking garbage) is answered by a [`backoff`] and a retry on a fresh
+/// connection before the error is surfaced.
+const MAX_RETRIES: u32 = 3;
 
-impl Default for ReconnectPolicy {
-    /// Three attempts, 10 ms doubling to a 200 ms ceiling — rides out a
-    /// server restart without stalling a dead target for seconds.
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-        }
-    }
-}
+/// Backoff before the first reconnect attempt; doubles per attempt.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 
-impl ReconnectPolicy {
-    /// Backoff before reconnect attempt `attempt` (1-based).
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.initial_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
+/// Ceiling on the per-attempt backoff: the budget rides out a server
+/// restart without stalling a dead target for seconds.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Backoff before reconnect attempt `attempt` (1-based).
+fn backoff(attempt: u32) -> Duration {
+    let factor = 1u32 << attempt.saturating_sub(1).min(16);
+    INITIAL_BACKOFF.saturating_mul(factor).min(MAX_BACKOFF)
 }
 
 /// Pipelined ingest frames that died with a connection: written to a
@@ -116,7 +96,6 @@ pub struct RemoteCollector {
     stream: Option<TcpStream>,
     /// Resolved addresses for reconnects (first that answers wins).
     addrs: Vec<SocketAddr>,
-    reconnect: ReconnectPolicy,
     /// Ends a blocked reply read (as `Interrupted`) once raised, checked
     /// every `poll` ([`POLL_INTERVAL`] for a [`Self::with_stop`] handle);
     /// with `poll` `None` the read has no timeout and the flag is never
@@ -130,8 +109,6 @@ pub struct RemoteCollector {
     /// Whether the last operation failed for good: the next `ingest` then
     /// makes one dial and no backoff.
     failed: bool,
-    /// Ping nonce counter (each ping must echo a fresh token).
-    nonce: u64,
     /// Reusable encode buffer (one frame at a time).
     out: Vec<u8>,
     /// Reusable batch a [`ReportSink`] upload is filled into before it
@@ -160,20 +137,13 @@ pub struct RemoteCollector {
 
 impl RemoteCollector {
     /// Connects to a server (Nagle disabled: ingest frames are already
-    /// batched, queries want the latency) with the default
-    /// [`ReconnectPolicy`].
+    /// batched, queries want the latency).
     ///
-    /// # Errors
-    /// Connection errors.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        Self::connect_with(addr, ReconnectPolicy::default())
-    }
-
-    /// Connects with an explicit reconnect policy.
-    ///
-    /// Reconnect semantics: a fresh connection has a **fresh server-side
-    /// ledger**, and any pipelined ingest frames the old connection had
-    /// not yet acknowledged are gone with it. Queries and pings are
+    /// Reconnect semantics: a failed operation is retried up to three
+    /// times, after a backoff of 10 ms doubling to a 200 ms ceiling, each
+    /// on a fresh connection. A fresh connection has a **fresh
+    /// server-side ledger**, and any pipelined ingest frames the old
+    /// connection had not yet acknowledged are gone with it. Queries are
     /// stateless, so retrying them on the new connection is exact; an
     /// `ingest` retry re-sends only the batch that failed to write. The
     /// handle books the frames a dead connection took with it as an
@@ -184,18 +154,15 @@ impl RemoteCollector {
     /// exceeds either counts as dead. An `ingest` on a handle whose last
     /// operation failed makes one dial and no backoff (a dead peer must
     /// not stall an upload loop for the whole budget per batch); every
-    /// other operation gets the policy's budget.
+    /// other operation gets the full budget.
     ///
     /// # Errors
     /// Connection errors (the initial dial is not retried — a target
     /// that was never reachable is a configuration error, not a
     /// transient).
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        reconnect: ReconnectPolicy,
-    ) -> std::io::Result<Self> {
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let addrs = addr.to_socket_addrs()?.collect();
-        let mut this = Self::new(addrs, reconnect, Arc::default(), None);
+        let mut this = Self::new(addrs, Arc::default(), None);
         this.dial()?;
         Ok(this)
     }
@@ -206,25 +173,18 @@ impl RemoteCollector {
     /// held by a peer that went quiet. What a tier forwarding to `addr`
     /// holds (a router's downstream links).
     #[must_use]
-    pub fn with_stop(addr: SocketAddr, reconnect: ReconnectPolicy, stop: Arc<AtomicBool>) -> Self {
-        Self::new(vec![addr], reconnect, stop, Some(POLL_INTERVAL))
+    pub fn with_stop(addr: SocketAddr, stop: Arc<AtomicBool>) -> Self {
+        Self::new(vec![addr], stop, Some(POLL_INTERVAL))
     }
 
-    fn new(
-        addrs: Vec<SocketAddr>,
-        reconnect: ReconnectPolicy,
-        stop: Arc<AtomicBool>,
-        poll: Option<Duration>,
-    ) -> Self {
+    fn new(addrs: Vec<SocketAddr>, stop: Arc<AtomicBool>, poll: Option<Duration>) -> Self {
         Self {
             stream: None,
             addrs,
-            reconnect,
             stop,
             poll,
             dials: 0,
             failed: false,
-            nonce: 0,
             out: Vec::with_capacity(4096),
             upload: ReportBatch::new(),
             payload: Vec::new(),
@@ -299,7 +259,7 @@ impl RemoteCollector {
                 return Err(err);
             }
             attempt += 1;
-            thread::sleep(self.reconnect.backoff(attempt));
+            thread::sleep(backoff(attempt));
         }
     }
 
@@ -379,14 +339,10 @@ impl RemoteCollector {
     }
 
     /// Writes the ingest frame in the encode buffer — one dial and no
-    /// backoff if the last operation failed, the policy's budget
-    /// otherwise — and books it unacked until the next sync.
+    /// backoff if the last operation failed, the full budget otherwise —
+    /// and books it unacked until the next sync.
     fn write_ingest(&mut self, rows: u64) -> std::io::Result<()> {
-        let budget = if self.failed {
-            0
-        } else {
-            self.reconnect.max_retries
-        };
+        let budget = if self.failed { 0 } else { MAX_RETRIES };
         self.with_reconnect(budget, Self::write_out)?;
         self.pending_frames += 1;
         self.pending_rows += rows;
@@ -517,26 +473,6 @@ impl RemoteCollector {
         }
     }
 
-    /// Liveness check: sends a [`Frame::Ping`] and verifies the echoed
-    /// nonce — one round trip touching no collector state, so it never
-    /// skews the peer's books.
-    ///
-    /// # Errors
-    /// Transport errors, a server-reported error frame (a pre-v3 server
-    /// answers `UNSUPPORTED`), or a nonce mismatch.
-    pub fn ping(&mut self) -> std::io::Result<()> {
-        self.nonce = self.nonce.wrapping_add(1);
-        let nonce = self.nonce;
-        match self.request(&Frame::Ping { nonce })? {
-            Frame::Pong { nonce: echoed } if echoed == nonce => Ok(()),
-            Frame::Pong { .. } => Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                "pong echoed the wrong nonce",
-            )),
-            other => Err(unexpected_reply(&other)),
-        }
-    }
-
     /// Federation query: the server's raw mergeable contribution over
     /// `range`, clipped server-side to its retained slots (`0..u64::MAX`
     /// asks for everything retained). What a router fans out and folds
@@ -571,8 +507,8 @@ impl RemoteCollector {
 
     /// The reply to the request [`Self::send`] last wrote (`sent` is that
     /// write's outcome). A failed attempt is retried whole — dial, write
-    /// from the encode buffer, read — within the policy's budget: exact
-    /// for queries and pings, which are stateless on the server. The raw
+    /// from the encode buffer, read — within the retry budget: exact for
+    /// queries, which are stateless on the server. The raw
     /// reply is returned, a server's [`Frame::Error`] included.
     ///
     /// # Errors
@@ -580,7 +516,7 @@ impl RemoteCollector {
     /// flag is raised, `InvalidData` for a reply that is not a valid frame.
     pub fn finish(&mut self, sent: std::io::Result<()>) -> std::io::Result<Frame> {
         let mut sent = Some(sent);
-        self.with_reconnect(self.reconnect.max_retries, |this| {
+        self.with_reconnect(MAX_RETRIES, |this| {
             sent.take().unwrap_or_else(|| this.write_out())?;
             let stream = this.stream.as_mut().ok_or(ErrorKind::NotConnected)?;
             let stop = &this.stop;
@@ -673,4 +609,25 @@ fn unexpected_reply(frame: &Frame) -> std::io::Error {
         ErrorKind::InvalidData,
         format!("unexpected reply frame type {}", frame.frame_type()),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Backoff arithmetic: doubling from 10 ms (attempts are 1-based),
+    /// capped at 200 ms.
+    #[test]
+    fn backoff_doubles_and_caps() {
+        assert_eq!(backoff(1), Duration::from_millis(10));
+        assert_eq!(backoff(2), Duration::from_millis(20));
+        assert_eq!(backoff(3), Duration::from_millis(40));
+        assert_eq!(backoff(5), Duration::from_millis(160));
+        assert_eq!(backoff(6), Duration::from_millis(200), "capped");
+        assert_eq!(
+            backoff(63),
+            Duration::from_millis(200),
+            "cap survives shift overflow"
+        );
+    }
 }

@@ -225,7 +225,7 @@ impl Durability {
 
     /// Whether the log has grown enough that a checkpoint should run.
     #[must_use]
-    pub fn wants_checkpoint(&self) -> bool {
+    fn wants_checkpoint(&self) -> bool {
         self.wal
             .lock()
             .expect("wal mutex poisoned")
@@ -576,9 +576,7 @@ mod tests {
     fn the_segments_gauge_counts_the_files_after_every_roll() {
         let dir = std::env::temp_dir().join(format!("ldp-durable-gauge-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let wal_config = WalConfig::new(&dir)
-            .segment_bytes(256)
-            .checkpoint_segments(64);
+        let wal_config = WalConfig::new(&dir).segment_bytes(256);
         let (collector, durability, _) =
             recover(CollectorConfig::default(), wal_config).expect("fresh durable collector");
         let mut batch = ReportBatch::new();
@@ -606,8 +604,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let wal_config = WalConfig::new(&dir)
             .flush(FlushPolicy::Barrier)
-            .segment_bytes(256)
-            .checkpoint_segments(1);
+            .segment_bytes(256);
         let (collector, durability, _) =
             recover(CollectorConfig::default(), wal_config).expect("fresh durable collector");
 

@@ -78,7 +78,7 @@ pub mod serve;
 pub mod transport;
 pub mod wire;
 
-pub use client::{drive_fleet_remote, IngestLoss, ReconnectPolicy, RemoteCollector};
+pub use client::{drive_fleet_remote, IngestLoss, RemoteCollector};
 pub use durable::{recover, Durability, FlushPolicy, RecoveryReport, WalConfig};
 pub use serve::{Server, ServerConfig};
 pub use transport::{read_reply, Backend, Transport};

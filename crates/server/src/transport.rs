@@ -6,7 +6,7 @@
 //! client ───▶│ accept ─ cap? ─ B::open ─▶ conn thread        │      │ open      │
 //!            │   └─ BUSY (counted)          │                │      │ ingest    │
 //!            │        read_frame ─ verify ─ decode_request   │ ───▶ │ sync      │
-//!            │        ping · goodbye · UNSUPPORTED           │ ◀─── │ query     │
+//!            │        goodbye · UNSUPPORTED                  │ ◀─── │ query     │
 //!            │        range checks · BAD_QUERY · read verbs  │      │ metrics   │
 //!            │        reply encode/write · FrontMetrics      │      └───────────┘
 //!            └───────────────────────────────────────────────┘
@@ -17,9 +17,9 @@
 //!   join-on-shutdown; socket options; the reusable payload/scratch/reply
 //!   buffers; the framed read with its payload bound, checksum verify and
 //!   request decode ([`decode_request`]); [`code::MALFORMED`] +
-//!   close on a framing error; `Ping`, `Goodbye` and the
-//!   [`code::UNSUPPORTED`] answer to a server-to-client frame type, whose
-//!   payload is never parsed;
+//!   close on a framing error (an unassigned frame type among them);
+//!   `Goodbye` and the [`code::UNSUPPORTED`] answer to a server-to-client
+//!   frame type, whose payload is never parsed;
 //!   range validation and [`code::BAD_QUERY`]; the five read verbs
 //!   (`QueryParts` among them), answered from the backend's
 //!   [`MergedParts`]; the reply write; and
@@ -154,8 +154,9 @@ struct FrontMetrics {
     frames_decoded: Arc<Counter>,
     /// `<tier>.frames.failed`.
     frames_failed: Arc<Counter>,
-    /// `<tier>.frames.by_type.<name>`, indexed by `frame_type - 1`.
-    frames_by_type: Vec<Arc<Counter>>,
+    /// `<tier>.frames.by_type.<name>`, indexed by `frame_type - 1`;
+    /// `None` for an unassigned type (never decoded, so never counted).
+    frames_by_type: Vec<Option<Arc<Counter>>>,
     /// `<tier>.queries.answered`.
     queries_answered: Arc<Counter>,
     /// `<tier>.ingest.frames`.
@@ -176,7 +177,6 @@ struct FrontMetrics {
 impl FrontMetrics {
     /// Registers the front books under the `tier` prefix.
     fn register(registry: &Registry, tier: &str) -> Self {
-        let name = |ft| frame_type_name(ft).expect("known frame types are named");
         Self {
             connections_active: registry.gauge(&format!("{tier}.connections.active")),
             connections_total: registry.counter(&format!("{tier}.connections.total")),
@@ -184,7 +184,10 @@ impl FrontMetrics {
             frames_decoded: registry.counter(&format!("{tier}.frames.decoded")),
             frames_failed: registry.counter(&format!("{tier}.frames.failed")),
             frames_by_type: KNOWN_FRAME_TYPES
-                .map(|ft| registry.counter(&format!("{tier}.frames.by_type.{}", name(ft))))
+                .map(|ft| {
+                    let name = frame_type_name(ft)?;
+                    Some(registry.counter(&format!("{tier}.frames.by_type.{name}")))
+                })
                 .collect(),
             queries_answered: registry.counter(&format!("{tier}.queries.answered")),
             ingest_frames: registry.counter(&format!("{tier}.ingest.frames")),
@@ -193,7 +196,7 @@ impl FrontMetrics {
             decode_nanos: registry.histogram(&format!("{tier}.frame.decode_nanos")),
             query_nanos: KNOWN_FRAME_TYPES
                 .map(|ft| {
-                    let verb = name(ft).strip_prefix("query_")?;
+                    let verb = frame_type_name(ft)?.strip_prefix("query_")?;
                     Some(registry.histogram(&format!("{tier}.query.{verb}_nanos")))
                 })
                 .collect(),
@@ -205,7 +208,7 @@ impl FrontMetrics {
     fn count_frame(&self, frame_type: u8) -> Option<Timer<'_>> {
         let index = (frame_type as usize).wrapping_sub(1);
         self.frames_decoded.inc();
-        if let Some(by_type) = self.frames_by_type.get(index) {
+        if let Some(Some(by_type)) = self.frames_by_type.get(index) {
             by_type.inc();
         }
         let verb = self.query_nanos.get(index)?.as_ref()?;
@@ -584,7 +587,6 @@ impl<B: Backend> Shared<B> {
                     })
                 }
                 Some(Frame::QueryMetrics) => Frame::Metrics(backend.metrics(conn)),
-                Some(Frame::Ping { nonce }) => Frame::Pong { nonce },
                 Some(Frame::Goodbye) => return,
                 // A server-to-client frame type, refused unparsed (`None`;
                 // no request decodes to any other frame). Its length prefix
@@ -767,8 +769,8 @@ mod tests {
         let mut garbage = Frame::IngestSync.encode();
         garbage[0] = b'X';
         let mut peer = Script::new(&[
-            Frame::Ping { nonce: 9 }.encode(),
-            Frame::Pong { nonce: 9 }.encode(), // server-to-client
+            Frame::QueryMetrics.encode(),
+            Frame::PopulationMean { mean: None }.encode(), // server-to-client
             Frame::QueryWindowedMean { start: 3, end: 3 }.encode(),
             Frame::QuerySlotMeans {
                 start: 0,
@@ -783,12 +785,12 @@ mod tests {
             .encode(),
             Frame::IngestSync.encode(),
             garbage,
-            Frame::Ping { nonce: 10 }.encode(), // never read
+            Frame::QueryMetrics.encode(), // never read
         ]);
         shared.serve(&mut peer, &mut ());
 
         let replies = peer.replies();
-        assert_eq!(replies[0], Frame::Pong { nonce: 9 });
+        assert!(matches!(replies[0], Frame::Metrics(_)));
         assert_eq!(error_code(&replies[1]), code::UNSUPPORTED);
         assert_eq!(error_code(&replies[2]), code::BAD_QUERY);
         assert_eq!(error_code(&replies[3]), code::BAD_QUERY);
@@ -804,36 +806,44 @@ mod tests {
         let front = &shared.front;
         assert_eq!(front.frames_decoded.get(), 7);
         assert_eq!(front.frames_failed.get(), 1);
-        assert_eq!(front.queries_answered.get(), 4);
+        assert_eq!(front.queries_answered.get(), 5);
         assert_eq!(front.bytes_out.get(), peer.output.len() as u64);
         let snapshot = shared.backend.registry.snapshot();
-        assert_eq!(snapshot.counter("mock.frames.by_type.ping"), Some(1));
+        assert_eq!(
+            snapshot.counter("mock.frames.by_type.population_mean"),
+            Some(1)
+        );
         let timed = |name| snapshot.histogram(name).map(|h| h.count());
         assert_eq!(timed("mock.query.windowed_mean_nanos"), Some(1));
         assert_eq!(timed("mock.frame.decode_nanos"), Some(7));
     }
 
-    /// A server-to-client frame type is refused from its type byte: a
-    /// `Pong` whose payload does not even parse is answered UNSUPPORTED,
-    /// not MALFORMED, and the connection keeps serving.
+    /// A server-to-client frame type is refused from its type byte: an
+    /// `IngestAck` whose payload does not even parse is answered
+    /// UNSUPPORTED, not MALFORMED, and the connection keeps serving.
     #[test]
     fn a_misdirected_frame_is_refused_unparsed_and_the_connection_serves_on() {
         let shared = shared(4);
-        let mut short_pong = Frame::Pong { nonce: 1 }.encode();
-        short_pong.pop(); // a 7-byte payload
-        short_pong[8..12].copy_from_slice(&7u32.to_le_bytes());
-        let sum = crate::wire::checksum(&short_pong[HEADER_LEN..]);
-        short_pong[12..16].copy_from_slice(&sum.to_le_bytes());
+        let mut short_ack = Frame::IngestAck {
+            accepted: 1,
+            dropped: 0,
+            rejected: 0,
+        }
+        .encode();
+        short_ack.pop(); // a 23-byte payload
+        short_ack[8..12].copy_from_slice(&23u32.to_le_bytes());
+        let sum = crate::wire::checksum(&short_ack[HEADER_LEN..]);
+        short_ack[12..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            Frame::decode(&short_pong, DEFAULT_MAX_PAYLOAD),
+            Frame::decode(&short_ack, DEFAULT_MAX_PAYLOAD),
             Err(WireError::Truncated)
         ));
-        let mut peer = Script::new(&[short_pong, Frame::Ping { nonce: 2 }.encode()]);
+        let mut peer = Script::new(&[short_ack, Frame::QueryPopulationMean.encode()]);
         shared.serve(&mut peer, &mut ());
 
         let replies = peer.replies();
         assert_eq!(error_code(&replies[0]), code::UNSUPPORTED);
-        assert_eq!(replies[1], Frame::Pong { nonce: 2 });
+        assert_eq!(replies[1], Frame::PopulationMean { mean: None });
         assert_eq!(replies.len(), 2);
         assert_eq!(shared.front.frames_decoded.get(), 2);
         assert_eq!(shared.front.frames_failed.get(), 0);
@@ -851,14 +861,33 @@ mod tests {
             values: vec![0.5],
         }
         .encode();
-        let mut peer = Script::new(&[ingest, Frame::Ping { nonce: 1 }.encode()]);
+        let mut peer = Script::new(&[ingest, Frame::QueryPopulationMean.encode()]);
         shared.serve(&mut peer, &mut ());
 
         let replies = peer.replies();
-        assert_eq!(replies.len(), 1, "closed: the ping is never answered");
+        assert_eq!(replies.len(), 1, "closed: the query is never answered");
         assert_eq!(error_code(&replies[0]), code::UNAVAILABLE);
         assert_eq!(shared.front.ingest_frames.get(), 1);
         assert_eq!(shared.front.frames_failed.get(), 1);
+    }
+
+    /// Discriminants 16 and 17 (v3's liveness probe and its reply) are
+    /// unassigned: like any unknown type, a framing error that closes.
+    #[test]
+    fn an_unassigned_frame_type_is_malformed_and_closes() {
+        for frame_type in [16, 17] {
+            let shared = shared(4);
+            let mut unassigned = Frame::QueryMetrics.encode();
+            unassigned[5] = frame_type;
+            let mut peer = Script::new(&[unassigned, Frame::QueryMetrics.encode()]);
+            shared.serve(&mut peer, &mut ());
+
+            let replies = peer.replies();
+            assert_eq!(replies.len(), 1, "closed after type {frame_type}");
+            assert_eq!(error_code(&replies[0]), code::MALFORMED);
+            assert_eq!(shared.front.frames_decoded.get(), 0);
+            assert_eq!(shared.front.frames_failed.get(), 1);
+        }
     }
 
     #[test]
@@ -881,7 +910,12 @@ mod tests {
         let closed = read_reply(&mut io::Cursor::new(Vec::new()), &mut buf, never).unwrap_err();
         assert_eq!(closed.kind(), ErrorKind::UnexpectedEof);
 
-        let mut corrupt = Frame::Pong { nonce: 3 }.encode();
+        let ack = Frame::IngestAck {
+            accepted: 3,
+            dropped: 0,
+            rejected: 0,
+        };
+        let mut corrupt = ack.encode();
         *corrupt.last_mut().unwrap() ^= 0xFF;
         let bad = read_reply(&mut io::Cursor::new(corrupt), &mut buf, never).unwrap_err();
         assert_eq!(bad.kind(), ErrorKind::InvalidData);
@@ -892,8 +926,7 @@ mod tests {
         assert_eq!(huge.kind(), ErrorKind::InvalidData);
         assert!(buf.len() < 64, "refused before any allocation");
 
-        let good = Frame::Pong { nonce: 3 }.encode();
-        let frame = read_reply(&mut io::Cursor::new(good), &mut buf, never).unwrap();
-        assert_eq!(frame, Frame::Pong { nonce: 3 });
+        let frame = read_reply(&mut io::Cursor::new(ack.encode()), &mut buf, never).unwrap();
+        assert_eq!(frame, ack);
     }
 }

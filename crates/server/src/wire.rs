@@ -217,8 +217,8 @@ pub struct SummaryBody {
 }
 
 /// One protocol message. Client→server frames are `Ingest`, `IngestSync`,
-/// the `Query*` family, `Ping` and `Goodbye`; server→client frames are
-/// `IngestAck`, the query responses, `Pong` and `Error`.
+/// the `Query*` family and `Goodbye`; server→client frames are
+/// `IngestAck`, the query responses and `Error`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// A columnar report upload (fire-and-forget: no per-frame ack; see
@@ -303,18 +303,6 @@ pub enum Frame {
     },
     /// Polite connection close.
     Goodbye,
-    /// Liveness probe (added in v3): a peer answers with [`Frame::Pong`]
-    /// echoing the nonce, touching no collector state — a round trip that
-    /// issues no real query.
-    Ping {
-        /// Opaque caller token, echoed verbatim in the pong.
-        nonce: u64,
-    },
-    /// Reply to [`Frame::Ping`].
-    Pong {
-        /// The nonce from the matching ping.
-        nonce: u64,
-    },
     /// Federation query (added in v3): asks for the raw per-slot stats
     /// and scalar ledger over `start..end`, clipped server-side to the
     /// retained range. Unlike the human-facing query verbs an empty (or
@@ -351,13 +339,14 @@ const FT_ERROR: u8 = 12;
 const FT_GOODBYE: u8 = 13;
 const FT_QUERY_METRICS: u8 = 14;
 const FT_METRICS: u8 = 15;
-const FT_PING: u8 = 16;
-const FT_PONG: u8 = 17;
+// 16 and 17 (v3's liveness probe and its reply) are unassigned: like any
+// unknown type, they decode to `WireError::UnknownFrameType`.
 const FT_QUERY_PARTS: u8 = 18;
 const FT_PARTS: u8 = 19;
 
-/// The contiguous range of assigned frame-type discriminants (used by the
-/// server to size its per-frame-type telemetry counters).
+/// The range spanning every assigned frame-type discriminant (used by the
+/// server to size its per-frame-type telemetry counters; the unassigned
+/// ones inside it have no [`frame_type_name`] and get no counter).
 pub(crate) const KNOWN_FRAME_TYPES: std::ops::RangeInclusive<u8> = FT_INGEST..=FT_PARTS;
 
 /// Whether `frame_type` travels server to client — the one definition of
@@ -373,7 +362,6 @@ fn is_reply(frame_type: u8) -> bool {
             | FT_SUMMARY
             | FT_METRICS
             | FT_ERROR
-            | FT_PONG
             | FT_PARTS
     )
 }
@@ -398,8 +386,6 @@ pub fn frame_type_name(frame_type: u8) -> Option<&'static str> {
         FT_GOODBYE => "goodbye",
         FT_QUERY_METRICS => "query_metrics",
         FT_METRICS => "metrics",
-        FT_PING => "ping",
-        FT_PONG => "pong",
         FT_QUERY_PARTS => "query_parts",
         FT_PARTS => "parts",
         _ => return None,
@@ -1012,8 +998,6 @@ impl Frame {
             Frame::Metrics(_) => FT_METRICS,
             Frame::Error { .. } => FT_ERROR,
             Frame::Goodbye => FT_GOODBYE,
-            Frame::Ping { .. } => FT_PING,
-            Frame::Pong { .. } => FT_PONG,
             Frame::QueryParts { .. } => FT_QUERY_PARTS,
             Frame::Parts(_) => FT_PARTS,
         }
@@ -1113,9 +1097,6 @@ impl Frame {
                 let len = u32::try_from(message.len()).expect("message exceeds u32::MAX bytes");
                 buf.extend_from_slice(&len.to_le_bytes());
                 buf.extend_from_slice(message.as_bytes());
-            }
-            Frame::Ping { nonce } | Frame::Pong { nonce } => {
-                buf.extend_from_slice(&nonce.to_le_bytes());
             }
             Frame::QueryParts { start, end } => {
                 buf.extend_from_slice(&start.to_le_bytes());
@@ -1228,8 +1209,6 @@ impl Frame {
                 }
             }
             FT_GOODBYE => Frame::Goodbye,
-            FT_PING => Frame::Ping { nonce: r.u64()? },
-            FT_PONG => Frame::Pong { nonce: r.u64()? },
             FT_QUERY_PARTS => Frame::QueryParts {
                 start: r.u64()?,
                 end: r.u64()?,
@@ -1344,8 +1323,6 @@ mod tests {
                 message: "bad frame".into(),
             },
             Frame::Goodbye,
-            Frame::Ping { nonce: 0xDEAD_BEEF },
-            Frame::Pong { nonce: u64::MAX },
             Frame::QueryParts {
                 start: 3,
                 end: u64::MAX,
@@ -1424,10 +1401,19 @@ mod tests {
         assert_eq!(h.max(), 1 << 30);
         assert_eq!(h.p99(), snap.histogram("ingest.fold_nanos").unwrap().p99());
 
-        // The assigned types are the dense range the per-type books index.
+        // The assigned types span the range the per-type books index;
+        // 16 and 17 inside it are unassigned and decode like any unknown.
         assert_eq!(KNOWN_FRAME_TYPES, 1..=19);
-        assert!((1..=19).all(|ft| frame_type_name(ft).is_some()));
-        assert_eq!(frame_type_name(20), None);
+        for ft in 1..=20 {
+            let assigned = !matches!(ft, 16 | 17 | 20);
+            assert_eq!(frame_type_name(ft).is_some(), assigned, "type {ft}");
+        }
+        for ft in [16, 17] {
+            assert!(matches!(
+                Frame::decode(&frame_with_payload(ft, &[0; 8]), DEFAULT_MAX_PAYLOAD),
+                Err(WireError::UnknownFrameType(t)) if t == ft
+            ));
+        }
 
         // `metrics_payload_len` is the encoder's payload length, exactly.
         for frame in &frames {
@@ -1722,19 +1708,6 @@ mod tests {
                 "cut at {cut} accepted"
             );
         }
-    }
-
-    #[test]
-    fn ping_and_pong_payload_lengths_are_enforced() {
-        // A ping whose payload is not exactly one u64 must be refused.
-        assert!(matches!(
-            Frame::decode(&frame_with_payload(FT_PING, &[0; 7]), DEFAULT_MAX_PAYLOAD),
-            Err(WireError::Truncated)
-        ));
-        assert!(matches!(
-            Frame::decode(&frame_with_payload(FT_PONG, &[0; 9]), DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadPayload("trailing bytes after payload"))
-        ));
     }
 
     #[test]
@@ -2241,8 +2214,6 @@ mod tests {
                 frozen_count: len * 3,
                 population_mean: opt,
             }));
-            round_trip(&Frame::Ping { nonce: start.wrapping_mul(len + 1) });
-            round_trip(&Frame::Pong { nonce: start ^ len });
             round_trip(&Frame::QueryParts { start, end: start + len });
             round_trip(&Frame::Parts(SnapshotPart {
                 retained_base: start,

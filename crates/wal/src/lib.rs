@@ -150,21 +150,20 @@ pub enum FlushPolicy {
 }
 
 impl FlushPolicy {
-    /// Parse a policy string: `barrier` (the default), `batched:<nanos>`,
-    /// or a bare integer interpreted as nanoseconds (equivalent to
-    /// `batched:<nanos>`). `None` for anything else — the caller decides
+    /// Parse a policy string: `barrier` (the default) or
+    /// `batched:<nanos>`. `None` for anything else — the caller decides
     /// how to refuse it; nothing here falls back silently.
     pub fn parse(raw: &str) -> Option<Self> {
         let raw = raw.trim();
         if raw.eq_ignore_ascii_case("barrier") {
             return Some(FlushPolicy::Barrier);
         }
-        let nanos = match raw.split_once(':') {
-            Some((head, tail)) if head.eq_ignore_ascii_case("batched") => tail.trim(),
-            Some(_) => return None,
-            None => raw,
-        };
+        let (head, nanos) = raw.split_once(':')?;
+        if !head.eq_ignore_ascii_case("batched") {
+            return None;
+        }
         nanos
+            .trim()
             .parse::<u64>()
             .ok()
             .map(|n| FlushPolicy::Batched(Duration::from_nanos(n)))
@@ -183,10 +182,7 @@ mod tests {
             FlushPolicy::parse("batched:2000000"),
             Some(FlushPolicy::Batched(Duration::from_nanos(2_000_000)))
         );
-        assert_eq!(
-            FlushPolicy::parse("1500"),
-            Some(FlushPolicy::Batched(Duration::from_nanos(1500)))
-        );
+        assert_eq!(FlushPolicy::parse("1500"), None, "only one spelling");
         assert_eq!(FlushPolicy::parse("bogus:1"), None);
         assert_eq!(FlushPolicy::parse("batched:x"), None);
     }

@@ -30,6 +30,9 @@ pub(crate) fn format_name() -> String {
 const FLUSH_THRESHOLD: usize = 256 << 10;
 /// Size of the one buffer a recovery scan streams every segment through.
 const SCAN_BUFFER_BYTES: usize = 1 << 20;
+/// Closed segments that trigger [`Wal::wants_checkpoint`]: checkpoint +
+/// truncate keeps disk bounded near `segment_bytes * CHECKPOINT_SEGMENTS`.
+const CHECKPOINT_SEGMENTS: u64 = 4;
 
 /// Where and how the log persists.
 #[derive(Debug, Clone)]
@@ -37,12 +40,9 @@ pub struct WalConfig {
     /// Directory holding segments and checkpoints (created if missing).
     pub dir: PathBuf,
     /// Target size of one segment file; the active segment rolls to a new
-    /// file once it crosses this. Default 8 MiB.
+    /// file once it crosses this; four closed segments call for a
+    /// checkpoint ([`Wal::wants_checkpoint`]). Default 8 MiB.
     pub segment_bytes: u64,
-    /// Number of live segments that triggers [`Wal::wants_checkpoint`]
-    /// (checkpoint + truncate keeps disk bounded near
-    /// `segment_bytes * checkpoint_segments`). Default 4.
-    pub checkpoint_segments: u64,
     /// Flush policy. Default [`FlushPolicy::Barrier`].
     pub flush: FlushPolicy,
 }
@@ -53,7 +53,6 @@ impl WalConfig {
         WalConfig {
             dir: dir.into(),
             segment_bytes: 8 << 20,
-            checkpoint_segments: 4,
             flush: FlushPolicy::Barrier,
         }
     }
@@ -62,13 +61,6 @@ impl WalConfig {
     #[must_use]
     pub fn segment_bytes(mut self, bytes: u64) -> Self {
         self.segment_bytes = bytes.max(1);
-        self
-    }
-
-    /// Override the checkpoint trigger (in live segments).
-    #[must_use]
-    pub fn checkpoint_segments(mut self, segments: u64) -> Self {
-        self.checkpoint_segments = segments.max(1);
         self
     }
 
@@ -155,7 +147,6 @@ pub struct Recovery {
 pub struct Wal {
     dir: PathBuf,
     segment_bytes: u64,
-    checkpoint_segments: u64,
     flush_policy: FlushPolicy,
     file: File,
     active_path: PathBuf,
@@ -293,7 +284,7 @@ impl Wal {
     /// should take a checkpoint to re-bound disk usage.
     #[must_use]
     pub fn wants_checkpoint(&self) -> bool {
-        self.closed_segments >= self.checkpoint_segments
+        self.closed_segments >= CHECKPOINT_SEGMENTS
     }
 
     /// Persist `state` — cut into [`CHECKPOINT`] frames of at most
@@ -615,7 +606,6 @@ impl Recovery {
         let wal = Wal {
             dir: config.dir,
             segment_bytes: config.segment_bytes.max(1),
-            checkpoint_segments: config.checkpoint_segments.max(1),
             flush_policy: config.flush,
             file,
             active_path,
@@ -889,15 +879,14 @@ mod tests {
     #[test]
     fn segments_roll_and_checkpoint_trigger_fires() {
         let dir = temp_dir("roll");
-        let config = cfg(&dir).segment_bytes(64).checkpoint_segments(2);
-        let (mut wal, _) = Wal::open(config).unwrap();
+        let (mut wal, _) = Wal::open(cfg(&dir).segment_bytes(64)).unwrap();
         let mut appended = 0;
         while !wal.wants_checkpoint() {
             wal.append(b"0123456789abcdef").unwrap();
             appended += 1;
             assert!(appended < 100, "checkpoint trigger never fired");
         }
-        assert!(wal.live_segments() >= 3);
+        assert!(wal.live_segments() > CHECKPOINT_SEGMENTS);
         wal.checkpoint(b"S").unwrap();
         assert_eq!(wal.live_segments(), 1);
         assert!(!wal.wants_checkpoint());

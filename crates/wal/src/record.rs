@@ -53,7 +53,9 @@ pub const MAGIC: [u8; 4] = *b"LDPW";
 /// travel as a base plus narrow offsets instead of full `u64`s; v7
 /// deleted the stats pair — every counter travels in `Metrics` — and
 /// renumbered the frame types after it, keeping them the dense range
-/// `1..=19`.
+/// `1..=19`. The health-check pair (16, 17) was later retired without a
+/// bump: no payload layout changed, and those two types are now refused
+/// as unknown, like any unassigned type.
 pub const WIRE_VERSION: u8 = 7;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;

@@ -29,6 +29,7 @@
 
 use ldp_collector::{
     Collector, CollectorConfig, MergedParts, ReportBatch, SlotStats, SnapshotPart,
+    PARALLEL_FOLD_MIN,
 };
 use ldp_server::wire::{code, Frame, IngestScratch, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use ldp_server::{Server, ServerConfig};
@@ -382,10 +383,10 @@ fn misdirected_replies_cost_a_server_only_its_refusals() {
         frames.extend_from_slice(&encoded);
     }
     // The warm-up span sends the same four, growing the payload buffer to
-    // the largest; the measured span ends with a ping, so the connection
+    // the largest; the measured span ends with a sync, so the connection
     // is seen serving on.
     let mut bytes = frames.repeat(2);
-    bytes.extend_from_slice(&Frame::Ping { nonce: 7 }.encode());
+    bytes.extend_from_slice(&Frame::IngestSync.encode());
     let driven = serve_script(&server, bytes, frames.len(), 1024);
 
     assert!(
@@ -393,19 +394,26 @@ fn misdirected_replies_cost_a_server_only_its_refusals() {
         "refusing four misdirected replies asked for {} bytes",
         driven.allocated_bytes
     );
-    let (refusals, pong) = driven.replies.split_at(8);
+    let (refusals, ack) = driven.replies.split_at(8);
     for refusal in refusals {
         assert!(
             matches!(refusal, Frame::Error { code: c, .. } if *c == code::UNSUPPORTED),
             "{refusal:?}"
         );
     }
-    assert_eq!(pong, [Frame::Pong { nonce: 7 }]);
+    assert_eq!(
+        ack,
+        [Frame::IngestAck {
+            accepted: 0,
+            dropped: 0,
+            rejected: 0
+        }]
+    );
 }
 
 #[test]
 fn parallel_fold_steady_state_performs_zero_allocations() {
-    // Pool enabled and engaged: the batch clears `parallel_fold_min`, so
+    // Pool enabled and engaged: the batch clears `PARALLEL_FOLD_MIN`, so
     // every measured frame dispatches its runs through the work-stealing
     // injector. Run descriptors live on the submitter's stack, the
     // injector is a pre-allocated bounded ring, and the completion wait
@@ -415,10 +423,9 @@ fn parallel_fold_steady_state_performs_zero_allocations() {
     let (collector, server) = serving(CollectorConfig {
         shards: 4,
         ingest_workers: 2,
-        parallel_fold_min: 1024,
         ..CollectorConfig::default()
     });
-    let batch = steady_batch(8192, 512, 64, 11);
+    let batch = steady_batch(PARALLEL_FOLD_MIN, 512, 64, 11);
 
     // Warmup additionally spawns the pool (lazily, on the first
     // qualifying batch) and lets every worker reach its steady loop.

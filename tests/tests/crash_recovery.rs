@@ -400,39 +400,48 @@ fn unparseable_wal_flush_refuses_to_boot() {
 /// A count the server cannot honor is refused like any malformed flag —
 /// usage, exit 2, no `LISTENING`: a shard count the collector cannot take
 /// (none, or more than 32 bits can index) instead of panicking inside
-/// `Collector::new`, and a connection cap of 0 instead of booting a
-/// server that answers everyone `BUSY`.
+/// `Collector::new`, a connection cap of 0 instead of booting a server
+/// that answers everyone `BUSY`, and a 0-byte WAL segment instead of
+/// rolling the log on every append — that one before the data dir is
+/// created.
 #[test]
 fn an_impossible_count_refuses_to_boot() {
-    let cases = [
-        ("--shards", "0"),
-        ("--shards", "5000000000"),
-        ("--max-connections", "0"),
+    let dir = temp_data_dir("zero-segment");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let cases: [&[&str]; 4] = [
+        &["--shards", "0"],
+        &["--shards", "5000000000"],
+        &["--max-connections", "0"],
+        &["--data-dir", dir_arg, "--wal-segment-bytes", "0"],
     ];
-    for (flag, value) in cases {
+    for args in cases {
+        let what = args.join(" ");
         let refused = Command::new(bin_dir().join("ldp-server"))
-            .args([flag, value])
+            .args(args)
             .output()
             .expect("run ldp-server");
-        assert_eq!(refused.status.code(), Some(2), "{flag} {value}");
+        assert_eq!(refused.status.code(), Some(2), "{what}");
         let stdout = String::from_utf8_lossy(&refused.stdout);
-        assert!(!stdout.contains("LISTENING"), "{flag} {value}: {stdout}");
+        assert!(!stdout.contains("LISTENING"), "{what}: {stdout}");
         let stderr = String::from_utf8_lossy(&refused.stderr);
-        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("usage:"), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
     }
+    assert!(!dir.exists(), "the data dir was touched");
 }
 
 /// WAL settings are refused like a malformed flag on a server with no
 /// data dir too — `--wal-segment-bytes` without `--data-dir`, and an
-/// unparseable `LDP_WAL_FLUSH` — instead of booting a non-durable server
-/// that silently drops them. A valid `LDP_WAL_FLUSH` without a data dir is
-/// ignored: the server boots, and exits 0 at stdin EOF.
+/// unparseable `LDP_WAL_FLUSH` (a bare interval is not `batched:<nanos>`)
+/// — instead of booting a non-durable server that silently drops them. A
+/// valid `LDP_WAL_FLUSH` without a data dir is ignored: the server boots,
+/// and exits 0 at stdin EOF.
 #[test]
 fn wal_settings_without_a_data_dir_refuse_to_boot() {
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 3] = [
         (&["--wal-segment-bytes", "1024"], "barrier"),
         (&[], "garbage"),
+        (&[], "1500"),
     ];
     for (args, flush) in cases {
         let what = format!("{args:?} LDP_WAL_FLUSH={flush}");

@@ -294,9 +294,6 @@ fn assert_all_verbs_agree(
         Some(0),
         "{what}: no failed frames at the router"
     );
-    // ping end-to-end through the front
-    fed.ping().expect("fed ping");
-    single.ping().expect("single ping");
 }
 
 /// The tentpole pin: a router over three real `ldp-server` processes is
@@ -461,7 +458,7 @@ fn router_binary_routes_end_to_end() {
     let summary = client.summary().expect("summary");
     assert_eq!(summary.total_reports, 200);
     assert_eq!(summary.user_count, 200);
-    client.ping().expect("ping through router binary");
+    client.metrics().expect("metrics through router binary");
 }
 
 /// Degraded mode: kill one downstream and the very next `Metrics` query
@@ -512,8 +509,7 @@ fn dead_downstream_degrades_loudly_not_wrongly() {
     let err = client.sync().expect_err("sync must degrade");
     assert_eq!(err.kind(), std::io::ErrorKind::Other, "{err}");
 
-    // Transport verbs still work: the router itself is healthy.
-    client.ping().expect("front ping while degraded");
+    // Metrics still answer: the router itself is healthy.
     let metrics = client.metrics().expect("metrics while degraded");
     assert_eq!(
         metrics.gauge("downstream.01.answered"),

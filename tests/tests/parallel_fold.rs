@@ -12,9 +12,19 @@
 //! 2. Shutdown loses nothing: stopping the pool while submitter threads
 //!    are mid-stream never strands a run — every batch's ledger stays
 //!    exact and every report lands.
+//!
+//! Only a batch of at least [`PARALLEL_FOLD_MIN`] accepted reports goes
+//! to the pool, so every batch meant for it here is sized past that.
 
-use ldp_collector::{Collector, CollectorConfig, IngestOutcome, QueryEngine, ReportBatch};
+use ldp_collector::{
+    Collector, CollectorConfig, IngestOutcome, QueryEngine, ReportBatch, PARALLEL_FOLD_MIN,
+};
 use proptest::prelude::*;
+
+/// Rows of [`hostile_columns`] that clear [`PARALLEL_FOLD_MIN`]: about
+/// 57 % of its rows are accepted, so twice the threshold clears it with
+/// a wide margin.
+const POOL_ROWS: usize = 2 * PARALLEL_FOLD_MIN;
 
 /// Deterministic hostile columns: ~1/7 non-finite values, ~1/5 slots at
 /// or beyond the collector bound, user ids spread across shards.
@@ -46,9 +56,6 @@ fn collector(shards: usize, workers: usize) -> Collector {
         shards,
         max_slots: 64,
         ingest_workers: workers,
-        // Force even tiny batches through the pool: the threshold is a
-        // throughput tuning knob, and this test is about correctness.
-        parallel_fold_min: 1,
         ..CollectorConfig::default()
     })
 }
@@ -97,7 +104,7 @@ proptest! {
 
     #[test]
     fn parallel_fold_matches_serial_fold_bit_for_bit(
-        n in 1usize..3000,
+        n in POOL_ROWS..POOL_ROWS + 3000,
         seed in 0u64..10_000,
         shards in 2usize..9,
     ) {
@@ -113,6 +120,8 @@ proptest! {
             let parallel = collector(shards, workers);
             let outcome = parallel.ingest_outcome(&batch);
             prop_assert_eq!(serial_outcome, outcome, "workers = {}", workers);
+            let runs = parallel.telemetry().snapshot().counter("collector.pool.runs");
+            prop_assert!(runs.unwrap_or(0) >= 2, "workers = {}: the pool folded", workers);
             assert_bit_identical(&serial, &parallel, &format!("workers = {workers}"));
         }
     }
@@ -120,7 +129,7 @@ proptest! {
     #[test]
     fn multi_batch_streams_agree_across_worker_counts(
         batches in 2usize..6,
-        n in 16usize..600,
+        n in POOL_ROWS..POOL_ROWS + 600,
         seed in 0u64..10_000,
     ) {
         // Several batches through the same pool: descriptors, scratch and
@@ -145,13 +154,13 @@ proptest! {
 #[test]
 fn pool_dispatch_is_observable_in_telemetry() {
     let c = collector(4, 2);
-    let (users, slots, values) = hostile_columns(2048, 7, 64);
+    let (users, slots, values) = hostile_columns(POOL_ROWS, 7, 64);
     let batch = ReportBatch::from_columns(users, slots, values);
     for _ in 0..5 {
         c.ingest_outcome(&batch);
     }
     let snap = c.telemetry().snapshot();
-    // 4 shards × 5 batches, every shard touched by 2048 spread users.
+    // 4 shards × 5 batches, every shard touched by the spread users.
     assert_eq!(snap.counter("collector.pool.runs"), Some(20));
     assert_eq!(
         snap.histogram("collector.ingest.fold_parallel_nanos")
@@ -168,19 +177,25 @@ fn pool_dispatch_is_observable_in_telemetry() {
 /// Interleaved, the two paths must leave the state a serial collector
 /// reaches, bit for bit, and the run path must add nothing to the pool's
 /// work. A mixed batch that merely *starts and ends* on one user is still
-/// a mixed batch.
+/// a mixed batch (routed, and below the threshold folded inline).
 #[test]
 fn single_user_uploads_between_mixed_batches_stay_bit_identical_and_off_the_pool() {
     let serial = collector(4, 0);
     let parallel = collector(4, 2);
+    // Above every hostile user id (`state >> 48`).
+    const BOOKEND: u64 = 1 << 20;
+    const MIDDLE: u64 = BOOKEND + 1;
     let mut mixed_batches = 0;
     for round in 0..6u64 {
-        let (users, slots, values) = hostile_columns(1500, round, 64);
+        let (users, slots, values) = hostile_columns(POOL_ROWS, round, 64);
         let mixed = ReportBatch::from_columns(users, slots, values);
         let (_, slots, values) = hostile_columns(700, 100 + round, 64);
         let upload = ReportBatch::from_columns(vec![round % 3; 700], slots, values);
-        let bookended =
-            ReportBatch::from_columns(vec![5, 6, 5], vec![1, 2, 3], vec![0.25, 0.5, 0.75]);
+        let bookended = ReportBatch::from_columns(
+            vec![BOOKEND, MIDDLE, BOOKEND],
+            vec![1, 2, 3],
+            vec![0.25, 0.5, 0.75],
+        );
         for batch in [&mixed, &upload, &bookended] {
             assert_eq!(
                 serial.ingest_outcome(batch),
@@ -188,13 +203,13 @@ fn single_user_uploads_between_mixed_batches_stay_bit_identical_and_off_the_pool
                 "round {round}"
             );
         }
-        mixed_batches += 2;
+        mixed_batches += 1;
     }
     assert_bit_identical(&serial, &parallel, "uploads between mixed batches");
     let rows = serial.per_user_rows();
     assert!(
-        rows.contains(&(6, 6, 3.0)),
-        "the middle row of [5, 6, 5] went to user 6"
+        rows.contains(&(MIDDLE, 6, 3.0)),
+        "the middle row of [BOOKEND, MIDDLE, BOOKEND] went to MIDDLE"
     );
     let snap = parallel.telemetry().snapshot();
     assert_eq!(
@@ -212,13 +227,12 @@ fn single_user_uploads_between_mixed_batches_stay_bit_identical_and_off_the_pool
 #[test]
 fn pool_shutdown_mid_stream_loses_no_run() {
     const THREADS: u64 = 4;
-    const BATCHES: u64 = 60;
-    const REPORTS: usize = 1024;
+    const BATCHES: u64 = 16;
+    const REPORTS: usize = PARALLEL_FOLD_MIN;
     let parallel = Collector::new(CollectorConfig {
         shards: 4,
         max_slots: 64,
         ingest_workers: 4,
-        parallel_fold_min: 1,
         ..CollectorConfig::default()
     });
     // Disjoint per-thread user universes, so each user's report order is

@@ -1,14 +1,15 @@
 //! [`RemoteCollector`] reconnect-with-backoff: a client whose first
-//! connection is killed by the server transparently redials (bounded by
-//! [`ReconnectPolicy`]) and completes the operation; with the policy
-//! disabled the same drop is fatal. Pinned against a raw in-test
-//! listener so the test controls exactly which connections die. The
-//! router's downstream links are this same handle, so its dial and retry
-//! rules are pinned here on the client too.
+//! connection is killed by the server transparently redials (at most
+//! three times, 10 ms doubling to a 200 ms ceiling) and completes the
+//! operation; a flake longer than that budget is fatal. Pinned against a
+//! raw in-test listener so the test controls exactly which connections
+//! die. The router's downstream links are this same handle, so its dial
+//! and retry rules are pinned here on the client too.
 
 use ldp_collector::ReportBatch;
 use ldp_server::wire::{SummaryBody, HEADER_LEN};
-use ldp_server::{read_reply, Frame, Header, IngestLoss, ReconnectPolicy, RemoteCollector};
+use ldp_server::{read_reply, Frame, Header, IngestLoss, RemoteCollector};
+use ldp_telemetry::TelemetrySnapshot;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -71,7 +72,8 @@ impl Drop for FlakyServer {
     }
 }
 
-/// Minimal frame responder: Ping → Pong, Goodbye/EOF → done.
+/// Minimal frame responder: QueryMetrics → an empty Metrics,
+/// Goodbye/EOF → done.
 fn serve_one(mut stream: TcpStream) {
     let mut header = [0u8; HEADER_LEN];
     loop {
@@ -87,11 +89,11 @@ fn serve_one(mut stream: TcpStream) {
             return;
         }
         let reply = match Frame::decode_body(parsed.frame_type, &payload) {
-            Ok(Frame::Ping { nonce }) => Frame::Pong { nonce },
+            Ok(Frame::QueryMetrics) => Frame::Metrics(TelemetrySnapshot::default()),
             Ok(Frame::Goodbye) | Err(_) => return,
             Ok(_) => Frame::Error {
                 code: ldp_server::wire::code::UNSUPPORTED,
-                message: "flaky test server only pongs".to_string(),
+                message: "flaky test server only answers metrics".to_string(),
             },
         };
         if stream.write_all(&reply.encode()).is_err() {
@@ -100,24 +102,18 @@ fn serve_one(mut stream: TcpStream) {
     }
 }
 
-/// The satellite pin: the server kills the client's first connection,
-/// and the default policy rides it out — the ping succeeds on a fresh
-/// dial the client made by itself.
+/// The server kills the client's first connection, and the retry budget
+/// rides it out — the query succeeds on a fresh dial the client made by
+/// itself.
 #[test]
 fn client_survives_server_killing_first_connection() {
     let server = FlakyServer::start(1);
     // connect() itself succeeds — the TCP handshake completes before the
     // server hangs up — so the flake surfaces on the first operation.
-    let mut client = RemoteCollector::connect_with(
-        server.addr,
-        ReconnectPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(20),
-        },
-    )
-    .expect("initial connect");
-    client.ping().expect("ping survives a killed connection");
+    let mut client = RemoteCollector::connect(server.addr).expect("initial connect");
+    client
+        .metrics()
+        .expect("the query survives a killed connection");
     assert!(
         server.accepted() >= 2,
         "client must have redialed (saw {} connections)",
@@ -125,38 +121,16 @@ fn client_survives_server_killing_first_connection() {
     );
 }
 
-/// With reconnection disabled the identical flake is fatal — the pre-v3
-/// behavior, preserved as an explicit opt-out.
-#[test]
-fn disabled_policy_makes_first_drop_fatal() {
-    let server = FlakyServer::start(1);
-    let none = ReconnectPolicy {
-        max_retries: 0,
-        ..Default::default()
-    };
-    let mut client = RemoteCollector::connect_with(server.addr, none).expect("initial connect");
-    client.ping().expect_err("no-retry client must fail");
-    assert_eq!(server.accepted(), 1, "no redial without a policy");
-}
-
-/// A flake longer than the retry budget is also fatal: the backoff is
+/// A flake longer than the retry budget is fatal: the backoff is
 /// bounded, not an infinite loop against a dead host.
 #[test]
 fn retry_budget_is_bounded() {
     let server = FlakyServer::start(10);
-    let mut client = RemoteCollector::connect_with(
-        server.addr,
-        ReconnectPolicy {
-            max_retries: 2,
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-        },
-    )
-    .expect("initial connect");
-    client.ping().expect_err("budget exhausted must fail");
+    let mut client = RemoteCollector::connect(server.addr).expect("initial connect");
+    client.metrics().expect_err("budget exhausted must fail");
     assert!(
         server.accepted() <= 4,
-        "1 initial + at most 2 retries per op (saw {})",
+        "1 initial + at most 3 retries per op (saw {})",
         server.accepted()
     );
 }
@@ -219,15 +193,7 @@ fn lost_pipelined_ingest_surfaces_typed_error() {
         serve_empty_acks(s2);
     });
 
-    let mut client = RemoteCollector::connect_with(
-        addr,
-        ReconnectPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(20),
-        },
-    )
-    .expect("initial connect");
+    let mut client = RemoteCollector::connect(addr).expect("initial connect");
 
     let mut batch = ReportBatch::new();
     for user in 0..5u64 {
@@ -265,18 +231,18 @@ fn frames_an_ack_covered_are_not_booked_lost_again() {
     let server = std::thread::spawn(move || {
         let mut buf = Vec::new();
         let mut next = |stream: &mut TcpStream| read_reply(stream, &mut buf, || false);
-        // Connection 1 takes ingest A, then hangs up on the ping: A is lost.
+        // Connection 1 takes ingest A, then hangs up on the query: A is
+        // lost.
         let (mut s1, _) = listener.accept().expect("accept 1");
         assert!(matches!(next(&mut s1), Ok(Frame::Ingest { .. })));
-        assert!(matches!(next(&mut s1), Ok(Frame::Ping { .. })));
+        assert_eq!(next(&mut s1).expect("the query"), Frame::QueryMetrics);
         drop(s1);
-        // Connection 2 answers the retried ping, takes B and C, acks
+        // Connection 2 answers the retried query, takes B and C, acks
         // them, then hangs up.
         let (mut s2, _) = listener.accept().expect("accept 2");
-        let Ok(Frame::Ping { nonce }) = next(&mut s2) else {
-            panic!("the retried ping");
-        };
-        s2.write_all(&Frame::Pong { nonce }.encode()).expect("pong");
+        assert_eq!(next(&mut s2).expect("the retry"), Frame::QueryMetrics);
+        let metrics = Frame::Metrics(TelemetrySnapshot::default());
+        s2.write_all(&metrics.encode()).expect("metrics");
         for _ in 0..2 {
             assert!(matches!(next(&mut s2), Ok(Frame::Ingest { .. })));
         }
@@ -293,18 +259,10 @@ fn frames_an_ack_covered_are_not_booked_lost_again() {
         serve_empty_acks(s3);
     });
 
-    let mut client = RemoteCollector::connect_with(
-        addr,
-        ReconnectPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(20),
-        },
-    )
-    .expect("initial connect");
+    let mut client = RemoteCollector::connect(addr).expect("initial connect");
     let rows = |user: u64| ReportBatch::from_stream(user, 0, &[0.5, 0.25]);
     client.ingest(&rows(1)).expect("A");
-    client.ping().expect("the ping rides out the hang-up");
+    client.metrics().expect("the query rides out the hang-up");
     client.ingest(&rows(2)).expect("B");
     client.ingest(&rows(3)).expect("C");
 
@@ -327,32 +285,25 @@ fn frames_an_ack_covered_are_not_booked_lost_again() {
     server.join().expect("server thread");
 }
 
-/// A fresh handle's first `ingest` gets the policy's budget: a
+/// A fresh handle's first `ingest` gets the full retry budget: a
 /// `with_stop` handle dials on first use, and a peer that comes up during
 /// the backoff takes the upload.
 #[test]
 fn a_fresh_handles_first_ingest_gets_the_retry_budget() {
     // Reserve a port, then free it: nobody listens there until the peer
-    // binds it 30 ms into the first backoff.
+    // binds it 5 ms in — during the first 10 ms backoff, with the whole
+    // 70 ms of the budget's three backoffs to spare.
     let addr = TcpListener::bind("127.0.0.1:0")
         .and_then(|probe| probe.local_addr())
         .expect("a free port");
     let peer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(5));
         let listener = TcpListener::bind(addr).expect("rebind the freed port");
         let (mut stream, _) = listener.accept().expect("the ingest's dial");
         read_reply(&mut stream, &mut Vec::new(), || false).expect("the upload")
     });
 
-    let mut client = RemoteCollector::with_stop(
-        addr,
-        ReconnectPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(50),
-        },
-        Arc::default(),
-    );
+    let mut client = RemoteCollector::with_stop(addr, Arc::default());
     let batch = ReportBatch::from_stream(7, 0, &[0.5]);
     client
         .ingest(&batch)
@@ -376,19 +327,14 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
 /// dead peer cannot stall an upload loop for the whole budget per batch.
 #[test]
 fn an_ingest_after_an_exhausted_budget_costs_one_dial_and_no_backoff() {
-    const BACKOFF: Duration = Duration::from_millis(300);
+    /// The shortest backoff a retry sleeps.
+    const BACKOFF: Duration = Duration::from_millis(10);
     let server = FlakyServer::start(usize::MAX); // hangs up on everyone
-    let mut client = RemoteCollector::connect_with(
-        server.addr,
-        ReconnectPolicy {
-            max_retries: 2,
-            initial_backoff: BACKOFF,
-            max_backoff: BACKOFF,
-        },
-    )
-    .expect("initial connect");
-    client.ping().expect_err("every connection is hung up on");
-    wait_for(|| server.accepted() == 3, "the dial plus the two retries");
+    let mut client = RemoteCollector::connect(server.addr).expect("initial connect");
+    client
+        .metrics()
+        .expect_err("every connection is hung up on");
+    wait_for(|| server.accepted() == 4, "the dial plus the three retries");
 
     let mut batch = ReportBatch::new();
     assert!(batch.push(7, 0, 0.5));
@@ -397,9 +343,9 @@ fn an_ingest_after_an_exhausted_budget_costs_one_dial_and_no_backoff() {
     // count and the absence of a backoff are not.
     let _ = client.ingest(&batch);
     let took = started.elapsed();
-    wait_for(|| server.accepted() == 4, "the ingest's dial");
+    wait_for(|| server.accepted() == 5, "the ingest's dial");
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(server.accepted(), 4, "exactly one dial");
+    assert_eq!(server.accepted(), 5, "exactly one dial");
     assert!(took < BACKOFF, "the ingest slept a backoff ({took:?})");
 }
 
@@ -429,15 +375,7 @@ fn a_query_reply_lost_mid_exchange_is_retried_on_a_fresh_connection() {
         let _ = read_reply(&mut second, &mut buf, || false);
     });
 
-    let mut client = RemoteCollector::connect_with(
-        addr,
-        ReconnectPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(20),
-        },
-    )
-    .expect("initial connect");
+    let mut client = RemoteCollector::connect(addr).expect("initial connect");
     let summary = client
         .summary()
         .expect("answered from the second connection");
@@ -445,25 +383,4 @@ fn a_query_reply_lost_mid_exchange_is_retried_on_a_fresh_connection() {
     assert_eq!(client.reconnects(), 1);
     drop(client);
     server.join().expect("server thread");
-}
-
-/// Backoff arithmetic: doubling from `initial` (attempts are 1-based),
-/// capped at `max`.
-#[test]
-fn backoff_doubles_and_caps() {
-    let policy = ReconnectPolicy {
-        max_retries: 8,
-        initial_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(200),
-    };
-    assert_eq!(policy.backoff(1), Duration::from_millis(10));
-    assert_eq!(policy.backoff(2), Duration::from_millis(20));
-    assert_eq!(policy.backoff(3), Duration::from_millis(40));
-    assert_eq!(policy.backoff(5), Duration::from_millis(160));
-    assert_eq!(policy.backoff(6), Duration::from_millis(200), "capped");
-    assert_eq!(
-        policy.backoff(63),
-        Duration::from_millis(200),
-        "cap survives shift overflow"
-    );
 }

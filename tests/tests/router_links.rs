@@ -11,8 +11,9 @@
 //!    the client, instead of the router buffering without bound.
 //! 3. **The split request retries like the whole one did** — a reply lost
 //!    mid-exchange is retried on a fresh connection (exact for queries,
-//!    degraded once for a barrier that had frames in flight), and a dead
-//!    target costs `1 + max_retries` dials per fanned-out request.
+//!    degraded once for a barrier that had frames in flight or after an
+//!    ingest that could not be written), and a dead target costs the
+//!    first dial plus three retries per fanned-out request.
 //! 4. **Shutdown is never held by a downstream** — a link's reply read
 //!    blocked on a mute downstream ends at shutdown.
 //! 5. **No downstream can break the merged `Metrics` reply** — one that
@@ -21,7 +22,7 @@
 use ldp_collector::{ReportBatch, SnapshotPart};
 use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::Frame;
-use ldp_server::{read_reply, ReconnectPolicy, RemoteCollector};
+use ldp_server::{read_reply, RemoteCollector};
 use ldp_telemetry::{MetricEntry, MetricValue, TelemetrySnapshot};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -310,6 +311,60 @@ fn a_barrier_reply_lost_with_frames_in_flight_degrades_exactly_once() {
     router.shutdown();
 }
 
+/// A downstream goes down after acking a barrier (a metrics query finds
+/// it gone), is still down for the next ingest — whose rows the router
+/// counts and drops — and is back for the barrier after it. That barrier's
+/// ack would come from a fresh ledger that never saw the dropped rows, so
+/// it is refused DEGRADED, once; the next barrier acks.
+#[test]
+fn an_ingest_dropped_while_a_downstream_was_down_degrades_the_next_barrier_once() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind downstream");
+    let addr = listener.local_addr().expect("local addr");
+    let acks = |stream| {
+        respond(stream, |frame, rows| {
+            matches!(frame, Frame::IngestSync).then(|| ack(rows))
+        })
+    };
+    let (down, is_down) = std::sync::mpsc::channel();
+    let first_life = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the link's dial");
+        acks(stream); // hangs up on the first frame that is not a barrier
+        drop(listener);
+        down.send(()).expect("test alive");
+    });
+    let mut router = bind_router(vec![addr]);
+    let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
+
+    client.ingest(&batch(10)).unwrap();
+    assert_eq!(client.sync().unwrap().accepted, 10);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.gauge("downstream.00.answered"), Some(0));
+    is_down.recv().expect("the downstream went down");
+    first_life.join().expect("first life");
+
+    client.ingest(&batch(4)).unwrap();
+    wait_for(
+        || counter(&router, "router.downstream.00.lost_frames") == 1,
+        "the router to drop the ingest",
+    );
+    let listener = TcpListener::bind(addr).expect("rebind the downstream's port");
+    let second_life = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the barrier's dial");
+        acks(stream);
+    });
+
+    assert_degraded(&client.sync().unwrap_err());
+    assert_eq!(counter(&router, "router.downstream.00.degraded_acks"), 1);
+    client.ingest(&batch(3)).unwrap();
+    assert_eq!(client.sync().unwrap().accepted, 3, "the fresh ledger");
+    assert_eq!(counter(&router, "router.downstream.00.degraded_acks"), 1);
+    assert_eq!(counter(&router, "router.downstream.00.lost_rows"), 4);
+
+    drop(client);
+    router.shutdown();
+    second_life.join().expect("second life");
+}
+
 /// A downstream that hangs up on every connection the moment it accepts
 /// it: each fanned-out request costs the first dial plus the reconnect
 /// budget, no more — splitting the first attempt in two added no dial.
@@ -317,7 +372,7 @@ fn a_barrier_reply_lost_with_frames_in_flight_degrades_exactly_once() {
 fn a_dead_target_costs_one_dial_plus_the_retry_budget_per_request() {
     let dead = FakeDownstream::start(|stream, _| drop(stream));
     let mut router = bind_router(vec![dead.addr]);
-    let per_request = 1 + ReconnectPolicy::default().max_retries as usize;
+    let per_request = 1 + 3; // the first dial plus a handle's three retries
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
 
     // (A dial completes in the listener's backlog before the fake counts
@@ -364,6 +419,7 @@ fn a_downstream_metric_name_too_long_to_rename_is_marked_not_merged() {
     let mut router = bind_router(vec![fine.addr, hostile.addr]);
     let mut client = RemoteCollector::connect(router.local_addr()).unwrap();
 
+    // The second pass is the connection serving on after the first.
     for _ in 0..2 {
         let metrics = client.metrics().expect("the router replies");
         assert_eq!(metrics.gauge("downstream.00.answered"), Some(1));
@@ -377,7 +433,6 @@ fn a_downstream_metric_name_too_long_to_rename_is_marked_not_merged() {
         assert_eq!(from_hostile, 1, "only the answered gauge");
         assert!(metrics.counter("router.queries.answered") > Some(0));
     }
-    client.ping().expect("the connection keeps serving");
     assert_eq!(client.reconnects(), 0, "on the one connection");
 
     drop(client);

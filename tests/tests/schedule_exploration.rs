@@ -249,7 +249,7 @@ proptest! {
 #[cfg(ldp_check)]
 mod checked_collector {
     use super::*;
-    use ldp_collector::{Collector, CollectorConfig, QueryEngine, ReportBatch};
+    use ldp_collector::{Collector, CollectorConfig, QueryEngine, ReportBatch, PARALLEL_FOLD_MIN};
 
     /// Executions per invariant. CI raises this to 1000+ via
     /// `LDP_CHECK_EXECUTIONS`.
@@ -262,16 +262,20 @@ mod checked_collector {
             shards,
             max_slots: 64,
             ingest_workers: workers,
-            parallel_fold_min: 1,
             ..CollectorConfig::default()
         })
     }
 
-    fn small_batch() -> ReportBatch {
-        let mut batch = ReportBatch::new();
-        for row in 0..12u64 {
+    /// The smallest batch the pool takes: [`PARALLEL_FOLD_MIN`] accepted
+    /// rows. Its size adds no scheduling point — the pool hands out one
+    /// run per shard, whatever the rows — and its 12 users keep each
+    /// execution's tables small.
+    fn pool_batch() -> ReportBatch {
+        let mut batch = ReportBatch::with_capacity(PARALLEL_FOLD_MIN);
+        for row in 0..PARALLEL_FOLD_MIN as u64 {
             // User ids chosen to spread across 3 shards.
-            batch.push(row * 7 + 1, row % 5, (row as f64) / 16.0 - 0.3);
+            let value = ((row % 16) as f64) / 16.0 - 0.3;
+            batch.push((row % 12) * 7 + 1, row % 5, value);
         }
         batch
     }
@@ -283,7 +287,7 @@ mod checked_collector {
     #[test]
     fn pool_fold_exactly_once_under_exploration() {
         check("pool-exactly-once", &invariant_config(0x9001), || {
-            let batch = small_batch();
+            let batch = pool_batch();
             let serial = checked_collector(3, 0);
             let serial_outcome = serial.ingest_outcome(&batch);
 
@@ -292,6 +296,8 @@ mod checked_collector {
             assert_eq!(outcome, serial_outcome, "ledger must be exact");
             assert_eq!(outcome.accepted, batch.len() as u64);
             assert_eq!(pooled.total_reports(), serial.total_reports());
+            let runs = pooled.telemetry().snapshot().counter("collector.pool.runs");
+            assert_eq!(runs, Some(3), "one pooled run per shard");
 
             let (a, b) = (serial.snapshot(), pooled.snapshot());
             let bits_a: Vec<u64> = a.per_user_means().iter().map(|m| m.to_bits()).collect();
@@ -317,7 +323,7 @@ mod checked_collector {
                 let collector = Arc::clone(&collector);
                 thread::spawn(move || collector.stop_ingest_pool())
             };
-            let batch = small_batch();
+            let batch = pool_batch();
             let outcome = collector.ingest_outcome(&batch);
             assert_eq!(outcome.accepted, batch.len() as u64);
             assert_eq!(collector.total_reports(), batch.len() as u64);
@@ -405,7 +411,7 @@ mod checked_durability {
     use ldp_server::wire::{Frame, IngestScratch, HEADER_LEN};
     use std::path::PathBuf;
 
-    const BATCHES: u64 = 4;
+    const BATCHES: u64 = 6;
     const ROWS: u64 = 12;
 
     fn invariant_config(seed: u64) -> Config {
@@ -457,14 +463,15 @@ mod checked_durability {
         }
     }
 
-    /// Tiny segments + checkpoint-every-segment: a four-batch run crosses
-    /// segment rolls and checkpoints, so the explorer reaches every crash
-    /// point, not just append/sync.
+    /// One-record segments: every append rolls, the fourth closed segment
+    /// calls for a checkpoint, and two more batches land after it — a
+    /// six-batch run crosses segment rolls, a checkpoint and appends past
+    /// it, so the explorer reaches every crash point, not just
+    /// append/sync.
     fn wal_config(dir: &PathBuf) -> WalConfig {
         WalConfig::new(dir)
             .flush(FlushPolicy::Barrier)
-            .segment_bytes(256)
-            .checkpoint_segments(1)
+            .segment_bytes(1)
     }
 
     fn batch(salt: u64) -> ReportBatch {

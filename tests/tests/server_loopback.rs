@@ -439,14 +439,15 @@ fn bad_queries_contract(front: &Front) {
     // UNSUPPORTED and the connection keeps serving.
     let mut raw = TcpStream::connect(front.addr()).unwrap();
     let mut buf = Vec::new();
-    raw.write_all(&Frame::Pong { nonce: 1 }.encode()).unwrap();
+    raw.write_all(&Frame::PopulationMean { mean: None }.encode())
+        .unwrap();
     match read_reply(&mut raw, &mut buf, || false).unwrap() {
         Frame::Error { code: c, .. } => assert_eq!(c, code::UNSUPPORTED),
         other => panic!("expected an error frame, got {other:?}"),
     }
-    raw.write_all(&Frame::Ping { nonce: 2 }.encode()).unwrap();
-    let pong = read_reply(&mut raw, &mut buf, || false).unwrap();
-    assert_eq!(pong, Frame::Pong { nonce: 2 });
+    raw.write_all(&Frame::QueryMetrics.encode()).unwrap();
+    let reply = read_reply(&mut raw, &mut buf, || false).unwrap();
+    assert!(matches!(reply, Frame::Metrics(_)), "{reply:?}");
 
     // None of that was a framing failure.
     let failed = format!("{}.frames.failed", front.tier());
@@ -487,7 +488,6 @@ fn router_survives_a_downstream_claiming_an_enormous_slot_range() {
                 let mut next = first;
                 while let Ok(frame) = next {
                     let reply = match frame {
-                        Frame::Ping { nonce } => Frame::Pong { nonce },
                         Frame::QueryParts { .. } => Frame::Parts(SnapshotPart {
                             slot_end: CLAIMED_END,
                             ..SnapshotPart::default()

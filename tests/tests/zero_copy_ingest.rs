@@ -35,7 +35,7 @@
 
 use ldp_collector::{
     Collector, CollectorConfig, CollectorSink, ReportBatch, ReportColumns, ReportSink,
-    ShardAccumulator, SlotRetention,
+    ShardAccumulator, SlotRetention, PARALLEL_FOLD_MIN,
 };
 use ldp_server::wire::{Frame, FrameView, Header, IngestScratch, HEADER_LEN};
 use proptest::prelude::*;
@@ -302,12 +302,14 @@ proptest! {
     ) {
         let max_slots = 512;
         let retention = retention_of(retained);
+        // A pooled case is sized past the pool's threshold: about 73 % of
+        // the hostile rows are accepted.
+        let n = if pooled { 2 * PARALLEL_FOLD_MIN + n } else { n };
         let collector = Collector::new(CollectorConfig {
             shards,
             max_slots,
             retention,
             ingest_workers: if pooled { 2 } else { 0 },
-            parallel_fold_min: 1,
         });
         let mut reference: Vec<ShardAccumulator> =
             (0..shards).map(|_| ShardAccumulator::with_retention(retention)).collect();
