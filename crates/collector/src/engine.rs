@@ -2,7 +2,7 @@
 
 use crate::accumulator::{ShardAccumulator, SlotRetention};
 use crate::pool::IngestPool;
-use crate::report::AsReportColumns;
+use crate::report::{AsReportColumns, ReportColumns};
 use crate::snapshot::CollectorSnapshot;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -112,22 +112,18 @@ struct Shard {
     epoch: AtomicU64,
 }
 
-/// Reusable multi-shard routing scratch: one counting sort that turns a
-/// batch into **contiguous per-shard index runs**, so the fold phase takes
-/// each touched shard's lock exactly once, walks one cache-friendly run
-/// under it, and the steady state allocates nothing (the scratch lives in
-/// a thread-local and keeps its capacity across batches).
+/// The routing half's per-thread scratch: the per-report routing
+/// decisions and per-shard counts a counting sort needs while it runs,
+/// and nothing the fold reads (that is a [`RoutedBatch`]). It lives in a
+/// thread-local and keeps its capacity across batches, so a long-lived
+/// ingesting thread routes without allocating.
 #[derive(Debug, Default)]
-struct ShardScratch {
+struct RouteScratch {
     /// Routing decision per report: the shard index, or [`SKIP`] for a
     /// report screened out (slot out of bounds / non-finite value).
     shard: Vec<u32>,
     /// Per-shard accepted-report counts, then reused as scatter cursors.
     cursors: Vec<u32>,
-    /// Run boundaries: shard `s` owns `idx[starts[s] as usize..starts[s + 1] as usize]`.
-    starts: Vec<u32>,
-    /// Report indices grouped by shard — the contiguous runs.
-    idx: Vec<u32>,
 }
 
 /// Sentinel shard id for a screened-out report (an engine never has
@@ -136,18 +132,49 @@ const SKIP: u32 = u32::MAX;
 
 /// The counting sort indexes a batch's rows with `u32` (half the scratch
 /// footprint of `usize` on 64-bit, and run descriptors stay 16 bytes).
-/// A batch beyond that index space would silently alias rows, so the
-/// routing pass processes at most this many rows per chunk — each chunk
-/// is routed, scattered, and folded independently, which preserves the
-/// ledger exactly and the fold order (and therefore every accumulator
-/// bit) too.
+/// A batch beyond that index space would silently alias rows, so
+/// [`Collector::route`] takes at most this many rows and
+/// [`Collector::ingest_outcome`] routes and folds a longer batch in chunks
+/// of this size — which preserves the ledger exactly and the fold order
+/// (and therefore every accumulator bit) too.
 const ROUTE_CHUNK_ROWS: usize = u32::MAX as usize;
 
 thread_local! {
-    /// Each ingesting thread routes through its own scratch — connection
-    /// threads and fleet workers never contend on it, and a long-lived
-    /// thread reaches a zero-allocation steady state.
-    static SHARD_SCRATCH: RefCell<ShardScratch> = RefCell::new(ShardScratch::default());
+    /// Each routing thread sorts through its own scratch — connection
+    /// threads, fleet workers and a recovery's scan thread never contend
+    /// on it.
+    static ROUTE_SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::default());
+    /// The batch a live ingest routes and then folds on the same thread.
+    static ROUTED: RefCell<RoutedBatch> = RefCell::new(RoutedBatch::default());
+}
+
+/// A batch after the routing half ([`Collector::route`]) and before the
+/// folding half ([`Collector::fold_routed`]): every report screened, its
+/// ledger tallied, the accepted ones grouped into what one shard lock
+/// folds. Routing takes no lock and touches no shared state, so one
+/// thread can route while another folds what it routed earlier — a
+/// recovery's scan thread routes each logged frame, the calling thread
+/// only folds. The value is reusable scratch: routing into it again
+/// keeps its capacity.
+#[derive(Debug, Default)]
+pub struct RoutedBatch {
+    /// Rows of the routed columns, and shards of the collector that routed
+    /// them: a fold checks both against its own before it reads an index.
+    rows: usize,
+    shards: usize,
+    /// The batch's ledger; the fold books it as it is.
+    outcome: IngestOutcome,
+    /// `Some(user)` when every row belongs to `user`: the accepted rows are
+    /// then `user_runs`, each `(first_slot, start, end)` a maximal run of
+    /// consecutive slots at rows `start..end`. `None`: they are the index
+    /// runs below.
+    sole_user: Option<u64>,
+    user_runs: Vec<(u64, usize, usize)>,
+    /// Run boundaries (`shards + 1` prefix sums, empty when nothing was
+    /// accepted): shard `s` folds `idx[starts[s] as usize..starts[s + 1] as usize]`.
+    starts: Vec<u32>,
+    /// Accepted row indices grouped by shard, ascending within each run.
+    idx: Vec<u32>,
 }
 
 /// The user every row of a batch belongs to, if there is just one. A
@@ -201,7 +228,8 @@ struct CollectorMetrics {
     rejected_upstream: Arc<Counter>,
     /// `collector.ingest.batches` — non-empty batches ingested.
     batches: Arc<Counter>,
-    /// `collector.ingest.fold_nanos` — per-batch route+fold latency.
+    /// `collector.ingest.fold_nanos` — per-batch route+fold latency (the
+    /// fold alone for a batch routed on another thread, as replay's are).
     fold_nanos: Arc<Histogram>,
     /// `collector.ingest.fold_parallel_nanos` — fold-pass latency for
     /// the batches dispatched to the work-stealing pool (a subset of
@@ -356,16 +384,9 @@ impl Collector {
     ///
     /// The batch is columnar: the shard-routing pass reads only the user
     /// column (screening slots and values as it routes), and accumulation
-    /// streams the slot/value columns. A batch whose rows all belong to
-    /// one user — a device's own stream off the wire — folds as runs of
-    /// consecutive slots: one lock, no routing scratch, the user's entry
-    /// looked up once. (An in-process [`crate::ClientFleet`] upload never
-    /// becomes a batch: [`crate::CollectorSink`] folds it as one run.) A
-    /// collector configured with one shard also skips routing. Otherwise
-    /// the batch's indices are counting-sorted into contiguous per-shard
-    /// runs inside a reusable thread-local scratch, so each lock is held
-    /// over one cache-friendly run and the steady state performs no heap
-    /// allocation.
+    /// streams the slot/value columns. How a batch is grouped into what
+    /// one lock folds is [`Self::route`]; the steady state performs no
+    /// heap allocation.
     pub fn ingest<B: AsReportColumns + ?Sized>(&self, batch: &B) -> usize {
         self.ingest_outcome(batch).accepted as usize
     }
@@ -373,56 +394,136 @@ impl Collector {
     /// Like [`Self::ingest`], but returns the full per-batch disposition
     /// ledger — what a network server needs to acknowledge an upload
     /// frame without re-deriving drop/reject counts from global deltas.
+    /// The two halves of [`Self::route`] and [`Self::fold_routed`] on one
+    /// thread, through a thread-local [`RoutedBatch`].
     pub fn ingest_outcome<B: AsReportColumns + ?Sized>(&self, batch: &B) -> IngestOutcome {
         let columns = batch.report_columns();
-        let (users, slots, values) = (columns.users(), columns.slots(), columns.values());
-        if users.is_empty() {
+        if columns.is_empty() {
             return IngestOutcome::default();
         }
         // One timer per batch (not per report): the clock reads amortize
         // to nothing at normal batch sizes, and a no-op when disabled.
         let fold_timer = self.metrics.fold_nanos.timer();
-        let mut tally = IngestOutcome::default();
-        if let Some(user) = sole_user(users) {
-            self.ingest_user_batch(user, slots, values, &mut tally);
-        } else if self.shards.len() == 1 {
-            self.ingest_single_shard(0, users, slots, values, &mut tally);
-        } else {
-            self.ingest_chunked(users, slots, values, ROUTE_CHUNK_ROWS, &mut tally);
-        }
-        drop(fold_timer); // record route+fold, not the tallying below
+        let tally = ROUTED.with(|routed| {
+            self.ingest_chunked(columns, ROUTE_CHUNK_ROWS, &mut routed.borrow_mut())
+        });
+        drop(fold_timer); // record route+fold, not the booking below
         self.book(tally);
         tally
     }
 
-    /// The single-user path (any device's own stream off the wire): one
-    /// shard, one lock, no routing scratch, the user looked up once. Rows
-    /// are screened in order and the accepted ones fold as maximal runs of
-    /// consecutive slots through [`ShardAccumulator::ingest_user_runs`] —
-    /// the shard ends bit-identical to folding the accepted rows one at a
-    /// time.
-    fn ingest_user_batch(
+    /// Routes and folds `columns` in chunks of at most `chunk_rows` rows
+    /// (see [`ROUTE_CHUNK_ROWS`]) and returns their summed ledger; the
+    /// chunk size is a parameter only so tests can exercise the boundary
+    /// without a 4-billion-row batch.
+    fn ingest_chunked(
         &self,
-        user: u64,
-        slots: &[u64],
-        values: &[f64],
-        tally: &mut IngestOutcome,
-    ) {
-        let max_slots = self.max_slots;
-        let mut row = 0;
-        let runs = std::iter::from_fn(|| {
-            while row < slots.len() {
-                if slots[row] >= max_slots {
-                    tally.dropped += 1;
-                } else if !values[row].is_finite() {
-                    tally.rejected += 1;
-                } else {
-                    break;
-                }
-                row += 1;
+        columns: ReportColumns<'_>,
+        chunk_rows: usize,
+        routed: &mut RoutedBatch,
+    ) -> IngestOutcome {
+        let (users, slots, values) = (columns.users(), columns.slots(), columns.values());
+        let mut tally = IngestOutcome::default();
+        let mut start = 0;
+        while start < users.len() {
+            let end = users.len().min(start + chunk_rows);
+            let chunk =
+                ReportColumns::new(&users[start..end], &slots[start..end], &values[start..end]);
+            self.route(&chunk, routed);
+            self.fold_runs(chunk, routed);
+            tally.absorb(routed.outcome);
+            start = end;
+        }
+        tally
+    }
+
+    /// The routing half of an ingest: screens every report (a slot at or
+    /// past `max_slots` is dropped, a non-finite value rejected), tallies
+    /// the batch's [`IngestOutcome`] and groups the accepted reports into
+    /// `routed`, replacing what it held. It takes no lock and reads only
+    /// this collector's shard count and slot bound, which never change, so
+    /// it may run on any thread ahead of the fold.
+    ///
+    /// A batch whose rows all belong to one user — a device's own stream
+    /// off the wire — becomes that user's maximal runs of consecutive
+    /// slots: no sort, and the fold looks the user up once. (An in-process
+    /// [`crate::ClientFleet`] upload never becomes a batch:
+    /// [`crate::CollectorSink`] folds it as one run.) A one-shard
+    /// collector's accepted rows are its one run. Otherwise one pass
+    /// routes each report to its shard while screening it, and a counting
+    /// sort groups the accepted indices into contiguous per-shard runs —
+    /// one run when they all land on one shard — so the fold locks each
+    /// touched shard once and walks one cache-friendly run under it. The
+    /// sort's scratch is thread-local, and `routed` keeps its capacity, so
+    /// a steady stream of batches routes without allocating.
+    ///
+    /// # Panics
+    /// If the batch has more than `u32::MAX` rows (runs index rows with
+    /// `u32`; [`Self::ingest_outcome`] splits such a batch).
+    pub fn route<B: AsReportColumns + ?Sized>(&self, batch: &B, routed: &mut RoutedBatch) {
+        let columns = batch.report_columns();
+        let (users, slots, values) = (columns.users(), columns.slots(), columns.values());
+        assert!(
+            users.len() <= ROUTE_CHUNK_ROWS,
+            "a routed batch indexes its rows with u32"
+        );
+        routed.rows = users.len();
+        routed.shards = self.shards.len();
+        routed.outcome = IngestOutcome::default();
+        routed.user_runs.clear();
+        routed.starts.clear();
+        routed.idx.clear();
+        routed.sole_user = sole_user(users);
+        if routed.sole_user.is_some() {
+            self.route_user_runs(slots, values, routed);
+        } else if self.shards.len() == 1 {
+            let RoutedBatch {
+                outcome,
+                starts,
+                idx,
+                ..
+            } = routed;
+            idx.extend(
+                (0..users.len())
+                    .filter(|&i| self.admits(slots[i], values[i], outcome))
+                    .map(|i| i as u32),
+            );
+            outcome.accepted = idx.len() as u64;
+            if !idx.is_empty() {
+                starts.extend([0, idx.len() as u32]);
             }
-            if row == slots.len() {
-                return None;
+        } else {
+            ROUTE_SCRATCH.with(|scratch| {
+                self.route_shards(&mut scratch.borrow_mut(), users, slots, values, routed);
+            });
+        }
+    }
+
+    /// Screens one report, tallying a drop or a rejection; true when the
+    /// report is accepted.
+    #[inline]
+    fn admits(&self, slot: u64, value: f64, tally: &mut IngestOutcome) -> bool {
+        if slot >= self.max_slots {
+            tally.dropped += 1;
+            false
+        } else if !value.is_finite() {
+            tally.rejected += 1;
+            false
+        } else {
+            true
+        }
+    }
+
+    /// The single-user route: rows are screened in order and the accepted
+    /// ones recorded as maximal runs of consecutive slots, which
+    /// [`ShardAccumulator::ingest_user_runs`] folds bit-identical to
+    /// folding the accepted rows one at a time.
+    fn route_user_runs(&self, slots: &[u64], values: &[f64], routed: &mut RoutedBatch) {
+        let mut row = 0;
+        while row < slots.len() {
+            if !self.admits(slots[row], values[row], &mut routed.outcome) {
+                row += 1;
+                continue;
             }
             let (start, first) = (row, slots[row]);
             // The run: finite values whose slots count up from `first`,
@@ -430,12 +531,147 @@ impl Collector {
             row += slots[start..]
                 .iter()
                 .zip(&values[start..])
-                .zip(first..max_slots)
+                .zip(first..self.max_slots)
                 .take_while(|&((&slot, value), expected)| slot == expected && value.is_finite())
                 .count();
-            Some((first, &values[start..row]))
-        });
-        tally.accepted += self.fold_user_runs(user, runs);
+            routed.user_runs.push((first, start, row));
+            routed.outcome.accepted += (row - start) as u64;
+        }
+    }
+
+    /// The multi-shard route: one **routing pass** computes each report's
+    /// shard and screens slot bounds and non-finite values (so nothing is
+    /// re-checked under a lock), then a counting sort scatters the
+    /// accepted indices into contiguous per-shard runs.
+    fn route_shards(
+        &self,
+        scratch: &mut RouteScratch,
+        users: &[u64],
+        slots: &[u64],
+        values: &[f64],
+        routed: &mut RoutedBatch,
+    ) {
+        scratch.cursors.clear();
+        scratch.cursors.resize(self.shards.len(), 0);
+        scratch.shard.clear();
+        scratch.shard.reserve(users.len());
+        for i in 0..users.len() {
+            let destination = if self.admits(slots[i], values[i], &mut routed.outcome) {
+                let s = self.shard_of(users[i]);
+                scratch.cursors[s] += 1;
+                s as u32
+            } else {
+                SKIP
+            };
+            scratch.shard.push(destination);
+        }
+        // Prefix-sum the counts into run boundaries, leaving `cursors`
+        // as each shard's scatter position.
+        let mut total = 0u32;
+        for cursor in &mut scratch.cursors {
+            routed.starts.push(total);
+            let count = *cursor;
+            *cursor = total;
+            total += count;
+        }
+        if total == 0 {
+            routed.starts.clear(); // every report screened out
+            return;
+        }
+        routed.starts.push(total);
+        // Scatter pass: group accepted report indices by shard.
+        routed.idx.resize(total as usize, 0);
+        for (i, &destination) in scratch.shard.iter().enumerate() {
+            if destination != SKIP {
+                let cursor = &mut scratch.cursors[destination as usize];
+                routed.idx[*cursor as usize] = i as u32;
+                *cursor += 1;
+            }
+        }
+        routed.outcome.accepted = u64::from(total);
+    }
+
+    /// The folding half of an ingest: folds what [`Self::route`] put in
+    /// `routed` — taking each touched shard's lock once — and books the
+    /// routed ledger, which it returns. `batch` must be the columns
+    /// `routed` was routed from (the thread that routed them may be
+    /// another one); the collector ends bit-identical to
+    /// [`Self::ingest_outcome`] of that batch, books included.
+    ///
+    /// # Panics
+    /// If `batch` has another row count than the routed one, or another
+    /// collector's shard count routed it.
+    pub fn fold_routed<B: AsReportColumns + ?Sized>(
+        &self,
+        batch: &B,
+        routed: &RoutedBatch,
+    ) -> IngestOutcome {
+        let columns = batch.report_columns();
+        assert_eq!(
+            columns.len(),
+            routed.rows,
+            "a routed batch folds the columns it was routed from"
+        );
+        if columns.is_empty() {
+            return IngestOutcome::default();
+        }
+        assert_eq!(
+            routed.shards,
+            self.shards.len(),
+            "a routed batch folds into a collector of the shard count that routed it"
+        );
+        let fold_timer = self.metrics.fold_nanos.timer();
+        self.fold_runs(columns, routed);
+        drop(fold_timer);
+        self.book(routed.outcome);
+        routed.outcome
+    }
+
+    /// The one fold dispatch: a sole user's runs under its shard's lock;
+    /// otherwise each shard's index run — through the work-stealing pool
+    /// when the batch is large enough and spans two or more shards (the
+    /// submitter participates until the batch drains, so the routed ledger
+    /// is exact when this returns), else inline, one lock per touched
+    /// shard. Below [`PARALLEL_FOLD_MIN`] the injector round trip costs
+    /// more than the fold.
+    fn fold_runs(&self, columns: ReportColumns<'_>, routed: &RoutedBatch) {
+        let (users, slots, values) = (columns.users(), columns.slots(), columns.values());
+        if let Some(user) = routed.sole_user {
+            if !routed.user_runs.is_empty() {
+                let runs = routed
+                    .user_runs
+                    .iter()
+                    .map(|&(first, start, end)| (first, &values[start..end]));
+                let folded = self.fold_user_runs(user, runs);
+                debug_assert_eq!(folded, routed.outcome.accepted);
+            }
+            return;
+        }
+        let starts = &routed.starts;
+        let run_of = |shard: usize| &routed.idx[starts[shard] as usize..starts[shard + 1] as usize];
+        let Some(&total) = starts.last() else {
+            return; // nothing accepted; no shard touched
+        };
+        let n_shards = starts.len() - 1;
+        if total as usize >= PARALLEL_FOLD_MIN
+            && (0..n_shards)
+                .filter(|&s| !run_of(s).is_empty())
+                .nth(1)
+                .is_some()
+        {
+            if let Some(pool) = self.pool().filter(|p| p.is_active()) {
+                let parallel_timer = self.metrics.fold_parallel_nanos.timer();
+                pool.fold_batch(self, users, slots, values, &routed.idx, starts);
+                drop(parallel_timer);
+                return;
+            }
+        }
+        for shard_idx in 0..n_shards {
+            let run = run_of(shard_idx);
+            if !run.is_empty() {
+                self.fold_run(shard_idx, users, slots, values, run);
+            }
+        }
     }
 
     /// The in-process upload of one device's stream, what
@@ -512,191 +748,6 @@ impl Collector {
         self.metrics.accepted.add(tally.accepted);
         self.metrics.dropped.add(tally.dropped);
         self.metrics.rejected.add(tally.rejected);
-    }
-
-    /// The single-shard fast path (a one-shard collector): one lock, no
-    /// routing scratch, screening inline.
-    fn ingest_single_shard(
-        &self,
-        shard_idx: usize,
-        users: &[u64],
-        slots: &[u64],
-        values: &[f64],
-        tally: &mut IngestOutcome,
-    ) {
-        let shard = &self.shards[shard_idx];
-        let screened = (0..users.len()).filter(|&i| {
-            if slots[i] >= self.max_slots {
-                tally.dropped += 1;
-                false
-            } else if !values[i].is_finite() {
-                tally.rejected += 1;
-                false
-            } else {
-                true
-            }
-        });
-        let accepted = shard
-            .acc
-            .lock()
-            .expect("collector shard poisoned")
-            .ingest_rows(users, slots, values, screened);
-        if accepted > 0 {
-            shard.epoch.fetch_add(1, Ordering::Release);
-            self.metrics.shard_batches[shard_idx].inc();
-            tally.accepted += accepted;
-        }
-    }
-
-    /// Multi-shard ingest in row chunks the counting sort can index with
-    /// `u32` (see [`ROUTE_CHUNK_ROWS`]); the chunk size is a parameter
-    /// only so tests can exercise the boundary without a 4-billion-row
-    /// batch.
-    fn ingest_chunked(
-        &self,
-        users: &[u64],
-        slots: &[u64],
-        values: &[f64],
-        chunk_rows: usize,
-        tally: &mut IngestOutcome,
-    ) {
-        SHARD_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let mut start = 0;
-            while start < users.len() {
-                let end = users.len().min(start + chunk_rows);
-                self.ingest_runs(
-                    &mut scratch,
-                    &users[start..end],
-                    &slots[start..end],
-                    &values[start..end],
-                    tally,
-                );
-                start = end;
-            }
-        });
-    }
-
-    /// The multi-shard ingest path: one **routing pass** computes each
-    /// report's shard and screens slot bounds and non-finite values (so
-    /// nothing is re-checked under a lock) while watching whether every
-    /// accepted report lands on one shard — the uniform case skips the
-    /// sort entirely. Otherwise a counting sort scatters the accepted
-    /// indices into contiguous per-shard runs inside `scratch`, and the
-    /// **fold pass** either streams each run under its shard's mutex
-    /// inline, or — when the batch is large enough and a pool is
-    /// configured — dispatches the runs to the work-stealing pool and
-    /// participates until they drain.
-    fn ingest_runs(
-        &self,
-        scratch: &mut ShardScratch,
-        users: &[u64],
-        slots: &[u64],
-        values: &[f64],
-        tally: &mut IngestOutcome,
-    ) {
-        let n_shards = self.shards.len();
-        scratch.cursors.clear();
-        scratch.cursors.resize(n_shards, 0);
-        scratch.shard.clear();
-        scratch.shard.reserve(users.len());
-        // Routing pass: shard + screen in one stream over the columns,
-        // detecting single-destination batches on the fly (the old
-        // implementation pre-scanned the user column a whole extra time
-        // — and re-hashed every user — just to ask "uniform?").
-        let mut first_dest = SKIP;
-        let mut uniform = true;
-        for i in 0..users.len() {
-            let destination = if slots[i] >= self.max_slots {
-                tally.dropped += 1;
-                SKIP
-            } else if !values[i].is_finite() {
-                tally.rejected += 1;
-                SKIP
-            } else {
-                let s = self.shard_of(users[i]);
-                scratch.cursors[s] += 1;
-                let s = s as u32;
-                if first_dest == SKIP {
-                    first_dest = s;
-                } else if s != first_dest {
-                    uniform = false;
-                }
-                s
-            };
-            scratch.shard.push(destination);
-        }
-        if first_dest == SKIP {
-            return; // every report screened out; no shard touched
-        }
-        if uniform {
-            // Single destination: fold straight off the routing
-            // decisions — no prefix sum, no scatter, one lock.
-            let shard_idx = first_dest as usize;
-            let shard = &self.shards[shard_idx];
-            let routed = scratch
-                .shard
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &destination)| (destination != SKIP).then_some(i));
-            let accepted = shard
-                .acc
-                .lock()
-                .expect("collector shard poisoned")
-                .ingest_rows(users, slots, values, routed);
-            shard.epoch.fetch_add(1, Ordering::Release);
-            self.metrics.shard_batches[shard_idx].inc();
-            tally.accepted += accepted;
-            return;
-        }
-        // Prefix-sum the counts into run boundaries, leaving `cursors`
-        // as each shard's scatter position.
-        scratch.starts.clear();
-        scratch.starts.reserve(n_shards + 1);
-        let mut total = 0u32;
-        let mut non_empty_runs = 0usize;
-        for cursor in &mut scratch.cursors {
-            scratch.starts.push(total);
-            let count = *cursor;
-            if count > 0 {
-                non_empty_runs += 1;
-            }
-            *cursor = total;
-            total += count;
-        }
-        scratch.starts.push(total);
-        // Scatter pass: group accepted report indices by shard.
-        scratch.idx.clear();
-        scratch.idx.resize(total as usize, 0);
-        for (i, &destination) in scratch.shard.iter().enumerate() {
-            if destination != SKIP {
-                let cursor = &mut scratch.cursors[destination as usize];
-                scratch.idx[*cursor as usize] = i as u32;
-                *cursor += 1;
-            }
-        }
-        tally.accepted += u64::from(total);
-        // Fold pass. Large run sets go to the work-stealing pool (the
-        // submitter participates until its batch drains, so the ledger
-        // above is already exact); small ones fold inline — below the
-        // threshold the injector round trip costs more than the fold.
-        if non_empty_runs >= 2 && total as usize >= PARALLEL_FOLD_MIN {
-            if let Some(pool) = self.pool().filter(|p| p.is_active()) {
-                let parallel_timer = self.metrics.fold_parallel_nanos.timer();
-                pool.fold_batch(self, users, slots, values, &scratch.idx, &scratch.starts);
-                drop(parallel_timer);
-                return;
-            }
-        }
-        // Serial fold: one lock per touched shard, one contiguous run each.
-        for shard_idx in 0..n_shards {
-            let run = &scratch.idx
-                [scratch.starts[shard_idx] as usize..scratch.starts[shard_idx + 1] as usize];
-            if run.is_empty() {
-                continue;
-            }
-            self.fold_run(shard_idx, users, slots, values, run);
-        }
     }
 
     /// Folds one contiguous index run into one shard: the unit of work
@@ -1194,12 +1245,12 @@ mod tests {
         let chunk = 64;
         for n in [chunk - 1, chunk, chunk + 1, 3 * chunk + 7] {
             let (users, slots, values) = hostile_columns(n, n as u64);
+            let columns = ReportColumns::new(&users, &slots, &values);
             let reference = Collector::new(config(5));
             let chunked = Collector::new(config(5));
-            let mut one_pass = IngestOutcome::default();
-            reference.ingest_chunked(&users, &slots, &values, ROUTE_CHUNK_ROWS, &mut one_pass);
-            let mut many_pass = IngestOutcome::default();
-            chunked.ingest_chunked(&users, &slots, &values, chunk, &mut many_pass);
+            let mut routed = RoutedBatch::default();
+            let one_pass = reference.ingest_chunked(columns, ROUTE_CHUNK_ROWS, &mut routed);
+            let many_pass = chunked.ingest_chunked(columns, chunk, &mut routed);
             assert_eq!(one_pass, many_pass, "n = {n}");
             assert_bit_identical(&reference, &chunked);
         }
@@ -1208,8 +1259,8 @@ mod tests {
     #[test]
     fn uniform_multi_shard_batch_folds_without_scatter() {
         // All reports target one user (one shard) with screening mixed
-        // in: the routing pass detects uniformity itself now, and only
-        // the destination shard's epoch may advance.
+        // in: the batch routes as that user's slot runs, with no counting
+        // sort, and only the destination shard's epoch may advance.
         let c = Collector::new(CollectorConfig {
             shards: 4,
             max_slots: 16,
@@ -1217,6 +1268,44 @@ mod tests {
         });
         let batch = ReportBatch::from_columns(
             vec![42; 6],
+            vec![0, 99, 1, 2, 3, 4],
+            vec![0.5, 0.5, f64::NAN, 0.25, 0.75, 0.5],
+        );
+        let mut routed = RoutedBatch::default();
+        c.route(&batch, &mut routed);
+        assert_eq!(routed.sole_user, Some(42));
+        assert!(routed.idx.is_empty(), "a one-user batch is not scattered");
+        let out = c.ingest_outcome(&batch);
+        assert_eq!(
+            out,
+            IngestOutcome {
+                accepted: 4,
+                dropped: 1,
+                rejected: 1
+            }
+        );
+        let target = c.shard_of(42);
+        for k in 0..4 {
+            assert_eq!(c.shard_epoch(k), u64::from(k == target));
+        }
+    }
+
+    #[test]
+    fn single_destination_batch_touches_only_its_shard() {
+        // Six users that share a shard, with screening mixed in: only the
+        // destination shard's epoch may advance.
+        let c = Collector::new(CollectorConfig {
+            shards: 4,
+            max_slots: 16,
+            ..CollectorConfig::default()
+        });
+        let target = c.shard_of(42);
+        let users: Vec<u64> = (42..)
+            .filter(|&u| c.shard_of(u) == target)
+            .take(6)
+            .collect();
+        let batch = ReportBatch::from_columns(
+            users,
             vec![0, 99, 1, 2, 3, 4],
             vec![0.5, 0.5, f64::NAN, 0.25, 0.75, 0.5],
         );
@@ -1229,7 +1318,6 @@ mod tests {
                 rejected: 1
             }
         );
-        let target = c.shard_of(42);
         for k in 0..4 {
             assert_eq!(c.shard_epoch(k), u64::from(k == target));
         }
@@ -1261,6 +1349,83 @@ mod tests {
         assert_bit_identical(&serial, &parallel);
         let snap = parallel.telemetry().snapshot();
         assert!(snap.counter("collector.pool.runs").unwrap_or(0) >= 2);
+    }
+
+    /// A value code's report value: mostly finite, some NaN and ±∞.
+    fn coded_value(code: usize) -> f64 {
+        match code {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            code => code as f64 / 8.0 - 0.5,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn routed_on_one_thread_and_folded_on_another_equals_ingest_outcome(
+            rows in proptest::collection::vec((0u64..12, 0u64..80, 0usize..10), 0..96),
+            shape in 0usize..4,
+            shards in 1usize..5,
+        ) {
+            let config = CollectorConfig {
+                shards,
+                max_slots: 64,
+                ingest_workers: 2,
+                ..CollectorConfig::default()
+            };
+            let (split, reference) = (Collector::new(config), Collector::new(config));
+            let (mut users, mut slots, mut values) = (Vec::new(), Vec::new(), Vec::new());
+            for &(user, slot, code) in &rows {
+                users.push(user);
+                slots.push(slot);
+                values.push(coded_value(code));
+            }
+            match shape {
+                // Every row from the first row's user.
+                1 => users.iter_mut().for_each(|user| *user = rows[0].0),
+                // Every row bound for the first row's shard.
+                2 => {
+                    let target = split.shard_of(rows.first().map_or(0, |row| row.0));
+                    let mut mates = (0..).filter(|&user| split.shard_of(user) == target);
+                    for user in &mut users {
+                        *user = mates.next().expect("unbounded");
+                    }
+                }
+                // Tiled past `PARALLEL_FOLD_MIN` rows, users spread across
+                // shards, so a multi-shard collector folds through its pool.
+                3 if !rows.is_empty() => {
+                    let copies = 4 * PARALLEL_FOLD_MIN / rows.len() + 1;
+                    users = (0..copies * rows.len()).map(|i| i as u64 % 1000).collect();
+                    slots = slots.repeat(copies);
+                    values = values.repeat(copies);
+                }
+                _ => {}
+            }
+            let batch = ReportBatch::from_columns(users, slots, values);
+            for _ in 0..2 {
+                let routed = std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| {
+                            let mut routed = RoutedBatch::default();
+                            split.route(&batch, &mut routed);
+                            routed
+                        })
+                        .join()
+                        .expect("routing thread")
+                });
+                let folded = split.fold_routed(&batch, &routed);
+                proptest::prop_assert_eq!(folded, routed.outcome);
+                proptest::prop_assert_eq!(folded, reference.ingest_outcome(&batch));
+            }
+            proptest::prop_assert!(split.encode_checkpoint() == reference.encode_checkpoint());
+            if shards > 1 && split.total_reports() >= 2 * PARALLEL_FOLD_MIN as u64 {
+                let pool_runs = split.telemetry().snapshot().counter("collector.pool.runs");
+                proptest::prop_assert!(pool_runs > Some(0), "the pool folded no routed run");
+            }
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub use accumulator::{ShardAccumulator, SlotRetention, SlotStats, UserStats};
 pub use checkpoint::CheckpointError;
 pub use engine::{
     default_ingest_workers, default_parallelism, Collector, CollectorConfig, IngestOutcome,
-    PARALLEL_FOLD_MIN,
+    RoutedBatch, PARALLEL_FOLD_MIN,
 };
 pub use fleet::{
     user_seed, ClientFleet, CollectorSink, FleetConfig, FleetError, ReportSink, ReseedingSession,

@@ -81,7 +81,7 @@ struct BatchControl {
     values: *const f64,
     /// Length of the three column slices above.
     rows: usize,
-    /// The batch's scattered index runs (`ShardScratch::idx`).
+    /// The batch's scattered index runs (a `RoutedBatch`'s `idx`).
     idx: *const u32,
     /// Length of the `idx` slice (may be shorter than `rows` when the
     /// routing pass skipped rejected reports).
@@ -279,7 +279,7 @@ impl IngestPool {
     ///
     /// `starts` are the routing pass's run boundaries (`shards + 1`
     /// prefix sums) and `idx` the scattered per-shard index runs; both
-    /// borrow the caller's thread-local scratch.
+    /// borrow the caller's [`crate::RoutedBatch`].
     pub(crate) fn fold_batch(
         &self,
         collector: &Collector,

@@ -18,25 +18,29 @@
 //!    lost below `S`, none double-counted above it.
 //!
 //! Recovery ([`recover`]) restores the checkpointed collector state and
-//! replays surviving records through the **same** apply path live ingest
-//! uses, so ledger tallies and telemetry books land exactly where the
-//! pre-crash process left them. It is one streaming pass in two
-//! overlapped stages: a scan thread reads and verifies the log through the
-//! WAL's one bounded buffer and hands verified payloads over in a few
-//! recycled chunks, while the calling thread decodes and folds them — so
-//! memory is a handful of chunks however long the log is.
+//! replays surviving records through the **same** two ingest halves live
+//! ingest runs — [`Collector::route`], then [`Collector::fold_routed`] —
+//! so ledger tallies and telemetry books land exactly where the pre-crash
+//! process left them. It is one streaming pass in two overlapped stages:
+//! a scan thread reads and verifies the log through the WAL's one bounded
+//! buffer, parses each verified frame, widens it into columns it owns and
+//! routes it, and hands the routed frames over in a few recycled chunks;
+//! the calling thread only books each frame's upstream rejections and
+//! folds its routed runs, in log order — so memory is a handful of chunks
+//! however long the log is, and the fold is the replay's critical path.
 //!
 //! Locking uses the `ldp_collector::sync` facade throughout, so `ldp-check`
 //! can explore crash points (see `ldp_wal::CrashPoint`) as deterministic
 //! scheduling decisions. Lock order is gate → wal; both paths respect it.
-//! The scan thread is the one exception by construction: it runs no
-//! collector code and touches no facade primitive (a scoped `std` thread
-//! and two `std::sync::mpsc` queues), so the explorer sees exactly the
-//! decisions the calling thread makes.
+//! The scan thread is the one exception by construction: the only
+//! collector code it runs is the routing half, which takes no lock and
+//! touches no atomic, and otherwise it uses a scoped `std` thread and two
+//! `std::sync::mpsc` queues — no facade primitive — so the explorer sees
+//! exactly the decisions the calling thread makes.
 
 use crate::wire::{IngestScratch, IngestView, HEADER_LEN};
 use ldp_collector::sync::{Arc, Mutex, RwLock};
-use ldp_collector::{Collector, CollectorConfig, IngestOutcome};
+use ldp_collector::{Collector, CollectorConfig, IngestOutcome, RoutedBatch};
 use ldp_telemetry::{Counter, Gauge, Histogram, Registry};
 use ldp_wal::{Recovered, Recovery, Wal, WalError};
 use std::io;
@@ -132,8 +136,9 @@ impl std::fmt::Debug for Durability {
     }
 }
 
-/// The one fold of a decoded ingest frame. Live ingest, in memory or
-/// durable, and replay all run it, so their books match bit for bit.
+/// The one fold of a decoded ingest frame, live, in memory or durable.
+/// Replay runs the same two steps with the routing half on its scan
+/// thread (see [`replay_overlapped`]), so the books match bit for bit.
 pub(crate) fn fold(
     collector: &Collector,
     ingest: &IngestView<'_>,
@@ -334,17 +339,48 @@ impl Durability {
     }
 }
 
-/// Payload bytes a hand-off chunk collects before it travels to the fold.
+/// Decoded, routed bytes a hand-off chunk holds before it travels to the
+/// fold (a frame larger than this travels alone).
 const HANDOFF_BYTES: usize = 1 << 20;
 /// Hand-off chunks that exist at once: one filling, one queued, one folding.
 const HANDOFF_CHUNKS: usize = 3;
+/// What one logged row occupies once the scan has decoded and routed it:
+/// its three widened columns and its index in a shard run.
+const ROUTED_ROW_BYTES: usize = 3 * 8 + 4;
 
-/// Verified ingest payloads on their way from the scan thread to the fold,
-/// packed back to back; `ends[i]` is where payload `i` stops.
+/// One logged ingest frame as the scan thread hands it over: widened into
+/// columns it owns and routed, so the fold thread only folds it.
+#[derive(Default)]
+struct RoutedFrame {
+    rejected_upstream: u64,
+    columns: IngestScratch,
+    routed: RoutedBatch,
+}
+
+/// Routed frames on their way from the scan thread to the fold, in log
+/// order. A drained chunk comes back with its frames' capacity, so a
+/// replay allocates only while its first chunks fill.
 #[derive(Default)]
 struct Chunk {
-    bytes: Vec<u8>,
-    ends: Vec<usize>,
+    frames: Vec<RoutedFrame>,
+    /// Frames in use; the rest are recycled capacity.
+    len: usize,
+    /// [`ROUTED_ROW_BYTES`] times the rows of the frames in use.
+    bytes: usize,
+}
+
+impl Chunk {
+    /// Widens and routes one verified ingest frame into the next frame.
+    fn push(&mut self, collector: &Collector, ingest: &IngestView<'_>) {
+        if self.len == self.frames.len() {
+            self.frames.push(RoutedFrame::default());
+        }
+        let frame = &mut self.frames[self.len];
+        frame.rejected_upstream = ingest.rejected_upstream();
+        collector.route(&ingest.columns(&mut frame.columns), &mut frame.routed);
+        self.len += 1;
+        self.bytes += ingest.len() * ROUTED_ROW_BYTES;
+    }
 }
 
 /// Open (or create) the WAL at `wal_config.dir`, rebuild the collector —
@@ -419,12 +455,13 @@ fn recover_chunked(
     Ok((collector, durability, report))
 }
 
-/// Replays the log with the scan (read + verify, [`Recovery::replay`]) on a
-/// second thread and decode + fold on this one. Full chunks travel scan →
-/// fold through a one-deep queue and come back drained, so at most
-/// [`HANDOFF_CHUNKS`] exist. Either side ending — error or panic — drops
-/// its queue ends, which wakes the other out of any wait. Returns the
-/// opened log, what the scan found, and the rows the fold accepted.
+/// Replays the log with the scan — read, verify ([`Recovery::replay`]),
+/// parse, widen and route — on a second thread, and the fold on this one.
+/// Full chunks travel scan → fold through a one-deep queue and come back
+/// drained, so at most [`HANDOFF_CHUNKS`] exist. Either side ending — error
+/// or panic — drops its queue ends, which wakes the other out of any wait.
+/// Returns the opened log, what the scan found, and the rows the fold
+/// accepted.
 fn replay_overlapped(
     recovery: Recovery,
     collector: &Collector,
@@ -438,9 +475,12 @@ fn replay_overlapped(
             let mut chunk = Chunk::default();
             let mut unmade = HANDOFF_CHUNKS - 1;
             let opened = recovery.replay(|_, payload| {
-                chunk.bytes.extend_from_slice(payload);
-                chunk.ends.push(chunk.bytes.len());
-                if chunk.bytes.len() >= handoff_bytes {
+                let ingest = IngestView::parse(payload)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                // A chunk travels before a frame would take it past the
+                // hand-off size, so none outgrows it but a lone large frame.
+                let grown = chunk.bytes + ingest.len() * ROUTED_ROW_BYTES;
+                if chunk.len > 0 && grown > handoff_bytes {
                     full_tx
                         .send(std::mem::take(&mut chunk))
                         .map_err(|_| fold_gone())?;
@@ -450,32 +490,25 @@ fn replay_overlapped(
                         chunk = drained_rx.recv().map_err(|_| fold_gone())?;
                     }
                 }
+                chunk.push(collector, &ingest);
                 Ok(())
             })?;
-            if !chunk.ends.is_empty() {
-                // A fold that already failed reports its own error.
+            if chunk.len > 0 {
+                // Fails only when the fold panicked, which surfaces itself.
                 let _ = full_tx.send(chunk);
             }
             Ok(opened)
         });
 
-        let mut scratch = IngestScratch::default();
         let mut replayed_rows = 0u64;
-        let mut folded = Ok(());
-        'fold: for mut chunk in &full_rx {
-            let mut start = 0;
-            for &end in &chunk.ends {
-                match apply_payload(collector, &chunk.bytes[start..end], &mut scratch) {
-                    Ok(outcome) => replayed_rows += outcome.accepted,
-                    Err(e) => {
-                        folded = Err(e);
-                        break 'fold;
-                    }
-                }
-                start = end;
+        for mut chunk in &full_rx {
+            for frame in &chunk.frames[..chunk.len] {
+                collector.note_upstream_rejections(frame.rejected_upstream);
+                let outcome = collector.fold_routed(&frame.columns.columns(), &frame.routed);
+                replayed_rows += outcome.accepted;
             }
-            chunk.bytes.clear();
-            chunk.ends.clear();
+            chunk.len = 0;
+            chunk.bytes = 0;
             // The scan may have finished and dropped its end; that is fine.
             let _ = drained_tx.send(chunk);
         }
@@ -484,7 +517,6 @@ fn replay_overlapped(
         let opened = scan
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        folded?;
         let (wal, recovered) = opened.map_err(wal_err)?;
         Ok((wal, recovered, replayed_rows))
     })
@@ -495,7 +527,7 @@ mod tests {
     use super::*;
     use crate::wire::{Frame, WireError, DEFAULT_MAX_PAYLOAD, KNOWN_FRAME_TYPES};
     use ldp_collector::sync::atomic::{AtomicUsize, Ordering};
-    use ldp_collector::ReportBatch;
+    use ldp_collector::{ReportBatch, PARALLEL_FOLD_MIN};
     use ldp_wal::record::{CHECKPOINT, SEAL};
     use std::path::{Path, PathBuf};
 
@@ -734,6 +766,125 @@ mod tests {
         let (_, recovered) = Wal::open(config.clone()).expect("the directory opens again");
         assert_eq!((recovered.checkpoint_seq, recovered.records), (3, 47));
         let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
+    /// The payloads of a log that holds every shape replay routes: mixed
+    /// multi-user frames (one large enough for the fold pool), single-user
+    /// frames with slot gaps, rows at or past the slot bound of 64, non-finite
+    /// values, a frame whose every row is screened out, an empty frame, and
+    /// upstream rejections riding along.
+    fn mixed_payloads() -> Vec<Vec<u8>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let value = |r: u64| match r % 16 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            r => r as f64 / 16.0 - 0.4,
+        };
+        let mut frames = Vec::new();
+        for (salt, rows) in [
+            (0u64, 300usize),
+            (1, 40),
+            (2, 2 * PARALLEL_FOLD_MIN),
+            (3, 5),
+        ] {
+            let (mut users, mut slots, mut values) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..rows {
+                let r = next();
+                users.push(r % 97 + salt);
+                slots.push(r % 70); // 64..70 at or past the bound
+                values.push(value(r >> 8));
+            }
+            frames.push(Frame::Ingest {
+                rejected_upstream: salt * 2,
+                users,
+                slots,
+                values,
+            });
+        }
+        for user in [7u64, 8, 7] {
+            // One device's stream: runs broken by gaps, a NaN and the bound.
+            let slots = vec![0, 1, 2, 5, 6, 9, 10, 11, 63, 64, 65, 3];
+            let values = (0..slots.len() as u64)
+                .map(|i| if i == 6 { f64::NAN } else { value(i + user) })
+                .collect();
+            frames.push(Frame::Ingest {
+                rejected_upstream: user,
+                users: vec![user; slots.len()],
+                slots,
+                values,
+            });
+        }
+        frames.push(Frame::Ingest {
+            rejected_upstream: 1,
+            users: vec![3, 4, 5],
+            slots: vec![64, 100, u64::MAX],
+            values: vec![0.5; 3],
+        });
+        frames.push(Frame::Ingest {
+            rejected_upstream: 9,
+            users: Vec::new(),
+            slots: Vec::new(),
+            values: Vec::new(),
+        });
+        frames
+            .iter()
+            .map(|frame| frame.encode()[HEADER_LEN..].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn recovery_checkpoints_the_bytes_of_a_serial_fold() {
+        let payloads = mixed_payloads();
+        for shards in [1, 3] {
+            let collector_config = CollectorConfig {
+                shards,
+                max_slots: 64,
+                ingest_workers: 2,
+                ..CollectorConfig::default()
+            };
+            let dir = std::env::temp_dir().join(format!(
+                "ldp-durable-serial-{shards}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let wal_config = WalConfig::new(&dir).segment_bytes(64 << 10);
+            let (mut wal, _) = Wal::open(wal_config.clone()).expect("fresh log");
+            let reference = Collector::new(collector_config);
+            let mut scratch = IngestScratch::default();
+            for payload in &payloads {
+                wal.append(payload).expect("append");
+                let ingest = IngestView::parse(payload).expect("an ingest payload");
+                reference.note_upstream_rejections(ingest.rejected_upstream());
+                reference.ingest_outcome(&ingest.columns(&mut scratch));
+            }
+            wal.barrier().expect("barrier");
+            drop(wal);
+            let expected = reference.encode_checkpoint();
+            // One byte parks the scan on a full hand-off after every frame.
+            for handoff_bytes in [1, HANDOFF_BYTES] {
+                let (recovered, _, report) =
+                    recover_chunked(collector_config, wal_config.clone(), handoff_bytes)
+                        .expect("recovery");
+                assert_eq!(report.replayed_records, payloads.len() as u64);
+                assert_eq!(report.replayed_rows, reference.total_reports());
+                assert!(
+                    recovered.encode_checkpoint() == expected,
+                    "{shards} shards, {handoff_bytes}-byte hand-off: recovery is not the serial fold"
+                );
+                let pool_runs = recovered
+                    .telemetry()
+                    .snapshot()
+                    .counter("collector.pool.runs");
+                assert_eq!(pool_runs.is_some_and(|runs| runs > 0), shards > 1);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

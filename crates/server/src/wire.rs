@@ -742,6 +742,13 @@ pub struct IngestScratch {
     values: Vec<f64>,
 }
 
+impl IngestScratch {
+    /// The columns [`IngestView::columns`] last widened into this scratch.
+    pub(crate) fn columns(&self) -> ReportColumns<'_> {
+        ReportColumns::new(&self.users, &self.slots, &self.values)
+    }
+}
+
 /// Borrowed decode of an ingest payload: the three report columns as
 /// **byte slices over the receive buffer**, structurally validated (id
 /// widths and bases checked, count cross-checked against the payload

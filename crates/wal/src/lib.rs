@@ -137,15 +137,18 @@ pub type WalResult<T> = Result<T, WalError>;
 /// - [`FlushPolicy::Batched`]: additionally group-commits during append
 ///   streams — at most one sync per `interval`, amortized over every frame
 ///   buffered since the previous sync. Bounds the *age* of unacked data at
-///   risk for fire-and-forget workloads that rarely barrier, at a cost that
-///   stays off the per-frame path.
+///   risk for fire-and-forget workloads that rarely barrier. The sync is
+///   not free for appenders: it runs inside the [`Wal::append`] that finds
+///   the interval elapsed, so that append — and, in a server, the
+///   connection thread calling it, while it holds the log's mutex — waits
+///   for the `fsync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Flush + `fsync` only at explicit sync barriers.
     Barrier,
     /// Barrier behavior plus a periodic group commit: an append whose
-    /// elapsed time since the last sync exceeds the interval triggers a
-    /// flush + `fsync` of everything buffered so far.
+    /// elapsed time since the last sync exceeds the interval runs a
+    /// flush + `fsync` of everything buffered so far before it returns.
     Batched(Duration),
 }
 

@@ -41,7 +41,8 @@ pub struct WalConfig {
     pub dir: PathBuf,
     /// Target size of one segment file; the active segment rolls to a new
     /// file once it crosses this; four closed segments call for a
-    /// checkpoint ([`Wal::wants_checkpoint`]). Default 8 MiB.
+    /// checkpoint ([`Wal::wants_checkpoint`]). Default 8 MiB. At least 1:
+    /// [`Wal::recovery`] refuses 0, which would roll on every append.
     pub segment_bytes: u64,
     /// Flush policy. Default [`FlushPolicy::Barrier`].
     pub flush: FlushPolicy,
@@ -57,10 +58,10 @@ impl WalConfig {
         }
     }
 
-    /// Override the segment roll size.
+    /// Override the segment roll size (see [`Self::segment_bytes`]).
     #[must_use]
     pub fn segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes.max(1);
+        self.segment_bytes = bytes;
         self
     }
 
@@ -182,8 +183,16 @@ impl Wal {
     /// A directory with no segments or checkpoints yet is stamped with this
     /// build's format. One whose segments or checkpoints carry no stamp, or
     /// another format's, is refused with [`WalError::Format`] before
-    /// anything in it is read, truncated, pruned or removed.
+    /// anything in it is read, truncated, pruned or removed. A zero
+    /// `segment_bytes` is refused with an [`io::ErrorKind::InvalidInput`]
+    /// [`WalError::Io`] before the directory is touched.
     pub fn recovery(config: WalConfig) -> WalResult<Recovery> {
+        if config.segment_bytes == 0 {
+            return Err(WalError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "segment_bytes must be at least 1",
+            )));
+        }
         fs::create_dir_all(&config.dir)?;
         let (mut segs, mut cks, mut in_flight) = (Vec::new(), Vec::new(), Vec::new());
         let mut has_log = false;
@@ -605,7 +614,7 @@ impl Recovery {
 
         let wal = Wal {
             dir: config.dir,
-            segment_bytes: config.segment_bytes.max(1),
+            segment_bytes: config.segment_bytes,
             flush_policy: config.flush,
             file,
             active_path,
@@ -777,6 +786,17 @@ mod tests {
     fn new_config_syncs_at_barriers_only() {
         // A constant: no environment variable steers an embedder's policy.
         assert_eq!(WalConfig::new("unused").flush, FlushPolicy::Barrier);
+    }
+
+    #[test]
+    fn a_zero_segment_size_is_refused_before_the_directory_is_touched() {
+        let dir = temp_dir("zero-segment");
+        match Wal::recovery(cfg(&dir).segment_bytes(0)) {
+            Err(WalError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            Err(other) => panic!("refused as {other}"),
+            Ok(_) => panic!("a zero segment size opened a log"),
+        }
+        assert!(!dir.exists(), "the refusal created the directory");
     }
 
     #[test]

@@ -544,10 +544,9 @@ fn single_shard_fast_path_is_also_allocation_free() {
 
 #[test]
 fn single_destination_batches_allocate_nothing_either() {
-    // Several users that all route to one shard of four: the routing pass
-    // finds the batch uniform and folds it straight off its decisions —
-    // the fourth caller of the fold kernel, whose block scratch (row
-    // indices and probe results) lives on the stack like the others'.
+    // Several users that all route to one shard of four: the counting
+    // sort leaves one run, folded under one lock by the fold kernel, whose
+    // block scratch (row indices and probe results) lives on the stack.
     // Three shapes: mixed slots; every row on one slot (slot column at
     // width 0); neighbours spread over a million ids (user column at
     // width 4).
