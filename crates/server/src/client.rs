@@ -22,7 +22,7 @@
 //! is asked before any reply is awaited.
 
 use crate::transport::{read_reply, POLL_INTERVAL};
-use crate::wire::{code, Frame, IngestView, SummaryBody};
+use crate::wire::{code, Frame, FrameReader, IngestView, SummaryBody};
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::{thread, Arc};
 use ldp_collector::{
@@ -115,11 +115,9 @@ pub struct RemoteCollector {
     /// is encoded (empty, and unallocated, on a handle that never
     /// uploads a stream).
     upload: ReportBatch,
-    /// Reusable payload read buffer — grown to the largest reply seen,
-    /// then sliced per frame (never re-zeroed, never reallocated), so a
-    /// long-lived connection performs no per-frame heap allocation on
-    /// either the upload or the reply path.
-    payload: Vec<u8>,
+    /// Reply reader; its buffer is reused across replies and reconnects,
+    /// its buffered bytes are dropped with the connection.
+    reader: FrameReader,
     /// Ingest frames written on the current connection but not yet
     /// covered by a sync ack (and the reports they carried).
     pending_frames: u64,
@@ -187,7 +185,7 @@ impl RemoteCollector {
             failed: false,
             out: Vec::with_capacity(4096),
             upload: ReportBatch::new(),
-            payload: Vec::new(),
+            reader: FrameReader::default(),
             pending_frames: 0,
             pending_rows: 0,
             unreported: None,
@@ -269,6 +267,7 @@ impl RemoteCollector {
     /// handle's cumulative loss counters.
     fn drop_connection(&mut self) {
         self.stream = None;
+        self.reader.clear();
         if self.pending_frames == 0 {
             return;
         }
@@ -520,7 +519,7 @@ impl RemoteCollector {
             sent.take().unwrap_or_else(|| this.write_out())?;
             let stream = this.stream.as_mut().ok_or(ErrorKind::NotConnected)?;
             let stop = &this.stop;
-            read_reply(stream, &mut this.payload, || stop.load(Ordering::Acquire))
+            read_reply(stream, &mut this.reader, || stop.load(Ordering::Acquire))
         })
     }
 

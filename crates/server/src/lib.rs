@@ -83,6 +83,6 @@ pub use durable::{recover, Durability, FlushPolicy, RecoveryReport, WalConfig};
 pub use serve::{Server, ServerConfig};
 pub use transport::{read_reply, Backend, Transport};
 pub use wire::{
-    checksum, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView, SummaryBody,
-    WireError, METRICS_SNAPSHOT_VERSION, WIRE_VERSION,
+    checksum, frame_type_name, Frame, FrameReader, FrameView, Header, IngestScratch, IngestView,
+    SummaryBody, WireError, METRICS_SNAPSHOT_VERSION, WIRE_VERSION,
 };

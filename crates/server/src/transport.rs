@@ -5,7 +5,7 @@
 //!            ┌──────────────── Transport<B> ─────────────────┐      ┌─ Backend ─┐
 //! client ───▶│ accept ─ cap? ─ B::open ─▶ conn thread        │      │ open      │
 //!            │   └─ BUSY (counted)          │                │      │ ingest    │
-//!            │        read_frame ─ verify ─ decode_request   │ ───▶ │ sync      │
+//!            │        FrameReader ─ verify ─ decode_request  │ ───▶ │ sync      │
 //!            │        goodbye · UNSUPPORTED                  │ ◀─── │ query     │
 //!            │        range checks · BAD_QUERY · read verbs  │      │ metrics   │
 //!            │        reply encode/write · FrontMetrics      │      └───────────┘
@@ -14,10 +14,11 @@
 //!
 //! * **The driver owns** bind + the nonblocking accept loop + the
 //!   connection cap + the one counted [`code::BUSY`] refusal +
-//!   join-on-shutdown; socket options; the reusable payload/scratch/reply
-//!   buffers; the framed read with its payload bound, checksum verify and
-//!   request decode ([`decode_request`]); [`code::MALFORMED`] +
-//!   close on a framing error (an unassigned frame type among them);
+//!   join-on-shutdown; socket options; the connection's [`FrameReader`]
+//!   and reusable scratch/reply buffers; the framed read with its payload
+//!   bound, checksum verify and request decode ([`decode_request`]);
+//!   [`code::MALFORMED`] + close on a framing error (an unassigned frame
+//!   type among them);
 //!   `Goodbye` and the [`code::UNSUPPORTED`] answer to a server-to-client
 //!   frame type, whose payload is never parsed;
 //!   range validation and [`code::BAD_QUERY`]; the five read verbs
@@ -36,19 +37,19 @@
 //! The driver is monomorphised per backend (no `dyn` on the per-frame
 //! path) and its per-connection loop takes any `Read + Write`, so tests
 //! drive the production loop over memory. The steady-state ingest path is
-//! **allocation- and copy-free**: the payload lands in a reusable buffer
-//! (grown once, never re-zeroed), is parsed as a borrowed [`IngestView`],
-//! and its columns are decoded into the connection's [`IngestScratch`] —
-//! no `Vec` per frame, no owned `ReportBatch`.
+//! **allocation- and copy-free**: the payload is lent from the
+//! connection's [`FrameReader`], parsed as a borrowed [`IngestView`], and
+//! its columns are decoded into the connection's [`IngestScratch`] — no
+//! `Vec` per frame, no owned `ReportBatch`.
 //!
-//! `read_frame` is the only socket-side frame reader: the driver calls it
-//! directly, [`crate::RemoteCollector`] and the router's downstream links
-//! through [`read_reply`], which decodes the owned [`Frame`]
+//! [`FrameReader`], the log's reader too, is the only frame reader: one
+//! per connection here, one per [`crate::RemoteCollector`] (router links
+//! included) through [`read_reply`], which decodes the owned [`Frame`]
 //! (`tools/lint_one_transport.sh` keeps it that way).
 
 use crate::wire::{
-    code, decode_request, frame_type_name, Frame, FrameView, Header, IngestScratch, IngestView,
-    SummaryBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
+    code, decode_request, frame_type_name, Frame, FrameReader, FrameView, IngestScratch,
+    IngestView, SummaryBody, WireError, HEADER_LEN, KNOWN_FRAME_TYPES, MAX_QUERY_SLOTS,
 };
 use ldp_collector::sync::atomic::{AtomicBool, Ordering};
 use ldp_collector::sync::thread::{self, JoinHandle};
@@ -238,78 +239,9 @@ impl FrontMetrics {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, waking every read-timeout tick to ask
-/// `stop` — `read_exact` would eat the partial read on timeout, so the
-/// fill position is tracked explicitly. A socket must be blocking with a
-/// read timeout installed (the poll cadence) for `stop` to be consulted.
-/// `Ok(false)` is a clean EOF before the first byte; EOF mid-buffer is
-/// `UnexpectedEof`, a stop is `Interrupted`.
-fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                if stop() {
-                    return Err(io::Error::new(ErrorKind::Interrupted, "shutting down"));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// The framed read: header → validate → payload bound
-/// ([`DEFAULT_MAX_PAYLOAD`], refused before any allocation) → payload,
-/// into `payload_buf` (grown to the largest frame seen, then reused as a
-/// slice — `resize` from zero every frame would memset the whole payload
-/// before the read overwrites it). The payload is **not** yet verified:
-/// finish with [`Header::verify`] and a decode. `Ok(None)` is a clean
-/// close at a frame boundary.
-///
-/// # Errors
-/// `InvalidData` for a framing error (the [`WireError`] text is the
-/// message), `UnexpectedEof` for a peer that died inside a frame,
-/// `Interrupted` once `stop` says so, or the transport's own error.
-fn read_frame<'b>(
-    stream: &mut impl Read,
-    payload_buf: &'b mut Vec<u8>,
-    stop: impl Fn() -> bool,
-) -> io::Result<Option<(Header, &'b [u8])>> {
-    let mut header_buf = [0u8; HEADER_LEN];
-    if !read_full(stream, &mut header_buf, &stop)? {
-        return Ok(None);
-    }
-    let header = Header::parse(&header_buf).map_err(WireError::from)?;
-    if header.payload_len > DEFAULT_MAX_PAYLOAD {
-        return Err(WireError::Oversized {
-            len: header.payload_len,
-            max: DEFAULT_MAX_PAYLOAD,
-        }
-        .into());
-    }
-    let payload_len = header.payload_len as usize;
-    if payload_buf.len() < payload_len {
-        payload_buf.resize(payload_len, 0);
-    }
-    let payload = &mut payload_buf[..payload_len];
-    if !read_full(stream, payload, &stop)? {
-        return Err(ErrorKind::UnexpectedEof.into());
-    }
-    Ok(Some((header, payload)))
-}
-
-/// Reads one complete, verified, owned frame — the reply half of a
-/// request/response exchange, read by [`crate::RemoteCollector`] (a
-/// client's, or a router's downstream link).
+/// Reads one complete, verified, owned frame through `reader` — the reply
+/// half of a request/response exchange, read by [`crate::RemoteCollector`]
+/// (a client's, or a router's downstream link).
 ///
 /// # Errors
 /// `UnexpectedEof` for a peer that closed before or inside the reply
@@ -318,10 +250,11 @@ fn read_frame<'b>(
 /// `stop` says so, or the transport's own error.
 pub fn read_reply(
     stream: &mut impl Read,
-    payload_buf: &mut Vec<u8>,
+    reader: &mut FrameReader,
     stop: impl Fn() -> bool,
 ) -> io::Result<Frame> {
-    let (header, payload) = read_frame(stream, payload_buf, stop)?
+    let (header, payload) = reader
+        .next(stream, stop)?
         .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "peer closed before replying"))?;
     header.verify(payload).map_err(WireError::from)?;
     Ok(Frame::decode_body(header.frame_type, payload)?)
@@ -489,12 +422,12 @@ impl<B: Backend> Shared<B> {
     /// backend refusal, or shutdown.
     fn serve<S: Read + Write>(&self, stream: &mut S, conn: &mut B::Conn) {
         let (backend, front) = (&*self.backend, &self.front);
-        let mut payload_buf = Vec::new();
+        let mut reader = FrameReader::default();
         let mut scratch = IngestScratch::default();
         let mut out = Vec::new();
 
         loop {
-            let (header, payload) = match read_frame(stream, &mut payload_buf, || self.stopping()) {
+            let (header, payload) = match reader.next(stream, || self.stopping()) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return, // clean close at a frame boundary
                 Err(e) => {
@@ -632,6 +565,7 @@ fn refuse_span<B: Backend>(verb: &str, span: &Range<u64>, may_be_empty: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::DEFAULT_MAX_PAYLOAD;
 
     /// A backend that counts nothing.
     struct Mock {
@@ -905,9 +839,9 @@ mod tests {
 
     #[test]
     fn read_reply_maps_close_and_corruption_to_the_kinds_callers_retry_on() {
-        let mut buf = Vec::new();
+        let mut reader = FrameReader::default();
         let never = || false;
-        let closed = read_reply(&mut io::Cursor::new(Vec::new()), &mut buf, never).unwrap_err();
+        let closed = read_reply(&mut io::Cursor::new(Vec::new()), &mut reader, never).unwrap_err();
         assert_eq!(closed.kind(), ErrorKind::UnexpectedEof);
 
         let ack = Frame::IngestAck {
@@ -917,16 +851,28 @@ mod tests {
         };
         let mut corrupt = ack.encode();
         *corrupt.last_mut().unwrap() ^= 0xFF;
-        let bad = read_reply(&mut io::Cursor::new(corrupt), &mut buf, never).unwrap_err();
+        let bad = read_reply(&mut io::Cursor::new(corrupt), &mut reader, never).unwrap_err();
         assert_eq!(bad.kind(), ErrorKind::InvalidData);
 
         let mut oversized = Frame::IngestSync.encode();
         oversized[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let huge = read_reply(&mut io::Cursor::new(oversized), &mut buf, never).unwrap_err();
+        let huge = read_reply(&mut io::Cursor::new(oversized), &mut reader, never).unwrap_err();
         assert_eq!(huge.kind(), ErrorKind::InvalidData);
-        assert!(buf.len() < 64, "refused before any allocation");
+        assert_eq!(
+            huge.to_string(),
+            format!(
+                "payload length {} exceeds bound {DEFAULT_MAX_PAYLOAD}",
+                u32::MAX
+            )
+        );
+        assert!(
+            reader.next(&mut io::empty(), never).is_err(),
+            "the refused header stays"
+        );
 
-        let frame = read_reply(&mut io::Cursor::new(ack.encode()), &mut buf, never).unwrap();
+        reader.clear();
+
+        let frame = read_reply(&mut io::Cursor::new(ack.encode()), &mut reader, never).unwrap();
         assert_eq!(frame, ack);
     }
 }

@@ -3,11 +3,11 @@
 //! Every message on the wire is one **frame**: the 16-byte envelope
 //! (magic, [`WIRE_VERSION`], frame type, reserved, payload length, payload
 //! checksum), then the payload its frame type lays out, all
-//! little-endian. The envelope — its layout, constants, [`Header::parse`]
-//! / [`Header::verify`] and the writer — is defined once in
-//! [`ldp_wal::record`] and re-exported here, because the write-ahead log
-//! is a file of these same frames. This module owns the frame types and
-//! their payloads.
+//! little-endian. The envelope — its layout, constants, [`split_frame`] /
+//! [`Header::verify`], the one [`FrameReader`] and the writer — is defined
+//! once in [`ldp_wal::record`] and re-exported here, because the
+//! write-ahead log is a file of these same frames. This module owns the
+//! frame types and their payloads.
 //!
 //! Design rules:
 //!
@@ -44,7 +44,7 @@
 //!   its type byte before its payload is parsed ([`decode_request`]).
 //!
 //! The codec is pure (`&[u8]` ↔ [`Frame`], ingest also ↔ [`IngestView`])
-//! and std-only; framed I/O on sockets lives in [`crate::transport`].
+//! and std-only; sockets are read in [`crate::transport`].
 
 use ldp_collector::{ReportBatch, ReportColumns, SlotStats, SnapshotPart};
 use ldp_telemetry::{
@@ -168,7 +168,8 @@ pub type WireResult<T> = Result<T, WireError>;
 /// header, its constants and the checksum (and `ldp-wal` stays
 /// dependency-free).
 pub use ldp_wal::record::{
-    checksum, EnvelopeError, Header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, WIRE_VERSION,
+    checksum, split_frame, EnvelopeError, FrameReader, Header, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    MAGIC, WIRE_VERSION,
 };
 use ldp_wal::record::{envelope, INGEST};
 
@@ -178,6 +179,7 @@ impl From<EnvelopeError> for WireError {
             EnvelopeError::BadMagic(magic) => WireError::BadMagic(magic),
             EnvelopeError::UnknownVersion(version) => WireError::UnknownVersion(version),
             EnvelopeError::BadReserved => WireError::BadReserved,
+            EnvelopeError::Oversized { len, max } => WireError::Oversized { len, max },
             EnvelopeError::BadChecksum => WireError::BadChecksum,
         }
     }
@@ -1227,31 +1229,18 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Decodes one complete frame from the start of `bytes`, returning it
-    /// with the number of bytes consumed. Pure-buffer counterpart of the
-    /// socket readers, used by the codec tests.
+    /// Decodes one complete frame from the start of `bytes` ([`split_frame`],
+    /// verify, [`Frame::decode_body`]), returning it with the number of
+    /// bytes consumed. Pure-buffer counterpart of [`FrameReader`].
     ///
     /// # Errors
     /// Any [`WireError`] the header, checksum, or payload raises;
     /// `max_payload` bounds the accepted payload length.
     pub fn decode(bytes: &[u8], max_payload: u32) -> WireResult<(Frame, usize)> {
-        if bytes.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let header = Header::parse(bytes[..HEADER_LEN].try_into().expect("16 bytes"))?;
-        if header.payload_len > max_payload {
-            return Err(WireError::Oversized {
-                len: header.payload_len,
-                max: max_payload,
-            });
-        }
-        let total = HEADER_LEN + header.payload_len as usize;
-        if bytes.len() < total {
-            return Err(WireError::Truncated);
-        }
-        let payload = &bytes[HEADER_LEN..total];
+        let (header, payload) = split_frame(bytes, max_payload)?.or(Err(WireError::Truncated))?;
         header.verify(payload)?;
-        Ok((Frame::decode_body(header.frame_type, payload)?, total))
+        let frame = Frame::decode_body(header.frame_type, payload)?;
+        Ok((frame, HEADER_LEN + payload.len()))
     }
 }
 

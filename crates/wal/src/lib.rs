@@ -42,9 +42,10 @@
 //! Reading a log back is one streaming pass, and the only way a log is
 //! read: [`Wal::recovery`] lists the directory and lends the newest
 //! checkpoint's state, then [`Recovery::replay`] streams the segments
-//! through one bounded buffer and hands each surviving record to a visitor
-//! as soon as its checksum verifies, retaining nothing — memory is the
-//! buffer, however long the log. [`Wal::open`] is that pass with a visitor that ignores the
+//! through one [`record::FrameReader`] (the reader every socket uses too)
+//! and hands each surviving record to a visitor as soon as its checksum
+//! verifies, retaining nothing — memory is the reader's buffer, however
+//! long the log. [`Wal::open`] is that pass with a visitor that ignores the
 //! records. The visitor runs on whichever thread called `replay`; this crate
 //! starts none.
 //!

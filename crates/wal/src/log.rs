@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use crate::fault::{self, CrashPoint};
 use crate::record::{
-    self, Header, CHECKPOINT, DEFAULT_MAX_PAYLOAD, HEADER_LEN, INGEST, SEAL, WIRE_VERSION,
+    self, FrameReader, CHECKPOINT, DEFAULT_MAX_PAYLOAD, HEADER_LEN, INGEST, SEAL, WIRE_VERSION,
 };
 use crate::{FlushPolicy, WalError, WalResult};
 
@@ -28,7 +28,7 @@ pub(crate) fn format_name() -> String {
 /// buffer stays bounded between syncs (capacity is retained across flushes,
 /// keeping the steady state allocation-free).
 const FLUSH_THRESHOLD: usize = 256 << 10;
-/// Size of the one buffer a recovery scan streams every segment through.
+/// Where the one reader a recovery reads every file through starts.
 const SCAN_BUFFER_BYTES: usize = 1 << 20;
 /// Closed segments that trigger [`Wal::wants_checkpoint`]: checkpoint +
 /// truncate keeps disk bounded near `segment_bytes * CHECKPOINT_SEGMENTS`.
@@ -105,8 +105,8 @@ pub struct Recovery {
     checkpoint_seq: u64,
     /// The newest checkpoint's state; `None` when there is none.
     checkpoint: Option<Vec<u8>>,
-    /// The scan's one read buffer, as the checkpoint read left it.
-    buf: Vec<u8>,
+    /// The scan's one reader, as the checkpoint read left it.
+    reader: FrameReader,
 }
 
 /// A segmented, checksummed write-ahead log.
@@ -134,11 +134,12 @@ pub struct Recovery {
 ///   ([`WalError::Corrupt`]) or cannot be read ([`WalError::Io`]) fails
 ///   the open with nothing on disk changed: it is the only copy of the
 ///   records it covers.
-/// - Segments stream through **one** reusable read buffer, in sequence
-///   order. The visitor is handed `(seq, payload)` for every ingest record
-///   with `seq >` the checkpoint's, as soon as *that record's* checksum
-///   verifies — records after it have not been looked at yet. The payload
-///   is lent for the call only: the next read overwrites it.
+/// - The checkpoint, then the segments in sequence order, stream through
+///   **one** [`FrameReader`] (1 MiB at first). The visitor is handed
+///   `(seq, payload)` for every ingest record with `seq >` the
+///   checkpoint's, as soon as *that record's* checksum verifies — records
+///   after it have not been looked at yet. The payload is lent for the
+///   call only: the next read overwrites it.
 /// - The scan stops at the first bad record, physically truncates the
 ///   damage and deletes later segments, so what the visitor saw is exactly
 ///   the prefix a second open would replay.
@@ -187,6 +188,12 @@ impl Wal {
     /// `segment_bytes` is refused with an [`io::ErrorKind::InvalidInput`]
     /// [`WalError::Io`] before the directory is touched.
     pub fn recovery(config: WalConfig) -> WalResult<Recovery> {
+        Wal::recovery_reading(config, SCAN_BUFFER_BYTES)
+    }
+
+    /// [`Wal::recovery`] whose reader starts at `chunk` bytes, so tests can
+    /// put read boundaries anywhere in a frame.
+    fn recovery_reading(config: WalConfig, chunk: usize) -> WalResult<Recovery> {
         if config.segment_bytes == 0 {
             return Err(WalError::Io(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -216,9 +223,9 @@ impl Wal {
         // Only the newest checkpoint counts, and it must read back whole:
         // the segments it covered were pruned when it was written, so an
         // error here fails the open with the directory as it was.
-        let mut buf = Vec::new();
+        let mut reader = FrameReader::new(chunk);
         let (checkpoint_seq, checkpoint) = match cks.into_iter().max() {
-            Some((covered, path)) => (covered, Some(read_state(&path, &mut buf)?)),
+            Some((covered, path)) => (covered, Some(read_state(&path, &mut reader)?)),
             None => (0, None),
         };
         for path in in_flight {
@@ -230,7 +237,7 @@ impl Wal {
             segments: segs,
             checkpoint_seq,
             checkpoint,
-            buf,
+            reader,
         })
     }
 
@@ -473,17 +480,15 @@ fn check_format(dir: &Path, has_log: bool) -> WalResult<()> {
     }
 }
 
-/// Reads the checkpoint at `path` through `buf`, sized here for the file:
-/// the state its [`CHECKPOINT`] frames concatenate to, in one `Vec`
-/// reserved from the file's length. A file that does not scan whole, or
-/// whose last frame is not its only [`SEAL`], is [`WalError::Corrupt`].
-fn read_state(path: &Path, buf: &mut Vec<u8>) -> WalResult<Vec<u8>> {
+/// Reads the checkpoint at `path` through `reader`: the state its
+/// [`CHECKPOINT`] frames concatenate to, in one `Vec` reserved from the
+/// file's length. A file that does not scan whole, or whose last frame is
+/// not its only [`SEAL`], is [`WalError::Corrupt`].
+fn read_state(path: &Path, reader: &mut FrameReader) -> WalResult<Vec<u8>> {
     let file = File::open(path)?;
-    let len = file.metadata()?.len() as usize;
-    buf.resize(len.clamp(1, SCAN_BUFFER_BYTES), 0);
-    let mut state = Vec::with_capacity(len);
+    let mut state = Vec::with_capacity(file.metadata()?.len() as usize);
     let (mut sealed, mut in_order) = (false, true);
-    let (_, intact) = scan_segment(file, buf, &[CHECKPOINT, SEAL], |frame_type, payload| {
+    let (_, intact) = scan(reader, file, &[CHECKPOINT, SEAL], |frame_type, payload| {
         in_order &= !sealed;
         sealed = frame_type == SEAL;
         if !sealed {
@@ -517,21 +522,11 @@ impl Recovery {
     }
 
     /// Second half of an open: drop the checkpoint blob, stream every
-    /// segment through one read buffer handing `visit` each surviving
-    /// `(seq, payload)`, repair the tail, and return the log ready for
-    /// appends. See [`Wal`] for the contract.
+    /// segment through the recovery's one reader handing `visit` each
+    /// surviving `(seq, payload)`, repair the tail, and return the log
+    /// ready for appends. See [`Wal`] for the contract.
     pub fn replay(
         self,
-        visit: impl FnMut(u64, &[u8]) -> io::Result<()>,
-    ) -> WalResult<(Wal, Recovered)> {
-        self.replay_chunked(SCAN_BUFFER_BYTES, visit)
-    }
-
-    /// [`Recovery::replay`] with the read buffer's size as a parameter, so
-    /// tests can put read boundaries anywhere in a frame.
-    fn replay_chunked(
-        self,
-        chunk: usize,
         mut visit: impl FnMut(u64, &[u8]) -> io::Result<()>,
     ) -> WalResult<(Wal, Recovered)> {
         let Recovery {
@@ -539,7 +534,7 @@ impl Recovery {
             segments,
             checkpoint_seq,
             checkpoint,
-            mut buf,
+            mut reader,
         } = self;
         drop(checkpoint);
 
@@ -561,12 +556,10 @@ impl Recovery {
             let mut seq = first_seq;
             let mut good = 0u64;
             if len > 0 {
-                // Back to `chunk` bytes after the checkpoint or a larger
-                // frame; a fresh directory never allocates it.
-                buf.resize(chunk, 0);
-                let (valid, intact) = scan_segment(
+                // A fresh directory never reads, so never allocates.
+                let (valid, intact) = scan(
+                    &mut reader,
                     File::open(&path)?,
-                    &mut buf,
                     &[INGEST, SEAL],
                     |frame_type, payload| {
                         clean = frame_type == SEAL;
@@ -637,77 +630,44 @@ impl Recovery {
     }
 }
 
-/// Streams one file of frames — a segment or a checkpoint — from `src`
-/// through `buf`, handing `on_frame` each frame's type and payload as soon
-/// as its checksum verifies. Returns the length of the valid prefix and
-/// whether the file ended cleanly there — `false` means the bytes after
-/// the prefix are not a whole valid frame.
-///
-/// Only a short buffer — under a header, or under the header plus its
-/// payload length — makes the scan read on. Anything else is damage: a
-/// header [`Header::parse`] refuses, a length above
-/// [`DEFAULT_MAX_PAYLOAD`], a type not in `accept`, or a payload
-/// [`Header::verify`] refuses.
-///
-/// `buf` is the scan's one read buffer, non-empty on entry. A frame that
-/// straddles a read boundary is carried to the buffer's front before the
-/// next read; the buffer grows only when one frame is larger than it, and
-/// never past the largest frame the scan accepts.
-fn scan_segment(
-    mut src: impl Read,
-    buf: &mut Vec<u8>,
+/// Streams one file of frames — a segment or a checkpoint — through
+/// `reader`, handing `on_frame` each frame of a type in `accept` as soon as
+/// its checksum verifies. Returns the length of the valid prefix and
+/// whether the file ended cleanly there (not at a bad or torn frame).
+fn scan(
+    reader: &mut FrameReader,
+    mut src: File,
     accept: &[u8],
     mut on_frame: impl FnMut(u8, &[u8]) -> io::Result<()>,
 ) -> io::Result<(u64, bool)> {
-    let (mut start, mut end, mut eof) = (0usize, 0usize, false);
+    reader.clear();
     let mut good = 0u64;
     loop {
-        let bytes = &buf[start..end];
-        if let Some(head) = bytes.first_chunk::<HEADER_LEN>() {
-            let header = match Header::parse(head) {
-                Ok(header)
-                    if header.payload_len <= DEFAULT_MAX_PAYLOAD
-                        && accept.contains(&header.frame_type) =>
-                {
-                    header
-                }
-                _ => return Ok((good, false)),
-            };
-            if let Some(payload) = bytes[HEADER_LEN..].get(..header.payload_len as usize) {
-                if header.verify(payload).is_err() {
-                    return Ok((good, false));
-                }
-                on_frame(header.frame_type, payload)?;
-                let used = HEADER_LEN + payload.len();
-                start += used;
-                good += used as u64;
-                continue;
+        let (header, payload) = match reader.next(&mut src, || false) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok((good, true)),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ) =>
+            {
+                return Ok((good, false))
             }
-        }
-        if eof {
-            return Ok((good, start == end));
-        }
-        // The buffered bytes end between two frames or inside one: carry
-        // the partial frame to the front and read on.
-        buf.copy_within(start..end, 0);
-        end -= start;
-        start = 0;
-        if end == buf.len() {
-            let largest = HEADER_LEN + DEFAULT_MAX_PAYLOAD as usize;
-            buf.resize((buf.len() * 2).min(largest), 0);
-        }
-        match src.read(&mut buf[end..]) {
-            Ok(0) => eof = true,
-            Ok(n) => end += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
+        };
+        if !accept.contains(&header.frame_type) || header.verify(payload).is_err() {
+            return Ok((good, false));
         }
+        on_frame(header.frame_type, payload)?;
+        good += (HEADER_LEN + payload.len()) as u64;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Header;
     use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -733,11 +693,11 @@ mod tests {
     }
 
     fn open_chunked(config: WalConfig, chunk: usize) -> Opened {
-        let recovery = Wal::recovery(config).unwrap();
+        let recovery = Wal::recovery_reading(config, chunk).unwrap();
         let state = recovery.checkpoint_state().map(<[u8]>::to_vec);
         let mut replayed = Vec::new();
         let (wal, rec) = recovery
-            .replay_chunked(chunk, |seq, payload| {
+            .replay(|seq, payload| {
                 replayed.push((seq, payload.to_vec()));
                 Ok(())
             })
@@ -1048,9 +1008,9 @@ mod tests {
         write_log(&dir, 64, &vec![vec![7u8; 16]; 9]);
         let before = segment_files(&dir);
         let mut seen = 0;
-        let refused = Wal::recovery(cfg(&dir))
+        let refused = Wal::recovery_reading(cfg(&dir), 32)
             .unwrap()
-            .replay_chunked(32, |_, _| {
+            .replay(|_, _| {
                 seen += 1;
                 if seen == 4 {
                     return Err(io::Error::other("visitor refuses"));

@@ -23,14 +23,15 @@
 //!
 //! The payload layouts of the wire's frame types live in
 //! `ldp_server::wire`, which re-exports everything here; this crate knows
-//! only the envelope and stays dependency-free. [`Header::parse`] and
-//! [`Header::verify`] are how both read a frame: `parse` checks the magic,
-//! version and reserved bytes, the reader bounds the length and checks the
-//! type it expects, and the checksum is verified before any payload byte
-//! is interpreted, so a torn write or a flipped bit is refused, never
-//! decoded as garbage.
+//! only the envelope and stays dependency-free. Both read every frame —
+//! socket, segment, checkpoint — through one [`FrameReader`]: it parses
+//! and bounds each header ([`split_frame`]), the caller checks the type
+//! and verifies the checksum before any payload byte is interpreted, so a
+//! torn write or a flipped bit is refused, never decoded as garbage.
 
 use std::fmt;
+use std::io::ErrorKind::{self, Interrupted, TimedOut, WouldBlock};
+use std::io::{self, Read};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"LDPW";
@@ -75,7 +76,7 @@ pub const SEAL: u8 = 0xFF;
 /// to the state. Outside the wire's frame types, like [`SEAL`].
 pub const CHECKPOINT: u8 = 0xFE;
 
-/// Why [`Header::parse`] or [`Header::verify`] refused a frame.
+/// Why [`split_frame`] or [`Header::verify`] refused a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvelopeError {
     /// The first four bytes were not [`MAGIC`].
@@ -84,6 +85,13 @@ pub enum EnvelopeError {
     UnknownVersion(u8),
     /// Reserved header bytes were non-zero.
     BadReserved,
+    /// The payload length exceeds the reader's bound.
+    Oversized {
+        /// Length the header claimed.
+        len: u32,
+        /// The reader's bound.
+        max: u32,
+    },
     /// The payload checksum did not match.
     BadChecksum,
 }
@@ -94,6 +102,9 @@ impl fmt::Display for EnvelopeError {
             EnvelopeError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             EnvelopeError::UnknownVersion(v) => write!(f, "unknown wire version {v}"),
             EnvelopeError::BadReserved => f.write_str("reserved header bytes not zero"),
+            EnvelopeError::Oversized { len, max } => {
+                write!(f, "payload length {len} exceeds bound {max}")
+            }
             EnvelopeError::BadChecksum => f.write_str("payload checksum mismatch"),
         }
     }
@@ -148,6 +159,116 @@ impl Header {
             return Err(EnvelopeError::BadChecksum);
         }
         Ok(())
+    }
+}
+
+/// The frame at the front of `bytes` — header and unverified payload — or,
+/// while `bytes` holds less than the whole frame, `Err` of the length it
+/// needs: the whole frame's once the header is there, [`HEADER_LEN`] before.
+///
+/// # Errors
+/// What [`Header::parse`] refuses, or [`EnvelopeError::Oversized`] past
+/// `max_payload`, as soon as the header is there.
+pub fn split_frame(
+    bytes: &[u8],
+    max_payload: u32,
+) -> Result<Result<(Header, &[u8]), usize>, EnvelopeError> {
+    let Some(head) = bytes.first_chunk() else {
+        return Ok(Err(HEADER_LEN));
+    };
+    let header = Header::parse(head)?;
+    if header.payload_len > max_payload {
+        let (len, max) = (header.payload_len, max_payload);
+        return Err(EnvelopeError::Oversized { len, max });
+    }
+    let frame_len = HEADER_LEN + header.payload_len as usize;
+    let payload = bytes.get(HEADER_LEN..frame_len).ok_or(frame_len);
+    Ok(payload.map(|payload| (header, payload)))
+}
+
+/// Where a socket's reader ([`FrameReader::default`]) starts.
+const STREAM_READ_BYTES: usize = 256 << 10;
+
+/// The one frame reader, for sockets and log files alike: frames are split
+/// off the front of one buffer, refilled by reads of whatever fits. The
+/// buffer is allocated at the first read and grows only while one frame
+/// fills it, doubling but never past that frame's length: a claim costs at
+/// most twice what arrived, the buffer at most its start or the largest
+/// frame. After an error, [`Self::clear`] it before reading another stream.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// Unread bytes are `buf[start..end]`; `initial` sizes the first read.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    initial: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        Self::new(STREAM_READ_BYTES)
+    }
+}
+
+impl FrameReader {
+    /// A reader whose buffer starts at `initial` bytes (at least one).
+    pub(crate) fn new(initial: usize) -> Self {
+        Self {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            initial: initial.max(1),
+        }
+    }
+
+    /// Drops the buffered bytes, so the next read starts a new stream.
+    pub fn clear(&mut self) {
+        (self.start, self.end) = (0, 0);
+    }
+
+    /// The next frame from `src` — header (length bounded by
+    /// [`DEFAULT_MAX_PAYLOAD`]) and payload, lent until the next call and
+    /// not yet verified — or `None` at a clean end between frames. A read
+    /// timeout asks `stop`, so a socket needs one installed to stop.
+    ///
+    /// # Errors
+    /// `InvalidData` for a header [`split_frame`] refuses, `UnexpectedEof`
+    /// for an end inside a frame, `Interrupted` once `stop` says so, or
+    /// `src`'s own error.
+    pub fn next(
+        &mut self,
+        src: &mut impl Read,
+        stop: impl Fn() -> bool,
+    ) -> io::Result<Option<(Header, &[u8])>> {
+        loop {
+            let needed = match split_frame(&self.buf[self.start..self.end], DEFAULT_MAX_PAYLOAD) {
+                Ok(Ok((header, payload))) => {
+                    let at = self.start + HEADER_LEN;
+                    self.start = at + payload.len();
+                    return Ok(Some((header, &self.buf[at..self.start])));
+                }
+                Ok(Err(needed)) => needed,
+                Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e)),
+            };
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if self.end == self.buf.len() {
+                // The first read, or a frame needing more than the buffer.
+                let grown = (2 * self.end).min(needed).max(self.initial);
+                self.buf.reserve_exact(grown - self.end);
+                self.buf.resize(grown, 0);
+            }
+            match src.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(None),
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(e) if !matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                    return Err(e)
+                }
+                Err(_) if stop() => return Err(io::Error::new(Interrupted, "shutting down")),
+                Err(_) => {}
+            }
+        }
     }
 }
 
@@ -397,8 +518,7 @@ mod tests {
     /// and encoded length, or `None` when `buf` does not start with a
     /// whole frame whose header parses and whose payload verifies.
     fn frame(buf: &[u8]) -> Option<(u8, &[u8], usize)> {
-        let header = Header::parse(buf.first_chunk()?).ok()?;
-        let payload = buf[HEADER_LEN..].get(..header.payload_len as usize)?;
+        let (header, payload) = split_frame(buf, DEFAULT_MAX_PAYLOAD).ok()?.ok()?;
         header.verify(payload).ok()?;
         Some((header.frame_type, payload, HEADER_LEN + payload.len()))
     }
@@ -452,5 +572,127 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Hands out at most `step` bytes a read, then `tail` once it is empty.
+    struct Trickle {
+        bytes: Vec<u8>,
+        pos: usize,
+        step: usize,
+        tail: Option<ErrorKind>,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.bytes.len() {
+                return self.tail.map_or(Ok(0), |kind| Err(kind.into()));
+            }
+            let n = buf.len().min(self.step).min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn trickle(bytes: Vec<u8>, step: usize) -> Trickle {
+        Trickle {
+            bytes,
+            pos: 0,
+            step,
+            tail: None,
+        }
+    }
+
+    #[test]
+    fn a_reader_yields_every_frame_whatever_the_reads_and_its_buffer() {
+        let payloads: Vec<Vec<u8>> = [3, 0, 100, 1, 40].map(pattern).to_vec();
+        let mut bytes = Vec::new();
+        for payload in &payloads {
+            logged(INGEST, payload, &mut bytes);
+        }
+        for (initial, step) in [(1, 1), (7, 5), (19, 19), (24, 1000), (1 << 20, 3)] {
+            let (mut reader, mut src) = (FrameReader::new(initial), trickle(bytes.clone(), step));
+            for payload in &payloads {
+                let (header, got) = reader.next(&mut src, || false).unwrap().unwrap();
+                assert_eq!((header.frame_type, got), (INGEST, &payload[..]));
+                header.verify(got).unwrap();
+            }
+            assert!(reader.next(&mut src, || false).unwrap().is_none());
+            assert!(
+                reader.buf.capacity() <= initial.max(HEADER_LEN + 100),
+                "initial {initial}: grew to {}",
+                reader.buf.capacity()
+            );
+        }
+    }
+
+    /// A header claiming more than the bound is refused before the buffer
+    /// grows past its start (or the header), and one claiming the bound
+    /// then stopping after 1 KiB costs at most twice what arrived.
+    #[test]
+    fn a_claimed_length_costs_the_reader_only_what_arrived() {
+        let mut claim = Vec::new();
+        logged(INGEST, b"", &mut claim);
+        for initial in [1, 4, HEADER_LEN, 64, 256 << 10] {
+            let cap = |reader: &FrameReader| reader.buf.capacity();
+            claim[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut reader = FrameReader::new(initial);
+            let refused = reader
+                .next(&mut trickle(claim.clone(), 3), || false)
+                .unwrap_err();
+            assert_eq!(refused.kind(), ErrorKind::InvalidData);
+            let message = format!(
+                "payload length {} exceeds bound {DEFAULT_MAX_PAYLOAD}",
+                u32::MAX
+            );
+            assert_eq!(refused.to_string(), message);
+            assert!(
+                cap(&reader) <= initial.max(HEADER_LEN),
+                "initial {initial}: {}",
+                cap(&reader)
+            );
+
+            claim[8..12].copy_from_slice(&DEFAULT_MAX_PAYLOAD.to_le_bytes());
+            let mut stalled = claim.clone();
+            stalled.extend_from_slice(&[0xA5; 1024]);
+            let mut reader = FrameReader::new(initial);
+            let cut = reader
+                .next(&mut trickle(stalled, 100), || false)
+                .unwrap_err();
+            assert_eq!(cut.kind(), ErrorKind::UnexpectedEof);
+            let arrived = HEADER_LEN + 1024;
+            assert!(
+                cap(&reader) <= initial.max(2 * arrived),
+                "initial {initial}: {}",
+                cap(&reader)
+            );
+        }
+    }
+
+    #[test]
+    fn a_timed_out_read_asks_stop_and_a_cleared_reader_starts_afresh() {
+        let mut bytes = Vec::new();
+        logged(INGEST, b"whole", &mut bytes);
+        logged(INGEST, b"half", &mut bytes);
+        bytes.truncate(bytes.len() - 2);
+        let mut src = trickle(bytes, 64);
+        src.tail = Some(ErrorKind::WouldBlock);
+        let mut reader = FrameReader::new(64);
+        let asked = std::cell::Cell::new(0);
+        let (_, payload) = reader.next(&mut src, || false).unwrap().unwrap();
+        assert_eq!(payload, b"whole");
+        let stopped = reader
+            .next(&mut src, || {
+                asked.set(asked.get() + 1);
+                asked.get() == 3
+            })
+            .unwrap_err();
+        assert_eq!((stopped.kind(), asked.get()), (ErrorKind::Interrupted, 3));
+
+        reader.clear();
+        let mut next = Vec::new();
+        logged(SEAL, b"", &mut next);
+        let (header, payload) = reader.next(&mut &next[..], || false).unwrap().unwrap();
+        assert_eq!((header.frame_type, payload), (SEAL, &b""[..]));
     }
 }

@@ -32,7 +32,7 @@ use ldp_collector::{
     PARALLEL_FOLD_MIN,
 };
 use ldp_server::wire::{code, Frame, IngestScratch, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
-use ldp_server::{Server, ServerConfig};
+use ldp_server::{read_reply, FrameReader, Server, ServerConfig};
 use ldp_telemetry::{MetricEntry, MetricValue, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -145,6 +145,7 @@ fn allocation_sample() -> (u64, u64) {
 /// production loop, sampling this thread's allocation counters when the
 /// loop comes back for the first measured byte (everything before
 /// `boundary` is warm-up, fully processed by then) and when it reads EOF.
+/// No read crosses `boundary`, so a buffered reader comes back for it.
 struct ScriptedPeer {
     bytes: Vec<u8>,
     pos: usize,
@@ -164,7 +165,12 @@ impl Read for ScriptedPeer {
         if self.pos == self.bytes.len() {
             self.at_eof.get_or_insert_with(allocation_sample);
         }
-        let n = buf.len().min(self.bytes.len() - self.pos);
+        let end = if self.pos < self.boundary {
+            self.boundary
+        } else {
+            self.bytes.len()
+        };
+        let n = buf.len().min(end - self.pos);
         buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
@@ -408,6 +414,68 @@ fn misdirected_replies_cost_a_server_only_its_refusals() {
             dropped: 0,
             rejected: 0
         }]
+    );
+}
+
+/// One valid header claiming the largest payload the bound allows, then
+/// 1 KiB of it: what a peer that stalls (or dies) mid-frame has sent.
+fn a_header_claiming_the_bound() -> Vec<u8> {
+    let mut bytes = Frame::QueryMetrics.encode();
+    bytes[8..12].copy_from_slice(&DEFAULT_MAX_PAYLOAD.to_le_bytes());
+    bytes.extend_from_slice(&[0xA5; 1024]);
+    bytes
+}
+
+#[test]
+fn a_claimed_length_costs_a_connection_what_arrived() {
+    // The read buffer grows only while one frame fills it, so a header
+    // claiming 16 MiB followed by 1 KiB and EOF costs the connection its
+    // starting buffer, not the claim.
+    let (collector, server) = serving(CollectorConfig::default());
+    let bytes = a_header_claiming_the_bound();
+    let mut peer = ScriptedPeer {
+        boundary: bytes.len(),
+        bytes,
+        pos: 0,
+        at_boundary: None,
+        at_eof: None,
+        written: Vec::with_capacity(256),
+    };
+    let before = allocated_bytes();
+    server.serve_stream(&mut peer);
+    let asked = allocated_bytes() - before;
+    assert!(asked < 1 << 20, "the connection asked for {asked} bytes");
+    assert!(peer.written.is_empty(), "nobody left to answer");
+    let snap = collector.telemetry().snapshot();
+    assert_eq!(snap.counter("server.frames.failed"), Some(1));
+}
+
+#[test]
+fn a_claimed_length_costs_a_reply_read_what_arrived() {
+    let mut reader = FrameReader::default();
+    let before = allocated_bytes();
+    let cut = read_reply(
+        &mut std::io::Cursor::new(a_header_claiming_the_bound()),
+        &mut reader,
+        || false,
+    )
+    .unwrap_err();
+    let asked = allocated_bytes() - before;
+    assert_eq!(cut.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(asked < 1 << 20, "the reply read asked for {asked} bytes");
+
+    // A header past the bound is refused at once: a fresh reader asks for
+    // its 256 KiB start and the error, never the claim.
+    let mut oversized = Frame::QueryMetrics.encode();
+    oversized[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut reader = FrameReader::default();
+    let before = allocated_bytes();
+    let refused = read_reply(&mut std::io::Cursor::new(oversized), &mut reader, || false);
+    let asked = allocated_bytes() - before;
+    assert_eq!(refused.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        asked <= (256 << 10) + 1024,
+        "the refused reply read asked for {asked} bytes"
     );
 }
 

@@ -8,7 +8,7 @@
 
 use ldp_collector::ReportBatch;
 use ldp_server::wire::{SummaryBody, HEADER_LEN};
-use ldp_server::{read_reply, Frame, Header, IngestLoss, RemoteCollector};
+use ldp_server::{read_reply, Frame, FrameReader, Header, IngestLoss, RemoteCollector};
 use ldp_telemetry::TelemetrySnapshot;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -229,8 +229,8 @@ fn frames_an_ack_covered_are_not_booked_lost_again() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let server = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let mut next = |stream: &mut TcpStream| read_reply(stream, &mut buf, || false);
+        let mut reader = FrameReader::default();
+        let mut next = |stream: &mut TcpStream| read_reply(stream, &mut reader, || false);
         // Connection 1 takes ingest A, then hangs up on the query: A is
         // lost.
         let (mut s1, _) = listener.accept().expect("accept 1");
@@ -300,7 +300,7 @@ fn a_fresh_handles_first_ingest_gets_the_retry_budget() {
         std::thread::sleep(Duration::from_millis(5));
         let listener = TcpListener::bind(addr).expect("rebind the freed port");
         let (mut stream, _) = listener.accept().expect("the ingest's dial");
-        read_reply(&mut stream, &mut Vec::new(), || false).expect("the upload")
+        read_reply(&mut stream, &mut FrameReader::default(), || false).expect("the upload")
     });
 
     let mut client = RemoteCollector::with_stop(addr, Arc::default());
@@ -357,13 +357,13 @@ fn a_query_reply_lost_mid_exchange_is_retried_on_a_fresh_connection() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let server = std::thread::spawn(move || {
-        let mut buf = Vec::new();
+        let mut reader = FrameReader::default();
         let (mut first, _) = listener.accept().expect("accept 1");
-        let asked = read_reply(&mut first, &mut buf, || false).expect("the query");
+        let asked = read_reply(&mut first, &mut reader, || false).expect("the query");
         assert_eq!(asked, Frame::QuerySummary);
         drop(first); // read, never answered
         let (mut second, _) = listener.accept().expect("accept 2");
-        let asked = read_reply(&mut second, &mut buf, || false).expect("the retry");
+        let asked = read_reply(&mut second, &mut reader, || false).expect("the retry");
         assert_eq!(asked, Frame::QuerySummary);
         let reply = Frame::Summary(SummaryBody {
             total_reports: 6,
@@ -372,7 +372,7 @@ fn a_query_reply_lost_mid_exchange_is_retried_on_a_fresh_connection() {
         });
         second.write_all(&reply.encode()).expect("reply");
         // Hold the connection until the client's Goodbye.
-        let _ = read_reply(&mut second, &mut buf, || false);
+        let _ = read_reply(&mut second, &mut reader, || false);
     });
 
     let mut client = RemoteCollector::connect(addr).expect("initial connect");
@@ -380,6 +380,49 @@ fn a_query_reply_lost_mid_exchange_is_retried_on_a_fresh_connection() {
         .summary()
         .expect("answered from the second connection");
     assert_eq!((summary.total_reports, summary.user_count), (6, 3));
+    assert_eq!(client.reconnects(), 1);
+    drop(client);
+    server.join().expect("server thread");
+}
+
+/// A peer that dies halfway through its reply: the retry reads the next
+/// connection's answer from a clean slate — the dead one's header and half
+/// payload go with it, never taken for the start of the next reply.
+#[test]
+fn a_dead_connections_half_read_reply_never_reaches_the_next_one() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let summary = |total_reports, user_count| {
+        Frame::Summary(SummaryBody {
+            total_reports,
+            user_count,
+            ..SummaryBody::default()
+        })
+    };
+    let server = std::thread::spawn(move || {
+        let mut reader = FrameReader::default();
+        let (mut first, _) = listener.accept().expect("accept 1");
+        let asked = read_reply(&mut first, &mut reader, || false).expect("the query");
+        assert_eq!(asked, Frame::QuerySummary);
+        let stale = summary(1, 1).encode();
+        let half = HEADER_LEN + (stale.len() - HEADER_LEN) / 2;
+        first.write_all(&stale[..half]).expect("half a reply");
+        drop(first);
+        let (mut second, _) = listener.accept().expect("accept 2");
+        let asked = read_reply(&mut second, &mut reader, || false).expect("the retry");
+        assert_eq!(asked, Frame::QuerySummary);
+        second
+            .write_all(&summary(6, 3).encode())
+            .expect("the whole reply");
+        // Hold the connection until the client's Goodbye.
+        let _ = read_reply(&mut second, &mut reader, || false);
+    });
+
+    let mut client = RemoteCollector::connect(addr).expect("initial connect");
+    let answer = client
+        .summary()
+        .expect("answered from the second connection");
+    assert_eq!((answer.total_reports, answer.user_count), (6, 3));
     assert_eq!(client.reconnects(), 1);
     drop(client);
     server.join().expect("server thread");

@@ -22,7 +22,7 @@
 use ldp_collector::{ReportBatch, SnapshotPart};
 use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::Frame;
-use ldp_server::{read_reply, RemoteCollector};
+use ldp_server::{read_reply, FrameReader, RemoteCollector};
 use ldp_telemetry::{MetricEntry, MetricValue, TelemetrySnapshot};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -90,9 +90,9 @@ impl Drop for FakeDownstream {
 /// frames counting their rows, and answers everything else with
 /// `script(frame, rows so far)` — `None` hangs up without replying.
 fn respond(mut stream: TcpStream, mut script: impl FnMut(Frame, u64) -> Option<Frame>) {
-    let mut buf = Vec::new();
+    let mut reader = FrameReader::default();
     let mut rows = 0u64;
-    while let Ok(frame) = read_reply(&mut stream, &mut buf, || false) {
+    while let Ok(frame) = read_reply(&mut stream, &mut reader, || false) {
         let reply = match frame {
             Frame::Goodbye => return,
             Frame::Ingest { users, .. } => {

@@ -22,7 +22,9 @@ use ldp_collector::{
 use ldp_core::online::{PipelineSpec, SessionKind};
 use ldp_router::{Router, RouterConfig};
 use ldp_server::wire::{checksum, code, Frame, HEADER_LEN, MAGIC, MAX_QUERY_SLOTS, WIRE_VERSION};
-use ldp_server::{drive_fleet_remote, read_reply, RemoteCollector, Server, ServerConfig};
+use ldp_server::{
+    drive_fleet_remote, read_reply, FrameReader, RemoteCollector, Server, ServerConfig,
+};
 use ldp_telemetry::TelemetrySnapshot;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -438,15 +440,15 @@ fn bad_queries_contract(front: &Front) {
     // prefix and checksum keep the stream in sync, so it is answered
     // UNSUPPORTED and the connection keeps serving.
     let mut raw = TcpStream::connect(front.addr()).unwrap();
-    let mut buf = Vec::new();
+    let mut reader = FrameReader::default();
     raw.write_all(&Frame::PopulationMean { mean: None }.encode())
         .unwrap();
-    match read_reply(&mut raw, &mut buf, || false).unwrap() {
+    match read_reply(&mut raw, &mut reader, || false).unwrap() {
         Frame::Error { code: c, .. } => assert_eq!(c, code::UNSUPPORTED),
         other => panic!("expected an error frame, got {other:?}"),
     }
     raw.write_all(&Frame::QueryMetrics.encode()).unwrap();
-    let reply = read_reply(&mut raw, &mut buf, || false).unwrap();
+    let reply = read_reply(&mut raw, &mut reader, || false).unwrap();
     assert!(matches!(reply, Frame::Metrics(_)), "{reply:?}");
 
     // None of that was a framing failure.
@@ -479,8 +481,8 @@ fn router_survives_a_downstream_claiming_an_enormous_slot_range() {
         let mut handlers = Vec::new();
         loop {
             let (mut stream, _) = listener.accept().expect("stub accept");
-            let mut buf = Vec::new();
-            let first = read_reply(&mut stream, &mut buf, || false);
+            let mut reader = FrameReader::default();
+            let first = read_reply(&mut stream, &mut reader, || false);
             if matches!(first, Ok(Frame::Goodbye)) {
                 break;
             }
@@ -497,7 +499,7 @@ fn router_survives_a_downstream_claiming_an_enormous_slot_range() {
                     if stream.write_all(&reply.encode()).is_err() {
                         return;
                     }
-                    next = read_reply(&mut stream, &mut buf, || false);
+                    next = read_reply(&mut stream, &mut reader, || false);
                 }
             }));
         }

@@ -5,18 +5,25 @@
 # other end of every connection is `RemoteCollector`
 # (crates/server/src/client.rs): the client and the router's downstream
 # links are that one handle, so it alone dials and reads replies through
-# transport.rs's `read_reply` (`read_frame` + verify + owned decode). A
-# second accept loop, dialer, reply read, socket-side header parse or
-# checksum body is how the tiers drifted apart before, so this script
-# fails CI on any of them:
+# transport.rs's `read_reply` (`FrameReader::next` + verify + owned
+# decode). A second accept loop, dialer, reply read, frame reader, header
+# parse or checksum body is how the tiers drifted apart before, so this
+# script fails CI on any of them:
 #
 #   * `TcpListener::bind(`  only in crates/server/src/transport.rs
 #   * `TcpStream::connect`  (`connect(` or `connect_timeout(`) only in
 #                           crates/server/src/client.rs: one dialer
 #   * `read_reply(`         called only there (transport.rs defines it)
-#   * `Header::parse(`      only in transport.rs, plus wire.rs's pure slice
-#                           decoder (`Frame::decode`, which reads no socket)
-#                           and the log scan in crates/wal/src/log.rs
+#   * `Header::parse(`      only in crates/wal/src/record.rs, whose
+#                           `split_frame` is the one header parse under
+#                           every frame read: the `FrameReader` the
+#                           transport, `RemoteCollector` and the log's
+#                           replay and checkpoint read share, and
+#                           `Frame::decode`'s pure slice decode
+#   * `struct FrameReader`  defined exactly once (record.rs)
+#   * `fn read_full` / `fn read_frame` / `fn scan_segment`: nowhere under
+#                           crates/, tests and comments included (the
+#                           socket's and the log's own read loops are gone)
 #   * `fn checksum`         defined exactly once (crates/wal/src/record.rs;
 #                           `ldp_server::wire::checksum` re-exports it)
 #
@@ -66,7 +73,7 @@
 #   * `thread::Builder` / `thread::spawn(` / `thread::scope(`  not at all
 #                           in crates/server/src/serve.rs
 #
-# Apart from the record-codec and log-checksum rules, only non-test
+# Apart from the record-codec, old-reader and log-checksum rules, only non-test
 # library code is scanned: every `*.rs` under a `src/` of `crates/`, up to its first
 # `#[cfg(test)]`. Integration tests and `benchmark/` build fake peers and
 # measure codec stages on purpose.
@@ -118,8 +125,17 @@ report "TcpStream::connect outside $client (dial through ldp_server::RemoteColle
 report "read_reply( outside $client / $transport (read replies through ldp_server::RemoteCollector):" \
     "$(grep -F 'read_reply(' <<<"$code" | grep -Ev "^($client|$transport):")"
 
-report "Header::parse( outside $transport / $wire / $wal_log (read through ldp_server::read_reply):" \
-    "$(grep -F 'Header::parse(' <<<"$code" | grep -Ev "^($transport|$wire|$wal_log):")"
+report "Header::parse( outside $record (read frames through FrameReader or split_frame):" \
+    "$(grep -F 'Header::parse(' <<<"$code" | grep -v "^$record:")"
+
+readers="$(grep -E '\bstruct FrameReader\b' <<<"$code")"
+if [ "$(grep -c . <<<"$readers")" -ne 1 ]; then
+    report "struct FrameReader must be defined exactly once (found $(grep -c . <<<"$readers")):" \
+        "${readers:-<none>}"
+fi
+
+report "a second frame read loop under crates/ (every frame is read through FrameReader):" \
+    "$(grep -rnE '\bfn (read_full|read_frame|scan_segment)\b' --include='*.rs' crates)"
 
 checksums="$(grep -E '\bfn checksum\b' <<<"$code")"
 if [ "$(grep -c . <<<"$checksums")" -ne 1 ]; then
@@ -167,4 +183,4 @@ if [ "$violations" -gt 0 ]; then
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one dialer, one reply read, one header parse outside the log scan, one checksum, one envelope on the wire and on disk (segments and checkpoints), one decode per frame layout, one router thread per connection and no other, one set of books on the wire, no server thread besides the transport's)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one frame reader and one header parse for sockets and the log, one checksum, one envelope on the wire and on disk (segments and checkpoints), one decode per frame layout, one router thread per connection and no other, one set of books on the wire, no server thread besides the transport's)."
