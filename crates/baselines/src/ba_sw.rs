@@ -107,10 +107,6 @@ impl StreamMechanism for BaSw {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "BA-SW"
-    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,22 @@
 //! Comparison baselines for LDP stream publication.
 //!
-//! Every comparator in the paper's evaluation section:
+//! The comparators of the paper's evaluation section that are not a
+//! feedback rule of `ldp-core`:
 //!
-//! * [`SwDirect`] — apply the Square Wave mechanism to each value with
-//!   budget `ε/w` (the "SW-direct" arm of every figure).
 //! * [`BaSw`] — budget absorption (Kellaris et al. VLDB 2014) adapted to
 //!   the local setting as in LDP-IDS (SIGMOD 2022), using SW as the
 //!   perturbation primitive ("BA-SW").
 //! * [`ToPL`] — Wang et al.'s two-phase pipeline (CCS 2021): an SW-based
 //!   range-estimation phase followed by Hybrid-Mechanism perturbation.
-//! * [`NaiveSampling`] — segment-mean sampling *without* perturbation
-//!   parameterization (the "Sampling" arm of Figures 6–8).
+//!
+//! The other two arms are `ldp-core` cells: "SW-direct" is
+//! [`ldp_core::Direct::new`], and the naive "Sampling" arm of Figures 6–8
+//! is [`ldp_core::Sampling`] over [`ldp_core::SessionKind::SwDirect`].
 
 #![forbid(unsafe_code)]
 
 pub mod ba_sw;
-pub mod naive_sampling;
-pub mod sw_direct;
 pub mod topl;
 
 pub use ba_sw::BaSw;
-pub use naive_sampling::NaiveSampling;
-pub use sw_direct::SwDirect;
 pub use topl::ToPL;

@@ -108,10 +108,6 @@ impl StreamMechanism for ToPL {
         }
         out
     }
-
-    fn name(&self) -> &'static str {
-        "ToPL"
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +157,7 @@ mod tests {
         let xs: Vec<f64> = (0..w).map(|i| 0.4 + 0.01 * i as f64).collect();
         let truth = xs.iter().sum::<f64>() / xs.len() as f64;
         let topl = ToPL::new(eps, w).unwrap();
-        let sw = crate::SwDirect::new(eps, w).unwrap();
+        let sw = ldp_core::Direct::new(eps, w).unwrap();
         let mut r = rng(4);
         let trials = 200;
         let (mut err_t, mut err_s) = (0.0, 0.0);

@@ -403,10 +403,6 @@ impl StreamMechanism for ReseedingSession {
         let mut rng = StdRng::seed_from_u64(user_seed(self.base_seed, user));
         session.report_all(xs, &mut rng)
     }
-
-    fn name(&self) -> &'static str {
-        "online-session"
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::smoothing::sma;
 use crate::Result;
-use ldp_mechanisms::{AnyMechanism, MechanismKind};
+use ldp_mechanisms::MechanismKind;
 use rand::RngCore;
 
 /// Default SMA window used in the paper's experiments.
@@ -56,43 +56,14 @@ impl App {
         self.smoothing = window;
         self
     }
-
-    /// Per-slot privacy budget.
-    #[must_use]
-    pub fn slot_epsilon(&self) -> f64 {
-        self.kernel.backend().epsilon()
-    }
-
-    /// The underlying mechanism instance.
-    #[must_use]
-    pub fn mechanism(&self) -> &AnyMechanism {
-        self.kernel.backend().mechanism()
-    }
-
-    /// Runs the APP collection loop, returning the raw (unsmoothed)
-    /// perturbed stream `{x'_i}`.
-    #[must_use]
-    pub fn publish_raw(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.publish_raw_into(xs, &mut out, rng);
-        out
-    }
-
-    /// The collection loop of [`Self::publish_raw`], writing into a reused
-    /// buffer (cleared first) instead of allocating.
-    pub fn publish_raw_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        self.kernel.publish_into(xs, out, rng);
-    }
 }
 
 impl StreamMechanism for App {
     /// Collects with APP and applies the SMA post-processing step.
     fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        sma(&self.publish_raw(xs, rng), self.smoothing)
-    }
-
-    fn name(&self) -> &'static str {
-        "APP"
+        let mut raw = Vec::with_capacity(xs.len());
+        self.kernel.publish_into(xs, &mut raw, rng);
+        sma(&raw, self.smoothing)
     }
 }
 
@@ -118,11 +89,11 @@ mod tests {
         // The telescoping property: Σ x'_i + D_final = Σ x_i exactly,
         // so |Σ x'_i − Σ x_i| = |D_final| is bounded by the last deviation
         // magnitude (≤ max deviation of one SW draw), NOT growing with n.
-        let app = App::new(2.0, 10).unwrap();
+        let app = App::new(2.0, 10).unwrap().with_smoothing(1);
         let xs: Vec<f64> = (0..400)
             .map(|i| 0.5 + 0.3 * (i as f64 / 9.0).sin())
             .collect();
-        let out = app.publish_raw(&xs, &mut rng(1));
+        let out = app.publish(&xs, &mut rng(1));
         let sum_x: f64 = xs.iter().sum();
         let sum_y: f64 = out.iter().sum();
         // |Σx − Σy| = |D_final|. Clipping at [0,1] can let D wander a few
@@ -140,7 +111,7 @@ mod tests {
     fn smoothing_is_applied_by_default() {
         let app = App::new(1.0, 5).unwrap();
         let xs = vec![0.5; 60];
-        let raw = app.publish_raw(&xs, &mut rng(2));
+        let raw = app.with_smoothing(1).publish(&xs, &mut rng(2));
         let smoothed = app.publish(&xs, &mut rng(2));
         assert_eq!(sma(&raw, DEFAULT_SMOOTHING), smoothed);
     }
@@ -151,7 +122,7 @@ mod tests {
         let xs = vec![0.5; 30];
         assert_eq!(
             app.publish(&xs, &mut rng(3)),
-            app.publish_raw(&xs, &mut rng(3))
+            app.with_smoothing(1).publish(&xs, &mut rng(3))
         );
     }
 
@@ -170,7 +141,7 @@ mod tests {
         let trials = 600;
         let (mut err_app, mut err_ipp) = (0.0, 0.0);
         for _ in 0..trials {
-            let m_app = app.publish_raw(&xs, &mut r).iter().sum::<f64>() / w as f64;
+            let m_app = app.publish(&xs, &mut r).iter().sum::<f64>() / w as f64;
             err_app += (m_app - truth).powi(2);
             let m_ipp = ipp.publish(&xs, &mut r).iter().sum::<f64>() / w as f64;
             err_ipp += (m_ipp - truth).powi(2);
@@ -201,7 +172,9 @@ mod tests {
     #[test]
     fn default_backend_is_square_wave() {
         let app = App::new(1.0, 5).unwrap();
-        assert_eq!(app.mechanism().kind(), MechanismKind::SquareWave);
+        let sw = App::of_mechanism(MechanismKind::SquareWave, 1.0, 5).unwrap();
+        let xs: Vec<f64> = (0..30).map(|i| i as f64 / 30.0).collect();
+        assert_eq!(app.publish(&xs, &mut rng(9)), sw.publish(&xs, &mut rng(9)));
     }
 
     #[test]
@@ -214,20 +187,11 @@ mod tests {
             .collect();
         let sum_x: f64 = xs.iter().sum();
         for kind in [MechanismKind::StochasticRounding, MechanismKind::Laplace] {
-            let app = App::of_mechanism(kind, 4.0, 10).unwrap();
-            let out = app.publish_raw(&xs, &mut rng(7));
+            let app = App::of_mechanism(kind, 4.0, 10).unwrap().with_smoothing(1);
+            let out = app.publish(&xs, &mut rng(7));
             let drift = (sum_x - out.iter().sum::<f64>()).abs();
             assert!(drift < 40.0, "{}: drift {drift}", kind.label());
         }
-    }
-
-    #[test]
-    fn publish_raw_into_reuses_buffer() {
-        let app = App::new(1.0, 5).unwrap();
-        let xs = [0.4; 12];
-        let mut buf = vec![9.0; 3];
-        app.publish_raw_into(&xs, &mut buf, &mut rng(8));
-        assert_eq!(buf, app.publish_raw(&xs, &mut rng(8)));
     }
 
     #[test]
@@ -238,7 +202,7 @@ mod tests {
         let xs: Vec<f64> = (0..200)
             .map(|i| (0.5 * (i as f64 / 11.0).sin() + 1.0) / 2.0)
             .collect();
-        let out = g.publish_raw(&xs, &mut rng(2));
+        let out = g.publish(&xs, &mut rng(2));
         // Telescoping: Σx − Σy = final accumulated deviation. One Laplace
         // draw has native scale 2 (unit scale 1), so the drift stays
         // modest (not O(n)).
@@ -258,7 +222,7 @@ mod tests {
         let trials = 400;
         let (mut err_g, mut err_d) = (0.0, 0.0);
         for _ in 0..trials {
-            let mg = g.publish_raw(&xs, &mut r).iter().sum::<f64>() / xs.len() as f64;
+            let mg = g.publish(&xs, &mut r).iter().sum::<f64>() / xs.len() as f64;
             err_g += (mg - truth).powi(2);
             let md = d.publish(&xs, &mut r).iter().sum::<f64>() / xs.len() as f64;
             err_d += (md - truth).powi(2);
@@ -278,7 +242,7 @@ mod tests {
             .unwrap()
             .with_smoothing(0);
         let dom = sr.input_domain();
-        for y in g.publish_raw(&[0.55; 50], &mut rng(4)) {
+        for y in g.publish(&[0.55; 50], &mut rng(4)) {
             assert!(y == dom.normalize(sr.c()) || y == dom.normalize(-sr.c()));
         }
     }
@@ -290,7 +254,7 @@ mod tests {
             .unwrap()
             .with_smoothing(0);
         let dom = pm.input_domain();
-        for y in g.publish_raw(&[0.5; 100], &mut rng(5)) {
+        for y in g.publish(&[0.5; 100], &mut rng(5)) {
             assert!(dom.denormalize(y).abs() <= pm.c() + 1e-9);
         }
     }
@@ -301,7 +265,7 @@ mod tests {
         let xs = vec![0.5; 30];
         assert_eq!(
             g.publish(&xs, &mut rng(6)),
-            sma(&g.publish_raw(&xs, &mut rng(6)), 3)
+            sma(&g.with_smoothing(1).publish(&xs, &mut rng(6)), 3)
         );
     }
 }

@@ -79,12 +79,6 @@ impl UnitBackend {
         self.mech.kind()
     }
 
-    /// The wrapped mechanism instance.
-    #[must_use]
-    pub fn mechanism(&self) -> &AnyMechanism {
-        &self.mech
-    }
-
     /// The privacy budget ε of the wrapped mechanism.
     #[must_use]
     pub fn epsilon(&self) -> f64 {

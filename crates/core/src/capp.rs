@@ -25,7 +25,7 @@ use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::smoothing::sma;
 use crate::Result;
-use ldp_mechanisms::{AnyMechanism, Domain, Mechanism, MechanismError, MechanismKind, SquareWave};
+use ldp_mechanisms::{Domain, Mechanism, MechanismError, MechanismKind, SquareWave};
 use rand::RngCore;
 
 /// Clip margin is clamped so the clip range never collapses: `l < u`
@@ -180,12 +180,6 @@ impl Capp {
         self
     }
 
-    /// Per-slot privacy budget.
-    #[must_use]
-    pub fn slot_epsilon(&self) -> f64 {
-        self.kernel.backend().epsilon()
-    }
-
     /// Active clip bounds.
     #[must_use]
     pub fn bounds(&self) -> ClipBounds {
@@ -195,37 +189,15 @@ impl Capp {
             u: range.hi(),
         }
     }
-
-    /// The underlying mechanism instance.
-    #[must_use]
-    pub fn mechanism(&self) -> &AnyMechanism {
-        self.kernel.backend().mechanism()
-    }
-
-    /// Runs the CAPP collection loop without the SMA post-processing.
-    #[must_use]
-    pub fn publish_raw(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.publish_raw_into(xs, &mut out, rng);
-        out
-    }
-
-    /// The collection loop of [`Self::publish_raw`], writing into a reused
-    /// buffer (cleared first) instead of allocating.
-    pub fn publish_raw_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
-        self.kernel.publish_into(xs, out, rng);
-    }
 }
 
 impl StreamMechanism for Capp {
     /// Collects with CAPP and applies the SMA post-processing step
     /// (Algorithm 2 line 13).
     fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        sma(&self.publish_raw(xs, rng), self.smoothing)
-    }
-
-    fn name(&self) -> &'static str {
-        "CAPP"
+        let mut raw = Vec::with_capacity(xs.len());
+        self.kernel.publish_into(xs, &mut raw, rng);
+        sma(&raw, self.smoothing)
     }
 }
 
@@ -278,13 +250,13 @@ mod tests {
 
     #[test]
     fn outputs_lie_in_denormalized_range() {
-        let capp = Capp::new(1.0, 10).unwrap();
+        let capp = Capp::new(1.0, 10).unwrap().with_smoothing(1);
         let b = capp.bounds();
         let sw_b = SquareWave::new(0.1).unwrap().b();
         let width = b.u() - b.l();
         let (lo, hi) = (b.l() - sw_b * width, b.u() + sw_b * width);
         let xs: Vec<f64> = (0..300).map(|i| (i % 11) as f64 / 10.0).collect();
-        for y in capp.publish_raw(&xs, &mut rng(1)) {
+        for y in capp.publish(&xs, &mut rng(1)) {
             assert!(
                 y >= lo - 1e-9 && y <= hi + 1e-9,
                 "y={y} outside [{lo}, {hi}]"
@@ -294,11 +266,11 @@ mod tests {
 
     #[test]
     fn accumulated_sum_tracks_truth() {
-        let capp = Capp::new(2.0, 10).unwrap();
+        let capp = Capp::new(2.0, 10).unwrap().with_smoothing(1);
         let xs: Vec<f64> = (0..300)
             .map(|i| 0.5 + 0.4 * (i as f64 / 7.0).cos())
             .collect();
-        let out = capp.publish_raw(&xs, &mut rng(2));
+        let out = capp.publish(&xs, &mut rng(2));
         let drift = (xs.iter().sum::<f64>() - out.iter().sum::<f64>()).abs();
         assert!(drift < 15.0, "drift {drift}");
     }
@@ -309,7 +281,7 @@ mod tests {
         let xs = vec![0.4; 40];
         assert_eq!(
             capp.publish(&xs, &mut rng(3)),
-            sma(&capp.publish_raw(&xs, &mut rng(3)), 3)
+            sma(&capp.with_smoothing(1).publish(&xs, &mut rng(3)), 3)
         );
     }
 
@@ -330,9 +302,9 @@ mod tests {
         let trials = 800;
         let (mut err_capp, mut err_app) = (0.0, 0.0);
         for _ in 0..trials {
-            let m1 = capp.publish_raw(&xs, &mut r).iter().sum::<f64>() / w as f64;
+            let m1 = capp.publish(&xs, &mut r).iter().sum::<f64>() / w as f64;
             err_capp += (m1 - truth).powi(2);
-            let m2 = app.publish_raw(&xs, &mut r).iter().sum::<f64>() / w as f64;
+            let m2 = app.publish(&xs, &mut r).iter().sum::<f64>() / w as f64;
             err_app += (m2 - truth).powi(2);
         }
         assert!(
@@ -383,8 +355,8 @@ mod tests {
             .map(|i| 0.5 + 0.4 * (i as f64 / 9.0).cos())
             .collect();
         for kind in [MechanismKind::StochasticRounding, MechanismKind::Hybrid] {
-            let capp = Capp::of_mechanism(kind, 4.0, 10).unwrap();
-            let out = capp.publish_raw(&xs, &mut rng(9));
+            let capp = Capp::of_mechanism(kind, 4.0, 10).unwrap().with_smoothing(1);
+            let out = capp.publish(&xs, &mut rng(9));
             assert_eq!(out.len(), xs.len());
             assert!(out.iter().all(|y| y.is_finite()));
             let drift = (xs.iter().sum::<f64>() - out.iter().sum::<f64>()).abs();

@@ -65,9 +65,6 @@ mod tests {
         fn publish(&self, xs: &[f64], _rng: &mut dyn RngCore) -> Vec<f64> {
             xs.to_vec()
         }
-        fn name(&self) -> &'static str {
-            "identity"
-        }
     }
 
     #[test]

@@ -13,15 +13,13 @@
 //!   forward (the first published value is back-filled at the start).
 
 use crate::accountant::slot_budget;
+use crate::app::DEFAULT_SMOOTHING;
 use crate::kernel::Kernel;
 use crate::online::{PipelineSpec, SessionKind};
 use crate::smoothing::sma;
 use crate::Result;
 use ldp_streams::MultiDimStream;
 use rand::RngCore;
-
-/// SMA window applied to each published full-length dimension stream.
-const SMOOTHING_WINDOW: usize = 3;
 
 /// How the window budget is shared across dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +46,8 @@ impl SplitStrategy {
 ///
 /// Returns one published stream per dimension, each of the input length.
 /// The published object is the *full-length* stream, so the SMA
-/// post-processing step is applied after Sample-Split expansion — which is
+/// post-processing step (APP's window, [`DEFAULT_SMOOTHING`]) is applied
+/// after Sample-Split expansion — which is
 /// exactly why Budget-Split wins in Figure 10: BS publishes `d·w`
 /// independent noisy slots per window that smoothing can average, whereas
 /// SS's expanded stream repeats each report for `d` slots and gains nothing
@@ -75,7 +74,7 @@ pub fn publish_multidim(
                 .iter()
                 .map(|dim| {
                     kernel.publish_into(dim.values(), &mut published, rng);
-                    sma(&published, SMOOTHING_WINDOW)
+                    sma(&published, DEFAULT_SMOOTHING)
                 })
                 .collect())
         }
@@ -88,7 +87,7 @@ pub fn publish_multidim(
                 let sub: Vec<f64> = reported_idx.iter().map(|&t| dim.values()[t]).collect();
                 kernel.publish_into(&sub, &mut published, rng);
                 let expanded = expand_holding_last(len, &reported_idx, &published);
-                out.push(sma(&expanded, SMOOTHING_WINDOW));
+                out.push(sma(&expanded, DEFAULT_SMOOTHING));
             }
             Ok(out)
         }

@@ -10,7 +10,7 @@ use crate::kernel::Kernel;
 use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
 use crate::Result;
-use ldp_mechanisms::{AnyMechanism, MechanismKind};
+use ldp_mechanisms::MechanismKind;
 use rand::RngCore;
 
 /// The IPP algorithm over any LDP mechanism (SW by default).
@@ -40,18 +40,6 @@ impl Ipp {
             kernel: Kernel::of_spec(spec, slot_budget(epsilon, w)?)?,
         })
     }
-
-    /// Per-slot privacy budget.
-    #[must_use]
-    pub fn slot_epsilon(&self) -> f64 {
-        self.kernel.backend().epsilon()
-    }
-
-    /// The underlying mechanism instance.
-    #[must_use]
-    pub fn mechanism(&self) -> &AnyMechanism {
-        self.kernel.backend().mechanism()
-    }
 }
 
 impl StreamMechanism for Ipp {
@@ -65,10 +53,6 @@ impl StreamMechanism for Ipp {
     /// writes straight into the reused buffer.
     fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
         self.kernel.publish_into(xs, out, rng);
-    }
-
-    fn name(&self) -> &'static str {
-        "IPP"
     }
 }
 
@@ -91,8 +75,7 @@ mod tests {
 
     #[test]
     fn slot_budget_is_total_over_w() {
-        let ipp = Ipp::new(3.0, 10).unwrap();
-        assert!((ipp.slot_epsilon() - 0.3).abs() < 1e-12);
+        assert!((slot_budget(3.0, 10).unwrap() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -105,7 +88,9 @@ mod tests {
     #[test]
     fn outputs_lie_in_sw_output_domain() {
         let ipp = Ipp::new(1.0, 10).unwrap();
-        let dom = ipp.mechanism().output_domain();
+        let dom = SquareWave::new(slot_budget(1.0, 10).unwrap())
+            .unwrap()
+            .output_domain();
         let xs: Vec<f64> = (0..200).map(|i| (i % 10) as f64 / 10.0).collect();
         for y in ipp.publish(&xs, &mut rng(2)) {
             assert!(dom.contains(y));

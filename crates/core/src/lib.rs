@@ -12,7 +12,8 @@
 //! # Algorithms
 //!
 //! * [`Direct`] — perturbs every value on its own (no feedback): the
-//!   mechanism-direct comparator.
+//!   mechanism-direct comparator, and over SW ([`Direct::new`]) the
+//!   "SW-direct" arm of every figure.
 //! * [`Ipp`] — corrects only the most recent deviation (the baseline).
 //! * [`App`] — corrects the *accumulated* deviation `D = Σ d_i`, followed
 //!   by simple-moving-average smoothing.
@@ -20,7 +21,8 @@
 //!   before perturbation, trading sensitivity against discarded signal
 //!   (see [`capp::ClipBounds`]).
 //! * [`Sampling`] — PP-S: perturbs per-segment means with an optimized
-//!   segment count for better subsequence mean estimation.
+//!   segment count for better subsequence mean estimation; over
+//!   [`SessionKind::SwDirect`] it is the naive "Sampling" baseline.
 //! * [`highdim`] — Budget-Split and Sample-Split strategies for
 //!   d-dimensional series.
 //! * [`crowd`] — crowd-level statistics over user populations.

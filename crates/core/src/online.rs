@@ -6,10 +6,11 @@
 //! calls, so a device can run
 //!
 //! ```
-//! use ldp_core::online::OnlineSession;
+//! use ldp_core::online::{OnlineSession, PipelineSpec, SessionKind};
 //! use rand::SeedableRng;
 //!
-//! let mut session = OnlineSession::capp(2.0, 24).unwrap();
+//! let capp = PipelineSpec::sw(SessionKind::Capp);
+//! let mut session = OnlineSession::of_spec(capp, 2.0, 24).unwrap();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! for reading in [0.31, 0.35, 0.33] {
 //!     let report = session.report(reading, &mut rng);
@@ -165,39 +166,8 @@ pub struct OnlineSession {
 }
 
 impl OnlineSession {
-    /// Mechanism-direct session (no feedback) — baseline behaviour.
-    ///
-    /// # Errors
-    /// Returns an error for invalid `(epsilon, w)`.
-    pub fn sw_direct(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_spec(PipelineSpec::sw(SessionKind::SwDirect), epsilon, w)
-    }
-
-    /// IPP session (last-deviation feedback).
-    ///
-    /// # Errors
-    /// Returns an error for invalid `(epsilon, w)`.
-    pub fn ipp(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_spec(PipelineSpec::sw(SessionKind::Ipp), epsilon, w)
-    }
-
-    /// APP session (accumulated-deviation feedback).
-    ///
-    /// # Errors
-    /// Returns an error for invalid `(epsilon, w)`.
-    pub fn app(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_spec(PipelineSpec::sw(SessionKind::App), epsilon, w)
-    }
-
-    /// CAPP session (accumulated feedback with the recommended clip range).
-    ///
-    /// # Errors
-    /// Returns an error for invalid `(epsilon, w)`.
-    pub fn capp(epsilon: f64, w: usize) -> Result<Self> {
-        Self::of_spec(PipelineSpec::sw(SessionKind::Capp), epsilon, w)
-    }
-
-    /// Builds a session for an arbitrary [`PipelineSpec`] cell.
+    /// Builds a session for a [`PipelineSpec`] cell (the paper's rules over
+    /// SW are `PipelineSpec::sw(kind)`).
     ///
     /// # Errors
     /// Returns an error for invalid `(epsilon, w)`.
@@ -240,7 +210,9 @@ impl OnlineSession {
         &self.accountant
     }
 
-    /// Current accumulated deviation (0 for SW-direct).
+    /// The deviation the next input corrects: 0 for the direct rule, the
+    /// last report's `x − x'` for IPP, and the running sum of every
+    /// report's `x − x'` for APP and CAPP.
     #[must_use]
     pub fn pending_deviation(&self) -> f64 {
         self.deviation
@@ -322,17 +294,21 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(seed)
     }
 
+    fn sw(kind: SessionKind, epsilon: f64, w: usize) -> OnlineSession {
+        OnlineSession::of_spec(PipelineSpec::sw(kind), epsilon, w).unwrap()
+    }
+
     #[test]
     fn rejects_invalid_configs() {
-        assert!(OnlineSession::app(0.0, 5).is_err());
-        let err = OnlineSession::capp(2.0, 0).unwrap_err();
+        assert!(OnlineSession::of_spec(PipelineSpec::sw(SessionKind::App), 0.0, 5).is_err());
+        let err = OnlineSession::of_spec(PipelineSpec::sw(SessionKind::Capp), 2.0, 0).unwrap_err();
         assert_eq!(err, MechanismError::InvalidWindow(0));
         assert!(err.to_string().contains("window size w"), "{err}");
     }
 
     #[test]
     fn session_accounting_tracks_every_slot() {
-        let mut s = OnlineSession::app(1.0, 10).unwrap();
+        let mut s = sw(SessionKind::App, 1.0, 10);
         let mut r = rng(1);
         for _ in 0..25 {
             let _ = s.report(0.5, &mut r);
@@ -362,10 +338,12 @@ mod tests {
                     .publish(&xs, &mut r),
                 SessionKind::App => crate::App::of_mechanism(mechanism, epsilon, w)
                     .unwrap()
-                    .publish_raw(&xs, &mut r),
+                    .with_smoothing(1)
+                    .publish(&xs, &mut r),
                 SessionKind::Capp => crate::Capp::of_mechanism(mechanism, epsilon, w)
                     .unwrap()
-                    .publish_raw(&xs, &mut r),
+                    .with_smoothing(1)
+                    .publish(&xs, &mut r),
             };
             let mut online = OnlineSession::of_spec(spec, epsilon, w).unwrap();
             assert_eq!(batch, online.report_all(&xs, &mut rng(2)), "{spec}");
@@ -392,14 +370,32 @@ mod tests {
         assert_online_matches_batch(SessionKind::Capp);
     }
 
+    /// Each rule's feedback law, slot by slot: after every report the
+    /// pending deviation is exactly 0 for the direct rule, the last
+    /// report's `x − x'` for IPP, and the running `Σ (x_i − x'_i)` (summed
+    /// in slot order) for APP and CAPP.
     #[test]
-    fn sw_direct_session_keeps_zero_deviation() {
-        let mut s = OnlineSession::sw_direct(1.0, 5).unwrap();
-        let mut r = rng(5);
-        for _ in 0..10 {
-            let _ = s.report(0.7, &mut r);
+    fn every_rule_keeps_its_feedback_law() {
+        for spec in PipelineSpec::grid() {
+            let mut session = OnlineSession::of_spec(spec, 2.0, 8).unwrap();
+            let mut r = rng(5);
+            let mut running = 0.0;
+            for t in 0..40 {
+                let x = 0.5 + 0.45 * ((t as f64) / 5.0).sin();
+                let deviation = x - session.report(x, &mut r);
+                running += deviation;
+                let expected = match spec.session {
+                    SessionKind::SwDirect => 0.0,
+                    SessionKind::Ipp => deviation,
+                    SessionKind::App | SessionKind::Capp => running,
+                };
+                assert_eq!(
+                    session.pending_deviation().to_bits(),
+                    expected.to_bits(),
+                    "{spec} at slot {t}"
+                );
+            }
         }
-        assert_eq!(s.pending_deviation(), 0.0);
     }
 
     #[test]
@@ -431,27 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn named_sessions_are_their_sw_cells() {
-        let named = [
-            OnlineSession::sw_direct(2.0, 8),
-            OnlineSession::ipp(2.0, 8),
-            OnlineSession::app(2.0, 8),
-            OnlineSession::capp(2.0, 8),
-        ]
-        .map(Result::unwrap);
-        let xs: Vec<f64> = (0..40).map(|i| i as f64 / 40.0).collect();
-        for (kind, mut a) in SessionKind::ALL.into_iter().zip(named) {
-            let mut b = OnlineSession::of_spec(PipelineSpec::sw(kind), 2.0, 8).unwrap();
-            assert_eq!(a.spec(), PipelineSpec::sw(kind));
-            assert_eq!(
-                a.report_all(&xs, &mut rng(11)),
-                b.report_all(&xs, &mut rng(11)),
-                "{kind}"
-            );
-        }
-    }
-
-    #[test]
     fn every_grid_cell_reports_finite_values() {
         for spec in PipelineSpec::grid() {
             let mut session = OnlineSession::of_spec(spec, 2.0, 8).unwrap();
@@ -468,8 +443,8 @@ mod tests {
     #[test]
     fn report_all_into_matches_report_all() {
         let xs = [0.3; 25];
-        let mut a = OnlineSession::app(1.0, 5).unwrap();
-        let mut b = OnlineSession::app(1.0, 5).unwrap();
+        let mut a = sw(SessionKind::App, 1.0, 5);
+        let mut b = sw(SessionKind::App, 1.0, 5);
         let mut buf = vec![1.0; 7];
         a.report_all_into(&xs, &mut buf, &mut rng(14));
         assert_eq!(buf, b.report_all(&xs, &mut rng(14)));
@@ -477,7 +452,7 @@ mod tests {
 
     #[test]
     fn deviation_state_persists_across_calls() {
-        let mut s = OnlineSession::app(1.0, 5).unwrap();
+        let mut s = sw(SessionKind::App, 1.0, 5);
         let mut r = rng(6);
         let _ = s.report(0.5, &mut r);
         let d1 = s.pending_deviation();

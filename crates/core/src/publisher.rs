@@ -4,10 +4,13 @@ use rand::RngCore;
 
 /// A mechanism that privately publishes an entire stream (or subsequence).
 ///
-/// Implementors include the paper's algorithms ([`crate::Ipp`],
-/// [`crate::App`], [`crate::Capp`], [`crate::Sampling`]) and the baselines
-/// in `ldp-baselines` (SW-direct, BA-SW, ToPL, naive sampling). The output
-/// always has the same length as the input so the collector can compute
+/// Implementors are the paper's algorithms ([`crate::Ipp`],
+/// [`crate::App`], [`crate::Capp`], [`crate::Sampling`]), the
+/// mechanism-direct comparator [`crate::Direct`] (SW-direct over SW) and
+/// the baselines in `ldp-baselines` (BA-SW, ToPL). The naive "Sampling"
+/// arm is [`crate::Sampling`] over [`crate::SessionKind::SwDirect`].
+/// Publishers carry no name; reports label their arms. The output always
+/// has the same length as the input so the collector can compute
 /// subsequence statistics slot by slot.
 pub trait StreamMechanism {
     /// Publishes a private version of the stream `xs`.
@@ -23,9 +26,6 @@ pub trait StreamMechanism {
     fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
         *out = self.publish(xs, rng);
     }
-
-    /// Short algorithm name for reports and benchmarks.
-    fn name(&self) -> &'static str;
 
     /// Convenience: the mean of the published stream, the collector-side
     /// estimator `M̂(i,j)` from the paper's problem definition.
@@ -49,9 +49,6 @@ mod tests {
     impl StreamMechanism for Identity {
         fn publish(&self, xs: &[f64], _rng: &mut dyn RngCore) -> Vec<f64> {
             xs.to_vec()
-        }
-        fn name(&self) -> &'static str {
-            "identity"
         }
     }
 

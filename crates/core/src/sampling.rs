@@ -171,15 +171,6 @@ impl StreamMechanism for Sampling {
         }
         out
     }
-
-    fn name(&self) -> &'static str {
-        match self.kind {
-            SessionKind::SwDirect => "Sampling",
-            SessionKind::Ipp => "IPP-S",
-            SessionKind::App => "APP-S",
-            SessionKind::Capp => "CAPP-S",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,8 +243,7 @@ mod tests {
         let xs: Vec<f64> = (0..q).map(|i| 0.4 + 0.2 * (i as f64 / 6.0).sin()).collect();
         let truth = xs.iter().sum::<f64>() / q as f64;
         let samp = Sampling::new(SessionKind::App, eps, w).unwrap();
-        let direct =
-            crate::Direct::of_mechanism(ldp_mechanisms::MechanismKind::SquareWave, eps, w).unwrap();
+        let direct = crate::Direct::new(eps, w).unwrap();
         let mut r = rng(2);
         let trials = 300;
         let (mut err_s, mut err_d) = (0.0, 0.0);
@@ -278,15 +268,43 @@ mod tests {
     }
 
     #[test]
-    fn labels_match_paper_names() {
-        for (kind, label) in [
-            (SessionKind::SwDirect, "Sampling"),
-            (SessionKind::Ipp, "IPP-S"),
-            (SessionKind::App, "APP-S"),
-            (SessionKind::Capp, "CAPP-S"),
-        ] {
-            assert_eq!(Sampling::new(kind, 1.0, 5).unwrap().name(), label);
+    fn naive_output_is_segment_replicated() {
+        let s = Sampling::new(SessionKind::SwDirect, 1.0, 10)
+            .unwrap()
+            .with_sample_count(4);
+        let xs: Vec<f64> = (0..40).map(|i| i as f64 / 40.0).collect();
+        let out = s.publish(&xs, &mut rng(1));
+        assert_eq!(out.len(), 40);
+        for chunk in out.chunks(10) {
+            assert!(chunk.windows(2).all(|w| w[0] == w[1]));
         }
+    }
+
+    #[test]
+    fn naive_loses_to_app_sampling_for_mean_estimation() {
+        // PP-S's feedback should beat naive sampling (Fig 6 ordering).
+        let (eps, w, q) = (1.0, 20, 30);
+        let xs: Vec<f64> = (0..q)
+            .map(|i| 0.35 + 0.3 * (i as f64 / 5.0).sin())
+            .collect();
+        let truth = xs.iter().sum::<f64>() / q as f64;
+        let naive = Sampling::new(SessionKind::SwDirect, eps, w).unwrap();
+        let apps = Sampling::new(SessionKind::App, eps, w).unwrap();
+        let mut r = rng(2);
+        let trials = 500;
+        let (mut err_n, mut err_a) = (0.0, 0.0);
+        for _ in 0..trials {
+            let m_n = naive.publish(&xs, &mut r).iter().sum::<f64>() / q as f64;
+            err_n += (m_n - truth).powi(2);
+            let m_a = apps.publish(&xs, &mut r).iter().sum::<f64>() / q as f64;
+            err_a += (m_a - truth).powi(2);
+        }
+        assert!(
+            err_a < err_n * 1.1,
+            "APP-S MSE {} should not lose to naive sampling {}",
+            err_a / trials as f64,
+            err_n / trials as f64
+        );
     }
 
     #[test]

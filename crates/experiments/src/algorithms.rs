@@ -1,6 +1,6 @@
 //! Uniform construction of every algorithm appearing in the evaluation.
 
-use ldp_baselines::{BaSw, NaiveSampling, SwDirect, ToPL};
+use ldp_baselines::{BaSw, ToPL};
 use ldp_core::{
     App, Capp, ClipBounds, Direct, Ipp, PipelineSpec, Sampling, SessionKind, StreamMechanism,
 };
@@ -94,7 +94,7 @@ impl AlgorithmSpec {
     #[must_use]
     pub fn build(self, epsilon: f64, w: usize) -> Box<dyn StreamMechanism + Send + Sync> {
         match self {
-            AlgorithmSpec::SwDirect => Box::new(SwDirect::new(epsilon, w).unwrap()),
+            AlgorithmSpec::SwDirect => Box::new(Direct::new(epsilon, w).unwrap()),
             AlgorithmSpec::BaSw => Box::new(BaSw::new(epsilon, w).unwrap()),
             AlgorithmSpec::Ipp => Box::new(Ipp::new(epsilon, w).unwrap()),
             AlgorithmSpec::App => Box::new(App::new(epsilon, w).unwrap()),
@@ -105,7 +105,9 @@ impl AlgorithmSpec {
                     .with_bounds(ClipBounds::from_margin(d).unwrap()),
             ),
             AlgorithmSpec::ToPL => Box::new(ToPL::new(epsilon, w).unwrap()),
-            AlgorithmSpec::NaiveSampling => Box::new(NaiveSampling::new(epsilon, w).unwrap()),
+            AlgorithmSpec::NaiveSampling => {
+                Box::new(Sampling::new(SessionKind::SwDirect, epsilon, w).unwrap())
+            }
             AlgorithmSpec::AppSampling => {
                 Box::new(Sampling::new(SessionKind::App, epsilon, w).unwrap())
             }
@@ -174,9 +176,43 @@ mod tests {
     #[test]
     fn labels_are_paper_facing() {
         assert_eq!(AlgorithmSpec::Capp { margin: None }.label(), "CAPP");
+        assert_eq!(AlgorithmSpec::NaiveSampling.label(), "Sampling");
         assert_eq!(AlgorithmSpec::AppSampling.label(), "APP-S");
+        assert_eq!(AlgorithmSpec::CappSampling.label(), "CAPP-S");
         let laplace_app = PipelineSpec::new(SessionKind::App, MechanismKind::Laplace);
         assert_eq!(AlgorithmSpec::Cell(laplace_app).label(), "Laplace-APP");
+    }
+
+    /// Figure 4's SW arms and Figure 9's SW cells are one publisher each:
+    /// the same bits from the same seed, scored on the same domain.
+    #[test]
+    fn named_sw_arms_are_their_cells() {
+        let pairs = [
+            (AlgorithmSpec::SwDirect, SessionKind::SwDirect),
+            (AlgorithmSpec::Ipp, SessionKind::Ipp),
+            (AlgorithmSpec::App, SessionKind::App),
+            (AlgorithmSpec::Capp { margin: None }, SessionKind::Capp),
+        ];
+        let xs: Vec<f64> = (0..60)
+            .map(|i| 0.5 + 0.45 * (i as f64 / 7.0).sin())
+            .collect();
+        let rng = || rand::rngs::StdRng::seed_from_u64(21);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for (named, session) in pairs {
+            let cell = AlgorithmSpec::Cell(PipelineSpec::sw(session));
+            assert_eq!(
+                bits(named.build(2.0, 8).publish(&xs, &mut rng())),
+                bits(cell.build(2.0, 8).publish(&xs, &mut rng())),
+                "{}",
+                named.label()
+            );
+            assert_eq!(
+                named.metric_domain(),
+                cell.metric_domain(),
+                "{}",
+                named.label()
+            );
+        }
     }
 
     #[test]

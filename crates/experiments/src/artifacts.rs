@@ -13,7 +13,7 @@ use crate::datasets::{Dataset, DatasetData};
 use crate::report::{render_artifact, Series, SeriesTable};
 use crate::runner::{self, Metric, TrialSpec};
 use ldp_core::highdim::{publish_multidim, SplitStrategy};
-use ldp_core::{optimal_sample_count, App, Ipp, Sampling, SessionKind, StreamMechanism};
+use ldp_core::{optimal_sample_count, App, Direct, Ipp, Sampling, SessionKind, StreamMechanism};
 use ldp_metrics::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -462,7 +462,7 @@ pub fn ablations(cfg: &ExperimentConfig) -> String {
     let arms: [(&str, Box<dyn StreamMechanism>); 3] = [
         (
             "none (SW-direct)",
-            Box::new(ldp_baselines::SwDirect::new(1.0, W).expect("static config")),
+            Box::new(Direct::new(1.0, W).expect("static config")),
         ),
         (
             "last only (IPP)",

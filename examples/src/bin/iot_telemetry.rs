@@ -11,8 +11,8 @@
 //! with the accountant, and reports which algorithm best preserves the
 //! fleet's daily-mean distribution.
 
-use ldp_baselines::{BaSw, SwDirect};
-use ldp_core::{Capp, StreamMechanism, WEventAccountant};
+use ldp_baselines::BaSw;
+use ldp_core::{Capp, Direct, StreamMechanism, WEventAccountant};
 use ldp_metrics::wasserstein_cdf_sum;
 use ldp_streams::synthetic::power_population;
 use rand::SeedableRng;
@@ -37,7 +37,7 @@ fn main() {
     );
 
     let algos: Vec<(&str, Box<dyn StreamMechanism>)> = vec![
-        ("SW-direct", Box::new(SwDirect::new(epsilon, w).unwrap())),
+        ("SW-direct", Box::new(Direct::new(epsilon, w).unwrap())),
         ("BA-SW", Box::new(BaSw::new(epsilon, w).unwrap())),
         ("CAPP", Box::new(Capp::new(epsilon, w).unwrap())),
     ];

@@ -9,8 +9,7 @@
 //! hours is protected by a total privacy budget of ε = 2 (w-event LDP).
 //! We compare the naive SW-direct baseline against the paper's CAPP.
 
-use ldp_baselines::SwDirect;
-use ldp_core::{Capp, StreamMechanism};
+use ldp_core::{Capp, Direct, StreamMechanism};
 use ldp_metrics::{cosine_distance, mse};
 use ldp_streams::synthetic::volume;
 use rand::SeedableRng;
@@ -25,7 +24,7 @@ fn main() {
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 
-    let naive = SwDirect::new(epsilon, w).expect("valid budget");
+    let naive = Direct::new(epsilon, w).expect("valid budget");
     let capp = Capp::new(epsilon, w).expect("valid budget");
 
     let published_naive = naive.publish(truth, &mut rng);

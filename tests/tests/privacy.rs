@@ -2,7 +2,7 @@
 //! pointwise ε-LDP density bound for every mechanism.
 
 use integration_tests::test_rng;
-use ldp_core::{optimal_sample_count, Sampling, SessionKind, WEventAccountant};
+use ldp_core::{optimal_sample_count, Sampling, SessionKind, StreamMechanism, WEventAccountant};
 use ldp_mechanisms::{Hybrid, Laplace, Mechanism, Piecewise, SquareWave, StochasticRounding};
 use ldp_streams::are_w_neighboring;
 
@@ -115,15 +115,15 @@ fn w_neighboring_matches_definition_on_streams() {
 /// (no value leaks through support mismatch).
 #[test]
 fn capp_outputs_share_support_for_neighboring_streams() {
-    let capp = ldp_core::Capp::new(1.0, 10).unwrap();
+    let capp = ldp_core::Capp::new(1.0, 10).unwrap().with_smoothing(1);
     let mut rng = test_rng(3);
     let a = vec![0.2; 50];
     let mut b = a.clone();
     for slot in b.iter_mut().skip(20).take(10) {
         *slot = 0.9;
     }
-    let out_a = capp.publish_raw(&a, &mut rng);
-    let out_b = capp.publish_raw(&b, &mut rng);
+    let out_a = capp.publish(&a, &mut rng);
+    let out_b = capp.publish(&b, &mut rng);
     let bounds = capp.bounds();
     let sw_b = SquareWave::new(0.1).unwrap().b();
     let width = bounds.u() - bounds.l();

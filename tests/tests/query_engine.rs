@@ -155,7 +155,7 @@ fn long_stream_memory_stays_flat() {
         retention: SlotRetention::Last(r),
         ..CollectorConfig::default()
     });
-    let mut session = OnlineSession::capp(1.0, w).unwrap();
+    let mut session = OnlineSession::of_spec(PipelineSpec::sw(SessionKind::Capp), 1.0, w).unwrap();
     let mut rng = integration_tests::test_rng(3);
     let mut batch = ReportBatch::new();
     for slot in 0..slots {
