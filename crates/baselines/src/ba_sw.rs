@@ -64,14 +64,6 @@ impl BaSw {
 }
 
 impl StreamMechanism for BaSw {
-    fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.publish_into(xs, &mut out, rng);
-        out
-    }
-
-    /// Allocation-free override: the absorption loop pushes straight into
-    /// the reused buffer.
     fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
         let probe_sw = SquareWave::new(self.eps_probe).expect("validated");
         let mut last_release = 0.5; // neutral prior before the first publication

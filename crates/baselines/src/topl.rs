@@ -83,22 +83,22 @@ impl ToPL {
 }
 
 impl StreamMechanism for ToPL {
-    fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
+    /// Phase 1's SW reports fill the head of `out`, θ is fitted over
+    /// them, and phase 2's HM reports follow. The EM fit allocates its
+    /// histograms on every call; the rest reuses `out`.
+    fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
+        out.clear();
         if xs.is_empty() {
-            return Vec::new();
+            return;
         }
         let sw = SquareWave::new(self.slot_epsilon).expect("validated");
         let hm = Hybrid::new(self.slot_epsilon).expect("validated");
 
         let phase1_len = ((xs.len() as f64 * PHASE1_FRACTION).ceil() as usize).clamp(1, xs.len());
-        let phase1_reports: Vec<f64> = xs[..phase1_len]
-            .iter()
-            .map(|&x| sw.perturb(x, rng))
-            .collect();
-        let theta = self.fit_threshold(&phase1_reports);
+        out.reserve(xs.len());
+        out.extend(xs[..phase1_len].iter().map(|&x| sw.perturb(x, rng)));
+        let theta = self.fit_threshold(&out[..phase1_len]);
 
-        let mut out = phase1_reports;
-        out.reserve(xs.len() - phase1_len);
         for &x in &xs[phase1_len..] {
             // Clip to [0, θ], map onto [−1, 1], perturb, map back.
             let clipped = x.clamp(0.0, theta);
@@ -106,7 +106,6 @@ impl StreamMechanism for ToPL {
             let noisy = hm.perturb(sym, rng);
             out.push((noisy + 1.0) * theta / 2.0);
         }
-        out
     }
 }
 

@@ -339,7 +339,7 @@ impl Worker {
 }
 
 /// Batch-path adapter reproducing fleet output: a [`StreamMechanism`]
-/// whose i-th `publish` call runs a fresh [`OnlineSession`] seeded with
+/// whose i-th `publish_into` call runs a fresh [`OnlineSession`] seeded with
 /// [`user_seed`]`(base_seed, i)`, ignoring the RNG handed in.
 ///
 /// Passing this to [`ldp_core::crowd::estimated_population_means`] yields
@@ -347,9 +347,8 @@ impl Worker {
 /// the same `(kind, epsilon, w, seed)` — which is how the snapshot-vs-batch
 /// agreement tests pin the collector's numerics.
 ///
-/// **Every `publish` call consumes the next user id** — including the
-/// internal `publish` inside `estimate_mean` — so one adapter instance
-/// replays one fleet pass. Call [`Self::reset`] before reusing it for a
+/// **Every `publish_into` call consumes the next user id**, so one adapter
+/// instance replays one fleet pass. Call [`Self::reset`] before reusing it for a
 /// second pass, or the means will silently come from the wrong seeds.
 #[derive(Debug)]
 pub struct ReseedingSession {
@@ -361,7 +360,7 @@ pub struct ReseedingSession {
 }
 
 impl ReseedingSession {
-    /// Creates the adapter; the first `publish` call plays user 0.
+    /// Creates the adapter; the first `publish_into` call plays user 0.
     ///
     /// # Errors
     /// Returns an error if `(epsilon, w)` is invalid for the pipeline.
@@ -387,7 +386,7 @@ impl ReseedingSession {
         self.next_user.set(0);
     }
 
-    /// The user id the next `publish` call will play.
+    /// The user id the next `publish_into` call will play.
     #[must_use]
     pub fn next_user(&self) -> u64 {
         self.next_user.get()
@@ -395,13 +394,13 @@ impl ReseedingSession {
 }
 
 impl StreamMechanism for ReseedingSession {
-    fn publish(&self, xs: &[f64], _rng: &mut dyn RngCore) -> Vec<f64> {
+    fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, _rng: &mut dyn RngCore) {
         let user = self.next_user.get();
         self.next_user.set(user + 1);
         let mut session = OnlineSession::of_spec(self.spec, self.epsilon, self.w)
             .expect("config validated at construction");
         let mut rng = StdRng::seed_from_u64(user_seed(self.base_seed, user));
-        session.report_all(xs, &mut rng)
+        session.report_all_into(xs, out, &mut rng);
     }
 }
 

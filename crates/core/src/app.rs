@@ -12,7 +12,7 @@ use crate::accountant::slot_budget;
 use crate::kernel::Kernel;
 use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
-use crate::smoothing::sma;
+use crate::smoothing::sma_in_place;
 use crate::Result;
 use ldp_mechanisms::MechanismKind;
 use rand::RngCore;
@@ -59,17 +59,19 @@ impl App {
 }
 
 impl StreamMechanism for App {
-    /// Collects with APP and applies the SMA post-processing step.
-    fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut raw = Vec::with_capacity(xs.len());
-        self.kernel.publish_into(xs, &mut raw, rng);
-        sma(&raw, self.smoothing)
+    /// Collects with APP and applies the SMA post-processing step in place
+    /// over `out`.
+    fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
+        sma_in_place(self.smoothing, xs.len(), out, |raw| {
+            self.kernel.fill(xs, raw, rng)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smoothing::sma;
     use ldp_mechanisms::{Mechanism, Piecewise, StochasticRounding};
     use rand::SeedableRng;
 

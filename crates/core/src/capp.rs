@@ -23,7 +23,7 @@ use crate::backend::UnitBackend;
 use crate::kernel::Kernel;
 use crate::online::{PipelineSpec, SessionKind};
 use crate::publisher::StreamMechanism;
-use crate::smoothing::sma;
+use crate::smoothing::sma_in_place;
 use crate::Result;
 use ldp_mechanisms::{Domain, Mechanism, MechanismError, MechanismKind, SquareWave};
 use rand::RngCore;
@@ -193,17 +193,18 @@ impl Capp {
 
 impl StreamMechanism for Capp {
     /// Collects with CAPP and applies the SMA post-processing step
-    /// (Algorithm 2 line 13).
-    fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut raw = Vec::with_capacity(xs.len());
-        self.kernel.publish_into(xs, &mut raw, rng);
-        sma(&raw, self.smoothing)
+    /// (Algorithm 2 line 13) in place over `out`.
+    fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
+        sma_in_place(self.smoothing, xs.len(), out, |raw| {
+            self.kernel.fill(xs, raw, rng)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smoothing::sma;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {

@@ -15,7 +15,9 @@ use rand::RngCore;
 use std::ops::Range;
 
 /// Per-user estimated subsequence means: runs `algo` independently on each
-/// user's subsequence and returns the published means.
+/// user's subsequence and returns the published means — the collector-side
+/// estimator `M̂(i,j)` of the paper's problem definition (0 for an empty
+/// range). One buffer is reused for every user's published stream.
 ///
 /// # Panics
 /// Panics if `range` is out of bounds for any user.
@@ -26,9 +28,16 @@ pub fn estimated_population_means(
     algo: &dyn StreamMechanism,
     rng: &mut dyn RngCore,
 ) -> Vec<f64> {
+    let mut published = Vec::new();
     population
         .iter()
-        .map(|user| algo.estimate_mean(user.subsequence(range.clone()), rng))
+        .map(|user| {
+            algo.publish_into(user.subsequence(range.clone()), &mut published, rng);
+            if published.is_empty() {
+                return 0.0;
+            }
+            published.iter().sum::<f64>() / published.len() as f64
+        })
         .collect()
 }
 
@@ -62,8 +71,9 @@ mod tests {
     /// Identity "mechanism" for plumbing tests.
     struct Identity;
     impl StreamMechanism for Identity {
-        fn publish(&self, xs: &[f64], _rng: &mut dyn RngCore) -> Vec<f64> {
-            xs.to_vec()
+        fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, _rng: &mut dyn RngCore) {
+            out.clear();
+            out.extend_from_slice(xs);
         }
     }
 
@@ -75,6 +85,13 @@ mod tests {
         for (a, b) in est.iter().zip(&truth) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn an_empty_range_estimates_zero() {
+        let pop = taxi_population(3, 10, 1);
+        let est = estimated_population_means(&pop, 4..4, &Identity, &mut rng(1));
+        assert_eq!(est, vec![0.0; 3]);
     }
 
     #[test]

@@ -43,14 +43,6 @@ impl Ipp {
 }
 
 impl StreamMechanism for Ipp {
-    fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.publish_into(xs, &mut out, rng);
-        out
-    }
-
-    /// Allocation-free override: IPP has no post-processing, so the loop
-    /// writes straight into the reused buffer.
     fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
         self.kernel.publish_into(xs, out, rng);
     }

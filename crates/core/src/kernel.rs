@@ -111,7 +111,13 @@ impl Kernel {
     ) {
         out.clear();
         out.resize(xs.len(), 0.0);
-        Self::run_lanes(&[*self], &mut [0.0], [xs], [out.as_mut_slice()], [rng]);
+        self.fill(xs, out, rng);
+    }
+
+    /// Publishes one whole stream from zero deviation into `out`, which
+    /// has `xs`'s length.
+    pub(crate) fn fill<R: RngCore + ?Sized>(&self, xs: &[f64], out: &mut [f64], rng: &mut R) {
+        Self::run_lanes(&[*self], &mut [0.0], [xs], [out], [rng]);
     }
 
     /// Publishes `K` independent streams in lock-step: at every slot each

@@ -90,7 +90,7 @@ pub use ipp::Ipp;
 pub use online::{OnlineSession, PipelineSpec, SessionKind};
 pub use publisher::StreamMechanism;
 pub use sampling::{optimal_sample_count, Sampling};
-pub use smoothing::{sma, sma_into};
+pub use smoothing::sma;
 
 /// Errors raised by algorithm constructors.
 pub type Error = ldp_mechanisms::MechanismError;

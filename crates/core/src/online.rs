@@ -235,13 +235,6 @@ impl OnlineSession {
         reported
     }
 
-    /// Reports a whole batch (convenience around [`Self::report_all_into`]).
-    pub fn report_all(&mut self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.report_all_into(xs, &mut out, rng);
-        out
-    }
-
     /// Reports a whole batch into a reused buffer (cleared first): the
     /// single-lane form of [`Self::report_lanes_into`].
     pub fn report_all_into(&mut self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
@@ -346,7 +339,9 @@ mod tests {
                     .publish(&xs, &mut r),
             };
             let mut online = OnlineSession::of_spec(spec, epsilon, w).unwrap();
-            assert_eq!(batch, online.report_all(&xs, &mut rng(2)), "{spec}");
+            let mut reported = Vec::new();
+            online.report_all_into(&xs, &mut reported, &mut rng(2));
+            assert_eq!(batch, reported, "{spec}");
         }
     }
 
@@ -441,13 +436,17 @@ mod tests {
     }
 
     #[test]
-    fn report_all_into_matches_report_all() {
+    fn report_all_into_matches_slot_by_slot_reports() {
         let xs = [0.3; 25];
         let mut a = sw(SessionKind::App, 1.0, 5);
         let mut b = sw(SessionKind::App, 1.0, 5);
         let mut buf = vec![1.0; 7];
         a.report_all_into(&xs, &mut buf, &mut rng(14));
-        assert_eq!(buf, b.report_all(&xs, &mut rng(14)));
+        let mut r = rng(14);
+        let one_by_one: Vec<f64> = xs.iter().map(|&x| b.report(x, &mut r)).collect();
+        assert_eq!(buf, one_by_one);
+        assert_eq!(a.pending_deviation(), b.pending_deviation());
+        assert_eq!(a.slots_published(), b.slots_published());
     }
 
     #[test]

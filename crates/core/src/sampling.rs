@@ -129,7 +129,11 @@ impl Sampling {
     #[must_use]
     pub fn upload_epsilon(&self, q: usize) -> f64 {
         let ns = self.sample_count(q);
-        let seg_len = (q / ns).max(1);
+        self.segment_epsilon((q / ns).max(1))
+    }
+
+    /// Per-upload budget when uploads are `seg_len` slots apart.
+    fn segment_epsilon(&self, seg_len: usize) -> f64 {
         self.epsilon / uploads_per_window(self.w, seg_len) as f64
     }
 }
@@ -137,39 +141,29 @@ impl Sampling {
 impl StreamMechanism for Sampling {
     /// Algorithm 3: segment the interval, upload perturbed segment means,
     /// replicate each across its segment.
-    fn publish(&self, xs: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
+    fn publish_into(&self, xs: &[f64], out: &mut Vec<f64>, rng: &mut dyn RngCore) {
+        out.clear();
         let q = xs.len();
         if q == 0 {
-            return Vec::new();
+            return;
         }
         let ns = self.sample_count(q);
         let seg_len = (q / ns).max(1);
-        let eps_seg = self.upload_epsilon(q);
-        let kernel = Kernel::of_spec(PipelineSpec::sw(self.kind), eps_seg)
+        let kernel = Kernel::of_spec(PipelineSpec::sw(self.kind), self.segment_epsilon(seg_len))
             .expect("validated at construction");
 
-        // Segment boundaries: ns−1 segments of seg_len, remainder to last.
-        let mut bounds = Vec::with_capacity(ns + 1);
+        // The segment means are one stream to the kernel: each upload
+        // corrects the deviation of the uploads before it.
+        out.reserve(q);
+        let mut deviation = 0.0;
         for r in 0..ns {
-            bounds.push(r * seg_len);
+            let lo = r * seg_len;
+            let hi = if r + 1 == ns { q } else { lo + seg_len };
+            let seg = &xs[lo..hi];
+            let mean = seg.iter().sum::<f64>() / seg.len() as f64;
+            let perturbed = kernel.step(mean, &mut deviation, rng);
+            out.extend(std::iter::repeat_n(perturbed, hi - lo));
         }
-        bounds.push(q);
-
-        let means: Vec<f64> = bounds
-            .windows(2)
-            .map(|sl| {
-                let seg = &xs[sl[0]..sl[1]];
-                seg.iter().sum::<f64>() / seg.len() as f64
-            })
-            .collect();
-        let mut perturbed = Vec::with_capacity(ns);
-        kernel.publish_into(&means, &mut perturbed, rng);
-
-        let mut out = Vec::with_capacity(q);
-        for (r, win) in bounds.windows(2).enumerate() {
-            out.extend(std::iter::repeat_n(perturbed[r], win[1] - win[0]));
-        }
-        out
     }
 }
 

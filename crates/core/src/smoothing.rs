@@ -3,7 +3,8 @@
 //! SW deviations are bidirectional, so averaging adjacent published values
 //! lets positive and negative noise cancel: Lemma IV.1 shows the smoothed
 //! variance drops by the window size. Smoothing is pure post-processing of
-//! already-private outputs, so it consumes no budget.
+//! already-private outputs, so it consumes no budget. APP and CAPP run it
+//! in place over the buffer they publish into.
 
 /// Centered simple moving average with window `2k+1` where `window = 2k+1`.
 ///
@@ -13,26 +14,34 @@
 /// `window <= 1` returns the input unchanged.
 #[must_use]
 pub fn sma(xs: &[f64], window: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(xs.len());
-    sma_into(xs, window, &mut out);
+    let mut out = Vec::new();
+    sma_in_place(window, xs.len(), &mut out, |raw| raw.copy_from_slice(xs));
     out
 }
 
-/// [`sma`] writing into a reused buffer (cleared first) instead of
-/// allocating. `out` must not alias `xs`.
-pub fn sma_into(xs: &[f64], window: usize, out: &mut Vec<f64>) {
+/// [`sma`] in place over `out`: `fill` writes the `n` raw values into
+/// `out[k..k + n]` (`k = window / 2`), and slot `t` then averages
+/// `out[max(k, t)..min(n + k, t + 2k + 1)]`, which later slots never read.
+/// Each window sums the raw values in stream order, so the bits are `sma`'s.
+pub(crate) fn sma_in_place(
+    window: usize,
+    n: usize,
+    out: &mut Vec<f64>,
+    fill: impl FnOnce(&mut [f64]),
+) {
+    let k = if window <= 1 { 0 } else { window / 2 };
     out.clear();
-    out.reserve(xs.len());
-    if window <= 1 || xs.is_empty() {
-        out.extend_from_slice(xs);
+    out.resize(n + k, 0.0);
+    fill(&mut out[k..]);
+    if k == 0 {
         return;
     }
-    let k = window / 2;
-    out.extend((0..xs.len()).map(|t| {
-        let lo = t.saturating_sub(k);
-        let hi = (t + k + 1).min(xs.len());
-        xs[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-    }));
+    for t in 0..n {
+        let lo = t.max(k);
+        let hi = (t + 2 * k + 1).min(n + k);
+        out[t] = out[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
+    }
+    out.truncate(n);
 }
 
 #[cfg(test)]

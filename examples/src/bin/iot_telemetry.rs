@@ -12,6 +12,7 @@
 //! fleet's daily-mean distribution.
 
 use ldp_baselines::BaSw;
+use ldp_core::crowd::estimated_population_means;
 use ldp_core::{Capp, Direct, StreamMechanism, WEventAccountant};
 use ldp_metrics::wasserstein_cdf_sum;
 use ldp_streams::synthetic::power_population;
@@ -47,10 +48,7 @@ fn main() {
     println!("\nfleet of {devices} devices, ε = {epsilon}, w = {w}");
     println!("{:<12} {:>28}", "algorithm", "Wasserstein(means est, true)");
     for (name, algo) in &algos {
-        let est_means: Vec<f64> = fleet
-            .iter()
-            .map(|device| algo.estimate_mean(device.values(), &mut rng))
-            .collect();
+        let est_means = estimated_population_means(&fleet, 0..96, algo.as_ref(), &mut rng);
         let distance = wasserstein_cdf_sum(&est_means, &true_means, 50);
         println!("{name:<12} {distance:>28.4}");
     }

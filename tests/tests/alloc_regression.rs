@@ -924,3 +924,64 @@ fn opening_a_fresh_directory_allocates_no_scan_buffer_and_spawns_no_thread() {
         "every fresh-directory recover() coincided with a new thread"
     );
 }
+
+#[test]
+fn every_publisher_publishes_allocation_free_once_warm() {
+    // Every publisher the evaluation builds — the ten named arms and all
+    // twenty (rule, mechanism) cells — fills the caller's buffer through
+    // `publish_into`; once that buffer has held one stream of this
+    // length, a further call touches the heap not at all. APP and CAPP
+    // smooth in place over the buffer, PP-S writes its replicated
+    // segment means straight into it.
+    use ldp_core::PipelineSpec;
+    use ldp_experiments::AlgorithmSpec;
+    use rand::SeedableRng;
+
+    const CALLS: u64 = 20;
+    let stream: Vec<f64> = (0..1_000)
+        .map(|i| 0.5 + 0.4 * (i as f64 / 25.0).sin())
+        .collect();
+    let named = [
+        AlgorithmSpec::SwDirect,
+        AlgorithmSpec::BaSw,
+        AlgorithmSpec::Ipp,
+        AlgorithmSpec::App,
+        AlgorithmSpec::Capp { margin: None },
+        AlgorithmSpec::Capp { margin: Some(0.1) },
+        AlgorithmSpec::ToPL,
+        AlgorithmSpec::NaiveSampling,
+        AlgorithmSpec::AppSampling,
+        AlgorithmSpec::CappSampling,
+    ];
+    let cells = PipelineSpec::grid().into_iter().map(AlgorithmSpec::Cell);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut published = Vec::new();
+    for spec in named.into_iter().chain(cells) {
+        let publisher = spec.build(2.0, 10);
+        publisher.publish_into(&stream, &mut published, &mut rng);
+        let before = allocation_events();
+        for _ in 0..CALLS {
+            publisher.publish_into(&stream, &mut published, &mut rng);
+        }
+        let events = allocation_events() - before;
+        assert_eq!(published.len(), stream.len(), "{}", spec.label());
+        if spec == AlgorithmSpec::ToPL {
+            // The named exception: ToPL's threshold fit reconstructs a
+            // histogram by EM (`sw_estimate::estimate_distribution`), which
+            // allocates its working vectors on every call. Only those
+            // remain: when ToPL's phase-1 reports and output were fresh
+            // vectors too, it read 70 per call.
+            assert!(
+                events < 70 * CALLS,
+                "ToPL: {events} allocations in {CALLS} calls"
+            );
+        } else {
+            assert_eq!(
+                events,
+                0,
+                "{}: allocations in {CALLS} warm calls",
+                spec.label()
+            );
+        }
+    }
+}

@@ -45,7 +45,8 @@ fn app_long_stream_mean_converges() {
     let truth = data.mean();
     let app = App::new(20.0, 10).unwrap();
     let mut rng = test_rng(5);
-    let est = app.estimate_mean(data.values(), &mut rng);
+    let published = app.publish(data.values(), &mut rng);
+    let est = published.iter().sum::<f64>() / published.len() as f64;
     assert!(
         (est - truth).abs() < 0.02,
         "APP long-run mean {est} vs truth {truth}"
@@ -62,7 +63,8 @@ fn tiny_budget_mean_saturates_at_sw_fixed_point() {
     let truth = data.mean(); // ≈ 0.29, far from SW's ≈ 0.5 fixed point
     let app = App::new(1.0, 20).unwrap(); // ε/w = 0.05
     let mut rng = test_rng(28);
-    let est = app.estimate_mean(data.values(), &mut rng);
+    let published = app.publish(data.values(), &mut rng);
+    let est = published.iter().sum::<f64>() / published.len() as f64;
     assert!(
         (est - 0.5).abs() < 0.1,
         "expected saturation near 0.5, got {est} (truth {truth})"
