@@ -30,8 +30,9 @@
 //! however long the log is, and the fold is the replay's critical path.
 //!
 //! Locking uses the `ldp_collector::sync` facade throughout, so `ldp-check`
-//! can explore crash points (see `ldp_wal::CrashPoint`) as deterministic
-//! scheduling decisions. Lock order is gate → wal; both paths respect it.
+//! can explore a kill at every disk operation of the log (through the
+//! `ldp_wal::Disk` a test puts under it) as a deterministic scheduling
+//! decision. Lock order is gate → wal; both paths respect it.
 //! The scan thread is the one exception by construction: the only
 //! collector code it runs is the routing half, which takes no lock and
 //! touches no atomic, and otherwise it uses a scoped `std` thread and two
@@ -257,7 +258,7 @@ impl Durability {
     /// short the log is.
     ///
     /// # Errors
-    /// I/O failures and a dead (crashed) log.
+    /// I/O failures and a dead log (an earlier disk operation failed).
     pub fn checkpoint_now(&self, collector: &Collector) -> io::Result<u64> {
         self.checkpoint_under_gate(collector, false)
     }
@@ -319,17 +320,6 @@ impl Durability {
         if wal.seal().is_err() {
             self.metrics.failures.inc();
         }
-    }
-
-    /// Test support: model a kill -9 plus power loss (see
-    /// [`Wal::simulate_power_loss`]). The log is dead afterwards; every
-    /// subsequent operation fails fail-closed.
-    ///
-    /// # Errors
-    /// Filesystem errors truncating the active segment.
-    pub fn simulate_power_loss(&self) -> io::Result<()> {
-        let mut wal = self.wal.lock().expect("wal mutex poisoned");
-        wal.simulate_power_loss().map_err(wal_err)
     }
 
     /// Ingest records appended since boot (not counting replay).

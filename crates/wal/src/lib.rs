@@ -14,9 +14,14 @@
 //! - no internal locking: [`Wal`] takes `&mut self` everywhere and the
 //!   embedding layer chooses the synchronization primitive. This matters
 //!   because the server wraps the log in the `ldp_collector::sync` facade so
-//!   `ldp-check` can explore crash points as scheduling decisions — a std
-//!   mutex hidden inside this crate and held across an instrumented decision
-//!   would deadlock the cooperative scheduler.
+//!   `ldp-check` can explore a kill at every disk operation as a scheduling
+//!   decision — a std mutex hidden inside this crate and held across an
+//!   instrumented decision would deadlock the cooperative scheduler;
+//! - one way to the filesystem: every read and write goes through the
+//!   [`Disk`] in [`WalConfig`] (the operating system's, unless
+//!   [`WalConfig::disk`] swaps it). Tests put the log on a model disk that
+//!   keeps its own books of what an `fsync` or a directory sync made
+//!   durable, and cut power or kill the process at any disk operation.
 //!
 //! On-disk layout (`WalConfig::dir`):
 //!
@@ -54,11 +59,11 @@
 
 #![forbid(unsafe_code)]
 
-mod fault;
+mod disk;
 mod log;
 pub mod record;
 
-pub use fault::{arm_crash_points, crash_points_armed, install_crash_hook, CrashPoint};
+pub use disk::{Disk, DiskFile};
 pub use log::{Recovered, Recovery, Wal, WalConfig};
 
 use std::fmt;
@@ -81,8 +86,10 @@ pub enum WalError {
         /// The stamp found; `None` when there was none.
         found: Option<String>,
     },
-    /// The log hit an injected crash point (or a prior fatal error) and
-    /// refuses further writes; the process is expected to die or restart.
+    /// An earlier [`Wal::append`], [`Wal::barrier`], [`Wal::checkpoint`]
+    /// or [`Wal::seal`] failed, so what it left on disk is unknown: the
+    /// log refuses every further one, and only a reopen, which scans what
+    /// is really there, brings it back.
     Dead,
 }
 
@@ -102,7 +109,7 @@ impl fmt::Display for WalError {
                     log::format_name()
                 )
             }
-            WalError::Dead => write!(f, "wal is dead (injected crash or prior fatal error)"),
+            WalError::Dead => f.write_str("wal is dead: an earlier disk operation failed"),
         }
     }
 }

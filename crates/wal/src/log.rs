@@ -1,11 +1,11 @@
 //! The segmented log: append/barrier/checkpoint/seal + recovery scan.
 
-use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::fault::{self, CrashPoint};
+use crate::disk::{Disk, DiskFile, StdDisk};
 use crate::record::{
     self, FrameReader, CHECKPOINT, DEFAULT_MAX_PAYLOAD, HEADER_LEN, INGEST, SEAL, WIRE_VERSION,
 };
@@ -46,6 +46,9 @@ pub struct WalConfig {
     pub segment_bytes: u64,
     /// Flush policy. Default [`FlushPolicy::Barrier`].
     pub flush: FlushPolicy,
+    /// The filesystem every read and write goes through: the operating
+    /// system's unless [`WalConfig::disk`] swaps it.
+    disk: Arc<dyn Disk>,
 }
 
 impl WalConfig {
@@ -55,6 +58,7 @@ impl WalConfig {
             dir: dir.into(),
             segment_bytes: 8 << 20,
             flush: FlushPolicy::Barrier,
+            disk: Arc::new(StdDisk),
         }
     }
 
@@ -69,6 +73,14 @@ impl WalConfig {
     #[must_use]
     pub fn flush(mut self, policy: FlushPolicy) -> Self {
         self.flush = policy;
+        self
+    }
+
+    /// Put the log on `disk` instead of the operating system's filesystem
+    /// (a model disk that can lose power, in tests).
+    #[must_use]
+    pub fn disk(mut self, disk: Arc<dyn Disk>) -> Self {
+        self.disk = disk;
         self
     }
 }
@@ -121,8 +133,13 @@ pub struct Recovery {
 /// - [`Wal::checkpoint`] atomically persists an opaque state blob covering
 ///   every record appended so far, then prunes all segments and older
 ///   checkpoints.
-/// - After any [`WalError::Dead`] (injected crash) the log refuses all
-///   further operations, modeling a killed process.
+/// - Any error inside [`Wal::append`], [`Wal::barrier`],
+///   [`Wal::checkpoint`] or [`Wal::seal`] kills the log: that call returns
+///   the error and every later one [`WalError::Dead`]. A failed write may
+///   have left part of a frame in the file, and a failed `fsync` may have
+///   dropped bytes the kernel will not write again, so no later barrier
+///   may promise them; only a reopen, which scans what is really there,
+///   brings the log back.
 ///
 /// The recovery (visitor) contract — [`Wal::recovery`] then
 /// [`Recovery::replay`]; [`Wal::open`] is the same pass with a visitor that
@@ -147,10 +164,11 @@ pub struct Recovery {
 ///   [`WalError::Io`]; nothing on disk has been changed by then, and the
 ///   directory opens again.
 pub struct Wal {
+    disk: Arc<dyn Disk>,
     dir: PathBuf,
     segment_bytes: u64,
     flush_policy: FlushPolicy,
-    file: File,
+    file: Box<dyn DiskFile>,
     active_path: PathBuf,
     next_seq: u64,
     checkpoint_seq: u64,
@@ -200,24 +218,23 @@ impl Wal {
                 "segment_bytes must be at least 1",
             )));
         }
-        fs::create_dir_all(&config.dir)?;
+        let disk = &*config.disk;
+        disk.create_dir_all(&config.dir)?;
         let (mut segs, mut cks, mut in_flight) = (Vec::new(), Vec::new(), Vec::new());
         let mut has_log = false;
-        for entry in fs::read_dir(&config.dir)? {
-            let entry = entry?;
-            let (name, path) = (entry.file_name(), entry.path());
-            let name = name.to_string_lossy();
-            let number = |prefix| name.strip_prefix(prefix)?.parse::<u64>().ok();
+        for (name, len) in disk.list(&config.dir)? {
+            let path = config.dir.join(&name);
+            let number = |prefix: &str| name.strip_prefix(prefix)?.parse::<u64>().ok();
             has_log |= name.starts_with("seg-") || name.starts_with("ck-");
             if name.ends_with(".tmp") {
                 in_flight.push(path);
             } else if let Some(num) = number("seg-") {
-                segs.push((num, path, entry.metadata()?.len()));
+                segs.push((num, path, len));
             } else if let Some(num) = number("ck-") {
-                cks.push((num, path));
+                cks.push((num, path, len));
             }
         }
-        check_format(&config.dir, has_log)?;
+        check_format(disk, &config.dir, has_log)?;
         segs.sort();
 
         // Only the newest checkpoint counts, and it must read back whole:
@@ -225,12 +242,15 @@ impl Wal {
         // error here fails the open with the directory as it was.
         let mut reader = FrameReader::new(chunk);
         let (checkpoint_seq, checkpoint) = match cks.into_iter().max() {
-            Some((covered, path)) => (covered, Some(read_state(&path, &mut reader)?)),
+            Some((covered, path, len)) => {
+                let state = read_state(disk, &path, len, &mut reader)?;
+                (covered, Some(state))
+            }
             None => (0, None),
         };
         for path in in_flight {
             // A checkpoint write that never renamed: dead weight.
-            let _ = fs::remove_file(&path);
+            let _ = disk.remove(&path);
         }
         Ok(Recovery {
             config,
@@ -241,16 +261,16 @@ impl Wal {
         })
     }
 
-    fn check_alive(&self) -> WalResult<()> {
+    /// Runs one write-path operation on a live log, and kills the log when
+    /// it fails: whatever the failed call left on disk is unknown until a
+    /// reopen scans it.
+    fn fail_closed<T>(&mut self, op: impl FnOnce(&mut Wal) -> WalResult<T>) -> WalResult<T> {
         if self.dead {
             return Err(WalError::Dead);
         }
-        Ok(())
-    }
-
-    fn die<T>(&mut self) -> WalResult<T> {
-        self.dead = true;
-        Err(WalError::Dead)
+        let result = op(self);
+        self.dead = result.is_err();
+        result
     }
 
     /// Buffer one ingest payload as an [`INGEST`] frame; returns its
@@ -261,39 +281,32 @@ impl Wal {
     /// When `payload` is longer than [`DEFAULT_MAX_PAYLOAD`], which the
     /// recovery scan would refuse as damage.
     pub fn append(&mut self, payload: &[u8]) -> WalResult<u64> {
-        self.check_alive()?;
-        if fault::hit(CrashPoint::Append) {
-            return self.die();
-        }
         assert!(
             payload.len() <= DEFAULT_MAX_PAYLOAD as usize,
             "ingest payload above the log's frame bound"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        record::envelope(&mut self.buf, INGEST, |buf| buf.extend_from_slice(payload));
-        if self.buf.len() >= FLUSH_THRESHOLD {
-            self.flush_buf()?;
-        }
-        if self.written + self.buf.len() as u64 >= self.segment_bytes {
-            self.roll_segment()?;
-        } else if let FlushPolicy::Batched(interval) = self.flush_policy {
-            if self.last_sync.elapsed() >= interval {
-                self.sync_to_disk()?;
+        self.fail_closed(|wal| {
+            let seq = wal.next_seq;
+            wal.next_seq += 1;
+            record::envelope(&mut wal.buf, INGEST, |buf| buf.extend_from_slice(payload));
+            if wal.buf.len() >= FLUSH_THRESHOLD {
+                wal.flush_buf()?;
             }
-        }
-        Ok(seq)
+            if wal.written + wal.buf.len() as u64 >= wal.segment_bytes {
+                wal.roll_segment()?;
+            } else if let FlushPolicy::Batched(interval) = wal.flush_policy {
+                if wal.last_sync.elapsed() >= interval {
+                    wal.sync_to_disk()?;
+                }
+            }
+            Ok(seq)
+        })
     }
 
     /// Flush and `fsync` everything appended so far. After this returns,
     /// every issued sequence number is durable.
     pub fn barrier(&mut self) -> WalResult<()> {
-        self.check_alive()?;
-        self.sync_to_disk()?;
-        if fault::hit(CrashPoint::AfterSync) {
-            return self.die();
-        }
-        Ok(())
+        self.fail_closed(Wal::sync_to_disk)
     }
 
     /// Whether enough live segments have accumulated that the embedder
@@ -312,12 +325,12 @@ impl Wal {
     /// leaves either the old or the new checkpoint the newest, with stale
     /// segments filtered by sequence on replay.
     pub fn checkpoint(&mut self, state: &[u8]) -> WalResult<u64> {
-        self.check_alive()?;
+        self.fail_closed(|wal| wal.write_checkpoint(state))
+    }
+
+    fn write_checkpoint(&mut self, state: &[u8]) -> WalResult<u64> {
         self.sync_to_disk()?;
         let covered = self.next_seq - 1;
-        if fault::hit(CrashPoint::CheckpointWrite) {
-            return self.die();
-        }
         let final_path = self.dir.join(format!("ck-{covered:020}"));
         let tmp_path = self.dir.join(format!("ck-{covered:020}.tmp"));
         let piece = DEFAULT_MAX_PAYLOAD as usize;
@@ -326,30 +339,23 @@ impl Wal {
             record::envelope(&mut image, CHECKPOINT, |buf| buf.extend_from_slice(part));
         }
         record::envelope(&mut image, SEAL, |_| {});
-        let mut f = File::create(&tmp_path)?;
+        let mut f = self.disk.create(&tmp_path)?;
         f.write_all(&image)?;
         f.sync_all()?;
-        if fault::hit(CrashPoint::CheckpointRename) {
-            return self.die();
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir)?;
-        if fault::hit(CrashPoint::CheckpointPrune) {
-            return self.die();
-        }
+        self.disk.rename(&tmp_path, &final_path)?;
+        self.disk.sync_dir(&self.dir)?;
         // Roll to a fresh segment, then delete everything the checkpoint
         // covers: all other segments and all older checkpoints.
         self.start_segment()?;
         self.closed_segments = 0;
-        for entry in fs::read_dir(&self.dir)? {
-            let (name, path) = entry.map(|entry| (entry.file_name(), entry.path()))?;
-            let name = name.to_string_lossy();
+        for (name, _) in self.disk.list(&self.dir)? {
+            let path = self.dir.join(&name);
             let covered = name.starts_with("seg-") || name.starts_with("ck-");
             if covered && path != self.active_path && path != final_path {
-                let _ = fs::remove_file(&path);
+                let _ = self.disk.remove(&path);
             }
         }
-        sync_dir(&self.dir)?;
+        self.disk.sync_dir(&self.dir)?;
         self.checkpoint_seq = covered;
         Ok(covered)
     }
@@ -358,21 +364,16 @@ impl Wal {
     /// a sequence number like any record) and sync it. A log whose last
     /// record is a seal recovers with `clean = true`.
     pub fn seal(&mut self) -> WalResult<()> {
-        self.check_alive()?;
-        if fault::hit(CrashPoint::Seal) {
-            return self.die();
-        }
-        self.next_seq += 1;
-        record::envelope(&mut self.buf, SEAL, |_| {});
-        self.sync_to_disk()
+        self.fail_closed(|wal| {
+            wal.next_seq += 1;
+            record::envelope(&mut wal.buf, SEAL, |_| {});
+            wal.sync_to_disk()
+        })
     }
 
     fn flush_buf(&mut self) -> WalResult<()> {
         if self.buf.is_empty() {
             return Ok(());
-        }
-        if fault::hit(CrashPoint::Flush) {
-            return self.die();
         }
         self.file.write_all(&self.buf)?;
         self.written += self.buf.len() as u64;
@@ -383,9 +384,6 @@ impl Wal {
     fn sync_to_disk(&mut self) -> WalResult<()> {
         self.flush_buf()?;
         if self.synced < self.written {
-            if fault::hit(CrashPoint::Sync) {
-                return self.die();
-            }
             self.file.sync_data()?;
             self.synced = self.written;
         }
@@ -403,7 +401,7 @@ impl Wal {
 
     /// Make a fresh segment, named for the next sequence, the active one.
     fn start_segment(&mut self) -> WalResult<()> {
-        (self.active_path, self.file) = create_segment(&self.dir, self.next_seq)?;
+        (self.active_path, self.file) = create_segment(&*self.disk, &self.dir, self.next_seq)?;
         (self.written, self.synced) = (0, 0);
         Ok(())
     }
@@ -419,43 +417,26 @@ impl Wal {
     pub fn live_segments(&self) -> u64 {
         self.closed_segments + 1
     }
-
-    /// Test support: model a kill plus power loss. Buffered bytes vanish
-    /// and the active segment is truncated back to the last `fsync`ed
-    /// offset (written-but-unsynced bytes are assumed lost — the harshest
-    /// outcome the durability contract must survive). The log is dead
-    /// afterwards; reopen the directory to recover.
-    pub fn simulate_power_loss(&mut self) -> WalResult<()> {
-        self.buf.clear();
-        self.dead = true;
-        let f = OpenOptions::new().write(true).open(&self.active_path)?;
-        f.set_len(self.synced)?;
-        f.sync_all()?;
-        Ok(())
-    }
 }
 
-fn create_segment(dir: &Path, first_seq: u64) -> WalResult<(PathBuf, File)> {
+/// Creates the segment whose first record is `first_seq`, entry durable.
+fn create_segment(
+    disk: &dyn Disk,
+    dir: &Path,
+    first_seq: u64,
+) -> WalResult<(PathBuf, Box<dyn DiskFile>)> {
     let path = dir.join(format!("seg-{first_seq:020}"));
-    let file = OpenOptions::new()
-        .create(true)
-        .truncate(true)
-        .write(true)
-        .open(&path)?;
-    sync_dir(dir)?;
+    let file = disk.create(&path)?;
+    disk.sync_dir(dir)?;
     Ok((path, file))
-}
-
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 /// Accepts `dir` if its stamp names [`format_name`]; stamps it if it has
 /// no stamp and no log files (`has_log` false); refuses it otherwise.
 /// Reads at most one stamp's worth of bytes and changes nothing it refuses.
-fn check_format(dir: &Path, has_log: bool) -> WalResult<()> {
+fn check_format(disk: &dyn Disk, dir: &Path, has_log: bool) -> WalResult<()> {
     let stamp = format!("{}\n", format_name());
-    match File::open(dir.join(FORMAT_FILE)) {
+    match disk.open_read(&dir.join(FORMAT_FILE)) {
         Ok(file) => {
             let mut found = Vec::new();
             file.take(stamp.len() as u64 + 1).read_to_end(&mut found)?;
@@ -470,23 +451,28 @@ fn check_format(dir: &Path, has_log: bool) -> WalResult<()> {
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             let tmp = dir.join(format!("{FORMAT_FILE}.tmp"));
-            let mut file = File::create(&tmp)?;
+            let mut file = disk.create(&tmp)?;
             file.write_all(stamp.as_bytes())?;
             file.sync_all()?;
-            fs::rename(&tmp, dir.join(FORMAT_FILE))?;
-            Ok(sync_dir(dir)?)
+            disk.rename(&tmp, &dir.join(FORMAT_FILE))?;
+            Ok(disk.sync_dir(dir)?)
         }
         Err(e) => Err(e.into()),
     }
 }
 
-/// Reads the checkpoint at `path` through `reader`: the state its
-/// [`CHECKPOINT`] frames concatenate to, in one `Vec` reserved from the
-/// file's length. A file that does not scan whole, or whose last frame is
-/// not its only [`SEAL`], is [`WalError::Corrupt`].
-fn read_state(path: &Path, reader: &mut FrameReader) -> WalResult<Vec<u8>> {
-    let file = File::open(path)?;
-    let mut state = Vec::with_capacity(file.metadata()?.len() as usize);
+/// Reads the checkpoint at `path`, `len` bytes long, through `reader`: the
+/// state its [`CHECKPOINT`] frames concatenate to, in one `Vec` reserved
+/// from that length. A file that does not scan whole, or whose last frame
+/// is not its only [`SEAL`], is [`WalError::Corrupt`].
+fn read_state(
+    disk: &dyn Disk,
+    path: &Path,
+    len: u64,
+    reader: &mut FrameReader,
+) -> WalResult<Vec<u8>> {
+    let file = disk.open_read(path)?;
+    let mut state = Vec::with_capacity(len as usize);
     let (mut sealed, mut in_order) = (false, true);
     let (_, intact) = scan(reader, file, &[CHECKPOINT, SEAL], |frame_type, payload| {
         in_order &= !sealed;
@@ -537,6 +523,7 @@ impl Recovery {
             mut reader,
         } = self;
         drop(checkpoint);
+        let disk = &*config.disk;
 
         let mut records = 0u64;
         let mut truncated_bytes = 0u64;
@@ -550,7 +537,7 @@ impl Recovery {
                 // written after the damaged one and cannot be trusted to
                 // chain onto a truncated history.
                 truncated_bytes += len;
-                let _ = fs::remove_file(&path);
+                let _ = disk.remove(&path);
                 continue;
             }
             let mut seq = first_seq;
@@ -559,7 +546,7 @@ impl Recovery {
                 // A fresh directory never reads, so never allocates.
                 let (valid, intact) = scan(
                     &mut reader,
-                    File::open(&path)?,
+                    disk.open_read(&path)?,
                     &[INGEST, SEAL],
                     |frame_type, payload| {
                         clean = frame_type == SEAL;
@@ -574,7 +561,7 @@ impl Recovery {
                 good = valid;
                 if !intact {
                     truncated_bytes += len.saturating_sub(good);
-                    let f = OpenOptions::new().write(true).open(&path)?;
+                    let f = disk.open_append(&path)?;
                     f.set_len(good)?;
                     f.sync_all()?;
                     damaged = true;
@@ -594,18 +581,19 @@ impl Recovery {
             .max(checkpoint_seq + 1);
         let (active_path, file, written) = match kept.pop() {
             Some((path, len, next)) if next == next_seq => {
-                let file = OpenOptions::new().append(true).open(&path)?;
+                let file = disk.open_append(&path)?;
                 (path, file, len)
             }
             last => {
                 kept.extend(last);
-                let (path, file) = create_segment(&config.dir, next_seq)?;
+                let (path, file) = create_segment(disk, &config.dir, next_seq)?;
                 (path, file, 0)
             }
         };
-        sync_dir(&config.dir)?;
+        disk.sync_dir(&config.dir)?;
 
         let wal = Wal {
+            disk: config.disk,
             dir: config.dir,
             segment_bytes: config.segment_bytes,
             flush_policy: config.flush,
@@ -636,7 +624,7 @@ impl Recovery {
 /// whether the file ended cleanly there (not at a bad or torn frame).
 fn scan(
     reader: &mut FrameReader,
-    mut src: File,
+    mut src: impl Read,
     accept: &[u8],
     mut on_frame: impl FnMut(u8, &[u8]) -> io::Result<()>,
 ) -> io::Result<(u64, bool)> {
@@ -669,6 +657,7 @@ mod tests {
     use super::*;
     use crate::record::Header;
     use proptest::prelude::*;
+    use std::fs::{self, OpenOptions};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -777,19 +766,6 @@ mod tests {
             [(1, b"one".to_vec()), (2, b"two".to_vec())]
         );
         assert!(!opened.rec.clean);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn power_loss_drops_unsynced_only() {
-        let dir = temp_dir("loss");
-        let (mut wal, _) = Wal::open(cfg(&dir)).unwrap();
-        wal.append(b"durable").unwrap();
-        wal.barrier().unwrap();
-        wal.append(b"volatile").unwrap();
-        wal.simulate_power_loss().unwrap();
-        assert!(matches!(wal.append(b"x"), Err(WalError::Dead)));
-        assert_eq!(open(&dir).replayed, [(1, b"durable".to_vec())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,12 @@
 //! Cross-crate integration tests.
 //!
 //! The actual tests live in `tests/tests/*.rs`; this library only hosts
-//! shared helpers.
+//! shared helpers: a seeded RNG and the [`ModelDisk`] the write-ahead log's
+//! crash tests run on.
+
+mod model_disk;
+
+pub use model_disk::ModelDisk;
 
 use rand::SeedableRng;
 

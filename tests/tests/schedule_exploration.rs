@@ -394,22 +394,23 @@ mod checked_collector {
 }
 
 // ====================================================================
-// Crash-point exploration: the durability protocol under every crash
-// the scheduler can reach. The WAL's instrumented crash points (append,
-// flush, fsync, checkpoint write/rename/prune, seal) are armed, a
-// checker-scheduled kill switch decides *where* the process "dies", and
-// recovery from the surviving bytes must always yield a collector that
-// is an exact prefix of the ingest history — every acked batch present,
-// nothing double-counted.
+// Kill exploration: the durability protocol under every kill the
+// scheduler can reach. The log runs on a model disk whose kill predicate
+// loads a checker atomic before every disk operation (every create,
+// write, sync, rename, remove, listing and directory sync), so each
+// operation is a place the explored schedules kill the process; then the
+// power goes, keeping only what the disk made durable. Recovery must
+// always yield a collector that is an exact prefix of the ingest
+// history — every acked batch present, nothing double-counted.
 // ====================================================================
 
 #[cfg(ldp_check)]
 mod checked_durability {
     use super::*;
+    use integration_tests::ModelDisk;
     use ldp_collector::{Collector, CollectorConfig, ReportBatch};
     use ldp_server::durable::{self, FlushPolicy, WalConfig};
     use ldp_server::wire::{Frame, IngestScratch, HEADER_LEN};
-    use std::path::PathBuf;
 
     const BATCHES: u64 = 6;
     const ROWS: u64 = 12;
@@ -418,38 +419,13 @@ mod checked_durability {
         Config::default().executions(200).seed(seed)
     }
 
-    /// The kill switch the crash hook reads. The slot itself is a plain
-    /// `std` lock (the hook must not create a scheduling point while
-    /// holding it); the flag inside is a **checker** atomic, so the
-    /// hook's load at each crash point *is* the scheduling decision the
-    /// explorer permutes against the killer thread's store.
-    #[allow(clippy::type_complexity)]
-    static KILL_SWITCH: std::sync::RwLock<Option<Arc<AtomicBool>>> = std::sync::RwLock::new(None);
-
-    fn install_hook_once() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            ldp_wal::install_crash_hook(|_point| {
-                let flag = KILL_SWITCH
-                    .read()
-                    .expect("kill-switch slot poisoned")
-                    .clone();
-                match flag {
-                    Some(flag) => flag.load(Ordering::Acquire),
-                    None => false,
-                }
-            });
-        });
-    }
-
-    /// Per-execution scratch directory. Deliberately a `std` counter:
-    /// naming must not consume scheduler decisions.
-    fn fresh_dir() -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ldp-check-wal-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A model disk whose process dies once `flag` is set. The flag is a
+    /// **checker** atomic, so its load before each disk operation *is*
+    /// the scheduling decision the explorer permutes against the killer
+    /// thread's store; the model asks it holding none of its own locks.
+    fn killable_disk(flag: &Arc<AtomicBool>) -> ModelDisk {
+        let flag = Arc::clone(flag);
+        ModelDisk::killed_when(move |_| flag.load(Ordering::Acquire))
     }
 
     /// Serial fold order: recovered state must be bit-comparable to a
@@ -465,13 +441,14 @@ mod checked_durability {
 
     /// One-record segments: every append rolls, the fourth closed segment
     /// calls for a checkpoint, and two more batches land after it — a
-    /// six-batch run crosses segment rolls, a checkpoint and appends past
-    /// it, so the explorer reaches every crash point, not just
-    /// append/sync.
-    fn wal_config(dir: &PathBuf) -> WalConfig {
-        WalConfig::new(dir)
+    /// six-batch run crosses segment creates, a checkpoint's write,
+    /// rename and prune, and appends past it, so the explorer kills at
+    /// every kind of disk operation, not just write/sync.
+    fn wal_config(disk: &ModelDisk) -> WalConfig {
+        WalConfig::new("wal")
             .flush(FlushPolicy::Barrier)
             .segment_bytes(1)
+            .disk(std::sync::Arc::new(disk.clone()))
     }
 
     fn batch(salt: u64) -> ReportBatch {
@@ -499,18 +476,15 @@ mod checked_durability {
     /// twice, never a partial batch.
     #[test]
     fn every_crash_schedule_recovers_an_acked_prefix_exactly() {
-        install_hook_once();
-        ldp_wal::arm_crash_points(true);
         check(
             "wal-crash-point-recovery",
             &invariant_config(0xDEAD),
             || {
-                let dir = fresh_dir();
                 let flag = Arc::new(AtomicBool::new(false));
-                *KILL_SWITCH.write().expect("kill-switch slot poisoned") = Some(Arc::clone(&flag));
+                let disk = killable_disk(&flag);
 
                 let (collector, durability, _) =
-                    durable::recover(collector_config(), wal_config(&dir)).expect("fresh recover");
+                    durable::recover(collector_config(), wal_config(&disk)).expect("fresh recover");
 
                 // Writer: the server's per-frame protocol — append+fold, then
                 // barrier, then retention — counting batches whose barrier
@@ -541,23 +515,22 @@ mod checked_durability {
                     })
                 };
                 // Killer: one checker-scheduled store. Every interleaving of
-                // this store with the writer's instrumented WAL operations is
-                // a distinct crash location.
+                // this store with the writer's disk operations is a distinct
+                // kill location.
                 let killer = {
                     let flag = Arc::clone(&flag);
                     thread::spawn(move || flag.store(true, Ordering::Release))
                 };
                 let acked = writer.join().unwrap();
                 killer.join().unwrap();
-                *KILL_SWITCH.write().expect("kill-switch slot poisoned") = None;
 
-                // Power loss on top of the crash: buffered bytes vanish, the
-                // active segment truncates to the fsync high-water mark.
-                let _ = durability.simulate_power_loss();
+                // Power loss on top of the kill: only what the disk made
+                // durable survives, whatever the log believed it synced.
+                let cut = disk.durable();
                 drop(durability);
                 drop(collector);
 
-                let (recovered, _, _) = durable::recover(collector_config(), wal_config(&dir))
+                let (recovered, _, _) = durable::recover(collector_config(), wal_config(&cut))
                     .expect("recovery must succeed from any crash point");
                 let total = recovered.total_reports();
                 assert_eq!(total % ROWS, 0, "a torn batch must never fold");
@@ -583,10 +556,7 @@ mod checked_durability {
                     b.windowed_mean(0..5).map(f64::to_bits),
                     "windowed mean bit-exact"
                 );
-                drop(recovered);
-                let _ = std::fs::remove_dir_all(&dir);
             },
         );
-        ldp_wal::arm_crash_points(false);
     }
 }

@@ -1,6 +1,6 @@
 //! Write-ahead log durability: the recovery contract end to end.
 //!
-//! Four tiers:
+//! Five tiers:
 //!
 //! * **Log frame codec (proptest)** — a record is a wire frame: enveloped
 //!   → parsed + verified round-trips exactly; every torn-tail cut and
@@ -13,17 +13,27 @@
 //!   real TCP, shut down cleanly, recovers to the exact pre-shutdown
 //!   state: ledger tallies exact, per-user means bit-identical,
 //!   wire-served metrics carrying the WAL books.
-//! * **Power loss** — `simulate_power_loss` (buffered bytes vanish, the
-//!   active segment truncates to the fsync high-water mark) loses only
-//!   what no ack ever covered: every synced batch survives exactly.
+//! * **Power loss** — on a [`ModelDisk`], which keeps its own books of
+//!   what each `fsync` and directory sync made durable (not the log's):
+//!   a kill at every disk operation of a small durable workload, then
+//!   every power cut the disk allows (each surviving prefix of the
+//!   unsynced tails, each prefix of the unsynced directory changes), loses
+//!   only what no ack ever covered — recovery yields an acked prefix,
+//!   bit-identical to a direct fold of it.
+//! * **Fail closed** — after a failed write or `fsync` the log is dead: no
+//!   later barrier promises anything, and recovery yields exactly the
+//!   acked prefix.
 
+use integration_tests::ModelDisk;
 use ldp_collector::{Collector, CollectorConfig, ReportBatch};
 use ldp_server::durable::{self, Durability, FlushPolicy, WalConfig};
 use ldp_server::wire::{Frame, IngestScratch, HEADER_LEN};
 use ldp_server::{RemoteCollector, Server, ServerConfig};
 use ldp_wal::record::{envelope, Header, DEFAULT_MAX_PAYLOAD, INGEST, SEAL};
+use ldp_wal::{Wal, WalError};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Fresh per-test WAL directory (pid + counter: parallel test threads and
@@ -38,6 +48,42 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn wal_config(dir: &PathBuf) -> WalConfig {
     WalConfig::new(dir).flush(FlushPolicy::Barrier)
+}
+
+/// Every length a power cut may leave of an unsynced tail.
+fn every_prefix(tail: &[u8]) -> Vec<usize> {
+    (0..=tail.len()).collect()
+}
+
+/// The lengths of an unsynced tail of wire frames a power cut is tried
+/// at: its ends, the end of every whole frame in it, and one byte either
+/// side of each. Every byte would repeat these outcomes across thousands
+/// of recoveries.
+fn frame_cuts(tail: &[u8]) -> Vec<usize> {
+    let mut ends = vec![0, tail.len()];
+    let mut at = 0;
+    while let Some(header) = tail[at..].first_chunk().and_then(|h| Header::parse(h).ok()) {
+        at += HEADER_LEN + header.payload_len as usize;
+        if at > tail.len() {
+            break;
+        }
+        ends.push(at);
+    }
+    let mut cuts: Vec<usize> = ends
+        .into_iter()
+        .flat_map(|end| [end.saturating_sub(1), end, end + 1])
+        .filter(|&cut| cut <= tail.len())
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts
+}
+
+/// A log in directory `wal` of `disk`.
+fn model_config(disk: &ModelDisk) -> WalConfig {
+    WalConfig::new("wal")
+        .flush(FlushPolicy::Barrier)
+        .disk(Arc::new(disk.clone()))
 }
 
 /// Serial collector config: deterministic fold order so recovered state
@@ -265,11 +311,11 @@ fn durable_server_clean_shutdown_recovers_exact_state() {
 /// bit-identical to a direct fold of the acked prefix.
 #[test]
 fn power_loss_preserves_every_acked_batch_exactly() {
-    let dir = temp_dir("ploss");
+    let disk = ModelDisk::new();
     const ACKED: u64 = 3;
-    {
+    let cuts: Vec<ModelDisk> = {
         let (collector, d, _) =
-            durable::recover(collector_config(), wal_config(&dir)).expect("fresh recover");
+            durable::recover(collector_config(), model_config(&disk)).expect("fresh recover");
         let server = Server::bind_durable(
             Arc::clone(&collector),
             Arc::clone(&d),
@@ -290,39 +336,71 @@ fn power_loss_preserves_every_acked_batch_exactly() {
         client.ingest(&batch(ACKED + 1)).expect("ingest");
         let metrics = client.metrics().expect("metrics");
         assert_eq!(metrics.counter("wal.appended_records"), Some(ACKED + 2));
-        d.simulate_power_loss().expect("power loss");
+        // The power goes now: what the server does after it (its
+        // shutdown's checkpoint and seal) never reaches these disks.
+        let cuts = disk.power_cuts(every_prefix).collect();
         drop(client);
-        drop(server); // shutdown's seal fails on the dead log (counted), harmless
-    }
+        drop(server);
+        cuts
+    };
     let reference = Collector::new(collector_config());
     for salt in 0..ACKED {
         reference.ingest_outcome(&batch(salt));
     }
-    let (recovered, _, report) =
-        durable::recover(collector_config(), wal_config(&dir)).expect("recover");
-    assert_eq!(
-        report.replayed_records, ACKED,
-        "exactly the fsynced (acked) prefix survives"
-    );
-    assert!(!report.clean);
-    assert_same_state(&recovered, &reference, "post-power-loss state");
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!cuts.is_empty());
+    for cut in cuts {
+        let (recovered, _, report) =
+            durable::recover(collector_config(), model_config(&cut)).expect("recover");
+        assert_eq!(
+            report.replayed_records, ACKED,
+            "exactly the fsynced (acked) prefix survives"
+        );
+        assert!(!report.clean);
+        assert_same_state(&recovered, &reference, "post-power-loss state");
+    }
+}
+
+/// A power cut keeps what a barrier synced and drops what was only
+/// appended since, on the log alone.
+#[test]
+fn power_loss_drops_unsynced_only() {
+    let disk = ModelDisk::new();
+    let (mut wal, _) = Wal::open(model_config(&disk)).unwrap();
+    wal.append(b"durable").unwrap();
+    wal.barrier().unwrap();
+    wal.append(b"volatile").unwrap();
+    let cut = disk.durable();
+    let (recovery, mut replayed) = (Wal::recovery(model_config(&cut)).unwrap(), Vec::new());
+    recovery
+        .replay(|seq, payload| {
+            replayed.push((seq, payload.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(replayed, [(1, b"durable".to_vec())]);
 }
 
 /// An ingest frame that the WAL refuses is answered with UNAVAILABLE and
 /// never folded — the fail-closed side of "ack implies durable".
 #[test]
 fn dead_log_fails_closed_over_the_wire() {
-    let dir = temp_dir("dead");
+    let dead = Arc::new(AtomicBool::new(false));
+    let disk = {
+        let dead = Arc::clone(&dead);
+        ModelDisk::killed_when(move |_| dead.load(Ordering::Relaxed))
+    };
     let (collector, d, _) =
-        durable::recover(collector_config(), wal_config(&dir)).expect("fresh recover");
+        durable::recover(collector_config(), model_config(&disk)).expect("fresh recover");
     let server = Server::bind_durable(
         Arc::clone(&collector),
         Arc::clone(&d),
         ServerConfig::default(),
     )
     .expect("bind durable server");
-    d.simulate_power_loss().expect("kill the log");
+    // The disk fails from here on; the checkpoint's failed disk operation
+    // kills the log.
+    dead.store(true, Ordering::Relaxed);
+    assert!(d.checkpoint_now(&collector).is_err());
     let mut client = RemoteCollector::connect(server.local_addr()).expect("connect");
     // The frame reaches a server whose log is dead: it must refuse (the
     // error surfaces on the sync read; the connection is closed), and the
@@ -332,7 +410,170 @@ fn dead_log_fails_closed_over_the_wire() {
     assert_eq!(collector.total_reports(), 0, "refused frame must not fold");
     drop(client);
     drop(server);
-    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ====================================================================
+// Kills and power cuts at every disk operation
+// ====================================================================
+
+/// One-record segments: every append rolls, the fourth closed segment
+/// calls for a checkpoint, and more batches land after it, so a run
+/// crosses segment creates, a checkpoint's write, rename and prune, and
+/// appends past it.
+fn crash_config(disk: &ModelDisk) -> WalConfig {
+    model_config(disk).segment_bytes(1)
+}
+
+const CRASH_BATCHES: u64 = 6;
+
+/// The server's per-frame protocol on `disk` — append + fold, barrier,
+/// retention — until the disk dies; returns the batches whose barrier
+/// (the ack's precondition) returned `Ok`.
+fn acked_batches(disk: &ModelDisk) -> u64 {
+    let Ok((collector, d, _)) = durable::recover(collector_config(), crash_config(disk)) else {
+        return 0;
+    };
+    let mut scratch = IngestScratch::default();
+    let mut acked = 0;
+    for salt in 0..CRASH_BATCHES {
+        let payload = ingest_payload(&batch(salt));
+        if d.ingest_frame(&collector, &payload, &mut scratch).is_err() || d.barrier().is_err() {
+            break;
+        }
+        acked += 1;
+        if d.maybe_checkpoint(&collector).is_err() {
+            break;
+        }
+    }
+    acked
+}
+
+/// Direct folds of the first `k` batches, for every `k` in `0..=batches`.
+fn prefix_folds(batches: u64) -> Vec<Collector> {
+    (0..=batches)
+        .map(|k| {
+            let reference = Collector::new(collector_config());
+            for salt in 0..k {
+                reference.ingest_outcome(&batch(salt));
+            }
+            reference
+        })
+        .collect()
+}
+
+/// Recovers `disk` and asserts it holds exactly the first `k` batches for
+/// some `k` in `acked..=written`, bit-identical to `references[k]`.
+fn assert_acked_prefix(disk: &ModelDisk, acked: u64, written: u64, references: &[Collector]) {
+    let (recovered, _, _) = durable::recover(collector_config(), crash_config(disk))
+        .expect("recovery must succeed after any kill and power cut");
+    let total = recovered.total_reports();
+    assert_eq!(total % 16, 0, "a torn batch must never fold");
+    let k = total / 16;
+    assert!(k >= acked, "acked batch lost: {k} survived < {acked} acked");
+    assert!(k <= written, "phantom batches: {k} > {written} written");
+    assert_same_state(&recovered, &references[k as usize], "acked prefix");
+}
+
+/// Every disk operation of a six-batch durable run is a kill point, and
+/// every power cut the disk allows after the kill — each prefix of each
+/// directory's unsynced changes, and each unsynced tail cut at every frame
+/// boundary and one byte either side ([`frame_cuts`]) — recovers an acked
+/// prefix exactly. The disk's own books, not the log's, decide what
+/// survives: a log that skips an `fsync` or a directory sync loses an
+/// acked batch here.
+#[test]
+fn every_kill_and_power_cut_recovers_an_acked_prefix_exactly() {
+    let references = prefix_folds(CRASH_BATCHES);
+    let whole = ModelDisk::new();
+    assert_eq!(acked_batches(&whole), CRASH_BATCHES);
+    let operations = whole.operations();
+    let mut cuts = 0;
+    for kill_at in 0..=operations {
+        let disk = ModelDisk::killed_when(move |op| op >= kill_at);
+        let acked = acked_batches(&disk);
+        for cut in disk.power_cuts(frame_cuts) {
+            assert_acked_prefix(&cut, acked, CRASH_BATCHES, &references);
+            cuts += 1;
+        }
+    }
+    assert!(
+        cuts > operations,
+        "{cuts} power cuts over {operations} kill points"
+    );
+}
+
+/// Acks `batches` batches on `disk`, then appends one more frame that no
+/// barrier has covered yet.
+fn acked_then_pending(disk: &ModelDisk, batches: u64) -> (Arc<Collector>, Arc<Durability>) {
+    let (collector, d, _) =
+        durable::recover(collector_config(), model_config(disk)).expect("fresh recover");
+    ingest_batches(&d, &collector, 0..batches);
+    let payload = ingest_payload(&batch(batches));
+    d.ingest_frame(&collector, &payload, &mut IngestScratch::default())
+        .expect("an append only buffers");
+    (collector, d)
+}
+
+/// After a failed write-path operation no barrier returns `Ok` again, an
+/// append is refused, and every power cut recovers the acked batches.
+fn assert_failed_closed(disk: &ModelDisk, collector: &Collector, d: &Durability, acked: u64) {
+    assert!(d.barrier().is_err(), "a retried barrier must not ack");
+    let payload = ingest_payload(&batch(acked + 1));
+    assert!(d
+        .ingest_frame(collector, &payload, &mut IngestScratch::default())
+        .is_err());
+    assert!(d.barrier().is_err(), "no later barrier may ack");
+    let reference = prefix_folds(acked)
+        .pop()
+        .expect("the fold of all acked batches");
+    for cut in disk.power_cuts(every_prefix) {
+        let (recovered, _, _) =
+            durable::recover(collector_config(), model_config(&cut)).expect("recover");
+        assert_same_state(&recovered, &reference, "exactly the acked prefix");
+    }
+}
+
+/// A short write leaves part of a frame in the segment. Writing the
+/// whole buffer again after it would tear the log there, and replay cuts
+/// off every frame after a tear — acked ones too.
+#[test]
+fn a_short_write_kills_the_log() {
+    let disk = ModelDisk::new();
+    let (collector, d) = acked_then_pending(&disk, 3);
+    disk.fail_next_write(HEADER_LEN + 5);
+    match d.barrier() {
+        Err(e) => assert!(
+            !e.to_string().contains("dead"),
+            "the write's own error: {e}"
+        ),
+        Ok(()) => panic!("a barrier acked a failed write"),
+    }
+    assert_failed_closed(&disk, &collector, &d, 3);
+}
+
+/// A failed `fsync` drops the bytes it did not write, and a retry finds
+/// nothing dirty and succeeds: acking after it would promise lost bytes.
+#[test]
+fn a_failed_sync_kills_the_log() {
+    let disk = ModelDisk::new();
+    let (collector, d) = acked_then_pending(&disk, 3);
+    disk.fail_next_sync();
+    assert!(d.barrier().is_err(), "a barrier acked a failed sync");
+    assert_failed_closed(&disk, &collector, &d, 3);
+}
+
+/// A dead log answers every write-path call with [`WalError::Dead`].
+#[test]
+fn a_dead_log_refuses_every_write_path_call() {
+    let disk = ModelDisk::new();
+    let (mut wal, _) = Wal::open(model_config(&disk)).unwrap();
+    wal.append(b"row").unwrap();
+    disk.fail_next_sync();
+    assert!(matches!(wal.barrier(), Err(WalError::Io(_))));
+    assert!(matches!(wal.append(b"x"), Err(WalError::Dead)));
+    assert!(matches!(wal.barrier(), Err(WalError::Dead)));
+    assert!(matches!(wal.checkpoint(b"S"), Err(WalError::Dead)));
+    assert!(matches!(wal.seal(), Err(WalError::Dead)));
 }
 
 // ====================================================================

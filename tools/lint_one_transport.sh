@@ -73,6 +73,13 @@
 #   * `thread::Builder` / `thread::spawn(` / `thread::scope(`  not at all
 #                           in crates/server/src/serve.rs
 #
+# and one disk: the write-ahead log reaches the filesystem only through
+# its `Disk` seam, so a model disk under it sees every byte it makes
+# durable, in the non-test part of crates/wal/src/*.rs (the lines before
+# the `#[cfg(test)]` + `mod` pair, as tools/loc.sh counts them):
+#
+#   * `fs::` / `File::` / `OpenOptions`  only in crates/wal/src/disk.rs
+#
 # Apart from the record-codec, old-reader and log-checksum rules, only non-test
 # library code is scanned: every `*.rs` under a `src/` of `crates/`, up to its first
 # `#[cfg(test)]`. Integration tests and `benchmark/` build fake peers and
@@ -91,6 +98,7 @@ client='crates/server/src/client.rs'
 wire='crates/server/src/wire.rs'
 record='crates/wal/src/record.rs'
 wal_log='crates/wal/src/log.rs'
+wal_disk='crates/wal/src/disk.rs'
 serve='crates/server/src/serve.rs'
 
 # "<file>:<lineno>:<code>" for every non-test line, trailing `//` comments
@@ -101,6 +109,28 @@ non_test_code() {
             FNR == 1 { in_tests = 0 }
             /^#\[cfg\(test\)\]/ { in_tests = 1 }
             !in_tests { line = $0; sub(/\/\/.*/, "", line); print FILENAME ":" FNR ":" line }
+        '
+}
+
+# "<file>:<lineno>:<code>" for every line of crates/wal/src/*.rs before
+# its `#[cfg(test)]` + `mod` pair, trailing `//` comments blanked.
+wal_non_test_code() {
+    find crates/wal/src -name '*.rs' -print0 | sort -z |
+        xargs -0 awk '
+            FNR == 1 { done = 0; held = "" }
+            done { next }
+            held != "" {
+                if ($0 ~ /^[ \t]*(pub(\([a-z]+\))? )?mod /) { done = 1; next }
+                print held
+                held = ""
+            }
+            {
+                line = $0
+                sub(/\/\/.*/, "", line)
+                out = FILENAME ":" FNR ":" line
+            }
+            $0 ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { held = out; next }
+            { print out }
         '
 }
 
@@ -178,9 +208,12 @@ report "a second ledger on the wire (counters travel only in Frame::Metrics):" \
 report "a thread spawned in $serve (a query refreshes the view it reads):" \
     "$(grep "^$serve:" <<<"$code" | grep -E 'thread::(Builder|spawn\(|scope\()')"
 
+report "the filesystem reached outside $wal_disk (the log goes through its Disk):" \
+    "$(wal_non_test_code | grep -E '\bfs::|\bFile::|\bOpenOptions\b' | grep -v "^$wal_disk:")"
+
 if [ "$violations" -gt 0 ]; then
     echo "one-transport lint: $violations violation(s)." >&2
     exit 1
 fi
 
-echo "one-transport lint: OK (one listener, one dialer, one reply read, one frame reader and one header parse for sockets and the log, one checksum, one envelope on the wire and on disk (segments and checkpoints), one decode per frame layout, one router thread per connection and no other, one set of books on the wire, no server thread besides the transport's)."
+echo "one-transport lint: OK (one listener, one dialer, one reply read, one frame reader and one header parse for sockets and the log, one checksum, one envelope on the wire and on disk (segments and checkpoints), one decode per frame layout, one router thread per connection and no other, one set of books on the wire, no server thread besides the transport's, one disk under the log)."
